@@ -874,20 +874,45 @@ class WorkerPool:
         return merged
 
     def _reap_in_flight(self, in_flight: dict[int, tuple]) -> None:
-        """Unlink every segment whose consumer may never attach (error path)."""
+        """Settle every dispatched batch and free its segments (error path).
+
+        Unlinking the input segments first makes a worker that has not
+        attached yet fail fast instead of running a batch nobody will merge.
+        A worker already mid-batch still posts its result segment when it
+        finishes -- possibly long after the error that brought us here -- so
+        wait for one report per outstanding batch rather than draining only
+        what happens to be queued.
+        """
         for payload in in_flight.values():
             _discard_payload(payload)
-        # Drain any already-queued results so their segments are freed too.
+        outstanding = set(in_flight)
+        while outstanding:
+            try:
+                message = self._next_message()
+            except WorkerCrashError:
+                return  # a dead worker reports nothing more; close() sweeps the queue
+            if message[0] == "done":
+                _discard_payload(message[3])
+            if message[0] in ("done", "error"):
+                outstanding.discard(message[2])
+
+    def _discard_queued_results(self, wait_s: float = 0.0) -> None:
+        """Free the segment of every result still queued: nobody will merge it."""
         while True:
             try:
-                message = self._results.get_nowait()
+                message = self._results.get(timeout=wait_s)
             except queue.Empty:
                 return
             if message[0] == "done":
                 _discard_payload(message[3])
 
     def close(self, force: bool = False, join_timeout_s: float = 5.0) -> None:
-        """Stop every worker; ``force`` terminates instead of asking."""
+        """Stop every worker; ``force`` terminates instead of asking.
+
+        Results a worker posts on its way out are freed, not leaked.  The
+        queue is drained *while* the workers wind down: a worker cannot exit
+        until the parent has read what it wrote.
+        """
         if self._closed:
             return
         self._closed = True
@@ -897,13 +922,14 @@ class WorkerPool:
                     tasks.put(("stop",))
                 except (OSError, ValueError):  # pragma: no cover - broken pipe
                     pass
+            deadline = time.monotonic() + join_timeout_s
+            while any(proc.is_alive() for proc in self._procs) and time.monotonic() < deadline:
+                self._discard_queued_results(wait_s=0.05)
         for proc in self._procs:
-            if force:
+            if proc.is_alive():
                 proc.terminate()
             proc.join(timeout=join_timeout_s)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=join_timeout_s)
+        self._discard_queued_results()
         self._results.close()
 
 

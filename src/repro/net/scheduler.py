@@ -57,32 +57,29 @@ class AsyncioScheduler:
 class _ManualHandle:
     """A pending callback on the manual heap; mirrors ``asyncio.TimerHandle``."""
 
-    __slots__ = ("when", "seq", "callback", "cancelled")
+    __slots__ = ("when", "callback", "cancelled")
 
-    def __init__(self, when: float, seq: int, callback: Callable[[], Any]) -> None:
+    def __init__(self, when: float, callback: Callable[[], Any]) -> None:
         self.when = when
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "_ManualHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class ManualScheduler:
     """A deterministic scheduler with an explicitly advanced clock.
 
-    Callbacks due at the same instant run in scheduling order -- the same
-    tie-break as the simulator's event heap -- which is what makes
-    conformance traces replay in exactly the sim's sequence.
+    The heap holds the simulator's ``(when, seq, handle)`` entries, so
+    callbacks due at the same instant run in scheduling order by the same
+    C tuple comparison as :class:`repro.sim.engine.Simulator` -- which is
+    what makes conformance traces replay in exactly the sim's sequence.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: list[_ManualHandle] = []
+        self._heap: list[tuple[float, int, _ManualHandle]] = []
         self._seq = 0
 
     def time(self) -> float:
@@ -91,15 +88,15 @@ class ManualScheduler:
     def call_later(self, delay: float, callback: Callable[[], Any]) -> _ManualHandle:
         if delay < 0:
             raise ValueError(f"cannot schedule {delay}s in the past")
-        handle = _ManualHandle(self._now + delay, self._seq, callback)
+        handle = _ManualHandle(self._now + delay, callback)
+        heapq.heappush(self._heap, (handle.when, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._heap, handle)
         return handle
 
     def next_time(self) -> Optional[float]:
         """The due time of the next pending callback (None when idle)."""
         self._discard_cancelled()
-        return self._heap[0].when if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def run_until(self, until: float) -> int:
         """Run every callback due at or before ``until``; advance the clock to it.
@@ -113,10 +110,10 @@ class ManualScheduler:
         fired = 0
         while True:
             self._discard_cancelled()
-            if not self._heap or self._heap[0].when > until:
+            if not self._heap or self._heap[0][0] > until:
                 break
-            handle = heapq.heappop(self._heap)
-            self._now = handle.when
+            when, _, handle = heapq.heappop(self._heap)
+            self._now = when
             handle.callback()
             fired += 1
         self._now = until
@@ -127,7 +124,7 @@ class ManualScheduler:
         return self.run_until(horizon)
 
     def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
 
 

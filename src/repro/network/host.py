@@ -100,10 +100,10 @@ class Host(Node):
 
     def receive(self, packet: Packet) -> None:
         """Deliver an arriving packet to the registered protocol endpoint."""
-        if packet.is_multicast and packet.multicast_group not in self.joined_groups:
+        group = packet.multicast_group
+        if group is not None and group not in self.joined_groups:
             # Not a member (e.g. a stale tree edge); silently discard.
-            self._trace.record(self.sim.now, "host.not_member", host=self.name,
-                               group=packet.multicast_group)
+            self._trace.record(self.sim.now, "host.not_member", host=self.name, group=group)
             return
         endpoint = self._protocols.get(packet.protocol)
         if endpoint is None:

@@ -158,8 +158,7 @@ class Port:
 
     def send(self, packet: "Packet") -> bool:
         """Queue a packet for transmission; returns False if it was dropped."""
-        accepted = self.queue.enqueue(packet)
-        if accepted is None:
+        if self.queue.enqueue(packet) is None:
             return False
         if not self._transmitting:
             self._start_next_transmission()
@@ -175,7 +174,18 @@ class Port:
         self._sim.schedule(delay, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: "Packet") -> None:
+        """Hand a fully serialised packet to the wire, then start on the next one.
+
+        Two events per hop, scheduled in this order: the propagation towards
+        the remote node, then the next packet's serialisation.
+        """
         self.transmitted_packets += 1
         self.transmitted_bytes += packet.size_bytes
         self.link.carry(packet)
-        self._start_next_transmission()
+        # _start_next_transmission, in this frame: it runs for every packet on every hop
+        packet = self.queue.dequeue()
+        if packet is None:
+            self._transmitting = False
+            return
+        delay = serialization_delay(packet.size_bytes, self.rate_bps)
+        self._sim.schedule(delay, self._finish_transmission, packet)

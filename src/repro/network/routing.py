@@ -22,6 +22,7 @@ with no failures restores exactly the original table.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable
 
 import networkx as nx
@@ -171,8 +172,13 @@ class RoutingTable:
         return path
 
 
+@lru_cache(maxsize=1 << 14)
 def stable_hash(*parts: int) -> int:
-    """A deterministic integer hash (Python's ``hash`` is salted per process)."""
+    """A deterministic integer hash (Python's ``hash`` is salted per process).
+
+    Memoised: per-flow ECMP asks for the same ``(flow, src, dst)`` once per
+    packet per hop.
+    """
     value = 0xCBF29CE484222325
     for part in parts:
         for byte in int(part).to_bytes(8, "little", signed=True):

@@ -127,25 +127,23 @@ class Switch(Node):
                 self.sim.now, "switch.down_drop", switch=self.name, packet=packet.packet_id
             )
             return
-        if packet.is_multicast:
+        if packet.multicast_group is not None:
             self._forward_multicast(packet)
-        else:
-            self._forward_unicast(packet)
-
-    def _forward_unicast(self, packet: Packet) -> None:
+            return
         hops = self._next_hops.get(packet.dst)
         if not hops:
             self.dropped_no_route += 1
             self._trace.record(self.sim.now, "switch.no_route", switch=self.name, dst=packet.dst)
             return
-        remote = select_next_hop(
-            self.routing_mode,
-            hops,
-            packet_flow_id=packet.flow_id,
-            packet_src=packet.src,
-            packet_dst=packet.dst if packet.dst is not None else -1,
-            spray_draw=self._rng.getrandbits(30),
-        )
+        # Drawn for every unicast packet, whatever the mode and however many
+        # next hops there are: the spray stream must not depend on either.
+        spray_draw = self._rng.getrandbits(30)
+        if len(hops) == 1:
+            remote = hops[0]
+        else:
+            remote = select_next_hop(
+                self.routing_mode, hops, packet.flow_id, packet.src, packet.dst, spray_draw
+            )
         self._transmit(packet, remote)
 
     def _forward_multicast(self, packet: Packet) -> None:
@@ -169,6 +167,9 @@ class Switch(Node):
             )
             return
         self.forwarded_packets += 1
+        if not self._trace.enabled:
+            port.send(packet)
+            return
         queue = port.queue
         trimmed_before = getattr(queue, "trimmed_packets", 0)
         dropped_before = getattr(queue, "dropped_packets", 0)

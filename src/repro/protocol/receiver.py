@@ -85,6 +85,8 @@ class ReceiverCore(ActionEmitter):
             object_bytes, self.config.symbol_size_bytes, self.config.max_symbols_per_block
         )
         self._received: list[set[int]] = [set() for _ in range(self.oti.num_source_blocks)]
+        #: per block, how many of the received ESIs are source symbols (esi < K)
+        self._source_received: list[int] = [0] * self.oti.num_source_blocks
         self._complete_blocks: set[int] = set()
         self._known_senders: set[int] = set(self.expected_senders)
         self._stall_sender_cursor = 0
@@ -276,6 +278,8 @@ class ReceiverCore(ActionEmitter):
             self.duplicate_symbols += 1
             return
         received.add(payload.esi)
+        if payload.esi < self.oti.block_symbol_count(block):
+            self._source_received[block] += 1
         self.symbols_received += 1
         if self._decoder is not None and payload.data is not None:
             self._decoder.add_symbol(
@@ -286,11 +290,9 @@ class ReceiverCore(ActionEmitter):
 
     def _block_complete(self, block: int) -> bool:
         k = self.oti.block_symbol_count(block)
-        received = self._received[block]
-        source_count = sum(1 for esi in received if esi < k)
-        if source_count == k:
+        if self._source_received[block] == k:
             return True
-        return len(received) >= k + self.config.decode_overhead_symbols
+        return len(self._received[block]) >= k + self.config.decode_overhead_symbols
 
     def _session_complete(self) -> bool:
         return len(self._complete_blocks) == self.oti.num_source_blocks

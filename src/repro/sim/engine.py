@@ -5,8 +5,14 @@ Design goals:
 * **Determinism** -- events scheduled for the same time fire in the order
   they were scheduled (a monotonically increasing sequence number breaks
   ties), so a run is fully reproducible from its configuration and seed.
+* **Ordering in C** -- the heap holds ``(time, seq, event)`` tuples.  ``seq``
+  is unique, so ``heapq`` settles every comparison on the first two fields
+  with C tuple comparison and never looks at the :class:`Event`, which
+  therefore defines no ordering of its own.  Every simulated packet costs
+  two events per hop; this is the hottest loop in the repository (see the
+  "Simulator hot path" section of ``docs/PERFORMANCE.md``).
 * **Cancellation without heap surgery** -- cancelling an event marks it
-  cancelled; the event is discarded lazily when it reaches the top of the
+  cancelled; the entry is discarded lazily when it reaches the top of the
   heap.  This keeps :meth:`Simulator.cancel` O(1).
 * **No global state** -- every component holds a reference to its simulator;
   multiple simulators can coexist in one process (useful for tests and
@@ -15,7 +21,8 @@ Design goals:
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
@@ -28,34 +35,22 @@ class Event:
 
     Instances are created by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`; user code only ever holds them to call
-    :meth:`cancel` (via :meth:`Simulator.cancel`) or to inspect
-    :attr:`time`.
+    :meth:`Simulator.cancel` or to inspect :attr:`time`.  The heap orders
+    ``(time, seq, event)`` entries, so an ``Event`` itself is never compared.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, seq={self.seq}, {name}, {state})"
+        return f"Event(t={self.time:.9f}, {name}, {state})"
 
 
 class Simulator:
@@ -70,7 +65,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries; ``seq`` is unique, so tuple
+        #: comparison never reaches the event
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -95,7 +92,14 @@ class Simulator:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay}s in the past")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        time = self._now + delay
+        event = Event(time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run at absolute time ``time``."""
@@ -103,9 +107,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        event = Event(time, self._seq, callback, args, kwargs)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        event = Event(time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, event))
         return event
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -119,10 +126,10 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[float]:
         """Return the time of the next pending (non-cancelled) event, or ``None``."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the event loop.
@@ -141,29 +148,25 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed_before = self._events_processed
+        heap, pop = self._heap, heappop
         try:
-            while not self._stopped:
-                self._discard_cancelled()
-                if not self._heap:
-                    break
-                event = self._heap[0]
-                if until is not None and event.time > until:
+            while heap and not self._stopped:
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if until is not None and entry[0] > until:
                     self._now = until
                     break
-                heapq.heappop(self._heap)
-                self._now = event.time
+                pop(heap)
+                self._now = entry[0]
                 self._events_processed += 1
-                event.callback(*event.args, **event.kwargs)
+                event.callback(*event.args)
                 if max_events is not None and self._events_processed - processed_before >= max_events:
                     break
-            else:
-                pass
-            if until is not None and not self._heap and self._now < until and not self._stopped:
+            if until is not None and not heap and self._now < until and not self._stopped:
                 self._now = until
         finally:
             self._running = False
         return self._events_processed - processed_before
-
-    def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)

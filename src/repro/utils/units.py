@@ -53,7 +53,7 @@ def serialization_delay(num_bytes: float, rate_bps: float) -> float:
     """
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
-    return bytes_to_bits(num_bytes) / rate_bps
+    return num_bytes * BITS_PER_BYTE / rate_bps
 
 
 def format_time(seconds: float) -> str:

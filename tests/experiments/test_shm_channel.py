@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PolyraptorConfig
-from repro.experiments import shm
+from repro.experiments import parallel, shm
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import (
     RunJob,
@@ -85,6 +85,18 @@ def _payload_jobs(seeds=(1, 2, 3, 4)) -> list[RunJob]:
         jobs.append(RunJob(key=seed, protocol=Protocol.POLYRAPTOR,
                            config=config, transfers=transfers))
     return jobs
+
+
+def _bad_job() -> RunJob:
+    """A host that does not exist in the k=4 fabric: the worker's topology
+    lookup raises mid-batch, exercising the executor's reap path."""
+    return RunJob(
+        key="bad", protocol=Protocol.POLYRAPTOR,
+        config=PAYLOAD_CONFIG.with_seed(9),
+        transfers=(TransferSpec(transfer_id=1, kind=TransferKind.UNICAST,
+                                client="h999", peers=("h0",),
+                                size_bytes=48_000, start_time=0.0),),
+    )
 
 
 def _fingerprints(runs) -> list[str]:
@@ -176,18 +188,26 @@ class TestShmFailurePaths:
 
     def test_worker_exception_propagates_and_leaks_nothing(self):
         jobs = _payload_jobs(seeds=(1, 2))
-        # A host that does not exist in the k=4 fabric: the worker's topology
-        # lookup raises mid-batch, exercising the executor's reap path.
-        bad = RunJob(
-            key="bad", protocol=Protocol.POLYRAPTOR,
-            config=PAYLOAD_CONFIG.with_seed(9),
-            transfers=(TransferSpec(transfer_id=1, kind=TransferKind.UNICAST,
-                                    client="h999", peers=("h0",),
-                                    size_bytes=48_000, start_time=0.0),),
-        )
         with pytest.raises(WorkerJobError, match="bad"):
-            execute_jobs(jobs + [bad], num_workers=2, transport="shm", chunk=1)
+            execute_jobs(jobs + [_bad_job()], num_workers=2, transport="shm", chunk=1)
         # The autouse fixture asserts no /dev/shm leak after pool teardown.
+
+    def test_sibling_still_mid_batch_when_a_job_fails_leaks_nothing(self):
+        # Dispatched side by side: one worker fails at once on ``bad`` while
+        # its sibling is still running a batch whose result segment it will
+        # post only *after* the parent has seen the error.  The executor has
+        # to settle that batch before re-raising, not just drain the queue.
+        with pytest.raises(WorkerJobError, match="bad"):
+            execute_jobs(_payload_jobs(seeds=(1, 2, 3)) + [_bad_job()],
+                         num_workers=2, transport="shm", chunk=3)
+        assert not _shm_segments()
+
+    def test_close_frees_results_nobody_merged(self):
+        pool, _ = get_worker_pool(2, transport="shm")
+        payload, _, _ = parallel._dump_payload(_payload_jobs(seeds=(1,)), "shm")
+        pool._tasks[0].put(("batch", 0, payload))  # dispatched, never collected
+        shutdown_worker_pool()
+        assert not _shm_segments()
 
 
 class TestPersistentPool:

@@ -1,11 +1,14 @@
 """ManualScheduler/NetTimer semantics and the net drivers' action plumbing."""
 
+import random
+
 import pytest
 
 from repro.net.driver import NetReceiverDriver, wire_config
 from repro.net.scheduler import ManualScheduler, NetTimer
 from repro.protocol.actions import KIND_CONTROL
 from repro.protocol.receiver import ReceiverCore
+from repro.sim.engine import Simulator
 
 
 class TestManualScheduler:
@@ -71,6 +74,56 @@ class TestManualScheduler:
         scheduler.call_later(0.1, tick)
         scheduler.run_until(1.0)
         assert times == pytest.approx([0.1, 0.2, 0.3])
+
+
+def _replay_script(schedule, cancel, run_until, now, seed=20180821, steps=400):
+    """One seeded schedule/cancel/advance script against either clock.
+
+    Callbacks schedule children, cancel handles and tie on time constantly
+    (delays come from a five-value menu), so the firing order leans on the
+    ``(when, seq)`` tie-break everywhere.  Returns ``[(time, label), ...]``.
+    """
+    rng = random.Random(seed)
+    fired, handles = [], []
+
+    def spawn(label):
+        def callback():
+            fired.append((now(), label))
+            roll = rng.random()
+            if roll < 0.4:
+                spawn(f"{label}.{len(handles)}")
+            elif roll < 0.6 and handles:
+                cancel(handles[rng.randrange(len(handles))])
+        handles.append(schedule(rng.choice((0.0, 0.001, 0.001, 0.002, 0.005)), callback))
+
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.6:
+            spawn(str(step))
+        elif roll < 0.8 and handles:
+            cancel(handles[rng.randrange(len(handles))])
+        else:
+            run_until(now() + rng.choice((0.0, 0.001, 0.003)))
+    run_until(now() + 1.0)
+    return fired
+
+
+class TestSameOrderAsTheSimulator:
+    def test_one_seeded_script_fires_identically_on_both_clocks(self):
+        sim = Simulator()
+        on_sim = _replay_script(
+            schedule=sim.schedule, cancel=sim.cancel,
+            run_until=lambda until: sim.run(until=until), now=lambda: sim.now,
+        )
+        manual = ManualScheduler()
+        on_manual = _replay_script(
+            schedule=manual.call_later, cancel=lambda handle: handle.cancel(),
+            run_until=manual.run_until, now=manual.time,
+        )
+        assert len(on_sim) > 200
+        assert len({time for time, _ in on_sim}) < len(on_sim) / 2  # ties are the norm
+        assert on_manual == on_sim
+        assert sim.pending_events == 0 and manual.next_time() is None
 
 
 class TestNetTimer:
