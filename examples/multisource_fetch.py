@@ -54,7 +54,7 @@ def single_fetch_with_a_busy_replica() -> None:
     record = registry.get(1)
     print(f"  fetch completed: {record.completed}, goodput {record.goodput_gbps:.3f} Gbps")
     for name in replicas:
-        session = agents[name].sender_session(1)
+        session = agents[name].sender_session(1).core
         note = " (busy with another transfer)" if name == "h4" else ""
         print(f"    {name}: contributed {session.symbols_sent} symbols{note}")
     print()

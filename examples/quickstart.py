@@ -51,7 +51,7 @@ def polyraptor_payload_transfer(object_size: int = 200_000) -> None:
     sim.run(until=5.0)
 
     record = registry.get(1)
-    session = agents[receiver].receiver_session(1)
+    session = agents[receiver].receiver_session(1).core
     print(f"  completed      : {record.completed}")
     print(f"  goodput        : {format_rate(record.goodput_bps)}")
     print(f"  symbols received: {session.symbols_received} "

@@ -1,24 +1,41 @@
 #!/usr/bin/env python
-"""Check that every relative markdown link in README/docs resolves.
+"""Check that README/docs links resolve and that the API docs name real code.
 
-Scans ``README.md`` and everything under ``docs/`` for ``[text](target)``
-links with ``target``s of the form ``path`` or ``path#anchor``.  External
-links (http/https/mailto) are skipped; relative targets must exist on disk,
-and for in-repo markdown targets with an anchor the anchor must match a
-heading in the target file (GitHub slug rules, simplified).
+Links: scans ``README.md`` and everything under ``docs/`` for
+``[text](target)`` links with ``target``s of the form ``path`` or
+``path#anchor``.  External links (http/https/mailto) are skipped; relative
+targets must exist on disk, and for in-repo markdown targets with an anchor
+the anchor must match a heading in the target file (GitHub slug rules,
+simplified).
 
-Exit status is non-zero when any link is broken, so CI can gate on it:
+Names: in the two reference pages (``docs/API.md``, ``docs/PROTOCOL.md``)
+every backticked dotted ``repro.…`` name must resolve by import + ``getattr``,
+and every backticked bare CamelCase name must be a class defined somewhere
+in the ``repro`` package (or a builtin) -- so deleting or renaming a class
+the docs still mention fails the check instead of leaving a stale page.
+
+Exit status is non-zero when any link or name is broken, so CI can gate on
+it:
 
     python scripts/check_docs_links.py
 """
 
 from __future__ import annotations
 
+import builtins
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The reference pages whose backticked names must exist in the code.
+NAME_DOCS = ("docs/API.md", "docs/PROTOCOL.md")
+DOTTED_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+CLASS_NAME_RE = re.compile(r"`([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+)`")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -65,15 +82,63 @@ def check_links() -> list[str]:
     return problems
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``a.b.C.d`` is an importable module plus a ``getattr`` chain."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def _package_class_names() -> set[str]:
+    """The name of every class defined in (not merely imported into) ``repro``."""
+    import repro
+
+    names: set[str] = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue  # importing it would run the CLI
+        for name, obj in vars(importlib.import_module(info.name)).items():
+            if inspect.isclass(obj) and obj.__module__.startswith("repro."):
+                names.add(name)
+    return names
+
+
+def check_names() -> list[str]:
+    """Return the backticked code names in ``NAME_DOCS`` that no longer exist."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    known_classes = _package_class_names() | set(vars(builtins))
+    problems: list[str] = []
+    for rel in NAME_DOCS:
+        text = (REPO_ROOT / rel).read_text(encoding="utf-8")
+        for dotted in sorted(set(DOTTED_NAME_RE.findall(text))):
+            if not _resolves(dotted):
+                problems.append(f"{rel}: `{dotted}` does not resolve by import + getattr")
+        for name in sorted(set(CLASS_NAME_RE.findall(text))):
+            if name not in known_classes:
+                problems.append(f"{rel}: no class named `{name}` in the repro package")
+    return problems
+
+
 def main() -> int:
-    problems = check_links()
+    problems = check_links() + check_names()
     checked = len(_markdown_files())
     if problems:
         for problem in problems:
             print(f"BROKEN  {problem}")
-        print(f"\n{len(problems)} broken link(s) across {checked} markdown files")
+        print(f"\n{len(problems)} broken link(s) or name(s) across {checked} markdown files")
         return 1
-    print(f"All relative links resolve across {checked} markdown files")
+    print(f"All relative links resolve across {checked} markdown files; "
+          f"all code names in {', '.join(NAME_DOCS)} exist")
     return 0
 
 

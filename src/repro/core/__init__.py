@@ -1,18 +1,20 @@
 """Polyraptor: the paper's receiver-driven, RaptorQ-coded transport.
 
-The protocol is implemented as one :class:`~repro.core.agent.PolyraptorAgent`
-per host.  An agent owns:
+The protocol is one :class:`~repro.core.agent.PolyraptorAgent` per simulated
+host.  All session logic -- pull clocking, multicast aggregation,
+multi-source partitioning, decode handling -- lives in the pure cores of
+:mod:`repro.protocol`; the agent is the simulator binding.  It owns:
 
-* the host's single **pull pacer** (:mod:`repro.core.pull_queue`), shared by
-  every session terminating at that host, which paces pull requests so the
-  aggregate symbol arrival rate matches the host's link capacity;
-* **sender sessions** (:mod:`repro.core.sender`): push a window of encoding
-  symbols at line rate for the first RTT, then emit one new symbol per pull;
-  multicast senders aggregate pulls from all receivers, multi-source senders
-  serve a disjoint partition of the symbol space;
-* **receiver sessions** (:mod:`repro.core.receiver`): count (or actually
-  decode) received symbols, issue a pull for every full or trimmed symbol
-  that arrives, and declare completion once the block is decodable.
+* the host's single **pull pacer**
+  (:class:`~repro.protocol.pacer.PacedPullQueue`), shared by every session
+  terminating at that host, which paces pull requests so the aggregate
+  symbol arrival rate matches the host's link capacity;
+* one :class:`~repro.protocol.driver.SessionDriver` per **sender session**
+  (over a :class:`~repro.protocol.sender.SenderCore`) and per **receiver
+  session** (over a :class:`~repro.protocol.receiver.ReceiverCore`), each
+  bound to ``sim.now``, the simulator's timers and the host's NIC by
+  :meth:`~repro.core.agent.PolyraptorAgent.drive`; protocol state and
+  counters read as ``session.core.<name>``.
 
 Sessions are one-to-many (replication / multicast), many-to-one
 (multi-source fetch) or one-to-one (plain unicast, a specialisation of both).
@@ -27,18 +29,12 @@ from repro.core.packets import (
     RequestPayload,
     SymbolPayload,
 )
-from repro.core.pull_queue import PullPacer
-from repro.core.receiver import ReceiverSession
-from repro.core.sender import SenderSession
 from repro.core.straggler import StragglerPolicy
 
 __all__ = [
     "POLYRAPTOR_PROTOCOL",
     "PolyraptorAgent",
     "PolyraptorConfig",
-    "PullPacer",
-    "SenderSession",
-    "ReceiverSession",
     "StragglerPolicy",
     "SymbolPayload",
     "PullPayload",

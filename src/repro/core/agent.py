@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import (
@@ -12,13 +13,16 @@ from repro.core.packets import (
     RequestPayload,
     SymbolPayload,
 )
-from repro.core.pull_queue import PullPacer
-from repro.core.receiver import ReceiverSession
-from repro.core.sender import SenderSession
 from repro.network.host import Host
-from repro.network.packet import Packet
+from repro.network.packet import Packet, PacketKind, make_control_packet
+from repro.protocol.actions import KIND_DATA, SendPacket
+from repro.protocol.driver import SessionDriver
+from repro.protocol.pacer import PacedPullQueue
+from repro.protocol.receiver import ReceiverCore
+from repro.protocol.sender import SenderCore
 from repro.rq.backend import CodecContext
 from repro.sim.engine import Simulator
+from repro.sim.process import Timer
 from repro.sim.trace import TraceLog
 from repro.transport.base import TransferRegistry
 
@@ -29,9 +33,11 @@ POLYRAPTOR_PROTOCOL = "polyraptor"
 class PolyraptorAgent:
     """One Polyraptor endpoint per host.
 
-    The agent owns the host's pull pacer, creates sender/receiver sessions and
-    demultiplexes arriving packets to them.  Transfers are recorded in the
-    shared :class:`~repro.transport.base.TransferRegistry`:
+    The agent builds a protocol core per session, binds it to the simulator
+    with :meth:`drive`, owns the host's single pull pacer (shared by every
+    session terminating here) and demultiplexes arriving packets to the
+    sessions.  Transfers are recorded in the shared
+    :class:`~repro.transport.base.TransferRegistry`:
 
     * push sessions (one-to-many): start recorded when the sender starts,
       completion when the **last** receiver reports DONE;
@@ -59,12 +65,62 @@ class PolyraptorAgent:
         # (the runner passes it in) so all sessions amortise one plan cache;
         # a per-agent context is created only for standalone agents.
         self.codec = codec_context or CodecContext(self.config.codec_backend)
-        self.pacer = PullPacer(sim, host, self.config)
-        self._senders: dict[int, SenderSession] = {}
-        self._receivers: dict[int, ReceiverSession] = {}
+        # Pulls are paced at one symbol serialisation time of the host's link
+        # and scheduled on the simulator's event heap.
+        self.pacer = PacedPullQueue(
+            self.config, host.link_rate_bps, sim.schedule, self._send
+        )
+        self._senders: dict[int, SessionDriver] = {}
+        self._receivers: dict[int, SessionDriver] = {}
         #: object payloads available on this host for fetch serving (payload mode)
         self._stored_objects: dict[int, bytes] = {}
         host.register_protocol(POLYRAPTOR_PROTOCOL, self)
+
+    # The sim binding ------------------------------------------------------------
+
+    def drive(
+        self,
+        core: Union[SenderCore, ReceiverCore],
+        on_complete: Optional[Callable[[float], None]] = None,
+    ) -> SessionDriver:
+        """Bind a protocol core to this host's clock, NIC and pull pacer."""
+        sim = self.sim
+        return SessionDriver(
+            core,
+            now=lambda: sim.now,
+            new_timer=partial(Timer, sim),
+            send=self._send,
+            pacer=self.pacer,
+            on_complete=on_complete,
+        )
+
+    def _send(self, action: SendPacket) -> None:
+        """Frame one core ``SendPacket`` as a sim packet and hand it to the NIC."""
+        payload = action.payload
+        if action.kind == KIND_DATA:
+            packet = Packet(
+                protocol=POLYRAPTOR_PROTOCOL,
+                src=self.host.node_id,
+                dst=action.dest,
+                multicast_group=action.multicast_group,
+                size_bytes=action.size_bytes,
+                kind=PacketKind.DATA,
+                flow_id=payload.session_id,
+                header_bytes=self.config.header_bytes,
+                payload=payload,
+                created_at=self.sim.now,
+            )
+        else:
+            packet = make_control_packet(
+                protocol=POLYRAPTOR_PROTOCOL,
+                src=self.host.node_id,
+                dst=action.dest,
+                payload=payload,
+                flow_id=payload.session_id,
+                size_bytes=action.size_bytes,
+                created_at=self.sim.now,
+            )
+        self.host.send(packet)
 
     # Session creation -----------------------------------------------------------
 
@@ -78,34 +134,21 @@ class PolyraptorAgent:
         register: bool = True,
         object_data: Optional[bytes] = None,
         on_complete: Optional[Callable[[float], None]] = None,
-    ) -> SenderSession:
+    ) -> SessionDriver:
         """Start a one-to-many (or unicast) push session from this host."""
         if session_id in self._senders:
             raise ValueError(f"session {session_id} already exists on {self.host.name}")
-        if register and self.registry is not None:
-            self.registry.record_start(
-                session_id, object_bytes, self.sim.now,
-                protocol=POLYRAPTOR_PROTOCOL, label=label,
-            )
-
-        def _all_done(now: float) -> None:
-            if register and self.registry is not None:
-                self.registry.record_completion(session_id, now)
-            if on_complete is not None:
-                on_complete(now)
-
-        session = SenderSession(
-            agent=self,
-            session_id=session_id,
-            object_bytes=object_bytes,
-            receiver_host_ids=receiver_host_ids,
+        completed = self._record_transfer(
+            session_id, object_bytes, label, register, on_complete
+        )
+        return self._start_sender(
+            session_id,
+            object_bytes,
+            receiver_host_ids,
             multicast_group=multicast_group,
             object_data=object_data,
-            on_all_receivers_done=_all_done,
+            on_complete=completed,
         )
-        self._senders[session_id] = session
-        session.start()
-        return session
 
     def start_fetch_session(
         self,
@@ -115,30 +158,16 @@ class PolyraptorAgent:
         label: str = "",
         register: bool = True,
         on_complete: Optional[Callable[[float], None]] = None,
-    ) -> ReceiverSession:
+    ) -> SessionDriver:
         """Start a many-to-one fetch session terminating at this host."""
         if session_id in self._receivers:
             raise ValueError(f"session {session_id} already exists on {self.host.name}")
-        if register and self.registry is not None:
-            self.registry.record_start(
-                session_id, object_bytes, self.sim.now,
-                protocol=POLYRAPTOR_PROTOCOL, label=label,
-            )
-
-        def _decoded(now: float) -> None:
-            if register and self.registry is not None:
-                self.registry.record_completion(session_id, now)
-            if on_complete is not None:
-                on_complete(now)
-
-        session = ReceiverSession(
-            agent=self,
-            session_id=session_id,
-            object_bytes=object_bytes,
-            expected_senders=sender_host_ids,
-            on_complete=_decoded,
+        completed = self._record_transfer(
+            session_id, object_bytes, label, register, on_complete
         )
-        self._receivers[session_id] = session
+        session = self._open_receiver(
+            session_id, object_bytes, sender_host_ids, on_complete=completed
+        )
         session.start_fetch()
         return session
 
@@ -146,13 +175,84 @@ class PolyraptorAgent:
         """Make object bytes available for serving a fetch session (payload mode)."""
         self._stored_objects[session_id] = data
 
+    def _record_transfer(
+        self,
+        session_id: int,
+        object_bytes: int,
+        label: str,
+        register: bool,
+        on_complete: Optional[Callable[[float], None]],
+    ) -> Callable[[float], None]:
+        """Record a transfer's start; return the callback that records its end."""
+        registry = self.registry if register else None
+        if registry is not None:
+            registry.record_start(
+                session_id, object_bytes, self.sim.now,
+                protocol=POLYRAPTOR_PROTOCOL, label=label,
+            )
+
+        def completed(now: float) -> None:
+            if registry is not None:
+                registry.record_completion(session_id, now)
+            if on_complete is not None:
+                on_complete(now)
+
+        return completed
+
+    def _start_sender(
+        self,
+        session_id: int,
+        object_bytes: int,
+        receiver_host_ids: list[int],
+        multicast_group: Optional[int] = None,
+        sender_index: int = 0,
+        num_senders: int = 1,
+        object_data: Optional[bytes] = None,
+        on_complete: Optional[Callable[[float], None]] = None,
+    ) -> SessionDriver:
+        core = SenderCore(
+            config=self.config,
+            session_id=session_id,
+            object_bytes=object_bytes,
+            receiver_host_ids=receiver_host_ids,
+            local_host=self.host.node_id,
+            link_rate_bps=self.host.link_rate_bps,
+            multicast_group=multicast_group,
+            sender_index=sender_index,
+            num_senders=num_senders,
+            object_data=object_data,
+            codec=self.codec,
+        )
+        session = self._senders[session_id] = self.drive(core, on_complete)
+        session.start()
+        return session
+
+    def _open_receiver(
+        self,
+        session_id: int,
+        object_bytes: int,
+        expected_senders: list[int],
+        on_complete: Optional[Callable[[float], None]] = None,
+    ) -> SessionDriver:
+        core = ReceiverCore(
+            config=self.config,
+            session_id=session_id,
+            object_bytes=object_bytes,
+            local_host=self.host.node_id,
+            expected_senders=expected_senders,
+            codec=self.codec,
+            now=self.sim.now,
+        )
+        session = self._receivers[session_id] = self.drive(core, on_complete)
+        return session
+
     # Lookup ------------------------------------------------------------------------
 
-    def sender_session(self, session_id: int) -> SenderSession:
+    def sender_session(self, session_id: int) -> SessionDriver:
         """Return a sender session hosted on this agent."""
         return self._senders[session_id]
 
-    def receiver_session(self, session_id: int) -> ReceiverSession:
+    def receiver_session(self, session_id: int) -> SessionDriver:
         """Return a receiver session hosted on this agent."""
         return self._receivers[session_id]
 
@@ -161,12 +261,12 @@ class PolyraptorAgent:
         return session_id in self._receivers
 
     @property
-    def all_sender_sessions(self) -> list[SenderSession]:
+    def all_sender_sessions(self) -> list[SessionDriver]:
         """Every sender session hosted on this agent (stats collection)."""
         return list(self._senders.values())
 
     @property
-    def all_receiver_sessions(self) -> list[ReceiverSession]:
+    def all_receiver_sessions(self) -> list[SessionDriver]:
         """Every receiver session hosted on this agent (stats collection)."""
         return list(self._receivers.values())
 
@@ -198,13 +298,9 @@ class PolyraptorAgent:
         session = self._receivers.get(payload.session_id)
         if session is None:
             # Push sessions create receiver state on first contact.
-            session = ReceiverSession(
-                agent=self,
-                session_id=payload.session_id,
-                object_bytes=payload.object_bytes,
-                expected_senders=[payload.sender_host],
+            session = self._open_receiver(
+                payload.session_id, payload.object_bytes, [payload.sender_host]
             )
-            self._receivers[payload.session_id] = session
         session.on_symbol(
             payload,
             packet.trimmed,
@@ -216,16 +312,11 @@ class PolyraptorAgent:
     def _on_request(self, request: RequestPayload) -> None:
         if request.session_id in self._senders:
             return
-        object_data = self._stored_objects.get(request.session_id)
-        session = SenderSession(
-            agent=self,
-            session_id=request.session_id,
-            object_bytes=request.object_bytes,
-            receiver_host_ids=[request.receiver_host],
-            multicast_group=None,
+        self._start_sender(
+            request.session_id,
+            request.object_bytes,
+            [request.receiver_host],
             sender_index=request.sender_index,
             num_senders=request.num_senders,
-            object_data=object_data,
+            object_data=self._stored_objects.get(request.session_id),
         )
-        self._senders[request.session_id] = session
-        session.start()

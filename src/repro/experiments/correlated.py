@@ -42,7 +42,7 @@ from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_fault_stats
+from repro.experiments.report import merge_codec_stats, merge_counter_stats
 from repro.experiments.resilience import fault_window, permutation_workload
 from repro.faults.schedule import (
     FaultSchedule,
@@ -289,7 +289,7 @@ def run_correlated(
                 p90_fct_ms=fct_cdf.quantile(0.9) if fct_cdf else float("inf"),
                 mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
                 fct_vs_healthy=ratio,
-                fault_stats=merge_fault_stats([run.fault_stats for run in cell_runs]),
+                fault_stats=merge_counter_stats([run.fault_stats for run in cell_runs]),
             )
         result.codec_stats[protocol.value] = merge_codec_stats(
             [

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_transport_stats
+from repro.experiments.report import merge_codec_stats, merge_counter_stats
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.utils.cdf import Cdf
@@ -239,7 +239,7 @@ def run_incast(
                     p99_fct_ms=fct_cdf.quantile(0.99) if fct_cdf else float("inf"),
                     mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
                     fct_vs_unmarked=ratio,
-                    transport_stats=merge_transport_stats(
+                    transport_stats=merge_counter_stats(
                         [run.transport_stats for run in cell_runs]
                     ),
                 )

@@ -260,13 +260,18 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
     return f"{title}\n{table}"
 
 
-def merge_fault_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
-    """Aggregate per-run fault statistics across the shards of a sweep.
+def merge_counter_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
+    """Aggregate per-run additive counters across the shards of a sweep.
 
-    Every counter is additive (event counts, fault-caused packet drops,
-    rerouted table entries), so shards simply sum; a ``shards`` field records
-    how many runs contributed.  Runs without fault injection (``None``) are
-    skipped; returns ``None`` when no run carried stats.
+    Serves both the fault counters (event counts, fault-caused packet drops,
+    rerouted table entries, per-builder ``cause_*``) and the
+    congestion-reaction counters (ECN marks, CE receipts, echoes, TFRC rate
+    updates, gray detections, sender reactions).  Every one is additive, so
+    shards simply sum -- generically over whatever keys are present, so newly
+    added counters survive merging; a ``shards`` field records how many runs
+    contributed.  Runs that kept no counters (``None``: a healthy fabric,
+    every reactive feature off) are skipped; returns ``None`` when no run
+    carried stats.
     """
     present = [stats for stats in stats_list if stats]
     if not present:
@@ -353,25 +358,6 @@ def format_fault_stats(
         headers.append("causes")
     table = _format_table(headers, rows)
     return f"{title}\n{table}"
-
-
-def merge_transport_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
-    """Aggregate per-run congestion-reaction statistics across sweep shards.
-
-    Every counter is additive (ECN marks, CE receipts, echoes, TFRC rate
-    updates, gray detections, sender reactions), so shards simply sum --
-    generically over whatever keys are present, so newly added counters
-    survive merging; a ``shards`` field records how many runs contributed.
-    Runs with every reactive feature off (``None``) are skipped; returns
-    ``None`` when no run carried stats.
-    """
-    present = [stats for stats in stats_list if stats]
-    if not present:
-        return None
-    keys = sorted({key for stats in present for key in stats})
-    merged = {key: sum(stats.get(key, 0) for stats in present) for key in keys}
-    merged["shards"] = len(present)
-    return merged
 
 
 def format_transport_stats(

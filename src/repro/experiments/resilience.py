@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_fault_stats
+from repro.experiments.report import merge_codec_stats, merge_counter_stats
 from repro.faults.schedule import FaultSchedule, random_fault_schedule
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
@@ -226,7 +226,7 @@ def run_resilience(
                 p90_fct_ms=fct_cdf.quantile(0.9) if fct_cdf else float("inf"),
                 mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
                 fct_vs_healthy=ratio,
-                fault_stats=merge_fault_stats([run.fault_stats for run in cell_runs]),
+                fault_stats=merge_counter_stats([run.fault_stats for run in cell_runs]),
             )
         result.codec_stats[protocol.value] = merge_codec_stats(
             [

@@ -259,11 +259,11 @@ def _collect_transport_stats(env: _Environment, protocol: Protocol) -> Optional[
             if agent.pacer.tfrc is not None:
                 rate_updates += agent.pacer.tfrc.rate_updates
             for receiver in agent.all_receiver_sessions:
-                ce_received += receiver.ce_received
+                ce_received += receiver.core.ce_received
             for sender in agent.all_sender_sessions:
-                gray_detected += sender.gray_detected
-                if sender.tfrc is not None:
-                    rate_updates += sender.tfrc.rate_updates
+                gray_detected += sender.core.gray_detected
+                if sender.core.tfrc is not None:
+                    rate_updates += sender.core.tfrc.rate_updates
         stats["ce_received"] = ce_received
         stats["rate_updates"] = rate_updates
         stats["gray_detected"] = gray_detected

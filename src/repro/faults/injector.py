@@ -130,7 +130,7 @@ class FaultInjector:
         """Fault accounting for this run as a picklable, mergeable dict.
 
         All values are additive counters so shards merge by summation
-        (:func:`repro.experiments.report.merge_fault_stats`); per-cause
+        (:func:`repro.experiments.report.merge_counter_stats`); per-cause
         counts are flattened to ``cause_<name>`` keys for the same reason.
         """
         stats = {

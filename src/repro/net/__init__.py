@@ -8,9 +8,11 @@ This package drives the exact same state machines as the simulator
 * :mod:`repro.net.scheduler` -- the clock/timer abstraction
   (:class:`AsyncioScheduler` for real endpoints,
   :class:`ManualScheduler` for deterministic tests);
-* :mod:`repro.net.driver` -- sender/receiver drivers applying core actions
-  to a datagram transport, and :func:`wire_config`, the
-  :class:`~repro.core.config.PolyraptorConfig` profile tuned for lossy UDP;
+* :mod:`repro.net.driver` -- :func:`drive`, which binds a protocol core to
+  a scheduler and a datagram transport through the one
+  :class:`~repro.protocol.driver.SessionDriver`, and :func:`wire_config`,
+  the :class:`~repro.core.config.PolyraptorConfig` profile tuned for lossy
+  UDP;
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- the
   ``repro serve`` / ``repro fetch`` endpoints completing real loopback
   object transfers.
@@ -20,7 +22,7 @@ dependencies.
 """
 
 from repro.net.client import FetchError, fetch_object, fetch_object_async
-from repro.net.driver import NetReceiverDriver, NetSenderDriver, wire_config
+from repro.net.driver import drive, wire_config
 from repro.net.scheduler import AsyncioScheduler, ManualScheduler, NetTimer
 from repro.net.server import (
     DEFAULT_PORT,
@@ -37,14 +39,13 @@ __all__ = [
     "DEFAULT_PORT",
     "FetchError",
     "ManualScheduler",
-    "NetReceiverDriver",
-    "NetSenderDriver",
     "NetTimer",
     "ObjectStore",
     "PolyraptorServerProtocol",
     "WireError",
     "decode_frame",
     "deterministic_object",
+    "drive",
     "encode_frame",
     "fetch_object",
     "fetch_object_async",

@@ -10,10 +10,9 @@ default, or any number of replica holders via ``sources=[...]``):
    size and symbol size -- mismatched grants abort the fetch.
 2. **Transfer** -- run a single
    :class:`~repro.protocol.receiver.ReceiverCore` (with one expected
-   sender per source) through
-   :class:`~repro.net.driver.NetReceiverDriver`: REQUESTs go out to every
-   source, symbols from all of them fold into one decode, pulls are paced
-   by TFRC and routed to whichever sender delivered (the paper's natural
+   sender per source) through :func:`repro.net.driver.drive`: REQUESTs go
+   out to every source, symbols from all of them fold into one decode, pulls
+   are paced by TFRC and routed to whichever sender delivered (the paper's natural
    load balancing), and the stall timer plus gap-triggered pulls recover
    from datagram loss.  Each server grants its *own* session id; the
    per-source connection translates between that wire id and the core's
@@ -44,7 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, SymbolPayload
-from repro.net.driver import DEFAULT_WIRE_RATE_BPS, NetReceiverDriver, wire_config
+from repro.net.driver import DEFAULT_WIRE_RATE_BPS, drive, wire_config
 from repro.net.scheduler import AsyncioScheduler
 from repro.net.server import (
     CLIENT_HOST_ID,
@@ -61,6 +60,7 @@ from repro.net.wire import (
     max_symbol_size_for_mtu,
 )
 from repro.protocol.actions import SendPacket
+from repro.protocol.driver import SessionDriver
 from repro.protocol.receiver import ReceiverCore
 
 
@@ -84,7 +84,7 @@ class _FetchProtocol(asyncio.DatagramProtocol):
         #: the protocol host id this source's sender stamps on its symbols
         self.sender_host = sender_host_id(index)
         self.transport: Optional[asyncio.DatagramTransport] = None
-        self.driver: Optional[NetReceiverDriver] = None
+        self.driver: Optional[SessionDriver] = None
         self.grant: Optional[asyncio.Future] = None
         #: the session id granted by this source's server (None until open)
         self.wire_session_id: Optional[int] = None
@@ -265,7 +265,7 @@ async def fetch_object_async(
             if conn is not None:
                 conn.transmit(action)
 
-        driver = NetReceiverDriver(
+        driver = drive(
             core,
             scheduler,
             transmit=route,
@@ -322,7 +322,7 @@ async def fetch_object_async(
 
 async def _recover_silent_sources(
     connections: Sequence[_FetchProtocol],
-    driver: NetReceiverDriver,
+    driver: SessionDriver,
     name: str,
     proposal: int,
     object_bytes: int,

@@ -1,39 +1,27 @@
-"""Datagram drivers over the transport-agnostic protocol cores.
+"""The wire-side binding of the session driver, and the UDP config profile.
 
-The net drivers are the wire-side twins of the sim wrappers in
-:mod:`repro.core.sender` / :mod:`repro.core.receiver`: every input event is
-forwarded to the core stamped with the scheduler's clock, then the core's
-buffered actions are drained in emission order -- packets out through a
-``transmit`` callable (normally ``sock.sendto`` behind
-:func:`repro.net.wire.encode_frame`), timers onto
-:class:`~repro.net.scheduler.NetTimer` instances, pulls into a per-endpoint
-:class:`~repro.protocol.pacer.PacedPullQueue`.  Because the decision logic
-lives entirely in the core, the conformance suite can replay one scripted
-trace through a sim driver and a net driver and require identical outputs.
+:func:`drive` is the net twin of
+:meth:`repro.core.agent.PolyraptorAgent.drive`: it binds a protocol core to
+a :class:`~repro.net.scheduler.Scheduler` clock and a ``transmit`` callable
+(normally ``sock.sendto`` behind :func:`repro.net.wire.encode_frame`)
+through the same :class:`~repro.protocol.driver.SessionDriver` the simulator
+uses.  Because the decision logic lives entirely in the core and the action
+application entirely in that one driver, the conformance suite can replay a
+scripted trace on both clocks and require identical outputs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Callable, Optional, Union
 
 from repro.core.config import PolyraptorConfig
-from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
-from repro.protocol.actions import (
-    KIND_CONTROL,
-    CancelPulls,
-    EnqueuePull,
-    SendPacket,
-    SessionCompleted,
-    SetTimer,
-    StopTimer,
-    TransportFeedback,
-)
+from repro.protocol.actions import SendPacket
+from repro.protocol.driver import SessionDriver
 from repro.protocol.pacer import PacedPullQueue
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
 from repro.net.scheduler import NetTimer, Scheduler
-from repro.transport.tfrc import TfrcController
-from repro.utils.units import serialization_delay
 
 #: Nominal link rate assumed for pull pacing on a real path (loopback or a
 #: modern NIC); one symbol packet every ~12 microseconds at the default MTU.
@@ -43,9 +31,6 @@ DEFAULT_WIRE_RATE_BPS = 1e9
 #: loopback/LAN RTTs with scheduling jitter, short enough that a lost tail
 #: symbol costs tens of milliseconds, not the sim's microsecond scales.
 DEFAULT_WIRE_STALL_S = 0.05
-
-#: Transmit callback signature: receives the core's SendPacket action.
-Transmit = Callable[[SendPacket], Any]
 
 
 def wire_config(**overrides: Any) -> PolyraptorConfig:
@@ -74,201 +59,31 @@ def wire_config(**overrides: Any) -> PolyraptorConfig:
     return PolyraptorConfig(**defaults)
 
 
-class _NetDriverBase:
-    """Shared action-application machinery of the two net drivers."""
+def drive(
+    core: Union[SenderCore, ReceiverCore],
+    scheduler: Scheduler,
+    transmit: Callable[[SendPacket], Any],
+    on_complete: Optional[Callable[[float], None]] = None,
+    max_rate_bps: float = DEFAULT_WIRE_RATE_BPS,
+) -> SessionDriver:
+    """Bind a protocol core to a scheduler's clock and a datagram transport.
 
-    def __init__(
-        self,
-        core: Any,
-        scheduler: Scheduler,
-        transmit: Transmit,
-        timer_names: tuple[str, ...],
-        on_complete: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self.core = core
-        self.scheduler = scheduler
-        self._transmit = transmit
-        self._on_complete = on_complete
-        self._timers = {
-            name: NetTimer(scheduler, self._timer_callback(name))
-            for name in timer_names
-        }
-
-    def _timer_callback(self, name: str) -> Callable[[], None]:
-        def fire() -> None:
-            self.core.on_timer(name, self.scheduler.time())
-            self._drain()
-        return fire
-
-    def close(self) -> None:
-        """Disarm every timer this driver owns.
-
-        Called when an endpoint retires the session early (idle reaping, a
-        dead peer): a still-armed timer would otherwise fire into a session
-        the endpoint has already forgotten and keep re-arming itself forever.
-        """
-        for timer in self._timers.values():
-            timer.stop()
-
-    def _drain(self) -> None:
-        actions = self.core.poll_actions()
-        while actions:
-            for action in actions:
-                self._apply(action)
-            actions = self.core.poll_actions()
-
-    def _apply(self, action: Any) -> None:
-        if isinstance(action, SendPacket):
-            self._transmit(action)
-        elif isinstance(action, SetTimer):
-            self._timers[action.name].start(action.delay_s)
-        elif isinstance(action, StopTimer):
-            self._timers[action.name].stop()
-        elif isinstance(action, SessionCompleted):
-            if self._on_complete is not None:
-                self._on_complete(action.time_s)
-        else:
-            self._apply_extra(action)
-
-    def _apply_extra(self, action: Any) -> None:
-        raise TypeError(f"unexpected protocol action: {action!r}")
-
-
-class NetSenderDriver(_NetDriverBase):
-    """Drives one :class:`~repro.protocol.sender.SenderCore` on a datagram transport."""
-
-    def __init__(
-        self,
-        core: SenderCore,
-        scheduler: Scheduler,
-        transmit: Transmit,
-        on_complete: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        super().__init__(
-            core,
-            scheduler,
-            transmit,
-            timer_names=(SenderCore.TIMER_STARTUP, SenderCore.TIMER_PACED),
-            on_complete=on_complete,
-        )
-
-    def start(self) -> None:
-        """Push the initial window of symbols."""
-        self.core.start(self.scheduler.time())
-        self._drain()
-
-    def on_pull(self, pull: PullPayload) -> None:
-        """Handle a pull request from the receiver."""
-        self.core.on_pull(pull, self.scheduler.time())
-        self._drain()
-
-    def on_done(self, done: DonePayload) -> None:
-        """Handle the receiver's DONE notification."""
-        self.core.on_done(done, self.scheduler.time())
-        self._drain()
-
-
-class NetReceiverDriver(_NetDriverBase):
-    """Drives one :class:`~repro.protocol.receiver.ReceiverCore` on a datagram transport.
-
-    Owns the endpoint's pull pacer (and, with ``tfrc_pacing``, its TFRC
-    controller): the same :class:`~repro.protocol.pacer.PacedPullQueue`
-    code that paces the simulator's hosts, scheduled on the event loop.
+    A receiver gets the endpoint's pull pacer (and, with ``tfrc_pacing``, its
+    TFRC controller) sized for ``max_rate_bps``: the same
+    :class:`~repro.protocol.pacer.PacedPullQueue` code that paces the
+    simulator's hosts, scheduled on the event loop.  A sender never queues
+    pulls and gets none.
     """
-
-    def __init__(
-        self,
-        core: ReceiverCore,
-        scheduler: Scheduler,
-        transmit: Transmit,
-        on_complete: Optional[Callable[[float], None]] = None,
-        max_rate_bps: float = DEFAULT_WIRE_RATE_BPS,
-    ) -> None:
-        super().__init__(
-            core,
-            scheduler,
-            transmit,
-            timer_names=(ReceiverCore.TIMER_STALL, ReceiverCore.TIMER_DONE),
-            on_complete=on_complete,
+    pacer = None
+    if isinstance(core, ReceiverCore):
+        pacer = PacedPullQueue(
+            core.config, max_rate_bps, scheduler.call_later, transmit
         )
-        config = core.config
-        self.tfrc: Optional[TfrcController] = None
-        if config.tfrc_pacing:
-            self.tfrc = TfrcController(
-                segment_bytes=config.symbol_packet_bytes,
-                max_rate_bps=max_rate_bps,
-            )
-        self.pacer = PacedPullQueue(
-            base_interval_s=serialization_delay(
-                config.symbol_packet_bytes, max_rate_bps
-            ),
-            schedule=scheduler.call_later,
-            send=self._transmit,
-            tfrc=self.tfrc,
-        )
-        # The core arms its stall timer at construction.
-        self._drain()
-
-    def close(self) -> None:
-        """Disarm timers and drop the session's queued pulls from the pacer."""
-        super().close()
-        self.pacer.cancel_session(self.core.session_id)
-
-    def start_fetch(self) -> None:
-        """Send the session's REQUEST(s); safe to call again as a retransmit."""
-        self.core.start_fetch()
-        self._drain()
-
-    def on_symbol(
-        self,
-        payload: SymbolPayload,
-        trimmed: bool = False,
-        ce: bool = False,
-        multicast: bool = False,
-        sent_at: float = 0.0,
-    ) -> None:
-        """Process one arriving symbol frame."""
-        self.core.on_symbol(
-            payload,
-            trimmed,
-            ce=ce,
-            multicast=multicast,
-            sent_at=sent_at,
-            now=self.scheduler.time(),
-        )
-        self._drain()
-
-    def on_done_ack(self, ack: DoneAckPayload) -> None:
-        """The sender confirmed our DONE."""
-        self.core.on_done_ack(ack)
-        self._drain()
-
-    def _apply_extra(self, action: Any) -> None:
-        if isinstance(action, EnqueuePull):
-            self.pacer.enqueue(
-                action.session_id, self._pull_builder(action.target_sender)
-            )
-        elif isinstance(action, CancelPulls):
-            self.pacer.cancel_session(action.session_id)
-        elif isinstance(action, TransportFeedback):
-            if self.tfrc is not None:
-                self.tfrc.on_packet(action.packets)
-                if action.rtt_sample_s is not None:
-                    self.tfrc.on_rtt_sample(action.rtt_sample_s)
-                if action.congestion:
-                    self.tfrc.on_congestion(action.now_s)
-        else:
-            super()._apply_extra(action)
-
-    def _pull_builder(self, target_sender: int) -> Callable[[], Optional[SendPacket]]:
-        def build() -> Optional[SendPacket]:
-            pull = self.core.build_pull(target_sender)
-            if pull is None:
-                return None
-            return SendPacket(
-                payload=pull,
-                kind=KIND_CONTROL,
-                size_bytes=self.core.config.pull_bytes,
-                dest=target_sender,
-            )
-        return build
+    return SessionDriver(
+        core,
+        now=scheduler.time,
+        new_timer=partial(NetTimer, scheduler),
+        send=transmit,
+        pacer=pacer,
+        on_complete=on_complete,
+    )

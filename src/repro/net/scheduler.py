@@ -119,10 +119,6 @@ class ManualScheduler:
         self._now = until
         return fired
 
-    def run_all(self, horizon: float) -> int:
-        """Run everything due up to ``horizon`` (a convenience wrapper)."""
-        return self.run_until(horizon)
-
     def _discard_cancelled(self) -> None:
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
@@ -150,10 +146,6 @@ class NetTimer:
         """Arm the timer ``delay`` seconds from now; restarts if already armed."""
         self.stop()
         self._handle = self._scheduler.call_later(delay, self._fire)
-
-    def restart(self, delay: float) -> None:
-        """Alias of :meth:`start`, for readability at call sites."""
-        self.start(delay)
 
     def stop(self) -> None:
         """Disarm the timer if it is armed."""

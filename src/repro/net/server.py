@@ -38,11 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
-from repro.net.driver import (
-    DEFAULT_WIRE_RATE_BPS,
-    NetSenderDriver,
-    wire_config,
-)
+from repro.net.driver import DEFAULT_WIRE_RATE_BPS, drive, wire_config
 from repro.net.scheduler import AsyncioScheduler
 from repro.net.wire import (
     OPEN_ERR_BAD_SYMBOL_SIZE,
@@ -58,6 +54,7 @@ from repro.net.wire import (
 )
 from repro.obs import MetricRegistry
 from repro.protocol.actions import KIND_DATA, SendPacket
+from repro.protocol.driver import SessionDriver
 from repro.protocol.sender import SenderCore
 
 #: Default UDP port of ``repro serve``.
@@ -193,7 +190,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         #: completed ids are never reissued)
         self.issued_session_ids: list[int] = []
         #: live sender drivers, keyed by (addr, session id)
-        self._sessions: Dict[Tuple[Address, int], NetSenderDriver] = {}
+        self._sessions: Dict[Tuple[Address, int], SessionDriver] = {}
         self._session_activity: Dict[Tuple[Address, int], float] = {}
         self._sweep_handle: Optional[Any] = None
         self.sessions_completed = 0
@@ -381,7 +378,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
             self.malformed_frames += 1
             self._count("malformed_frames")
             return
-        driver = NetSenderDriver(
+        driver = drive(
             core,
             self.scheduler,
             transmit=lambda action, _addr=addr: self._transmit(action, _addr),

@@ -164,19 +164,19 @@ class TelemetrySampler:
                 record(now, f"tfrc.p.{host}", tfrc.loss_event_rate)
             gray = 0
             for sender in agent.all_sender_sessions:
-                if sender.tfrc is not None:
+                if sender.core.tfrc is not None:
                     record(
                         now,
-                        f"tfrc.rate.{host}.s{sender.session_id}",
-                        sender.tfrc.allowed_rate_bps,
+                        f"tfrc.rate.{host}.s{sender.core.session_id}",
+                        sender.core.tfrc.allowed_rate_bps,
                     )
-                gray += sender.gray_detected
+                gray += sender.core.gray_detected
             record(now, f"gray.detected.{host}", gray)
             for receiver in agent.all_receiver_sessions:
-                for sender_host, loss in receiver.path_loss_estimates().items():
+                for sender_host, loss in receiver.core.path_loss_estimates().items():
                     record(
                         now,
-                        f"loss.{host}.s{receiver.session_id}.h{sender_host}",
+                        f"loss.{host}.s{receiver.core.session_id}.h{sender_host}",
                         loss,
                     )
         for agent in self._tcp:

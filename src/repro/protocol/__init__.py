@@ -6,15 +6,23 @@ clock), and typed :mod:`~repro.protocol.actions` come out (packets to send,
 timers to arm, pulls to enqueue).  Nothing in here imports the simulator or
 any real transport, which is what lets the exact same decision logic run
 
-* inside the discrete-event simulator (:mod:`repro.core` wraps each core in
-  a thin sim-clock driver), and
-* on a real wire (:mod:`repro.net` drives the cores from asyncio UDP
+* inside the discrete-event simulator
+  (:meth:`repro.core.agent.PolyraptorAgent.drive`), and
+* on a real wire (:func:`repro.net.driver.drive`, from asyncio UDP
   endpoints).
 
-The conformance suite under ``tests/protocol/`` replays identical scripted
-event traces through both drivers and asserts the cores emitted identical
-decision sequences.
+Both bind a core to their clock through the same
+:class:`~repro.protocol.driver.SessionDriver`, the only code that applies a
+core's actions; it is clock-blind because the owner injects ``now``,
+``new_timer``, ``send`` and the pull pacer.  The conformance suite under
+``tests/protocol/`` replays identical scripted event traces on both clocks
+and asserts the cores emitted identical decision sequences.
 """
+
+# The cores take their config and payload types from repro.core, whose
+# package import reaches back here through the agent; entering that cycle
+# from the repro.core side is the only order that resolves, so force it.
+import repro.core  # noqa: F401  (isort: skip)
 
 from repro.protocol.actions import (
     CancelPulls,
@@ -25,6 +33,7 @@ from repro.protocol.actions import (
     StopTimer,
     TransportFeedback,
 )
+from repro.protocol.driver import SessionDriver
 from repro.protocol.pacer import PacedPullQueue
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
@@ -37,6 +46,7 @@ __all__ = [
     "SendPacket",
     "SenderCore",
     "SessionCompleted",
+    "SessionDriver",
     "SetTimer",
     "StopTimer",
     "TransportFeedback",

@@ -1,0 +1,187 @@
+"""The one session driver: binds a protocol core to a clock and a transport.
+
+A core (:class:`~repro.protocol.sender.SenderCore` or
+:class:`~repro.protocol.receiver.ReceiverCore`) decides; the driver applies.
+Every input event is forwarded to the core stamped with ``now()``, then the
+core's buffered actions are drained and applied **in emission order** --
+that order is what keeps simulations event-for-event identical across
+refactors (the golden fingerprints enforce it) and what lets one scripted
+trace replay identically on both clocks (the conformance suite enforces it).
+
+The driver is clock-blind.  Its owner injects four callables:
+
+* ``now()`` -- the current time in seconds (``sim.now`` or a scheduler's
+  ``time``);
+* ``new_timer(callback)`` -- a restartable one-shot timer with ``start(delay)``
+  / ``stop()`` (:class:`repro.sim.process.Timer` or
+  :class:`repro.net.scheduler.NetTimer`), one per name in ``core.TIMERS``;
+* ``send(SendPacket)`` -- put one packet on the transport (a sim ``Packet``
+  through ``host.send``, or a wire frame through ``sock.sendto``);
+* ``pacer`` -- the endpoint's shared
+  :class:`~repro.protocol.pacer.PacedPullQueue`, needed by receivers only;
+  it sends built pulls through the same ``send``.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Any, Callable, Optional
+
+from repro.protocol.actions import (
+    KIND_CONTROL,
+    CancelPulls,
+    EnqueuePull,
+    SendPacket,
+    SessionCompleted,
+    SetTimer,
+    StopTimer,
+    TransportFeedback,
+)
+from repro.protocol.pacer import PacedPullQueue
+
+
+class SessionDriver:
+    """Drives one protocol core: events in, actions applied in order."""
+
+    def __init__(
+        self,
+        core: Any,
+        now: Callable[[], float],
+        new_timer: Callable[[Callable[[], None]], Any],
+        send: Callable[[SendPacket], Any],
+        pacer: Optional[PacedPullQueue] = None,
+        on_complete: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        self.core = core
+        self.pacer = pacer
+        self.timers = {
+            name: new_timer(partial(self._on_timer, name)) for name in core.TIMERS
+        }
+        self._now = now
+        self._on_complete = on_complete
+        #: the single action-application site: one bound handler per action type
+        self._handlers: dict[type, Callable[[Any], Any]] = {
+            SendPacket: send,
+            SetTimer: self._set_timer,
+            StopTimer: self._stop_timer,
+            EnqueuePull: self._enqueue_pull,
+            CancelPulls: self._cancel_pulls,
+            TransportFeedback: self._feed_tfrc,
+            SessionCompleted: self._completed,
+        }
+        # A receiver core arms its stall timer at construction.
+        self._drain()
+
+    def close(self) -> None:
+        """Disarm every timer and drop the session's queued pulls.
+
+        Called when an endpoint retires the session early (idle reaping, a
+        dead peer): a still-armed timer would otherwise fire into a session
+        the endpoint has already forgotten and keep re-arming itself forever.
+        """
+        for timer in self.timers.values():
+            timer.stop()
+        if self.pacer is not None:
+            self.pacer.cancel_session(self.core.session_id)
+
+    # Sender events ---------------------------------------------------------------
+
+    def start(self) -> None:
+        """Push the initial window of symbols."""
+        self.core.start(self._now())
+        self._drain()
+
+    def on_pull(self, pull: Any) -> None:
+        """Handle a pull request from a receiver."""
+        self.core.on_pull(pull, self._now())
+        self._drain()
+
+    def on_done(self, done: Any) -> None:
+        """Handle a receiver's DONE notification."""
+        self.core.on_done(done, self._now())
+        self._drain()
+
+    # Receiver events -------------------------------------------------------------
+
+    def start_fetch(self) -> None:
+        """Send the session's REQUEST(s); safe to call again as a retransmit."""
+        self.core.start_fetch()
+        self._drain()
+
+    def on_symbol(
+        self,
+        payload: Any,
+        trimmed: bool = False,
+        ce: bool = False,
+        multicast: bool = False,
+        sent_at: float = 0.0,
+    ) -> None:
+        """Process one arriving symbol packet (full or trimmed)."""
+        self.core.on_symbol(
+            payload, trimmed, ce=ce, multicast=multicast, sent_at=sent_at, now=self._now()
+        )
+        self._drain()
+
+    def on_done_ack(self, ack: Any) -> None:
+        """A sender confirmed our DONE."""
+        self.core.on_done_ack(ack)
+        self._drain()
+
+    # Action application ----------------------------------------------------------
+
+    def _on_timer(self, name: str) -> None:
+        self.core.on_timer(name, self._now())
+        self._drain()
+
+    def _drain(self) -> None:
+        """Apply every buffered core action, in order, until none remain."""
+        handlers = self._handlers
+        actions = self.core.poll_actions()
+        while actions:
+            for action in actions:
+                try:
+                    handler = handlers[type(action)]
+                except KeyError:
+                    raise TypeError(f"unexpected protocol action: {action!r}") from None
+                handler(action)
+            actions = self.core.poll_actions()
+
+    def _set_timer(self, action: SetTimer) -> None:
+        self.timers[action.name].start(action.delay_s)
+
+    def _stop_timer(self, action: StopTimer) -> None:
+        self.timers[action.name].stop()
+
+    def _enqueue_pull(self, action: EnqueuePull) -> None:
+        self.pacer.enqueue(
+            action.session_id, partial(self._build_pull, action.target_sender)
+        )
+
+    def _build_pull(self, target_sender: int) -> Optional[SendPacket]:
+        # Built at send time, so the block hint and congestion echo reflect
+        # the receiver's latest state; None once the session has completed.
+        pull = self.core.build_pull(target_sender)
+        if pull is None:
+            return None
+        return SendPacket(
+            payload=pull,
+            kind=KIND_CONTROL,
+            size_bytes=self.core.config.pull_bytes,
+            dest=target_sender,
+        )
+
+    def _cancel_pulls(self, action: CancelPulls) -> None:
+        self.pacer.cancel_session(action.session_id)
+
+    def _feed_tfrc(self, action: TransportFeedback) -> None:
+        tfrc = self.pacer.tfrc
+        if tfrc is not None:
+            tfrc.on_packet(action.packets)
+            if action.rtt_sample_s is not None:
+                tfrc.on_rtt_sample(action.rtt_sample_s)
+            if action.congestion:
+                tfrc.on_congestion(action.now_s)
+
+    def _completed(self, action: SessionCompleted) -> None:
+        if self._on_complete is not None:
+            self._on_complete(action.time_s)

@@ -19,17 +19,22 @@ The queue therefore:
 
 This class is clock- and transport-agnostic: the owner injects ``schedule``
 (arrange a callback ``delay`` seconds from now -- a sim event heap or an
-asyncio loop) and ``send`` (actually transmit a built pull).  The sim wraps
-it as :class:`repro.core.pull_queue.PullPacer`; the wire driver in
-:mod:`repro.net` runs the identical code over ``loop.call_later``.
+asyncio loop) and ``send`` (actually transmit a built pull).  The same code
+runs on both clocks: one queue per simulated host in
+:class:`repro.core.agent.PolyraptorAgent`, one per fetch in
+:mod:`repro.net.driver` over ``loop.call_later``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.transport.tfrc import TfrcController
+from repro.utils.units import serialization_delay
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import PolyraptorConfig
 
 #: A deferred pull: a callable that builds the pull at send time (so the
 #: block hint reflects the receiver's latest state); ``None`` means the
@@ -40,22 +45,32 @@ PullBuilder = Callable[[], Optional[Any]]
 class PacedPullQueue:
     """One pull queue per receiving endpoint, shared by all of its sessions.
 
-    With a :class:`~repro.transport.tfrc.TfrcController` attached
-    (``self.tfrc``) the inter-pull gap stretches to the controller's allowed
-    rate.  Since each pull elicits one symbol, pacing pulls *is* pacing the
-    sender.  With no congestion signals the allowed rate is the line rate
-    and the cadence is the base one-serialization-time.
+    The base inter-pull gap is the serialisation time of one symbol packet on
+    the endpoint's access link (``link_rate_bps``).  With
+    ``config.tfrc_pacing`` the queue carries an endpoint-level
+    :class:`~repro.transport.tfrc.TfrcController` (``self.tfrc``) that the
+    endpoint's receiver sessions feed with CE marks, trims and RTT samples,
+    and the gap stretches to the controller's allowed rate.  Since each pull
+    elicits one symbol, pacing pulls *is* pacing the sender.  With no
+    congestion signals the allowed rate is the line rate and the cadence is
+    the base one-serialization-time.
     """
 
     def __init__(
         self,
-        base_interval_s: float,
+        config: "PolyraptorConfig",
+        link_rate_bps: float,
         schedule: Callable[[float, Callable[[], None]], Any],
         send: Callable[[Any], Any],
-        tfrc: Optional[TfrcController] = None,
     ) -> None:
-        self.pull_interval_s = base_interval_s
-        self.tfrc = tfrc
+        self.pull_interval_s = serialization_delay(
+            config.symbol_packet_bytes, link_rate_bps
+        )
+        self.tfrc: Optional[TfrcController] = None
+        if config.tfrc_pacing:
+            self.tfrc = TfrcController(
+                segment_bytes=config.symbol_packet_bytes, max_rate_bps=link_rate_bps
+            )
         self._schedule = schedule
         self._send = send
         self._queues: dict[int, deque[PullBuilder]] = {}
@@ -82,10 +97,6 @@ class PacedPullQueue:
             self._queues[session_id] = queue
         if not queue and session_id not in self._round_robin:
             self._round_robin.append(session_id)
-        elif not queue:
-            # Session already in the round-robin ring with an empty queue
-            # (possible when pulls were cancelled); nothing to do.
-            pass
         queue.append(builder)
         if not self._pacing:
             self._pacing = True

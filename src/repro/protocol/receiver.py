@@ -63,6 +63,8 @@ class ReceiverCore(ActionEmitter):
     TIMER_STALL = "stall"
     #: retransmits unacknowledged DONEs with exponential backoff
     TIMER_DONE = "done"
+    #: every timer name this core may arm; the driver creates one timer each
+    TIMERS = (TIMER_STALL, TIMER_DONE)
 
     def __init__(
         self,

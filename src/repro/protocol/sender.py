@@ -53,6 +53,8 @@ class SenderCore(ActionEmitter):
     TIMER_STARTUP = "startup"
     #: paces the initial window at the TFRC-allowed rate
     TIMER_PACED = "paced"
+    #: every timer name this core may arm; the driver creates one timer each
+    TIMERS = (TIMER_STARTUP, TIMER_PACED)
 
     def __init__(
         self,

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.agent import POLYRAPTOR_PROTOCOL, PolyraptorAgent
+from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
 from repro.network.packet import Packet, make_control_packet
+from repro.protocol.sender import SenderCore
 from repro.sim.trace import TraceLog
 from tests.conftest import PolyraptorTestbed
 
@@ -66,21 +68,20 @@ class TestSenderSessionValidation:
         with pytest.raises(ValueError):
             bed.agents["h0"].start_push_session(1, 1000, [])
 
-    def test_invalid_sender_index_rejected(self):
-        from repro.core.sender import SenderSession
+    # The index / multicast checks live in the protocol core the agent builds.
+    @staticmethod
+    def _sender_core(**options):
+        return SenderCore(config=PolyraptorConfig(), session_id=1, object_bytes=1000,
+                          receiver_host_ids=[1], local_host=0, link_rate_bps=1e9,
+                          **options)
 
-        bed = PolyraptorTestbed()
+    def test_invalid_sender_index_rejected(self):
         with pytest.raises(ValueError):
-            SenderSession(bed.agents["h0"], 1, 1000, [bed.host_id("h1")],
-                          sender_index=3, num_senders=2)
+            self._sender_core(sender_index=3, num_senders=2)
 
     def test_multicast_with_multiple_senders_rejected(self):
-        from repro.core.sender import SenderSession
-
-        bed = PolyraptorTestbed()
         with pytest.raises(ValueError):
-            SenderSession(bed.agents["h0"], 1, 1000, [bed.host_id("h1")],
-                          multicast_group=5, sender_index=0, num_senders=2)
+            self._sender_core(multicast_group=5, sender_index=0, num_senders=2)
 
 
 class TestTraceIntegration:

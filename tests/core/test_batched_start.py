@@ -1,7 +1,7 @@
 """The sender's initial window must be encoded through the batched path.
 
 PR 1 made ``ObjectEncoder.symbol_block`` produce a whole run of symbols as
-one symbol-plane pass; these tests pin down that ``SenderSession.start()``
+one symbol-plane pass; these tests pin down that ``SenderCore.start()``
 uses it (instead of one encode call per symbol) and that the batched payloads
 are byte-identical to the per-symbol path.
 """

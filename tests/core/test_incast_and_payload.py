@@ -70,7 +70,7 @@ class TestPayloadMode:
         bed.agents["h0"].start_push_session(1, len(data), [bed.host_id("h9")],
                                             object_data=data)
         bed.run()
-        receiver = bed.agents["h9"].receiver_session(1)
+        receiver = bed.agents["h9"].receiver_session(1).core
         assert receiver.completed
         assert receiver.received_data == data
 
@@ -85,7 +85,7 @@ class TestPayloadMode:
         )
         bed.run()
         for name in receivers:
-            assert bed.agents[name].receiver_session(1).received_data == data
+            assert bed.agents[name].receiver_session(1).core.received_data == data
 
     def test_fetch_delivers_exact_bytes(self, payload_config):
         bed = PolyraptorTestbed(config=payload_config)
@@ -97,7 +97,7 @@ class TestPayloadMode:
             1, len(data), [bed.host_id(name) for name in senders]
         )
         bed.run()
-        assert bed.agents["h0"].receiver_session(1).received_data == data
+        assert bed.agents["h0"].receiver_session(1).core.received_data == data
 
     def test_payload_mode_requires_object_data(self, payload_config):
         bed = PolyraptorTestbed(config=payload_config)
@@ -117,5 +117,5 @@ class TestPayloadMode:
         bed.run(until=10.0)
         assert bed.network.total_trimmed_packets > 0
         for index, name in enumerate(sender_names):
-            receiver = bed.agents["h0"].receiver_session(10 + index)
+            receiver = bed.agents["h0"].receiver_session(10 + index).core
             assert receiver.received_data == blobs[name]

@@ -25,10 +25,10 @@ class TestMulticastPush:
         receivers = ["h4", "h8", "h12"]
         session = start_multicast(bed, 1, 500_000, receivers)
         bed.run()
-        assert session.completed
+        assert session.core.completed
         assert bed.registry.get(1).completed
         for name in receivers:
-            assert bed.agents[name].receiver_session(1).completed
+            assert bed.agents[name].receiver_session(1).core.completed
 
     def test_sender_transmits_roughly_one_copy_not_n_copies(self):
         bed = PolyraptorTestbed()
@@ -43,7 +43,7 @@ class TestMulticastPush:
         # The whole point of multicast replication: the sender emits ~K symbols
         # for 3 receivers, not 3K (multi-unicast would).  Allow generous slack
         # for pulls in flight when receivers complete.
-        assert session.symbols_sent < 1.5 * source_symbols
+        assert session.core.symbols_sent < 1.5 * source_symbols
 
     def test_multicast_goodput_close_to_unicast(self):
         unicast = PolyraptorTestbed(seed=3)
@@ -74,7 +74,7 @@ class TestMulticastPush:
         bed = PolyraptorTestbed()
         session = start_multicast(bed, 1, 200_000, ["h9"])
         bed.run()
-        assert session.completed
+        assert session.core.completed
         assert bed.registry.get(1).goodput_gbps > 0.5
 
     def test_completion_only_after_last_receiver(self):
@@ -83,9 +83,9 @@ class TestMulticastPush:
         session = start_multicast(bed, 1, 300_000, receivers)
         bed.run()
         receiver_times = [
-            bed.agents[name].receiver_session(1).completion_time for name in receivers
+            bed.agents[name].receiver_session(1).core.completion_time for name in receivers
         ]
-        assert session.completion_time >= max(receiver_times)
+        assert session.core.completion_time >= max(receiver_times)
 
 
 class TestStragglerExtension:
@@ -98,8 +98,8 @@ class TestStragglerExtension:
         bed.agents["h5"].start_push_session(2, 600_000, [bed.host_id("h4")], label="cross")
         bed.agents["h6"].start_push_session(3, 600_000, [bed.host_id("h4")], label="cross")
         bed.run(until=10.0)
-        assert session.completed
-        assert session.detached_count >= 1
+        assert session.core.completed
+        assert session.core.detached_count >= 1
 
     def test_no_detachment_when_disabled(self):
         bed = PolyraptorTestbed()  # straggler_detection defaults to False
@@ -107,7 +107,7 @@ class TestStragglerExtension:
         session = start_multicast(bed, 1, 400_000, receivers)
         bed.agents["h5"].start_push_session(2, 400_000, [bed.host_id("h4")], label="cross")
         bed.run()
-        assert session.detached_count == 0
+        assert session.core.detached_count == 0
 
     def test_straggler_policy_never_detaches_everyone(self):
         from repro.core.straggler import StragglerPolicy

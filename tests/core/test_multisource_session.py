@@ -25,7 +25,7 @@ class TestMultiSourceFetch:
             1, 500_000, [bed.host_id(name) for name in senders]
         )
         bed.run()
-        receiver = bed.agents["h0"].receiver_session(1)
+        receiver = bed.agents["h0"].receiver_session(1).core
         assert receiver.completed
         # Senders partition the symbol space, so the receiver should see
         # essentially no duplicates (a handful can arrive after a block
@@ -40,7 +40,7 @@ class TestMultiSourceFetch:
         )
         bed.run()
         contributions = [
-            bed.agents[name].sender_session(1).symbols_sent for name in senders
+            bed.agents[name].sender_session(1).core.symbols_sent for name in senders
         ]
         assert all(count > 0 for count in contributions)
         # Natural load balancing on an idle fabric: contributions are similar.
@@ -53,7 +53,7 @@ class TestMultiSourceFetch:
             1, 300_000, [bed.host_id(name) for name in senders]
         )
         bed.run()
-        sessions = [bed.agents[name].sender_session(1) for name in senders]
+        sessions = [bed.agents[name].sender_session(1).core for name in senders]
         assert all(session.sender_index == index for index, session in enumerate(sessions))
         assert all(session.num_senders == 2 for session in sessions)
 
@@ -91,6 +91,6 @@ class TestMultiSourceFetch:
             1, 800_000, [bed.host_id(name) for name in senders], label="fetch"
         )
         bed.run()
-        busy = bed.agents["h4"].sender_session(1).symbols_sent
-        idle = bed.agents["h12"].sender_session(1).symbols_sent
+        busy = bed.agents["h4"].sender_session(1).core.symbols_sent
+        idle = bed.agents["h12"].sender_session(1).core.symbols_sent
         assert idle >= busy

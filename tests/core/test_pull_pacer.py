@@ -3,25 +3,26 @@
 import pytest
 
 from repro.core.config import PolyraptorConfig
-from repro.core.pull_queue import PullPacer
-from repro.network.packet import make_control_packet
+from repro.core.packets import PullPayload
+from repro.protocol.actions import KIND_CONTROL, SendPacket
 from tests.conftest import PolyraptorTestbed
 
 
 def make_pacer():
+    """The pacer a host's agent owns, sending through the agent's NIC binding."""
     bed = PolyraptorTestbed()
     host = bed.network.host("h0")
-    pacer = PullPacer(bed.sim, host, PolyraptorConfig())
-    return bed, host, pacer
+    return bed, host, bed.agents["h0"].pacer
 
 
 def pull_builder(host, sent_log, tag):
     def build():
         sent_log.append((host.sim.now, tag))
-        # A throwaway protocol name: these synthetic pulls are only used to
-        # observe the pacer's send timing, not to exercise a real session.
-        return make_control_packet("pacer-test", host.node_id, 1, payload=tag,
-                                   created_at=host.sim.now)
+        # Host 1 runs no sender for this session and ignores the pull: these
+        # synthetic pulls only observe the pacer's send timing.
+        pull = PullPayload(session_id=424242, receiver_host=host.node_id, pull_sequence=0)
+        return SendPacket(payload=pull, kind=KIND_CONTROL,
+                          size_bytes=PolyraptorConfig().pull_bytes, dest=1)
     return build
 
 

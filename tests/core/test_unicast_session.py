@@ -20,10 +20,10 @@ class TestUnicastPush:
         session = bed.agents["h0"].start_push_session(1, 500_000, [bed.host_id("h12")])
         bed.run()
         config = bed.config
-        receiver = bed.agents["h12"].receiver_session(1)
+        receiver = bed.agents["h12"].receiver_session(1).core
         # Every symbol beyond the initial window was triggered by a pull.
-        assert session.symbols_sent >= receiver.symbols_received
-        assert session.pulls_received >= session.symbols_sent - config.initial_window_symbols
+        assert session.core.symbols_sent >= receiver.symbols_received
+        assert session.core.pulls_received >= session.core.symbols_sent - config.initial_window_symbols
 
     def test_source_symbols_sent_before_repair(self):
         bed = PolyraptorTestbed()
@@ -31,15 +31,15 @@ class TestUnicastPush:
         bed.run()
         # On an idle network nothing is lost, so no repair symbols are needed
         # beyond (at most) a handful triggered by in-flight pulls at the end.
-        assert session.source_symbols_sent >= session.repair_symbols_sent
-        assert session.source_symbols_sent > 0
+        assert session.core.source_symbols_sent >= session.core.repair_symbols_sent
+        assert session.core.source_symbols_sent > 0
 
     def test_receiver_counts_match_object_size(self):
         bed = PolyraptorTestbed()
         object_bytes = 300_000
         bed.agents["h0"].start_push_session(1, object_bytes, [bed.host_id("h5")])
         bed.run()
-        receiver = bed.agents["h5"].receiver_session(1)
+        receiver = bed.agents["h5"].receiver_session(1).core
         assert receiver.completed
         needed_symbols = receiver.oti.total_source_symbols
         assert receiver.symbols_received >= needed_symbols
@@ -48,20 +48,20 @@ class TestUnicastPush:
         bed = PolyraptorTestbed()
         session = bed.agents["h0"].start_push_session(1, 100_000, [bed.host_id("h3")])
         bed.run()
-        assert session.completed
-        sent_at_completion = session.symbols_sent
+        assert session.core.completed
+        sent_at_completion = session.core.symbols_sent
         bed.run(until=bed.sim.now + 0.01)
-        assert session.symbols_sent == sent_at_completion
+        assert session.core.symbols_sent == sent_at_completion
 
     def test_healthy_session_never_retries_done(self):
         """The sender's DONE-ACK arrives well before the first retry fires."""
         bed = PolyraptorTestbed()
         bed.agents["h0"].start_push_session(1, 100_000, [bed.host_id("h3")])
         bed.run()
-        receiver = bed.agents["h3"].receiver_session(1)
+        receiver = bed.agents["h3"].receiver_session(1).core
         assert receiver.completed
         assert receiver.done_retries == 0
-        assert not receiver._done_timer.running
+        assert not bed.agents["h3"].receiver_session(1).timers["done"].running
 
     def test_small_object_single_window(self):
         bed = PolyraptorTestbed()
@@ -86,14 +86,15 @@ class TestUnicastPush:
         session = bed.agents["h0"].start_push_session(1, 5_000, [bed.host_id("h3")])
         bed.run()
 
-        receiver = bed.agents["h3"].receiver_session(1)
+        receiver = bed.agents["h3"].receiver_session(1).core
         assert receiver.completed
         assert receiver.completion_time < heal_at  # decoded while DONE path was dead
         assert receiver.done_retries >= 1          # at least one DONE was re-sent
-        assert session.completed                   # ... and a retry got through
+        assert session.core.completed              # ... and a retry got through
         assert bed.registry.get(1).completed
         assert receiver.done_retries <= bed.config.done_retry_limit
-        assert not receiver._done_timer.running    # the sender's ack stopped the retries
+        # the sender's ack stopped the retries
+        assert not bed.agents["h3"].receiver_session(1).timers["done"].running
 
     def test_duplicate_session_id_rejected(self):
         bed = PolyraptorTestbed()
@@ -128,7 +129,7 @@ class TestReceiverSessionInternals:
         bed = PolyraptorTestbed(config=PolyraptorConfig(max_symbols_per_block=8))
         bed.agents["h0"].start_push_session(1, 100_000, [bed.host_id("h3")])
         bed.run()
-        receiver = bed.agents["h3"].receiver_session(1)
+        receiver = bed.agents["h3"].receiver_session(1).core
         assert receiver.completed
         assert receiver.lowest_incomplete_block() is None
         assert receiver.oti.num_source_blocks > 1

@@ -69,7 +69,7 @@ class TestCodecStatsEndToEnd:
         receiver_of = {1: "h8", 2: "h9", 3: "h2"}
         for spec in transfers:
             agent = env.polyraptor_agents[receiver_of[spec.transfer_id]]
-            session = agent.receiver_session(spec.transfer_id)
+            session = agent.receiver_session(spec.transfer_id).core
             assert session.completed, f"transfer {spec.transfer_id} incomplete"
             assert session.received_data == _object_payload(spec)
 

@@ -25,7 +25,7 @@ from repro.experiments.report import (
     format_incast,
     format_transport_stats,
     merge_codec_stats,
-    merge_transport_stats,
+    merge_counter_stats,
 )
 from repro.experiments.runner import run_transfers
 from repro.utils.units import KILOBYTE
@@ -153,28 +153,39 @@ class TestMarkOffIsLegacy:
 
 
 class TestMergeRoundTrip:
-    def test_transport_stats_merge_sums_and_counts_shards(self):
-        merged = merge_transport_stats([
+    # merge_counter_stats is the one additive merge behind both the fault
+    # counters (resilience, correlated) and the transport counters (incast).
+    @pytest.mark.parametrize("one, two, expected", [
+        pytest.param(
+            {"events_applied": 2, "links_failed": 1, "reroutes": 10},
+            {"events_applied": 3, "links_failed": 0, "reroutes": 5},
+            {"events_applied": 5, "links_failed": 1, "reroutes": 15, "shards": 2},
+            id="fault",
+        ),
+        pytest.param(
             {"ecn_marks": 3, "rate_updates": 5, "gray_detected": 1},
-            None,  # a feature-off shard contributes nothing
             {"ecn_marks": 2, "rate_updates": 1, "gray_detected": 0},
-        ])
-        assert merged == {
-            "ecn_marks": 5, "rate_updates": 6, "gray_detected": 1, "shards": 2,
-        }
+            {"ecn_marks": 5, "rate_updates": 6, "gray_detected": 1, "shards": 2},
+            id="transport",
+        ),
+    ])
+    def test_counters_sum_and_shards_counted(self, one, two, expected):
+        # The None shard (healthy fabric / every reactive feature off)
+        # contributes nothing, not even to the shard count.
+        assert merge_counter_stats([one, None, two]) == expected
 
     def test_transport_stats_merge_keeps_unknown_counters(self):
         # The stale-counter trap: a counter added later must survive the
         # sharded merge, or --jobs N diverges from --jobs 1.
-        merged = merge_transport_stats([
+        merged = merge_counter_stats([
             {"ecn_marks": 1, "brand_new_counter": 7},
             {"ecn_marks": 1, "brand_new_counter": 2},
         ])
         assert merged["brand_new_counter"] == 9
 
     def test_transport_stats_merge_none_when_all_absent(self):
-        assert merge_transport_stats([None, None]) is None
-        assert merge_transport_stats([]) is None
+        assert merge_counter_stats([None, None]) is None
+        assert merge_counter_stats([]) is None
 
     def test_codec_stats_merge_keeps_unknown_counters(self):
         base = {
@@ -192,8 +203,8 @@ class TestMergeRoundTrip:
 
     def test_merged_equals_single_run_shape(self):
         single = {"ecn_marks": 4, "ce_received": 4, "rate_updates": 2, "gray_detected": 0}
-        merged = merge_transport_stats([single])
-        round_tripped = merge_transport_stats([merged])
+        merged = merge_counter_stats([single])
+        round_tripped = merge_counter_stats([merged])
         # Idempotent apart from the shards bookkeeping.
         assert {k: v for k, v in round_tripped.items() if k != "shards"} == single
 

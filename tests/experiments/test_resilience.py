@@ -18,7 +18,6 @@ from repro.experiments.parallel import RunJob, execute_jobs
 from repro.experiments.report import (
     format_fault_stats,
     format_resilience,
-    merge_fault_stats,
 )
 from repro.experiments.resilience import expand_resilience_sweep, run_resilience
 from repro.experiments.runner import run_transfers
@@ -203,19 +202,8 @@ class TestRunResilience:
 
 
 class TestMergeFaultStats:
-    def test_none_merges_to_none(self):
-        assert merge_fault_stats([None, None]) is None
-        assert merge_fault_stats([]) is None
-
-    def test_counters_sum_and_shards_counted(self):
-        one = {"events_applied": 2, "links_failed": 1, "reroutes": 10}
-        two = {"events_applied": 3, "links_failed": 0, "reroutes": 5}
-        merged = merge_fault_stats([one, None, two])
-        assert merged["events_applied"] == 5
-        assert merged["links_failed"] == 1
-        assert merged["reroutes"] == 15
-        assert merged["shards"] == 2
-
+    # The merge itself is repro.experiments.report.merge_counter_stats, shared
+    # with the transport counters and tested once in test_incast.py.
     def test_format_renders_missing_stats_as_dashes(self):
         text = format_fault_stats({"healthy": None, "faulted": {"links_failed": 2}})
         assert "healthy" in text and "-" in text

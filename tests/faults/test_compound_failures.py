@@ -225,7 +225,7 @@ class TestStartupInsideDeadRack:
         offer_transfers(env, Protocol.POLYRAPTOR, [spec])
         env.sim.run(until=QUICK.max_sim_time_s)
         assert env.registry.completion_fraction() == 1.0
-        session = env.polyraptor_agents["h0"].sender_session(1)
+        session = env.polyraptor_agents["h0"].sender_session(1).core
         assert session.startup_retries > 0  # the probes did the unblocking
 
     def test_multicast_push_with_one_dark_receiver_still_completes(self):
@@ -258,7 +258,7 @@ class TestStartupInsideDeadRack:
         offer_transfers(env, Protocol.POLYRAPTOR, [spec])
         env.sim.run(until=QUICK.max_sim_time_s)
         assert env.registry.completion_fraction() == 1.0
-        assert env.polyraptor_agents["h0"].sender_session(1).startup_retries > 0
+        assert env.polyraptor_agents["h0"].sender_session(1).core.startup_retries > 0
 
     def test_startup_probing_is_off_when_disabled(self):
         from dataclasses import replace as dc_replace
@@ -278,7 +278,7 @@ class TestStartupInsideDeadRack:
         env.sim.run(until=config.max_sim_time_s)
         # Healthy run: completes without probing either way.
         assert env.registry.completion_fraction() == 1.0
-        assert env.polyraptor_agents["h0"].sender_session(1).startup_retries == 0
+        assert env.polyraptor_agents["h0"].sender_session(1).core.startup_retries == 0
 
 
 class TestCompoundUnderConvergenceDelay:

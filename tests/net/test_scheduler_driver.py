@@ -1,13 +1,14 @@
-"""ManualScheduler/NetTimer semantics and the net drivers' action plumbing."""
+"""ManualScheduler/NetTimer semantics and the net binding of the session driver."""
 
 import random
 
 import pytest
 
-from repro.net.driver import NetReceiverDriver, wire_config
+from repro.net.driver import drive, wire_config
 from repro.net.scheduler import ManualScheduler, NetTimer
 from repro.protocol.actions import KIND_CONTROL
 from repro.protocol.receiver import ReceiverCore
+from repro.protocol.sender import SenderCore
 from repro.sim.engine import Simulator
 
 
@@ -179,9 +180,10 @@ class TestNetReceiverDriver:
         scheduler = ManualScheduler()
         core = ReceiverCore(config=config, session_id=1, object_bytes=1408,
                             local_host=1, expected_senders=[0])
-        driver = NetReceiverDriver(core, scheduler, transmit=lambda a: None)
+        driver = drive(core, scheduler, transmit=lambda a: None)
+        core._emit(object())  # not in the action vocabulary
         with pytest.raises(TypeError, match="unexpected protocol action"):
-            driver._apply_extra(object())
+            driver.start_fetch()
 
     def test_stall_timer_runs_on_the_scheduler(self):
         """The core's construction-time stall arming must land on the manual
@@ -191,8 +193,27 @@ class TestNetReceiverDriver:
         sent = []
         core = ReceiverCore(config=config, session_id=1, object_bytes=1408,
                             local_host=1, expected_senders=[0])
-        NetReceiverDriver(core, scheduler, transmit=sent.append)
+        drive(core, scheduler, transmit=sent.append)
         assert scheduler.next_time() == pytest.approx(config.stall_timeout_s)
         scheduler.run_until(config.stall_timeout_s * 1.5)
         assert core.stall_events == 1
         assert [a.kind for a in sent] == [KIND_CONTROL]  # one stall pull out
+
+    def test_only_receivers_get_a_pacer_sized_for_the_wire_rate(self):
+        config = wire_config(carry_payload=False)
+        scheduler = ManualScheduler()
+        receiver = drive(
+            ReceiverCore(config=config, session_id=1, object_bytes=1408,
+                         local_host=1, expected_senders=[0]),
+            scheduler, transmit=lambda a: None, max_rate_bps=1e8,
+        )
+        sender = drive(
+            SenderCore(config=config, session_id=1, object_bytes=1408,
+                       receiver_host_ids=[1], local_host=0, link_rate_bps=1e8),
+            scheduler, transmit=lambda a: None,
+        )
+        assert sender.pacer is None
+        assert receiver.pacer.pull_interval_s == pytest.approx(
+            config.symbol_packet_bytes * 8 / 1e8
+        )
+        assert receiver.pacer.tfrc is not None  # wire_config paces with TFRC

@@ -3,13 +3,15 @@
 One scripted trace -- a timed sequence of protocol inputs for a single
 session -- is replayed twice:
 
-* through the **sim driver** (:class:`repro.core.sender.SenderSession` /
-  :class:`repro.core.receiver.ReceiverSession` on a real
-  :class:`~repro.sim.engine.Simulator` with a stub host), and
-* through the **net driver** (:class:`repro.net.driver.NetSenderDriver` /
-  :class:`repro.net.driver.NetReceiverDriver` on a
+* on the **sim clock** (:meth:`repro.core.agent.PolyraptorAgent.drive` on a
+  real :class:`~repro.sim.engine.Simulator` with a stub host), and
+* on the **net clock** (:func:`repro.net.driver.drive` on a
   :class:`~repro.net.scheduler.ManualScheduler`), with every outgoing
   payload round-tripped through the wire codec on the way out.
+
+Both sides run the same cores under the same
+:class:`~repro.protocol.driver.SessionDriver`; what differs is only what
+each binding injects (clock, timer class, packet framing, pacer scheduling).
 
 Both replays reduce to the same normalized decision list -- ``(time, kind,
 destination, payload)`` for every transmitted packet plus a completion
@@ -27,14 +29,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
-from repro.core.receiver import ReceiverSession
-from repro.core.sender import SenderSession
-from repro.net.driver import NetReceiverDriver, NetSenderDriver
+from repro.net.driver import drive
 from repro.net.scheduler import ManualScheduler
 from repro.net.wire import decode_frame, encode_frame
 from repro.protocol.actions import SendPacket
@@ -156,13 +156,41 @@ def _inject(trace: dict, event: dict, session: Any) -> None:
         raise ValueError(f"unknown trace event type {kind!r}")
 
 
+def _build_core(trace: dict, config: PolyraptorConfig, now: float):
+    """The trace's protocol core -- the same construction on both clocks."""
+    spec = trace["session"]
+    if trace["kind"] == "receiver":
+        return ReceiverCore(
+            config=config,
+            session_id=spec["session_id"],
+            object_bytes=spec["object_bytes"],
+            local_host=LOCAL_HOST_ID,
+            expected_senders=spec.get("expected_senders"),
+            now=now,
+        )
+    return SenderCore(
+        config=config,
+        session_id=spec["session_id"],
+        object_bytes=spec["object_bytes"],
+        receiver_host_ids=spec["receiver_host_ids"],
+        local_host=LOCAL_HOST_ID,
+        link_rate_bps=LINK_RATE_BPS,
+        multicast_group=spec.get("multicast_group"),
+        sender_index=spec.get("sender_index", 0),
+        num_senders=spec.get("num_senders", 1),
+    )
+
+
 def run_sim_trace(trace: dict) -> list[Decision]:
-    """Replay a trace through the simulator driver; return its decisions."""
+    """Replay a trace on the simulator's clock; return its decisions."""
     sim = Simulator()
     sink: list[Decision] = []
     host = StubHost(sim, sink)
     agent = PolyraptorAgent(sim, host, _config(trace))
-    session = _build_sim_session(trace, agent, sink)
+    session = agent.drive(
+        _build_core(trace, agent.config, sim.now),
+        on_complete=lambda t: sink.append(("complete", repr(t))),
+    )
     for event in trace["events"]:
         sim.run(until=event["t"])
         _inject(trace, event, session)
@@ -170,31 +198,8 @@ def run_sim_trace(trace: dict) -> list[Decision]:
     return sink
 
 
-def _build_sim_session(trace: dict, agent: PolyraptorAgent, sink: list):
-    spec = trace["session"]
-    on_complete = lambda t: sink.append(("complete", repr(t)))  # noqa: E731
-    if trace["kind"] == "receiver":
-        return ReceiverSession(
-            agent=agent,
-            session_id=spec["session_id"],
-            object_bytes=spec["object_bytes"],
-            expected_senders=spec.get("expected_senders"),
-            on_complete=on_complete,
-        )
-    return SenderSession(
-        agent=agent,
-        session_id=spec["session_id"],
-        object_bytes=spec["object_bytes"],
-        receiver_host_ids=spec["receiver_host_ids"],
-        multicast_group=spec.get("multicast_group"),
-        sender_index=spec.get("sender_index", 0),
-        num_senders=spec.get("num_senders", 1),
-        on_all_receivers_done=on_complete,
-    )
-
-
 def run_net_trace(trace: dict) -> list[Decision]:
-    """Replay a trace through the net driver; return its decisions.
+    """Replay a trace on the manual scheduler's clock; return its decisions.
 
     Every outgoing payload is round-tripped through
     :func:`~repro.net.wire.encode_frame` / ``decode_frame`` first, so a
@@ -213,45 +218,15 @@ def run_net_trace(trace: dict) -> list[Decision]:
             ("packet", repr(scheduler.time()), action.kind, dest, repr(payload))
         )
 
-    driver = _build_net_driver(trace, scheduler, transmit, sink)
+    driver = drive(
+        _build_core(trace, _config(trace), scheduler.time()),
+        scheduler,
+        transmit,
+        on_complete=lambda t: sink.append(("complete", repr(t))),
+        max_rate_bps=LINK_RATE_BPS,
+    )
     for event in trace["events"]:
         scheduler.run_until(event["t"])
         _inject(trace, event, driver)
     scheduler.run_until(trace["horizon"])
     return sink
-
-
-def _build_net_driver(
-    trace: dict,
-    scheduler: ManualScheduler,
-    transmit: Callable[[SendPacket], None],
-    sink: list,
-):
-    spec = trace["session"]
-    config = _config(trace)
-    on_complete = lambda t: sink.append(("complete", repr(t)))  # noqa: E731
-    if trace["kind"] == "receiver":
-        core = ReceiverCore(
-            config=config,
-            session_id=spec["session_id"],
-            object_bytes=spec["object_bytes"],
-            local_host=LOCAL_HOST_ID,
-            expected_senders=spec.get("expected_senders"),
-            now=scheduler.time(),
-        )
-        return NetReceiverDriver(
-            core, scheduler, transmit,
-            on_complete=on_complete, max_rate_bps=LINK_RATE_BPS,
-        )
-    core = SenderCore(
-        config=config,
-        session_id=spec["session_id"],
-        object_bytes=spec["object_bytes"],
-        receiver_host_ids=spec["receiver_host_ids"],
-        local_host=LOCAL_HOST_ID,
-        link_rate_bps=LINK_RATE_BPS,
-        multicast_group=spec.get("multicast_group"),
-        sender_index=spec.get("sender_index", 0),
-        num_senders=spec.get("num_senders", 1),
-    )
-    return NetSenderDriver(core, scheduler, transmit, on_complete=on_complete)

@@ -1,8 +1,13 @@
-"""Unit coverage for ReceiverCore's public completion-handshake surface."""
+"""Unit coverage for ReceiverCore's public completion surface: the DONE
+handshake and the decode-failure keep-pulling path."""
+
+import hashlib
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, SymbolPayload
+from repro.protocol.actions import EnqueuePull, SessionCompleted
 from repro.protocol.receiver import ReceiverCore
+from repro.rq.block import ObjectEncoder
 
 
 def _core(expected_senders):
@@ -53,3 +58,43 @@ def test_senders_discovered_mid_transfer_must_also_ack():
     assert not core.done_fully_acked
     core.on_done_ack(_ack(6))
     assert core.done_fully_acked
+
+
+def test_rank_deficient_window_keeps_pulling_until_the_decode_succeeds():
+    """K + overhead symbols usually decode, but not always: for K=6 the
+    repair window ESIs 40..47 is rank-deficient.  The core must treat the
+    typed ``DecodeFailure`` as "not done yet" -- no completion, more pulls --
+    and complete with the exact bytes once one more symbol arrives."""
+    payload = bytes((7 + i * 131) % 251 for i in range(96))
+    config = PolyraptorConfig(
+        carry_payload=True, symbol_size_bytes=16, max_symbols_per_block=8
+    )
+    encoder = ObjectEncoder(payload, symbol_size=16, max_symbols_per_block=8)
+    core = ReceiverCore(config=config, session_id=7, object_bytes=len(payload),
+                        local_host=1, expected_senders=[0])
+    assert core.oti.symbols_per_block == (6,)
+
+    def deliver(esi, sequence):
+        core.on_symbol(
+            SymbolPayload(
+                session_id=7, sender_host=0, block_number=0, esi=esi,
+                block_symbol_count=6, num_blocks=1, object_bytes=len(payload),
+                data=encoder.symbol(0, esi).data, sequence=sequence,
+            ),
+            trimmed=False,
+            now=0.001 * sequence,
+        )
+        return core.poll_actions()
+
+    for sequence, esi in enumerate(range(40, 47), start=1):
+        deliver(esi, sequence)
+    # The 8th symbol reaches K + decode_overhead_symbols and triggers the decode.
+    actions = deliver(47, 8)
+    assert not any(isinstance(a, SessionCompleted) for a in actions)
+    assert any(isinstance(a, EnqueuePull) for a in actions)
+    assert not core.completed and core.received_data is None
+
+    actions = deliver(48, 9)
+    assert core.completed
+    assert isinstance(actions[-1], SessionCompleted)
+    assert hashlib.sha256(core.received_data).digest() == hashlib.sha256(payload).digest()

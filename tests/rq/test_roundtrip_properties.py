@@ -3,7 +3,10 @@
 Hypothesis drives :class:`~repro.rq.block.ObjectEncoder` /
 :class:`~repro.rq.block.ObjectDecoder` through randomly sized objects,
 random loss patterns and random repair choices, asserting the decoded
-bytes always equal the original.  Example counts are kept small -- each
+bytes always equal the original -- or, for repair-only sets, that a typed
+:class:`~repro.rq.decoder.DecodeFailure` is followed by success once more
+symbols arrive (decodability of K + overhead symbols is probabilistic, not
+an invariant; wrong bytes never are acceptable).  Example counts are kept small -- each
 example runs a full Gaussian elimination -- but the generators cover the
 boundaries (1-byte objects, exact multiples of the symbol size, the
 splitting threshold into multiple blocks) that fixed-value tests miss.
@@ -20,6 +23,7 @@ from repro.rq.block import (  # noqa: E402
     ObjectEncoder,
     partition_object,
 )
+from repro.rq.decoder import DecodeFailure  # noqa: E402
 
 #: Small symbols keep elimination cheap; MIN_SOURCE_SYMBOLS is 4 so even a
 #: 1-byte object becomes a 4-symbol block.
@@ -77,24 +81,55 @@ def test_round_trip_survives_random_source_loss(data):
     assert decoder.decode() == payload
 
 
+def test_rank_deficient_repair_window_fails_typed_then_decodes():
+    """Regression for a window hypothesis used to draw a few percent of the
+    time: for K=6, repair ESIs 40..47 (K + 2 symbols) are rank-deficient.
+    The decoder must say so with a typed failure -- never return wrong bytes
+    -- and decode exactly once one more symbol arrives, which is what the
+    receiver's keep-pulling path relies on."""
+    payload = bytes((7 + i * 131) % 251 for i in range(6 * SYMBOL_SIZE))
+    encoder = ObjectEncoder(payload, symbol_size=SYMBOL_SIZE,
+                            max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK)
+    assert encoder.num_blocks == 1 and encoder.oti.block_symbol_count(0) == 6
+    decoder = ObjectDecoder(encoder.oti)
+    decoder.add_symbols(encoder.symbol_block(0, range(40, 48)))
+    with pytest.raises(DecodeFailure, match="8 symbols for K=6"):
+        decoder.decode()
+    decoder.add_symbols(encoder.symbol_block(0, [48]))
+    assert decoder.decode() == payload
+
+
 @settings(**COMMON)
 @given(data=st.data())
 def test_repair_only_round_trip(data):
-    """No source symbol survives at all: K + overhead repair symbols must
-    still reconstruct every block."""
+    """No source symbol survives at all: K + overhead consecutive repair
+    symbols reconstruct every block, or the decoder raises ``DecodeFailure``
+    and reconstructs them after a few more -- never wrong bytes."""
     payload = _object_bytes(data.draw, max_size=120)
     encoder = ObjectEncoder(payload, symbol_size=SYMBOL_SIZE,
                             max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK)
     decoder = ObjectDecoder(encoder.oti)
     overhead = 2
+    next_esi = {}
     for block in range(encoder.num_blocks):
         k = encoder.oti.block_symbol_count(block)
         start = data.draw(st.integers(min_value=k, max_value=k + 50),
                           label=f"first repair ESI of block {block}")
-        decoder.add_symbols(
-            encoder.symbol_block(block, range(start, start + k + overhead))
-        )
-    assert decoder.decode() == payload
+        next_esi[block] = start + k + overhead
+        decoder.add_symbols(encoder.symbol_block(block, range(start, next_esi[block])))
+    extra_rounds = 8  # extra symbols a rank-deficient block may pull
+    while True:
+        try:
+            decoded = decoder.decode()
+            break
+        except DecodeFailure:
+            assert extra_rounds, "still rank-deficient after 8 more symbols per block"
+            extra_rounds -= 1
+            for block in range(encoder.num_blocks):
+                if not decoder.block_decoder(block).is_decoded:
+                    decoder.add_symbols(encoder.symbol_block(block, [next_esi[block]]))
+                    next_esi[block] += 1
+    assert decoded == payload
 
 
 @settings(**COMMON)
