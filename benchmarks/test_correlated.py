@@ -20,8 +20,8 @@ from pathlib import Path
 
 from benchmarks.conftest import publish
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.correlated import run_correlated
-from repro.experiments.report import format_correlated
+from repro.experiments.correlated import TABLE, run_correlated
+from repro.experiments.report import format_sweep
 from repro.utils.units import KILOBYTE
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -77,10 +77,10 @@ def test_correlated_sweep(benchmark):
     # degradation, while per-flow ECMP TCP suffers far worse under gray
     # loss (its unlucky flows sit on sick paths for their whole lifetime).
     worst_gray = f"gray-{GRAY_RATES[-1]:g}"
-    for label in sharded.labels:
+    for label in sharded.cells:
         assert sharded.point(Protocol.POLYRAPTOR, label).completion_fraction == 1.0
-    rq_gray = sharded.point(Protocol.POLYRAPTOR, worst_gray).fct_vs_healthy
-    tcp_gray = sharded.point(Protocol.TCP, worst_gray).fct_vs_healthy
+    rq_gray = sharded.point(Protocol.POLYRAPTOR, worst_gray).fct_vs_baseline
+    tcp_gray = sharded.point(Protocol.TCP, worst_gray).fct_vs_baseline
     assert rq_gray is not None and rq_gray < 3.0
     assert tcp_gray is None or tcp_gray > rq_gray
 
@@ -107,12 +107,12 @@ def test_correlated_sweep(benchmark):
                 "median_fct_ms": finite_or_none(point.median_fct_ms),
                 "p90_fct_ms": finite_or_none(point.p90_fct_ms),
                 "mean_goodput_gbps": point.mean_goodput_gbps,
-                "fct_vs_healthy": finite_or_none(point.fct_vs_healthy),
+                "fct_vs_healthy": finite_or_none(point.fct_vs_baseline),
                 "fault_stats": point.fault_stats,
             }
             for protocol in (Protocol.POLYRAPTOR, Protocol.TCP)
             for label, point in (
-                (lbl, sharded.point(protocol, lbl)) for lbl in sharded.labels
+                (lbl, sharded.point(protocol, lbl)) for lbl in sharded.cells
             )
         },
     }
@@ -121,4 +121,4 @@ def test_correlated_sweep(benchmark):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
 
-    publish("extension_correlated", format_correlated(sharded))
+    publish("extension_correlated", format_sweep(sharded, **TABLE))

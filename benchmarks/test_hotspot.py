@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import publish
 from repro.experiments.config import Protocol
-from repro.experiments.hotspot import format_hotspot, run_hotspot_experiment
+from repro.experiments.hotspot import TABLE, run_hotspot_experiment
+from repro.experiments.report import format_table
 
 
 def test_hotspot_extension(benchmark, config):
@@ -19,7 +20,7 @@ def test_hotspot_extension(benchmark, config):
         lambda: run_hotspot_experiment(config, num_measured=8, num_aggressors=6),
         rounds=1, iterations=1,
     )
-    publish("extension_hotspot", format_hotspot(results))
+    publish("extension_hotspot", format_table(results.values(), **TABLE))
 
     rq = results[Protocol.POLYRAPTOR]
     tcp = results[Protocol.TCP]

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from benchmarks.conftest import publish
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.incast import MARK_OFF, MARK_ON, run_incast
-from repro.experiments.report import format_incast
+from repro.experiments.incast import MARK_OFF, MARK_ON, TABLE, run_incast
+from repro.experiments.report import format_sweep
 from repro.utils.units import KILOBYTE
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -76,7 +76,7 @@ def test_incast_sweep(benchmark):
     # fan-in, marking + reaction shortens TCP's FCT tail.  Everything
     # completes either way (no starvation); the tail quantile is the story.
     for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
-        for label in sharded.labels:
+        for label in sharded.cells:
             point = sharded.point(protocol, label)
             assert point.completion_fraction == 1.0
     tcp_off = sharded.point(Protocol.TCP, f"fanin-{deep}/{MARK_OFF}")
@@ -106,12 +106,12 @@ def test_incast_sweep(benchmark):
                 "p90_fct_ms": finite_or_none(point.p90_fct_ms),
                 "p99_fct_ms": finite_or_none(point.p99_fct_ms),
                 "mean_goodput_gbps": point.mean_goodput_gbps,
-                "fct_vs_unmarked": finite_or_none(point.fct_vs_unmarked),
+                "fct_vs_unmarked": finite_or_none(point.fct_vs_baseline),
                 "transport_stats": point.transport_stats,
             }
             for protocol in (Protocol.POLYRAPTOR, Protocol.TCP)
             for label, point in (
-                (lbl, sharded.point(protocol, lbl)) for lbl in sharded.labels
+                (lbl, sharded.point(protocol, lbl)) for lbl in sharded.cells
             )
         },
     }
@@ -120,4 +120,4 @@ def test_incast_sweep(benchmark):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
 
-    publish("extension_incast", format_incast(sharded))
+    publish("extension_incast", format_sweep(sharded, **TABLE))

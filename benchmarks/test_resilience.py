@@ -19,8 +19,8 @@ from pathlib import Path
 
 from benchmarks.conftest import publish
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.report import format_resilience
-from repro.experiments.resilience import run_resilience
+from repro.experiments.report import format_sweep
+from repro.experiments.resilience import TABLE, run_resilience
 from repro.utils.units import KILOBYTE
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -65,7 +65,7 @@ def test_resilience_sweep(benchmark):
     # FCT degradation stays bounded.
     worst = sharded.point(Protocol.POLYRAPTOR, INTENSITIES[-1])
     assert worst.completion_fraction == 1.0
-    assert worst.fct_vs_healthy is not None and worst.fct_vs_healthy < 3.0
+    assert worst.fct_vs_baseline is not None and worst.fct_vs_baseline < 3.0
 
     def finite_or_none(value):
         return value if value is not None and math.isfinite(value) else None
@@ -90,7 +90,7 @@ def test_resilience_sweep(benchmark):
                 "median_fct_ms": finite_or_none(point.median_fct_ms),
                 "p90_fct_ms": finite_or_none(point.p90_fct_ms),
                 "mean_goodput_gbps": point.mean_goodput_gbps,
-                "fct_vs_healthy": finite_or_none(point.fct_vs_healthy),
+                "fct_vs_healthy": finite_or_none(point.fct_vs_baseline),
                 "fault_stats": point.fault_stats,
             }
             for (protocol, intensity), point in (
@@ -105,4 +105,4 @@ def test_resilience_sweep(benchmark):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
 
-    publish("extension_resilience", format_resilience(sharded))
+    publish("extension_resilience", format_sweep(sharded, **TABLE))

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from benchmarks.conftest import publish
 from repro.experiments.config import Protocol
-from repro.experiments.workload_mix import format_workload_mix, run_workload_mix
+from repro.experiments.report import format_table
+from repro.experiments.workload_mix import TABLE, run_workload_mix
 
 
 def test_workload_mix_extension(benchmark, config):
     results = benchmark.pedantic(
         lambda: run_workload_mix(config, num_transfers=30), rounds=1, iterations=1
     )
-    publish("extension_workload_mix", format_workload_mix(results))
+    publish("extension_workload_mix", format_table(results.values(), **TABLE))
 
     rq = results[Protocol.POLYRAPTOR]
     tcp = results[Protocol.TCP]

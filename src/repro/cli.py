@@ -29,9 +29,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.config import PolyraptorConfig
+from repro.experiments import correlated, hotspot, incast, resilience, workload_mix
 from repro.experiments.ablations import (
     initial_window_ablation,
     rq_overhead_ablation,
@@ -42,7 +43,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1a import run_figure1a
 from repro.experiments.figure1b import run_figure1b
 from repro.experiments.figure1c import run_figure1c
-from repro.experiments.hotspot import format_hotspot, run_hotspot_experiment
 from repro.experiments.parallel import (
     clear_telemetry,
     collected_telemetry,
@@ -54,21 +54,16 @@ from repro.experiments.parallel import (
     set_progress_logger,
     set_transport,
 )
-from repro.experiments.correlated import run_correlated
-from repro.experiments.incast import run_incast
 from repro.experiments.report import (
     format_ablation,
     format_codec_stats,
-    format_correlated,
     format_figure1c,
-    format_incast,
     format_overhead,
     format_rank_figure,
-    format_resilience,
+    format_sweep,
+    format_table,
     format_trace,
 )
-from repro.experiments.resilience import run_resilience
-from repro.experiments.workload_mix import format_workload_mix, run_workload_mix
 from repro.obs import (
     TelemetryConfig,
     read_telemetry_jsonl,
@@ -123,6 +118,40 @@ def _jobs_type(value: str) -> int:
         )
 
 
+def _number_type(
+    what: str, cast: type, kind: str, valid: Callable[[float], bool], expected: str
+) -> Callable[[str], float]:
+    """An argparse ``type=`` that parses a number and checks its range.
+
+    ``what`` names the quantity in error messages, ``kind`` what ``cast``
+    accepts ("a number", "an integer") and ``expected`` the range ``valid``
+    enforces.
+    """
+    def parse(value: str) -> float:
+        try:
+            number = cast(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be {kind}, got {value!r}")
+        if not valid(number):
+            raise argparse.ArgumentTypeError(f"{what} must be {expected}, got {value}")
+        return number
+    return parse
+
+
+_seeds_type = _number_type(
+    "--seeds", int, "an integer", lambda seeds: seeds >= 1, "at least 1")
+_intensity_type = _number_type(
+    "intensity", float, "a number", lambda x: 0.0 <= x <= 1.0, "a fraction in [0, 1]")
+_gray_loss_type = _number_type(
+    "gray-loss rate", float, "a number", lambda p: 0.0 < p <= 1.0, "a probability in (0, 1]")
+_srlg_size_type = _number_type(
+    "SRLG size", int, "an integer", lambda size: size >= 1, "at least 1")
+_fanin_type = _number_type(
+    "fan-in", int, "an integer", lambda fanin: fanin >= 1, "at least 1")
+_delay_ms_type = _number_type(
+    "delay", float, "a number (ms)", lambda ms: ms >= 0, "non-negative")
+
+
 def _kernel_type(value: str) -> str:
     """Validate --kernel at parse time, including platform availability.
 
@@ -142,60 +171,6 @@ def _kernel_type(value: str) -> str:
         f"unknown kernel {value!r} (choose from: "
         f"{', '.join(['auto'] + registered_kernels())})"
     )
-
-
-def _intensity_type(value: str) -> float:
-    try:
-        intensity = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"intensity must be a number, got {value!r}")
-    if not 0.0 <= intensity <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"intensity must be a fraction in [0, 1], got {value}"
-        )
-    return intensity
-
-
-def _gray_loss_type(value: str) -> float:
-    try:
-        rate = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"gray-loss rate must be a number, got {value!r}")
-    if not 0.0 < rate <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"gray-loss rate must be a probability in (0, 1], got {value}"
-        )
-    return rate
-
-
-def _srlg_size_type(value: str) -> int:
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"SRLG size must be an integer, got {value!r}")
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"SRLG size must be at least 1, got {value}")
-    return size
-
-
-def _fanin_type(value: str) -> int:
-    try:
-        fanin = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"fan-in must be an integer, got {value!r}")
-    if fanin < 1:
-        raise argparse.ArgumentTypeError(f"fan-in must be at least 1, got {value}")
-    return fanin
-
-
-def _delay_ms_type(value: str) -> float:
-    try:
-        delay = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"delay must be a number (ms), got {value!r}")
-    if delay < 0:
-        raise argparse.ArgumentTypeError(f"delay cannot be negative, got {value}")
-    return delay
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -263,16 +238,27 @@ def _seeds(args: argparse.Namespace, default: int = 1) -> int:
     return args.seeds if args.seeds is not None else default
 
 
+def _with_codec_stats(table: str, result) -> str:
+    return table + "\n\n" + format_codec_stats(result.codec_stats)
+
+
 def _cmd_figure1a(args: argparse.Namespace) -> str:
     result = run_figure1a(_build_config(args), num_seeds=_seeds(args), jobs=args.jobs)
-    return (format_rank_figure(result, "Figure 1a -- storage replication")
-            + "\n\n" + format_codec_stats(result.codec_stats))
+    return _with_codec_stats(
+        format_rank_figure(result, "Figure 1a -- storage replication"), result)
 
 
 def _cmd_figure1b(args: argparse.Namespace) -> str:
     result = run_figure1b(_build_config(args), num_seeds=_seeds(args), jobs=args.jobs)
-    return (format_rank_figure(result, "Figure 1b -- multi-source fetch")
-            + "\n\n" + format_codec_stats(result.codec_stats))
+    return _with_codec_stats(
+        format_rank_figure(result, "Figure 1b -- multi-source fetch"), result)
+
+
+def _figure1c_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    sub.add_argument("--senders", type=int, nargs="+", default=[1, 2, 4, 8, 12],
+                     help="sender counts to sweep")
+    sub.add_argument("--response-kb", type=int, nargs="+", default=[256, 70],
+                     help="response sizes in kilobytes")
 
 
 def _cmd_figure1c(args: argparse.Namespace) -> str:
@@ -283,7 +269,7 @@ def _cmd_figure1c(args: argparse.Namespace) -> str:
         num_seeds=_seeds(args, default=3),
         jobs=args.jobs,
     )
-    return format_figure1c(result) + "\n\n" + format_codec_stats(result.codec_stats)
+    return _with_codec_stats(format_figure1c(result), result)
 
 
 def _cmd_ablations(args: argparse.Namespace) -> str:
@@ -301,25 +287,51 @@ def _cmd_ablations(args: argparse.Namespace) -> str:
 
 
 def _cmd_hotspot(args: argparse.Namespace) -> str:
-    return format_hotspot(run_hotspot_experiment(_build_config(args), jobs=args.jobs))
+    results = hotspot.run_hotspot_experiment(_build_config(args), jobs=args.jobs)
+    return format_table(results.values(), **hotspot.TABLE)
 
 
 def _cmd_mix(args: argparse.Namespace) -> str:
-    return format_workload_mix(run_workload_mix(_build_config(args), jobs=args.jobs))
+    results = workload_mix.run_workload_mix(_build_config(args), jobs=args.jobs)
+    return format_table(results.values(), **workload_mix.TABLE)
+
+
+def _resilience_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    sub.add_argument("--intensities", type=_intensity_type, nargs="+",
+                     default=[0.0, 0.3, 0.6, 1.0],
+                     help="fault intensities in [0, 1] to sweep (0 = healthy "
+                          "baseline, always included)")
 
 
 def _cmd_resilience(args: argparse.Namespace) -> str:
-    result = run_resilience(
+    result = resilience.run_resilience(
         _build_config(args),
         intensities=tuple(args.intensities),
         num_seeds=_seeds(args),
         jobs=args.jobs,
     )
-    return format_resilience(result) + "\n\n" + format_codec_stats(result.codec_stats)
+    return _with_codec_stats(format_sweep(result, **resilience.TABLE), result)
+
+
+def _correlated_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    sub.add_argument("--srlg-sizes", type=_srlg_size_type, nargs="+",
+                     default=[1, 3], metavar="N",
+                     help="shared-risk link group sizes to sweep (links that "
+                          "fail together; the first size also anchors the "
+                          "convergence-delay cells)")
+    sub.add_argument("--gray-loss", type=_gray_loss_type, nargs="+",
+                     default=[0.01, 0.05], metavar="P",
+                     help="gray-failure Bernoulli loss rates in (0, 1] smeared "
+                          "across half the fabric links (routing never reacts)")
+    sub.add_argument("--convergence-delay-ms", type=_delay_ms_type, nargs="+",
+                     default=[0.0, 1.0], metavar="MS",
+                     help="control-plane convergence lags (milliseconds) to "
+                          "replay the reference SRLG event under; 0 = "
+                          "instantaneous reconvergence")
 
 
 def _cmd_correlated(args: argparse.Namespace) -> str:
-    result = run_correlated(
+    result = correlated.run_correlated(
         _build_config(args),
         srlg_sizes=tuple(args.srlg_sizes),
         gray_rates=tuple(args.gray_loss),
@@ -327,18 +339,77 @@ def _cmd_correlated(args: argparse.Namespace) -> str:
         num_seeds=_seeds(args),
         jobs=args.jobs,
     )
-    return format_correlated(result) + "\n\n" + format_codec_stats(result.codec_stats)
+    return _with_codec_stats(format_sweep(result, **correlated.TABLE), result)
+
+
+def _incast_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    # `all` already owns --response-kb (figure1c's list); the incast episode
+    # size therefore gets its own destination, spelled --response-kb on the
+    # standalone subcommand for symmetry.
+    flag = "--incast-response-kb" if command == "all" else "--response-kb"
+    sub.add_argument("--fanins", type=_fanin_type, nargs="+",
+                     default=[4, 8, 15], metavar="N",
+                     help="worker fan-ins to sweep (each crossed with the "
+                          "congestion-reaction loop off and on)")
+    sub.add_argument(flag, dest="incast_response_kb", type=int, default=64,
+                     metavar="KB",
+                     help="per-worker incast response size in kilobytes")
 
 
 def _cmd_incast(args: argparse.Namespace) -> str:
-    result = run_incast(
+    result = incast.run_incast(
         _build_config(args),
         fanins=tuple(args.fanins),
         response_bytes=args.incast_response_kb * KILOBYTE,
         num_seeds=_seeds(args),
         jobs=args.jobs,
     )
-    return format_incast(result) + "\n\n" + format_codec_stats(result.codec_stats)
+    return _with_codec_stats(format_sweep(result, **incast.TABLE), result)
+
+
+class Scenario(NamedTuple):
+    """One simulation subcommand: how it is offered, parsed and run."""
+
+    name: str
+    help: str
+    #: adds the scenario's own flags to ``(subparser, command)`` -- called for
+    #: its own subcommand and again for ``all``; ``None`` when it has none
+    add_arguments: Callable[[argparse.ArgumentParser, str], None] | None
+    #: multi-seed sweeps take ``--seeds``; ablations/hotspot/mix are
+    #: single-seed by design, so they simply don't accept the flag
+    takes_seeds: bool
+    #: runs the scenario from parsed arguments and returns its tables
+    run: Callable[[argparse.Namespace], str]
+
+
+#: Every scenario subcommand, in the order ``all`` runs them.
+SCENARIOS: tuple[Scenario, ...] = (
+    Scenario("figure1a", "replication / multicast rank curves", None, True, _cmd_figure1a),
+    Scenario("figure1b", "multi-source fetch rank curves", None, True, _cmd_figure1b),
+    Scenario("figure1c", "Incast sweep", _figure1c_arguments, True, _cmd_figure1c),
+    Scenario("ablations", "design-choice ablations A1-A4", None, False, _cmd_ablations),
+    Scenario("hotspot", "network-hotspot extension experiment", None, False, _cmd_hotspot),
+    Scenario("mix", "heavy-tailed workload-mix extension experiment", None, False, _cmd_mix),
+    Scenario("resilience", "path-resilience sweep under injected faults",
+             _resilience_arguments, True, _cmd_resilience),
+    Scenario("correlated", "correlated/gray failures with routing-convergence delay",
+             _correlated_arguments, True, _cmd_correlated),
+    Scenario("incast", "incast fan-in sweep with ECN/TFRC congestion reaction on vs off",
+             _incast_arguments, True, _cmd_incast),
+)
+
+
+def _all_arguments(sub: argparse.ArgumentParser, command: str) -> None:
+    for scenario in SCENARIOS:
+        if scenario.add_arguments is not None:
+            scenario.add_arguments(sub, command)
+
+
+def _cmd_all(args: argparse.Namespace) -> str:
+    return "\n\n".join(scenario.run(args) for scenario in SCENARIOS)
+
+
+ALL = Scenario("all", "everything above in sequence", _all_arguments, True, _cmd_all)
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
@@ -489,22 +560,6 @@ def _cmd_fetch(args: argparse.Namespace) -> str:
     return f"{args.name}: {len(data)} bytes sha256={digest}"
 
 
-def _cmd_all(args: argparse.Namespace) -> str:
-    return "\n\n".join(
-        [
-            _cmd_figure1a(args),
-            _cmd_figure1b(args),
-            _cmd_figure1c(args),
-            _cmd_ablations(args),
-            _cmd_hotspot(args),
-            _cmd_mix(args),
-            _cmd_resilience(args),
-            _cmd_correlated(args),
-            _cmd_incast(args),
-        ]
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -512,67 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, help_text in (
-        ("figure1a", _cmd_figure1a, "replication / multicast rank curves"),
-        ("figure1b", _cmd_figure1b, "multi-source fetch rank curves"),
-        ("figure1c", _cmd_figure1c, "Incast sweep"),
-        ("ablations", _cmd_ablations, "design-choice ablations A1-A4"),
-        ("hotspot", _cmd_hotspot, "network-hotspot extension experiment"),
-        ("mix", _cmd_mix, "heavy-tailed workload-mix extension experiment"),
-        ("resilience", _cmd_resilience,
-         "path-resilience sweep under injected faults"),
-        ("correlated", _cmd_correlated,
-         "correlated/gray failures with routing-convergence delay"),
-        ("incast", _cmd_incast,
-         "incast fan-in sweep with ECN/TFRC congestion reaction on vs off"),
-        ("all", _cmd_all, "everything above in sequence"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
+    for scenario in (*SCENARIOS, ALL):
+        sub = subparsers.add_parser(scenario.name, help=scenario.help)
         _add_common_arguments(sub)
-        sub.set_defaults(handler=handler)
-        # --seeds only applies to the multi-seed sweeps; ablations/hotspot/mix
-        # are single-seed by design, so they simply don't accept the flag.
-        if name in ("figure1a", "figure1b", "figure1c", "resilience", "correlated",
-                    "incast", "all"):
-            sub.add_argument("--seeds", type=int, default=None,
+        sub.set_defaults(handler=scenario.run)
+        if scenario.takes_seeds:
+            sub.add_argument("--seeds", type=_seeds_type, default=None,
                              help="repetition seeds per series (default: 1; figure1c: 3)")
-        if name in ("figure1c", "all"):
-            sub.add_argument("--senders", type=int, nargs="+", default=[1, 2, 4, 8, 12],
-                             help="sender counts to sweep")
-            sub.add_argument("--response-kb", type=int, nargs="+", default=[256, 70],
-                             help="response sizes in kilobytes")
-        if name in ("resilience", "all"):
-            sub.add_argument("--intensities", type=_intensity_type, nargs="+",
-                             default=[0.0, 0.3, 0.6, 1.0],
-                             help="fault intensities in [0, 1] to sweep (0 = healthy "
-                                  "baseline, always included)")
-        if name in ("correlated", "all"):
-            sub.add_argument("--srlg-sizes", type=_srlg_size_type, nargs="+",
-                             default=[1, 3], metavar="N",
-                             help="shared-risk link group sizes to sweep (links that "
-                                  "fail together; the first size also anchors the "
-                                  "convergence-delay cells)")
-            sub.add_argument("--gray-loss", type=_gray_loss_type, nargs="+",
-                             default=[0.01, 0.05], metavar="P",
-                             help="gray-failure Bernoulli loss rates in (0, 1] smeared "
-                                  "across half the fabric links (routing never reacts)")
-            sub.add_argument("--convergence-delay-ms", type=_delay_ms_type, nargs="+",
-                             default=[0.0, 1.0], metavar="MS",
-                             help="control-plane convergence lags (milliseconds) to "
-                                  "replay the reference SRLG event under; 0 = "
-                                  "instantaneous reconvergence")
-        if name in ("incast", "all"):
-            # `all` already owns --response-kb (figure1c's list); the incast
-            # episode size therefore gets its own destination, spelled
-            # --response-kb on the standalone subcommand for symmetry.
-            flag = "--response-kb" if name == "incast" else "--incast-response-kb"
-            sub.add_argument("--fanins", type=_fanin_type, nargs="+",
-                             default=[4, 8, 15], metavar="N",
-                             help="worker fan-ins to sweep (each crossed with the "
-                                  "congestion-reaction loop off and on)")
-            sub.add_argument(flag, dest="incast_response_kb", type=int, default=64,
-                             metavar="KB",
-                             help="per-worker incast response size in kilobytes")
+        if scenario.add_arguments is not None:
+            scenario.add_arguments(sub, scenario.name)
 
     # ``trace`` reads a recorded artefact instead of running simulations, so
     # it takes none of the common run flags -- just the file and rendering.

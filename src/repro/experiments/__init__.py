@@ -6,6 +6,8 @@
   to either Polyraptor or TCP and collects results.
 * :mod:`repro.experiments.metrics`  -- rank curves, aggregate goodputs,
   confidence intervals.
+* :mod:`repro.experiments.sweep`    -- the one scenario shape: cells ->
+  ``run_sweep`` -> reducer -> columns; every module below is built on it.
 * :mod:`repro.experiments.figure1a` -- multicast/replication (Figure 1a).
 * :mod:`repro.experiments.figure1b` -- multi-source fetch (Figure 1b).
 * :mod:`repro.experiments.figure1c` -- Incast (Figure 1c).

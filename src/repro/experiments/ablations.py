@@ -21,11 +21,14 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.metrics import aggregate_goodput_gbps
-from repro.experiments.parallel import RunJob, execute_jobs
+from repro.experiments.parallel import RunJob
+from repro.experiments.runner import RunResult
+from repro.experiments.sweep import run_sweep
 from repro.network.network import NetworkConfig
 from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
@@ -46,6 +49,22 @@ class AblationPoint:
     goodput_gbps: float
     trimmed_packets: int = 0
     dropped_packets: int = 0
+
+
+def _ablation_points(
+    label: str, sweep: list[RunJob], jobs: int, goodput_of: Callable[[RunResult], float]
+) -> list[AblationPoint]:
+    """Run one ablation's configurations (job key = its label) into points."""
+    runs = run_sweep(label, [((job.key, None), job) for job in sweep], jobs).runs
+    return [
+        AblationPoint(
+            label=configuration,
+            goodput_gbps=goodput_of(run),
+            trimmed_packets=run.trimmed_packets,
+            dropped_packets=run.dropped_packets,
+        )
+        for (configuration, _), (run,) in runs.items()
+    ]
 
 
 def trimming_ablation(
@@ -78,16 +97,10 @@ def trimming_ablation(
         )
         for label, queue in (("trimming", "trimming"), ("droptail", "droptail"))
     ]
-    return [
-        AblationPoint(
-            label=job.key,
-            goodput_gbps=aggregate_goodput_gbps(run.registry, "incast"),
-            trimmed_packets=run.trimmed_packets,
-            dropped_packets=run.dropped_packets,
-        )
-        for job, run in zip(sweep, execute_jobs(sweep, num_workers=jobs,
-                                                label="ablation-trimming"))
-    ]
+    return _ablation_points(
+        "ablation-trimming", sweep, jobs,
+        lambda run: aggregate_goodput_gbps(run.registry, "incast"),
+    )
 
 
 def spraying_ablation(
@@ -131,20 +144,11 @@ def spraying_ablation(
         )
         for mode in (RoutingMode.PACKET_SPRAY, RoutingMode.ECMP_FLOW, RoutingMode.SINGLE_PATH)
     ]
-    points = []
-    for job, run in zip(sweep, execute_jobs(sweep, num_workers=jobs,
-                                            label="ablation-spraying")):
+    def mean_goodput(run: RunResult) -> float:
         goodputs = run.goodputs_gbps("foreground")
-        mean = sum(goodputs) / len(goodputs) if goodputs else 0.0
-        points.append(
-            AblationPoint(
-                label=job.key,
-                goodput_gbps=mean,
-                trimmed_packets=run.trimmed_packets,
-                dropped_packets=run.dropped_packets,
-            )
-        )
-    return points
+        return sum(goodputs) / len(goodputs) if goodputs else 0.0
+
+    return _ablation_points("ablation-spraying", sweep, jobs, mean_goodput)
 
 
 @dataclass(frozen=True)
@@ -228,16 +232,8 @@ def initial_window_ablation(
         )
         for window in window_sizes
     ]
-    points = []
-    for job, run in zip(sweep, execute_jobs(sweep, num_workers=jobs,
-                                            label="ablation-window")):
+    def session_goodput(run: RunResult) -> float:
         goodputs = run.goodputs_gbps("foreground")
-        points.append(
-            AblationPoint(
-                label=job.key,
-                goodput_gbps=goodputs[0] if goodputs else 0.0,
-                trimmed_packets=run.trimmed_packets,
-                dropped_packets=run.dropped_packets,
-            )
-        )
-    return points
+        return goodputs[0] if goodputs else 0.0
+
+    return _ablation_points("ablation-window", sweep, jobs, session_goodput)

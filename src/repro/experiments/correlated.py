@@ -36,14 +36,21 @@ byte-identical output for any N.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_counter_stats
+from repro.experiments.parallel import RunJob
+from repro.experiments.report import fct_columns
 from repro.experiments.resilience import fault_window, permutation_workload
+from repro.experiments.sweep import (
+    SweepResult,
+    cell_jobs,
+    fct_points,
+    keyed_cells,
+    run_sweep,
+    seed_configs,
+)
 from repro.faults.schedule import (
     FaultSchedule,
     gray_failure_schedule,
@@ -52,7 +59,6 @@ from repro.faults.schedule import (
 )
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
-from repro.utils.cdf import Cdf
 
 #: Cell label of the healthy baseline every ratio is computed against.
 HEALTHY = "healthy"
@@ -63,46 +69,15 @@ GRAY_AFFECTED_FRACTION = 0.5
 GRAY_DEGRADE_TO = 0.85
 
 
-@dataclass(frozen=True)
-class CorrelatedPoint:
-    """One protocol's outcome in one failure cell (pooled across seeds)."""
-
-    protocol: Protocol
-    label: str
-    completed: int
-    offered: int
-    median_fct_ms: float
-    p90_fct_ms: float
-    mean_goodput_gbps: float
-    #: median FCT divided by the same protocol's healthy-cell median FCT;
-    #: ``None`` when either median is undefined (no completed transfers)
-    fct_vs_healthy: Optional[float]
-    fault_stats: Optional[dict]
-
-    @property
-    def completion_fraction(self) -> float:
-        """Fraction of offered transfers that completed."""
-        return self.completed / self.offered if self.offered else 0.0
-
-
-@dataclass
-class CorrelatedResult:
-    """The full correlated sweep: failure cells x protocols."""
-
-    config: ExperimentConfig
-    #: cell labels in sweep order (healthy, srlg-*, rack, gray-*, delay-*)
-    labels: tuple[str, ...] = ()
-    #: points[(protocol.value, label)]
-    points: dict[tuple[str, str], CorrelatedPoint] = field(default_factory=dict)
-    #: per-protocol codec counters merged across every cell and seed
-    codec_stats: dict[str, Optional[dict]] = field(default_factory=dict)
-    #: Executor accounting for the sweep (see
-    #: :class:`~repro.experiments.parallel.ExecutorProfile`).
-    exec_profile: Optional[dict] = None
-
-    def point(self, protocol: Protocol, label: str) -> CorrelatedPoint:
-        """The summary for one (protocol, cell) pair."""
-        return self.points[(protocol.value, label)]
+#: How :func:`repro.experiments.report.format_sweep` renders the result: one
+#: row per (protocol, cell) in sweep order -- healthy baseline, SRLG sizes,
+#: rack power, gray-loss rates, convergence delays -- with the ratio against
+#: the same protocol's healthy cell, then the per-cell fault counters.
+TABLE = dict(
+    title="Correlated & gray failures -- FCT degradation with convergence lag",
+    columns=fct_columns(("cell", lambda point: point.cell), "vs healthy"),
+    counters="fault_stats",
+)
 
 
 def correlated_labels(
@@ -161,8 +136,7 @@ def expand_correlated_sweep(
     correlated_labels(srlg_sizes, gray_rates, convergence_delays)  # rejects duplicates
     jobs: list[RunJob] = []
     topology = FatTreeTopology(config.fattree_k)
-    for seed in range(config.seed, config.seed + num_seeds):
-        seed_config = config.with_seed(seed)
+    for seed_config in seed_configs(config, num_seeds):
         transfers = permutation_workload(seed_config, topology)
         start, duration = fault_window(seed_config, transfers)
         streams = RandomStreams(seed_config.seed)
@@ -204,16 +178,7 @@ def expand_correlated_sweep(
             ))
 
         for label, schedule, cell_config in cells:
-            for protocol in protocols:
-                jobs.append(
-                    RunJob(
-                        key=(seed, protocol.value, label),
-                        protocol=protocol,
-                        config=cell_config,
-                        transfers=tuple(transfers),
-                        fault_schedule=schedule,
-                    )
-                )
+            jobs += cell_jobs(label, cell_config, transfers, protocols, schedule)
     return jobs
 
 
@@ -225,79 +190,19 @@ def run_correlated(
     protocols: tuple[Protocol, ...] = (Protocol.POLYRAPTOR, Protocol.TCP),
     num_seeds: int = 1,
     jobs: int = 1,
-) -> CorrelatedResult:
+) -> SweepResult:
     """Run the correlated/gray/convergence sweep, summarised per (protocol, cell).
 
     The healthy cell is always included -- it is the baseline the
-    ``fct_vs_healthy`` ratios are computed against.  Results are
-    byte-identical for every ``jobs`` value.
+    ``fct_vs_baseline`` ratios are computed against.  The delay-0 anchor
+    replays the first SRLG cell's schedule under an unchanged config, so
+    :func:`~repro.experiments.sweep.run_sweep` simulates the pair once.
+    Results are byte-identical for every ``jobs`` value.
     """
     cfg = config or ExperimentConfig.scaled_default()
-    labels = correlated_labels(srlg_sizes, gray_rates, convergence_delays)
     sweep = expand_correlated_sweep(
         cfg, srlg_sizes, gray_rates, convergence_delays, protocols, num_seeds
     )
-    # Cells that are byte-identical by construction -- the delay-0 anchor
-    # replays the first SRLG cell's schedule under an unchanged config --
-    # simulate once and share the RunResult; the output cannot differ, only
-    # the wall clock does.
-    fingerprints = [
-        (job.protocol, job.config, job.transfers, job.fault_schedule) for job in sweep
-    ]
-    unique_index: dict = {}
-    unique_jobs: list[RunJob] = []
-    for job, fingerprint in zip(sweep, fingerprints):
-        if fingerprint not in unique_index:
-            unique_index[fingerprint] = len(unique_jobs)
-            unique_jobs.append(job)
-    unique_runs = execute_jobs(unique_jobs, num_workers=jobs, label="correlated")
-    runs = [unique_runs[unique_index[fingerprint]] for fingerprint in fingerprints]
-
-    result = CorrelatedResult(config=cfg, labels=labels)
-    by_cell: dict[tuple[str, str], list] = {}
-    for job, run in zip(sweep, runs):
-        _, protocol_value, label = job.key
-        by_cell.setdefault((protocol_value, label), []).append(run)
-
-    for protocol in protocols:
-        healthy_median = float("inf")
-        for label in labels:
-            cell_runs = by_cell[(protocol.value, label)]
-            records = [
-                record
-                for run in cell_runs
-                for record in run.registry.records
-                if record.label == "foreground"
-            ]
-            completed = [record for record in records if record.completed]
-            fcts_ms = [record.flow_completion_time * 1e3 for record in completed]
-            goodputs = [record.goodput_gbps for record in completed]
-            fct_cdf = Cdf.from_samples(fcts_ms) if fcts_ms else None
-            median = fct_cdf.median() if fct_cdf else float("inf")
-            if label == HEALTHY:
-                healthy_median = median
-            if math.isfinite(median) and math.isfinite(healthy_median) and healthy_median > 0:
-                ratio: Optional[float] = median / healthy_median
-            else:
-                ratio = None
-            result.points[(protocol.value, label)] = CorrelatedPoint(
-                protocol=protocol,
-                label=label,
-                completed=len(completed),
-                offered=len(records),
-                median_fct_ms=median,
-                p90_fct_ms=fct_cdf.quantile(0.9) if fct_cdf else float("inf"),
-                mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
-                fct_vs_healthy=ratio,
-                fault_stats=merge_counter_stats([run.fault_stats for run in cell_runs]),
-            )
-        result.codec_stats[protocol.value] = merge_codec_stats(
-            [
-                run.codec_stats
-                for label in labels
-                for run in by_cell[(protocol.value, label)]
-            ]
-        )
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
+    result = run_sweep("correlated", keyed_cells(sweep), jobs)
+    result.points = fct_points(result.runs, "foreground", baseline_of=lambda label: HEALTHY)
     return result

@@ -12,13 +12,13 @@ rank (slowest first) for the four series:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.metrics import SeriesSummary
-from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats
+from repro.experiments.parallel import RunJob
 from repro.experiments.runner import RunResult
+from repro.experiments.sweep import run_sweep, seed_configs
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.utils.cdf import rank_curve
@@ -35,29 +35,30 @@ def series_label(protocol: Protocol, num_replicas: int) -> str:
 
 
 @dataclass
-class Figure1aResult:
-    """All four series of Figure 1a plus per-series summaries and run stats.
+class RankFigureResult:
+    """All four series of a rank figure (1a or 1b) plus summaries and run stats.
 
-    ``runs`` holds the base seed's run per series (back-compat with single
-    -seed callers); ``seed_runs`` holds every repetition in seed order, and
-    ``codec_stats`` the per-series codec counters merged across seeds with
+    ``series`` and ``summaries`` pool every repetition; ``runs`` holds the
+    base seed's run per series, and ``codec_stats`` the per-series codec
+    counters merged across seeds with
     :func:`~repro.experiments.report.merge_codec_stats`.
     """
 
     config: ExperimentConfig
+    #: names the series of one (protocol, replica/sender count) pair
+    label_of: Callable[[Protocol, int], str] = series_label
     series: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
     summaries: dict[str, SeriesSummary] = field(default_factory=dict)
     runs: dict[str, RunResult] = field(default_factory=dict)
-    seed_runs: dict[str, list[RunResult]] = field(default_factory=dict)
     codec_stats: dict[str, Optional[dict]] = field(default_factory=dict)
     #: Executor accounting for the sweep (see
     #: :class:`~repro.experiments.parallel.ExecutorProfile`); never affects
     #: the measured series, only explains where the wall clock went.
     exec_profile: Optional[dict] = None
 
-    def summary(self, protocol: Protocol, num_replicas: int) -> SeriesSummary:
-        """Summary of one series."""
-        return self.summaries[series_label(protocol, num_replicas)]
+    def summary(self, protocol: Protocol, count: int) -> SeriesSummary:
+        """Summary of one (protocol, replica/sender count) series."""
+        return self.summaries[self.label_of(protocol, count)]
 
 
 def generate_workload(
@@ -103,7 +104,7 @@ def expand_sweep(
     protocols: tuple[Protocol, ...],
     num_seeds: int,
     kind: TransferKind = TransferKind.REPLICATE,
-    label_of=None,
+    label_of: Callable[[Protocol, int], str] = series_label,
 ) -> list[RunJob]:
     """Expand the figure's seeds x replica-counts x protocols sweep into jobs.
 
@@ -112,16 +113,14 @@ def expand_sweep(
     can be executed in any process.  ``label_of(protocol, count)`` names the
     series; Figure 1b reuses this with its own labels and the FETCH kind.
     """
-    label_of = label_of or series_label
     jobs: list[RunJob] = []
-    for seed in range(config.seed, config.seed + num_seeds):
-        seed_config = config.with_seed(seed)
+    for seed_config in seed_configs(config, num_seeds):
         for num_replicas in replica_counts:
             _, transfers = generate_workload(seed_config, num_replicas, kind)
             for protocol in protocols:
                 jobs.append(
                     RunJob(
-                        key=(seed, label_of(protocol, num_replicas)),
+                        key=(seed_config.seed, label_of(protocol, num_replicas)),
                         protocol=protocol,
                         config=seed_config,
                         transfers=tuple(transfers),
@@ -130,30 +129,37 @@ def expand_sweep(
     return jobs
 
 
-def collect_sweep(
-    result,
-    jobs: list[RunJob],
-    runs: list[RunResult],
-) -> None:
-    """Merge per-job runs into a rank-figure result (shared by Figures 1a/1b).
+def run_rank_figure(
+    label: str,
+    config: ExperimentConfig | None,
+    counts: tuple[int, ...],
+    protocols: tuple[Protocol, ...],
+    num_seeds: int,
+    jobs: int,
+    kind: TransferKind,
+    label_of: Callable[[Protocol, int], str],
+) -> RankFigureResult:
+    """Run one rank figure's sweep and reduce it to rank curves (Figures 1a/1b).
 
     Goodputs are pooled across seeds per series (the paper's rank curves plot
-    per-session goodput, so repetitions simply contribute more sessions);
-    codec counters are merged with
-    :func:`~repro.experiments.report.merge_codec_stats`.
+    per-session goodput, so repetitions simply contribute more sessions).
     """
-    for job, run in zip(jobs, runs):
-        _, label = job.key
-        result.seed_runs.setdefault(label, []).append(run)
-        result.runs.setdefault(label, run)
-    for label, label_runs in result.seed_runs.items():
-        goodputs = [g for run in label_runs for g in run.goodputs_gbps("foreground")]
-        result.series[label] = rank_curve(goodputs)
+    cfg = config or ExperimentConfig.scaled_default()
+    sweep = expand_sweep(cfg, counts, protocols, num_seeds, kind, label_of)
+    ran = run_sweep(label, [((job.key[1], None), job) for job in sweep], jobs)
+    result = RankFigureResult(
+        config=cfg,
+        label_of=label_of,
+        codec_stats=ran.codec_stats,
+        exec_profile=ran.exec_profile,
+    )
+    for (series, _), series_runs in ran.runs.items():
+        result.runs[series] = series_runs[0]
+        goodputs = [g for run in series_runs for g in run.goodputs_gbps("foreground")]
+        result.series[series] = rank_curve(goodputs)
         if goodputs:
-            result.summaries[label] = SeriesSummary.from_goodputs(label, goodputs)
-        result.codec_stats[label] = merge_codec_stats(
-            [run.codec_stats for run in label_runs]
-        )
+            result.summaries[series] = SeriesSummary.from_goodputs(series, goodputs)
+    return result
 
 
 def run_figure1a(
@@ -162,7 +168,7 @@ def run_figure1a(
     protocols: tuple[Protocol, ...] = (Protocol.POLYRAPTOR, Protocol.TCP),
     num_seeds: int = 1,
     jobs: int = 1,
-) -> Figure1aResult:
+) -> RankFigureResult:
     """Run every series of Figure 1a and return the rank curves.
 
     Args:
@@ -174,11 +180,5 @@ def run_figure1a(
             results are identical for every value, see
             :mod:`repro.experiments.parallel`.
     """
-    cfg = config or ExperimentConfig.scaled_default()
-    result = Figure1aResult(config=cfg)
-    sweep = expand_sweep(cfg, replica_counts, protocols, num_seeds)
-    runs = execute_jobs(sweep, num_workers=jobs, label="figure1a")
-    collect_sweep(result, sweep, runs)
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
-    return result
+    return run_rank_figure("figure1a", config, replica_counts, protocols, num_seeds,
+                           jobs, TransferKind.REPLICATE, series_label)

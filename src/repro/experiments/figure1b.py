@@ -10,14 +10,8 @@ an uncoordinated 1/N share of the object.  Series:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.figure1a import collect_sweep, expand_sweep
-from repro.experiments.metrics import SeriesSummary
-from repro.experiments.parallel import execute_jobs, last_profile
-from repro.experiments.runner import RunResult
+from repro.experiments.figure1a import RankFigureResult, run_rank_figure
 from repro.workloads.spec import TransferKind
 
 
@@ -27,48 +21,17 @@ def series_label(protocol: Protocol, num_senders: int) -> str:
     return f"{num_senders} Senders {short}"
 
 
-@dataclass
-class Figure1bResult:
-    """All four series of Figure 1b plus per-series summaries and run stats.
-
-    Mirrors :class:`~repro.experiments.figure1a.Figure1aResult`: ``runs``
-    holds the base seed's run per series, ``seed_runs`` every repetition and
-    ``codec_stats`` the merged per-series codec counters.
-    """
-
-    config: ExperimentConfig
-    series: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
-    summaries: dict[str, SeriesSummary] = field(default_factory=dict)
-    runs: dict[str, RunResult] = field(default_factory=dict)
-    seed_runs: dict[str, list[RunResult]] = field(default_factory=dict)
-    codec_stats: dict[str, Optional[dict]] = field(default_factory=dict)
-    #: Executor accounting for the sweep (see
-    #: :class:`~repro.experiments.parallel.ExecutorProfile`).
-    exec_profile: Optional[dict] = None
-
-    def summary(self, protocol: Protocol, num_senders: int) -> SeriesSummary:
-        """Summary of one series."""
-        return self.summaries[series_label(protocol, num_senders)]
-
-
 def run_figure1b(
     config: ExperimentConfig | None = None,
     sender_counts: tuple[int, ...] = (1, 3),
     protocols: tuple[Protocol, ...] = (Protocol.POLYRAPTOR, Protocol.TCP),
     num_seeds: int = 1,
     jobs: int = 1,
-) -> Figure1bResult:
+) -> RankFigureResult:
     """Run every series of Figure 1b and return the rank curves.
 
     Accepts the same ``num_seeds`` / ``jobs`` sweep controls as
     :func:`~repro.experiments.figure1a.run_figure1a`.
     """
-    cfg = config or ExperimentConfig.scaled_default()
-    result = Figure1bResult(config=cfg)
-    sweep = expand_sweep(cfg, sender_counts, protocols, num_seeds,
-                         kind=TransferKind.FETCH, label_of=series_label)
-    runs = execute_jobs(sweep, num_workers=jobs, label="figure1b")
-    collect_sweep(result, sweep, runs)
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
-    return result
+    return run_rank_figure("figure1b", config, sender_counts, protocols, num_seeds,
+                           jobs, TransferKind.FETCH, series_label)

@@ -17,8 +17,8 @@ from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.metrics import aggregate_goodput_gbps, mean_with_confidence
-from repro.experiments.parallel import RunJob, execute_jobs, last_profile, run_job
-from repro.experiments.report import merge_codec_stats
+from repro.experiments.parallel import RunJob, run_job
+from repro.experiments.sweep import keyed_cells, run_sweep, seed_configs
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.utils.units import KILOBYTE
@@ -121,49 +121,29 @@ def run_figure1c(
     """
     cfg = config or ExperimentConfig.scaled_default()
     max_senders = cfg.num_hosts - 1
-    result = Figure1cResult(config=cfg)
+    seeds = [seed_config.seed for seed_config in seed_configs(cfg, num_seeds)]
+    sweep = [
+        incast_job(protocol, cfg, num_senders, response_bytes, seed)
+        for protocol in protocols
+        for response_bytes in response_sizes
+        for num_senders in sender_counts
+        if num_senders <= max_senders
+        for seed in seeds
+    ]
+    ran = run_sweep("figure1c", keyed_cells(sweep), jobs)
 
-    sweep: list[RunJob] = []
-    for protocol in protocols:
-        for response_bytes in response_sizes:
-            for num_senders in sender_counts:
-                if num_senders > max_senders:
-                    continue
-                for seed in range(cfg.seed, cfg.seed + num_seeds):
-                    sweep.append(incast_job(protocol, cfg, num_senders,
-                                            response_bytes, seed))
-    runs = execute_jobs(sweep, num_workers=jobs, label="figure1c")
-
-    goodput_of = {
-        job.key: aggregate_goodput_gbps(run.registry, "incast")
-        for job, run in zip(sweep, runs)
-    }
-    stats_by_label: dict[str, list[Optional[dict]]] = {}
-    for job, run in zip(sweep, runs):
-        stats_by_label.setdefault(job.key[1], []).append(run.codec_stats)
-
-    for protocol in protocols:
-        for response_bytes in response_sizes:
-            label = series_label(protocol, response_bytes)
-            points: list[IncastPoint] = []
-            for num_senders in sender_counts:
-                if num_senders > max_senders:
-                    continue
-                samples = [
-                    goodput_of[(seed, label, num_senders)]
-                    for seed in range(cfg.seed, cfg.seed + num_seeds)
-                ]
-                mean, ci = mean_with_confidence(samples)
-                points.append(
-                    IncastPoint(
-                        num_senders=num_senders,
-                        mean_goodput_gbps=mean,
-                        ci95_gbps=ci,
-                        samples=tuple(samples),
-                    )
-                )
-            result.series[label] = points
-            result.codec_stats[label] = merge_codec_stats(stats_by_label.get(label, []))
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
+    result = Figure1cResult(
+        config=cfg, codec_stats=ran.codec_stats, exec_profile=ran.exec_profile
+    )
+    for (label, num_senders), cell_runs in ran.runs.items():
+        samples = tuple(aggregate_goodput_gbps(run.registry, "incast") for run in cell_runs)
+        mean, ci = mean_with_confidence(samples)
+        result.series.setdefault(label, []).append(
+            IncastPoint(
+                num_senders=num_senders,
+                mean_goodput_gbps=mean,
+                ci95_gbps=ci,
+                samples=samples,
+            )
+        )
     return result

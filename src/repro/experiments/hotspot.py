@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.parallel import RunJob, execute_jobs
+from repro.experiments.sweep import protocol_cells, run_sweep
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.workloads.spec import TransferKind, TransferSpec
@@ -98,12 +98,10 @@ def run_hotspot_experiment(
     """Run the hotspot scenario under each protocol and summarise the measured flows."""
     cfg = config or ExperimentConfig.scaled_default()
     _, transfers = _hotspot_workload(cfg, num_measured, num_aggressors, aggressor_bytes)
-    sweep = [
-        RunJob(key=protocol, protocol=protocol, config=cfg, transfers=tuple(transfers))
-        for protocol in protocols
-    ]
+    sweep = run_sweep("hotspot", protocol_cells(cfg, transfers, protocols), jobs)
     results: dict[Protocol, HotspotResult] = {}
-    for protocol, run in zip(protocols, execute_jobs(sweep, num_workers=jobs, label="hotspot")):
+    for protocol in protocols:
+        (run,) = sweep.runs[(protocol.value, None)]
         goodputs = sorted(run.goodputs_gbps("measured"))
         mean = sum(goodputs) / len(goodputs) if goodputs else 0.0
         measured_records = [r for r in run.registry.records if r.label == "measured"]
@@ -119,16 +117,13 @@ def run_hotspot_experiment(
     return results
 
 
-def format_hotspot(results: dict[Protocol, HotspotResult]) -> str:
-    """Render the hotspot comparison as a text table."""
-    lines = [
-        "Hotspot extension -- measured permutation flows sharing the fabric with a hot rack",
-        f"{'protocol':<12} {'mean Gbps':>10} {'worst Gbps':>11} {'completed':>10}",
-        f"{'-' * 12} {'-' * 10} {'-' * 11} {'-' * 10}",
-    ]
-    for protocol, result in results.items():
-        lines.append(
-            f"{protocol.value:<12} {result.mean_goodput_gbps:>10.3f} "
-            f"{result.p10_goodput_gbps:>11.3f} {result.completion_fraction:>10.2f}"
-        )
-    return "\n".join(lines)
+#: How :func:`repro.experiments.report.format_table` renders the results.
+TABLE = dict(
+    title="Hotspot extension -- measured permutation flows sharing the fabric with a hot rack",
+    columns=(
+        ("protocol", lambda result: result.protocol.value),
+        ("mean Gbps", lambda result: f"{result.mean_goodput_gbps:.3f}"),
+        ("worst Gbps", lambda result: f"{result.p10_goodput_gbps:.3f}"),
+        ("completed", lambda result: f"{result.completion_fraction:.2f}"),
+    ),
+)

@@ -21,16 +21,21 @@ output for any N.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import replace
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_counter_stats
+from repro.experiments.parallel import RunJob
+from repro.experiments.report import fct_columns
+from repro.experiments.sweep import (
+    SweepResult,
+    cell_jobs,
+    fct_points,
+    keyed_cells,
+    run_sweep,
+    seed_configs,
+)
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
-from repro.utils.cdf import Cdf
 from repro.workloads.incast import incast_transfers
 
 #: Cell-label suffix of the reaction-off baseline each ratio is computed against.
@@ -38,52 +43,16 @@ MARK_OFF = "mark-off"
 MARK_ON = "mark-on"
 
 
-@dataclass(frozen=True)
-class IncastPoint:
-    """One protocol's outcome in one (fan-in, marking) cell (pooled across seeds)."""
-
-    protocol: Protocol
-    label: str
-    num_senders: int
-    marking: bool
-    completed: int
-    offered: int
-    median_fct_ms: float
-    p90_fct_ms: float
-    p99_fct_ms: float
-    mean_goodput_gbps: float
-    #: median FCT divided by the same protocol's and fan-in's marking-off
-    #: median; ``None`` for marking-off cells themselves and whenever either
-    #: median is undefined (no completed transfers).
-    fct_vs_unmarked: Optional[float]
-    #: merged congestion-reaction counters; ``None`` for marking-off cells
-    #: (every reactive feature off -> runs carry no transport stats).
-    transport_stats: Optional[dict]
-
-    @property
-    def completion_fraction(self) -> float:
-        """Fraction of offered transfers that completed."""
-        return self.completed / self.offered if self.offered else 0.0
-
-
-@dataclass
-class IncastResult:
-    """The full incast sweep: (fan-in x marking) cells x protocols."""
-
-    config: ExperimentConfig
-    #: cell labels in sweep order (fanin-N/mark-off, fanin-N/mark-on, ...)
-    labels: tuple[str, ...] = ()
-    #: points[(protocol.value, label)]
-    points: dict[tuple[str, str], IncastPoint] = field(default_factory=dict)
-    #: per-protocol codec counters merged across every cell and seed
-    codec_stats: dict[str, Optional[dict]] = field(default_factory=dict)
-    #: Executor accounting for the sweep (see
-    #: :class:`~repro.experiments.parallel.ExecutorProfile`).
-    exec_profile: Optional[dict] = None
-
-    def point(self, protocol: Protocol, label: str) -> IncastPoint:
-        """The summary for one (protocol, cell) pair."""
-        return self.points[(protocol.value, label)]
+#: How :func:`repro.experiments.report.format_sweep` renders the result: one
+#: row per (protocol, cell) in sweep order -- each fan-in with marking off
+#: then on -- with p99 included (the incast pathology lives in the tail) and
+#: the ratio of each marking-on cell against the same protocol and fan-in with
+#: marking off, then the per-cell congestion-reaction counters.
+TABLE = dict(
+    title="Incast -- fan-in sweep with marking/reaction on vs off",
+    columns=fct_columns(("cell", lambda point: point.cell), "vs mark-off", p99=True),
+    counters="transport_stats",
+)
 
 
 def incast_labels(fanins: tuple[int, ...]) -> tuple[str, ...]:
@@ -148,8 +117,7 @@ def expand_incast_sweep(
         raise ValueError(
             f"k={config.fattree_k} FatTree supports fan-in <= {max_fanin}, got {max(fanins)}"
         )
-    for seed in range(config.seed, config.seed + num_seeds):
-        seed_config = config.with_seed(seed)
+    for seed_config in seed_configs(config, num_seeds):
         marked_config = reactive_config(seed_config)
         streams = RandomStreams(seed_config.seed)
         for fanin in fanins:
@@ -165,15 +133,7 @@ def expand_incast_sweep(
                 (f"fanin-{fanin}/{MARK_ON}", marked_config),
             ]
             for label, cell_config in cells:
-                for protocol in protocols:
-                    jobs.append(
-                        RunJob(
-                            key=(seed, protocol.value, label),
-                            protocol=protocol,
-                            config=cell_config,
-                            transfers=tuple(transfers),
-                        )
-                    )
+                jobs += cell_jobs(label, cell_config, transfers, protocols)
     return jobs
 
 
@@ -184,72 +144,22 @@ def run_incast(
     protocols: tuple[Protocol, ...] = (Protocol.POLYRAPTOR, Protocol.TCP),
     num_seeds: int = 1,
     jobs: int = 1,
-) -> IncastResult:
+) -> SweepResult:
     """Run the incast fan-in x marking sweep, summarised per (protocol, cell).
 
-    Each fan-in's marking-off cell is the baseline its ``fct_vs_unmarked``
-    ratio is computed against.  Results are byte-identical for every ``jobs``
-    value.
+    Each fan-in's marking-off cell is the baseline its marking-on cell's
+    ``fct_vs_baseline`` ratio is computed against (marking-off cells
+    themselves carry no ratio).  Results are byte-identical for every
+    ``jobs`` value.
     """
     cfg = config or ExperimentConfig.scaled_default()
-    labels = incast_labels(fanins)
     sweep = expand_incast_sweep(cfg, fanins, response_bytes, protocols, num_seeds)
-    runs = execute_jobs(sweep, num_workers=jobs, label="incast")
-
-    result = IncastResult(config=cfg, labels=labels)
-    by_cell: dict[tuple[str, str], list] = {}
-    for job, run in zip(sweep, runs):
-        _, protocol_value, label = job.key
-        by_cell.setdefault((protocol_value, label), []).append(run)
-
-    for protocol in protocols:
-        unmarked_median: dict[int, float] = {}
-        for fanin in fanins:
-            for marking in (False, True):
-                suffix = MARK_ON if marking else MARK_OFF
-                label = f"fanin-{fanin}/{suffix}"
-                cell_runs = by_cell[(protocol.value, label)]
-                records = [
-                    record
-                    for run in cell_runs
-                    for record in run.registry.records
-                    if record.label == "incast"
-                ]
-                completed = [record for record in records if record.completed]
-                fcts_ms = [record.flow_completion_time * 1e3 for record in completed]
-                goodputs = [record.goodput_gbps for record in completed]
-                fct_cdf = Cdf.from_samples(fcts_ms) if fcts_ms else None
-                median = fct_cdf.median() if fct_cdf else float("inf")
-                ratio: Optional[float] = None
-                if not marking:
-                    unmarked_median[fanin] = median
-                else:
-                    baseline = unmarked_median.get(fanin, float("inf"))
-                    if math.isfinite(median) and math.isfinite(baseline) and baseline > 0:
-                        ratio = median / baseline
-                result.points[(protocol.value, label)] = IncastPoint(
-                    protocol=protocol,
-                    label=label,
-                    num_senders=fanin,
-                    marking=marking,
-                    completed=len(completed),
-                    offered=len(records),
-                    median_fct_ms=median,
-                    p90_fct_ms=fct_cdf.quantile(0.9) if fct_cdf else float("inf"),
-                    p99_fct_ms=fct_cdf.quantile(0.99) if fct_cdf else float("inf"),
-                    mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
-                    fct_vs_unmarked=ratio,
-                    transport_stats=merge_counter_stats(
-                        [run.transport_stats for run in cell_runs]
-                    ),
-                )
-        result.codec_stats[protocol.value] = merge_codec_stats(
-            [
-                run.codec_stats
-                for label in labels
-                for run in by_cell[(protocol.value, label)]
-            ]
-        )
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
+    result = run_sweep("incast", keyed_cells(sweep), jobs)
+    result.points = fct_points(
+        result.runs,
+        "incast",
+        baseline_of=lambda label: (
+            label.replace(MARK_ON, MARK_OFF) if label.endswith(MARK_ON) else None
+        ),
+    )
     return result

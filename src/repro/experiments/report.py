@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only; avoids circular imports
     from repro.experiments.ablations import AblationPoint, OverheadPoint
-    from repro.experiments.correlated import CorrelatedResult
-    from repro.experiments.figure1a import Figure1aResult
-    from repro.experiments.figure1b import Figure1bResult
+    from repro.experiments.figure1a import RankFigureResult
     from repro.experiments.figure1c import Figure1cResult
-    from repro.experiments.incast import IncastResult
-    from repro.experiments.resilience import ResilienceResult
+    from repro.experiments.sweep import SweepPoint, SweepResult
+
+#: One table column: its header and how to render an item's cell in it.
+Column = tuple[str, Callable[[Any], str]]
 
 
 def _fct_cell(value: float) -> str:
@@ -27,65 +27,73 @@ def _fct_cell(value: float) -> str:
     return f"{value:.3f}" if math.isfinite(value) else "-"
 
 
-def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = []
-    lines.append("  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)))
-    lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+def format_table(items: Iterable, title: str, columns: Sequence[Column]) -> str:
+    """Render ``title`` over one row per item, one column per ``(header, render)``.
 
-
-def format_rank_figure(result: Figure1aResult | Figure1bResult, title: str) -> str:
-    """Render a Figure 1a/1b result: one row per series with goodput quantiles."""
-    rows = []
-    for label in sorted(result.summaries):
-        summary = result.summaries[label]
-        rows.append(
-            [
-                label,
-                str(summary.count),
-                f"{summary.p10_gbps:.3f}",
-                f"{summary.median_gbps:.3f}",
-                f"{summary.mean_gbps:.3f}",
-                f"{summary.p90_gbps:.3f}",
-            ]
-        )
-    table = _format_table(
-        ["series", "sessions", "p10 Gbps", "median Gbps", "mean Gbps", "p90 Gbps"], rows
+    The renderer every table goes through: a scenario module owns a column
+    list, never padding or rules.
+    """
+    headers = [header for header, _ in columns]
+    rows = [[render(item) for _, render in columns] for item in items]
+    widths = [max(map(len, cells)) for cells in zip(headers, *rows)]
+    lines = [headers, ["-" * width for width in widths], *rows]
+    return "\n".join(
+        [title]
+        + ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in lines]
     )
-    return f"{title}\n{table}"
+
+
+def _stats_table(
+    stats_by_label: Mapping[str, Optional[dict]], title: str, columns: Sequence[Column]
+) -> str:
+    """One row per series in mapping order, ``columns`` rendering its stats dict.
+
+    A series without stats (``None``) renders as a row of ``-`` so a table
+    always lists every series of an experiment.
+    """
+    def dashed(render: Callable[[dict], str]) -> Callable[[tuple], str]:
+        return lambda item: render(item[1]) if item[1] else "-"
+
+    labelled = [("series", lambda item: item[0])]
+    labelled += [(header, dashed(render)) for header, render in columns]
+    return format_table(stats_by_label.items(), title, labelled)
+
+
+def format_rank_figure(result: RankFigureResult, title: str) -> str:
+    """Render a Figure 1a/1b result: one row per series with goodput quantiles."""
+    columns = [
+        ("series", lambda summary: summary.label),
+        ("sessions", lambda summary: str(summary.count)),
+        ("p10 Gbps", lambda summary: f"{summary.p10_gbps:.3f}"),
+        ("median Gbps", lambda summary: f"{summary.median_gbps:.3f}"),
+        ("mean Gbps", lambda summary: f"{summary.mean_gbps:.3f}"),
+        ("p90 Gbps", lambda summary: f"{summary.p90_gbps:.3f}"),
+    ]
+    summaries = [result.summaries[label] for label in sorted(result.summaries)]
+    return format_table(summaries, title, columns)
 
 
 def format_figure1c(result: Figure1cResult, title: str = "Figure 1c (Incast)") -> str:
     """Render Figure 1c: one row per (series, sender count) with mean +/- CI."""
-    rows = []
-    for label in sorted(result.series):
-        for point in result.series[label]:
-            rows.append(
-                [
-                    label,
-                    str(point.num_senders),
-                    f"{point.mean_goodput_gbps:.3f}",
-                    f"+/-{point.ci95_gbps:.3f}",
-                ]
-            )
-    table = _format_table(["series", "senders", "goodput Gbps", "95% CI"], rows)
-    return f"{title}\n{table}"
+    columns = [
+        ("series", lambda row: row[0]),
+        ("senders", lambda row: str(row[1].num_senders)),
+        ("goodput Gbps", lambda row: f"{row[1].mean_goodput_gbps:.3f}"),
+        ("95% CI", lambda row: f"+/-{row[1].ci95_gbps:.3f}"),
+    ]
+    rows = [(label, point) for label in sorted(result.series) for point in result.series[label]]
+    return format_table(rows, title, columns)
 
 
 def format_ablation(points: Sequence[AblationPoint], title: str) -> str:
     """Render an ablation series."""
-    rows = [
-        [point.label, f"{point.goodput_gbps:.3f}", str(point.trimmed_packets), str(point.dropped_packets)]
-        for point in points
+    columns = [
+        ("configuration", lambda point: point.label),
+        ("goodput Gbps", lambda point: f"{point.goodput_gbps:.3f}"),
+        ("trimmed", lambda point: str(point.trimmed_packets)),
+        ("dropped", lambda point: str(point.dropped_packets)),
     ]
-    table = _format_table(["configuration", "goodput Gbps", "trimmed", "dropped"], rows)
-    return f"{title}\n{table}"
+    return format_table(points, title, columns)
 
 
 def _merge_cache_counters(caches: Sequence[Mapping], name: str) -> dict:
@@ -167,44 +175,23 @@ def format_codec_stats(
     to improve under loss.  Runs without codec work (TCP baselines) render
     as ``-`` rows, so the table always lists every series of an experiment.
     """
-    rows = []
-    for label in sorted(stats_by_label):
-        stats = stats_by_label[label]
-        if not stats:
-            rows.append([label] + ["-"] * 9)
-            continue
-        cache = stats.get("plan_cache", {})
-        decode_cache = stats.get("decode_plan_cache", {})
-        rows.append(
-            [
-                label,
-                str(stats.get("backend", "?")),
-                str(stats.get("kernel", "?")),
-                str(stats.get("blocks_encoded", 0)),
-                str(stats.get("blocks_decoded", 0)),
-                str(cache.get("hits", 0)),
-                str(cache.get("misses", 0)),
-                f"{cache.get('hit_rate', 0.0):.3f}",
-                str(decode_cache.get("hits", 0)),
-                f"{decode_cache.get('hit_rate', 0.0):.3f}",
-            ]
-        )
-    table = _format_table(
-        [
-            "series",
-            "backend",
-            "kernel",
-            "blocks enc",
-            "blocks dec",
-            "plan hits",
-            "plan misses",
-            "hit rate",
-            "dec hits",
-            "dec rate",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
+    def cached(stats: Mapping, cache: str, key: str, default=0):
+        return stats.get(cache, {}).get(key, default)
+
+    columns = [
+        ("backend", lambda stats: str(stats.get("backend", "?"))),
+        ("kernel", lambda stats: str(stats.get("kernel", "?"))),
+        ("blocks enc", lambda stats: str(stats.get("blocks_encoded", 0))),
+        ("blocks dec", lambda stats: str(stats.get("blocks_decoded", 0))),
+        ("plan hits", lambda stats: str(cached(stats, "plan_cache", "hits"))),
+        ("plan misses", lambda stats: str(cached(stats, "plan_cache", "misses"))),
+        ("hit rate", lambda stats: f"{cached(stats, 'plan_cache', 'hit_rate', 0.0):.3f}"),
+        ("dec hits", lambda stats: str(cached(stats, "decode_plan_cache", "hits"))),
+        ("dec rate", lambda stats: f"{cached(stats, 'decode_plan_cache', 'hit_rate', 0.0):.3f}"),
+    ]
+    # Sorted by label like the figure tables it is printed under; the
+    # counter tables instead follow the sweep order of their FCT table.
+    return _stats_table(dict(sorted(stats_by_label.items())), title, columns)
 
 
 def format_exec_profile(profile: Optional[dict], title: str = "Executor profile") -> str:
@@ -218,46 +205,26 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
     """
     if not profile:
         return f"{title}\n  (no executor profile recorded)"
-    def _ms(key: str) -> str:
-        return f"{profile.get(key, 0.0) * 1e3:.1f}"
-    rows = [
-        [
-            str(profile.get("transport", "?")),
-            str(profile.get("workers", 1)),
-            "yes" if profile.get("pool_reused") else "no",
-            str(profile.get("jobs_total", 0)),
-            str(profile.get("chunk_size", 1)),
-            str(profile.get("bytes_shipped", 0)),
-            str(profile.get("shm_bytes", 0)),
-            f"{profile.get('wall_s', 0.0):.2f}",
-            f"{profile.get('run_s', 0.0):.2f}",
-            _ms("prewarm_s"),
-            _ms("pool_spawn_s"),
-            _ms("plans_ship_s"),
-            _ms("serialize_s"),
-            _ms("merge_s"),
-        ]
+    def ms(key: str) -> Callable[[dict], str]:
+        return lambda profile: f"{profile.get(key, 0.0) * 1e3:.1f}"
+
+    columns = [
+        ("transport", lambda profile: str(profile.get("transport", "?"))),
+        ("workers", lambda profile: str(profile.get("workers", 1))),
+        ("reused", lambda profile: "yes" if profile.get("pool_reused") else "no"),
+        ("jobs", lambda profile: str(profile.get("jobs_total", 0))),
+        ("chunk", lambda profile: str(profile.get("chunk_size", 1))),
+        ("pipe B", lambda profile: str(profile.get("bytes_shipped", 0))),
+        ("shm B", lambda profile: str(profile.get("shm_bytes", 0))),
+        ("wall s", lambda profile: f"{profile.get('wall_s', 0.0):.2f}"),
+        ("run s", lambda profile: f"{profile.get('run_s', 0.0):.2f}"),
+        ("prewarm ms", ms("prewarm_s")),
+        ("spawn ms", ms("pool_spawn_s")),
+        ("plans ms", ms("plans_ship_s")),
+        ("serialize ms", ms("serialize_s")),
+        ("merge ms", ms("merge_s")),
     ]
-    table = _format_table(
-        [
-            "transport",
-            "workers",
-            "reused",
-            "jobs",
-            "chunk",
-            "pipe B",
-            "shm B",
-            "wall s",
-            "run s",
-            "prewarm ms",
-            "spawn ms",
-            "plans ms",
-            "serialize ms",
-            "merge ms",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
+    return format_table([profile], title, columns)
 
 
 def merge_counter_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
@@ -288,8 +255,10 @@ def format_fault_stats(
 ) -> str:
     """Render per-series fault counters (events applied, drops, reroutes).
 
-    Series that ran on a healthy fabric (``None`` stats, e.g. the intensity-0
-    baselines) render as ``-`` rows so every row of an experiment is listed.
+    Rows follow the mapping's own order -- the sweep order of the points the
+    counters belong to.  Series that ran on a healthy fabric (``None`` stats,
+    e.g. the intensity-0 baselines) render as ``-`` rows so every row of an
+    experiment is listed.
     When any series carries routing-convergence accounting an ``installs``
     column shows ``route_installs/recomputes_requested`` -- under
     control-plane lag the two differ, exposing installs that were still
@@ -306,58 +275,29 @@ def format_fault_stats(
         ]
         return ",".join(parts) if parts else "-"
 
+    def total(*keys: str) -> Callable[[Mapping], str]:
+        return lambda stats: str(sum(stats.get(key, 0) for key in keys))
+
     present = [stats for stats in stats_by_label.values() if stats]
-    has_installs = any("recomputes_requested" in stats for stats in present)
-    has_causes = any(
-        any(key.startswith("cause_") for key in stats) for stats in present
-    )
-    width = 7 + has_installs + has_causes
-    rows = []
-    for label in sorted(stats_by_label):
-        stats = stats_by_label[label]
-        if not stats:
-            rows.append([label] + ["-"] * width)
-            continue
-        row = [
-            label,
-            str(stats.get("links_failed", 0)),
-            str(stats.get("links_degraded", 0)),
-            str(stats.get("links_lossy", 0)),
-            str(stats.get("switches_failed", 0)),
-            str(stats.get("reroutes", 0)),
-        ]
-        if has_installs:
-            row.append(
-                f"{stats.get('route_installs', 0)}/{stats.get('recomputes_requested', 0)}"
-            )
-        row += [
-            str(
-                stats.get("packets_dropped_link_down", 0)
-                + stats.get("packets_dropped_switch_down", 0)
-            ),
-            str(stats.get("packets_dropped_random_loss", 0)),
-        ]
-        if has_causes:
-            row.append(cause_summary(stats))
-        rows.append(row)
-    headers = [
-        "series",
-        "links down",
-        "degraded",
-        "lossy",
-        "switch down",
-        "reroutes",
+    columns = [
+        ("links down", total("links_failed")),
+        ("degraded", total("links_degraded")),
+        ("lossy", total("links_lossy")),
+        ("switch down", total("switches_failed")),
+        ("reroutes", total("reroutes")),
     ]
-    if has_installs:
-        headers.append("installs")
-    headers += [
-        "pkts dead-path",
-        "pkts rand-loss",
+    if any("recomputes_requested" in stats for stats in present):
+        columns.append((
+            "installs",
+            lambda stats: f"{stats.get('route_installs', 0)}/{stats.get('recomputes_requested', 0)}",
+        ))
+    columns += [
+        ("pkts dead-path", total("packets_dropped_link_down", "packets_dropped_switch_down")),
+        ("pkts rand-loss", total("packets_dropped_random_loss")),
     ]
-    if has_causes:
-        headers.append("causes")
-    table = _format_table(headers, rows)
-    return f"{title}\n{table}"
+    if any(key.startswith("cause_") for stats in present for key in stats):
+        columns.append(("causes", cause_summary))
+    return _stats_table(stats_by_label, title, columns)
 
 
 def format_transport_stats(
@@ -366,174 +306,97 @@ def format_transport_stats(
 ) -> str:
     """Render per-series ECN/TFRC/gray-detection counters.
 
-    Series that ran with every reactive feature off (``None`` stats, e.g.
-    the marking-off baseline cells) render as ``-`` rows so the table always
-    lists every series of an experiment.  Counters a protocol does not keep
+    Rows follow the mapping's own order (sweep order).  Series that ran with
+    every reactive feature off (``None`` stats, e.g. the marking-off
+    baseline cells) render as ``-`` rows so the table always lists every
+    series of an experiment.  Counters a protocol does not keep
     (TCP has no TFRC rate updates; Polyraptor has no ECE echoes) render as
     ``-`` too.
     """
+    def counter(key: str) -> Callable[[Mapping], str]:
+        return lambda stats: str(stats[key]) if key in stats else "-"
+
     columns = [
-        ("ecn marks", "ecn_marks"),
-        ("ce recv", "ce_received"),
-        ("echoes", "ecn_echoes"),
-        ("reactions", "ecn_reactions"),
-        ("rate updates", "rate_updates"),
-        ("gray", "gray_detected"),
+        ("ecn marks", counter("ecn_marks")),
+        ("ce recv", counter("ce_received")),
+        ("echoes", counter("ecn_echoes")),
+        ("reactions", counter("ecn_reactions")),
+        ("rate updates", counter("rate_updates")),
+        ("gray", counter("gray_detected")),
     ]
-    rows = []
-    for label in sorted(stats_by_label):
-        stats = stats_by_label[label]
-        if not stats:
-            rows.append([label] + ["-"] * len(columns))
-            continue
-        rows.append(
-            [label]
-            + [str(stats[key]) if key in stats else "-" for _, key in columns]
-        )
-    table = _format_table(["series"] + [header for header, _ in columns], rows)
-    return f"{title}\n{table}"
+    return _stats_table(stats_by_label, title, columns)
 
 
-def format_incast(
-    result: IncastResult,
-    title: str = "Incast -- fan-in sweep with marking/reaction on vs off",
-) -> str:
-    """Render the incast sweep: FCT table plus congestion-reaction counters.
+def fct_columns(cell: Column, ratio_header: str, p99: bool = False) -> list[Column]:
+    """The columns of an FCT sweep's table (resilience, correlated, incast).
 
-    One row per (protocol, cell) in sweep order -- each fan-in with marking
-    off then on -- with completion, FCT quantiles (p99 included: the incast
-    pathology lives in the tail) and the FCT ratio of each marking-on cell
-    against the same protocol and fan-in with marking off.
+    ``cell`` is the scenario's own column for the varied axis; the ratio
+    against the baseline cell is headed ``ratio_header`` and renders ``-``
+    when undefined, like an FCT quantile of a cell that completed nothing.
+    ``p99`` adds the tail quantile (the incast pathology lives there).
     """
-    rows = []
-    transport_stats: dict[str, Optional[dict]] = {}
-    protocols = sorted({protocol for protocol, _ in result.points})
-    for protocol_value in protocols:
-        for label in result.labels:
-            point = result.points[(protocol_value, label)]
-            rows.append(
-                [
-                    protocol_value,
-                    label,
-                    f"{point.completed}/{point.offered}",
-                    _fct_cell(point.median_fct_ms),
-                    _fct_cell(point.p90_fct_ms),
-                    _fct_cell(point.p99_fct_ms),
-                    f"{point.mean_goodput_gbps:.3f}",
-                    f"{point.fct_vs_unmarked:.2f}x" if point.fct_vs_unmarked is not None else "-",
-                ]
-            )
-            transport_stats[f"{protocol_value} @ {label}"] = point.transport_stats
-    table = _format_table(
-        [
-            "protocol",
-            "cell",
-            "completed",
-            "median FCT ms",
-            "p90 FCT ms",
-            "p99 FCT ms",
-            "mean Gbps",
-            "vs mark-off",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}\n\n{format_transport_stats(transport_stats)}"
+    def ratio(point: SweepPoint) -> str:
+        ratio = point.fct_vs_baseline
+        return f"{ratio:.2f}x" if ratio is not None else "-"
+
+    quantiles = [
+        ("median FCT ms", lambda point: _fct_cell(point.median_fct_ms)),
+        ("p90 FCT ms", lambda point: _fct_cell(point.p90_fct_ms)),
+    ]
+    if p99:
+        quantiles.append(("p99 FCT ms", lambda point: _fct_cell(point.p99_fct_ms)))
+    return [
+        ("protocol", lambda point: point.series),
+        cell,
+        ("completed", lambda point: f"{point.completed}/{point.offered}"),
+        *quantiles,
+        ("mean Gbps", lambda point: f"{point.mean_goodput_gbps:.3f}"),
+        (ratio_header, ratio),
+    ]
 
 
-def format_resilience(
-    result: ResilienceResult,
-    title: str = "Resilience -- FCT degradation under injected faults",
+#: The counter table that follows an FCT table, by the point field it reads.
+_COUNTER_TABLES = {
+    "fault_stats": format_fault_stats,
+    "transport_stats": format_transport_stats,
+}
+
+
+def format_sweep(
+    result: SweepResult, title: str, columns: Sequence[Column], counters: str
 ) -> str:
-    """Render the resilience sweep: degradation table plus fault counters.
+    """Render an FCT sweep: the degradation table plus its counter table.
 
-    One row per (protocol, intensity) with completion, FCT quantiles and the
-    FCT ratio against the same protocol's healthy (intensity 0) baseline,
-    followed by the per-cell fault counter table.
+    One row per (series, cell) -- series by series, cells in sweep order --
+    through ``columns``, whose first two name the series and the cell.
+    ``counters`` is the point field the second table reads: ``"fault_stats"``
+    (events applied, drops, reroutes, per-builder ``causes`` and the
+    requested-vs-installed recompute counters that expose control-plane lag)
+    or ``"transport_stats"`` (ECN/TFRC/gray-detection counters).  Its rows
+    are labelled ``"<series> @ <cell>"`` as the first two columns render
+    them, in the same order as the rows above.
     """
-    rows = []
-    fault_stats: dict[str, Optional[dict]] = {}
-    for (protocol_value, intensity), point in sorted(result.points.items()):
-        rows.append(
-            [
-                protocol_value,
-                f"{intensity:.2f}",
-                f"{point.completed}/{point.offered}",
-                _fct_cell(point.median_fct_ms),
-                _fct_cell(point.p90_fct_ms),
-                f"{point.mean_goodput_gbps:.3f}",
-                f"{point.fct_vs_healthy:.2f}x" if point.fct_vs_healthy is not None else "-",
-            ]
-        )
-        fault_stats[f"{protocol_value} @ {intensity:.2f}"] = point.fault_stats
-    table = _format_table(
-        [
-            "protocol",
-            "intensity",
-            "completed",
-            "median FCT ms",
-            "p90 FCT ms",
-            "mean Gbps",
-            "vs healthy",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}\n\n{format_fault_stats(fault_stats)}"
-
-
-def format_correlated(
-    result: CorrelatedResult,
-    title: str = "Correlated & gray failures -- FCT degradation with convergence lag",
-) -> str:
-    """Render the correlated sweep: degradation table plus fault counters.
-
-    One row per (protocol, cell) in sweep order -- healthy baseline, SRLG
-    sizes, rack power, gray-loss rates, convergence delays -- with
-    completion, FCT quantiles and the ratio against the same protocol's
-    healthy cell, followed by the fault counter table (including the
-    per-builder ``causes`` attribution and the requested-vs-installed
-    recompute counters that expose control-plane lag).
-    """
-    rows = []
-    fault_stats: dict[str, Optional[dict]] = {}
-    protocols = sorted({protocol for protocol, _ in result.points})
-    for protocol_value in protocols:
-        for label in result.labels:
-            point = result.points[(protocol_value, label)]
-            rows.append(
-                [
-                    protocol_value,
-                    label,
-                    f"{point.completed}/{point.offered}",
-                    _fct_cell(point.median_fct_ms),
-                    _fct_cell(point.p90_fct_ms),
-                    f"{point.mean_goodput_gbps:.3f}",
-                    f"{point.fct_vs_healthy:.2f}x" if point.fct_vs_healthy is not None else "-",
-                ]
-            )
-            fault_stats[f"{protocol_value} @ {label}"] = point.fault_stats
-    table = _format_table(
-        [
-            "protocol",
-            "cell",
-            "completed",
-            "median FCT ms",
-            "p90 FCT ms",
-            "mean Gbps",
-            "vs healthy",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}\n\n{format_fault_stats(fault_stats)}"
+    points = [
+        result.points[(series, cell)] for series in result.series for cell in result.cells
+    ]
+    (_, series_of), (_, cell_of) = columns[:2]
+    stats = {
+        f"{series_of(point)} @ {cell_of(point)}": getattr(point, counters)
+        for point in points
+    }
+    table = format_table(points, title, columns)
+    return f"{table}\n\n{_COUNTER_TABLES[counters](stats)}"
 
 
 def format_overhead(points: Sequence[OverheadPoint], title: str = "RQ decode overhead") -> str:
     """Render the RQ overhead ablation."""
-    rows = [
-        [str(point.overhead), str(point.trials), str(point.failures), f"{point.failure_rate:.3f}"]
-        for point in points
+    columns = [
+        ("overhead symbols", lambda point: str(point.overhead)),
+        ("trials", lambda point: str(point.trials)),
+        ("failures", lambda point: str(point.failures)),
+        ("failure rate", lambda point: f"{point.failure_rate:.3f}"),
     ]
-    table = _format_table(["overhead symbols", "trials", "failures", "failure rate"], rows)
-    return f"{title}\n{table}"
+    return format_table(points, title, columns)
 
 
 # Telemetry rendering ----------------------------------------------------------------

@@ -22,61 +22,33 @@ value objects generated in the parent -- so the sweep shards over
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.parallel import RunJob, execute_jobs, last_profile
-from repro.experiments.report import merge_codec_stats, merge_counter_stats
+from repro.experiments.parallel import RunJob
+from repro.experiments.report import fct_columns
+from repro.experiments.sweep import (
+    SweepResult,
+    cell_jobs,
+    fct_points,
+    keyed_cells,
+    run_sweep,
+    seed_configs,
+)
 from repro.faults.schedule import FaultSchedule, random_fault_schedule
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
-from repro.utils.cdf import Cdf
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.spec import TransferKind, TransferSpec
 from repro.workloads.traffic_matrix import repeated_permutation_pairs
 
 
-@dataclass(frozen=True)
-class ResiliencePoint:
-    """One protocol's outcome at one fault intensity (pooled across seeds)."""
-
-    protocol: Protocol
-    intensity: float
-    completed: int
-    offered: int
-    median_fct_ms: float
-    p90_fct_ms: float
-    mean_goodput_gbps: float
-    #: median FCT divided by the same protocol's intensity-0 median FCT;
-    #: ``None`` when either median is undefined (no completed transfers)
-    fct_vs_healthy: Optional[float]
-    fault_stats: Optional[dict]
-
-    @property
-    def completion_fraction(self) -> float:
-        """Fraction of offered transfers that completed."""
-        return self.completed / self.offered if self.offered else 0.0
-
-
-@dataclass
-class ResilienceResult:
-    """The full degradation sweep: intensities x protocols."""
-
-    config: ExperimentConfig
-    intensities: tuple[float, ...] = ()
-    #: points[(protocol.value, intensity)]
-    points: dict[tuple[str, float], ResiliencePoint] = field(default_factory=dict)
-    #: per-protocol codec counters merged across every intensity and seed
-    codec_stats: dict[str, Optional[dict]] = field(default_factory=dict)
-    #: Executor accounting for the sweep (see
-    #: :class:`~repro.experiments.parallel.ExecutorProfile`).
-    exec_profile: Optional[dict] = None
-
-    def point(self, protocol: Protocol, intensity: float) -> ResiliencePoint:
-        """The summary for one (protocol, intensity) cell."""
-        return self.points[(protocol.value, intensity)]
+#: How :func:`repro.experiments.report.format_sweep` renders the result: one
+#: row per (protocol, intensity), the ratio against the same protocol's
+#: healthy (intensity 0) cell, then the per-cell fault counters.
+TABLE = dict(
+    title="Resilience -- FCT degradation under injected faults",
+    columns=fct_columns(("intensity", lambda point: f"{point.cell:.2f}"), "vs healthy"),
+    counters="fault_stats",
+)
 
 
 def permutation_workload(
@@ -143,8 +115,7 @@ def expand_resilience_sweep(
     """
     jobs: list[RunJob] = []
     topology = FatTreeTopology(config.fattree_k)
-    for seed in range(config.seed, config.seed + num_seeds):
-        seed_config = config.with_seed(seed)
+    for seed_config in seed_configs(config, num_seeds):
         transfers = permutation_workload(seed_config, topology)
         start, duration = fault_window(seed_config, transfers)
         fault_streams = RandomStreams(seed_config.seed)
@@ -156,16 +127,7 @@ def expand_resilience_sweep(
                 start_time=start,
                 duration=duration,
             )
-            for protocol in protocols:
-                jobs.append(
-                    RunJob(
-                        key=(seed, protocol.value, intensity),
-                        protocol=protocol,
-                        config=seed_config,
-                        transfers=tuple(transfers),
-                        fault_schedule=schedule,
-                    )
-                )
+            jobs += cell_jobs(intensity, seed_config, transfers, protocols, schedule)
     return jobs
 
 
@@ -175,66 +137,16 @@ def run_resilience(
     protocols: tuple[Protocol, ...] = (Protocol.POLYRAPTOR, Protocol.TCP),
     num_seeds: int = 1,
     jobs: int = 1,
-) -> ResilienceResult:
+) -> SweepResult:
     """Run the full degradation sweep and summarise it per (protocol, intensity).
 
     Intensity 0.0 (the healthy fabric) is always included -- it is the
-    baseline the ``fct_vs_healthy`` ratios are computed against.  Results are
-    byte-identical for every ``jobs`` value.
+    baseline the ``fct_vs_baseline`` ratios are computed against.  Results
+    are byte-identical for every ``jobs`` value.
     """
     cfg = config or ExperimentConfig.scaled_default()
     levels = tuple(sorted(set(intensities) | {0.0}))
     sweep = expand_resilience_sweep(cfg, levels, protocols, num_seeds)
-    runs = execute_jobs(sweep, num_workers=jobs, label="resilience")
-
-    result = ResilienceResult(config=cfg, intensities=levels)
-    by_cell: dict[tuple[str, float], list] = {}
-    for job, run in zip(sweep, runs):
-        _, protocol_value, intensity = job.key
-        by_cell.setdefault((protocol_value, intensity), []).append(run)
-
-    healthy_median: dict[str, float] = {}
-    for protocol in protocols:
-        for intensity in levels:
-            cell_runs = by_cell[(protocol.value, intensity)]
-            records = [
-                record
-                for run in cell_runs
-                for record in run.registry.records
-                if record.label == "foreground"
-            ]
-            completed = [record for record in records if record.completed]
-            fcts_ms = [record.flow_completion_time * 1e3 for record in completed]
-            goodputs = [record.goodput_gbps for record in completed]
-            fct_cdf = Cdf.from_samples(fcts_ms) if fcts_ms else None
-            median = fct_cdf.median() if fct_cdf else float("inf")
-            if intensity == 0.0:
-                healthy_median[protocol.value] = median
-            baseline = healthy_median.get(protocol.value, float("inf"))
-            if math.isfinite(median) and math.isfinite(baseline) and baseline > 0:
-                ratio: Optional[float] = median / baseline
-            else:
-                # No completed transfers in this cell or in the healthy
-                # baseline: a degradation ratio is undefined, not 0x or infx.
-                ratio = None
-            result.points[(protocol.value, intensity)] = ResiliencePoint(
-                protocol=protocol,
-                intensity=intensity,
-                completed=len(completed),
-                offered=len(records),
-                median_fct_ms=median,
-                p90_fct_ms=fct_cdf.quantile(0.9) if fct_cdf else float("inf"),
-                mean_goodput_gbps=sum(goodputs) / len(goodputs) if goodputs else 0.0,
-                fct_vs_healthy=ratio,
-                fault_stats=merge_counter_stats([run.fault_stats for run in cell_runs]),
-            )
-        result.codec_stats[protocol.value] = merge_codec_stats(
-            [
-                run.codec_stats
-                for intensity in levels
-                for run in by_cell[(protocol.value, intensity)]
-            ]
-        )
-    profile = last_profile()
-    result.exec_profile = profile.as_dict() if profile is not None else None
+    result = run_sweep("resilience", keyed_cells(sweep), jobs)
+    result.points = fct_points(result.runs, "foreground", baseline_of=lambda intensity: 0.0)
     return result

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.parallel import RunJob, execute_jobs
+from repro.experiments.sweep import protocol_cells, run_sweep
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.utils.cdf import Cdf
@@ -84,12 +84,10 @@ def run_workload_mix(
     _, transfers = _heavy_tailed_transfers(
         cfg, num_transfers, min_bytes, max_bytes, shape, short_threshold_bytes
     )
-    sweep = [
-        RunJob(key=protocol, protocol=protocol, config=cfg, transfers=tuple(transfers))
-        for protocol in protocols
-    ]
+    sweep = run_sweep("workload-mix", protocol_cells(cfg, transfers, protocols), jobs)
     results: dict[Protocol, WorkloadMixResult] = {}
-    for protocol, run in zip(protocols, execute_jobs(sweep, num_workers=jobs, label="workload-mix")):
+    for protocol in protocols:
+        (run,) = sweep.runs[(protocol.value, None)]
         short_fcts = [
             record.flow_completion_time * 1e3
             for record in run.registry.completed_records
@@ -108,18 +106,14 @@ def run_workload_mix(
     return results
 
 
-def format_workload_mix(results: dict[Protocol, WorkloadMixResult]) -> str:
-    """Render the mixed-workload comparison as a text table."""
-    lines = [
-        "Workload-mix extension -- heavy-tailed (bounded Pareto) transfer sizes",
-        f"{'protocol':<12} {'short median FCT ms':>20} {'short p90 FCT ms':>17} "
-        f"{'long median Gbps':>17} {'completed':>10}",
-        f"{'-' * 12} {'-' * 20} {'-' * 17} {'-' * 17} {'-' * 10}",
-    ]
-    for protocol, result in results.items():
-        lines.append(
-            f"{protocol.value:<12} {result.short_median_fct_ms:>20.3f} "
-            f"{result.short_p90_fct_ms:>17.3f} {result.long_median_goodput_gbps:>17.3f} "
-            f"{result.completion_fraction:>10.2f}"
-        )
-    return "\n".join(lines)
+#: How :func:`repro.experiments.report.format_table` renders the results.
+TABLE = dict(
+    title="Workload-mix extension -- heavy-tailed (bounded Pareto) transfer sizes",
+    columns=(
+        ("protocol", lambda result: result.protocol.value),
+        ("short median FCT ms", lambda result: f"{result.short_median_fct_ms:.3f}"),
+        ("short p90 FCT ms", lambda result: f"{result.short_p90_fct_ms:.3f}"),
+        ("long median Gbps", lambda result: f"{result.long_median_goodput_gbps:.3f}"),
+        ("completed", lambda result: f"{result.completion_fraction:.2f}"),
+    ),
+)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import SCENARIOS, main
 from repro.experiments.parallel import shutdown_worker_pool
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
@@ -52,6 +52,10 @@ def _no_lingering_pool():
 
 def _snapshot(command: str) -> str:
     return (SNAPSHOTS / f"{command}.txt").read_text()
+
+
+def test_every_scenario_has_a_snapshot_in_all_order():
+    assert list(SCENARIO_ARGS) == [scenario.name for scenario in SCENARIOS]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -17,12 +17,13 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.correlated import (
+    TABLE,
     correlated_labels,
     expand_correlated_sweep,
     run_correlated,
 )
 from repro.experiments.parallel import execute_jobs
-from repro.experiments.report import format_correlated
+from repro.experiments.report import format_sweep
 from repro.experiments.runner import run_transfers
 from repro.utils.units import KILOBYTE
 
@@ -187,13 +188,13 @@ class TestRunCorrelated:
         return run_correlated(QUICK, num_seeds=1, jobs=1, **AXES)
 
     def test_all_cells_reported_for_both_protocols(self, result):
-        assert result.labels == correlated_labels(**{
+        assert result.cells == correlated_labels(**{
             "srlg_sizes": AXES["srlg_sizes"],
             "gray_rates": AXES["gray_rates"],
             "convergence_delays": AXES["convergence_delays"],
         })
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
-            for label in result.labels:
+            for label in result.cells:
                 point = result.point(protocol, label)
                 assert point.offered == QUICK.num_foreground_transfers
                 assert 0.0 <= point.completion_fraction <= 1.0
@@ -202,7 +203,7 @@ class TestRunCorrelated:
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
             point = result.point(protocol, "healthy")
             assert point.fault_stats is None
-            assert point.fct_vs_healthy == pytest.approx(1.0)
+            assert point.fct_vs_baseline == pytest.approx(1.0)
 
     def test_gray_cells_show_loss_but_no_reroutes(self, result):
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
@@ -219,7 +220,7 @@ class TestRunCorrelated:
             assert stats["recomputes_requested"] == 2  # down batch + recovery batch
 
     def test_polyraptor_rides_out_every_cell(self, result):
-        for label in result.labels:
+        for label in result.cells:
             assert result.point(Protocol.POLYRAPTOR, label).completion_fraction == 1.0
 
     def test_codec_stats_merged_per_protocol(self, result):
@@ -227,7 +228,7 @@ class TestRunCorrelated:
         assert result.codec_stats["tcp"] is None
 
     def test_format_produces_tables_with_causes(self, result):
-        text = format_correlated(result)
+        text = format_sweep(result, **TABLE)
         assert "vs healthy" in text
         assert "Fault counters" in text
         assert "causes" in text

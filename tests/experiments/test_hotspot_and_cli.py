@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cli import ALL, SCENARIOS, build_parser
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.hotspot import format_hotspot, run_hotspot_experiment
+from repro.experiments.hotspot import TABLE, run_hotspot_experiment
+from repro.experiments.report import format_table
 from repro.utils.units import KILOBYTE
 
 
@@ -42,8 +44,8 @@ class TestHotspotExperiment:
         # measured flow should be no slower than TCP's worst measured flow.
         assert rq.p10_goodput_gbps >= tcp.p10_goodput_gbps
 
-    def test_format_hotspot_renders_all_protocols(self, results):
-        text = format_hotspot(results)
+    def test_table_renders_all_protocols(self, results):
+        text = format_table(results.values(), **TABLE)
         assert "polyraptor" in text
         assert "tcp" in text
         assert "mean Gbps" in text
@@ -51,17 +53,26 @@ class TestHotspotExperiment:
 
 class TestCli:
     def test_parser_knows_all_commands(self):
-        from repro.cli import build_parser
-
         parser = build_parser()
-        for command in ("figure1a", "figure1b", "figure1c", "ablations", "hotspot", "all"):
-            args = parser.parse_args([command])
-            assert args.command == command
-            assert callable(args.handler)
+        assert len(SCENARIOS) == 9
+        for scenario in (*SCENARIOS, ALL):
+            args = parser.parse_args([scenario.name])
+            assert args.command == scenario.name
+            assert args.handler is scenario.run
+
+    @pytest.mark.parametrize("seeds", ["0", "-1", "two"])
+    @pytest.mark.parametrize(
+        "command", [scenario.name for scenario in (*SCENARIOS, ALL) if scenario.takes_seeds]
+    )
+    def test_seeds_must_be_a_positive_integer(self, command, seeds, capsys):
+        # `--seeds 0` used to reach the sweep: a KeyError traceback from
+        # resilience/correlated/incast, a ValueError from figure1c, an empty
+        # table from figure1a.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--seeds", seeds])
+        assert "--seeds must be" in capsys.readouterr().err
 
     def test_parser_rejects_unknown_command(self):
-        from repro.cli import build_parser
-
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
@@ -83,8 +94,6 @@ class TestCli:
         assert "TCP 64KB" in captured.out
 
     def test_cli_custom_fabric_arguments(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(
             ["figure1a", "--fattree-k", "6", "--sessions", "10", "--load", "0.1"]
         )
@@ -93,7 +102,7 @@ class TestCli:
         assert args.load == pytest.approx(0.1)
 
     def test_cli_kernel_flag_threads_into_config(self):
-        from repro.cli import _build_config, build_parser
+        from repro.cli import _build_config
 
         args = build_parser().parse_args(["figure1a", "--kernel", "blocked"])
         assert _build_config(args).polyraptor.codec_kernel == "blocked"
@@ -103,7 +112,7 @@ class TestCli:
             build_parser().parse_args(["mix", "--kernel", "fortran"])
 
     def test_cli_paper_scale_selects_paper_fabric(self):
-        from repro.cli import _build_config, build_parser
+        from repro.cli import _build_config
         from repro.experiments.config import ExperimentConfig
 
         args = build_parser().parse_args(

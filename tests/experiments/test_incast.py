@@ -16,13 +16,14 @@ from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.incast import (
     MARK_OFF,
     MARK_ON,
+    TABLE,
     expand_incast_sweep,
     incast_labels,
     reactive_config,
     run_incast,
 )
 from repro.experiments.report import (
-    format_incast,
+    format_sweep,
     format_transport_stats,
     merge_codec_stats,
     merge_counter_stats,
@@ -50,7 +51,7 @@ def _point_snapshot(result):
             point.p90_fct_ms,
             point.p99_fct_ms,
             point.mean_goodput_gbps,
-            point.fct_vs_unmarked,
+            point.fct_vs_baseline,
             point.transport_stats,
         )
         for key, point in result.points.items()
@@ -106,7 +107,7 @@ class TestDeterminism:
         sharded = run_incast(QUICK, num_seeds=2, jobs=4, **AXES)
         assert _point_snapshot(sequential) == _point_snapshot(sharded)
         assert sequential.codec_stats == sharded.codec_stats
-        assert sequential.labels == sharded.labels
+        assert sequential.cells == sharded.cells
 
     def test_mark_on_cells_carry_reaction_counters(self):
         result = run_incast(QUICK, num_seeds=1, jobs=1, **AXES)
@@ -120,7 +121,7 @@ class TestDeterminism:
             on_poly = result.point(Protocol.POLYRAPTOR, f"fanin-{fanin}/{MARK_ON}")
             assert on_poly.transport_stats is not None
             assert "rate_updates" in on_poly.transport_stats
-        rendered = format_incast(result)
+        rendered = format_sweep(result, **TABLE)
         assert "mark-on" in rendered and "vs mark-off" in rendered
 
 

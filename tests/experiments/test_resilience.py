@@ -15,11 +15,8 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.parallel import RunJob, execute_jobs
-from repro.experiments.report import (
-    format_fault_stats,
-    format_resilience,
-)
-from repro.experiments.resilience import expand_resilience_sweep, run_resilience
+from repro.experiments.report import format_fault_stats, format_sweep
+from repro.experiments.resilience import TABLE, expand_resilience_sweep, run_resilience
 from repro.experiments.runner import run_transfers
 from repro.faults.schedule import FaultSchedule, link_down, link_up
 from repro.utils.units import KILOBYTE
@@ -176,10 +173,10 @@ class TestRunResilience:
         return run_resilience(QUICK, intensities=(0.6,), num_seeds=1, jobs=1)
 
     def test_healthy_baseline_always_included(self, result):
-        assert result.intensities == (0.0, 0.6)
+        assert result.cells == (0.0, 0.6)
         point = result.point(Protocol.POLYRAPTOR, 0.0)
         assert point.fault_stats is None
-        assert point.fct_vs_healthy == pytest.approx(1.0)
+        assert point.fct_vs_baseline == pytest.approx(1.0)
 
     def test_faulted_points_carry_counters(self, result):
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
@@ -194,7 +191,7 @@ class TestRunResilience:
             assert 0.0 <= point.completion_fraction <= 1.0
 
     def test_format_produces_both_tables(self, result):
-        text = format_resilience(result)
+        text = format_sweep(result, **TABLE)
         assert "vs healthy" in text
         assert "Fault counters" in text
         assert "reroutes" in text

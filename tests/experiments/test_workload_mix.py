@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig, Protocol
-from repro.experiments.workload_mix import format_workload_mix, run_workload_mix
+from repro.experiments.report import format_table
+from repro.experiments.workload_mix import TABLE, run_workload_mix
 from repro.utils.units import KILOBYTE
 
 
@@ -49,7 +50,7 @@ class TestWorkloadMix:
         assert rq <= 2.0 * tcp
 
     def test_format_renders_both_rows(self, results):
-        text = format_workload_mix(results)
+        text = format_table(results.values(), **TABLE)
         assert "polyraptor" in text
         assert "tcp" in text
         assert "short median FCT ms" in text
