@@ -2,11 +2,9 @@
 
 Measures warm repeated-block encode/decode per registered-and-available
 kernel -- the steady state of any real transfer mix, where the elimination
-plan is cached and the batched kernel matmul is the whole cost -- and a
-decode plan-cache hit-rate comparison between canonical missing-source keys
-and the legacy exact-ESI keys under >= 10% loss.  Results land in
-``benchmarks/results/BENCH_gf_kernels.json`` so future PRs can track kernel
-throughput over time.
+plan is cached and the batched kernel matmul is the whole cost.  Results
+land in ``benchmarks/results/BENCH_gf_kernels.json`` so future PRs can track
+kernel throughput over time.
 
 The headline assertion: the best available kernel (``numba`` when
 importable, else ``blocked``) beats the ``numpy`` ground-truth kernel on
@@ -83,7 +81,7 @@ def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
             decoder.add_symbol(esi, data)
         assert decoder.decode().success
 
-    decode(blocks[0])  # warm the decode-side plan as well
+    decode(blocks[0])  # untimed: fills the LT-neighbour memo
     encode_s = _time_per_block(
         lambda block: BlockEncoder(block, context=context), blocks
     )
@@ -91,35 +89,8 @@ def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
     return encode_s, decode_s
 
 
-def _canonical_hit_rates(k: int = 16) -> dict:
-    """Decode hit rates, canonical vs exact keys, over a >=10%-loss stream."""
-    source = _source_blocks(k, count=1)[0]
-    encoder = BlockEncoder(source, context=CodecContext("reference"))
-    patterns = [(0, 1), (2, 9), (5, 11, 14), (3, 8)]
-    sessions = []
-    for surplus in (2, 3, 4):
-        for missing in patterns:
-            kept = [esi for esi in range(k) if esi not in missing]
-            repairs = list(range(k, k + len(missing) + surplus))
-            sessions.append([(esi, encoder.symbol(esi)) for esi in kept + repairs])
-    rates = {}
-    for label, canonical in (("canonical", True), ("exact_esi", False)):
-        context = CodecContext("planned", canonical_decode_plans=canonical)
-        for symbols in sessions:
-            decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
-            for esi, data in symbols:
-                decoder.add_symbol(esi, data)
-            assert decoder.decode().success
-        rates[label] = {
-            "hits": context.decode_stats.hits,
-            "misses": context.decode_stats.misses,
-            "hit_rate": context.decode_stats.hit_rate,
-        }
-    return rates
-
-
-def test_kernel_throughput_and_canonical_hit_rate(benchmark):
-    """Warm-block throughput per kernel + the canonical-keying hit-rate win."""
+def test_kernel_throughput(benchmark):
+    """Warm-block throughput per kernel."""
     kernels = available_kernels()
     best = best_kernel_name()
     series = []
@@ -152,13 +123,6 @@ def test_kernel_throughput_and_canonical_hit_rate(benchmark):
             f"decode {point['best_speedup_vs_numpy']['decode']:.2f}x vs numpy"
         )
 
-    hit_rates = _canonical_hit_rates()
-    print(
-        f"decode plan-cache hit rate: canonical "
-        f"{hit_rates['canonical']['hit_rate']:.3f} vs exact-ESI "
-        f"{hit_rates['exact_esi']['hit_rate']:.3f}"
-    )
-
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_gf_kernels.json").write_text(
         json.dumps(
@@ -168,7 +132,6 @@ def test_kernel_throughput_and_canonical_hit_rate(benchmark):
                 "kernels_measured": kernels,
                 "best_kernel": best,
                 "series": series,
-                "canonical_decode_hit_rates": hit_rates,
             },
             indent=2,
         )
@@ -185,9 +148,6 @@ def test_kernel_throughput_and_canonical_hit_rate(benchmark):
         lambda: BlockEncoder(blocks[0], context=best_context), rounds=3, iterations=1
     )
 
-    assert hit_rates["canonical"]["hit_rate"] > hit_rates["exact_esi"]["hit_rate"], (
-        "canonical decode keys must strictly raise the plan-cache hit rate"
-    )
     big = series[-1]
     combined = big["best_speedup_vs_numpy"]["combined"]
     assert best == "numpy" or combined >= SPEEDUP_FLOOR, (

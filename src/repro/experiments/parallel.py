@@ -16,11 +16,9 @@ a **persistent pool of warm worker processes**, with four guarantees:
 
 2. **Warm codec caches everywhere.**  Elimination plans
    (:class:`~repro.rq.plan.EliminationPlan`) are immutable, so the parent
-   pre-warms the encode-side plans for every block size appearing in the
-   sweep (plus, for lossy sweeps, the decode-side plans for the most common
-   canonical loss patterns -- see
-   :func:`repro.rq.backend.prewarm_canonical_decode_plans`), snapshots them
-   into a picklable :class:`~repro.rq.plan.PlanStore`, and ships the store
+   pre-warms the per-K' plan for every block size appearing in the sweep
+   (the one plan both encoding and decoding look up), snapshots them into a
+   picklable :class:`~repro.rq.plan.PlanStore`, and ships the store
    **once per worker per sweep** -- zero-copy through shared memory when
    available.  Each job then runs with a
    :class:`~repro.rq.backend.CodecContext` preloaded from the same store --
@@ -81,11 +79,7 @@ from repro.network.network import NetworkConfig
 from repro.network.topology import FatTreeTopology
 from repro.obs.recorder import TelemetryRecord
 from repro.obs.registry import WindowedRate
-from repro.rq.backend import (
-    CodecContext,
-    prewarm_canonical_decode_plans,
-    prewarm_encode_plans,
-)
+from repro.rq.backend import CodecContext, prewarm_encode_plans
 from repro.rq.block import partition_object
 from repro.rq.params import for_k
 from repro.rq.plan import PlanStore, PlanStoreSchemaError
@@ -238,50 +232,27 @@ def sweep_block_sizes(jobs: Iterable[RunJob]) -> set[int]:
     return sizes
 
 
-def _sweep_is_lossy(jobs: Iterable[RunJob]) -> bool:
-    """Whether any payload-carrying Polyraptor job runs under injected faults."""
-    for job in jobs:
-        if job.protocol is not Protocol.POLYRAPTOR or job.fault_schedule is None:
-            continue
-        if len(job.fault_schedule) == 0:
-            continue
-        pcfg = job.polyraptor_config or job.config.polyraptor
-        if pcfg.carry_payload:
-            return True
-    return False
-
-
-def plan_store_for_jobs(
-    jobs: Sequence[RunJob],
-    prewarm_decode: Union[bool, str, None] = "auto",
-) -> Optional[PlanStore]:
+def plan_store_for_jobs(jobs: Sequence[RunJob]) -> Optional[PlanStore]:
     """Pre-warm a plan store for a sweep, or ``None`` when no job codes bytes.
 
     Only payload-carrying Polyraptor jobs exercise the codec; for the
     (default) identity-tracking simulations there is nothing to warm and no
-    store is shipped.  Encode plans are exact (a pure function of K) and
-    always pre-warmed.  Decode plans depend on which packets the fabric
-    lost; with ``prewarm_decode`` true -- or ``"auto"`` on a sweep that
-    injects faults into payload-carrying jobs -- the **canonical** plans for
-    the most common loss patterns (all single missing sources, then pairs,
-    within a per-K budget) are built up front so workers start hot (see
-    :func:`repro.rq.backend.prewarm_canonical_decode_plans`).  The decision
-    depends only on the job list, never on the worker count, so plan-cache
-    counters stay identical for every ``--jobs`` value.
+    store is shipped.  The per-K' plan is a pure function of K and serves
+    every block of that size in both directions under any loss, so the
+    store is exact.  It depends only on the job list, never on the worker
+    count, so plan-cache counters stay identical for every ``--jobs`` value.
 
     When a persistent plan-cache path is installed (see
     :func:`set_plan_cache_path`), previously saved plans are loaded first so
     only the sweep's *missing* plans are factorised, and the merged store is
     written back for the next process.  Only the plans this sweep can
-    actually look up (its block sizes' encode and canonical decode keys) are
-    returned -- and therefore shipped to workers -- the cache file may have
-    accumulated plans for every block size ever run.
+    actually look up (its block sizes') are returned -- and therefore
+    shipped to workers -- the cache file may have accumulated plans for
+    every block size ever run.
     """
     sizes = sweep_block_sizes(jobs)
     if not sizes:
         return None
-    if prewarm_decode in (None, "auto"):
-        prewarm_decode = _sweep_is_lossy(jobs)
     store: Optional[PlanStore] = None
     path = _plan_cache_path
     if path is not None and path.exists():
@@ -299,8 +270,6 @@ def plan_store_for_jobs(
             store = None  # a corrupt cache file is rebuilt, never fatal
     known = len(store) if store is not None else 0
     store = prewarm_encode_plans(sizes, store=store)
-    if prewarm_decode:
-        store = prewarm_canonical_decode_plans(sizes, store=store)
     if path is not None and len(store) != known:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Merge the latest on-disk contents before writing so a concurrent
@@ -315,21 +284,8 @@ def plan_store_for_jobs(
         temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         store.save(temp)
         os.replace(temp, path)
-    needed_encode = {("encode", for_k(k)) for k in sizes}
-    # Decode keys pass the filter only when THIS sweep pre-warms decode
-    # plans; both prewarm passes are pure functions of the job list, so the
-    # returned store -- and therefore every worker's preloaded cache and its
-    # hit/miss counters -- is identical whether or not a persistent cache
-    # file existed.
-    needed_params = {for_k(k) for k in sizes} if prewarm_decode else set()
-    return PlanStore(
-        {
-            key: plan
-            for key, plan in store.plans.items()
-            if key in needed_encode
-            or (key[0] == "decode" and key[1] in needed_params)
-        }
-    )
+    needed = {("encode", for_k(k)) for k in sizes}
+    return PlanStore({key: plan for key, plan in store.plans.items() if key in needed})
 
 
 # Persistent cross-run plan cache ----------------------------------------------------
@@ -995,7 +951,6 @@ def execute_jobs(
     transport: Optional[str] = None,
     chunk: Optional[int] = None,
     label: str = "",
-    prewarm_decode: Union[bool, str, None] = "auto",
 ) -> list[RunResult]:
     """Run every job and return their results in job order.
 
@@ -1019,10 +974,6 @@ def execute_jobs(
             granularity only, never results.
         label: a short sweep name recorded in the executor profile and
             progress output.
-        prewarm_decode: pre-warm canonical decode plans for common loss
-            patterns (``"auto"``: only for sweeps injecting faults into
-            payload-carrying jobs).  A function of the job list alone, so
-            plan-cache counters stay identical for every worker count.
 
     Returns:
         ``[run_job(job) for job in jobs]`` -- the merge is a stable,
@@ -1041,7 +992,7 @@ def execute_jobs(
     profile = ExecutorProfile(label=label, jobs_total=total, cpu_count=available_cpus())
     prewarm_start = time.perf_counter()
     if plan_store is None:
-        plan_store = plan_store_for_jobs(jobs, prewarm_decode=prewarm_decode)
+        plan_store = plan_store_for_jobs(jobs)
     profile.prewarm_s = time.perf_counter() - prewarm_start
     if num_workers <= 1 or total <= 1:
         results: list[RunResult] = []

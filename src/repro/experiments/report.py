@@ -131,9 +131,6 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
     merged = {
         "backend": "+".join(backends),
         "kernel": "+".join(kernels),
-        "canonical_decode_plans": all(
-            stats.get("canonical_decode_plans", True) for stats in present
-        ),
         "blocks_encoded": sum(stats.get("blocks_encoded", 0) for stats in present),
         "blocks_decoded": sum(stats.get("blocks_decoded", 0) for stats in present),
         "plan_cache": _merge_cache_counters(
@@ -142,9 +139,6 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
         "decode_plan_cache": _merge_cache_counters(
             [stats.get("decode_plan_cache", {}) for stats in present],
             "rq_decode_plan_cache",
-        ),
-        "decode_plan_retries": sum(
-            stats.get("decode_plan_retries", 0) for stats in present
         ),
         "cached_plans": max(stats.get("cached_plans", 0) for stats in present),
         "shards": len(present),
@@ -170,9 +164,9 @@ def format_codec_stats(
 ) -> str:
     """Render per-run codec statistics (backend, kernel, plan-cache counters).
 
-    The ``dec hits`` / ``dec rate`` columns report the decode-side subset of
-    the plan cache -- the counters canonical decode-plan keys are designed
-    to improve under loss.  Runs without codec work (TCP baselines) render
+    The ``dec hits`` / ``dec rate`` columns report the decode side's lookups
+    of the per-K' plan; below 1.0 only where a block was decoded before any
+    block of its size was encoded.  Runs without codec work (TCP baselines) render
     as ``-`` rows, so the table always lists every series of an experiment.
     """
     def cached(stats: Mapping, cache: str, key: str, default=0):

@@ -42,7 +42,6 @@ from repro.rq.backend import (
     available_backends,
     create_backend,
     default_context,
-    prewarm_decode_plans,
     prewarm_encode_plans,
     register_backend,
     set_default_backend,
@@ -68,9 +67,6 @@ from repro.rq.plan import (
     PlanStore,
     PlanStoreSchemaError,
     build_plan,
-    canonical_decode_candidates,
-    canonical_decode_key,
-    missing_source_pattern,
 )
 
 __all__ = [
@@ -99,11 +95,7 @@ __all__ = [
     "PlanStoreSchemaError",
     "PLAN_STORE_SCHEMA",
     "build_plan",
-    "canonical_decode_candidates",
-    "canonical_decode_key",
-    "missing_source_pattern",
     "prewarm_encode_plans",
-    "prewarm_decode_plans",
     "GFKernel",
     "KERNEL_ENV_VAR",
     "available_kernels",

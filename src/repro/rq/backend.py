@@ -1,48 +1,46 @@
 """Pluggable codec backends and the shared :class:`CodecContext`.
 
-The encoder and decoder no longer run Gaussian elimination themselves; they
+The encoder and decoder do not run Gaussian elimination themselves; they
 delegate the two linear-algebra problems of the codec to a backend:
 
 * ``compute_intermediate`` -- encode side: solve ``A . C = [0; source]``
   for the (L x symbol_size) intermediate-symbol plane of one block;
-* ``solve_received``       -- decode side: solve the stacked
-  LDPC/HDPC/LT-row system for the intermediate symbols given whatever
-  encoding symbols arrived.
+* ``recover_sources``      -- decode side: the source symbols that did not
+  arrive, from whatever encoding symbols did.
 
 Two backends ship:
 
-* ``reference`` -- rebuilds the matrix and re-runs full elimination for
-  every block, byte-for-byte preserving the original behaviour (and cost);
-* ``planned``   -- the default: looks up an :class:`~repro.rq.plan.EliminationPlan`
-  in the context's shared plan cache (keyed by K' on the encode side, and
-  **canonically** by the missing-source pattern plus the repair rows
-  consumed on the decode side -- see
-  :func:`~repro.rq.plan.canonical_decode_candidates`) and replays it over
-  the block's symbol plane as one batched GF(256) matrix product.
+* ``reference`` -- caches nothing: rebuilds the matrix and re-runs full
+  elimination for every block, and decodes by solving the stacked
+  LDPC/HDPC/LT-row system for all L intermediate symbols and LT-encoding the
+  missing sources from them.  Kept as the oracle the tests compare against;
+* ``planned``   -- the default: keeps one :class:`~repro.rq.plan.EliminationPlan`
+  per K' (the inverse of the constraint matrix A) in the context's shared
+  plan cache.  Encoding replays it over the block's symbol plane as one
+  batched GF(256) matrix product; decoding reads the few rows of it that
+  express the received repair symbols in the source symbols and solves a
+  system only as large as the loss (see :class:`PlannedBackend`).
 
 A :class:`CodecContext` bundles one backend with one
 :mod:`~repro.rq.kernels` GF(256) kernel, one plan cache and its hit/miss
-counters (overall plus decode-side, so canonical-key effectiveness is
-observable in experiment reports).  All sessions of a simulation share a
-single context, so the first block of the first transfer pays for
-elimination and every later block with the same parameters rides the cache;
-under loss, every block that lost the same source pattern rides the same
-decode plan no matter how many surplus repair symbols it happened to
-receive.
+counters (overall, plus the decode side's lookups on their own).  All
+sessions of a simulation share a single context, so the first block with a
+given K' pays for elimination and every later block, encoded or decoded,
+under any loss pattern, rides the cache.
 
 Because plans are immutable they can also cross process boundaries: a
 context can export its cache as a picklable :class:`~repro.rq.plan.PlanStore`
 (:meth:`CodecContext.snapshot_plans`) and a fresh context can be seeded from
-one (the ``preload`` constructor argument).  :func:`prewarm_encode_plans` /
-:func:`prewarm_decode_plans` build stores ahead of time; the parallel
-experiment executor (:mod:`repro.experiments.parallel`) uses them so every
-worker process starts with a warm cache.
+one (the ``preload`` constructor argument).  :func:`prewarm_encode_plans`
+builds a store ahead of time; the parallel experiment executor
+(:mod:`repro.experiments.parallel`) uses it so every worker process starts
+with a warm cache.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Hashable, Iterable, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,11 +52,11 @@ from repro.rq.plan import (
     PlanCache,
     PlanStore,
     build_plan,
-    canonical_decode_candidates,
     constraint_matrix,
     received_matrix,
 )
-from repro.rq.solver import SingularMatrixError, solve
+from repro.rq.solver import solve
+from repro.rq.tuples import lt_neighbours
 from repro.sim.stats import CacheStats
 
 #: Name of the backend used when none is configured explicitly.
@@ -102,18 +100,37 @@ class CodecBackend(ABC):
         """Return the (L x T) intermediate plane for a (K x T) source plane."""
 
     @abstractmethod
-    def solve_received(
+    def recover_sources(
         self,
         context: "CodecContext",
         params: CodeParameters,
         esis: tuple[int, ...],
         received: np.ndarray,
     ) -> np.ndarray:
-        """Return the (L x T) intermediate plane from received symbol values.
+        """Return the missing source symbols, one row each, in ascending ESI order.
 
-        ``esis`` are the received encoding-symbol ids in ascending order and
-        ``received`` the matching (len(esis) x T) symbol plane.
+        ``esis`` are the distinct received encoding-symbol ids in ascending
+        order and ``received`` the matching (len(esis) x T) symbol plane.
+        Raises :class:`~repro.rq.solver.SingularMatrixError` when the
+        received symbols do not determine the block.
         """
+
+
+def _split_esis(params: CodeParameters, esis: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """``(known, missing, repairs)``: received source, lost source and repair ESIs."""
+    k = params.num_source_symbols
+    ids = np.asarray(esis, dtype=np.intp)
+    known = ids[ids < k]
+    return known, np.setdiff1d(np.arange(k), known), ids[ids >= k]
+
+
+def _lt_encode(params: CodeParameters, esis: Sequence[int], plane: np.ndarray) -> np.ndarray:
+    """LT-encode ``esis`` over an L-row plane: row i is the XOR of esi i's neighbours."""
+    out = np.empty((len(esis), plane.shape[1]), dtype=np.uint8)
+    for row, esi in enumerate(esis):
+        indices = list(lt_neighbours(params, int(esi)))
+        out[row] = np.bitwise_xor.reduce(plane[indices], axis=0)
+    return out
 
 
 @register_backend
@@ -129,118 +146,83 @@ class ReferenceBackend(CodecBackend):
         constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
         rhs = np.zeros((params.num_intermediate_symbols, source.shape[1]), dtype=np.uint8)
         rhs[constraints:] = source
-        return solve(matrix, rhs, kernel=context.kernel)
+        return solve(matrix, rhs)
 
-    def solve_received(
+    def recover_sources(
         self,
         context: "CodecContext",
         params: CodeParameters,
         esis: tuple[int, ...],
         received: np.ndarray,
     ) -> np.ndarray:
-        matrix = received_matrix(params, esis)
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        rhs = np.zeros((constraints + len(esis), received.shape[1]), dtype=np.uint8)
-        rhs[constraints:] = received
-        return solve(
-            matrix, rhs, num_unknowns=params.num_intermediate_symbols, kernel=context.kernel
-        )
+        intermediate = context.decode_intermediate(params, esis, received)
+        _, missing, _ = _split_esis(params, esis)
+        return _lt_encode(params, missing, intermediate)
 
 
 @register_backend
 class PlannedBackend(CodecBackend):
-    """Elimination-plan cache + batched replay (the default backend)."""
+    """One cached plan per K', serving both directions (the default backend).
+
+    The plan's operator is ``A^-1`` for the L x L constraint matrix ``A``
+    (S + H constraint rows, then the LT rows of source ESIs 0..K-1).  Since
+    the constraint right-hand sides are zero, the intermediate symbols are
+    ``C = B . source`` with ``B = A^-1[:, S+H:]``, which is all encoding
+    needs.
+
+    Decoding reuses ``B``.  A repair symbol ``e`` is ``lt_row(e) . C``, that
+    is ``g_e . source`` with ``g_e = lt_row(e) . B`` -- an XOR of a few rows
+    of ``B``.  Stacking the received repairs into ``G`` and splitting the
+    source columns into the ``r`` missing and the known ones gives
+
+        ``G[:, missing] . x  =  repairs  XOR  G[:, known] . known_sources``
+
+    an r' x r system in the missing symbols ``x`` alone.  It has full column
+    rank exactly when the full system over all L intermediate symbols does
+    (``source -> C`` is a bijection and the received source rows pin their
+    own symbols), so it fails for the same ESI sets the reference decode
+    fails for.  The cost is r . K . T table gathers instead of an O(L^3)
+    elimination plus L . K . T; with only repair symbols received (r = K)
+    it degenerates to a dense K-unknown solve.
+    """
 
     name = "planned"
+
+    def _plan(
+        self, context: "CodecContext", params: CodeParameters, decode: bool = False
+    ) -> EliminationPlan:
+        return context.plan_for(
+            ("encode", params),
+            lambda: build_plan(constraint_matrix(params), record_steps=False),
+            decode=decode,
+        )
 
     def compute_intermediate(
         self, context: "CodecContext", params: CodeParameters, source: np.ndarray
     ) -> np.ndarray:
-        plan = context.plan_for(
-            ("encode", params),
-            lambda: build_plan(
-                constraint_matrix(params), record_steps=False, kernel=context.kernel
-            ),
-        )
         constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        return plan.apply_from_row(source, constraints, kernel=context.kernel)
+        return self._plan(context, params).apply_from_row(
+            source, constraints, kernel=context.kernel
+        )
 
-    def solve_received(
+    def recover_sources(
         self,
         context: "CodecContext",
         params: CodeParameters,
         esis: tuple[int, ...],
         received: np.ndarray,
     ) -> np.ndarray:
-        if context.canonical_decode_plans:
-            return self._solve_received_canonical(context, params, esis, received)
-        plan = context.plan_for(
-            ("decode", params, esis),
-            lambda: build_plan(
-                received_matrix(params, esis),
-                num_unknowns=params.num_intermediate_symbols,
-                record_steps=False,
-                kernel=context.kernel,
-            ),
-            decode=True,
-        )
         constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        return plan.apply_from_row(received, constraints, kernel=context.kernel)
-
-    def _solve_received_canonical(
-        self,
-        context: "CodecContext",
-        params: CodeParameters,
-        esis: tuple[int, ...],
-        received: np.ndarray,
-    ) -> np.ndarray:
-        """Decode through canonical plan keys, widening on singular systems.
-
-        Candidates run from the minimal system (surviving sources plus
-        exactly as many repair rows as sources went missing -- the key most
-        likely to be shared across blocks) outward, adding one received
-        repair row per step.  A candidate whose matrix is singular is
-        remembered in the context so later blocks with the same pattern skip
-        straight to the first workable width instead of re-running a doomed
-        elimination.
-        """
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        position = {esi: index for index, esi in enumerate(esis)}
-        last_error: Optional[SingularMatrixError] = None
-        for key, used in canonical_decode_candidates(params, esis):
-            if key in context.singular_decode_keys:
-                context.decode_plan_retries += 1
-                last_error = SingularMatrixError(
-                    f"known-singular decode system for {len(used)} received symbols"
-                )
-                continue
-            try:
-                plan = context.plan_for(
-                    key,
-                    lambda used=used: build_plan(
-                        received_matrix(params, used),
-                        num_unknowns=params.num_intermediate_symbols,
-                        record_steps=False,
-                        kernel=context.kernel,
-                    ),
-                    decode=True,
-                )
-            except SingularMatrixError as error:
-                context.singular_decode_keys.add(key)
-                context.decode_plan_retries += 1
-                last_error = error
-                continue
-            if used == tuple(esis):
-                rhs_tail = received
-            else:
-                rows = np.fromiter(
-                    (position[esi] for esi in used), dtype=np.intp, count=len(used)
-                )
-                rhs_tail = received[rows]
-            return plan.apply_from_row(rhs_tail, constraints, kernel=context.kernel)
-        raise last_error if last_error is not None else SingularMatrixError(
-            "no received symbols to decode from"
+        known, missing, repairs = _split_esis(params, esis)
+        plan = self._plan(context, params, decode=True)
+        generator = _lt_encode(params, repairs, plan.operator[:, constraints:])
+        # ``received`` holds the known sources, then the repairs: one operator
+        # over that plane yields the missing sources.
+        rhs = np.concatenate(
+            [generator[:, known], np.eye(repairs.size, dtype=np.uint8)], axis=1
         )
+        operator = solve(generator[:, missing], rhs)
+        return context.kernel.matmul(operator, received)
 
 
 class CodecContext:
@@ -261,10 +243,6 @@ class CodecContext:
             (honour ``REPRO_GF_KERNEL``, then pick the best available), or a
             pre-built :class:`~repro.rq.kernels.GFKernel`.  Every kernel
             produces byte-identical symbols; only wall-clock changes.
-        canonical_decode_plans: key decode plans by the canonical
-            missing-source pattern (default) instead of the exact
-            received-ESI set.  The legacy exact keying is kept selectable so
-            tests and reports can quantify the canonicalisation win.
     """
 
     def __init__(
@@ -273,18 +251,11 @@ class CodecContext:
         max_cached_plans: int = 256,
         preload: Optional[PlanStore] = None,
         kernel: Union[str, GFKernel, None] = None,
-        canonical_decode_plans: bool = True,
     ) -> None:
         self.backend = create_backend(backend) if isinstance(backend, str) else backend
         self.kernel = get_kernel(kernel)
-        self.canonical_decode_plans = canonical_decode_plans
         self.stats = CacheStats(name="rq_plan_cache")
         self.decode_stats = CacheStats(name="rq_decode_plan_cache")
-        #: Canonical decode keys whose matrix turned out singular; remembered
-        #: so repeated loss patterns skip doomed eliminations.
-        self.singular_decode_keys: set[Hashable] = set()
-        #: Canonical decode candidates abandoned as singular (fresh or memoised).
-        self.decode_plan_retries = 0
         self._plans = PlanCache(max_entries=max_cached_plans)
         self.blocks_encoded = 0
         self.blocks_decoded = 0
@@ -310,8 +281,8 @@ class CodecContext:
         """Fetch a plan from the shared cache, counting hits and misses.
 
         ``decode=True`` additionally books the lookup on the decode-side
-        counters (``decode_stats``), which is what experiment reports use to
-        show how well canonical keys hold up under loss.
+        counters (``decode_stats``): a miss there means a block was decoded
+        before any block of its K' had been encoded or decoded in this context.
         """
         plan, hit = self._plans.get_or_build(key, builder)
         if hit:
@@ -333,9 +304,23 @@ class CodecContext:
     def decode_intermediate(
         self, params: CodeParameters, esis: Sequence[int], received: np.ndarray
     ) -> np.ndarray:
-        """Decode-side solve for one block (see :class:`CodecBackend`)."""
+        """The (L x T) intermediate plane from received symbols: a full, uncached solve.
+
+        Stacks the LDPC/HDPC rows over one LT row per received ESI and
+        eliminates all L unknowns.  Only the ``reference`` backend decodes
+        this way; it is the oracle :meth:`recover_sources` is tested against.
+        """
+        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
+        rhs = np.zeros((constraints + len(esis), received.shape[1]), dtype=np.uint8)
+        rhs[constraints:] = received
+        return solve(received_matrix(params, esis), rhs)
+
+    def recover_sources(
+        self, params: CodeParameters, esis: Sequence[int], received: np.ndarray
+    ) -> np.ndarray:
+        """Decode one block: its missing source symbols (see :class:`CodecBackend`)."""
         self.blocks_decoded += 1
-        return self.backend.solve_received(self, params, tuple(esis), received)
+        return self.backend.recover_sources(self, params, tuple(esis), received)
 
     def snapshot_plans(self) -> PlanStore:
         """Export the current plan cache as a picklable :class:`PlanStore`."""
@@ -350,12 +335,10 @@ class CodecContext:
         return {
             "backend": self.backend_name,
             "kernel": self.kernel_name,
-            "canonical_decode_plans": self.canonical_decode_plans,
             "blocks_encoded": self.blocks_encoded,
             "blocks_decoded": self.blocks_decoded,
             "plan_cache": self.stats.as_dict(),
             "decode_plan_cache": self.decode_stats.as_dict(),
-            "decode_plan_retries": self.decode_plan_retries,
             "cached_plans": self.cached_plans,
         }
 
@@ -379,20 +362,19 @@ def set_default_backend(name: str) -> CodecContext:
 
 
 # Plan pre-warming -------------------------------------------------------------------
-#
-# These build the same plans, under the same keys, that PlannedBackend would
-# build lazily, so a store produced here is indistinguishable from one
-# snapshotted after a run.
 
 
 def prewarm_encode_plans(
     k_values: Iterable[int], store: Optional[PlanStore] = None
 ) -> PlanStore:
-    """Build the encode-side elimination plan for each block size K.
+    """Build the per-K' elimination plan for each block size K.
 
-    The encode-side matrix is a pure function of K, so pre-warming is exact:
-    every block of ``k`` source symbols anywhere in a run will hit.  Returns
-    the (possibly supplied) store with the plans added.
+    The plan is a pure function of K and is the only one either direction
+    looks up, so pre-warming is exact: every block of ``k`` source symbols
+    anywhere in a run will hit, encoding or decoding, whatever it lost.  The
+    keys are the ones :class:`PlannedBackend` builds lazily, so a store
+    produced here is indistinguishable from one snapshotted after a run.
+    Returns the (possibly supplied) store with the plans added.
     """
     store = store if store is not None else PlanStore()
     for k in sorted(set(k_values)):
@@ -400,127 +382,4 @@ def prewarm_encode_plans(
         key = ("encode", params)
         if key not in store:
             store.add(key, build_plan(constraint_matrix(params), record_steps=False))
-    return store
-
-
-def prewarm_decode_plans(
-    k: int,
-    esi_sets: Iterable[Sequence[int]],
-    store: Optional[PlanStore] = None,
-    canonical: bool = True,
-) -> PlanStore:
-    """Build decode-side plans for explicit received-ESI sets of a K-symbol block.
-
-    Decode plans depend on which packets the network lost -- the parent
-    cannot enumerate them in general.  This helper exists for callers that do
-    know their loss patterns (tests, replay tooling); the parallel executor
-    pre-warms only encode plans and lets decode plans accumulate per worker.
-
-    With ``canonical=True`` (the default, matching
-    ``CodecContext(canonical_decode_plans=True)``) each ESI set is reduced to
-    the same candidate ladder :class:`PlannedBackend` walks -- minimal system
-    first, widening past singular matrices -- so the stored key is exactly
-    the one a live decode of that pattern will look up.  One canonical plan
-    therefore pre-warms *every* ESI set sharing the missing-source pattern,
-    not just the literal set given.
-
-    ``canonical=False`` writes the exact-ESI keys that only a
-    ``CodecContext(canonical_decode_plans=False)`` context looks up -- pair
-    the store with such a context.  The two key shapes cannot collide (a
-    3- vs 4-tuple), so mixing them in one store is safe, but exact keys
-    preloaded into a *canonical* context are inert: never matched, only
-    occupying LRU capacity.  The :data:`~repro.rq.plan.PLAN_STORE_SCHEMA`
-    stamp guards the *store format* across releases, not which of the two
-    intra-format keyings a given plan was stored under.
-    """
-    store = store if store is not None else PlanStore()
-    params = for_k(k)
-    for esis in esi_sets:
-        if not canonical:
-            key = ("decode", params, tuple(esis))
-            if key not in store:
-                store.add(
-                    key,
-                    build_plan(
-                        received_matrix(params, tuple(esis)),
-                        num_unknowns=params.num_intermediate_symbols,
-                        record_steps=False,
-                    ),
-                )
-            continue
-        for key, used in canonical_decode_candidates(params, esis):
-            if key in store:
-                break
-            try:
-                plan = build_plan(
-                    received_matrix(params, used),
-                    num_unknowns=params.num_intermediate_symbols,
-                    record_steps=False,
-                )
-            except SingularMatrixError:
-                continue
-            store.add(key, plan)
-            break
-    return store
-
-
-#: Per-K cap on pre-warmed loss patterns.  Singletons always fit (K of
-#: them); the pair budget bounds the quadratic tail for large blocks so
-#: pre-warming stays a fraction of the sweep it accelerates.
-DEFAULT_PREWARM_PATTERNS = 192
-
-
-def common_loss_patterns(
-    k: int, max_missing: int = 2, budget: Optional[int] = DEFAULT_PREWARM_PATTERNS
-) -> list[tuple[int, ...]]:
-    """The most common missing-source patterns of a K-symbol block.
-
-    Under independent per-packet loss every singleton is more likely than
-    any pair, so patterns are ordered all singletons first, then pairs in
-    lexicographic order, truncated to ``budget`` (``None`` = no cap).  The
-    order is deterministic -- the executor's jobs-N determinism contract
-    extends to which plans get pre-warmed.
-    """
-    if max_missing < 1:
-        return []
-    patterns: list[tuple[int, ...]] = [(esi,) for esi in range(k)]
-    if max_missing >= 2:
-        for first in range(k):
-            if budget is not None and len(patterns) >= budget:
-                break
-            for second in range(first + 1, k):
-                if budget is not None and len(patterns) >= budget:
-                    break
-                patterns.append((first, second))
-    if budget is not None:
-        patterns = patterns[:budget]
-    return patterns
-
-
-def prewarm_canonical_decode_plans(
-    k_values: Iterable[int],
-    store: Optional[PlanStore] = None,
-    max_missing: int = 2,
-    budget_per_k: Optional[int] = DEFAULT_PREWARM_PATTERNS,
-) -> PlanStore:
-    """Pre-warm canonical decode plans for the common loss patterns of each K.
-
-    For every block size and every pattern from :func:`common_loss_patterns`
-    this synthesises the received-ESI set a receiver would hold after losing
-    exactly those sources -- the surviving sources plus the first
-    ``len(missing) + 2`` repair ESIs, enough headroom for the candidate
-    ladder to widen past a singular minimal system -- and stores the first
-    non-singular canonical plan.  Keys are exactly what a live
-    ``CodecContext(canonical_decode_plans=True)`` decode of that pattern
-    looks up, so a lossy sweep's workers start with their hot paths solved.
-    """
-    store = store if store is not None else PlanStore()
-    for k in sorted(set(k_values)):
-        esi_sets = []
-        for missing in common_loss_patterns(k, max_missing=max_missing, budget=budget_per_k):
-            gone = set(missing)
-            surviving = [esi for esi in range(k) if esi not in gone]
-            repairs = list(range(k, k + len(missing) + 2))
-            esi_sets.append(surviving + repairs)
-        prewarm_decode_plans(k, esi_sets, store=store, canonical=True)
     return store

@@ -202,12 +202,21 @@ class ObjectDecoder:
     def decode(self) -> bytes:
         """Decode all blocks and return the original object bytes.
 
+        Every block is attempted before anything is raised, so after a
+        failure :meth:`is_decoded` of each block decoder tells exactly which
+        blocks still need symbols.
+
         Raises:
             DecodeFailure: if any block cannot be decoded yet.
         """
         pieces: list[bytes] = []
+        failures: list[str] = []
         for block_number in range(self.oti.num_source_blocks):
-            symbols = self._decoders[block_number].decode_or_raise()
-            pieces.extend(symbols)
+            try:
+                pieces.extend(self._decoders[block_number].decode_or_raise())
+            except DecodeFailure as error:
+                failures.append(f"block {block_number}: {error}")
+        if failures:
+            raise DecodeFailure("; ".join(failures))
         data = b"".join(pieces)
         return data[: self.oti.transfer_length]

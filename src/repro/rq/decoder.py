@@ -2,23 +2,22 @@
 
 The decoder accumulates received encoding symbols (source or repair, in any
 order, from any number of senders).  Once at least K symbols are available it
-attempts to solve the combined system
+attempts to decode.  The block is determined when the combined system
 
 * S LDPC constraint rows          = 0
 * H HDPC constraint rows          = 0
 * one LT row per received symbol  = received symbol value
 
-for the L intermediate symbols, then re-encodes ESIs 0..K-1 to obtain the
-source block.  Source symbols that were received directly are returned as-is
-(no re-encoding cost), matching the "zero decoding latency without loss"
-property the paper highlights.
+has full rank over the L intermediate symbols; decoding then yields the
+source symbols that did not arrive.  Source symbols that were received
+directly are returned as-is (no decoding cost), matching the "zero decoding
+latency without loss" property the paper highlights.
 
 The solve itself is delegated to the shared
 :class:`~repro.rq.backend.CodecContext`: under the default ``planned``
-backend the elimination plan is cached canonically by this block's
-*missing-source pattern* (not the raw ESI set), so every later block that
-lost the same sources decodes by replaying one cached plan on the context's
-GF(256) kernel, no matter how many surplus repair symbols arrived.
+backend it goes through the one elimination plan cached per K', so a block
+pays for a system the size of its loss, never for a fresh elimination over
+all L intermediate symbols.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 
 from repro.rq.params import CodeParameters, for_k
 from repro.rq.solver import SingularMatrixError
-from repro.rq.tuples import lt_neighbours
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.backend import CodecContext
@@ -164,7 +162,7 @@ class BlockDecoder:
             )
 
         try:
-            intermediate = self._solve_intermediate()
+            recovered = self._recover_missing()
         except SingularMatrixError:
             return DecodeResult(
                 success=False,
@@ -175,12 +173,11 @@ class BlockDecoder:
                 used_gaussian_elimination=True,
             )
 
-        # Re-encode every missing source symbol in one batched pass over the
-        # intermediate plane; directly-received source symbols are reused.
-        missing = [esi for esi in range(k) if esi not in self._received]
-        recovered = dict(zip(missing, self._lt_encode_block(intermediate, missing)))
+        # Directly-received source symbols are reused; ``recovered`` holds
+        # the others in ascending ESI order.
+        rows = iter(recovered)
         source = [
-            self._received[esi] if esi in self._received else recovered[esi]
+            self._received[esi] if esi in self._received else next(rows).tobytes()
             for esi in range(k)
         ]
         self._decoded = source
@@ -202,16 +199,9 @@ class BlockDecoder:
             )
         return result.source_symbols
 
-    def _solve_intermediate(self) -> np.ndarray:
+    def _recover_missing(self) -> np.ndarray:
         esis = sorted(self._received)
         received = np.empty((len(esis), self.symbol_size), dtype=np.uint8)
         for row, esi in enumerate(esis):
             received[row] = np.frombuffer(self._received[esi], dtype=np.uint8)
-        return self.context.decode_intermediate(self.params, esis, received)
-
-    def _lt_encode_block(self, intermediate: np.ndarray, esis: list[int]) -> list[bytes]:
-        symbols: list[bytes] = []
-        for esi in esis:
-            indices = list(lt_neighbours(self.params, esi))
-            symbols.append(np.bitwise_xor.reduce(intermediate[indices], axis=0).tobytes())
-        return symbols
+        return self.context.recover_sources(self.params, esis, received)

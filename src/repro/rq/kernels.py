@@ -8,8 +8,8 @@ hot paths consume:
 * ``matmul``     -- batched GF(256) matrix product, the workhorse of
   elimination-plan replay (``R . D`` over a whole symbol plane);
 * ``matvec``     -- matrix-vector product (single-symbol paths, tests);
-* ``scale_rows`` -- per-row scaling, the fused multiply-XOR building block
-  of Gaussian elimination itself.
+* ``scale_rows`` -- per-row scaling, the multiply half of a fused
+  multiply-XOR row operation.
 
 Three kernels register here:
 

@@ -2,8 +2,7 @@
 
 The RFC 6330 style codec spends nearly all of its CPU in Gaussian
 elimination, yet the matrix being eliminated depends only on the code
-parameters (encode side: the L x L constraint matrix is a pure function of
-K') or on the parameters plus the set of received ESIs (decode side).  An
+parameters: the L x L constraint matrix is a pure function of K'.  An
 :class:`EliminationPlan` captures one elimination as
 
 * the ordered **row-op sequence** (swap / scale / fused multiply-XOR)
@@ -16,19 +15,19 @@ K') or on the parameters plus the set of received ESIs (decode side).  An
 Replaying a plan over the (n x symbol_size) symbol plane of a block is one
 batched GF(256) matrix product -- no pivot searches, no matrix-side row
 operations, no per-step allocations.  The byte work of that product (and of
-elimination itself) executes on a pluggable :mod:`repro.rq.kernels` kernel;
-every kernel computes identical bytes, so plans and kernels compose freely.
+executes on a pluggable :mod:`repro.rq.kernels` kernel; every kernel
+computes identical bytes, so plans and kernels compose freely.
 Plans are immutable and safe to share across sessions, simulations and
 processes.
 
-Decode-side plans are keyed **canonically** by the *missing-source pattern*
-plus the repair rows actually consumed (:func:`canonical_decode_candidates`)
-rather than by the raw received-ESI set: a receiver that lost source
-symbols {2, 5} decodes with the same elimination plan whether it received
-two or five surplus repair symbols, which is what keeps the decode plan
-cache hot under heavy loss.  The persistent :class:`PlanStore` records a
-schema number (:data:`PLAN_STORE_SCHEMA`) so stores written under the old
-exact-ESI keying are rejected cleanly instead of poisoning the cache.
+Only the encode-side plan -- one per K', the inverse of the L x L
+constraint matrix -- is ever cached.  Decoding needs no plan of its own:
+because the code is systematic, the missing source symbols of a block follow
+from a few rows of that same inverse (see
+:class:`repro.rq.backend.PlannedBackend`), so nothing is keyed by loss
+pattern.  The persistent :class:`PlanStore` records a schema number
+(:data:`PLAN_STORE_SCHEMA`) so stores written under an older key convention
+are rejected cleanly instead of shipping plans nothing looks up.
 """
 
 from __future__ import annotations
@@ -38,16 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Hashable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,10 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Version of the plan-key schema a :class:`PlanStore` is written under.
 #: Bumped whenever the key convention changes (v1: decode plans keyed by the
-#: exact received-ESI set; v2: canonical missing-source-pattern keys), so a
-#: persisted store from another schema is rejected instead of silently
-#: serving plans nothing will ever look up -- or worse, colliding.
-PLAN_STORE_SCHEMA = 2
+#: exact received-ESI set; v2: canonical missing-source-pattern decode keys;
+#: v3: encode plans only), so a persisted store from another schema is
+#: rejected instead of silently carrying plans nothing will ever look up.
+PLAN_STORE_SCHEMA = 3
 
 
 class PlanStoreSchemaError(ValueError):
@@ -177,15 +167,11 @@ def build_plan(
     matrix: np.ndarray,
     num_unknowns: Optional[int] = None,
     record_steps: bool = True,
-    kernel: Optional["GFKernel"] = None,
 ) -> EliminationPlan:
     """Eliminate ``matrix`` once, recording the ops and the fused operator.
 
     ``record_steps=False`` keeps only the fused operator (what replay needs);
     the op tape is O(L^2) numpy data, so cached production plans skip it.
-    ``kernel`` runs the elimination's row operations on a
-    :mod:`repro.rq.kernels` kernel; the resulting operator is byte-identical
-    for every kernel.
 
     Raises :class:`repro.rq.solver.SingularMatrixError` when the matrix does
     not have full column rank, exactly like a direct solve would.
@@ -193,7 +179,7 @@ def build_plan(
     recorder = _StepRecorder() if record_steps else None
     rows = matrix.shape[0]
     identity = np.eye(rows, dtype=np.uint8)
-    operator = solve(matrix, identity, num_unknowns, recorder=recorder, kernel=kernel)
+    operator = solve(matrix, identity, num_unknowns, recorder=recorder)
     operator.setflags(write=False)
     return EliminationPlan(
         num_rows=rows,
@@ -241,60 +227,6 @@ def received_matrix(params: CodeParameters, esis: Sequence[int]) -> np.ndarray:
     return matrix
 
 
-# Canonical decode-plan keys ---------------------------------------------------------
-#
-# The decode-side matrix is fully determined by which rows go into it, so the
-# *plan key* only needs to name those rows -- and the rows worth using are a
-# canonical function of the loss pattern, not of everything that happened to
-# arrive.  A receiver that lost source symbols {2, 5} needs exactly the
-# surviving sources plus (at least) two repair rows; any surplus repair
-# symbols beyond those add rows that change the raw ESI set -- and therefore
-# fragmented the old exact-ESI cache key -- without changing the system that
-# actually has to be solved.
-
-
-def missing_source_pattern(params: CodeParameters, esis: Sequence[int]) -> tuple[int, ...]:
-    """The canonical loss fingerprint: source ESIs *not* in ``esis``, ascending."""
-    received = {esi for esi in esis if esi < params.num_source_symbols}
-    return tuple(esi for esi in range(params.num_source_symbols) if esi not in received)
-
-
-def canonical_decode_candidates(
-    params: CodeParameters, esis: Sequence[int]
-) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """Yield ``(plan_key, used_esis)`` candidates for one received-ESI set.
-
-    Candidates are ordered from the minimal system outward: the first uses
-    the surviving source rows plus exactly ``len(missing)`` repair rows (the
-    smallest full-rank candidate, and the key most likely to be shared with
-    other blocks), each later one adds one more received repair row.  A
-    caller walks the sequence until a candidate's matrix turns out to be
-    non-singular; the last candidate uses every received symbol, which is
-    exactly the system the legacy exact-ESI path solved.
-
-    Keys have the shape ``("decode", params, missing_sources, used_repairs)``
-    -- the missing-source pattern plus the ascending repair ESIs consumed.
-    The row *selection* (which rows of a caller's received plane feed the
-    plan) is recomputed per call from ``used_esis``, so one plan serves any
-    superset of received symbols that shares the pattern.
-    """
-    ordered = sorted(set(esis))
-    k = params.num_source_symbols
-    sources = tuple(esi for esi in ordered if esi < k)
-    repairs = [esi for esi in ordered if esi >= k]
-    missing = missing_source_pattern(params, ordered)
-    for needed in range(min(len(missing), len(repairs)), len(repairs) + 1):
-        used_repairs = tuple(repairs[:needed])
-        yield ("decode", params, missing, used_repairs), sources + used_repairs
-
-
-def canonical_decode_key(
-    params: CodeParameters, esis: Sequence[int]
-) -> tuple[tuple, tuple[int, ...]]:
-    """The first (minimal-system) candidate of :func:`canonical_decode_candidates`."""
-    return next(canonical_decode_candidates(params, esis))
-
-
 @dataclass
 class PlanStore:
     """A picklable bag of elimination plans, keyed like the live plan cache.
@@ -306,11 +238,9 @@ class PlanStore:
     are immutable, so a store can be shared by any number of caches.
 
     Keys follow the convention of :mod:`repro.rq.backend`:
-    ``("encode", params)`` for encode-side plans and
-    ``("decode", params, missing_sources, used_repairs)`` (see
-    :func:`canonical_decode_candidates`) for decode-side plans.  The
-    ``schema`` field records which key convention the store was written
-    under; loading a store from a different schema raises
+    ``("encode", params)``, the one plan per K' both encoding and decoding
+    use.  The ``schema`` field records which key convention the store was
+    written under; loading a store from a different schema raises
     :class:`PlanStoreSchemaError` so stale keys can never poison a cache --
     callers treat that as "rebuild", never as fatal.
     """

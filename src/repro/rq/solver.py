@@ -1,11 +1,13 @@
 """Gaussian elimination over GF(256).
 
 The solver is shared by the encoder (square system: constraint matrix ->
-intermediate symbols) and the decoder (overdetermined system: received
-encoding symbols + static constraints -> intermediate symbols).  Row
-operations are vectorised with numpy so that the cost is dominated by
-``O(L^2)`` row-XOR/scale operations rather than Python-level loops over
-matrix cells.
+intermediate symbols) and the decoder (overdetermined system: the few
+received repair symbols over the missing source symbols, or -- in the
+reference backend -- every received symbol plus the static constraints over
+all intermediate symbols).  Matrix and right-hand side are eliminated as one
+augmented array, and each pivot's row operations are a single gather through
+the GF(256) multiplication table, so the cost is dominated by ``O(L^2)``
+vectorised row operations rather than Python-level loops over matrix cells.
 
 :func:`solve` optionally reports every row operation it performs (swap,
 scale, fused multiply-XOR) to a recorder object.  :mod:`repro.rq.plan` uses
@@ -15,14 +17,11 @@ the symbol plane of every later block with the same code parameters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.rq.gf256 import gf_inv, gf_scale_rows, gf_scale_vector
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.rq.kernels import GFKernel
+from repro.rq.gf256 import MUL_TABLE, gf_inv
 
 
 class RowOpRecorder(Protocol):
@@ -42,34 +41,60 @@ class SingularMatrixError(ValueError):
     """Raised when the system does not have full column rank."""
 
 
+def _reduce_column(
+    work: np.ndarray,
+    rank: int,
+    col: int,
+    jordan: bool,
+    recorder: Optional[RowOpRecorder] = None,
+) -> bool:
+    """Pivot ``work`` on column ``col`` at row ``rank``, in place.
+
+    Brings the first row at or below ``rank`` with a non-zero entry in
+    ``col`` up to ``rank``, normalises its pivot to 1 and XORs the right
+    multiple of it into every other row holding a non-zero in ``col`` --
+    every row when ``jordan`` (Gauss-Jordan), only those below ``rank``
+    otherwise.  Each multiple is one gather of the pivot row through the
+    factors' rows of the multiplication table.  Returns ``False`` (``work``
+    untouched) when no such row exists.
+    """
+    candidates = np.flatnonzero(work[rank:, col])
+    if not candidates.size:
+        return False
+    pivot = rank + int(candidates[0])
+    if pivot != rank:
+        work[[rank, pivot]] = work[[pivot, rank]]
+        if recorder is not None:
+            recorder.swap(rank, pivot)
+    pivot_value = int(work[rank, col])
+    if pivot_value != 1:
+        inverse = gf_inv(pivot_value)
+        work[rank] = MUL_TABLE[inverse][work[rank]]
+        if recorder is not None:
+            recorder.scale(rank, inverse)
+    first = 0 if jordan else rank + 1
+    column = work[first:, col].copy()
+    if jordan:
+        column[rank] = 0
+    nonzero = np.flatnonzero(column)
+    if nonzero.size:
+        targets, factors = first + nonzero, column[nonzero]
+        work[targets] ^= MUL_TABLE[factors][:, work[rank]]
+        if recorder is not None:
+            recorder.eliminate(rank, targets, factors)
+    return True
+
+
 def gaussian_rank(matrix: np.ndarray) -> int:
     """Return the rank of ``matrix`` over GF(256) (the input is not modified)."""
-    work = matrix.astype(np.uint8).copy()
+    work = matrix.astype(np.uint8)
     rows, cols = work.shape
     rank = 0
     for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        pivot_value = int(work[rank, col])
-        if pivot_value != 1:
-            work[rank] = gf_scale_vector(work[rank], gf_inv(pivot_value))
-        column = work[rank + 1 :, col]
-        targets = np.nonzero(column)[0]
-        if targets.size:
-            factors = column[targets]
-            work[rank + 1 + targets] ^= gf_scale_rows(
-                np.tile(work[rank], (targets.size, 1)), factors
-            )
-        rank += 1
         if rank == rows:
             break
+        if _reduce_column(work, rank, col, jordan=False):
+            rank += 1
     return rank
 
 
@@ -78,7 +103,6 @@ def solve(
     values: np.ndarray,
     num_unknowns: Optional[int] = None,
     recorder: Optional[RowOpRecorder] = None,
-    kernel: Optional["GFKernel"] = None,
 ) -> np.ndarray:
     """Solve ``matrix . X = values`` for X over GF(256).
 
@@ -89,11 +113,6 @@ def solve(
         recorder: optional sink notified of every row operation performed;
             the recorded sequence depends only on ``matrix``, never on
             ``values``, so it can be replayed against other right-hand sides.
-        kernel: optional :class:`~repro.rq.kernels.GFKernel` whose
-            ``scale_rows`` executes the fused multiply-XOR row operations;
-            defaults to the numpy ground truth.  Every kernel computes the
-            exact same field arithmetic, so the solution (and any recorded
-            plan) is byte-identical regardless of the choice.
 
     Returns:
         (L, T) uint8 array of solved unknowns.
@@ -101,55 +120,19 @@ def solve(
     Raises:
         SingularMatrixError: if the system does not have full column rank.
     """
-    scale_rows = gf_scale_rows if kernel is None else kernel.scale_rows
-    work = matrix.astype(np.uint8).copy()
-    rhs = values.astype(np.uint8).copy()
-    rows, cols = work.shape
+    rows, cols = matrix.shape
     unknowns = cols if num_unknowns is None else num_unknowns
-    if rhs.shape[0] != rows:
-        raise ValueError(f"matrix has {rows} rows but values has {rhs.shape[0]}")
+    if values.shape[0] != rows:
+        raise ValueError(f"matrix has {rows} rows but values has {values.shape[0]}")
     if rows < unknowns:
         raise SingularMatrixError(
             f"not enough equations: {rows} rows for {unknowns} unknowns"
         )
-
-    pivot_column_of_row: list[int] = []
-    rank = 0
+    # One augmented array, so each row operation runs once over both sides.
+    work = np.concatenate([matrix, values], axis=1, dtype=np.uint8, casting="unsafe")
+    # Gauss-Jordan: column ``col`` is pivoted at row ``col`` and cleared from
+    # every other row, so the solution can be read off directly at the end.
     for col in range(unknowns):
-        pivot = None
-        for row in range(rank, rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot is None:
+        if not _reduce_column(work, col, col, jordan=True, recorder=recorder):
             raise SingularMatrixError(f"no pivot available for column {col}")
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-            rhs[[rank, pivot]] = rhs[[pivot, rank]]
-            if recorder is not None:
-                recorder.swap(rank, pivot)
-        pivot_value = int(work[rank, col])
-        if pivot_value != 1:
-            inverse = gf_inv(pivot_value)
-            work[rank] = gf_scale_vector(work[rank], inverse)
-            rhs[rank] = gf_scale_vector(rhs[rank], inverse)
-            if recorder is not None:
-                recorder.scale(rank, inverse)
-        # Eliminate the pivot column from every other row (Gauss-Jordan) so the
-        # solution can be read off directly at the end.
-        column = work[:, col].copy()
-        column[rank] = 0
-        targets = np.nonzero(column)[0]
-        if targets.size:
-            factors = column[targets]
-            work[targets] ^= scale_rows(np.tile(work[rank], (targets.size, 1)), factors)
-            rhs[targets] ^= scale_rows(np.tile(rhs[rank], (targets.size, 1)), factors)
-            if recorder is not None:
-                recorder.eliminate(rank, targets.copy(), factors.copy())
-        pivot_column_of_row.append(col)
-        rank += 1
-
-    solution = np.zeros((unknowns, rhs.shape[1]), dtype=np.uint8)
-    for row, col in enumerate(pivot_column_of_row):
-        solution[col] = rhs[row]
-    return solution
+    return np.ascontiguousarray(work[:unknowns, cols:])

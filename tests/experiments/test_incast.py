@@ -194,7 +194,7 @@ class TestMergeRoundTrip:
             "blocks_encoded": 1, "blocks_decoded": 1,
             "plan_cache": {"hits": 1, "misses": 1},
             "decode_plan_cache": {"hits": 0, "misses": 0},
-            "decode_plan_retries": 0, "cached_plans": 2,
+            "cached_plans": 2,
             "brand_new_counter": 3,
         }
         merged = merge_codec_stats([base, dict(base)])

@@ -319,37 +319,20 @@ class TestScenarioDeterminism:
 
 
 class TestDecodePrewarm:
-    def test_common_loss_patterns_orders_singletons_first(self):
-        from repro.rq.backend import common_loss_patterns
-
-        patterns = common_loss_patterns(4, max_missing=2, budget=None)
-        assert patterns[:4] == [(0,), (1,), (2,), (3,)]
-        assert patterns[4:7] == [(0, 1), (0, 2), (0, 3)]
-        assert len(patterns) == 4 + 6
-
-    def test_budget_truncates_deterministically(self):
-        from repro.rq.backend import common_loss_patterns
-
-        assert common_loss_patterns(10, budget=12) == common_loss_patterns(
-            10, budget=None
-        )[:12]
-
     def test_prewarmed_keys_hit_a_live_lossy_decode(self):
         import random
 
-        from repro.rq.backend import CodecContext, prewarm_canonical_decode_plans
+        from repro.rq.backend import CodecContext, prewarm_encode_plans
         from repro.rq.decoder import BlockDecoder
         from repro.rq.encoder import BlockEncoder
 
         k, symbol_size = 12, 64
-        store = prewarm_canonical_decode_plans([k])
-        context = CodecContext("planned", preload=store)
+        context = CodecContext("planned", preload=prewarm_encode_plans([k]))
         rng = random.Random(3)
         source = [bytes(rng.getrandbits(8) for _ in range(symbol_size))
                   for _ in range(k)]
         encoder = BlockEncoder(source, context=CodecContext("reference"))
-        # Lose source symbol 3; receive the rest plus repair ESIs k..k+2 --
-        # exactly the received set the singleton pre-warm pattern models.
+        # Lose source symbol 3; receive the rest plus repair ESIs k..k+2.
         decoder = BlockDecoder(k, symbol_size, context=context)
         for esi in [e for e in range(k) if e != 3] + [k, k + 1, k + 2]:
             decoder.add_symbol(esi, encoder.symbol(esi))
@@ -360,14 +343,13 @@ class TestDecodePrewarm:
         assert stats["decode_plan_cache"]["hits"] >= 1
         assert stats["decode_plan_cache"]["misses"] == 0
 
-    def test_lossy_payload_sweep_triggers_auto_decode_prewarm(self):
+    def test_lossy_sweep_ships_only_the_per_k_plans(self):
         from repro.experiments.parallel import plan_store_for_jobs
         from repro.faults.schedule import gray_failure_schedule
         from repro.network.topology import FatTreeTopology
         from repro.sim.randomness import RandomStreams
 
         jobs = _payload_jobs(seeds=(1,))
-        plain = plan_store_for_jobs(jobs)
         schedule = gray_failure_schedule(
             FatTreeTopology(4), RandomStreams(1).stream("gray"),
             loss_probability=0.05,
@@ -376,6 +358,5 @@ class TestDecodePrewarm:
                         transfers=job.transfers, fault_schedule=schedule)
                  for job in jobs]
         warmed = plan_store_for_jobs(lossy)
-        decode_keys = [key for key in warmed.plans if key[0] == "decode"]
-        assert decode_keys, "lossy payload sweep should pre-warm decode plans"
-        assert not [key for key in plain.plans if key[0] == "decode"]
+        assert set(warmed.plans) == set(plan_store_for_jobs(jobs).plans)
+        assert {key[0] for key in warmed.plans} == {"encode"}

@@ -98,3 +98,48 @@ def test_rank_deficient_window_keeps_pulling_until_the_decode_succeeds():
     assert core.completed
     assert isinstance(actions[-1], SessionCompleted)
     assert hashlib.sha256(core.received_data).digest() == hashlib.sha256(payload).digest()
+
+
+def test_one_rank_deficient_block_leaves_every_other_block_complete():
+    """A decode failure in block 0 must not un-complete blocks 1 and 2, which
+    decoded fine: only block 0 goes back to pulling, and one more symbol for
+    it finishes the session."""
+    payload = bytes((11 + i * 97) % 251 for i in range(3 * 96))
+    config = PolyraptorConfig(
+        carry_payload=True, symbol_size_bytes=16, max_symbols_per_block=8
+    )
+    encoder = ObjectEncoder(payload, symbol_size=16, max_symbols_per_block=8)
+    core = ReceiverCore(config=config, session_id=7, object_bytes=len(payload),
+                        local_host=1, expected_senders=[0])
+    assert core.oti.symbols_per_block == (6, 6, 6)
+    sequence = 0
+
+    def deliver(block, esi):
+        nonlocal sequence
+        sequence += 1
+        core.on_symbol(
+            SymbolPayload(
+                session_id=7, sender_host=0, block_number=block, esi=esi,
+                block_symbol_count=6, num_blocks=3, object_bytes=len(payload),
+                data=encoder.symbol(block, esi).data, sequence=sequence,
+            ),
+            trimmed=False,
+            now=0.001 * sequence,
+        )
+        return core.poll_actions()
+
+    for esi in range(40, 48):  # the pinned rank-deficient window
+        deliver(0, esi)
+    for block in (1, 2):
+        for esi in range(6):
+            actions = deliver(block, esi)
+    # The last symbol completed every block's count and triggered the decode.
+    assert not core.completed
+    assert any(isinstance(a, EnqueuePull) for a in actions)
+    assert core.build_pull(0).block_hint == 0
+    core.poll_actions()
+
+    actions = deliver(0, 48)
+    assert core.completed
+    assert isinstance(actions[-1], SessionCompleted)
+    assert core.received_data == payload

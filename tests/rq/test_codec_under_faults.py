@@ -4,9 +4,9 @@ Seeded randomized encode/decode round-trip property tests across every GF
 kernel available on this platform (``numpy``/``blocked`` always, ``numba``
 when importable) at 0-30% symbol loss -- the loss regime the fault and
 gray-failure models produce -- asserting byte-identical recovery on every
-kernel and that canonical decode-plan keys turn repeated loss patterns into
-cache hits.  Plus a regression test for the ``plan_store_for_jobs``
-schema-v2 warn+rebuild path (PR 4's satellite fix).
+kernel and that every lossy block decodes through the plan its block size
+was encoded with.  Plus a regression test for the ``plan_store_for_jobs``
+stale-schema warn+rebuild path (PR 4's satellite fix).
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ class TestCanonicalPlansUnderLoss:
 
     @pytest.mark.parametrize("kernel", available_kernels())
     def test_same_missing_pattern_hits_across_surplus_counts(self, kernel):
-        """Blocks that lost the same source symbols share one decode plan no
-        matter how many surplus repair symbols each received -- the
-        canonical-key property that keeps the cache warm under loss."""
+        """Blocks that lost the same source symbols decode through the plan
+        they were encoded with, however many surplus repair symbols each
+        received: no decode ever builds a plan of its own."""
         context = CodecContext("planned", kernel=kernel)
         lost = (0, 3)  # the same two source symbols vanish from every block
         for round_number, surplus in enumerate((0, 2, 4)):
@@ -147,33 +147,17 @@ class TestCanonicalPlansUnderLoss:
             result = decoder.decode()
             assert result.success
             assert result.source_symbols == sources
-        # First block pays the (single) decode-plan miss; the other two,
-        # with different surplus, ride the same canonical plan.
-        assert context.decode_stats.misses == 1
-        assert context.decode_stats.hits == 2
-
-    def test_exact_keying_pays_per_surplus_count(self):
-        """Control: legacy exact-ESI keys rebuild a plan per surplus count."""
-        context = CodecContext("planned", canonical_decode_plans=False)
-        lost = (0, 3)
-        for round_number, surplus in enumerate((0, 2, 4)):
-            sources = self._sources(seed=30 + round_number)
-            encoder = BlockEncoder(sources, context=context)
-            esis = tuple(
-                esi for esi in range(self.K) if esi not in lost
-            ) + tuple(range(self.K, self.K + len(lost) + surplus))
-            decoder = BlockDecoder(self.K, SYMBOL_SIZE, context=context)
-            for esi in esis:
-                decoder.add_symbol(esi, encoder.symbol(esi))
-            assert decoder.decode().success
-        assert context.decode_stats.misses == 3
-        assert context.decode_stats.hits == 0
+        # The first encode built the one plan; all three decodes hit it.
+        assert context.stats.misses == 1
+        assert context.decode_stats.misses == 0
+        assert context.decode_stats.hits == 3
 
 
 class TestPlanStoreSchemaRegression:
     """Regression: ``plan_store_for_jobs`` warns and rebuilds on any store
-    whose schema is not the current v2 -- both the pre-versioning v1 shape
-    (covered in test_parallel) and a *future* schema, which this pins."""
+    whose schema is not the current one -- the pre-versioning v1 shape
+    (covered in test_parallel), v2 with its decode keys nothing looks up any
+    more, and a *future* schema."""
 
     def _payload_jobs(self):
         from dataclasses import replace as dc_replace
@@ -201,7 +185,7 @@ class TestPlanStoreSchemaRegression:
 
         path = tmp_path / "plans.pkl"
         prewarm_encode_plans([11]).save(path)
-        assert PlanStore.load(path).schema == PLAN_STORE_SCHEMA == 2
+        assert PlanStore.load(path).schema == PLAN_STORE_SCHEMA == 3
         set_plan_cache_path(path)
         try:
             with warnings.catch_warnings():
@@ -211,11 +195,11 @@ class TestPlanStoreSchemaRegression:
             set_plan_cache_path(None)
         assert store is not None and len(store) >= 1
 
-    def test_future_schema_cache_warns_and_is_rebuilt(self, tmp_path):
+    def _assert_warns_and_rebuilds(self, tmp_path, schema):
         from repro.experiments.parallel import plan_store_for_jobs, set_plan_cache_path
 
         stale = prewarm_encode_plans([11])
-        stale.schema = PLAN_STORE_SCHEMA + 1  # written by a future release
+        stale.schema = schema
         path = tmp_path / "plans.pkl"
         path.write_bytes(pickle.dumps(stale, protocol=pickle.HIGHEST_PROTOCOL))
         set_plan_cache_path(path)
@@ -226,3 +210,10 @@ class TestPlanStoreSchemaRegression:
             set_plan_cache_path(None)
         assert store is not None and len(store) >= 1
         assert PlanStore.load(path).schema == PLAN_STORE_SCHEMA
+
+    def test_future_schema_cache_warns_and_is_rebuilt(self, tmp_path):
+        self._assert_warns_and_rebuilds(tmp_path, PLAN_STORE_SCHEMA + 1)
+
+    def test_v2_schema_cache_warns_and_is_rebuilt(self, tmp_path):
+        # v2 stores carry canonical decode keys nothing looks up any more.
+        self._assert_warns_and_rebuilds(tmp_path, 2)

@@ -1,4 +1,4 @@
-"""Tests for the GF(256) kernel registry and canonical decode-plan keys.
+"""Tests for the GF(256) kernel registry and the decode side of the plan cache.
 
 Two load-bearing properties:
 
@@ -7,11 +7,10 @@ Two load-bearing properties:
    truth on randomised uint8 inputs (including all-zero rows and factors),
    and full lossy decode sessions come out identical across kernels.
 
-2. **Canonical decode keys raise the hit rate under loss** (strictly, with
-   counters straight from :class:`~repro.rq.backend.CodecContext`): blocks
-   that lose the same source pattern share one elimination plan no matter
-   how many surplus repair symbols each happened to receive, where the
-   legacy exact-ESI keying builds a fresh plan per surplus count.
+2. **Decoding looks up one key per K'** (counters straight from
+   :class:`~repro.rq.backend.CodecContext`): whatever a block lost and
+   however many surplus repair symbols it received, it decodes through the
+   plan its block size was encoded with, and no other plan is ever built.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.rq.backend import CodecContext, prewarm_decode_plans
+from repro.rq.backend import CodecContext, prewarm_encode_plans
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.gf256 import gf_matmul, gf_matvec, gf_scale_rows
@@ -33,8 +32,6 @@ from repro.rq.kernels import (
     get_kernel,
     registered_kernels,
 )
-from repro.rq.params import for_k
-from repro.rq.plan import canonical_decode_candidates, canonical_decode_key, missing_source_pattern
 
 K = 16
 SYMBOL_SIZE = 64
@@ -88,7 +85,6 @@ class TestKernelRegistry:
         context = CodecContext("planned", kernel="blocked")
         stats = context.stats_dict()
         assert stats["kernel"] == "blocked"
-        assert stats["canonical_decode_plans"] is True
 
 
 class TestKernelEquivalence:
@@ -181,115 +177,49 @@ class TestKernelEquivalence:
 
 
 class TestCanonicalDecodeKeys:
-    def test_missing_source_pattern(self):
-        params = for_k(8)
-        assert missing_source_pattern(params, [0, 1, 3, 4, 6, 7, 8, 9]) == (2, 5)
-        assert missing_source_pattern(params, range(8)) == ()
+    """The canonical decode key is ``("encode", params)``: one per K', for every loss."""
 
-    def test_candidates_widen_from_minimal_system(self):
-        params = for_k(8)
-        esis = [0, 1, 3, 4, 6, 7, 8, 9, 10, 11]  # missing {2, 5}, four repairs
-        candidates = list(canonical_decode_candidates(params, esis))
-        keys = [key for key, _ in candidates]
-        used = [u for _, u in candidates]
-        assert keys[0] == ("decode", params, (2, 5), (8, 9))
-        assert used[0] == (0, 1, 3, 4, 6, 7, 8, 9)
-        assert keys[-1] == ("decode", params, (2, 5), (8, 9, 10, 11))
-        assert used[-1] == tuple(sorted(esis))
-        assert len(candidates) == 3
+    def _decode(self, context, encoder, missing, surplus):
+        kept = [esi for esi in range(K) if esi not in missing]
+        repairs = list(range(K, K + len(missing) + surplus))
+        decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
+        for esi in kept + repairs:
+            decoder.add_symbol(esi, encoder.symbol(esi))
+        return decoder.decode()
 
-    def test_key_ignores_surplus_repairs(self):
-        params = for_k(8)
-        lean, _ = canonical_decode_key(params, [0, 1, 3, 4, 6, 7, 8, 9])
-        fat, _ = canonical_decode_key(params, [0, 1, 3, 4, 6, 7, 8, 9, 10, 11, 12])
-        assert lean == fat
-
-    def test_key_distinguishes_loss_patterns_and_repair_rows(self):
-        params = for_k(8)
-        one, _ = canonical_decode_key(params, [0, 1, 3, 4, 6, 7, 8, 9])
-        other_pattern, _ = canonical_decode_key(params, [0, 1, 2, 4, 6, 7, 8, 9])
-        other_repairs, _ = canonical_decode_key(params, [0, 1, 3, 4, 6, 7, 9, 10])
-        assert one != other_pattern
-        assert one != other_repairs
-
-    def _lossy_sessions(self, encoder, patterns, surpluses):
-        """(esis, symbols) per (pattern, surplus) combination, round-robin."""
-        sessions = []
-        for index, missing in enumerate(patterns * len(surpluses)):
-            surplus = surpluses[index // len(patterns)]
-            kept = [esi for esi in range(K) if esi not in missing]
-            repairs = list(range(K, K + len(missing) + surplus))
-            esis = kept + repairs
-            sessions.append([(esi, encoder.symbol(esi)) for esi in esis])
-        return sessions
-
-    def test_canonical_hit_rate_strictly_beats_exact_keys_under_loss(self):
-        """The acceptance check: >= 10% loss, counters from CodecContext."""
-        encoder = BlockEncoder(source_block(), context=CodecContext("reference"))
-        # Four recurring >=12.5% loss patterns (2-3 of 16 sources lost), each
-        # seen with 0, 1 and 2 surplus repair symbols beyond the minimum.
-        patterns = [(0, 1), (2, 9), (5, 11, 14), (3,)]
-        sessions = self._lossy_sessions(encoder, patterns, surpluses=[2, 3, 4])
-
+    def test_recurring_loss_patterns_all_hit_the_one_plan(self):
         source = source_block()
-        rates = {}
-        for canonical in (True, False):
-            context = CodecContext("planned", canonical_decode_plans=canonical)
-            for symbols in sessions:
-                decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
-                for esi, data in symbols:
-                    decoder.add_symbol(esi, data)
-                result = decoder.decode()
+        encoder = BlockEncoder(source, context=CodecContext("reference"))
+        context = CodecContext("planned")
+        # Four >=12.5% loss patterns (1-3 of 16 sources lost), each seen with
+        # 2, 3 and 4 surplus repair symbols beyond the minimum.
+        for surplus in (2, 3, 4):
+            for missing in [(0, 1), (2, 9), (5, 11, 14), (3,)]:
+                result = self._decode(context, encoder, missing, surplus)
                 assert result.success and result.used_gaussian_elimination
                 assert result.source_symbols == source
-            assert context.decode_stats.lookups > 0
-            rates[canonical] = context.decode_stats.hit_rate
-        assert rates[True] > rates[False], (
-            f"canonical decode hit rate {rates[True]:.3f} must strictly beat "
-            f"exact-ESI keying {rates[False]:.3f}"
-        )
+        # This context never encoded: the first decode builds the plan.
+        assert (context.decode_stats.misses, context.decode_stats.hits) == (1, 11)
+        assert context.stats.misses == 1 and context.cached_plans == 1
 
     def test_same_pattern_different_surplus_shares_one_plan(self):
-        encoder = BlockEncoder(source_block(), context=CodecContext("reference"))
+        source = source_block()
+        encoder = BlockEncoder(source, context=CodecContext("reference"))
         context = CodecContext("planned")
-        missing = (1, 7)
         for surplus in (2, 4):
-            kept = [esi for esi in range(K) if esi not in missing]
-            repairs = list(range(K, K + len(missing) + surplus))
-            decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
-            for esi in kept + repairs:
-                decoder.add_symbol(esi, encoder.symbol(esi))
-            assert decoder.decode().success
-        # One decode-plan build total; the second, wider session hit it.
-        assert context.decode_stats.misses <= 1 + context.decode_plan_retries
-        assert context.decode_stats.hits >= 1
+            result = self._decode(context, encoder, (1, 7), surplus)
+            assert result.success and result.source_symbols == source
+        # One plan build total; the second, wider session hit it.
+        assert context.decode_stats.misses == 1
+        assert context.decode_stats.hits == 1
 
     def test_prewarmed_canonical_plan_covers_other_surpluses(self):
         source = source_block(seed=5)
         encoder = BlockEncoder(source, context=CodecContext("reference"))
-        missing = (0, 4)
-        kept = [esi for esi in range(K) if esi not in missing]
-        # Prewarm from a session with 3 surplus repairs...
-        warm_esis = kept + list(range(K, K + len(missing) + 3))
-        store = prewarm_decode_plans(K, [warm_esis])
-        context = CodecContext("planned", preload=store)
-        # ... and decode a session with zero surplus: same canonical plan.
-        decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
-        for esi in kept + list(range(K, K + len(missing))):
-            decoder.add_symbol(esi, encoder.symbol(esi))
-        result = decoder.decode()
-        assert result.success
-        assert result.source_symbols == source
-        if context.decode_plan_retries == 0:
-            assert context.decode_stats.misses == 0
-            assert context.decode_stats.hits == 1
-
-    def test_exact_keying_still_selectable(self):
-        encoder = BlockEncoder(source_block(), context=CodecContext("reference"))
-        context = CodecContext("planned", canonical_decode_plans=False)
-        esis = list(range(2, K)) + [K, K + 1]
-        decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
-        for esi in esis:
-            decoder.add_symbol(esi, encoder.symbol(esi))
-        assert decoder.decode().success
-        assert context.decode_stats.misses == 1
+        context = CodecContext("planned", preload=prewarm_encode_plans([K]))
+        for surplus in (3, 0):
+            result = self._decode(context, encoder, (0, 4), surplus)
+            assert result.success
+            assert result.source_symbols == source
+        assert context.decode_stats.misses == 0
+        assert context.decode_stats.hits == 2

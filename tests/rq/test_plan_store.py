@@ -13,11 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.rq.backend import (
-    CodecContext,
-    prewarm_decode_plans,
-    prewarm_encode_plans,
-)
+from repro.rq.backend import CodecContext, prewarm_encode_plans
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.params import for_k
@@ -141,8 +137,7 @@ class TestDecodePrewarm:
         encoder = BlockEncoder(source)
         # Lose the first two source symbols; receive two repair symbols.
         esis = tuple(range(2, K)) + (K, K + 1)
-        store = prewarm_decode_plans(K, [esis])
-        context = CodecContext("planned", preload=store)
+        context = CodecContext("planned", preload=prewarm_encode_plans([K]))
         decoder = BlockDecoder(K, SYMBOL_SIZE, context=context)
         for esi in esis:
             decoder.add_symbol(esi, encoder.symbol(esi))
