@@ -1,14 +1,15 @@
 """Micro-benchmarks of the pluggable GF(256) kernel layer.
 
-Measures warm repeated-block encode/decode per registered-and-available
-kernel -- the steady state of any real transfer mix, where the elimination
-plan is cached and the batched kernel matmul is the whole cost.  Results
-land in ``benchmarks/results/BENCH_gf_kernels.json`` so future PRs can track
-kernel throughput over time.
+Measures warm repeated-block encode/decode per kernel -- the steady state of
+any real transfer mix, where the elimination plan is cached and the kernel
+matmul is the whole cost.  "Encode" is what a sender pays for one block
+under the benchmark's own 30 % loss pattern: constructing the encoder (no
+linear algebra) plus generating exactly the repair symbols that pattern
+consumes.  Results land in ``benchmarks/results/BENCH_gf_kernels.json`` so
+future PRs can track kernel throughput over time.
 
-The headline assertion: the best available kernel (``numba`` when
-importable, else ``blocked``) beats the ``numpy`` ground-truth kernel on
-warm repeated-block work.
+The headline assertion: the default kernel (``bitplane``) beats the
+``numpy`` oracle kernel on warm repeated-block work.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from repro.rq.params import for_k
 SYMBOL_SIZE = 1408
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Warm-block speedup the best available kernel must reach over ``numpy`` on
-#: combined encode+decode time at the largest K'.  The pure-numpy ``blocked``
-#: kernel measures ~1.2x locally; ``numba`` is far above.  Kept modest so CI
-#: hardware noise cannot flip a real improvement into a failure.
+#: Warm-block speedup the default kernel must reach over ``numpy`` on
+#: combined encode+decode time at the largest K'.  Kept modest so CI hardware
+#: noise cannot flip a real improvement into a failure.
 SPEEDUP_FLOOR = 1.05
 
 
@@ -74,6 +74,7 @@ def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
     context = CodecContext("planned", kernel=name)
     warm_encoder = BlockEncoder(blocks[0], context=context)
     symbols = [(esi, warm_encoder.symbol(esi)) for esi in esis]
+    repairs = [esi for esi in esis if esi >= k]
 
     def decode(_block):
         decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
@@ -83,7 +84,7 @@ def _measure_kernel(name: str, k: int, blocks, esis) -> tuple[float, float]:
 
     decode(blocks[0])  # untimed: fills the LT-neighbour memo
     encode_s = _time_per_block(
-        lambda block: BlockEncoder(block, context=context), blocks
+        lambda block: BlockEncoder(block, context=context).symbol_block(repairs), blocks
     )
     decode_s = _time_per_block(decode, blocks)
     return encode_s, decode_s
@@ -143,10 +144,13 @@ def test_kernel_throughput(benchmark):
     # pytest-benchmark so --benchmark-only runs select this test.
     best_context = CodecContext("planned", kernel=best)
     blocks = _source_blocks(128, count=1)
-    BlockEncoder(blocks[0], context=best_context)  # warm
-    benchmark.pedantic(
-        lambda: BlockEncoder(blocks[0], context=best_context), rounds=3, iterations=1
-    )
+    repairs = [esi for esi in _lossy_esis(128) if esi >= 128]
+
+    def encode():
+        return BlockEncoder(blocks[0], context=best_context).symbol_block(repairs)
+
+    encode()  # warm
+    benchmark.pedantic(encode, rounds=3, iterations=1)
 
     big = series[-1]
     combined = big["best_speedup_vs_numpy"]["combined"]

@@ -1,9 +1,11 @@
 """Micro-benchmarks of the RaptorQ-style codec itself.
 
 These quantify the "RQ encoding/decoding complexity and latency" the paper's
-discussion section flags as an open question: encoder setup (intermediate
-symbol computation), per-symbol repair generation, and full-block decoding
-with and without losses.
+discussion section flags as an open question: encoder setup up to the first
+repair symbol, per-symbol repair generation, and full-block decoding with
+and without losses.  Constructing an encoder does no linear algebra, so
+wherever "encode" is timed it means construction plus the repair symbols the
+benchmark's loss pattern consumes.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ def _source_block(k: int, seed: int = 1) -> list[bytes]:
 
 @pytest.mark.parametrize("k", [32, 128])
 def test_encoder_setup(benchmark, k):
-    """Cost of computing the intermediate symbols for a K-symbol block."""
+    """Cost from a K-symbol block to its first repair symbol on the wire."""
     for_k(k)  # exclude the cached parameter/seed search from the measurement
     source = _source_block(k)
-    encoder = benchmark(lambda: BlockEncoder(source))
-    assert encoder.num_source_symbols == k
+    symbol = benchmark(lambda: BlockEncoder(source).symbol(k))
+    assert len(symbol) == SYMBOL_SIZE
 
 
 @pytest.mark.parametrize("k", [32, 128])
@@ -112,10 +114,11 @@ def test_repeated_block_backend_throughput(benchmark, k):
     """The headline number of this codec architecture: warm-block speedup.
 
     The first block of a K' pays for Gaussian elimination under either
-    backend; every later block with the same parameters replays the cached
+    backend; every later block with the same parameters reads the cached
     elimination plan under the ``planned`` backend.  This benchmark measures
-    second-and-later blocks only (the steady state of any real transfer mix)
-    and writes a ``BENCH_rq_codec.json`` trajectory so future PRs can track
+    second-and-later blocks only (the steady state of any real transfer mix):
+    encode = construct + generate the repair symbols the 30 % loss pattern
+    consumes, decode = recover the block from that pattern.  It writes a ``BENCH_rq_codec.json`` trajectory so future PRs can track
     codec throughput over time.
     """
     blocks = [_source_block(k, seed) for seed in range(5)]
@@ -140,14 +143,16 @@ def test_repeated_block_backend_throughput(benchmark, k):
 
         decode(blocks[0])  # untimed: fills the LT-neighbour memo
         encode_times[name] = _time_per_block(
-            lambda block, _context=context: BlockEncoder(block, context=_context), blocks
+            lambda block, _context=context: BlockEncoder(block, context=_context).symbol_block(repair),
+            blocks,
         )
         decode_times[name] = _time_per_block(decode, blocks)
 
     # Register the headline path (warm-block encode on the planned backend)
     # with pytest-benchmark so `--benchmark-only` runs select this test.
     benchmark.pedantic(
-        lambda: BlockEncoder(blocks[0], context=contexts["planned"]), rounds=3, iterations=1
+        lambda: BlockEncoder(blocks[0], context=contexts["planned"]).symbol_block(repair),
+        rounds=3, iterations=1,
     )
 
     encode_speedup = encode_times["reference"] / encode_times["planned"]
@@ -166,10 +171,10 @@ def test_repeated_block_backend_throughput(benchmark, k):
         f"\nK'={k}: encode {encode_speedup:.1f}x, decode {decode_speedup:.1f}x "
         "(planned vs reference, warm blocks)"
     )
-    # The reference backend shares the solver, whose elimination is now about
-    # as cheap as one plan replay: on the encode side the cache is only
-    # required not to lose.  Decoding still wins by a wide margin, because a
-    # planned decode is as small as the loss.
+    # The reference backend solves for all L intermediate symbols per block;
+    # planned multiplies one generator row per repair actually sent and
+    # decodes a system as small as the loss.  The encode gate stays at "not
+    # slower": its margin shrinks as the loss pattern asks for more repairs.
     assert encode_speedup >= 1.0, (
         f"K'={k}: warm-block encode is {encode_speedup:.2f}x the reference backend's speed"
     )

@@ -70,7 +70,7 @@ from repro.obs import (
     write_telemetry_csv,
     write_telemetry_jsonl,
 )
-from repro.rq.kernels import available_kernels, registered_kernels
+from repro.rq.kernels import available_kernels
 from repro.utils.units import KILOBYTE
 
 
@@ -153,23 +153,17 @@ _delay_ms_type = _number_type(
 
 
 def _kernel_type(value: str) -> str:
-    """Validate --kernel at parse time, including platform availability.
+    """Validate --kernel at parse time.
 
-    An explicitly requested kernel that cannot run here (e.g. ``numba``
-    without numba installed) must fail before any simulation starts -- in a
-    sharded sweep the TCP baselines would otherwise complete and the first
+    An unknown kernel must fail before any simulation starts -- in a sharded
+    sweep the TCP baselines would otherwise complete and the first
     Polyraptor job die with a worker traceback.
     """
     if value == "auto" or value in available_kernels():
         return value
-    if value in registered_kernels():
-        raise argparse.ArgumentTypeError(
-            f"kernel {value!r} is not available on this platform "
-            f"(available: {', '.join(['auto'] + available_kernels())})"
-        )
     raise argparse.ArgumentTypeError(
         f"unknown kernel {value!r} (choose from: "
-        f"{', '.join(['auto'] + registered_kernels())})"
+        f"{', '.join(['auto'] + available_kernels())})"
     )
 
 
@@ -206,10 +200,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: ~4 batches per worker; affects "
                              "scheduling only, never results)")
     parser.add_argument("--kernel", default="auto", type=_kernel_type,
-                        metavar="{auto,%s}" % ",".join(registered_kernels()),
+                        metavar="{auto,%s}" % ",".join(available_kernels()),
                         help="GF(256) kernel for codec linear algebra; 'auto' "
-                             "honours REPRO_GF_KERNEL then picks the best "
-                             "available (numba when importable, else blocked). "
+                             "honours REPRO_GF_KERNEL then picks the default "
+                             "(bitplane; numpy is the table-lookup oracle). "
                              "Workers of a sharded sweep inherit this choice. "
                              "Results are byte-identical for every kernel.")
     parser.add_argument("--paper-scale", action="store_true",

@@ -73,9 +73,9 @@ class PolyraptorConfig:
             default) or ``"reference"`` (full per-block elimination).
         codec_kernel: which :mod:`repro.rq.kernels` GF(256) kernel executes
             the codec's linear algebra: ``"auto"`` (the default; honours the
-            ``REPRO_GF_KERNEL`` environment variable, then picks the best
-            available -- ``numba`` when importable, else ``blocked``),
-            ``"numpy"``, ``"blocked"`` or ``"numba"``.  The choice travels
+            ``REPRO_GF_KERNEL`` environment variable, then picks
+            ``bitplane``), ``"bitplane"`` (gather-free XOR folds) or
+            ``"numpy"`` (the table-lookup oracle).  The choice travels
             inside :class:`~repro.experiments.parallel.RunJob` configs, so
             sharded workers inherit the parent's kernel.  Symbols are
             byte-identical for every kernel; only wall-clock changes.
@@ -125,17 +125,17 @@ class PolyraptorConfig:
 
     def __post_init__(self) -> None:
         from repro.rq.backend import available_backends
-        from repro.rq.kernels import registered_kernels
+        from repro.rq.kernels import available_kernels
 
         if self.codec_backend not in available_backends():
             raise ValueError(
                 f"unknown codec_backend {self.codec_backend!r}; "
                 f"available: {', '.join(available_backends())}"
             )
-        if self.codec_kernel != "auto" and self.codec_kernel not in registered_kernels():
+        if self.codec_kernel != "auto" and self.codec_kernel not in available_kernels():
             raise ValueError(
                 f"unknown codec_kernel {self.codec_kernel!r}; "
-                f"choose 'auto' or one of: {', '.join(registered_kernels())}"
+                f"choose 'auto' or one of: {', '.join(available_kernels())}"
             )
         check_positive("symbol_size_bytes", self.symbol_size_bytes)
         check_positive("header_bytes", self.header_bytes)

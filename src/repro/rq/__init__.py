@@ -57,7 +57,6 @@ from repro.rq.kernels import (
     default_kernel_name,
     get_kernel,
     register_kernel,
-    registered_kernels,
 )
 from repro.rq.params import CodeParameters
 from repro.rq.plan import (
@@ -103,5 +102,4 @@ __all__ = [
     "default_kernel_name",
     "get_kernel",
     "register_kernel",
-    "registered_kernels",
 ]

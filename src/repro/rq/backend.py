@@ -3,30 +3,33 @@
 The encoder and decoder do not run Gaussian elimination themselves; they
 delegate the two linear-algebra problems of the codec to a backend:
 
-* ``compute_intermediate`` -- encode side: solve ``A . C = [0; source]``
-  for the (L x symbol_size) intermediate-symbol plane of one block;
-* ``recover_sources``      -- decode side: the source symbols that did not
+* ``repair_symbols``  -- encode side: the repair symbols a sender was asked
+  for (source symbols are sent as they are and cost no coding work);
+* ``recover_sources`` -- decode side: the source symbols that did not
   arrive, from whatever encoding symbols did.
 
 Two backends ship:
 
 * ``reference`` -- caches nothing: rebuilds the matrix and re-runs full
-  elimination for every block, and decodes by solving the stacked
-  LDPC/HDPC/LT-row system for all L intermediate symbols and LT-encoding the
-  missing sources from them.  Kept as the oracle the tests compare against;
+  elimination for every block.  It solves ``A . C = [0; source]`` for all L
+  intermediate symbols (once per encoder; from the received symbols when
+  decoding) and LT-encodes the wanted symbols from them.  Kept as the oracle
+  the tests compare against;
 * ``planned``   -- the default: keeps one :class:`~repro.rq.plan.EliminationPlan`
   per K' (the inverse of the constraint matrix A) in the context's shared
-  plan cache.  Encoding replays it over the block's symbol plane as one
-  batched GF(256) matrix product; decoding reads the few rows of it that
-  express the received repair symbols in the source symbols and solves a
-  system only as large as the loss (see :class:`PlannedBackend`).
+  plan cache and never forms the intermediate symbols.  Both directions read
+  the few rows of it that express the repair symbols in hand as combinations
+  of the source symbols: encoding multiplies them into the source plane, one
+  row per repair symbol actually sent; decoding solves a system only as
+  large as the loss (see :class:`PlannedBackend`).
 
 A :class:`CodecContext` bundles one backend with one
 :mod:`~repro.rq.kernels` GF(256) kernel, one plan cache and its hit/miss
 counters (overall, plus the decode side's lookups on their own).  All
 sessions of a simulation share a single context, so the first block with a
-given K' pays for elimination and every later block, encoded or decoded,
-under any loss pattern, rides the cache.
+given K' that emits a repair symbol or is decoded pays for elimination and
+every later block, encoded or decoded, under any loss pattern, rides the
+cache.
 
 Because plans are immutable they can also cross process boundaries: a
 context can export its cache as a picklable :class:`~repro.rq.plan.PlanStore`
@@ -40,7 +43,7 @@ with a warm cache.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +61,9 @@ from repro.rq.plan import (
 from repro.rq.solver import solve
 from repro.rq.tuples import lt_neighbours
 from repro.sim.stats import CacheStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rq.encoder import BlockEncoder
 
 #: Name of the backend used when none is configured explicitly.
 DEFAULT_BACKEND = "planned"
@@ -94,10 +100,14 @@ class CodecBackend(ABC):
     name: ClassVar[str] = ""
 
     @abstractmethod
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
+    def repair_symbols(
+        self, context: "CodecContext", encoder: "BlockEncoder", esis: Sequence[int]
     ) -> np.ndarray:
-        """Return the (L x T) intermediate plane for a (K x T) source plane."""
+        """Return the (len(esis) x T) plane of LT-encoded symbols of one block.
+
+        Any ESI is allowed; for ``esi < K`` the result is the source symbol
+        itself (the code is systematic), which is how the tests check it.
+        """
 
     @abstractmethod
     def recover_sources(
@@ -139,14 +149,10 @@ class ReferenceBackend(CodecBackend):
 
     name = "reference"
 
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
+    def repair_symbols(
+        self, context: "CodecContext", encoder: "BlockEncoder", esis: Sequence[int]
     ) -> np.ndarray:
-        matrix = build_constraint_matrix(params)
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        rhs = np.zeros((params.num_intermediate_symbols, source.shape[1]), dtype=np.uint8)
-        rhs[constraints:] = source
-        return solve(matrix, rhs)
+        return _lt_encode(encoder.params, esis, encoder.intermediate_plane)
 
     def recover_sources(
         self,
@@ -167,13 +173,19 @@ class PlannedBackend(CodecBackend):
     The plan's operator is ``A^-1`` for the L x L constraint matrix ``A``
     (S + H constraint rows, then the LT rows of source ESIs 0..K-1).  Since
     the constraint right-hand sides are zero, the intermediate symbols are
-    ``C = B . source`` with ``B = A^-1[:, S+H:]``, which is all encoding
-    needs.
+    ``C = B . source`` with ``B = A^-1[:, S+H:]``.  A repair symbol ``e`` is
+    ``lt_row(e) . C``, that is ``g_e . source`` with ``g_e = lt_row(e) . B``
+    -- an XOR of a few rows of ``B``, its *generator row*.
 
-    Decoding reuses ``B``.  A repair symbol ``e`` is ``lt_row(e) . C``, that
-    is ``g_e . source`` with ``g_e = lt_row(e) . B`` -- an XOR of a few rows
-    of ``B``.  Stacking the received repairs into ``G`` and splitting the
-    source columns into the ``r`` missing and the known ones gives
+    Encoding never forms ``C``: the r repair symbols a sender emits are the
+    r x K generator rows times the source plane, r . K . T work against
+    L . K . T for the full intermediate plane, and a sender of a systematic
+    code emits few repairs (the eager solve only wins past r = L, more
+    repairs than the block has symbols).  A block that is never asked for a
+    repair never looks a plan up.
+
+    Decoding stacks the received repairs' generator rows into ``G`` and
+    splits the source columns into the ``r`` missing and the known ones:
 
         ``G[:, missing] . x  =  repairs  XOR  G[:, known] . known_sources``
 
@@ -188,22 +200,24 @@ class PlannedBackend(CodecBackend):
 
     name = "planned"
 
-    def _plan(
+    def _generator_basis(
         self, context: "CodecContext", params: CodeParameters, decode: bool = False
-    ) -> EliminationPlan:
-        return context.plan_for(
+    ) -> np.ndarray:
+        """``B = A^-1[:, S+H:]`` from the cached per-K' plan (one cache lookup)."""
+        plan = context.plan_for(
             ("encode", params),
             lambda: build_plan(constraint_matrix(params), record_steps=False),
             decode=decode,
         )
+        return plan.operator[:, params.num_ldpc_symbols + params.num_hdpc_symbols :]
 
-    def compute_intermediate(
-        self, context: "CodecContext", params: CodeParameters, source: np.ndarray
+    def repair_symbols(
+        self, context: "CodecContext", encoder: "BlockEncoder", esis: Sequence[int]
     ) -> np.ndarray:
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        return self._plan(context, params).apply_from_row(
-            source, constraints, kernel=context.kernel
-        )
+        if encoder.generator_basis is None:
+            encoder.generator_basis = self._generator_basis(context, encoder.params)
+        generator = _lt_encode(encoder.params, esis, encoder.generator_basis)
+        return context.kernel.matmul(generator, encoder.source_plane)
 
     def recover_sources(
         self,
@@ -212,10 +226,9 @@ class PlannedBackend(CodecBackend):
         esis: tuple[int, ...],
         received: np.ndarray,
     ) -> np.ndarray:
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
         known, missing, repairs = _split_esis(params, esis)
-        plan = self._plan(context, params, decode=True)
-        generator = _lt_encode(params, repairs, plan.operator[:, constraints:])
+        basis = self._generator_basis(context, params, decode=True)
+        generator = _lt_encode(params, repairs, basis)
         # ``received`` holds the known sources, then the repairs: one operator
         # over that plane yields the missing sources.
         rhs = np.concatenate(
@@ -297,9 +310,17 @@ class CodecContext:
         return plan
 
     def encode_intermediate(self, params: CodeParameters, source: np.ndarray) -> np.ndarray:
-        """Encode-side solve for one block (see :class:`CodecBackend`)."""
-        self.blocks_encoded += 1
-        return self.backend.compute_intermediate(self, params, source)
+        """The (L x T) intermediate plane of a (K x T) source plane: a full, uncached solve.
+
+        Eliminates the L x L constraint matrix against ``[0; source]``.  Only
+        the ``reference`` backend encodes this way (through
+        :attr:`BlockEncoder.intermediate_plane`); it is the oracle
+        :meth:`CodecBackend.repair_symbols` is tested against.
+        """
+        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
+        rhs = np.zeros((params.num_intermediate_symbols, source.shape[1]), dtype=np.uint8)
+        rhs[constraints:] = source
+        return solve(build_constraint_matrix(params), rhs)
 
     def decode_intermediate(
         self, params: CodeParameters, esis: Sequence[int], received: np.ndarray

@@ -1,22 +1,23 @@
 """Block encoder: systematic + rateless encoding-symbol generation.
 
-A :class:`BlockEncoder` takes the K source symbols of one source block,
-computes the L intermediate symbols once (delegated to the codec backend of
-its :class:`~repro.rq.backend.CodecContext`, which caches elimination plans
-per K') and can then generate *any* encoding symbol on demand:
+A :class:`BlockEncoder` holds the K source symbols of one source block and
+can generate *any* encoding symbol on demand:
 
-* ESIs ``0 .. K-1`` are the source symbols themselves (systematic property,
-  verified at construction time);
-* ESIs ``K, K+1, ...`` are repair symbols, generated by the LT encoder over
-  the intermediate symbols; there is no practical limit on how many can be
-  produced (the code is rateless).
+* ESIs ``0 .. K-1`` are the source symbols themselves (systematic property):
+  rows of the source plane, no coding work;
+* ESIs ``K, K+1, ...`` are repair symbols, produced by the codec backend of
+  the encoder's :class:`~repro.rq.backend.CodecContext`; there is no
+  practical limit on how many can be produced (the code is rateless).
 
-The whole block lives in the **symbol plane**: source, intermediate and
-batched encoding symbols are (rows x symbol_size) uint8 matrices, so
-producing a run of symbols is a handful of vectorised XORs instead of a
-Python loop per byte.  The intermediate-symbol solve runs on the context's
-pluggable GF(256) kernel (:mod:`repro.rq.kernels`); every kernel emits
-byte-identical symbols.
+Construction does no linear algebra.  A sender of a systematic code ships
+mostly source symbols, so coding work is paid per repair symbol actually
+asked for: the default ``planned`` backend multiplies one generator row of
+the cached per-K' operator into the source plane for each
+(:meth:`~repro.rq.backend.CodecBackend.repair_symbols`), on the context's
+pluggable GF(256) kernel (:mod:`repro.rq.kernels`).  The L intermediate
+symbols of RFC 6330 are only ever formed by the ``reference`` oracle,
+through the lazy :attr:`BlockEncoder.intermediate_plane`.  Every backend
+and kernel emits byte-identical symbols.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.rq.params import CodeParameters, for_k
-from repro.rq.tuples import lt_neighbours
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.backend import CodecContext
@@ -64,7 +64,12 @@ class BlockEncoder:
         self._source = np.frombuffer(b"".join(source_symbols), dtype=np.uint8).reshape(
             len(source_symbols), symbol_size
         )
-        self._intermediate = self.context.encode_intermediate(self.params, self._source)
+        #: Owned by the ``planned`` backend: the K-column slice of the per-K'
+        #: operator whose rows XOR into generator rows, looked up once, on
+        #: this block's first repair symbol.
+        self.generator_basis: Optional[np.ndarray] = None
+        self._intermediate: Optional[np.ndarray] = None
+        self.context.blocks_encoded += 1
 
     @property
     def num_source_symbols(self) -> int:
@@ -78,7 +83,13 @@ class BlockEncoder:
 
     @property
     def intermediate_plane(self) -> np.ndarray:
-        """The (L x symbol_size) intermediate symbol matrix (do not mutate)."""
+        """The (L x symbol_size) intermediate symbol matrix (do not mutate).
+
+        Solved for on first access and kept; only the ``reference`` backend
+        (and tests) ever ask.
+        """
+        if self._intermediate is None:
+            self._intermediate = self.context.encode_intermediate(self.params, self._source)
         return self._intermediate
 
     def source_symbol(self, esi: int) -> bytes:
@@ -91,7 +102,7 @@ class BlockEncoder:
         """Return repair symbol ``esi`` (esi >= K)."""
         if esi < self.num_source_symbols:
             raise ValueError(f"repair symbols start at ESI {self.num_source_symbols}, got {esi}")
-        return self._lt_encode_row(esi).tobytes()
+        return self.encoded_symbol_via_lt(esi)
 
     def symbol(self, esi: int) -> bytes:
         """Return the encoding symbol with the given ESI (source or repair).
@@ -101,25 +112,25 @@ class BlockEncoder:
         """
         if esi < self.num_source_symbols:
             return self.source_symbol(esi)
-        return self._lt_encode_row(esi).tobytes()
+        return self.encoded_symbol_via_lt(esi)
 
     def symbol_block(self, esis: Sequence[int]) -> np.ndarray:
         """Return the (len(esis) x symbol_size) plane of encoding symbols.
 
-        Source ESIs are copied straight from the source plane; repair ESIs
-        are XOR-accumulated from the intermediate plane.  This is the batched
-        path used when a whole run of symbols is needed at once (initial
-        window pushes, one-shot object encoding, tests).
+        Source ESIs are copied straight from the source plane; the repair
+        ESIs among them are generated in one backend call.  Rows follow the
+        caller's order.  This is the batched path used when a whole run of
+        symbols is needed at once (initial window pushes, one-shot object
+        encoding, tests).
         """
-        out = np.empty((len(esis), self.symbol_size), dtype=np.uint8)
-        k = self.num_source_symbols
-        for row, esi in enumerate(esis):
-            if esi < 0:
-                raise ValueError(f"ESI must be non-negative, got {esi}")
-            if esi < k:
-                out[row] = self._source[esi]
-            else:
-                out[row] = self._lt_encode_row(esi)
+        ids = np.asarray(esis, dtype=np.intp)
+        if (ids < 0).any():
+            raise ValueError(f"ESI must be non-negative, got {int(ids.min())}")
+        out = np.empty((ids.size, self.symbol_size), dtype=np.uint8)
+        is_source = ids < self.num_source_symbols
+        out[is_source] = self._source[ids[is_source]]
+        if not is_source.all():
+            out[~is_source] = self._lt_encode(ids[~is_source])
         return out
 
     def encoded_symbol_via_lt(self, esi: int) -> bytes:
@@ -128,11 +139,10 @@ class BlockEncoder:
         Used by tests to verify the systematic property: for ``esi < K`` this
         must equal :meth:`source_symbol`.
         """
-        return self._lt_encode_row(esi).tobytes()
+        return self._lt_encode([esi])[0].tobytes()
 
-    def _lt_encode_row(self, internal_symbol_id: int) -> np.ndarray:
-        indices = list(lt_neighbours(self.params, internal_symbol_id))
-        return np.bitwise_xor.reduce(self._intermediate[indices], axis=0)
+    def _lt_encode(self, esis: Sequence[int]) -> np.ndarray:
+        return self.context.backend.repair_symbols(self.context, self, esis)
 
     def lt_row_for(self, internal_symbol_id: int) -> np.ndarray:
         """Expose the GF(2) LT row of an ESI (used by the decoder and tests)."""

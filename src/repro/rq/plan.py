@@ -14,20 +14,21 @@ parameters: the L x L constraint matrix is a pure function of K'.  An
 
 Replaying a plan over the (n x symbol_size) symbol plane of a block is one
 batched GF(256) matrix product -- no pivot searches, no matrix-side row
-operations, no per-step allocations.  The byte work of that product (and of
+operations, no per-step allocations.  The byte work of that product
 executes on a pluggable :mod:`repro.rq.kernels` kernel; every kernel
 computes identical bytes, so plans and kernels compose freely.
 Plans are immutable and safe to share across sessions, simulations and
 processes.
 
-Only the encode-side plan -- one per K', the inverse of the L x L
-constraint matrix -- is ever cached.  Decoding needs no plan of its own:
-because the code is systematic, the missing source symbols of a block follow
-from a few rows of that same inverse (see
-:class:`repro.rq.backend.PlannedBackend`), so nothing is keyed by loss
-pattern.  The persistent :class:`PlanStore` records a schema number
-(:data:`PLAN_STORE_SCHEMA`) so stores written under an older key convention
-are rejected cleanly instead of shipping plans nothing looks up.
+Only one plan per K' -- the inverse of the L x L constraint matrix, keyed
+``("encode", params)`` -- is ever cached, and the codec never replays it
+whole: because the code is systematic, the repair symbols a sender emits and
+the missing source symbols of a received block both follow from a few rows
+of that inverse (see :class:`repro.rq.backend.PlannedBackend`), so nothing
+is keyed by loss pattern.  The persistent :class:`PlanStore` records a
+schema number (:data:`PLAN_STORE_SCHEMA`) so stores written under an older
+key convention are rejected cleanly instead of shipping plans nothing looks
+up.
 """
 
 from __future__ import annotations
@@ -123,22 +124,6 @@ class EliminationPlan:
             raise ValueError(f"plan expects {self.num_rows} rhs rows, got {rhs.shape[0]}")
         matmul = gf_matmul if kernel is None else kernel.matmul
         return matmul(self.operator, rhs)
-
-    def apply_from_row(
-        self, rhs_tail: np.ndarray, first_row: int, kernel: Optional["GFKernel"] = None
-    ) -> np.ndarray:
-        """Solve when rhs rows ``0 .. first_row-1`` are all-zero.
-
-        Both codec systems have this shape: the S + H constraint rows carry a
-        zero right-hand side, so only the operator columns for the symbol
-        rows contribute.
-        """
-        if first_row + rhs_tail.shape[0] != self.num_rows:
-            raise ValueError(
-                f"plan expects {self.num_rows - first_row} tail rows, got {rhs_tail.shape[0]}"
-            )
-        matmul = gf_matmul if kernel is None else kernel.matmul
-        return matmul(self.operator[:, first_row:], rhs_tail)
 
     def replay(self, rhs: np.ndarray) -> np.ndarray:
         """Step-by-step replay of the recorded row ops (reference/testing path).

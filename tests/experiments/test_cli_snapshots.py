@@ -23,11 +23,10 @@ from repro.experiments.parallel import shutdown_worker_pool
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
-# ``--kernel blocked`` pins the codec table's kernel column, which would
-# otherwise name whatever ``auto`` resolves to on the host (numba when
-# importable, or a REPRO_GF_KERNEL override).
+# ``--kernel bitplane`` pins the codec table's kernel column, which would
+# otherwise follow a REPRO_GF_KERNEL override on the host.
 COMMON = ["--sessions", "4", "--object-kb", "32", "--max-sim-time", "10",
-          "--kernel", "blocked"]
+          "--kernel", "bitplane"]
 
 #: Per-command sweep axes, in the order ``repro all`` runs the commands.
 SCENARIO_ARGS = {

@@ -127,21 +127,23 @@ def trace_fingerprint(trace: TraceLog) -> str:
 
 
 #: cell -> sha256(canonical_dict()), captured on the parent of PR 15.  The
-#: nine Polyraptor hashes were re-captured in PR 22, which changed no simulated
-#: behaviour: ``codec_stats`` lost its ``canonical_decode_plans`` /
-#: ``decode_plan_retries`` keys in every cell, and the payload cell's plan
-#: counters moved (1 hit / 3 misses -> 3 / 1).  With ``codec_stats`` left out,
-#: every cell hashes the same on both commits (CHANGES.md has the table).
+#: nine Polyraptor hashes were re-captured in PR 22 and again in PR 23, neither
+#: of which changed simulated behaviour: every Polyraptor cell embeds
+#: ``codec_stats``, which lost two keys in PR 22 and whose ``kernel`` name went
+#: ``blocked`` -> ``bitplane`` in PR 23 (the parent's dict with only that
+#: string replaced hashes to the values below, payload cell included).  With
+#: ``codec_stats`` left out, every cell hashes the same across all three
+#: commits (CHANGES.md has the tables).
 GOLDEN = {
-    "polyraptor-unicast": "cf15e1056b219adbb4d2ade089a4031f890a08a0b1a143f121134b65bc4fb1dd",
-    "polyraptor-multicast": "2c0c08e49ca43ad69d3d2fe5437f6c47ab54e6f062a4ccfad688ab75047fce6e",
-    "polyraptor-fetch": "531633ddd3f385cfc68800a12885353db6fd811da9331f03e39d28a74e463819",
-    "polyraptor-ecmp": "39ed2a612f254c2f00759c4e86048ee7ac307ff1166a6de48e832a2ed0552ade",
-    "polyraptor-single": "90840560a666fa40945a6177750f2c8c896cef0b0a0c045dc0f786e58137a4fd",
-    "polyraptor-faults": "0d03e2ca9187b9e94b4f9baeedc18accd5893af1b707b1eacdc52a4499b3ecf7",
-    "polyraptor-ecn": "d49bcd0ae08eb323b21073e74c05ab34aebf2e2423705c6232e74c9645ab919e",
-    "polyraptor-telemetry": "7f1eee96af7d2143bb92bccd44ce5e7aebbed0acc81b83588ba7f08ed5dd44b8",
-    "polyraptor-payload": "f7f2a427e5f985ff88e7fdb12b9eb3a14225d7a879fb3e5b771c0696b54de982",
+    "polyraptor-unicast": "bc5786ac99205c5f805f582064218b6f58ad19b8139393c814f2f94f1bdf05ef",
+    "polyraptor-multicast": "ac32707cceb2a02b314ffbacf817903d2d1177cdc48c1df64dc7188894b6555f",
+    "polyraptor-fetch": "97638cbc93fe651d77b4dd3cdc7685c38c5ca2346e08cc62604bb693c040b1b8",
+    "polyraptor-ecmp": "1e63a7c15320258a3f05f8476d122b0115ac8419b3444ec8226a88a0c6703a30",
+    "polyraptor-single": "15c067bfce185b25fd5f0ed2747364eae0e0937806f9c88879f8db164c2cf7ae",
+    "polyraptor-faults": "d2a75beafb3727568aac026537bc3dc4cdaa36a3c18e22589a2305c303354db2",
+    "polyraptor-ecn": "bd80b1fa5ee2447c1b406d8ee757ab21be3807bb4fbd4d3160d2f3920380d52d",
+    "polyraptor-telemetry": "e36a2fab8300877de27e83dc5fbbafeb3d4cecb2ec288de1968254af37ccdb79",
+    "polyraptor-payload": "9c6ab77fbfac357e5b0cd77350b857a47de902ac05cf1e6b61ded110fd1e1cfa",
     "tcp-unicast": "a5bdd55f40cab0e32e770db48e12668a31564b003b91a12716051e445c8745d5",
     "tcp-multicast": "1ce845de89b0690143144976085779be2da505c195459e9fd4f11782e14ad012",
     "tcp-fetch": "bd26c01dabfd1a72b972a48f53d234cb04aee39c2d42248e51756c4ea98a07d1",

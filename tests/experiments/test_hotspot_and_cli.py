@@ -104,12 +104,13 @@ class TestCli:
     def test_cli_kernel_flag_threads_into_config(self):
         from repro.cli import _build_config
 
-        args = build_parser().parse_args(["figure1a", "--kernel", "blocked"])
-        assert _build_config(args).polyraptor.codec_kernel == "blocked"
+        args = build_parser().parse_args(["figure1a", "--kernel", "numpy"])
+        assert _build_config(args).polyraptor.codec_kernel == "numpy"
         # Default stays auto; bogus names are rejected at parse time.
         assert build_parser().parse_args(["mix"]).kernel == "auto"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["mix", "--kernel", "fortran"])
+        for unknown in ("fortran", "blocked", "numba"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["mix", "--kernel", unknown])
 
     def test_cli_paper_scale_selects_paper_fabric(self):
         from repro.cli import _build_config

@@ -190,7 +190,7 @@ class TestMergeRoundTrip:
 
     def test_codec_stats_merge_keeps_unknown_counters(self):
         base = {
-            "backend": "planned", "kernel": "blocked",
+            "backend": "planned", "kernel": "bitplane",
             "blocks_encoded": 1, "blocks_decoded": 1,
             "plan_cache": {"hits": 1, "misses": 1},
             "decode_plan_cache": {"hits": 0, "misses": 0},

@@ -25,6 +25,15 @@ async def _start_server(store, port=0, **kwargs):
     return transport, protocol, port
 
 
+async def _wait_for_live_session(protocol) -> None:
+    """Return once the server holds a session (a REQUEST was granted and served)."""
+    for _ in range(400):
+        if protocol._sessions:
+            return
+        await asyncio.sleep(0.005)
+    pytest.fail("no session ever started")
+
+
 def _store(name: str, size: int) -> ObjectStore:
     store = ObjectStore()
     store.put(name, deterministic_object(size, seed=name))
@@ -70,14 +79,17 @@ def test_receiver_restart_fetches_again_cleanly():
 
     async def scenario():
         store = _store("restart", 150_000)
-        transport, protocol, port = await _start_server(store)
+        # Rate-capped at both ends: the object needs >= 24 ms on the wire, so
+        # a receiver killed the moment its session goes live is always
+        # mid-stream, however fast the codec and the loop are.
+        transport, protocol, port = await _start_server(store, max_rate_bps=50e6)
         try:
             first = asyncio.ensure_future(
-                fetch_object_async("restart", port=port, transfer_timeout_s=20.0)
+                fetch_object_async("restart", port=port, transfer_timeout_s=20.0,
+                                   max_rate_bps=50e6)
             )
-            # Kill the first receiver almost immediately -- mid-handshake or
-            # mid-stream depending on scheduling, both must be survivable.
-            await asyncio.sleep(0.01)
+            await _wait_for_live_session(protocol)
+            assert protocol.sessions_completed == 0, "transfer finished before the kill"
             first.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await first
@@ -108,12 +120,7 @@ def test_server_restart_mid_transfer_resumes_and_completes():
             )
         )
         # Wait for a live session, then let some symbols flow.
-        for _ in range(400):
-            if protocol._sessions:
-                break
-            await asyncio.sleep(0.005)
-        else:
-            pytest.fail("no session ever started")
+        await _wait_for_live_session(protocol)
         await asyncio.sleep(0.02)
         drivers = list(protocol._sessions.values())
         assert drivers and drivers[0].core.symbols_sent > 0, "restart was not mid-transfer"

@@ -69,7 +69,6 @@ class TestBackendEquivalence:
         source = source_block(k)
         reference = BlockEncoder(source, context=CodecContext("reference"))
         planned = BlockEncoder(source, context=CodecContext("planned"))
-        assert np.array_equal(reference.intermediate_plane, planned.intermediate_plane)
         for esi in list(range(k)) + list(range(k, k + 8)):
             assert reference.symbol(esi) == planned.symbol(esi), f"esi={esi}"
 
@@ -100,16 +99,21 @@ class TestBackendEquivalence:
 
 class TestPlanCacheBehaviour:
     def test_second_block_same_k_hits_cache(self):
+        # The plan is looked up once per block, on its first repair symbol:
+        # constructing and further repairs cost no lookup.
         context = CodecContext("planned")
-        BlockEncoder(source_block(24, seed=1), context=context)
+        first = BlockEncoder(source_block(24, seed=1), context=context)
+        assert context.stats.lookups == 0
+        first.symbol(24)
+        first.symbol_block(range(25, 30))
         assert (context.stats.hits, context.stats.misses) == (0, 1)
-        BlockEncoder(source_block(24, seed=2), context=context)
+        BlockEncoder(source_block(24, seed=2), context=context).symbol(24)
         assert (context.stats.hits, context.stats.misses) == (1, 1)
 
     def test_distinct_k_values_do_not_share_plans(self):
         context = CodecContext("planned")
-        BlockEncoder(source_block(10), context=context)
-        BlockEncoder(source_block(11), context=context)
+        BlockEncoder(source_block(10), context=context).symbol(10)
+        BlockEncoder(source_block(11), context=context).symbol(11)
         assert context.stats.misses == 2
         assert context.cached_plans == 2
 
@@ -133,7 +137,9 @@ class TestPlanCacheBehaviour:
 
     def test_stats_dict_shape(self):
         context = CodecContext("planned")
-        BlockEncoder(source_block(8), context=context)
+        encoder = BlockEncoder(source_block(8), context=context)
+        assert context.stats_dict()["blocks_encoded"] == 1  # counted at construction
+        encoder.symbol(8)
         stats = context.stats_dict()
         assert stats["backend"] == "planned"
         assert stats["blocks_encoded"] == 1
@@ -170,16 +176,6 @@ class TestEliminationPlan:
         assert np.array_equal(plan.replay(rhs), plan.apply(rhs))
         assert plan.steps, "the recorded row-op sequence must not be empty"
 
-    def test_apply_from_row_equals_zero_padded_apply(self):
-        params = for_k(7)
-        plan = build_plan(constraint_matrix(params))
-        constraints = params.num_ldpc_symbols + params.num_hdpc_symbols
-        rng = np.random.default_rng(7)
-        tail = rng.integers(0, 256, (plan.num_rows - constraints, 5), dtype=np.uint8)
-        full = np.zeros((plan.num_rows, 5), dtype=np.uint8)
-        full[constraints:] = tail
-        assert np.array_equal(plan.apply_from_row(tail, constraints), plan.apply(full))
-
     def test_overdetermined_decode_plan(self):
         params = for_k(6)
         k = params.num_source_symbols
@@ -212,8 +208,6 @@ class TestEliminationPlan:
         plan = build_plan(np.eye(4, dtype=np.uint8))
         with pytest.raises(ValueError):
             plan.apply(np.zeros((5, 2), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            plan.apply_from_row(np.zeros((4, 2), dtype=np.uint8), 1)
 
 
 class TestGfMatmul:

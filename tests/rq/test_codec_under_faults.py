@@ -1,8 +1,7 @@
 """Codec coverage under fault-shaped loss: the test-debt satellite for PR 3/4.
 
 Seeded randomized encode/decode round-trip property tests across every GF
-kernel available on this platform (``numpy``/``blocked`` always, ``numba``
-when importable) at 0-30% symbol loss -- the loss regime the fault and
+kernel (``numpy`` and ``bitplane``) at 0-30% symbol loss -- the loss regime the fault and
 gray-failure models produce -- asserting byte-identical recovery on every
 kernel and that every lossy block decodes through the plan its block size
 was encoded with.  Plus a regression test for the ``plan_store_for_jobs``

@@ -90,14 +90,18 @@ class TestPlanStoreRoundTrip:
 
 class TestCacheStoreConversions:
     def test_snapshot_contains_lazily_built_plans(self):
+        # "Lazily" means on the first repair symbol: sources alone build nothing.
         context = CodecContext("planned")
-        BlockEncoder(_source_symbols(), context=context)
+        encoder = BlockEncoder(_source_symbols(), context=context)
+        encoder.symbol_block(range(K))
+        assert len(context.snapshot_plans()) == 0
+        encoder.symbol(K)
         store = context.snapshot_plans()
         assert ("encode", for_k(K)) in store
 
     def test_prewarm_matches_lazily_built_keys(self):
         context = CodecContext("planned")
-        BlockEncoder(_source_symbols(), context=context)
+        BlockEncoder(_source_symbols(), context=context).symbol(K)
         lazy = context.snapshot_plans()
         warmed = prewarm_encode_plans([K])
         assert set(warmed.plans) == set(lazy.plans)
@@ -116,12 +120,12 @@ class TestCacheStoreConversions:
         cold_encoder = BlockEncoder(source, context=cold)
         warm = CodecContext("planned", preload=prewarm_encode_plans([K]))
         warm_encoder = BlockEncoder(source, context=warm)
-        assert cold.stats.misses == 1
-        assert warm.stats.misses == 0
-        assert warm.stats.hits == 1
         esis = list(range(K + 4))
         assert np.array_equal(cold_encoder.symbol_block(esis),
                               warm_encoder.symbol_block(esis))
+        assert cold.stats.misses == 1
+        assert warm.stats.misses == 0
+        assert warm.stats.hits == 1
 
     def test_plan_cache_preload_respects_capacity(self):
         cache = PlanCache(max_entries=1)
