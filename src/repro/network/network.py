@@ -213,12 +213,15 @@ class Network:
         self._links[(src_name, dst_name)] = link
         self._directed_ports[(src_name, dst_name)] = port
 
-    def _install_routes(self) -> None:
+    def _install_routes(self) -> int:
+        """Install the routing table into every switch; count changed entries."""
+        changed = 0
         for switch_name, switch in self.switches.items():
-            for host in self.hosts:
-                hops = self.routing_table.next_hops_or_empty(switch_name, host.name)
-                if hops:
-                    switch.set_next_hops(host.node_id, hops)
+            routes = self.routing_table.routes_from(switch_name)
+            changed += switch.replace_unicast_table(
+                {host.node_id: routes.get(host.name, ()) for host in self.hosts}
+            )
+        return changed
 
     # Lookup ----------------------------------------------------------------------
 
@@ -457,13 +460,7 @@ class Network:
     ) -> int:
         """Rebuild + install unicast tables and multicast trees; count changes."""
         self.routing_table.rebuild(failed_edges, failed_switches)
-        changed = 0
-        for switch_name, switch in self.switches.items():
-            table = {
-                host.node_id: self.routing_table.next_hops_or_empty(switch_name, host.name)
-                for host in self.hosts
-            }
-            changed += switch.replace_unicast_table(table)
+        changed = self._install_routes()
         self._reinstall_multicast_groups()
         self.route_installs += 1
         return changed

@@ -17,6 +17,12 @@ next-hop set on the *surviving* topology (the base graph minus failed links
 and failed switches), which is how the fault-injection subsystem
 (:mod:`repro.faults`) reroutes traffic after a topology change.  Rebuilding
 with no failures restores exactly the original table.
+
+Next hops are computed per destination *rack*, not per host: a host has
+exactly one uplink, so every shortest path toward it ends rack -> host, and
+every switch other than the rack itself uses the same next hops toward the
+host as toward its rack.  One breadth-first search per live rack switch over
+the surviving switch adjacency therefore yields the whole table.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-import networkx as nx
-
-from repro.network.topology import Topology
+from repro.network.topology import Topology, bfs_distances
 
 
 class RoutingMode(str, Enum):
@@ -57,19 +61,15 @@ class RoutingTable:
         self._topology = topology
         self._failed_edges = self._normalise_edges(failed_edges)
         self._failed_nodes = frozenset(failed_nodes)
-        self._graph: nx.Graph = topology.graph
         #: next_hops[switch_name][host_name] -> tuple of neighbour names
         self._next_hops: dict[str, dict[str, tuple[str, ...]]] = {}
+        #: host name -> its rack switch, for hosts whose uplink survives
+        self._uplinks: dict[str, str] = {}
         self._build()
 
     @staticmethod
     def _normalise_edges(edges: Iterable[Iterable[str]]) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(edge) for edge in edges)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The effective (surviving) graph the current routes were computed on."""
-        return self._graph
 
     @property
     def failed_edges(self) -> frozenset[frozenset[str]]:
@@ -97,32 +97,38 @@ class RoutingTable:
         self._build()
 
     def _build(self) -> None:
-        base = self._topology.graph
-        if self._failed_edges or self._failed_nodes:
-            graph = nx.restricted_view(
-                base,
-                tuple(sorted(self._failed_nodes)),
-                tuple(tuple(sorted(edge)) for edge in self._failed_edges),
-            )
-        else:
-            graph = base
-        self._graph = graph
-        self._next_hops = {switch: {} for switch in self._topology.switches}
-        live_switches = set(self._topology.switches) - set(self._failed_nodes)
-        for host in self._topology.hosts:
-            distances = nx.single_source_shortest_path_length(graph, host)
-            for switch in live_switches:
-                switch_distance = distances.get(switch)
-                if switch_distance is None:
-                    continue
-                hops = tuple(
-                    sorted(
-                        neighbour
-                        for neighbour in graph.neighbors(switch)
-                        if distances.get(neighbour, float("inf")) == switch_distance - 1
-                    )
-                )
+        topology = self._topology
+        adj = topology.graph.adj
+        failed_nodes = self._failed_nodes
+        down = {pair for a, b in self._failed_edges for pair in ((a, b), (b, a))}
+        switches = topology.switches
+        live = {switch for switch in switches if switch not in failed_nodes}
+        fabric = {
+            switch: [n for n in adj[switch] if n in live and (switch, n) not in down]
+            for switch in switches
+            if switch in live
+        }
+        self._uplinks = {
+            host: rack
+            for host in topology.hosts
+            for rack in adj[host]
+            if rack in live and (host, rack) not in down
+        }
+        toward_rack: dict[str, dict[str, tuple[str, ...]]] = {}
+        for rack in set(self._uplinks.values()):
+            distances = bfs_distances(fabric, rack)
+            toward_rack[rack] = {
+                switch: tuple(sorted(
+                    n for n in fabric[switch] if distances.get(n) == distance - 1
+                ))
+                for switch, distance in distances.items()
+                if distance
+            }
+        self._next_hops = {switch: {} for switch in switches}
+        for host, rack in self._uplinks.items():
+            for switch, hops in toward_rack[rack].items():
                 self._next_hops[switch][host] = hops
+            self._next_hops[rack][host] = (host,)
 
     def next_hops(self, switch_name: str, host_name: str) -> tuple[str, ...]:
         """All equal-cost next hops from ``switch_name`` toward ``host_name``."""
@@ -142,6 +148,10 @@ class RoutingTable:
         """
         return self._next_hops.get(switch_name, {}).get(host_name, ())
 
+    def routes_from(self, switch_name: str) -> dict[str, tuple[str, ...]]:
+        """Every host reachable from ``switch_name`` -> its next hops (do not mutate)."""
+        return self._next_hops[switch_name]
+
     def path(self, src_host: str, dst_host: str, tie_break: int = 0) -> list[str]:
         """Return one deterministic shortest path between two hosts.
 
@@ -152,13 +162,10 @@ class RoutingTable:
         """
         if src_host == dst_host:
             return [src_host]
-        graph = self._graph
-        path = [src_host]
-        uplinks = list(graph.neighbors(src_host))
-        if not uplinks:
+        current = self._uplinks.get(src_host)
+        if current is None:
             raise KeyError(f"host {src_host!r} has no live uplink")
-        current = uplinks[0]  # host's single uplink
-        path.append(current)
+        path = [src_host, current]
         while current != dst_host:
             hops = self.next_hops(current, dst_host)
             if not hops:

@@ -73,10 +73,6 @@ class Switch(Node):
         """All egress ports keyed by remote node name."""
         return dict(self._ports)
 
-    def set_next_hops(self, dst_host_id: int, remote_names: tuple[str, ...]) -> None:
-        """Install the equal-cost next-hop set toward a destination host."""
-        self._next_hops[dst_host_id] = remote_names
-
     def next_hops_toward(self, dst_host_id: int) -> tuple[str, ...]:
         """The installed next-hop set toward a host (empty if none installed)."""
         return self._next_hops.get(dst_host_id, ())

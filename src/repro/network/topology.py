@@ -1,6 +1,6 @@
 """Data-centre topologies.
 
-Topologies are pure descriptions (a networkx graph plus node-role metadata);
+Topologies are pure descriptions (a :class:`Graph` plus node-role metadata);
 :class:`repro.network.network.Network` turns a description into simulated
 switches, hosts, ports and links.
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
+from typing import Iterable, Iterator, Mapping
 
 
 class NodeRole(str, Enum):
@@ -35,18 +34,91 @@ class NodeRole(str, Enum):
     SPINE = "spine"
 
 
+class Graph:
+    """An undirected simple graph over node names, kept in insertion order.
+
+    ``adj[name]`` maps each neighbour to ``None`` (an insertion-ordered set),
+    so every listing below is deterministic.  :attr:`edges` reports each link
+    once, node-major, from its earlier-inserted endpoint: link wiring, the
+    fault builders and the golden fingerprints all inherit that order.
+    """
+
+    def __init__(self) -> None:
+        self.adj: dict[str, dict[str, None]] = {}
+
+    def add_node(self, name: str) -> None:
+        """Add a node (a no-op if it exists)."""
+        self.adj.setdefault(name, {})
+
+    def add_edge(self, a: str, b: str) -> None:
+        """Add an undirected link, adding missing endpoints."""
+        self.adj.setdefault(a, {})[b] = None
+        self.adj.setdefault(b, {})[a] = None
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.adj
+
+    @property
+    def nodes(self) -> list[str]:
+        """Node names in insertion order."""
+        return list(self.adj)
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """Every link once, as ``(earlier-inserted endpoint, other)``."""
+        seen: set[str] = set()
+        edges = []
+        for node, neighbours in self.adj.items():
+            edges.extend((node, other) for other in neighbours if other not in seen)
+            seen.add(node)
+        return edges
+
+    @property
+    def degree(self) -> dict[str, int]:
+        """Node name -> number of links (a fresh dict per access)."""
+        return {node: len(neighbours) for node, neighbours in self.adj.items()}
+
+    def neighbors(self, name: str) -> Iterator[str]:
+        """Neighbours of ``name`` in link-insertion order."""
+        return iter(self.adj[name])
+
+    def has_edge(self, a: str, b: str) -> bool:
+        """Whether ``a`` and ``b`` are linked."""
+        return b in self.adj.get(a, ())
+
+    def number_of_nodes(self) -> int:
+        """Number of nodes."""
+        return len(self.adj)
+
+
+def bfs_distances(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
+    """Hop count from ``source`` to every node reachable over ``adj``."""
+    distances = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for node in frontier:
+            hop = distances[node] + 1
+            for neighbour in adj[node]:
+                if neighbour not in distances:
+                    distances[neighbour] = hop
+                    reached.append(neighbour)
+        frontier = reached
+    return distances
+
+
 @dataclass
 class Topology:
     """A named graph with per-node roles.
 
     Attributes:
         name: human-readable topology name.
-        graph: undirected networkx graph; nodes are string names.
+        graph: undirected :class:`Graph`; nodes are string names.
         roles: mapping node name -> :class:`NodeRole`.
     """
 
     name: str
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: Graph = field(default_factory=Graph)
     roles: dict[str, NodeRole] = field(default_factory=dict)
 
     def add_node(self, name: str, role: NodeRole) -> str:
@@ -98,10 +170,11 @@ class Topology:
         """Sanity-check the topology (connected, hosts have exactly one uplink)."""
         if self.graph.number_of_nodes() == 0:
             raise ValueError("topology is empty")
-        if not nx.is_connected(self.graph):
+        adj = self.graph.adj
+        if len(bfs_distances(adj, next(iter(adj)))) != len(adj):
             raise ValueError("topology is not connected")
         for host in self.hosts:
-            if self.graph.degree[host] != 1:
+            if len(adj[host]) != 1:
                 raise ValueError(f"host {host!r} must have exactly one uplink")
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.network.routing import RoutingMode, RoutingTable, select_next_hop, stable_hash
-from repro.network.topology import FatTreeTopology
+from repro.network.topology import FatTreeTopology, LeafSpineTopology, NodeRole, single_rack
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,85 @@ class TestRoutingRebuild:
         table = RoutingTable(topology, failed_edges=[(rack, "h0")])
         with pytest.raises(KeyError):
             table.path("h0", "h15")
+
+
+def oracle_routes(topology, failed_edges, failed_nodes):
+    """Brute force: one BFS per *host* over the surviving graph, no rack shortcut."""
+    dead = {frozenset(edge) for edge in failed_edges}
+    adj = {
+        node: [n for n in topology.graph.neighbors(node)
+               if n not in failed_nodes and frozenset((node, n)) not in dead]
+        for node in topology.graph.nodes if node not in failed_nodes
+    }
+    table = {}
+    for host in topology.hosts:
+        distance, frontier = {host: 0}, [host]
+        while frontier:
+            node = frontier.pop(0)
+            for n in adj[node]:
+                if n not in distance:
+                    distance[n] = distance[node] + 1
+                    frontier.append(n)
+        for switch in topology.switches:
+            if switch in distance:
+                table[switch, host] = tuple(sorted(
+                    n for n in adj[switch] if distance.get(n) == distance[switch] - 1))
+    return adj, table
+
+
+def oracle_path(adj, table, src, dst, tie_break):
+    """``RoutingTable.path``'s contract, walked over the oracle table."""
+    if src == dst:
+        return [src]
+    if not adj.get(src):
+        raise KeyError(src)
+    path = [src, adj[src][0]]
+    while path[-1] != dst:
+        hops = table[path[-1], dst]
+        path.append(dst if dst in hops else hops[(tie_break + len(path)) % len(hops)])
+    return path
+
+
+class TestRoutingOracle:
+    """Per-rack routing equals per-host all-pairs BFS under random damage."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [FatTreeTopology(4), FatTreeTopology(6), LeafSpineTopology(4, 3, 4), single_rack(5)],
+        ids=lambda topology: topology.name,
+    )
+    def test_matches_brute_force_under_failures(self, topology):
+        rng = random.Random(topology.name)
+        hosts, switches = topology.hosts, topology.switches
+        is_host = {name: topology.roles[name] is NodeRole.HOST for name in topology.roles}
+        uplinks = [edge for edge in topology.graph.edges if is_host[edge[0]] or is_host[edge[1]]]
+        fabric = [edge for edge in topology.graph.edges if edge not in uplinks]
+        table = RoutingTable(topology)
+        original = {(s, h): table.next_hops_or_empty(s, h) for s in switches for h in hosts}
+        assert original == oracle_routes(topology, (), ())[1]
+        for _ in range(300):
+            failed_edges = (rng.sample(fabric, rng.randint(0, min(6, len(fabric))))
+                            + rng.sample(uplinks, rng.randint(0, 2)))
+            failed_nodes = rng.sample(switches, rng.randint(0, min(2, len(switches) - 1)))
+            table.rebuild(failed_edges, failed_nodes)
+            adj, expected = oracle_routes(topology, failed_edges, failed_nodes)
+            for switch in switches:
+                for host in hosts:
+                    assert table.next_hops_or_empty(switch, host) == expected.get(
+                        (switch, host), ()), (switch, host, failed_edges, failed_nodes)
+            pairs = [(rng.choice(hosts), rng.choice(hosts)) for _ in range(8)]
+            pairs += [(edge[1], rng.choice(hosts)) for edge in failed_edges if is_host[edge[1]]]
+            for src, dst in pairs:
+                for tie_break in range(3):
+                    try:
+                        want = oracle_path(adj, expected, src, dst, tie_break)
+                    except KeyError:
+                        with pytest.raises(KeyError):
+                            table.path(src, dst, tie_break)
+                    else:
+                        assert table.path(src, dst, tie_break) == want
+        table.rebuild()
+        assert {(s, h): table.next_hops_or_empty(s, h) for s in switches for h in hosts} == original
 
 
 class TestNextHopSelection:

@@ -75,6 +75,35 @@ class TestLeafSpine:
             LeafSpineTopology(0, 1, 1)
 
 
+class TestEdgeOrder:
+    """``graph.edges`` order is what link wiring and the golden fingerprints inherit."""
+
+    def test_fattree_first_edges(self):
+        assert FatTreeTopology(4).graph.edges[:8] == [
+            ("core0", "agg0_0"), ("core0", "agg1_0"), ("core0", "agg2_0"), ("core0", "agg3_0"),
+            ("core1", "agg0_0"), ("core1", "agg1_0"), ("core1", "agg2_0"), ("core1", "agg3_0"),
+        ]
+
+    def test_leafspine_first_edges(self):
+        assert LeafSpineTopology(2, 2, 2).graph.edges[:8] == [
+            ("spine0", "leaf0"), ("spine0", "leaf1"), ("spine1", "leaf0"), ("spine1", "leaf1"),
+            ("leaf0", "h0"), ("leaf0", "h1"), ("leaf1", "h2"), ("leaf1", "h3"),
+        ]
+
+    @pytest.mark.parametrize(
+        "topo", [FatTreeTopology(4), LeafSpineTopology(2, 2, 2), single_rack(3)],
+        ids=lambda topo: topo.name,
+    )
+    def test_each_link_once_from_earlier_inserted_endpoint(self, topo):
+        position = {name: index for index, name in enumerate(topo.graph.nodes)}
+        edges = topo.graph.edges
+        assert all(position[a] < position[b] for a, b in edges)
+        assert len({frozenset(edge) for edge in edges}) == len(edges)
+        assert 2 * len(edges) == sum(topo.graph.degree.values())
+        # node-major: the earlier endpoints appear in insertion order
+        assert [position[a] for a, _ in edges] == sorted(position[a] for a, _ in edges)
+
+
 class TestSingleRackAndValidation:
     def test_single_rack(self):
         topo = single_rack(6)
