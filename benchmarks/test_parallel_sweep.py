@@ -2,7 +2,7 @@
 
 The acceptance contract of the parallel executor is two-sided: a sweep run
 with ``jobs=N`` must (a) produce results identical to sequential execution
--- per-series rank curves, summaries and merged plan-cache counters -- and
+-- per-series rank curves, summaries and merged codec counters -- and
 (b) actually pay for its spawn/IPC overhead.  This benchmark measures both
 and records them, with the executor's per-phase profile, in
 ``BENCH_parallel_sweep.json``.
@@ -149,17 +149,15 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
         + format_codec_stats(sharded.codec_stats),
     )
 
-    # Pre-warmed encode plans mean encode never misses; any misses left are
-    # decode-side (plans keyed by the exact lost-packet pattern, which cannot
-    # be pre-computed), so they are bounded by the number of decoded blocks.
+    # Every run counts in a fresh context, and its objects are one block of
+    # one K': at most one basis miss per run, whichever process ran it.
     stats = sharded.codec_stats["1 Replica RQ"]
-    assert stats["plan_cache"]["misses"] <= stats["blocks_decoded"]
-    assert stats["plan_cache"]["hits"] >= stats["blocks_encoded"]
+    assert stats["plan_cache"]["misses"] <= stats["shards"]
 
     # The profile must expose the per-phase accounting the json promises.
     assert sharded_profile is not None
     for field in ("bytes_shipped", "serialize_s", "worker_init_s", "merge_s",
-                  "wall_s", "run_s", "pool_spawn_s", "plans_ship_s"):
+                  "wall_s", "run_s", "pool_spawn_s"):
         assert field in sharded_profile
     assert sharded_profile["workers"] == JOBS
 

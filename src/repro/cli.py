@@ -14,14 +14,11 @@ Usage (``python -m repro`` and ``python -m repro.cli`` are equivalent)::
     python -m repro all --fattree-k 4 --sessions 24
 
 Each command prints the same text table the corresponding benchmark produces,
-followed by the merged RQ plan-cache counters for the coded series.
+followed by the merged RQ codec block counters for the coded series.
 ``--jobs N`` shards a sweep's independent runs over N worker processes
 (:mod:`repro.experiments.parallel`); ``--jobs auto`` uses one worker per CPU
 core.  The output is byte-identical for every jobs value, only faster on
-multi-core machines.  ``--progress`` logs one stderr line per finished run,
-and ``--plan-cache`` persists factorised elimination plans across
-invocations (default file under ``~/.cache/repro/``, keyed by package
-version).
+multi-core machines.  ``--progress`` logs one stderr line per finished run.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
 
-from repro.core.config import PolyraptorConfig
 from repro.experiments import correlated, hotspot, incast, resilience, workload_mix
 from repro.experiments.ablations import (
     initial_window_ablation,
@@ -46,11 +42,9 @@ from repro.experiments.figure1c import run_figure1c
 from repro.experiments.parallel import (
     clear_telemetry,
     collected_telemetry,
-    default_plan_cache_path,
     log_progress,
     resolve_jobs,
     set_chunk_size,
-    set_plan_cache_path,
     set_progress_logger,
     set_transport,
 )
@@ -70,7 +64,6 @@ from repro.obs import (
     write_telemetry_csv,
     write_telemetry_jsonl,
 )
-from repro.rq.kernels import available_kernels
 from repro.utils.units import KILOBYTE
 
 
@@ -85,16 +78,14 @@ def _telemetry_config(args: argparse.Namespace) -> TelemetryConfig | None:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    polyraptor = PolyraptorConfig(codec_kernel=getattr(args, "kernel", "auto"))
     telemetry = _telemetry_config(args)
     if getattr(args, "paper_scale", False):
         # The k=10 250-host preset; size/load flags are superseded, while
-        # seed, time cap, codec and telemetry knobs still apply.
+        # seed, time cap and telemetry knobs still apply.
         return replace(
             ExperimentConfig.paper_fabric(),
             seed=args.seed,
             max_sim_time_s=args.max_sim_time,
-            polyraptor=polyraptor,
             telemetry=telemetry,
         )
     return ExperimentConfig(
@@ -104,7 +95,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         offered_load=args.load,
         seed=args.seed,
         max_sim_time_s=args.max_sim_time,
-        polyraptor=polyraptor,
         telemetry=telemetry,
     )
 
@@ -152,21 +142,6 @@ _delay_ms_type = _number_type(
     "delay", float, "a number (ms)", lambda ms: ms >= 0, "non-negative")
 
 
-def _kernel_type(value: str) -> str:
-    """Validate --kernel at parse time.
-
-    An unknown kernel must fail before any simulation starts -- in a sharded
-    sweep the TCP baselines would otherwise complete and the first
-    Polyraptor job die with a worker traceback.
-    """
-    if value == "auto" or value in available_kernels():
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown kernel {value!r} (choose from: "
-        f"{', '.join(['auto'] + available_kernels())})"
-    )
-
-
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fattree-k", type=int, default=4,
                         help="fat-tree arity (k=10 is the paper's 250-host fabric)")
@@ -185,11 +160,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "for any value)")
     parser.add_argument("--progress", action="store_true",
                         help="log one stderr line per finished run")
-    parser.add_argument("--plan-cache", nargs="?", const="auto", default=None,
-                        metavar="PATH",
-                        help="persist/reload factorised elimination plans across "
-                             "invocations; without PATH, a per-package-version file "
-                             "under ~/.cache/repro/ is used")
     parser.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
                         help="ship sharded payloads through shared memory "
                              "(--no-shm forces plain pickle over the pipe); "
@@ -199,13 +169,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="runs per dispatched batch in sharded sweeps "
                              "(default: ~4 batches per worker; affects "
                              "scheduling only, never results)")
-    parser.add_argument("--kernel", default="auto", type=_kernel_type,
-                        metavar="{auto,%s}" % ",".join(available_kernels()),
-                        help="GF(256) kernel for codec linear algebra; 'auto' "
-                             "honours REPRO_GF_KERNEL then picks the default "
-                             "(bitplane; numpy is the table-lookup oracle). "
-                             "Workers of a sharded sweep inherit this choice. "
-                             "Results are byte-identical for every kernel.")
     parser.add_argument("--paper-scale", action="store_true",
                         help="run on the paper's k=10, 250-host fabric preset "
                              "(100 sessions, offered load 0.33; supersedes "
@@ -656,13 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_execution_options(args: argparse.Namespace) -> None:
-    """Install process-wide executor options (progress, plan cache, transport)."""
+    """Install process-wide executor options (progress, transport, chunking)."""
     if getattr(args, "progress", False):
         set_progress_logger(log_progress)
-    plan_cache = getattr(args, "plan_cache", None)
-    if plan_cache is not None:
-        path = default_plan_cache_path() if plan_cache == "auto" else plan_cache
-        set_plan_cache_path(path)
     use_shm = getattr(args, "shm", None)
     if use_shm is not None:
         set_transport("shm" if use_shm else "pickle")

@@ -62,9 +62,9 @@ class PolyraptorAgent:
         self.registry = registry
         self.trace = trace if trace is not None else TraceLog(enabled=False)
         # One CodecContext is normally shared by every agent of a simulation
-        # (the runner passes it in) so all sessions amortise one plan cache;
-        # a per-agent context is created only for standalone agents.
-        self.codec = codec_context or CodecContext(self.config.codec_backend)
+        # (the runner passes it in) so its counters cover the whole run; a
+        # per-agent context is created only for standalone agents.
+        self.codec = codec_context or CodecContext()
         # Pulls are paced at one symbol serialisation time of the host's link
         # and scheduled on the simulator's event heap.
         self.pacer = PacedPullQueue(

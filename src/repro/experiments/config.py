@@ -199,15 +199,15 @@ class ExperimentConfig:
     def paper_fabric(cls) -> "ExperimentConfig":
         """The paper's k=10, 250-host fabric at a tractable session count.
 
-        The full :meth:`paper_scale` workload (10,000 x 4 MB sessions)
+        The full :meth:`paper_scale` workload (8,000 x 4 MB sessions)
         remains impractical in pure Python, but the fabric itself -- the
         part the resilience and figure-1 claims depend on, with real
-        oversubscription and path diversity -- is now affordable per seed:
-        100 sessions at the paper's ~0.33 offered load finish in minutes,
-        and the accelerated GF(256) kernel layer keeps payload-carrying
-        variants (``PolyraptorConfig(carry_payload=True)``) in the same
-        ballpark.  Use with ``--seeds 5`` for the paper's five-repetition
-        methodology; the CLI exposes this preset as ``--paper-scale``.
+        oversubscription and path diversity -- is affordable per seed: 100
+        sessions per series at the paper's ~0.33 offered load, and one seed
+        of ``figure1b --paper-scale`` (four such series) took 13-15 s with
+        ``--jobs 1`` on a 2-core Xeon under Python 3.11.  Use with
+        ``--seeds 5`` for the paper's five-repetition methodology; the CLI
+        exposes this preset as ``--paper-scale``.
         """
         return cls(
             fattree_k=10,
@@ -222,7 +222,7 @@ class ExperimentConfig:
     def paper_scale(cls) -> "ExperimentConfig":
         """The paper's full-scale configuration (impractically slow in pure Python).
 
-        250 hosts (k = 10), 10,000 sessions of 4 MB, 20% background, Poisson
+        250 hosts (k = 10), 8,000 sessions of 4 MB, 20% background, Poisson
         lambda = 2560 (offered load ~0.33 at 1 Gbps).
         """
         return cls(

@@ -1,10 +1,10 @@
-"""Sharded parallel experiment execution with a shared plan store.
+"""Sharded parallel experiment execution over a persistent worker pool.
 
 Every figure and ablation of the paper is a *sweep*: the cartesian product
 of seeds, protocols and scenario parameters, where each cell is one
 independent simulation run.  This module turns such a sweep into a list of
 :class:`RunJob` descriptions and executes them either in-process or across
-a **persistent pool of warm worker processes**, with four guarantees:
+a **persistent pool of warm worker processes**, with three guarantees:
 
 1. **Determinism.**  A job is a pure function of its fields: the worker
    rebuilds the topology from the config (``FatTreeTopology`` is a pure
@@ -14,30 +14,21 @@ a **persistent pool of warm worker processes**, with four guarantees:
    output of ``num_workers=N`` is byte-identical to ``num_workers=1`` for
    every N -- and for every transport and chunk size.
 
-2. **Warm codec caches everywhere.**  Elimination plans
-   (:class:`~repro.rq.plan.EliminationPlan`) are immutable, so the parent
-   pre-warms the per-K' plan for every block size appearing in the sweep
-   (the one plan both encoding and decoding look up), snapshots them into a
-   picklable :class:`~repro.rq.plan.PlanStore`, and ships the store
-   **once per worker per sweep** -- zero-copy through shared memory when
-   available.  Each job then runs with a
-   :class:`~repro.rq.backend.CodecContext` preloaded from the same store --
-   the sequential path does exactly the same, which is what keeps plan-cache
-   hit/miss counters identical across worker counts.
+2. **Cheap transport.**  Job batches and per-job results cross the process
+   boundary through ``multiprocessing.shared_memory`` segments
+   (:mod:`repro.experiments.shm`): ndarray planes are written once into the
+   segment and mapped by the consumer, so only tiny descriptors travel
+   through the pipe.  When shared memory is unavailable the executor falls
+   back transparently to pickle payloads -- results are identical, only
+   ``bytes_shipped`` grows.
 
-3. **Cheap transport.**  Job batches, per-job results and the plan store
-   cross the process boundary through ``multiprocessing.shared_memory``
-   segments (:mod:`repro.experiments.shm`): ndarray planes are written once
-   into the segment and mapped by the consumer, so only tiny descriptors
-   travel through the pipe.  When shared memory is unavailable the executor
-   falls back transparently to pickle payloads -- results are identical,
-   only ``bytes_shipped`` grows.
-
-4. **Amortised start-up.**  Workers are spawned once per process (imports,
-   GF(256) kernel selection, codec context warm-up) and kept alive across
-   sweeps: the second ``execute_jobs`` call of an invocation pays no spawn
-   or import cost.  Jobs are dispatched in chunked batches with dynamic
-   load balancing (a worker gets its next batch when it finishes one).
+3. **Amortised start-up.**  Workers are spawned once per process and kept
+   alive across sweeps: the second ``execute_jobs`` call of an invocation
+   pays no spawn or import cost, and a worker builds the codec's per-K'
+   basis (:func:`repro.rq.backend.generator_basis`) the first time one of
+   its jobs codes a block of that K', then keeps it.  Jobs are dispatched
+   in chunked batches with dynamic load balancing (a worker gets its next
+   batch when it finishes one).
 
 Every sharded call records an :class:`ExecutorProfile` (per-phase wall
 clock, ``bytes_shipped`` through the pipe, ``shm_bytes`` through shared
@@ -64,12 +55,9 @@ import queue
 import sys
 import time
 import traceback
-import warnings
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Hashable, Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.core.config import PolyraptorConfig
 from repro.experiments import shm
 from repro.experiments.config import ExperimentConfig, Protocol
@@ -79,10 +67,6 @@ from repro.network.network import NetworkConfig
 from repro.network.topology import FatTreeTopology
 from repro.obs.recorder import TelemetryRecord
 from repro.obs.registry import WindowedRate
-from repro.rq.backend import CodecContext, prewarm_encode_plans
-from repro.rq.block import partition_object
-from repro.rq.params import for_k
-from repro.rq.plan import PlanStore, PlanStoreSchemaError
 
 #: Start method used for worker pools; ``spawn`` is the portable choice and
 #: proves that every job artefact survives pickling.
@@ -210,143 +194,21 @@ class RunJob:
     fault_schedule: Optional[FaultSchedule] = None
 
 
-def sweep_block_sizes(jobs: Iterable[RunJob]) -> set[int]:
-    """Every block size K any payload-carrying Polyraptor job will encode.
-
-    Derived from each transfer's byte size through the same
-    :func:`~repro.rq.block.partition_object` the sender uses, so the
-    pre-warmed encode plans cover the sweep exactly.
-    """
-    sizes: set[int] = set()
-    for job in jobs:
-        if job.protocol is not Protocol.POLYRAPTOR:
-            continue
-        pcfg = job.polyraptor_config or job.config.polyraptor
-        if not pcfg.carry_payload:
-            continue
-        for spec in job.transfers:
-            oti = partition_object(
-                spec.size_bytes, pcfg.symbol_size_bytes, pcfg.max_symbols_per_block
-            )
-            sizes.update(oti.symbols_per_block)
-    return sizes
-
-
-def plan_store_for_jobs(jobs: Sequence[RunJob]) -> Optional[PlanStore]:
-    """Pre-warm a plan store for a sweep, or ``None`` when no job codes bytes.
-
-    Only payload-carrying Polyraptor jobs exercise the codec; for the
-    (default) identity-tracking simulations there is nothing to warm and no
-    store is shipped.  The per-K' plan is a pure function of K and serves
-    every block of that size in both directions under any loss, so the
-    store is exact.  It depends only on the job list, never on the worker
-    count, so plan-cache counters stay identical for every ``--jobs`` value.
-
-    When a persistent plan-cache path is installed (see
-    :func:`set_plan_cache_path`), previously saved plans are loaded first so
-    only the sweep's *missing* plans are factorised, and the merged store is
-    written back for the next process.  Only the plans this sweep can
-    actually look up (its block sizes') are returned -- and therefore
-    shipped to workers -- the cache file may have accumulated plans for
-    every block size ever run.
-    """
-    sizes = sweep_block_sizes(jobs)
-    if not sizes:
-        return None
-    store: Optional[PlanStore] = None
-    path = _plan_cache_path
-    if path is not None and path.exists():
-        try:
-            store = PlanStore.load(path)
-        except PlanStoreSchemaError as error:
-            # A store written under another plan-key schema would either
-            # never be looked up (wasted shipping) or, worse, collide with
-            # current keys.  Reject it loudly and rebuild from scratch.
-            warnings.warn(
-                f"discarding plan cache {path}: {error}", RuntimeWarning, stacklevel=2
-            )
-            store = None
-        except Exception:
-            store = None  # a corrupt cache file is rebuilt, never fatal
-    known = len(store) if store is not None else 0
-    store = prewarm_encode_plans(sizes, store=store)
-    if path is not None and len(store) != known:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Merge the latest on-disk contents before writing so a concurrent
-        # invocation's contributions survive, then replace atomically so no
-        # reader ever observes a torn file.  (The merge narrows, but does not
-        # close, the lost-update window -- acceptable for a pure cache whose
-        # worst case is refactorising a plan.)
-        try:
-            store.merge(PlanStore.load(path))
-        except Exception:
-            pass
-        temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        store.save(temp)
-        os.replace(temp, path)
-    needed = {("encode", for_k(k)) for k in sizes}
-    return PlanStore({key: plan for key, plan in store.plans.items() if key in needed})
-
-
-# Persistent cross-run plan cache ----------------------------------------------------
-#
-# The CLI's --plan-cache flag installs a process-wide cache file here: every
-# sweep of the invocation then reloads previously factorised encode plans
-# instead of rebuilding them, and contributes any new ones back.  The default
-# file name is keyed by the package version, which invalidates the cache
-# across releases; a codec change within an unreleased tree must bump the
-# version (or the user delete the file) to avoid replaying plans built by
-# the old solver -- plans are data, so a *format* change simply fails to
-# unpickle and is rebuilt.
-
-_plan_cache_path: Optional[Path] = None
-
-
-def default_plan_cache_path() -> Path:
-    """The conventional persistent plan-cache location, keyed by package version."""
-    return Path.home() / ".cache" / "repro" / f"plans-v{__version__}.pkl"
-
-
-def set_plan_cache_path(path: Optional[Union[str, Path]]) -> Optional[Path]:
-    """Install (or, with ``None``, remove) the persistent plan-cache file.
-
-    Returns the resolved path.  Affects every subsequent
-    :func:`plan_store_for_jobs` / :func:`execute_jobs` call in this process;
-    the cache never changes results, only how much elimination work a fresh
-    process repeats.
-    """
-    global _plan_cache_path
-    _plan_cache_path = Path(path).expanduser() if path is not None else None
-    return _plan_cache_path
-
-
-def run_job(job: RunJob, plan_store: Optional[PlanStore] = None) -> RunResult:
+def run_job(job: RunJob) -> RunResult:
     """Execute one job to completion in the current process.
 
     Both execution paths funnel through here -- the sequential loop directly
     and each pool worker via its batch loop -- so a job's result cannot
-    depend on *where* it ran.  Polyraptor jobs get a fresh codec context
-    seeded from ``plan_store`` (when given), making plan-cache counters a
-    function of the job alone.
+    depend on *where* it ran.  Every Polyraptor job counts its codec work in
+    a fresh codec context of its own.
     """
-    topology = FatTreeTopology(job.config.fattree_k)
-    codec_context: Optional[CodecContext] = None
-    if job.protocol is Protocol.POLYRAPTOR:
-        pcfg = job.polyraptor_config or job.config.polyraptor
-        # The kernel choice rides the job's (picklable) config, so a worker
-        # resolves exactly what the parent chose -- "auto" resolves the same
-        # way on both sides of the process boundary.
-        codec_context = CodecContext(
-            pcfg.codec_backend, preload=plan_store, kernel=pcfg.codec_kernel
-        )
     return run_transfers(
         job.protocol,
         job.config,
         list(job.transfers),
-        topology=topology,
+        topology=FatTreeTopology(job.config.fattree_k),
         polyraptor_config=job.polyraptor_config,
         network_config=job.network_config,
-        codec_context=codec_context,
         fault_schedule=job.fault_schedule,
     )
 
@@ -359,17 +221,16 @@ class ExecutorProfile:
     """Per-phase accounting for one ``execute_jobs`` call.
 
     ``bytes_shipped`` counts payload bytes that crossed the process pipe by
-    pickle (job batches, results and the plan store in ``pickle`` transport;
-    only tiny segment descriptors in ``shm`` transport -- envelopes are
-    estimated at a flat 64 bytes per message).  ``shm_bytes`` counts bytes
-    written into shared-memory segments instead.  Wall-clock phases:
-    ``prewarm_s`` (plan factorisation), ``pool_spawn_s`` (parent-observed
-    time until every worker reported ready -- includes the workers' imports;
-    zero when the persistent pool was reused), ``worker_init_s`` (slowest
-    worker's kernel + codec warm-up, paid once per pool), ``plans_ship_s``,
-    ``serialize_s``
-    (packing on both sides), ``merge_s`` (parent-side unpacking and
-    in-order merge) and ``run_s`` (summed worker simulation time).
+    pickle (job batches and results in ``pickle`` transport; only tiny
+    segment descriptors in ``shm`` transport -- envelopes are estimated at a
+    flat 64 bytes per message).  ``shm_bytes`` counts bytes written into
+    shared-memory segments instead.  Wall-clock phases: ``pool_spawn_s``
+    (parent-observed time until every worker reported ready -- includes the
+    workers' imports; zero when the persistent pool was reused),
+    ``worker_init_s`` (slowest worker's start-up after its imports, paid
+    once per pool), ``serialize_s`` (packing on both sides), ``merge_s``
+    (parent-side unpacking and in-order merge) and ``run_s`` (summed worker
+    simulation time).
     """
 
     label: str = ""
@@ -382,9 +243,11 @@ class ExecutorProfile:
     cpu_count: int = 1
     bytes_shipped: int = 0
     shm_bytes: int = 0
-    prewarm_s: float = 0.0
     pool_spawn_s: float = 0.0
     worker_init_s: float = 0.0
+    # Nothing is pre-warmed or shipped any more; the benchmark ledger still
+    # reads these two, so they stay, pinned at zero.
+    prewarm_s: float = 0.0
     plans_ship_s: float = 0.0
     serialize_s: float = 0.0
     dispatch_s: float = 0.0
@@ -523,22 +386,11 @@ def _dump_payload(obj, transport: str) -> tuple[tuple, int, int]:
     return ("pickle", blob), _ENVELOPE_BYTES + len(blob), 0
 
 
-def _load_payload(
-    payload: tuple,
-    copy: bool = True,
-    keepalive: Optional[list] = None,
-    unlink: bool = True,
-):
-    """Unpack a payload produced by :func:`_dump_payload`.
-
-    ``unlink=True`` is the single-consumer convention (results, job
-    batches).  The plan store is mapped by *every* worker, so those loads
-    pass ``unlink=False`` and the parent removes the name once all workers
-    have acknowledged.
-    """
+def _load_payload(payload: tuple):
+    """Unpack (and, for a segment, unlink) a payload from :func:`_dump_payload`."""
     kind, body = payload
     if kind == "shm":
-        return shm.unpack_object(body, unlink=unlink, copy=copy, keepalive=keepalive)
+        return shm.unpack_object(body)
     if kind == "pickle":
         return pickle.loads(body)
     raise ValueError(f"unknown payload kind {kind!r}")
@@ -554,65 +406,23 @@ def _discard_payload(payload: tuple) -> None:
 def _worker_main(worker_id: int, tasks, results, transport: str) -> None:
     """Entry point of one persistent pool worker.
 
-    Runs until a ``stop`` message arrives.  Initialisation happens exactly
-    once per worker process: the heavy imports were paid when this module
-    loaded, and the GF(256) kernel tables plus a codec context are warmed
-    here so the first job finds everything hot.
+    Runs until a ``stop`` message arrives; every other message is a
+    ``batch``.  The heavy imports were paid when this module loaded.
     """
     init_start = time.perf_counter()
-    from repro.rq.kernels import get_kernel
-
-    get_kernel(None)  # resolve + build the default kernel's tables
-    CodecContext()  # warm backend construction once
     results.put(("ready", worker_id, time.perf_counter() - init_start))
-    plan_store: Optional[PlanStore] = None
-    keepalive: list = []  # open shm mappings backing the zero-copy plan store
-    def _drop_plan_store() -> None:
-        # Release the zero-copy mapping in dependency order: first the plans
-        # whose operators alias the segment, then (after a collection pass
-        # clears any cycles) the mapping itself -- closing while ndarray
-        # views are live would raise BufferError at interpreter shutdown.
-        nonlocal plan_store
-        plan_store = None
-        if keepalive:
-            import gc
-
-            gc.collect()
-            for mapping in keepalive:
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - stray plan reference
-                    pass
-            keepalive.clear()
-
     while True:
         message = tasks.get()
         kind = message[0]
         if kind == "stop":
-            _drop_plan_store()
             return
-        if kind == "plans":
-            # A fresh store *replaces* the previous one (never merges): the
-            # sequential path preloads exactly this store per job, and the
-            # hit/miss determinism contract requires workers to match it.
-            payload = message[1]
-            _drop_plan_store()
-            if payload is not None:
-                # Zero-copy: the plans' operators alias the parent-created
-                # segment, so all workers share one set of physical pages.
-                # The parent owns the name and unlinks it after the acks.
-                plan_store = _load_payload(
-                    payload, copy=False, keepalive=keepalive, unlink=False
-                )
-            results.put(("plans_ok", worker_id))
-            continue
         if kind != "batch":  # pragma: no cover - protocol guard
             raise RuntimeError(f"worker {worker_id}: unknown message {kind!r}")
         batch_id, payload = message[1], message[2]
         try:
-            jobs = _load_payload(payload, copy=True)
+            jobs = _load_payload(payload)
             run_start = time.perf_counter()
-            runs = [run_job(job, plan_store) for job in jobs]
+            runs = [run_job(job) for job in jobs]
             run_s = time.perf_counter() - run_start
             pack_start = time.perf_counter()
             # Results are written in place into a fresh segment (pack_object
@@ -675,7 +485,6 @@ class WorkerPool:
                 raise RuntimeError(f"unexpected pool message {message[0]!r}")
             self.worker_init_s = max(self.worker_init_s, message[2])
         self.spawn_s = time.perf_counter() - spawn_start
-        self._plans_token: Optional[frozenset] = None
         self._closed = False
 
     @property
@@ -698,49 +507,6 @@ class WorkerPool:
                     raise WorkerCrashError(
                         f"worker process(es) died: {dead}; pool must be restarted"
                     ) from None
-
-    def ship_plan_store(
-        self, store: Optional[PlanStore]
-    ) -> tuple[int, int, float]:
-        """Ship ``store`` to every worker once; returns (pipe, shm, seconds).
-
-        The store is fingerprinted by its key set (plans are a pure function
-        of their key), so re-running the same sweep ships nothing.  In shm
-        transport a single segment is packed, every worker maps it zero-copy
-        and the parent unlinks the name afterwards -- the mapping, and the
-        one shared set of physical pages, survive until the workers exit.
-        """
-        token = frozenset(store.plans.keys()) if store is not None else frozenset()
-        if token == self._plans_token:
-            return 0, 0, 0.0
-        ship_start = time.perf_counter()
-        pipe_bytes = shm_bytes = 0
-        slot = None
-        if store is None:
-            payload = None
-        elif self.transport == "shm":
-            slot, stats = shm.pack_object(store)
-            payload = ("shm", slot)
-            shm_bytes = stats.total_bytes
-            pipe_bytes = _ENVELOPE_BYTES * self.num_workers
-        else:
-            blob = store.to_bytes()
-            payload = ("pickle", blob)
-            pipe_bytes = (len(blob) + _ENVELOPE_BYTES) * self.num_workers
-        try:
-            for tasks in self._tasks:
-                tasks.put(("plans", payload))
-            for _ in range(self.num_workers):
-                message = self._next_message()
-                if message[0] != "plans_ok":  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unexpected pool message {message[0]!r}")
-        finally:
-            if slot is not None:
-                # Every worker holds a mapping (or died -- in which case the
-                # pool is being torn down); release the name either way.
-                shm.discard_segment(slot)
-        self._plans_token = token
-        return pipe_bytes, shm_bytes, time.perf_counter() - ship_start
 
     def run_jobs(
         self,
@@ -792,7 +558,7 @@ class WorkerPool:
                     _, worker_id, batch_id, payload, stats = message
                     in_flight.pop(batch_id, None)
                     merge_start = time.perf_counter()
-                    batch_results[batch_id] = _load_payload(payload, copy=True)
+                    batch_results[batch_id] = _load_payload(payload)
                     profile.merge_s += time.perf_counter() - merge_start
                     profile.run_s += stats["run_s"]
                     profile.serialize_s += stats["serialize_s"]
@@ -945,7 +711,6 @@ atexit.register(shutdown_worker_pool)
 def execute_jobs(
     jobs: Sequence[RunJob],
     num_workers: int = 1,
-    plan_store: Optional[PlanStore] = None,
     start_method: str = DEFAULT_START_METHOD,
     progress: Optional[ProgressCallback] = None,
     transport: Optional[str] = None,
@@ -959,9 +724,6 @@ def execute_jobs(
         num_workers: how many worker processes to shard across; ``<= 1``
             runs everything sequentially in this process (no pool, no
             pickling) but with identical semantics.
-        plan_store: the shared elimination-plan store; when ``None`` one is
-            pre-warmed automatically for payload-carrying Polyraptor jobs
-            (see :func:`plan_store_for_jobs`).
         start_method: multiprocessing start method; ``spawn`` by default.
         progress: optional per-job callback ``(index, total, job, result)``,
             invoked in job order as results arrive (the CLI wires
@@ -990,15 +752,11 @@ def execute_jobs(
     if progress is None:
         progress = _default_progress
     profile = ExecutorProfile(label=label, jobs_total=total, cpu_count=available_cpus())
-    prewarm_start = time.perf_counter()
-    if plan_store is None:
-        plan_store = plan_store_for_jobs(jobs)
-    profile.prewarm_s = time.perf_counter() - prewarm_start
     if num_workers <= 1 or total <= 1:
         results: list[RunResult] = []
         run_start = time.perf_counter()
         for index, job in enumerate(jobs):
-            result = run_job(job, plan_store)
+            result = run_job(job)
             if progress is not None:
                 progress(index, total, job, result)
             results.append(result)
@@ -1017,10 +775,6 @@ def execute_jobs(
     profile.worker_init_s = pool.worker_init_s
     profile.chunk_size = _resolve_chunk(chunk, total, pool.num_workers)
     try:
-        pipe_bytes, shm_bytes, ship_s = pool.ship_plan_store(plan_store)
-        profile.bytes_shipped += pipe_bytes
-        profile.shm_bytes += shm_bytes
-        profile.plans_ship_s = ship_s
         results = pool.run_jobs(jobs, profile.chunk_size, progress, profile)
     except (WorkerCrashError, WorkerJobError):
         # The pool may hold poisoned queues or dead workers; restart fresh

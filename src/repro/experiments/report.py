@@ -113,34 +113,25 @@ def _merge_cache_counters(caches: Sequence[Mapping], name: str) -> dict:
 def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
     """Aggregate per-run codec statistics across the shards of a sweep.
 
-    Block and plan-cache counters (overall and decode-side) are summed and
+    Block and basis-lookup counters (overall and decode-side) are summed and
     hit rates recomputed from the totals, so a merged dict has the same
     shape as a single run's ``RunResult.codec_stats``; a ``shards`` field
-    records how many runs contributed.  ``backend`` and ``kernel`` join the
-    distinct names seen with ``+`` (shards normally agree).
-    ``cached_plans`` is the *maximum* across shards (each shard holds its
-    own cache, typically seeded with the same pre-warmed plans, so summing
-    would double-count).  Runs without codec work (``None``, e.g. TCP
-    baselines) are skipped; returns ``None`` when no run carried stats.
+    records how many runs contributed.  Runs without codec work (``None``,
+    e.g. TCP baselines) are skipped; returns ``None`` when no run carried
+    stats.
     """
     present = [stats for stats in stats_list if stats]
     if not present:
         return None
-    backends = sorted({str(stats.get("backend", "?")) for stats in present})
-    kernels = sorted({str(stats.get("kernel", "?")) for stats in present})
     merged = {
-        "backend": "+".join(backends),
-        "kernel": "+".join(kernels),
         "blocks_encoded": sum(stats.get("blocks_encoded", 0) for stats in present),
         "blocks_decoded": sum(stats.get("blocks_decoded", 0) for stats in present),
         "plan_cache": _merge_cache_counters(
             [stats.get("plan_cache", {}) for stats in present], "rq_plan_cache"
         ),
         "decode_plan_cache": _merge_cache_counters(
-            [stats.get("decode_plan_cache", {}) for stats in present],
-            "rq_decode_plan_cache",
+            [stats.get("decode_plan_cache", {}) for stats in present], "rq_decode_plan_cache"
         ),
-        "cached_plans": max(stats.get("cached_plans", 0) for stats in present),
         "shards": len(present),
     }
     # Any counter this merger does not know by name is summed generically, so
@@ -160,28 +151,16 @@ def merge_codec_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
 
 def format_codec_stats(
     stats_by_label: Mapping[str, Optional[dict]],
-    title: str = "RQ codec backend / plan cache",
+    title: str = "RQ codec blocks",
 ) -> str:
-    """Render per-run codec statistics (backend, kernel, plan-cache counters).
+    """Render per-run codec statistics: blocks encoded and decoded.
 
-    The ``dec hits`` / ``dec rate`` columns report the decode side's lookups
-    of the per-K' plan; below 1.0 only where a block was decoded before any
-    block of its size was encoded.  Runs without codec work (TCP baselines) render
-    as ``-`` rows, so the table always lists every series of an experiment.
+    Runs without codec work (TCP baselines) render as ``-`` rows, so the
+    table always lists every series of an experiment.
     """
-    def cached(stats: Mapping, cache: str, key: str, default=0):
-        return stats.get(cache, {}).get(key, default)
-
     columns = [
-        ("backend", lambda stats: str(stats.get("backend", "?"))),
-        ("kernel", lambda stats: str(stats.get("kernel", "?"))),
         ("blocks enc", lambda stats: str(stats.get("blocks_encoded", 0))),
         ("blocks dec", lambda stats: str(stats.get("blocks_decoded", 0))),
-        ("plan hits", lambda stats: str(cached(stats, "plan_cache", "hits"))),
-        ("plan misses", lambda stats: str(cached(stats, "plan_cache", "misses"))),
-        ("hit rate", lambda stats: f"{cached(stats, 'plan_cache', 'hit_rate', 0.0):.3f}"),
-        ("dec hits", lambda stats: str(cached(stats, "decode_plan_cache", "hits"))),
-        ("dec rate", lambda stats: f"{cached(stats, 'decode_plan_cache', 'hit_rate', 0.0):.3f}"),
     ]
     # Sorted by label like the figure tables it is printed under; the
     # counter tables instead follow the sweep order of their FCT table.
@@ -212,9 +191,7 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
         ("shm B", lambda profile: str(profile.get("shm_bytes", 0))),
         ("wall s", lambda profile: f"{profile.get('wall_s', 0.0):.2f}"),
         ("run s", lambda profile: f"{profile.get('run_s', 0.0):.2f}"),
-        ("prewarm ms", ms("prewarm_s")),
         ("spawn ms", ms("pool_spawn_s")),
-        ("plans ms", ms("plans_ship_s")),
         ("serialize ms", ms("serialize_s")),
         ("merge ms", ms("merge_s")),
     ]

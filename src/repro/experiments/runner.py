@@ -55,7 +55,7 @@ class RunResult:
     num_hosts: int
     trace: Optional[TraceLog] = None
     metadata: dict = field(default_factory=dict)
-    #: Codec-layer statistics (backend name, plan-cache hits/misses) for
+    #: Codec-layer statistics (blocks encoded/decoded, basis lookups) for
     #: Polyraptor runs; ``None`` for TCP runs, which do no coding.
     codec_stats: Optional[dict] = None
     #: Fault-layer statistics (per-event counters, fault-caused packet drops,
@@ -95,7 +95,11 @@ class RunResult:
             "dropped_packets": self.dropped_packets,
             "num_hosts": self.num_hosts,
             "metadata": dict(self.metadata),
-            "codec_stats": self.codec_stats,
+            # Only the block counters, which the simulated traffic decides;
+            # basis lookups are codec bookkeeping, not behaviour.
+            "codec_stats": self.codec_stats and {
+                key: self.codec_stats[key] for key in ("blocks_encoded", "blocks_decoded")
+            },
             "fault_stats": self.fault_stats,
             "transfers": [
                 {
@@ -164,8 +168,7 @@ def build_environment(
             fabric (trimming + spraying for Polyraptor, drop-tail + ECMP for
             TCP).  Ablations use this to run Polyraptor on non-standard
             fabrics.
-        codec_context: a pre-built codec context (e.g. one preloaded from a
-            :class:`~repro.rq.plan.PlanStore` by the parallel executor); a
+        codec_context: a codec context to count this run's codec work in; a
             fresh one is created when ``None``.
         fault_schedule: optional declarative fault schedule; when non-empty a
             :class:`~repro.faults.injector.FaultInjector` is armed before any
@@ -187,11 +190,10 @@ def build_environment(
     pcfg: Optional[PolyraptorConfig] = None
     if protocol is Protocol.POLYRAPTOR:
         pcfg = polyraptor_config or config.polyraptor
-        # One shared codec context per simulation: every session of every
-        # agent draws elimination plans from the same cache, so the cost of
-        # factorising a K' is paid once per run rather than once per block.
+        # One shared codec context per simulation: its counters cover every
+        # session of every agent of the run.
         if codec_context is None:
-            codec_context = CodecContext(pcfg.codec_backend, kernel=pcfg.codec_kernel)
+            codec_context = CodecContext()
         for host in network.hosts:
             polyraptor_agents[host.name] = PolyraptorAgent(
                 sim, host, pcfg, registry, trace, codec_context=codec_context

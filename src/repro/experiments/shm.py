@@ -1,10 +1,9 @@
 """Shared-memory result transport for the sharded experiment executor.
 
-Worker processes and the parent exchange three kinds of payload: job
-batches, per-job results and the pre-warmed elimination-plan store.  All
-three contain numpy symbol planes (plan operators, metric arrays) whose
-bytes dominate the pickle stream, so shipping them through a pipe costs a
-serialise + copy + deserialise per hop.  This module moves those bytes
+Worker processes and the parent exchange two kinds of payload: job batches
+and per-job results.  Both can contain numpy arrays whose bytes dominate
+the pickle stream, so shipping them through a pipe costs a serialise + copy
++ deserialise per hop.  This module moves those bytes
 through ``multiprocessing.shared_memory`` instead:
 
 * the producer pickles the object with **protocol 5 out-of-band buffers**,
@@ -15,18 +14,14 @@ through ``multiprocessing.shared_memory`` instead:
 * only a tiny :class:`ShmSlot` descriptor (name + size) crosses the process
   boundary by pickle;
 * the consumer maps the segment, re-inflates the object with the buffers
-  either **zero-copy** (ndarrays aliasing the mapping -- used for the
-  read-only plan store, whose pages are then physically shared by every
-  worker) or copied out (used for results that outlive the segment), and
-  closes -- and, when it owns the segment, unlinks -- the mapping.
+  copied out (so it outlives the segment), then closes and unlinks the
+  mapping.
 
 Ownership protocol: exactly one process unlinks each segment.  Results are
 created by workers and unlinked by the parent after merging; job batches
-are created by the parent and unlinked by the worker after unpacking; the
-plan-store segment is created by the parent and unlinked by the parent once
-every worker has mapped it (a POSIX unlink only removes the name -- live
-mappings survive).  Producers that fail mid-pack unlink their own segment
-before re-raising, so a crash can never leak ``/dev/shm`` entries.
+are created by the parent and unlinked by the worker after unpacking.
+Producers that fail mid-pack unlink their own segment before re-raising, so
+a crash can never leak ``/dev/shm`` entries.
 
 When shared memory is unavailable (``/dev/shm`` unmounted, permissions,
 exotic platforms) the executor falls back transparently to plain pickle
@@ -166,39 +161,21 @@ def pack_object(obj: Any) -> tuple[ShmSlot, PackStats]:
     )
 
 
-def unpack_object(
-    slot: ShmSlot,
-    unlink: bool = True,
-    copy: bool = True,
-    keepalive: Optional[list] = None,
-) -> Any:
-    """Re-inflate the object packed into ``slot``'s segment.
+def unpack_object(slot: ShmSlot) -> Any:
+    """Re-inflate the object packed into ``slot``'s segment, then destroy it.
 
-    Args:
-        slot: the descriptor returned by :func:`pack_object` (possibly in
-            another process).
-        unlink: destroy the segment after reading (the consumer-owns-it
-            convention for results and job batches).  Pass ``False`` when
-            another process still needs the name.
-        copy: materialise the out-of-band buffers into process-private
-            bytearrays so the object outlives the mapping (default).  With
-            ``copy=False`` the ndarrays alias the shared mapping zero-copy;
-            the mapping is kept open and appended to ``keepalive``, which
-            the caller must retain for the object's lifetime.
-        keepalive: required with ``copy=False``; receives the open
-            :class:`~multiprocessing.shared_memory.SharedMemory` object.
+    The out-of-band buffers are copied into process-private bytearrays, so
+    the object outlives the segment, which is closed and unlinked before
+    returning -- also when the segment turns out to be corrupt (the
+    consumer owns it).
 
     Raises:
         ShmTransportError: the segment is missing or its header is corrupt.
     """
-    if not copy and keepalive is None:
-        raise ValueError("copy=False requires a keepalive list for the open mapping")
     try:
         segment = shared_memory.SharedMemory(name=slot.name)
     except FileNotFoundError as error:
         raise ShmTransportError(f"shared-memory segment {slot.name!r} is gone") from error
-    close_mapping = True
-    views: list = []
     try:
         memory = segment.buf
         if len(memory) < _HEAD.size:
@@ -216,40 +193,22 @@ def unpack_object(
         with memory[offset:offset + stream_len] as stream_view:
             stream = bytes(stream_view)
         offset = _aligned(offset + stream_len)
+        buffers = []
         for length in lengths:
             if offset + length > len(memory):
                 raise ShmTransportError(f"segment {slot.name!r} is truncated")
-            view = memory[offset:offset + length]
-            if copy:
-                # Materialise into a private, writable buffer so the object
-                # outlives the mapping; the slice view is released at once.
-                with view:
-                    views.append(bytearray(view))
-            else:
-                views.append(view)
+            # Materialise into a private, writable buffer; the slice view is
+            # released at once, before the mapping closes.
+            with memory[offset:offset + length] as view:
+                buffers.append(bytearray(view))
             offset = _aligned(offset + length)
-        obj = pickle.loads(stream, buffers=views)
-        if not copy:
-            # The caller's object aliases the mapping: hand over the open
-            # segment and skip the close below.
-            keepalive.append(segment)
-            close_mapping = False
-        return obj
+        return pickle.loads(stream, buffers=buffers)
     finally:
-        if close_mapping:
-            # Release every exported memoryview before closing the mapping,
-            # otherwise mmap.close() raises BufferError.
-            for view in views:
-                if isinstance(view, memoryview):
-                    view.release()
-            segment.close()
-        if unlink:
-            # Unlinking only removes the name; a zero-copy mapping handed to
-            # the caller through ``keepalive`` stays valid until closed.
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced
-                pass
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - raced
+            pass
 
 
 def discard_segment(slot: ShmSlot) -> bool:

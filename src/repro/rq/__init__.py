@@ -12,15 +12,16 @@ This package implements the architecture of RFC 6330 (RaptorQ):
   symbols, so in the absence of loss no decoding work is required
   (:mod:`repro.rq.encoder`);
 * decoding solves the constraint system with Gaussian elimination over
-  GF(256) (:mod:`repro.rq.decoder`, :mod:`repro.rq.solver`); any K + epsilon
-  received symbols decode with overwhelming probability (epsilon of 2 gives
-  a failure probability far below 1e-6 thanks to the dense HDPC rows).
+  GF(256) (:mod:`repro.rq.decoder`, :mod:`repro.rq.solver`); K + epsilon
+  received symbols decode with high probability (rank trials at K=6 with
+  epsilon = 2 measured about one failure in 20 000).
 
-Deviation from RFC 6330 (documented in DESIGN.md): the RFC's pre-computed
-tables (systematic indices J(K'), the V0..V3 random tables and the exact
-degree table) are replaced by computed equivalents, so the codec is
-self-consistent but not wire-compatible with other RaptorQ implementations.
-All behavioural properties the Polyraptor paper relies on are preserved.
+Deviations from RFC 6330 (see "Deviations from RFC 6330" in
+``docs/ARCHITECTURE.md``): the RFC's pre-computed tables (systematic indices
+J(K'), the V0..V3 random tables and the exact degree table) are replaced by
+computed equivalents, so the codec is self-consistent but not RFC 6330
+interoperable.  All behavioural properties the Polyraptor paper relies on
+are preserved.
 
 High-level usage::
 
@@ -35,38 +36,13 @@ High-level usage::
 """
 
 from repro.rq.api import decode_object, encode_object
-from repro.rq.backend import (
-    DEFAULT_BACKEND,
-    CodecBackend,
-    CodecContext,
-    available_backends,
-    create_backend,
-    default_context,
-    prewarm_encode_plans,
-    register_backend,
-    set_default_backend,
-)
+from repro.rq.backend import CodecContext, default_context, generator_basis
 from repro.rq.block import EncodedSymbol, ObjectDecoder, ObjectEncoder, ObjectTransmissionInfo
 from repro.rq.decoder import BlockDecoder, DecodeFailure, DecodeResult
 from repro.rq.encoder import BlockEncoder
-from repro.rq.kernels import (
-    KERNEL_ENV_VAR,
-    GFKernel,
-    available_kernels,
-    best_kernel_name,
-    default_kernel_name,
-    get_kernel,
-    register_kernel,
-)
+from repro.rq.kernels import get_kernel
 from repro.rq.params import CodeParameters
-from repro.rq.plan import (
-    PLAN_STORE_SCHEMA,
-    EliminationPlan,
-    PlanCache,
-    PlanStore,
-    PlanStoreSchemaError,
-    build_plan,
-)
+from repro.rq.plan import EliminationPlan, build_plan
 
 __all__ = [
     "CodeParameters",
@@ -80,26 +56,10 @@ __all__ = [
     "EncodedSymbol",
     "encode_object",
     "decode_object",
-    "CodecBackend",
     "CodecContext",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "create_backend",
     "default_context",
-    "register_backend",
-    "set_default_backend",
+    "generator_basis",
     "EliminationPlan",
-    "PlanCache",
-    "PlanStore",
-    "PlanStoreSchemaError",
-    "PLAN_STORE_SCHEMA",
     "build_plan",
-    "prewarm_encode_plans",
-    "GFKernel",
-    "KERNEL_ENV_VAR",
-    "available_kernels",
-    "best_kernel_name",
-    "default_kernel_name",
     "get_kernel",
-    "register_kernel",
 ]

@@ -6,11 +6,9 @@ the lower-level :class:`~repro.rq.block.ObjectEncoder` /
 symbols on demand.
 
 Both helpers accept an optional :class:`~repro.rq.backend.CodecContext`:
-pass one to choose a backend (``"planned"`` / ``"reference"``), to share an
-elimination-plan cache across many objects, or to seed that cache from a
-pre-warmed :class:`~repro.rq.plan.PlanStore`; without one, the process-wide
-default context is used.  See ``docs/ARCHITECTURE.md`` for how contexts,
-plans and stores fit together.
+pass one to count the blocks and basis lookups of these objects on their
+own; without one, the process-wide default context is used.  See
+``docs/ARCHITECTURE.md`` for how contexts and the per-K' basis fit together.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ def encode_object(
         repair_symbols_per_block: extra rateless symbols appended per block.
         max_symbols_per_block: cap on source symbols per block; larger
             objects are split into several blocks.
-        context: optional shared codec context (backend + plan cache).
+        context: optional codec context (block and lookup counters).
 
     Returns:
         ``(oti, symbols)`` -- the transmission info the decoder needs, and
@@ -78,7 +76,7 @@ def decode_object(oti: ObjectTransmissionInfo, symbols: Iterable[EncodedSymbol],
         symbols: received encoding symbols, in any order, from any senders;
             each block needs at least K (plus the usual small overhead when
             source symbols were lost).
-        context: optional shared codec context (backend + plan cache).
+        context: optional codec context (block and lookup counters).
 
     Raises:
         repro.rq.decoder.DecodeFailure: if some block cannot be decoded yet.

@@ -14,10 +14,9 @@ directly are returned as-is (no decoding cost), matching the "zero decoding
 latency without loss" property the paper highlights.
 
 The solve itself is delegated to the shared
-:class:`~repro.rq.backend.CodecContext`: under the default ``planned``
-backend it goes through the one elimination plan cached per K', so a block
-pays for a system the size of its loss, never for a fresh elimination over
-all L intermediate symbols.
+:class:`~repro.rq.backend.CodecContext`: it goes through the one generator
+basis built per K', so a block pays for a system the size of its loss, never
+for a fresh elimination over all L intermediate symbols.
 """
 
 from __future__ import annotations

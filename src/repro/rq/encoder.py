@@ -5,19 +5,17 @@ can generate *any* encoding symbol on demand:
 
 * ESIs ``0 .. K-1`` are the source symbols themselves (systematic property):
   rows of the source plane, no coding work;
-* ESIs ``K, K+1, ...`` are repair symbols, produced by the codec backend of
-  the encoder's :class:`~repro.rq.backend.CodecContext`; there is no
-  practical limit on how many can be produced (the code is rateless).
+* ESIs ``K, K+1, ...`` are repair symbols, produced through the encoder's
+  :class:`~repro.rq.backend.CodecContext`; there is no practical limit on
+  how many can be produced (the code is rateless).
 
 Construction does no linear algebra.  A sender of a systematic code ships
 mostly source symbols, so coding work is paid per repair symbol actually
-asked for: the default ``planned`` backend multiplies one generator row of
-the cached per-K' operator into the source plane for each
-(:meth:`~repro.rq.backend.CodecBackend.repair_symbols`), on the context's
-pluggable GF(256) kernel (:mod:`repro.rq.kernels`).  The L intermediate
-symbols of RFC 6330 are only ever formed by the ``reference`` oracle,
-through the lazy :attr:`BlockEncoder.intermediate_plane`.  Every backend
-and kernel emits byte-identical symbols.
+asked for: one generator row of the per-K' basis times the source plane
+(:meth:`~repro.rq.backend.CodecContext.repair_symbols`).  The L
+intermediate symbols of RFC 6330 are never formed, except by the
+full-solve oracle :meth:`~repro.rq.backend.CodecContext.encode_intermediate`
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -64,11 +62,9 @@ class BlockEncoder:
         self._source = np.frombuffer(b"".join(source_symbols), dtype=np.uint8).reshape(
             len(source_symbols), symbol_size
         )
-        #: Owned by the ``planned`` backend: the K-column slice of the per-K'
-        #: operator whose rows XOR into generator rows, looked up once, on
-        #: this block's first repair symbol.
+        #: Set by the context: the per-K' basis whose rows XOR into generator
+        #: rows, looked up once, on this block's first repair symbol.
         self.generator_basis: Optional[np.ndarray] = None
-        self._intermediate: Optional[np.ndarray] = None
         self.context.blocks_encoded += 1
 
     @property
@@ -80,17 +76,6 @@ class BlockEncoder:
     def source_plane(self) -> np.ndarray:
         """The (K x symbol_size) source symbol matrix (do not mutate)."""
         return self._source
-
-    @property
-    def intermediate_plane(self) -> np.ndarray:
-        """The (L x symbol_size) intermediate symbol matrix (do not mutate).
-
-        Solved for on first access and kept; only the ``reference`` backend
-        (and tests) ever ask.
-        """
-        if self._intermediate is None:
-            self._intermediate = self.context.encode_intermediate(self.params, self._source)
-        return self._intermediate
 
     def source_symbol(self, esi: int) -> bytes:
         """Return source symbol ``esi`` (0 <= esi < K) directly."""
@@ -118,7 +103,7 @@ class BlockEncoder:
         """Return the (len(esis) x symbol_size) plane of encoding symbols.
 
         Source ESIs are copied straight from the source plane; the repair
-        ESIs among them are generated in one backend call.  Rows follow the
+        ESIs among them are generated in one context call.  Rows follow the
         caller's order.  This is the batched path used when a whole run of
         symbols is needed at once (initial window pushes, one-shot object
         encoding, tests).
@@ -142,7 +127,7 @@ class BlockEncoder:
         return self._lt_encode([esi])[0].tobytes()
 
     def _lt_encode(self, esis: Sequence[int]) -> np.ndarray:
-        return self.context.backend.repair_symbols(self.context, self, esis)
+        return self.context.repair_symbols(self, esis)
 
     def lt_row_for(self, internal_symbol_id: int) -> np.ndarray:
         """Expose the GF(2) LT row of an ESI (used by the decoder and tests)."""

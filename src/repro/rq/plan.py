@@ -1,65 +1,34 @@
-"""Cached elimination plans: factorise once per K', replay per block.
+"""Elimination plans: eliminate one fixed matrix once, keep the inverse.
 
-The RFC 6330 style codec spends nearly all of its CPU in Gaussian
-elimination, yet the matrix being eliminated depends only on the code
-parameters: the L x L constraint matrix is a pure function of K'.  An
-:class:`EliminationPlan` captures one elimination as
+The L x L pre-code constraint matrix of the codec depends only on the code
+parameters, i.e. on K'.  An :class:`EliminationPlan` captures one Gaussian
+elimination of such a matrix as the fused **solution operator** ``R``
+obtained by running :func:`repro.rq.solver.solve` against an identity
+right-hand side, so that for any symbol plane ``D`` the solution of
+``A . X = D`` is simply ``R . D``.  Optionally (``record_steps=True``) it
+also keeps the ordered **row-op tape** (swap / scale / fused multiply-XOR)
+the solver emitted, which :meth:`EliminationPlan.replay` re-runs step by
+step; the tests use the agreement of the two to validate the operator.
 
-* the ordered **row-op sequence** (swap / scale / fused multiply-XOR)
-  recorded as numpy index arrays while :func:`repro.rq.solver.solve` runs,
-  and
-* the fused **solution operator** ``R`` obtained by applying that sequence
-  to an identity right-hand side, so that for any symbol plane ``D`` the
-  solution of ``A . X = D`` is simply ``R . D``.
-
-Replaying a plan over the (n x symbol_size) symbol plane of a block is one
-batched GF(256) matrix product -- no pivot searches, no matrix-side row
-operations, no per-step allocations.  The byte work of that product
-executes on a pluggable :mod:`repro.rq.kernels` kernel; every kernel
-computes identical bytes, so plans and kernels compose freely.
-Plans are immutable and safe to share across sessions, simulations and
-processes.
-
-Only one plan per K' -- the inverse of the L x L constraint matrix, keyed
-``("encode", params)`` -- is ever cached, and the codec never replays it
-whole: because the code is systematic, the repair symbols a sender emits and
-the missing source symbols of a received block both follow from a few rows
-of that inverse (see :class:`repro.rq.backend.PlannedBackend`), so nothing
-is keyed by loss pattern.  The persistent :class:`PlanStore` records a
-schema number (:data:`PLAN_STORE_SCHEMA`) so stores written under an older
-key convention are rejected cleanly instead of shipping plans nothing looks
-up.
+The codec never replays a plan whole: because the code is systematic, the
+repair symbols a sender emits and the missing source symbols of a received
+block both follow from a few rows of the inverse (see
+:func:`repro.rq.backend.generator_basis`, which builds one plan per K' per
+process).
 """
 
 from __future__ import annotations
 
-import pickle
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.rq.gf256 import gf_matmul, gf_scale_rows, gf_scale_vector
+from repro.rq.gf256 import gf_scale_rows, gf_scale_vector
 from repro.rq.matrix import build_constraint_matrix, hdpc_rows, ldpc_rows, lt_row
 from repro.rq.params import CodeParameters
 from repro.rq.solver import solve
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.rq.kernels import GFKernel
-
-#: Version of the plan-key schema a :class:`PlanStore` is written under.
-#: Bumped whenever the key convention changes (v1: decode plans keyed by the
-#: exact received-ESI set; v2: canonical missing-source-pattern decode keys;
-#: v3: encode plans only), so a persisted store from another schema is
-#: rejected instead of silently carrying plans nothing will ever look up.
-PLAN_STORE_SCHEMA = 3
-
-
-class PlanStoreSchemaError(ValueError):
-    """A persisted :class:`PlanStore` was written under a different key schema."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +70,10 @@ class _StepRecorder:
 
 @dataclass(frozen=True)
 class EliminationPlan:
-    """A recorded, replayable Gaussian elimination of one fixed matrix.
+    """One eliminated matrix: its fused solution operator, optionally its op tape.
 
     ``steps`` is the recorded row-op tape, or ``None`` when the plan was
-    built with ``record_steps=False`` (the cached production path keeps only
-    the fused operator, halving per-plan memory).
+    built with ``record_steps=False`` (the codec keeps only the operator).
     """
 
     num_rows: int
@@ -113,23 +81,11 @@ class EliminationPlan:
     operator: np.ndarray
     steps: Optional[tuple[PlanStep, ...]]
 
-    def apply(self, rhs: np.ndarray, kernel: Optional["GFKernel"] = None) -> np.ndarray:
-        """Solve for the unknowns given a full (num_rows x T) right-hand side.
-
-        ``kernel`` selects the :mod:`repro.rq.kernels` implementation of the
-        batched product; ``None`` uses the numpy ground truth.  The result is
-        byte-identical for every kernel.
-        """
-        if rhs.shape[0] != self.num_rows:
-            raise ValueError(f"plan expects {self.num_rows} rhs rows, got {rhs.shape[0]}")
-        matmul = gf_matmul if kernel is None else kernel.matmul
-        return matmul(self.operator, rhs)
-
     def replay(self, rhs: np.ndarray) -> np.ndarray:
-        """Step-by-step replay of the recorded row ops (reference/testing path).
+        """Step-by-step replay of the recorded row ops (testing path).
 
-        Produces exactly what :meth:`apply` computes via the fused operator;
-        tests use the agreement of the two paths to validate plan recording.
+        Produces exactly ``operator . rhs``; tests use the agreement of the
+        two to validate plan recording.
         """
         if self.steps is None:
             raise ValueError("plan was built with record_steps=False; no op tape to replay")
@@ -155,8 +111,8 @@ def build_plan(
 ) -> EliminationPlan:
     """Eliminate ``matrix`` once, recording the ops and the fused operator.
 
-    ``record_steps=False`` keeps only the fused operator (what replay needs);
-    the op tape is O(L^2) numpy data, so cached production plans skip it.
+    ``record_steps=False`` keeps only the fused operator; the op tape is
+    O(L^2) numpy data, so the codec's plans skip it.
 
     Raises :class:`repro.rq.solver.SingularMatrixError` when the matrix does
     not have full column rank, exactly like a direct solve would.
@@ -210,143 +166,3 @@ def received_matrix(params: CodeParameters, esis: Sequence[int]) -> np.ndarray:
     for offset, esi in enumerate(esis):
         matrix[constraints.shape[0] + offset] = lt_row(params, esi)
     return matrix
-
-
-@dataclass
-class PlanStore:
-    """A picklable bag of elimination plans, keyed like the live plan cache.
-
-    This is the artifact that crosses process boundaries: the parent of a
-    sharded experiment snapshots (or pre-warms) a store, serialises it once,
-    and every worker preloads its per-run :class:`PlanCache` from it so warm
-    -block speedups apply from the first block of the first transfer.  Plans
-    are immutable, so a store can be shared by any number of caches.
-
-    Keys follow the convention of :mod:`repro.rq.backend`:
-    ``("encode", params)``, the one plan per K' both encoding and decoding
-    use.  The ``schema`` field records which key convention the store was
-    written under; loading a store from a different schema raises
-    :class:`PlanStoreSchemaError` so stale keys can never poison a cache --
-    callers treat that as "rebuild", never as fatal.
-    """
-
-    plans: dict[Hashable, EliminationPlan] = field(default_factory=dict)
-    schema: int = PLAN_STORE_SCHEMA
-
-    def __len__(self) -> int:
-        return len(self.plans)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self.plans
-
-    def add(self, key: Hashable, plan: EliminationPlan) -> None:
-        """Insert (or replace) one plan."""
-        self.plans[key] = plan
-
-    def merge(self, other: "PlanStore") -> None:
-        """Absorb every plan of ``other`` (existing keys are kept)."""
-        for key, plan in other.plans.items():
-            self.plans.setdefault(key, plan)
-
-    def to_bytes(self) -> bytes:
-        """Serialise the store (pickle) for shipping to worker processes."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "PlanStore":
-        """Rebuild a store serialised with :meth:`to_bytes`.
-
-        Raises :class:`PlanStoreSchemaError` when the store was written
-        under a different plan-key schema (including pre-versioning stores,
-        which unpickle as schema 1): its keys would never be looked up under
-        the current convention, so serving them would waste cache capacity
-        at best and replay stale plans at worst.
-        """
-        store = pickle.loads(payload)
-        if not isinstance(store, cls):
-            raise TypeError(f"payload does not contain a PlanStore (got {type(store)!r})")
-        if store.schema != PLAN_STORE_SCHEMA:
-            raise PlanStoreSchemaError(
-                f"plan store uses key schema v{store.schema}, this build expects "
-                f"v{PLAN_STORE_SCHEMA}; discard the store and rebuild"
-            )
-        return store
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the store to ``path``; returns the path written."""
-        path = Path(path)
-        path.write_bytes(self.to_bytes())
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PlanStore":
-        """Read a store previously written by :meth:`save`."""
-        return cls.from_bytes(Path(path).read_bytes())
-
-    def __setstate__(self, state: Mapping) -> None:
-        # Unpickled numpy arrays come back writable; re-freeze the operators
-        # so shared plans stay immutable in every process.  Stores pickled
-        # before versioning carry no schema field: they were written under
-        # the exact-ESI keying, i.e. schema 1.
-        self.__dict__.update(state)
-        self.schema = state.get("schema", 1)
-        for plan in self.plans.values():
-            plan.operator.setflags(write=False)
-
-
-class PlanCache:
-    """A bounded LRU mapping of plan keys to :class:`EliminationPlan` objects.
-
-    One instance is shared by every session of a simulation (via the
-    :class:`repro.rq.backend.CodecContext`); because plans are immutable the
-    cache needs no locking for the single-threaded simulator, and its
-    contents can be exported to / imported from a :class:`PlanStore` for
-    multi-process shards.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._plans: "OrderedDict[Hashable, EliminationPlan]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def get_or_build(
-        self, key: Hashable, builder: Callable[[], EliminationPlan]
-    ) -> tuple[EliminationPlan, bool]:
-        """Return ``(plan, was_cache_hit)`` for ``key``, building on miss."""
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            return plan, True
-        plan = builder()
-        self._plans[key] = plan
-        if len(self._plans) > self.max_entries:
-            self._plans.popitem(last=False)
-            self.evictions += 1
-        return plan, False
-
-    def snapshot(self) -> PlanStore:
-        """Export the current contents as an immutable, picklable store."""
-        return PlanStore(dict(self._plans))
-
-    def preload(self, store: PlanStore) -> int:
-        """Seed the cache from a store; returns how many plans were inserted.
-
-        Preloading does not count as hits or misses (nothing was looked up)
-        but does respect ``max_entries``: if the store is larger than the
-        cache, the oldest insertions are evicted as usual.
-        """
-        inserted = 0
-        for key, plan in store.plans.items():
-            if key in self._plans:
-                continue
-            self._plans[key] = plan
-            inserted += 1
-            if len(self._plans) > self.max_entries:
-                self._plans.popitem(last=False)
-                self.evictions += 1
-        return inserted

@@ -2,9 +2,10 @@
 
 RFC 6330 defines ``Rand`` through four 256-entry tables of 32-bit constants
 (V0..V3).  This implementation substitutes a hash-based construction with the
-same signature and the same statistical role (documented in DESIGN.md): both
-the encoder and the decoder in this package use the same function, so the
-code remains fully self-consistent, systematic and rateless.
+same signature and the same statistical role (see "Deviations from RFC 6330"
+in ``docs/ARCHITECTURE.md``): both the encoder and the decoder in this
+package use the same function, so the code remains fully self-consistent,
+systematic and rateless.
 
 The function must be *fast* (it is called several times per encoding symbol),
 so it uses a splitmix64-style integer mix rather than a cryptographic hash.

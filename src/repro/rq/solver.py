@@ -1,18 +1,18 @@
 """Gaussian elimination over GF(256).
 
-The solver is shared by the encoder (square system: constraint matrix ->
-intermediate symbols) and the decoder (overdetermined system: the few
-received repair symbols over the missing source symbols, or -- in the
-reference backend -- every received symbol plus the static constraints over
-all intermediate symbols).  Matrix and right-hand side are eliminated as one
-augmented array, and each pivot's row operations are a single gather through
-the GF(256) multiplication table, so the cost is dominated by ``O(L^2)``
-vectorised row operations rather than Python-level loops over matrix cells.
+The solver serves the per-K' plan (square system: the constraint matrix
+against an identity), the decoder (overdetermined system: the few received
+repair symbols over the missing source symbols) and the full-solve oracles
+the tests compare against (every received symbol plus the static
+constraints over all intermediate symbols).  Matrix and right-hand side are
+eliminated as one augmented array, and each pivot's row operations are a
+single gather through the GF(256) multiplication table, so the cost is
+dominated by ``O(L^2)`` vectorised row operations rather than Python-level
+loops over matrix cells.
 
 :func:`solve` optionally reports every row operation it performs (swap,
-scale, fused multiply-XOR) to a recorder object.  :mod:`repro.rq.plan` uses
-this to capture the elimination of a fixed matrix once and replay it over
-the symbol plane of every later block with the same code parameters.
+scale, fused multiply-XOR) to a recorder object; :mod:`repro.rq.plan` uses
+this to record an op tape the tests replay against the fused operator.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class PolyraptorTestbed:
         )
         self.registry = TransferRegistry()
         self.config = config or PolyraptorConfig()
-        self.codec = CodecContext(self.config.codec_backend)
+        self.codec = CodecContext()
         self.agents = {
             host.name: PolyraptorAgent(self.sim, host, self.config, self.registry,
                                        codec_context=self.codec)
@@ -89,21 +89,6 @@ class TcpTestbed:
 
     def run(self, until: float = 5.0) -> None:
         self.sim.run(until=until)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_home(tmp_path_factory, monkeypatch):
-    """Point ``Path.home()`` at a per-session temp dir.
-
-    Anything that resolves ``~/.cache/repro`` (the persistent plan cache,
-    via :func:`repro.experiments.parallel.default_plan_cache_path`) then
-    reads and writes inside pytest's temp tree instead of the real home
-    directory, so test runs leave no stray state behind.
-    """
-    home = tmp_path_factory.getbasetemp() / "home"
-    home.mkdir(exist_ok=True)
-    monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setenv("USERPROFILE", str(home))  # Path.home() on Windows
 
 
 @pytest.fixture

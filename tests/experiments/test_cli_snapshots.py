@@ -23,10 +23,7 @@ from repro.experiments.parallel import shutdown_worker_pool
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
-# ``--kernel bitplane`` pins the codec table's kernel column, which would
-# otherwise follow a REPRO_GF_KERNEL override on the host.
-COMMON = ["--sessions", "4", "--object-kb", "32", "--max-sim-time", "10",
-          "--kernel", "bitplane"]
+COMMON = ["--sessions", "4", "--object-kb", "32", "--max-sim-time", "10"]
 
 #: Per-command sweep axes, in the order ``repro all`` runs the commands.
 SCENARIO_ARGS = {

@@ -8,9 +8,10 @@ change to the engine or the fabric that fires one callback more, less or in a
 different ``(time, seq)`` order, or shifts one RNG draw, fails here even
 though it is self-consistent.
 
-The hashes were captured on the commit *before* the hot-path rewrite of
-``sim/engine.py`` and ``network/`` (PR 15).  Re-capture them only for a
-change that is *meant* to alter simulated behaviour, and say so:
+Beside each hash, ``golden/<cell>.json`` holds the snapshot it was taken
+of (sorted JSON), so a mismatch fails with a field-level diff instead of two
+opaque hashes.  Re-capture both only for a change that is *meant* to alter
+simulated behaviour, and say so:
 
     PYTHONPATH=src python tests/experiments/test_golden_fingerprints.py
 """
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,9 @@ from repro.utils.units import KILOBYTE
 from repro.workloads.spec import TransferKind, TransferSpec
 
 TOPOLOGY = FatTreeTopology(4)
+
+#: golden/<cell>.json: the canonical_dict() each GOLDEN hash was taken of
+SNAPSHOTS = Path(__file__).resolve().parent / "golden"
 
 CONFIG = ExperimentConfig(
     fattree_k=4,
@@ -111,9 +116,42 @@ def untraced(name: str):
     return run_cell(name)
 
 
+def snapshot(result) -> dict:
+    """``canonical_dict()`` as the fingerprint sees it (non-JSON values as repr)."""
+    return json.loads(json.dumps(result.canonical_dict(), sort_keys=True, default=repr))
+
+
 def fingerprint(result) -> str:
-    text = json.dumps(result.canonical_dict(), sort_keys=True, default=repr)
+    text = json.dumps(snapshot(result), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def field_diff(golden, actual, path: str = "") -> list[str]:
+    """One ``path: golden -> actual`` line per leaf that differs."""
+    if isinstance(golden, dict) and isinstance(actual, dict):
+        return [line for key in sorted(set(golden) | set(actual), key=str)
+                for line in field_diff(golden.get(key, "<absent>"), actual.get(key, "<absent>"),
+                                       f"{path}.{key}" if path else str(key))]
+    if isinstance(golden, list) and isinstance(actual, list) and len(golden) == len(actual):
+        return [line for index, (old, new) in enumerate(zip(golden, actual))
+                for line in field_diff(old, new, f"{path}[{index}]")]
+    return [] if golden == actual else [f"{path}: {golden!r} -> {actual!r}"]
+
+
+def _stored(name: str) -> dict:
+    return json.loads((SNAPSHOTS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _write_snapshot(name: str, result) -> None:
+    text = json.dumps(snapshot(result), sort_keys=True, indent=1)
+    (SNAPSHOTS / f"{name}.json").write_text(text + "\n", encoding="utf-8")
+
+
+def assert_golden(name: str, result) -> None:
+    """The run hashes to GOLDEN[name]; if not, fail with the fields that moved."""
+    if fingerprint(result) != GOLDEN[name]:
+        lines = field_diff(_stored(name), snapshot(result))
+        pytest.fail(f"{name} moved from its golden snapshot:\n  " + "\n  ".join(lines[:40]))
 
 
 def trace_fingerprint(trace: TraceLog) -> str:
@@ -126,24 +164,21 @@ def trace_fingerprint(trace: TraceLog) -> str:
     return hashlib.sha256(json.dumps(events, default=repr).encode("utf-8")).hexdigest()
 
 
-#: cell -> sha256(canonical_dict()), captured on the parent of PR 15.  The
-#: nine Polyraptor hashes were re-captured in PR 22 and again in PR 23, neither
-#: of which changed simulated behaviour: every Polyraptor cell embeds
-#: ``codec_stats``, which lost two keys in PR 22 and whose ``kernel`` name went
-#: ``blocked`` -> ``bitplane`` in PR 23 (the parent's dict with only that
-#: string replaced hashes to the values below, payload cell included).  With
-#: ``codec_stats`` left out, every cell hashes the same across all three
-#: commits (CHANGES.md has the tables).
+#: cell -> sha256(canonical_dict()).  The six TCP hashes date from before the
+#: engine and fabric hot-path rewrite.  The nine Polyraptor hashes were last
+#: re-captured when ``codec_stats`` in the snapshot shrank to the two block
+#: counters; each equals the previous commit's dict with the dropped codec
+#: keys stripped, so no simulated event moved (CHANGES.md has the table).
 GOLDEN = {
-    "polyraptor-unicast": "bc5786ac99205c5f805f582064218b6f58ad19b8139393c814f2f94f1bdf05ef",
-    "polyraptor-multicast": "ac32707cceb2a02b314ffbacf817903d2d1177cdc48c1df64dc7188894b6555f",
-    "polyraptor-fetch": "97638cbc93fe651d77b4dd3cdc7685c38c5ca2346e08cc62604bb693c040b1b8",
-    "polyraptor-ecmp": "1e63a7c15320258a3f05f8476d122b0115ac8419b3444ec8226a88a0c6703a30",
-    "polyraptor-single": "15c067bfce185b25fd5f0ed2747364eae0e0937806f9c88879f8db164c2cf7ae",
-    "polyraptor-faults": "d2a75beafb3727568aac026537bc3dc4cdaa36a3c18e22589a2305c303354db2",
-    "polyraptor-ecn": "bd80b1fa5ee2447c1b406d8ee757ab21be3807bb4fbd4d3160d2f3920380d52d",
-    "polyraptor-telemetry": "e36a2fab8300877de27e83dc5fbbafeb3d4cecb2ec288de1968254af37ccdb79",
-    "polyraptor-payload": "9c6ab77fbfac357e5b0cd77350b857a47de902ac05cf1e6b61ded110fd1e1cfa",
+    "polyraptor-unicast": "9d2fefb355015a6619a3a411ebda124ed51b91379db351fd8e4c83871e42eb7d",
+    "polyraptor-multicast": "2997a0c8c8acd9e7e280f0b6b1ba034263fa64b7fa21d02e6c65f107bc68a064",
+    "polyraptor-fetch": "3818d8886fbbe911066e0de45456de0bfe2c0beeecd82965ad17fbe3a2d7ebd1",
+    "polyraptor-ecmp": "480c44635f1dbaebb4900ceaecbb26096aa5485be48efb6a74108d525bdb012f",
+    "polyraptor-single": "21d6f7ea6ceb89f7d194b6e4fe4534317d09044b09aa4e88e98368854a46f22b",
+    "polyraptor-faults": "4e00364cef78966c0e86d2bc61cf5fa123d9d45046101d39d145b220890ee88c",
+    "polyraptor-ecn": "f0ac8e981028b944846447c08ecf1fdc861e570f8aca34d10f055f3e90b57990",
+    "polyraptor-telemetry": "cb674cc548b55ff2ac4d15f3305e6e7ba4e2c4c1b308a288f48477e3f0c129bf",
+    "polyraptor-payload": "d8a84b8ad388dede4eaef8adda1cf324847d8b92d5b3b2364a93dc33815f895e",
     "tcp-unicast": "a5bdd55f40cab0e32e770db48e12668a31564b003b91a12716051e445c8745d5",
     "tcp-multicast": "1ce845de89b0690143144976085779be2da505c195459e9fd4f11782e14ad012",
     "tcp-fetch": "bd26c01dabfd1a72b972a48f53d234cb04aee39c2d42248e51756c4ea98a07d1",
@@ -162,14 +197,27 @@ GOLDEN_TRACES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cell_reproduces_its_golden_fingerprint(name):
-    assert fingerprint(untraced(name)) == GOLDEN[name]
+    assert_golden(name, untraced(name))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stored_snapshot_is_what_the_golden_hash_was_taken_of(name):
+    text = json.dumps(_stored(name), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+
+
+def test_field_diff_names_each_moved_leaf():
+    golden = {"a": 1, "b": {"c": [1, 2]}, "d": "x"}
+    actual = {"a": 1, "b": {"c": [1, 3]}, "e": "y"}
+    assert field_diff(golden, actual) == [
+        "b.c[1]: 2 -> 3", "d: 'x' -> '<absent>'", "e: '<absent>' -> 'y'"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
 def test_enabled_trace_changes_nothing_and_records_the_same_events(name):
     trace = TraceLog(enabled=True)
     result = run_cell(name, trace=trace)
-    assert fingerprint(result) == GOLDEN[name]
+    assert_golden(name, result)
     assert len(trace) > 0
     assert trace_fingerprint(trace) == GOLDEN_TRACES[name]
 
@@ -185,10 +233,12 @@ def test_matrix_exercises_what_it_claims_to():
     assert untraced("tcp-ecn").transport_stats["ecn_reactions"] > 0
 
 
-if __name__ == "__main__":  # re-capture: prints the two tables to paste above
+if __name__ == "__main__":  # re-capture: writes golden/, prints the tables to paste above
     print("GOLDEN = {")
     for cell in GOLDEN:
-        print(f'    "{cell}": "{fingerprint(run_cell(cell))}",')
+        run = run_cell(cell)
+        _write_snapshot(cell, run)
+        print(f'    "{cell}": "{fingerprint(run)}",')
     print("}\nGOLDEN_TRACES = {")
     for cell in GOLDEN_TRACES:
         log = TraceLog(enabled=True)

@@ -101,23 +101,12 @@ class TestCli:
         assert args.sessions == 10
         assert args.load == pytest.approx(0.1)
 
-    def test_cli_kernel_flag_threads_into_config(self):
-        from repro.cli import _build_config
-
-        args = build_parser().parse_args(["figure1a", "--kernel", "numpy"])
-        assert _build_config(args).polyraptor.codec_kernel == "numpy"
-        # Default stays auto; bogus names are rejected at parse time.
-        assert build_parser().parse_args(["mix"]).kernel == "auto"
-        for unknown in ("fortran", "blocked", "numba"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["mix", "--kernel", unknown])
-
     def test_cli_paper_scale_selects_paper_fabric(self):
         from repro.cli import _build_config
         from repro.experiments.config import ExperimentConfig
 
         args = build_parser().parse_args(
-            ["resilience", "--paper-scale", "--seed", "7", "--kernel", "numpy"]
+            ["resilience", "--paper-scale", "--seed", "7"]
         )
         config = _build_config(args)
         preset = ExperimentConfig.paper_fabric()
@@ -126,4 +115,3 @@ class TestCli:
         assert config.num_foreground_transfers == preset.num_foreground_transfers
         assert config.offered_load == pytest.approx(preset.offered_load)
         assert config.seed == 7
-        assert config.polyraptor.codec_kernel == "numpy"

@@ -1,14 +1,16 @@
 """Determinism tests for the sharded parallel experiment executor.
 
 The contract under test: ``execute_jobs(jobs, num_workers=N)`` returns the
-same results, in the same order, for every N -- including the plan-cache
-hit/miss counters, because the sequential path and every worker preload the
-same pre-warmed plan store.  Workers use the ``spawn`` start method, so these
-tests also prove that every job artifact survives pickling.
+same results, in the same order, for every N -- including the codec's block
+and basis-lookup counters, because every job counts them in a fresh context
+of its own while the per-K' basis it reads is built lazily, once per
+process.  Workers use the ``spawn`` start method, so these tests also prove
+that every job artifact survives pickling.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -19,17 +21,17 @@ from repro.experiments.figure1a import run_figure1a
 from repro.experiments.parallel import (
     RunJob,
     available_cpus,
-    default_plan_cache_path,
     execute_jobs,
     last_profile,
-    plan_store_for_jobs,
     resolve_jobs,
     run_job,
-    set_plan_cache_path,
     set_progress_logger,
-    sweep_block_sizes,
+    shutdown_worker_pool,
+    warm_worker_pool,
 )
 from repro.experiments.report import merge_codec_stats
+from repro.faults.schedule import FaultSchedule, link_loss
+from repro.network.topology import FatTreeTopology
 from repro.utils.units import KILOBYTE
 from repro.workloads.spec import TransferKind, TransferSpec
 
@@ -82,32 +84,6 @@ class TestRunJob:
         assert clone.codec_stats == run.codec_stats
 
 
-class TestPlanStoreGating:
-    def test_identity_mode_jobs_need_no_store(self):
-        config = ExperimentConfig.quick()
-        job = RunJob(
-            key=0, protocol=Protocol.POLYRAPTOR, config=config,
-            transfers=(TransferSpec(transfer_id=1, kind=TransferKind.UNICAST,
-                                    client="h0", peers=("h8",),
-                                    size_bytes=64_000, start_time=0.0),),
-        )
-        assert plan_store_for_jobs([job]) is None
-
-    def test_tcp_jobs_need_no_store(self):
-        job = RunJob(
-            key=0, protocol=Protocol.TCP, config=PAYLOAD_CONFIG,
-            transfers=_payload_jobs(seeds=(1,))[0].transfers,
-        )
-        assert plan_store_for_jobs([job]) is None
-
-    def test_payload_jobs_get_exactly_their_block_sizes(self):
-        jobs = _payload_jobs(seeds=(1,))
-        store = plan_store_for_jobs(jobs)
-        assert store is not None
-        assert len(store) == len(sweep_block_sizes(jobs))
-        assert len(store) >= 1
-
-
 class TestShardedDeterminism:
     """--jobs N must be indistinguishable from --jobs 1 in every reported number."""
 
@@ -144,14 +120,78 @@ class TestShardedDeterminism:
         merged_par = merge_codec_stats([run.codec_stats for run in sharded])
         assert merged_seq == merged_par
         assert merged_seq["shards"] == 4
-        # The parent pre-warmed every encode plan, so no shard ever misses.
         assert merged_seq["plan_cache"]["hits"] > 0
-        assert merged_seq["plan_cache"]["misses"] == 0
 
     def test_everything_completed(self, sequential_and_sharded):
         _, sequential, _ = sequential_and_sharded
         for run in sequential:
             assert run.completion_fraction == 1.0
+
+
+def _two_k_lossy_jobs() -> list[RunJob]:
+    """Payload-carrying jobs over two block sizes, on a fabric that loses 1 %.
+
+    The loss makes every block decode through the codec, and the two object
+    sizes give two distinct K' per run, so each run looks up two bases.
+    """
+    topology = FatTreeTopology(4)
+    lossy = FaultSchedule.ordered(
+        [link_loss(0.0, a, b, 0.01, cause="gray") for a, b in sorted(topology.graph.edges)])
+    transfers = (
+        TransferSpec(transfer_id=1, kind=TransferKind.UNICAST, client="h0",
+                     peers=("h8",), size_bytes=64_000, start_time=0.0),
+        TransferSpec(transfer_id=2, kind=TransferKind.FETCH, client="h2",
+                     peers=("h10", "h14"), size_bytes=20_000, start_time=0.0),
+    )
+    return [RunJob(key=seed, protocol=Protocol.POLYRAPTOR, config=PAYLOAD_CONFIG.with_seed(seed),
+                   transfers=transfers, fault_schedule=lossy)
+            for seed in (1, 2, 3)]
+
+
+class _RecordingQueue:
+    """A worker task queue that notes the kind of every message put on it."""
+
+    def __init__(self, queue, kinds: list) -> None:
+        self.queue, self.kinds = queue, kinds
+
+    def put(self, message) -> None:
+        self.kinds.append(message[0])
+        self.queue.put(message)
+
+
+class TestPerProcessBasisDeterminism:
+    """Lazily built per-process bases leave no trace in any reported number."""
+
+    @pytest.fixture(scope="class")
+    def runs_and_messages(self):
+        jobs = _two_k_lossy_jobs()
+        sequential = execute_jobs(jobs, num_workers=1)
+        shutdown_worker_pool()
+        pool = warm_worker_pool(2)
+        kinds: list = []
+        pool._tasks = [_RecordingQueue(tasks, kinds) for tasks in pool._tasks]
+        sharded = execute_jobs(jobs, num_workers=2)
+        shutdown_worker_pool()
+        return sequential, sharded, kinds
+
+    def test_canonical_dicts_identical(self, runs_and_messages):
+        sequential, sharded, _ = runs_and_messages
+        assert ([json.dumps(run.canonical_dict(), sort_keys=True, default=repr) for run in sequential]
+                == [json.dumps(run.canonical_dict(), sort_keys=True, default=repr) for run in sharded])
+
+    def test_block_and_lookup_counters_identical(self, runs_and_messages):
+        sequential, sharded, _ = runs_and_messages
+        assert [run.codec_stats for run in sequential] == [run.codec_stats for run in sharded]
+        for run in sequential:
+            assert run.completion_fraction == 1.0
+            assert run.codec_stats["blocks_decoded"] > 0
+            # One miss per distinct K' in each run's own context.
+            assert run.codec_stats["plan_cache"]["misses"] == 2
+
+    def test_pool_sends_nothing_but_batches_and_stop(self, runs_and_messages):
+        _, _, kinds = runs_and_messages
+        assert set(kinds) == {"batch", "stop"}
+        assert kinds.count("stop") == 2
 
 
 class TestFigureSweepDeterminism:
@@ -168,7 +208,6 @@ class TestFigureSweepDeterminism:
         assert sequential.codec_stats == sharded.codec_stats
         label = "1 Replica RQ"
         assert sequential.codec_stats[label]["shards"] == 2
-        assert sequential.codec_stats[label]["plan_cache"]["misses"] == 0
 
 
 class TestMergeCodecStats:
@@ -177,29 +216,18 @@ class TestMergeCodecStats:
         assert merge_codec_stats([]) is None
 
     def test_counters_sum_and_hit_rate_recomputes(self):
-        one = {"backend": "planned", "blocks_encoded": 2, "blocks_decoded": 1,
-               "plan_cache": {"hits": 3, "misses": 1, "evictions": 0, "hit_rate": 0.75},
-               "cached_plans": 1}
-        two = {"backend": "planned", "blocks_encoded": 4, "blocks_decoded": 0,
-               "plan_cache": {"hits": 1, "misses": 3, "evictions": 2, "hit_rate": 0.25},
-               "cached_plans": 3}
+        one = {"blocks_encoded": 2, "blocks_decoded": 1,
+               "plan_cache": {"hits": 3, "misses": 1, "evictions": 0, "hit_rate": 0.75}}
+        two = {"blocks_encoded": 4, "blocks_decoded": 0,
+               "plan_cache": {"hits": 1, "misses": 3, "evictions": 2, "hit_rate": 0.25}}
         merged = merge_codec_stats([one, None, two])
-        assert merged["backend"] == "planned"
         assert merged["blocks_encoded"] == 6
         assert merged["blocks_decoded"] == 1
         assert merged["plan_cache"]["hits"] == 4
         assert merged["plan_cache"]["misses"] == 4
         assert merged["plan_cache"]["evictions"] == 2
         assert merged["plan_cache"]["hit_rate"] == pytest.approx(0.5)
-        # cached_plans is a max, not a sum: shards hold the same pre-warmed
-        # plans, so summing would double-count them.
-        assert merged["cached_plans"] == 3
         assert merged["shards"] == 2
-
-    def test_mixed_backends_are_named(self):
-        one = {"backend": "planned", "plan_cache": {}}
-        two = {"backend": "reference", "plan_cache": {}}
-        assert merge_codec_stats([one, two])["backend"] == "planned+reference"
 
 
 class TestResolveJobs:
@@ -277,6 +305,12 @@ class TestExecutorProfile:
                     "cpu_count"):
             assert key in snapshot
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fields_the_benchmark_ledger_reads_stay_zero(self, workers):
+        # Nothing is pre-warmed or shipped; the two fields remain for readers.
+        execute_jobs(_payload_jobs(seeds=(1, 2)), num_workers=workers)
+        assert (last_profile().prewarm_s, last_profile().plans_ship_s) == (0.0, 0.0)
+
     def test_format_exec_profile_renders_and_handles_none(self):
         from repro.experiments.report import format_exec_profile
 
@@ -285,69 +319,6 @@ class TestExecutorProfile:
         table = format_exec_profile(last_profile().as_dict())
         assert "transport" in table and "inline" in table
         assert "no executor profile" in format_exec_profile(None)
-
-
-class TestPersistentPlanCache:
-    def test_cache_file_created_and_reused(self, tmp_path):
-        jobs = _payload_jobs(seeds=(1,))
-        path = tmp_path / "plans.pkl"
-        set_plan_cache_path(path)
-        try:
-            first = execute_jobs(jobs)
-            assert path.exists()
-            written = path.stat().st_mtime_ns
-            second = execute_jobs(jobs)  # fully warm: loaded, not rewritten
-            assert path.stat().st_mtime_ns == written
-        finally:
-            set_plan_cache_path(None)
-        assert first[0].codec_stats == second[0].codec_stats
-        assert _transfer_metrics(first[0]) == _transfer_metrics(second[0])
-
-    def test_corrupt_cache_file_is_rebuilt(self, tmp_path):
-        jobs = _payload_jobs(seeds=(1,))
-        path = tmp_path / "plans.pkl"
-        path.write_bytes(b"not a pickle")
-        set_plan_cache_path(path)
-        try:
-            runs = execute_jobs(jobs)
-        finally:
-            set_plan_cache_path(None)
-        assert runs[0].completion_fraction == 1.0
-        from repro.rq.plan import PlanStore
-
-        assert len(PlanStore.load(path)) >= 1  # rebuilt and saved over the junk
-
-    def test_other_schema_cache_file_warns_and_is_rebuilt(self, tmp_path):
-        # A cache written under another plan-key schema (e.g. the pre-canonical
-        # exact-ESI keying) must be discarded with a warning, then rebuilt --
-        # never silently preloaded into worker caches.
-        import pickle as _pickle
-
-        from repro.rq.plan import PLAN_STORE_SCHEMA, PlanStore
-        from repro.rq.backend import prewarm_encode_plans
-
-        stale = prewarm_encode_plans([11])
-        del stale.__dict__["schema"]  # as written by pre-versioning builds
-        path = tmp_path / "plans.pkl"
-        path.write_bytes(_pickle.dumps(stale, protocol=_pickle.HIGHEST_PROTOCOL))
-        jobs = _payload_jobs(seeds=(1,))
-        set_plan_cache_path(path)
-        try:
-            with pytest.warns(RuntimeWarning, match="discarding plan cache"):
-                store = plan_store_for_jobs(jobs)
-        finally:
-            set_plan_cache_path(None)
-        assert store is not None and len(store) >= 1
-        rebuilt = PlanStore.load(path)  # rewritten under the current schema
-        assert rebuilt.schema == PLAN_STORE_SCHEMA
-
-    def test_default_path_is_keyed_by_version(self):
-        from repro import __version__
-
-        path = default_plan_cache_path()
-        assert __version__ in path.name
-        assert path.parent.name == "repro"
-        assert path.parent.parent.name == ".cache"
 
 
 class TestCliJobs:
@@ -372,6 +343,13 @@ class TestCliJobs:
         assert build_parser().parse_args(["mix", "--no-shm"]).shm is False
         assert build_parser().parse_args(["mix", "--chunk", "3"]).chunk == 3
 
+    @pytest.mark.parametrize("flag", [["--kernel", "numpy"], ["--plan-cache"]])
+    def test_removed_codec_flags_are_rejected(self, flag):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure1a", *flag])
+
     def test_jobs_garbage_rejected(self):
         from repro.cli import build_parser
 
@@ -386,14 +364,6 @@ class TestCliJobs:
             args = build_parser().parse_args([command])
             assert args.jobs == 1
             assert args.progress is False
-            assert args.plan_cache is None
-
-    def test_plan_cache_flag_with_and_without_path(self):
-        from repro.cli import build_parser
-
-        assert build_parser().parse_args(["mix", "--plan-cache"]).plan_cache == "auto"
-        args = build_parser().parse_args(["mix", "--plan-cache", "/tmp/p.pkl"])
-        assert args.plan_cache == "/tmp/p.pkl"
 
     def test_seeds_only_accepted_by_multi_seed_sweeps(self):
         from repro.cli import build_parser

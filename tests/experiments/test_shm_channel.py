@@ -1,15 +1,13 @@
 """Tests for the shared-memory transport and the persistent worker pool.
 
-Three contracts:
+Two contracts:
 
 * the shm channel is a faithful, leak-free serialisation path -- pack/unpack
   equals a pickle round trip, segments are always closed and unlinked, on
   success and on every failure path (corrupt header, worker exception);
 * the persistent pool reuses its worker processes across sweeps and keeps
   results byte-identical to the sequential path for every worker count,
-  transport and chunk size;
-* the canonical decode-plan pre-warm stores exactly the keys a live lossy
-  decode looks up.
+  transport and chunk size.
 """
 
 from __future__ import annotations
@@ -135,31 +133,10 @@ class TestShmRoundTrip:
     def test_unpacked_copies_outlive_the_segment(self):
         plane = np.arange(2048, dtype=np.uint8)
         slot, _ = pack_object({"plane": plane})
-        clone = unpack_object(slot)  # copy=True default; segment unlinked
+        clone = unpack_object(slot)  # segment unlinked
         assert not _shm_segments()
         clone["plane"][:] ^= 0xFF  # writable, private memory
         np.testing.assert_array_equal(clone["plane"], plane ^ 0xFF)
-
-    def test_zero_copy_requires_keepalive(self):
-        slot, _ = pack_object([1, 2, 3])
-        with pytest.raises(ValueError, match="keepalive"):
-            unpack_object(slot, copy=False)
-        assert unpack_object(slot) == [1, 2, 3]
-
-    def test_zero_copy_aliases_survive_unlink(self):
-        plane = np.arange(4096, dtype=np.uint8)
-        slot, _ = pack_object({"plane": plane})
-        keepalive: list = []
-        clone = unpack_object(slot, unlink=True, copy=False, keepalive=keepalive)
-        assert len(keepalive) == 1
-        assert not _shm_segments()  # name gone, mapping still alive
-        np.testing.assert_array_equal(np.asarray(clone["plane"]), plane)
-        del clone
-        import gc
-
-        gc.collect()
-        for mapping in keepalive:
-            mapping.close()
 
 
 class TestShmFailurePaths:
@@ -224,15 +201,6 @@ class TestPersistentPool:
         pool, reused = get_worker_pool(2, transport="shm")
         assert reused and pool.worker_pids == pids
 
-    def test_plan_store_ships_once_per_sweep_shape(self):
-        jobs = _payload_jobs(seeds=(1, 2))
-        execute_jobs(jobs, num_workers=2, transport="shm")
-        first = last_profile()
-        execute_jobs(jobs, num_workers=2, transport="shm")
-        second = last_profile()
-        assert first.plans_ship_s > 0.0  # shipped on the first sweep
-        assert second.plans_ship_s == 0.0  # identical store: not re-shipped
-
     def test_shape_change_restarts_pool(self):
         jobs = _payload_jobs(seeds=(1,))
         execute_jobs(jobs + _payload_jobs(seeds=(2,)), num_workers=2, transport="shm")
@@ -251,7 +219,7 @@ class TestPersistentPool:
         assert shm_profile.shm_bytes > 0
         assert pickle_profile.shm_bytes == 0
         # The tentpole's point: payloads leave the pipe.  Descriptors are a
-        # fixed few dozen bytes; pickled jobs+results+plans are kilobytes.
+        # fixed few dozen bytes; pickled jobs+results are kilobytes.
         assert pickle_profile.bytes_shipped >= 10 * shm_profile.bytes_shipped
 
 
@@ -316,47 +284,3 @@ class TestScenarioDeterminism:
         assert result.exec_profile["workers"] == 2
         assert result.exec_profile["jobs_total"] == 4
         assert result.exec_profile["transport"] in ("shm", "pickle")
-
-
-class TestDecodePrewarm:
-    def test_prewarmed_keys_hit_a_live_lossy_decode(self):
-        import random
-
-        from repro.rq.backend import CodecContext, prewarm_encode_plans
-        from repro.rq.decoder import BlockDecoder
-        from repro.rq.encoder import BlockEncoder
-
-        k, symbol_size = 12, 64
-        context = CodecContext("planned", preload=prewarm_encode_plans([k]))
-        rng = random.Random(3)
-        source = [bytes(rng.getrandbits(8) for _ in range(symbol_size))
-                  for _ in range(k)]
-        encoder = BlockEncoder(source, context=CodecContext("reference"))
-        # Lose source symbol 3; receive the rest plus repair ESIs k..k+2.
-        decoder = BlockDecoder(k, symbol_size, context=context)
-        for esi in [e for e in range(k) if e != 3] + [k, k + 1, k + 2]:
-            decoder.add_symbol(esi, encoder.symbol(esi))
-        result = decoder.decode()
-        assert result.success
-        assert b"".join(result.source_symbols) == b"".join(source)
-        stats = context.stats_dict()
-        assert stats["decode_plan_cache"]["hits"] >= 1
-        assert stats["decode_plan_cache"]["misses"] == 0
-
-    def test_lossy_sweep_ships_only_the_per_k_plans(self):
-        from repro.experiments.parallel import plan_store_for_jobs
-        from repro.faults.schedule import gray_failure_schedule
-        from repro.network.topology import FatTreeTopology
-        from repro.sim.randomness import RandomStreams
-
-        jobs = _payload_jobs(seeds=(1,))
-        schedule = gray_failure_schedule(
-            FatTreeTopology(4), RandomStreams(1).stream("gray"),
-            loss_probability=0.05,
-        )
-        lossy = [RunJob(key=job.key, protocol=job.protocol, config=job.config,
-                        transfers=job.transfers, fault_schedule=schedule)
-                 for job in jobs]
-        warmed = plan_store_for_jobs(lossy)
-        assert set(warmed.plans) == set(plan_store_for_jobs(jobs).plans)
-        assert {key[0] for key in warmed.plans} == {"encode"}

@@ -1,12 +1,12 @@
-"""The planned decode against its oracle, the uncached reference decode.
+"""The codec's decode against its oracle, the uncached full-solve decode.
 
-``planned`` recovers the missing source symbols through the per-K' plan and
-a system the size of the loss; ``reference`` eliminates the full stacked
-system over all L intermediate symbols and LT-encodes them back.  On a
-seeded sweep of received-ESI sets -- block sizes from the codec's minimum to
-the figures' K = 187, four loss shapes, 0 to 2 symbols of overhead -- the two
-must agree exactly: the same sets fail, and every set that decodes yields
-the same bytes, on every GF(256) kernel.
+The codec recovers the missing source symbols through the per-K' basis and
+a system the size of the loss; the oracle (:mod:`tests.rq.oracle`)
+eliminates the full stacked system over all L intermediate symbols and
+LT-encodes them back.  On a seeded sweep of received-ESI sets -- block sizes
+from the codec's minimum to the figures' K = 187, four loss shapes, 0 to 2
+symbols of overhead -- the two must agree exactly: the same sets fail, and
+every set that decodes yields the same bytes.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import pytest
 from repro.rq.backend import CodecContext
 from repro.rq.block import ObjectDecoder, ObjectEncoder
 from repro.rq.decoder import BlockDecoder, DecodeFailure
-from repro.rq.encoder import BlockEncoder
-from repro.rq.kernels import available_kernels
 from repro.rq.params import for_k
 from repro.rq.solver import SingularMatrixError
+from tests.rq import oracle
 
 SYMBOL_SIZE = 8
 #: seeded trials per (shape, overhead) cell: many where a decode is cheap
@@ -75,70 +74,81 @@ def _source(k: int) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _encoder(k: int) -> BlockEncoder:
-    return BlockEncoder(_source(k), context=CodecContext("reference"))
+def _intermediate(k: int) -> np.ndarray:
+    return oracle.intermediate(_source(k))
+
+
+def _received(k: int, esis: list[int]) -> dict[int, bytes]:
+    """The oracle's encoding symbols ``esis`` of K's source block."""
+    rows = oracle.lt_encode(for_k(k), esis, _intermediate(k))
+    return {esi: row.tobytes() for esi, row in zip(esis, rows)}
 
 
 def _decode(context: CodecContext, k: int, esis: list[int]):
     decoder = BlockDecoder(k, SYMBOL_SIZE, context=context)
-    for esi in esis:
-        decoder.add_symbol(esi, _encoder(k).symbol(esi))
+    for esi, data in _received(k, esis).items():
+        decoder.add_symbol(esi, data)
     return decoder.decode()
 
 
 @lru_cache(maxsize=None)
-def _oracle_cases(k: int) -> tuple:
-    """``(label, esis, reference DecodeResult)`` for every seeded case of one K."""
-    reference = CodecContext("reference")
+def _oracle_cases(k: int, shape: str) -> tuple:
+    """``(label, esis, oracle's source symbols or None)`` for every seeded case of one cell."""
     cases = []
-    for shape, build in SHAPES.items():
-        for overhead in OVERHEADS:
-            for trial in range(TRIALS[k]):
-                rng = random.Random(f"{k}/{shape}/{overhead}/{trial}")
-                esis = build(k, overhead, rng)
-                assert len(set(esis)) == len(esis) == k + overhead
-                cases.append((f"{shape}+{overhead}#{trial}", esis, _decode(reference, k, esis)))
+    for overhead in OVERHEADS:
+        for trial in range(TRIALS[k]):
+            rng = random.Random(f"{k}/{shape}/{overhead}/{trial}")
+            esis = SHAPES[shape](k, overhead, rng)
+            assert len(set(esis)) == len(esis) == k + overhead
+            cases.append((f"{shape}+{overhead}#{trial}", esis,
+                          oracle.decode(k, _received(k, esis))))
     return tuple(cases)
 
 
+def _all_cases(k: int) -> list:
+    return [case for shape in SHAPES for case in _oracle_cases(k, shape)]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
 @pytest.mark.parametrize("k", sorted(TRIALS))
-@pytest.mark.parametrize("kernel", available_kernels())
-def test_planned_matches_reference_on_the_seeded_sweep(kernel, k):
-    planned = CodecContext("planned", kernel=kernel)
-    for label, esis, expected in _oracle_cases(k):
-        result = _decode(planned, k, esis)
-        assert result.success == expected.success, (k, label)
-        assert result.source_symbols == expected.source_symbols, (k, label)
-        if expected.success:
-            assert result.source_symbols == _source(k), (k, label)
-    # Every case of this K rode the one plan the first of them built.
-    assert planned.stats.misses == 1 and planned.cached_plans == 1
+def test_codec_matches_the_full_solve_on_the_seeded_sweep(k, shape):
+    context = CodecContext()
+    for label, esis, expected in _oracle_cases(k, shape):
+        result = _decode(context, k, esis)
+        assert result.success == (expected is not None), label
+        assert result.source_symbols == expected, label
+        if expected is not None:
+            assert expected == _source(k), label
+    # Every case of this cell rode the one basis the first of them looked up.
+    assert context.stats.misses == 1
 
 
 def test_the_sweep_exercises_both_outcomes():
-    outcomes = [result.success for k in (4, 6, 10) for _, _, result in _oracle_cases(k)]
+    outcomes = [result is not None for k in (4, 6, 10) for _, _, result in _all_cases(k)]
     assert outcomes.count(False) >= 5 and outcomes.count(True) >= 5
 
 
-@pytest.mark.parametrize("backend", ["planned", "reference"])
-def test_singular_sets_raise_the_same_typed_error(backend):
-    context = CodecContext(backend)
-    failing = [(k, esis) for k in (4, 6) for _, esis, result in _oracle_cases(k)
-               if not result.success]
+def test_singular_sets_raise_the_same_typed_error():
+    context = CodecContext()
+    failing = [(k, esis) for k in (4, 6) for _, esis, result in _all_cases(k)
+               if result is None]
+    assert failing
     for k, esis in failing:
-        plane = np.array(
-            [np.frombuffer(_encoder(k).symbol(esi), dtype=np.uint8) for esi in sorted(esis)]
-        )
+        received = _received(k, sorted(esis))
+        plane = oracle.plane([received[esi] for esi in sorted(esis)])
         with pytest.raises(SingularMatrixError):
             context.recover_sources(for_k(k), sorted(esis), plane)
+        with pytest.raises(SingularMatrixError):
+            context.decode_intermediate(for_k(k), sorted(esis), plane)
 
 
-@pytest.mark.parametrize("backend", ["planned", "reference"])
-def test_pinned_rank_deficient_window_fails_typed_then_decodes(backend):
+def test_pinned_rank_deficient_window_fails_typed_then_decodes():
     """K=6, repair ESIs 40..47: K + 2 symbols that do not determine the block."""
     payload = bytes((7 + i * 131) % 251 for i in range(6 * SYMBOL_SIZE))
     encoder = ObjectEncoder(payload, symbol_size=SYMBOL_SIZE, max_symbols_per_block=8)
-    decoder = ObjectDecoder(encoder.oti, context=CodecContext(backend))
+    window = {esi: encoder.symbol(0, esi).data for esi in range(40, 48)}
+    assert oracle.decode(6, window) is None
+    decoder = ObjectDecoder(encoder.oti, context=CodecContext())
     decoder.add_symbols(encoder.symbol_block(0, range(40, 48)))
     with pytest.raises(DecodeFailure, match="8 symbols for K=6"):
         decoder.decode()
@@ -146,12 +156,12 @@ def test_pinned_rank_deficient_window_fails_typed_then_decodes(backend):
     assert decoder.decode() == payload
 
 
-def test_a_context_that_never_encoded_builds_exactly_one_plan():
+def test_a_context_that_never_encoded_looks_the_basis_up_as_a_decode_miss_once():
     k = 26
-    context = CodecContext("planned")
+    context = CodecContext()
     decoded = 0
-    for _, esis, expected in _oracle_cases(k):
-        if expected.success:
+    for _, esis, expected in _all_cases(k):
+        if expected is not None:
             assert _decode(context, k, esis).source_symbols == _source(k)
             decoded += 1
     assert decoded > 50
