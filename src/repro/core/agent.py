@@ -76,6 +76,17 @@ class PolyraptorAgent:
         self._stored_objects: dict[int, bytes] = {}
         host.register_protocol(POLYRAPTOR_PROTOCOL, self)
 
+    def close(self) -> None:
+        """Retire every session and the pull pacer (end of the run).
+
+        The sessions' send handlers and the pacer's ``send`` are bound
+        methods of this agent; closing them is what makes the agent's
+        object graph acyclic.
+        """
+        for session in (*self._senders.values(), *self._receivers.values()):
+            session.close()
+        self.pacer.close()
+
     # The sim binding ------------------------------------------------------------
 
     def drive(

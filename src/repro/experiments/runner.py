@@ -145,6 +145,21 @@ class _Environment:
     recorder: Optional[FlightRecorder] = None
     metrics: Optional[MetricRegistry] = None
 
+    def close(self) -> None:
+        """Tear the run down so reference counting frees all of it at once.
+
+        The environment owns the simulator, the network and the agents;
+        the sampler and the fault injector hang off them and are reachable
+        from nothing but this environment and the event heap.  Closing
+        drops the pending events, retires every agent's sessions and timers,
+        and unwires the fabric.  Read results out first: the network's
+        counters and the agents' sessions are gone afterwards.
+        """
+        self.sim.close()
+        for agent in (*self.polyraptor_agents.values(), *self.tcp_agents.values()):
+            agent.close()
+        self.network.close()
+
 
 def build_environment(
     protocol: Protocol,
@@ -416,31 +431,36 @@ def run_transfers(
     when sequential, or inside a worker process when sharded through
     :func:`repro.experiments.parallel.execute_jobs`.  See
     :func:`build_environment` for the meaning of the optional overrides.
+    The environment is closed on every exit path, returning or raising, so
+    a campaign of runs in one process does not grow in memory.
     """
     env = build_environment(protocol, config, topology=topology, trace=trace,
                             polyraptor_config=polyraptor_config,
                             network_config=network_config,
                             codec_context=codec_context,
                             fault_schedule=fault_schedule)
-    offer_transfers(env, protocol, transfers)
-    wall_start = time.perf_counter()
-    env.sim.run(until=config.max_sim_time_s)
-    wall_time = time.perf_counter() - wall_start
-    return RunResult(
-        protocol=protocol,
-        registry=env.registry,
-        sim_time_s=env.sim.now,
-        wall_time_s=wall_time,
-        events_processed=env.sim.events_processed,
-        trimmed_packets=env.network.total_trimmed_packets,
-        dropped_packets=env.network.total_dropped_packets,
-        num_hosts=env.network.num_hosts,
-        trace=trace,
-        codec_stats=env.codec_context.stats_dict() if env.codec_context else None,
-        fault_stats=env.fault_injector.stats_dict() if env.fault_injector else None,
-        transport_stats=_collect_transport_stats(env, protocol),
-        telemetry=_collect_telemetry(env),
-    )
+    try:
+        offer_transfers(env, protocol, transfers)
+        wall_start = time.perf_counter()
+        env.sim.run(until=config.max_sim_time_s)
+        wall_time = time.perf_counter() - wall_start
+        return RunResult(
+            protocol=protocol,
+            registry=env.registry,
+            sim_time_s=env.sim.now,
+            wall_time_s=wall_time,
+            events_processed=env.sim.events_processed,
+            trimmed_packets=env.network.total_trimmed_packets,
+            dropped_packets=env.network.total_dropped_packets,
+            num_hosts=env.network.num_hosts,
+            trace=trace,
+            codec_stats=env.codec_context.stats_dict() if env.codec_context else None,
+            fault_stats=env.fault_injector.stats_dict() if env.fault_injector else None,
+            transport_stats=_collect_transport_stats(env, protocol),
+            telemetry=_collect_telemetry(env),
+        )
+    finally:
+        env.close()
 
 
 def run_unicast_demo(

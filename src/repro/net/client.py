@@ -85,6 +85,9 @@ class _FetchProtocol(asyncio.DatagramProtocol):
         self.sender_host = sender_host_id(index)
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.driver: Optional[SessionDriver] = None
+        #: set, shared by every source of the fetch, once the core holds a
+        #: DONE_ACK from each of them (ends the linger)
+        self.fully_acked: Optional[asyncio.Event] = None
         self.grant: Optional[asyncio.Future] = None
         #: the session id granted by this source's server (None until open)
         self.wire_session_id: Optional[int] = None
@@ -144,6 +147,8 @@ class _FetchProtocol(asyncio.DatagramProtocol):
             ):
                 self._note_heard()
                 self.driver.on_done_ack(self._to_core(payload))
+                if self.driver.core.done_fully_acked:
+                    self.fully_acked.set()
         elif isinstance(payload, (OpenOkPayload, OpenErrPayload)):
             if self.grant is not None and not self.grant.done():
                 self.grant.set_result(payload)
@@ -216,6 +221,7 @@ async def fetch_object_async(
 
     loop = asyncio.get_running_loop()
     connections: list[_FetchProtocol] = []
+    driver: Optional[SessionDriver] = None
     try:
         for index, (src_host, src_port) in enumerate(endpoints):
             _, protocol = await loop.create_datagram_endpoint(
@@ -250,6 +256,7 @@ async def fetch_object_async(
 
         scheduler = AsyncioScheduler(loop)
         completed = asyncio.Event()
+        fully_acked = asyncio.Event()
         core = ReceiverCore(
             config=config,
             session_id=grants[0].session_id,
@@ -276,6 +283,7 @@ async def fetch_object_async(
         for conn, grant in zip(connections, grants):
             conn.wire_session_id = grant.session_id
             conn.driver = driver
+            conn.fully_acked = fully_acked
             conn.last_heard = now
         driver.start_fetch()
 
@@ -309,12 +317,20 @@ async def fetch_object_async(
             raise FetchError(f"transfer of {name!r} completed without a decoded payload")
 
         # Let DONE retransmissions land their acks so the servers retire
-        # their sessions; bounded, and cut short as soon as every ack is in.
-        linger_deadline = loop.time() + linger_s
-        while loop.time() < linger_deadline and not core.done_fully_acked:
-            await asyncio.sleep(0.01)
+        # their sessions; bounded, and over the moment the last ack is read.
+        if not core.done_fully_acked:
+            try:
+                await asyncio.wait_for(fully_acked.wait(), linger_s)
+            except asyncio.TimeoutError:
+                pass
         return data
     finally:
+        # Success or failure, the fetch owns its driver and the driver's
+        # pull pacer: both are closed before the sockets, so no timer or
+        # pacing tick outlives the fetch on the caller's loop.
+        if driver is not None:
+            driver.close()
+            driver.pacer.close()
         for conn in connections:
             if conn.transport is not None:
                 conn.transport.close()

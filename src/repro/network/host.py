@@ -54,6 +54,15 @@ class Host(Node):
             raise RuntimeError(f"host {self.name} already has a NIC")
         self._nic = port
 
+    def close(self) -> None:
+        """Detach the NIC and every endpoint (end of the run).
+
+        Both point back at this host (the port's owner, the endpoint's
+        host), so detaching them is what makes the graph acyclic.
+        """
+        self._nic = None
+        self._protocols.clear()
+
     @property
     def nic(self) -> Port:
         """The host's NIC egress port."""

@@ -223,6 +223,19 @@ class Network:
             )
         return changed
 
+    def close(self) -> None:
+        """Unwire every node (end of the run).
+
+        Ports name their node as owner and links name their far end, so a
+        wired fabric is one big cycle; once no node holds its ports any
+        more it is a tree that reference counting frees.  Statistics that
+        sum over switch ports read 0 afterwards: collect them first.
+        """
+        for host in self.hosts:
+            host.close()
+        for switch in self.switches.values():
+            switch.close()
+
     # Lookup ----------------------------------------------------------------------
 
     def host(self, key: Union[int, str]) -> Host:

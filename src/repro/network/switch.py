@@ -64,6 +64,10 @@ class Switch(Node):
         """Register the egress port that reaches ``remote_name``."""
         self._ports[remote_name] = port
 
+    def close(self) -> None:
+        """Detach every egress port (end of the run); each names this switch its owner."""
+        self._ports.clear()
+
     def port_to(self, remote_name: str) -> Port:
         """Return the egress port toward a neighbour (KeyError if not wired)."""
         return self._ports[remote_name]

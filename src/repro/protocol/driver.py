@@ -73,16 +73,23 @@ class SessionDriver:
         self._drain()
 
     def close(self) -> None:
-        """Disarm every timer and drop the session's queued pulls.
+        """Disarm every timer, drop the session's queued pulls, release the driver.
 
-        Called when an endpoint retires the session early (idle reaping, a
-        dead peer): a still-armed timer would otherwise fire into a session
-        the endpoint has already forgotten and keep re-arming itself forever.
+        Called whenever an endpoint retires the session -- completed, reaped
+        idle, a failed fetch, the end of a run: a still-armed timer would
+        otherwise fire into a session the endpoint has already forgotten and
+        keep re-arming itself forever.  The timers and the handler table
+        hold bound methods of this driver; dropping them leaves the driver
+        and its core free to go by reference counting.  ``core`` stays
+        readable for end-of-session statistics.  Safe to call from inside
+        an action handler: the drain in progress finishes on what it holds.
         """
         for timer in self.timers.values():
             timer.stop()
         if self.pacer is not None:
             self.pacer.cancel_session(self.core.session_id)
+        self.timers = {}
+        self._handlers = {}
 
     # Sender events ---------------------------------------------------------------
 

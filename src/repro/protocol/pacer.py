@@ -76,6 +76,8 @@ class PacedPullQueue:
         self._queues: dict[int, deque[PullBuilder]] = {}
         self._round_robin: deque[int] = deque()
         self._pacing = False
+        #: the handle ``schedule`` returned for the next pacing tick
+        self._tick: Any = None
         self.pulls_sent = 0
         self.pulls_discarded = 0
 
@@ -112,6 +114,18 @@ class PacedPullQueue:
         except ValueError:
             pass
 
+    def close(self) -> None:
+        """Stop pacing for good, after every session's ``cancel_session``.
+
+        Cancels the pending tick (it would fire once more and calls back
+        into this queue) and drops ``send``, which holds the owning
+        endpoint; the queue must not be used afterwards.
+        """
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
+        self._send = None
+
     def _next_session(self) -> Optional[int]:
         for _ in range(len(self._round_robin)):
             session_id = self._round_robin[0]
@@ -136,7 +150,7 @@ class PacedPullQueue:
         # Pace the next pull one data-packet time later (stretched to the
         # TFRC-allowed rate when rate control is on), even if the builder
         # declined to send (its slot is spent either way).
-        self._schedule(self.current_interval_s(), self._send_next)
+        self._tick = self._schedule(self.current_interval_s(), self._send_next)
 
     def current_interval_s(self) -> float:
         """The inter-pull gap in force right now."""

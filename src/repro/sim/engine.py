@@ -47,6 +47,10 @@ class Event:
         self.args = args
         self.cancelled = False
 
+    def cancel(self) -> None:
+        """Same as :meth:`Simulator.cancel`; mirrors ``asyncio.TimerHandle.cancel``."""
+        self.cancelled = True
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = "cancelled" if self.cancelled else "pending"
@@ -119,6 +123,16 @@ class Simulator:
         """Cancel a previously scheduled event (no-op for ``None`` or already-cancelled)."""
         if event is not None:
             event.cancelled = True
+
+    def close(self) -> None:
+        """Drop every pending event.
+
+        A pending event holds its callback's owner (a port, a timer, an
+        agent), and every owner holds the simulator: clearing the heap is
+        what lets a finished run's object graph be freed by reference
+        counting.  The simulator must not be run again afterwards.
+        """
+        self._heap.clear()
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current callback finishes."""

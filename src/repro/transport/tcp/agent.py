@@ -37,6 +37,15 @@ class TcpAgent:
         self._receivers: dict[int, TcpReceiver] = {}
         host.register_protocol(TCP_PROTOCOL, self)
 
+    def close(self) -> None:
+        """Retire every flow (end of the run).
+
+        Each sender's retransmit timer and completion callback lead back to
+        the sender and to this agent; receivers hold no callbacks.
+        """
+        for sender in self._senders.values():
+            sender.close()
+
     # Flow management -------------------------------------------------------------
 
     def start_flow(

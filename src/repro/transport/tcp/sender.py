@@ -66,6 +66,17 @@ class TcpSender:
         """Begin transmitting (the connection is assumed established)."""
         self._send_available()
 
+    def close(self) -> None:
+        """Disarm the retransmit timer and drop it with the completion callback.
+
+        The timer calls back into this sender, so it is the edge that keeps
+        the flow's state cyclic; counters stay readable.  The flow must not
+        be driven afterwards.
+        """
+        self._retransmit_timer.stop()
+        self._retransmit_timer = None
+        self._on_complete = None
+
     def on_ack(self, ack_seq: int, ece: bool = False) -> None:
         """Process a cumulative acknowledgement (``ece`` = echoed CE mark)."""
         if self.completed:

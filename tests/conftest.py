@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 try:  # hypothesis is an optional test dependency (the rq property tests skip
@@ -89,6 +92,41 @@ class TcpTestbed:
 
     def run(self, until: float = 5.0) -> None:
         self.sim.run(until=until)
+
+
+def _repro_cyclic_garbage(action) -> Counter:
+    """Run ``action()`` with the cycle collector off; count what only it could free.
+
+    Returns the ``repro.*`` objects, by type name, that ``action`` left
+    unreachable but still alive -- held by reference cycles -- once it
+    returned and dropped its results.  The teardown contract is that this
+    is empty: every run, fetch and session frees its object graph by
+    reference counting the moment it ends.
+    """
+    gc.collect()
+    gc.garbage.clear()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        action()
+        gc.collect()
+        return Counter(
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage
+            if type(obj).__module__.startswith("repro.")
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """:func:`_repro_cyclic_garbage`, for tests that assert the teardown contract."""
+    return _repro_cyclic_garbage
 
 
 @pytest.fixture
