@@ -2,7 +2,7 @@
 
 The figure benchmarks stress a handful of heavyweight cells; real parameter
 studies look the opposite -- thousands of small cells where the executor's
-fixed costs (spawn, serialisation, plan shipping, merge) decide whether
+fixed costs (spawn, serialisation, merge) decide whether
 sharding pays at all.  This campaign expands ``REPRO_CAMPAIGN_CELLS``
 (default 10,000) tiny identity-tracking runs over seeds x transfer kinds
 (unicast, fetch) x fault regimes (healthy, SRLG cut, gray loss) and pushes

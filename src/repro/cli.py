@@ -44,9 +44,7 @@ from repro.experiments.parallel import (
     collected_telemetry,
     log_progress,
     resolve_jobs,
-    set_chunk_size,
     set_progress_logger,
-    set_transport,
 )
 from repro.experiments.report import (
     format_ablation,
@@ -160,15 +158,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "for any value)")
     parser.add_argument("--progress", action="store_true",
                         help="log one stderr line per finished run")
-    parser.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                        help="ship sharded payloads through shared memory "
-                             "(--no-shm forces plain pickle over the pipe); "
-                             "default: shared memory when the platform supports "
-                             "it -- results are identical either way")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="runs per dispatched batch in sharded sweeps "
-                             "(default: ~4 batches per worker; affects "
-                             "scheduling only, never results)")
     parser.add_argument("--paper-scale", action="store_true",
                         help="run on the paper's k=10, 250-host fabric preset "
                              "(100 sessions, offered load 0.33; supersedes "
@@ -618,18 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_execution_options(args: argparse.Namespace) -> None:
-    """Install process-wide executor options (progress, transport, chunking)."""
-    if getattr(args, "progress", False):
-        set_progress_logger(log_progress)
-    use_shm = getattr(args, "shm", None)
-    if use_shm is not None:
-        set_transport("shm" if use_shm else "pickle")
-    chunk = getattr(args, "chunk", None)
-    if chunk is not None:
-        set_chunk_size(chunk)
-
-
 def _export_telemetry(args: argparse.Namespace) -> None:
     """Write telemetry collected during this invocation, if it was requested.
 
@@ -653,7 +630,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point: parse arguments, run the requested command, print its table."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_execution_options(args)
+    if getattr(args, "progress", False):
+        set_progress_logger(log_progress)
     clear_telemetry()
     output = args.handler(args)
     print(output)

@@ -1,10 +1,10 @@
-"""Sharded parallel experiment execution over a persistent worker pool.
+"""Sharded parallel experiment execution over a persistent process pool.
 
 Every figure and ablation of the paper is a *sweep*: the cartesian product
 of seeds, protocols and scenario parameters, where each cell is one
 independent simulation run.  This module turns such a sweep into a list of
 :class:`RunJob` descriptions and executes them either in-process or across
-a **persistent pool of warm worker processes**, with three guarantees:
+a **persistent stdlib process pool**, with three guarantees:
 
 1. **Determinism.**  A job is a pure function of its fields: the worker
    rebuilds the topology from the config (``FatTreeTopology`` is a pure
@@ -12,28 +12,24 @@ a **persistent pool of warm worker processes**, with three guarantees:
    replays the transfer list the parent generated.  Results are merged in
    job-submission order regardless of which worker finished first, so the
    output of ``num_workers=N`` is byte-identical to ``num_workers=1`` for
-   every N -- and for every transport and chunk size.
+   every N -- and for every chunk size.
 
-2. **Cheap transport.**  Job batches and per-job results cross the process
-   boundary through ``multiprocessing.shared_memory`` segments
-   (:mod:`repro.experiments.shm`): ndarray planes are written once into the
-   segment and mapped by the consumer, so only tiny descriptors travel
-   through the pipe.  When shared memory is unavailable the executor falls
-   back transparently to pickle payloads -- results are identical, only
-   ``bytes_shipped`` grows.
+2. **One transport.**  A batch of jobs crosses to a worker as one pickle and
+   its results come back as one pickle.  Neither holds an ndarray (runs
+   count codec work, they do not return planes), so there is nothing a
+   zero-copy channel could move out of band.
 
-3. **Amortised start-up.**  Workers are spawned once per process and kept
-   alive across sweeps: the second ``execute_jobs`` call of an invocation
-   pays no spawn or import cost, and a worker builds the codec's per-K'
-   basis (:func:`repro.rq.backend.generator_basis`) the first time one of
-   its jobs codes a block of that K', then keeps it.  Jobs are dispatched
-   in chunked batches with dynamic load balancing (a worker gets its next
-   batch when it finishes one).
+3. **Amortised start-up.**  The pool is a spawn-started
+   :class:`concurrent.futures.ProcessPoolExecutor` kept alive across sweeps:
+   the second ``execute_jobs`` call of an invocation pays no spawn or import
+   cost, and a worker builds the codec's per-K' basis
+   (:func:`repro.rq.backend.generator_basis`) the first time one of its jobs
+   codes a block of that K', then keeps it.  Jobs are submitted in chunked
+   batches; an idle worker takes the next queued batch.
 
-Every sharded call records an :class:`ExecutorProfile` (per-phase wall
-clock, ``bytes_shipped`` through the pipe, ``shm_bytes`` through shared
-memory), readable via :func:`last_profile` and surfaced by ``--progress``
-and the benchmarks.
+Every call records an :class:`ExecutorProfile` (per-phase wall clock and
+``bytes_shipped`` through the pipe), readable via :func:`last_profile` and
+surfaced by ``--progress`` and the benchmarks.
 
 Typical use (what the figure drivers do internally)::
 
@@ -51,15 +47,14 @@ import atexit
 import multiprocessing
 import os
 import pickle
-import queue
 import sys
 import time
-import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Callable, Hashable, Optional, Sequence, Union
 
 from repro.core.config import PolyraptorConfig
-from repro.experiments import shm
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.runner import RunResult, run_transfers
 from repro.faults.schedule import FaultSchedule
@@ -71,11 +66,6 @@ from repro.obs.registry import WindowedRate
 #: Start method used for worker pools; ``spawn`` is the portable choice and
 #: proves that every job artefact survives pickling.
 DEFAULT_START_METHOD = "spawn"
-
-#: Transports a sharded run can use for payloads: ``shm`` (shared-memory
-#: segments, tiny pipe descriptors), ``pickle`` (everything through the
-#: pipe) or ``auto`` (``shm`` when the platform supports it).
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Called after each job completes (in job order): (index, total, job, result).
 ProgressCallback = Callable[[int, int, "RunJob", RunResult], None]
@@ -198,7 +188,7 @@ def run_job(job: RunJob) -> RunResult:
     """Execute one job to completion in the current process.
 
     Both execution paths funnel through here -- the sequential loop directly
-    and each pool worker via its batch loop -- so a job's result cannot
+    and each pool worker via :func:`_run_batch` -- so a job's result cannot
     depend on *where* it ran.  Every Polyraptor job counts its codec work in
     a fresh codec context of its own.
     """
@@ -220,17 +210,15 @@ def run_job(job: RunJob) -> RunResult:
 class ExecutorProfile:
     """Per-phase accounting for one ``execute_jobs`` call.
 
-    ``bytes_shipped`` counts payload bytes that crossed the process pipe by
-    pickle (job batches and results in ``pickle`` transport; only tiny
-    segment descriptors in ``shm`` transport -- envelopes are estimated at a
-    flat 64 bytes per message).  ``shm_bytes`` counts bytes written into
-    shared-memory segments instead.  Wall-clock phases: ``pool_spawn_s``
-    (parent-observed time until every worker reported ready -- includes the
+    ``bytes_shipped`` counts the pickled job batches and result lists that
+    crossed the process pipe.  Wall-clock phases: ``pool_spawn_s``
+    (parent-observed time until every worker answered -- includes the
     workers' imports; zero when the persistent pool was reused),
-    ``worker_init_s`` (slowest worker's start-up after its imports, paid
-    once per pool), ``serialize_s`` (packing on both sides), ``merge_s``
-    (parent-side unpacking and in-order merge) and ``run_s`` (summed worker
-    simulation time).
+    ``worker_init_s`` (CPU time the slowest worker spent starting up, paid
+    once per pool), ``serialize_s`` (pickling and unpickling of job batches
+    on both sides and of results in the workers), ``merge_s`` (parent-side
+    unpickling of results and the in-order merge) and ``run_s`` (summed
+    worker simulation time).
     """
 
     label: str = ""
@@ -242,15 +230,15 @@ class ExecutorProfile:
     num_batches: int = 0
     cpu_count: int = 1
     bytes_shipped: int = 0
+    # Nothing goes through shared memory, nothing is pre-warmed or shipped
+    # ahead of the jobs; the benchmark ledger still reads these three, so
+    # they stay, pinned at zero.
     shm_bytes: int = 0
-    pool_spawn_s: float = 0.0
-    worker_init_s: float = 0.0
-    # Nothing is pre-warmed or shipped any more; the benchmark ledger still
-    # reads these two, so they stay, pinned at zero.
     prewarm_s: float = 0.0
     plans_ship_s: float = 0.0
+    pool_spawn_s: float = 0.0
+    worker_init_s: float = 0.0
     serialize_s: float = 0.0
-    dispatch_s: float = 0.0
     merge_s: float = 0.0
     run_s: float = 0.0
     wall_s: float = 0.0
@@ -271,11 +259,12 @@ def last_profile() -> Optional[ExecutorProfile]:
 # Telemetry collection ---------------------------------------------------------------
 #
 # Runs carry their flight-recorder output inside RunResult.telemetry (plain
-# dicts, so they ship through shm/pickle unchanged); execute_jobs additionally
-# accumulates them here -- mirroring the _last_profile pattern -- so the CLI
-# can export every sweep of an invocation without threading telemetry through
-# each scenario module's result type.  Only telemetry-carrying runs are
-# appended: with telemetry off this list never grows.
+# dicts, so they pickle back to the parent unchanged); execute_jobs
+# additionally accumulates them here -- mirroring the _last_profile pattern --
+# so the CLI can export every sweep of an invocation without threading
+# telemetry through each scenario module's result type.  Only
+# telemetry-carrying runs are appended: with telemetry off this list never
+# grows.
 
 _telemetry_records: list[TelemetryRecord] = []
 
@@ -284,7 +273,7 @@ def collected_telemetry() -> list[TelemetryRecord]:
     """Telemetry records accumulated by :func:`execute_jobs` since the last clear.
 
     In job order within each sweep and sweep order across sweeps -- i.e.
-    byte-identical for every worker count, transport and chunk size.
+    byte-identical for every worker count and chunk size.
     """
     return list(_telemetry_records)
 
@@ -306,56 +295,18 @@ def log_exec_profile(profile: ExecutorProfile) -> None:
     """One stderr summary line per sweep (printed when --progress is on)."""
     print(
         f"[repro] sweep {profile.label or 'jobs'}: {profile.jobs_total} jobs, "
-        f"{profile.workers} workers ({profile.transport}"
-        f"{', pool reused' if profile.pool_reused else ''}), "
+        f"{profile.workers} workers{' (pool reused)' if profile.pool_reused else ''}, "
         f"chunk={profile.chunk_size}  wall={profile.wall_s:.2f}s  "
         f"run={profile.run_s:.2f}s  serialize={profile.serialize_s * 1e3:.1f}ms  "
         f"merge={profile.merge_s * 1e3:.1f}ms  "
-        f"shipped={profile.bytes_shipped}B  shm={profile.shm_bytes}B",
+        f"shipped={profile.bytes_shipped}B",
         file=sys.stderr,
         flush=True,
     )
 
 
-# Process-wide executor defaults (installed by the CLI) ------------------------------
-
-_default_transport: str = "auto"
-_default_chunk: Optional[int] = None
-
-
-def set_transport(transport: Optional[str]) -> str:
-    """Install the process-wide default payload transport (``None`` = auto)."""
-    global _default_transport
-    transport = transport or "auto"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    _default_transport = transport
-    return _default_transport
-
-
-def set_chunk_size(chunk: Optional[int]) -> Optional[int]:
-    """Install the process-wide default batch size (``None`` = auto)."""
-    global _default_chunk
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    _default_chunk = chunk
-    return _default_chunk
-
-
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Resolve ``auto``/None to a concrete transport for this platform."""
-    transport = transport or _default_transport
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    if transport == "auto":
-        return "shm" if shm.shm_available() else "pickle"
-    return transport
-
-
 def _resolve_chunk(chunk: Optional[int], total: int, workers: int) -> int:
     """Default chunking: ~4 batches per worker bounds idle tails and IPC."""
-    if chunk is None:
-        chunk = _default_chunk
     if chunk is None:
         chunk = max(1, -(-total // (workers * 4)))
     if chunk < 1:
@@ -365,148 +316,55 @@ def _resolve_chunk(chunk: Optional[int], total: int, workers: int) -> int:
 
 # Worker pool ------------------------------------------------------------------------
 
-#: Estimated pipe cost of a queue message envelope (accounting only).
-_ENVELOPE_BYTES = 64
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died without reporting a result."""
-
 
 class WorkerJobError(RuntimeError):
-    """A job raised inside a worker; carries the formatted remote traceback."""
+    """A job raised inside a worker; the worker's exception is the cause."""
 
 
-def _dump_payload(obj, transport: str) -> tuple[tuple, int, int]:
-    """Pack ``obj`` for the pipe: returns (payload, pipe_bytes, shm_bytes)."""
-    if transport == "shm":
-        slot, stats = shm.pack_object(obj)
-        return ("shm", slot), _ENVELOPE_BYTES, stats.total_bytes
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return ("pickle", blob), _ENVELOPE_BYTES + len(blob), 0
+def _worker_started() -> float:
+    """Worker side: the CPU seconds this process has used so far -- its start-up."""
+    return time.process_time()
 
 
-def _load_payload(payload: tuple):
-    """Unpack (and, for a segment, unlink) a payload from :func:`_dump_payload`."""
-    kind, body = payload
-    if kind == "shm":
-        return shm.unpack_object(body)
-    if kind == "pickle":
-        return pickle.loads(body)
-    raise ValueError(f"unknown payload kind {kind!r}")
+def _run_batch(jobs_blob: bytes) -> tuple[bytes, float, float]:
+    """Worker side: run one pickled batch of jobs.
 
-
-def _discard_payload(payload: tuple) -> None:
-    """Reap a payload that will never be consumed (teardown path)."""
-    kind, body = payload
-    if kind == "shm":
-        shm.discard_segment(body)
-
-
-def _worker_main(worker_id: int, tasks, results, transport: str) -> None:
-    """Entry point of one persistent pool worker.
-
-    Runs until a ``stop`` message arrives; every other message is a
-    ``batch``.  The heavy imports were paid when this module loaded.
+    Returns the pickled results, the simulation time and the time spent
+    unpickling the jobs and pickling the results.
     """
-    init_start = time.perf_counter()
-    results.put(("ready", worker_id, time.perf_counter() - init_start))
-    while True:
-        message = tasks.get()
-        kind = message[0]
-        if kind == "stop":
-            return
-        if kind != "batch":  # pragma: no cover - protocol guard
-            raise RuntimeError(f"worker {worker_id}: unknown message {kind!r}")
-        batch_id, payload = message[1], message[2]
-        try:
-            jobs = _load_payload(payload)
-            run_start = time.perf_counter()
-            runs = [run_job(job) for job in jobs]
-            run_s = time.perf_counter() - run_start
-            pack_start = time.perf_counter()
-            # Results are written in place into a fresh segment (pack_object
-            # unlinks it itself if packing fails); the parent unlinks after
-            # merging.
-            out_payload, pipe_bytes, shm_bytes = _dump_payload(runs, transport)
-            stats = {
-                "run_s": run_s,
-                "serialize_s": time.perf_counter() - pack_start,
-                "pipe_bytes": pipe_bytes,
-                "shm_bytes": shm_bytes,
-            }
-            results.put(("done", worker_id, batch_id, out_payload, stats))
-        except BaseException:
-            results.put(("error", worker_id, batch_id, traceback.format_exc()))
+    start = time.perf_counter()
+    jobs = pickle.loads(jobs_blob)
+    run_start = time.perf_counter()
+    runs = [run_job(job) for job in jobs]
+    pack_start = time.perf_counter()
+    results_blob = pickle.dumps(runs, protocol=pickle.HIGHEST_PROTOCOL)
+    packed = time.perf_counter()
+    return results_blob, pack_start - run_start, (run_start - start) + (packed - pack_start)
 
 
 class WorkerPool:
-    """A persistent pool of spawn-started, pre-warmed worker processes.
+    """A persistent, spawn-started :class:`ProcessPoolExecutor`.
 
-    Unlike ``multiprocessing.Pool`` the pool survives across sweeps: the
-    module keeps one instance alive (see :func:`get_worker_pool`) so the
-    spawn + import + kernel warm-up cost is paid once per process, not once
-    per ``execute_jobs`` call.  Jobs are shipped in chunked batches over
-    per-worker task queues with parent-side dynamic dispatch (a worker
-    receives its next batch when it reports one done), and every payload
-    travels by the pool's transport (``shm`` or ``pickle``).
+    The module keeps one instance alive (see :func:`get_worker_pool`) so the
+    spawn + import cost is paid once per process, not once per
+    ``execute_jobs`` call.  Construction starts every worker, so
+    ``spawn_s`` is the whole start-up bill.
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        start_method: str = DEFAULT_START_METHOD,
-        transport: Optional[str] = None,
-    ) -> None:
+    def __init__(self, num_workers: int, start_method: str = DEFAULT_START_METHOD) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be at least 1, got {num_workers}")
         self.num_workers = num_workers
         self.start_method = start_method
-        self.transport = resolve_transport(transport)
-        context = multiprocessing.get_context(start_method)
-        self._results = context.Queue()
-        self._tasks = [context.SimpleQueue() for _ in range(num_workers)]
         spawn_start = time.perf_counter()
-        self._procs = [
-            context.Process(
-                target=_worker_main,
-                args=(wid, self._tasks[wid], self._results, self.transport),
-                daemon=True,
-                name=f"repro-worker-{wid}",
-            )
-            for wid in range(num_workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        self.worker_init_s = 0.0
-        for _ in range(num_workers):
-            message = self._next_message()
-            if message[0] != "ready":  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unexpected pool message {message[0]!r}")
-            self.worker_init_s = max(self.worker_init_s, message[2])
+        self.executor = ProcessPoolExecutor(
+            num_workers, mp_context=multiprocessing.get_context(start_method)
+        )
+        # The executor starts a worker per submission while none is idle, so
+        # probes submitted together -- before any can answer -- start them all.
+        probes = [self.executor.submit(_worker_started) for _ in range(num_workers)]
+        self.worker_init_s = max(probe.result() for probe in probes)
         self.spawn_s = time.perf_counter() - spawn_start
-        self._closed = False
-
-    @property
-    def worker_pids(self) -> list[int]:
-        """PIDs of the pool's workers (stable for the pool's lifetime)."""
-        return [proc.pid for proc in self._procs]
-
-    def _next_message(self, poll_s: float = 1.0):
-        """Next result-queue message, failing fast if a worker died."""
-        while True:
-            try:
-                return self._results.get(timeout=poll_s)
-            except queue.Empty:
-                dead = [
-                    (proc.name, proc.exitcode)
-                    for proc in self._procs
-                    if not proc.is_alive()
-                ]
-                if dead:
-                    raise WorkerCrashError(
-                        f"worker process(es) died: {dead}; pool must be restarted"
-                    ) from None
 
     def run_jobs(
         self,
@@ -517,171 +375,71 @@ class WorkerPool:
     ) -> list[RunResult]:
         """Run ``jobs`` across the pool; results return in job order.
 
-        Batches of ``chunk_size`` consecutive jobs are dispatched dynamically
-        -- each worker gets a new batch as it finishes one -- and merged in
+        Every batch of ``chunk_size`` consecutive jobs is submitted up front
+        and an idle worker takes the next one; results are merged in
         submission order, so the output (and the order of ``progress``
-        callbacks) is independent of scheduling.  On any worker error the
-        in-flight segments are reaped before the exception propagates, so a
-        failed sweep leaks no shared memory.
+        callbacks) is independent of scheduling.  If a job raises, the
+        batches no worker has started yet are cancelled before
+        :class:`WorkerJobError` propagates.
         """
-        batches = [list(jobs[at:at + chunk_size]) for at in range(0, len(jobs), chunk_size)]
-        starts = list(range(0, len(jobs), chunk_size))
-        profile.num_batches = len(batches)
-        in_flight: dict[int, tuple] = {}
-        batch_results: dict[int, list[RunResult]] = {}
-        next_batch = 0
-        fired = 0  # progress callbacks fired (== merged job-order prefix)
-
-        def dispatch(worker_id: int) -> None:
-            nonlocal next_batch
-            if next_batch >= len(batches):
-                return
-            pack_start = time.perf_counter()
-            payload, pipe_bytes, shm_bytes = _dump_payload(
-                batches[next_batch], self.transport
-            )
-            profile.serialize_s += time.perf_counter() - pack_start
-            profile.bytes_shipped += pipe_bytes
-            profile.shm_bytes += shm_bytes
-            in_flight[next_batch] = payload
-            self._tasks[worker_id].put(("batch", next_batch, payload))
-            next_batch += 1
-
-        dispatch_start = time.perf_counter()
+        starts = range(0, len(jobs), chunk_size)
+        profile.num_batches = len(starts)
+        futures = []
+        merged: list[RunResult] = []
         try:
-            for worker_id in range(min(self.num_workers, len(batches))):
-                dispatch(worker_id)
-            while len(batch_results) < len(batches):
-                message = self._next_message()
-                kind = message[0]
-                if kind == "done":
-                    _, worker_id, batch_id, payload, stats = message
-                    in_flight.pop(batch_id, None)
-                    merge_start = time.perf_counter()
-                    batch_results[batch_id] = _load_payload(payload)
-                    profile.merge_s += time.perf_counter() - merge_start
-                    profile.run_s += stats["run_s"]
-                    profile.serialize_s += stats["serialize_s"]
-                    profile.bytes_shipped += stats["pipe_bytes"]
-                    profile.shm_bytes += stats["shm_bytes"]
-                    dispatch(worker_id)
-                    if progress is not None:
-                        merge_start = time.perf_counter()
-                        while fired < len(jobs):
-                            batch_of = fired // chunk_size
-                            if batch_of not in batch_results:
-                                break
-                            result = batch_results[batch_of][fired - starts[batch_of]]
-                            progress(fired, len(jobs), jobs[fired], result)
-                            fired += 1
-                        profile.merge_s += time.perf_counter() - merge_start
-                elif kind == "error":
-                    _, worker_id, batch_id, remote_traceback = message
-                    in_flight.pop(batch_id, None)
-                    keys = [job.key for job in batches[batch_id]]
+            for at in starts:
+                pack_start = time.perf_counter()
+                blob = pickle.dumps(jobs[at:at + chunk_size], protocol=pickle.HIGHEST_PROTOCOL)
+                profile.serialize_s += time.perf_counter() - pack_start
+                profile.bytes_shipped += len(blob)
+                futures.append(self.executor.submit(_run_batch, blob))
+            for batch_id, (at, future) in enumerate(zip(starts, futures)):
+                try:
+                    blob, run_s, serialize_s = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as error:
+                    keys = [job.key for job in jobs[at:at + chunk_size]]
                     raise WorkerJobError(
-                        f"worker {worker_id} failed on batch {batch_id} "
-                        f"(job keys {keys}):\n{remote_traceback}"
-                    )
-                else:  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unexpected pool message {kind!r}")
-        except BaseException:
-            self._reap_in_flight(in_flight)
-            raise
+                        f"batch {batch_id} (job keys {keys}) failed: {error!r}"
+                    ) from error
+                merge_start = time.perf_counter()
+                merged.extend(pickle.loads(blob))
+                profile.bytes_shipped += len(blob)
+                profile.run_s += run_s
+                profile.serialize_s += serialize_s
+                if progress is not None:
+                    for index in range(at, len(merged)):
+                        progress(index, len(jobs), jobs[index], merged[index])
+                profile.merge_s += time.perf_counter() - merge_start
         finally:
-            profile.dispatch_s += time.perf_counter() - dispatch_start
-        merge_start = time.perf_counter()
-        merged = [run for batch_id in range(len(batches)) for run in batch_results[batch_id]]
-        profile.merge_s += time.perf_counter() - merge_start
+            for future in futures:
+                future.cancel()
         return merged
 
-    def _reap_in_flight(self, in_flight: dict[int, tuple]) -> None:
-        """Settle every dispatched batch and free its segments (error path).
-
-        Unlinking the input segments first makes a worker that has not
-        attached yet fail fast instead of running a batch nobody will merge.
-        A worker already mid-batch still posts its result segment when it
-        finishes -- possibly long after the error that brought us here -- so
-        wait for one report per outstanding batch rather than draining only
-        what happens to be queued.
-        """
-        for payload in in_flight.values():
-            _discard_payload(payload)
-        outstanding = set(in_flight)
-        while outstanding:
-            try:
-                message = self._next_message()
-            except WorkerCrashError:
-                return  # a dead worker reports nothing more; close() sweeps the queue
-            if message[0] == "done":
-                _discard_payload(message[3])
-            if message[0] in ("done", "error"):
-                outstanding.discard(message[2])
-
-    def _discard_queued_results(self, wait_s: float = 0.0) -> None:
-        """Free the segment of every result still queued: nobody will merge it."""
-        while True:
-            try:
-                message = self._results.get(timeout=wait_s)
-            except queue.Empty:
-                return
-            if message[0] == "done":
-                _discard_payload(message[3])
-
-    def close(self, force: bool = False, join_timeout_s: float = 5.0) -> None:
-        """Stop every worker; ``force`` terminates instead of asking.
-
-        Results a worker posts on its way out are freed, not leaked.  The
-        queue is drained *while* the workers wind down: a worker cannot exit
-        until the parent has read what it wrote.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if not force:
-            for tasks in self._tasks:
-                try:
-                    tasks.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover - broken pipe
-                    pass
-            deadline = time.monotonic() + join_timeout_s
-            while any(proc.is_alive() for proc in self._procs) and time.monotonic() < deadline:
-                self._discard_queued_results(wait_s=0.05)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=join_timeout_s)
-        self._discard_queued_results()
-        self._results.close()
+    def close(self) -> None:
+        """Stop every worker, dropping batches none has started."""
+        self.executor.shutdown(wait=True, cancel_futures=True)
 
 
 _pool: Optional[WorkerPool] = None
 
 
 def get_worker_pool(
-    num_workers: int,
-    start_method: str = DEFAULT_START_METHOD,
-    transport: Optional[str] = None,
+    num_workers: int, start_method: str = DEFAULT_START_METHOD
 ) -> tuple[WorkerPool, bool]:
     """The process-wide persistent pool; returns ``(pool, was_reused)``.
 
-    A pool is reused while the requested shape (worker count, start method,
-    resolved transport) matches; a mismatch shuts the old pool down and
-    spawns a fresh one.  The pool is torn down automatically at interpreter
-    exit.
+    A pool is reused while the requested shape (worker count, start method)
+    matches; a mismatch shuts the old pool down and spawns a fresh one.  The
+    pool is torn down automatically at interpreter exit.
     """
     global _pool
-    transport = resolve_transport(transport)
-    if _pool is not None and not _pool._closed:
-        if (
-            _pool.num_workers == num_workers
-            and _pool.start_method == start_method
-            and _pool.transport == transport
-            and all(proc.is_alive() for proc in _pool._procs)
-        ):
+    if _pool is not None:
+        if _pool.num_workers == num_workers and _pool.start_method == start_method:
             return _pool, True
         shutdown_worker_pool()
-    _pool = WorkerPool(num_workers, start_method=start_method, transport=transport)
+    _pool = WorkerPool(num_workers, start_method=start_method)
     return _pool, False
 
 
@@ -690,8 +448,12 @@ def warm_worker_pool(
     start_method: str = DEFAULT_START_METHOD,
     transport: Optional[str] = None,
 ) -> WorkerPool:
-    """Ensure the persistent pool exists and is warm (benchmark helper)."""
-    pool, _ = get_worker_pool(num_workers, start_method=start_method, transport=transport)
+    """Ensure the persistent pool exists and is warm (benchmark helper).
+
+    ``transport`` is accepted from existing callers and ignored: every
+    payload is pickled.
+    """
+    pool, _ = get_worker_pool(num_workers, start_method=start_method)
     return pool
 
 
@@ -728,12 +490,10 @@ def execute_jobs(
         progress: optional per-job callback ``(index, total, job, result)``,
             invoked in job order as results arrive (the CLI wires
             :func:`log_progress` here); it never affects results.
-        transport: payload transport (``"shm"``/``"pickle"``/``"auto"``);
-            ``None`` uses the process default (see :func:`set_transport`).
-            Results are byte-identical across transports.
-        chunk: jobs per dispatched batch; ``None`` uses the process default
-            or, failing that, ~4 batches per worker.  Affects scheduling
-            granularity only, never results.
+        transport: accepted from existing callers and ignored: every payload
+            is pickled.
+        chunk: jobs per submitted batch; ``None`` means ~4 batches per
+            worker.  Affects scheduling granularity only, never results.
         label: a short sweep name recorded in the executor profile and
             progress output.
 
@@ -741,6 +501,10 @@ def execute_jobs(
         ``[run_job(job) for job in jobs]`` -- the merge is a stable,
         order-preserving map, so callers can zip results with their job list
         no matter how many workers ran.
+
+    Raises:
+        WorkerJobError: a job raised in a worker; the pool stays usable.
+        BrokenProcessPool: a worker died; the next sweep starts a fresh pool.
 
     Every call records an :class:`ExecutorProfile` retrievable via
     :func:`last_profile`.
@@ -765,10 +529,8 @@ def execute_jobs(
         _last_profile = profile
         _accumulate_telemetry(label, jobs, results)
         return results
-    pool, reused = get_worker_pool(
-        num_workers, start_method=start_method, transport=transport
-    )
-    profile.transport = pool.transport
+    pool, reused = get_worker_pool(num_workers, start_method=start_method)
+    profile.transport = "pickle"
     profile.workers = pool.num_workers
     profile.pool_reused = reused
     profile.pool_spawn_s = 0.0 if reused else pool.spawn_s
@@ -776,9 +538,8 @@ def execute_jobs(
     profile.chunk_size = _resolve_chunk(chunk, total, pool.num_workers)
     try:
         results = pool.run_jobs(jobs, profile.chunk_size, progress, profile)
-    except (WorkerCrashError, WorkerJobError):
-        # The pool may hold poisoned queues or dead workers; restart fresh
-        # on the next sweep rather than risking a hang.
+    except BrokenProcessPool:
+        # The executor refuses all further work once a worker has died.
         shutdown_worker_pool()
         raise
     profile.wall_s = time.perf_counter() - wall_start

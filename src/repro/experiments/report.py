@@ -173,7 +173,7 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
     Takes the ``exec_profile`` dict a result object carries (an
     :class:`~repro.experiments.parallel.ExecutorProfile` snapshot) and shows
     where the sweep's wall clock went and how many bytes crossed the process
-    boundary by pipe vs shared memory.  ``None`` (no profile recorded)
+    boundary.  ``None`` (no profile recorded)
     renders as a one-line note so callers can print unconditionally.
     """
     if not profile:
@@ -188,7 +188,6 @@ def format_exec_profile(profile: Optional[dict], title: str = "Executor profile"
         ("jobs", lambda profile: str(profile.get("jobs_total", 0))),
         ("chunk", lambda profile: str(profile.get("chunk_size", 1))),
         ("pipe B", lambda profile: str(profile.get("bytes_shipped", 0))),
-        ("shm B", lambda profile: str(profile.get("shm_bytes", 0))),
         ("wall s", lambda profile: f"{profile.get('wall_s', 0.0):.2f}"),
         ("run s", lambda profile: f"{profile.get('run_s', 0.0):.2f}"),
         ("spawn ms", ms("pool_spawn_s")),

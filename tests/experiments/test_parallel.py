@@ -5,24 +5,34 @@ same results, in the same order, for every N -- including the codec's block
 and basis-lookup counters, because every job counts them in a fresh context
 of its own while the per-K' basis it reads is built lazily, once per
 process.  Workers use the ``spawn`` start method, so these tests also prove
-that every job artifact survives pickling.
+that every job artifact survives pickling.  ``TestPersistentPool`` covers the
+pool's life cycle: reuse across sweeps, a job that raises, a worker that dies.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.figure1a import run_figure1a
+from repro.experiments.figure1b import run_figure1b
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     RunJob,
+    WorkerJobError,
+    WorkerPool,
     available_cpus,
     execute_jobs,
+    get_worker_pool,
     last_profile,
+    log_progress,
     resolve_jobs,
     run_job,
     set_progress_logger,
@@ -148,17 +158,6 @@ def _two_k_lossy_jobs() -> list[RunJob]:
             for seed in (1, 2, 3)]
 
 
-class _RecordingQueue:
-    """A worker task queue that notes the kind of every message put on it."""
-
-    def __init__(self, queue, kinds: list) -> None:
-        self.queue, self.kinds = queue, kinds
-
-    def put(self, message) -> None:
-        self.kinds.append(message[0])
-        self.queue.put(message)
-
-
 class TestPerProcessBasisDeterminism:
     """Lazily built per-process bases leave no trace in any reported number."""
 
@@ -168,11 +167,17 @@ class TestPerProcessBasisDeterminism:
         sequential = execute_jobs(jobs, num_workers=1)
         shutdown_worker_pool()
         pool = warm_worker_pool(2)
-        kinds: list = []
-        pool._tasks = [_RecordingQueue(tasks, kinds) for tasks in pool._tasks]
+        submitted: list = []
+        submit = pool.executor.submit
+
+        def recording_submit(fn, *args):
+            submitted.append(fn.__name__)
+            return submit(fn, *args)
+
+        pool.executor.submit = recording_submit
         sharded = execute_jobs(jobs, num_workers=2)
         shutdown_worker_pool()
-        return sequential, sharded, kinds
+        return sequential, sharded, submitted
 
     def test_canonical_dicts_identical(self, runs_and_messages):
         sequential, sharded, _ = runs_and_messages
@@ -188,10 +193,9 @@ class TestPerProcessBasisDeterminism:
             # One miss per distinct K' in each run's own context.
             assert run.codec_stats["plan_cache"]["misses"] == 2
 
-    def test_pool_sends_nothing_but_batches_and_stop(self, runs_and_messages):
-        _, _, kinds = runs_and_messages
-        assert set(kinds) == {"batch", "stop"}
-        assert kinds.count("stop") == 2
+    def test_pool_is_sent_nothing_but_job_batches(self, runs_and_messages):
+        _, _, submitted = runs_and_messages
+        assert submitted and set(submitted) == {"_run_batch"}
 
 
 class TestFigureSweepDeterminism:
@@ -208,6 +212,162 @@ class TestFigureSweepDeterminism:
         assert sequential.codec_stats == sharded.codec_stats
         label = "1 Replica RQ"
         assert sequential.codec_stats[label]["shards"] == 2
+
+    def test_figure1b_matches_for_all_worker_counts(self):
+        config = PAYLOAD_CONFIG.with_seed(1)
+        results = [run_figure1b(config, sender_counts=(3,), num_seeds=2, jobs=jobs)
+                   for jobs in (1, 2, 4)]
+        for other in results[1:]:
+            assert other.series == results[0].series
+            assert other.summaries == results[0].summaries
+            assert other.codec_stats == results[0].codec_stats
+
+
+def _bad_job() -> RunJob:
+    """A host that does not exist in the k=4 fabric: the run raises at once."""
+    return RunJob(
+        key="bad", protocol=Protocol.POLYRAPTOR, config=PAYLOAD_CONFIG.with_seed(9),
+        transfers=(TransferSpec(transfer_id=1, kind=TransferKind.UNICAST, client="h999",
+                                peers=("h0",), size_bytes=48_000, start_time=0.0),),
+    )
+
+
+def _fingerprints(runs) -> list[str]:
+    return [json.dumps(run.canonical_dict(), sort_keys=True, default=repr) for run in runs]
+
+
+class TestPersistentPool:
+    """One stdlib process pool, kept across sweeps and rebuilt only when it must be."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        shutdown_worker_pool()
+        yield
+        shutdown_worker_pool()
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        jobs = _payload_jobs()
+        return jobs, _fingerprints(execute_jobs(jobs, num_workers=1))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("transport", [None, "shm", "pickle"])
+    def test_sharded_results_match_sequential(self, baseline, workers, transport):
+        # ``transport`` is still accepted (the perf harness passes "shm") and
+        # changes nothing: every batch is pickled.
+        jobs, expected = baseline
+        runs = execute_jobs(jobs, num_workers=workers, transport=transport)
+        assert _fingerprints(runs) == expected
+        assert last_profile().transport == "pickle"
+        assert last_profile().bytes_shipped > 0
+        assert last_profile().shm_bytes == 0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_size_never_affects_results(self, baseline, chunk):
+        jobs, expected = baseline
+        assert _fingerprints(execute_jobs(jobs, num_workers=2, chunk=chunk)) == expected
+        assert last_profile().num_batches == -(-len(jobs) // chunk)
+
+    def test_pool_is_reused_across_sweeps(self):
+        jobs = _payload_jobs(seeds=(1, 2))
+        execute_jobs(jobs, num_workers=2)
+        pool, reused = get_worker_pool(2)
+        assert reused
+        execute_jobs(jobs, num_workers=2)
+        profile = last_profile()
+        assert profile.pool_reused and profile.pool_spawn_s == 0.0
+        assert get_worker_pool(2) == (pool, True)
+
+    def test_first_sweep_pays_spawn_and_records_worker_start_up(self):
+        execute_jobs(_payload_jobs(seeds=(1, 2)), num_workers=2)
+        profile = last_profile()
+        pool, _ = get_worker_pool(2)
+        assert not profile.pool_reused
+        assert profile.pool_spawn_s == pool.spawn_s > 0.0
+        # The slowest worker's start-up CPU: at least its imports.
+        assert profile.worker_init_s == pool.worker_init_s > 0.0
+
+    def test_shutdown_is_idempotent_and_the_next_sweep_respawns(self):
+        old = warm_worker_pool(2)
+        shutdown_worker_pool()
+        shutdown_worker_pool()
+        with pytest.raises(RuntimeError):
+            old.executor.submit(os.getpid)
+        new, reused = get_worker_pool(2)
+        assert not reused and new is not old
+
+    def test_pool_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            WorkerPool(0)
+
+    def test_shape_change_restarts_pool(self):
+        old = warm_worker_pool(2)
+        new, reused = get_worker_pool(3)
+        assert not reused and new is not old and new.num_workers == 3
+
+    def test_job_error_names_the_batch_and_leaves_the_pool_usable(self):
+        jobs = _payload_jobs(seeds=(1, 2))
+        pool = warm_worker_pool(2)
+        with pytest.raises(WorkerJobError, match="bad") as raised:
+            execute_jobs(jobs + [_bad_job()], num_workers=2, chunk=1)
+        assert raised.value.__cause__ is not None  # the worker's own exception
+        runs = execute_jobs(jobs, num_workers=2)
+        assert get_worker_pool(2) == (pool, True)
+        assert _fingerprints(runs) == _fingerprints(execute_jobs(jobs, num_workers=1))
+
+    def test_failure_after_a_finished_batch_names_only_the_failing_one(self):
+        # One worker runs a three-job batch while its sibling fails at once on
+        # the next; the finished batch is merged, the failing one is named.
+        jobs = _payload_jobs(seeds=(1, 2, 3))
+        pool = warm_worker_pool(2)
+        with pytest.raises(WorkerJobError, match=r"batch 1 \(job keys \['bad'\]\)"):
+            execute_jobs(jobs + [_bad_job()], num_workers=2, chunk=3)
+        assert get_worker_pool(2) == (pool, True)
+        assert len(execute_jobs(jobs, num_workers=2)) == 3
+
+    def test_error_in_the_first_batch_stops_the_sweep_before_any_progress(self):
+        jobs = _payload_jobs()
+        pool = warm_worker_pool(2)
+        calls = []
+        with pytest.raises(WorkerJobError, match=r"batch 0 \(job keys \['bad'\]\)"):
+            execute_jobs([_bad_job()] + jobs, num_workers=2, chunk=1,
+                         progress=lambda i, n, job, run: calls.append(i))
+        assert calls == []
+        # Batches cancelled or abandoned by the failed sweep leave nothing
+        # queued that could leak into the next one.
+        runs = execute_jobs(jobs, num_workers=2)
+        assert get_worker_pool(2) == (pool, True)
+        assert [run.completion_fraction for run in runs] == [1.0] * len(jobs)
+
+    def test_benchmark_call_shape_uses_no_shared_memory(self):
+        # What the perf harness's sweep workload does, including its
+        # /dev/shm leak gate.
+        before = set(glob.glob("/dev/shm/rpshm-*"))
+        pool = warm_worker_pool(2, transport="shm")
+        execute_jobs(_payload_jobs(seeds=(1, 2)), num_workers=2, transport="shm",
+                     label="sweep")
+        profile = last_profile()
+        assert profile.pool_reused and profile.workers == pool.num_workers == 2
+        assert (profile.shm_bytes, profile.prewarm_s, profile.plans_ship_s) == (0, 0.0, 0.0)
+        shutdown_worker_pool()
+        assert set(glob.glob("/dev/shm/rpshm-*")) == before
+
+    def test_dead_worker_fails_the_sweep_and_the_next_one_respawns(self):
+        jobs = _payload_jobs(seeds=(1, 2))
+        pool = warm_worker_pool(2)
+        with pytest.raises(BrokenProcessPool):
+            pool.executor.submit(os._exit, 1).result(timeout=60)
+        with pytest.raises(BrokenProcessPool):
+            execute_jobs(jobs, num_workers=2)
+        fresh, reused = get_worker_pool(2)
+        assert not reused and fresh is not pool
+        assert len(execute_jobs(jobs, num_workers=2)) == 2
+
+    def test_sharded_figure_records_profile(self):
+        result = run_figure1a(PAYLOAD_CONFIG, replica_counts=(1,), num_seeds=2, jobs=2)
+        assert result.exec_profile["workers"] == 2
+        assert result.exec_profile["jobs_total"] == 4
+        assert result.exec_profile["transport"] == "pickle"
 
 
 class TestMergeCodecStats:
@@ -281,6 +441,22 @@ class TestProgressLogging:
                      progress=lambda i, n, job, run: calls.append(i))
         assert calls == [0, 1, 2]
 
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_progress_follows_job_order_across_batches(self, chunk):
+        jobs = _payload_jobs(seeds=(1, 2, 3))
+        calls = []
+        execute_jobs(jobs, num_workers=2, chunk=chunk,
+                     progress=lambda i, n, job, run: calls.append((i, n, job.key)))
+        assert calls == [(0, 3, 1), (1, 3, 2), (2, 3, 3)]
+
+    def test_log_progress_adds_one_sweep_summary_line(self, capsys):
+        execute_jobs(_payload_jobs(seeds=(1, 2)), num_workers=2, progress=log_progress,
+                     label="unit")
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split("  ")[0] for line in lines[:2]] == [
+            "[repro] job 1/2 done", "[repro] job 2/2 done"]
+        assert len(lines) == 3 and lines[2].startswith("[repro] sweep unit: 2 jobs, 2 workers")
+
 
 class TestExecutorProfile:
     def test_sequential_run_records_inline_profile(self):
@@ -311,6 +487,16 @@ class TestExecutorProfile:
         execute_jobs(_payload_jobs(seeds=(1, 2)), num_workers=workers)
         assert (last_profile().prewarm_s, last_profile().plans_ship_s) == (0.0, 0.0)
 
+    def test_default_chunk_gives_about_four_batches_per_worker(self):
+        assert parallel._resolve_chunk(None, 16, 2) == 2
+        assert parallel._resolve_chunk(None, 17, 2) == 3
+        assert parallel._resolve_chunk(None, 3, 4) == 1
+        assert parallel._resolve_chunk(5, 3, 4) == 5
+
+    def test_chunk_below_one_rejected(self):
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            parallel._resolve_chunk(0, 4, 2)
+
     def test_format_exec_profile_renders_and_handles_none(self):
         from repro.experiments.report import format_exec_profile
 
@@ -335,16 +521,10 @@ class TestCliJobs:
         args = build_parser().parse_args(["figure1a", "--jobs", "auto"])
         assert args.jobs == available_cpus()
 
-    def test_shm_and_chunk_flags_parse(self):
-        from repro.cli import build_parser
-
-        assert build_parser().parse_args(["mix"]).shm is None
-        assert build_parser().parse_args(["mix", "--shm"]).shm is True
-        assert build_parser().parse_args(["mix", "--no-shm"]).shm is False
-        assert build_parser().parse_args(["mix", "--chunk", "3"]).chunk == 3
-
-    @pytest.mark.parametrize("flag", [["--kernel", "numpy"], ["--plan-cache"]])
-    def test_removed_codec_flags_are_rejected(self, flag):
+    @pytest.mark.parametrize("flag", [
+        ["--kernel", "numpy"], ["--plan-cache"], ["--shm"], ["--no-shm"], ["--chunk", "3"],
+    ])
+    def test_removed_codec_and_executor_flags_are_rejected(self, flag):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
