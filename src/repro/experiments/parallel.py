@@ -6,10 +6,12 @@ independent simulation run.  This module turns such a sweep into a list of
 :class:`RunJob` descriptions and executes them either in-process or across
 a **persistent stdlib process pool**, with three guarantees:
 
-1. **Determinism.**  A job is a pure function of its fields: the worker
-   rebuilds the topology from the config (``FatTreeTopology`` is a pure
-   function of ``k``), seeds fresh random streams from the config's seed and
-   replays the transfer list the parent generated.  Results are merged in
+1. **Determinism.**  A job is a pure function of its fields: it runs on
+   the process's one ``FatTreeTopology(k)`` for the config's ``k`` (a pure
+   function of ``k``, whose healthy routing every run shares read-only;
+   switches, ports, queues and agents are built fresh), seeds fresh random
+   streams from the config's seed and replays the transfer list the parent
+   generated.  Results are merged in
    job-submission order regardless of which worker finished first, so the
    output of ``num_workers=N`` is byte-identical to ``num_workers=1`` for
    every N -- and for every chunk size.
@@ -59,7 +61,6 @@ from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.runner import RunResult, run_transfers
 from repro.faults.schedule import FaultSchedule
 from repro.network.network import NetworkConfig
-from repro.network.topology import FatTreeTopology
 from repro.obs.recorder import TelemetryRecord
 from repro.obs.registry import WindowedRate
 
@@ -158,8 +159,9 @@ class RunJob:
             used by callers to map merged results back to sweep cells; the
             executor itself only carries it through.
         protocol: transport under test.
-        config: the experiment configuration (carries the seed; the worker
-            rebuilds ``FatTreeTopology(config.fattree_k)`` from it).
+        config: the experiment configuration (carries the seed; the run
+            uses the process's shared ``FatTreeTopology(config.fattree_k)``,
+            see :func:`repro.network.topology.shared_fattree`).
         transfers: the protocol-independent workload, generated by the
             parent so every protocol sees byte-identical offered traffic.
         polyraptor_config: optional protocol-parameter override (used by the
@@ -190,13 +192,13 @@ def run_job(job: RunJob) -> RunResult:
     Both execution paths funnel through here -- the sequential loop directly
     and each pool worker via :func:`_run_batch` -- so a job's result cannot
     depend on *where* it ran.  Every Polyraptor job counts its codec work in
-    a fresh codec context of its own.
+    a fresh codec context of its own, and runs on the process's shared
+    fat-tree, whose healthy routes it reads but never writes.
     """
     return run_transfers(
         job.protocol,
         job.config,
         list(job.transfers),
-        topology=FatTreeTopology(job.config.fattree_k),
         polyraptor_config=job.polyraptor_config,
         network_config=job.network_config,
         fault_schedule=job.fault_schedule,

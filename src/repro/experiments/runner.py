@@ -29,7 +29,7 @@ from repro.experiments.config import ExperimentConfig, Protocol
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.network.network import Network, NetworkConfig
-from repro.network.topology import FatTreeTopology, Topology
+from repro.network.topology import FatTreeTopology, Topology, shared_fattree
 from repro.obs import FlightRecorder, MetricRegistry, TelemetrySampler
 from repro.rq.backend import CodecContext
 from repro.sim.engine import Simulator
@@ -176,7 +176,8 @@ def build_environment(
     Args:
         protocol: which transport the agents speak.
         config: the experiment configuration (seed, fabric size, workload).
-        topology: a prebuilt topology; defaults to ``FatTreeTopology(k)``.
+        topology: a prebuilt topology; defaults to the process's shared
+            ``FatTreeTopology(k)`` (:func:`~repro.network.topology.shared_fattree`).
         trace: optional event trace collector (disabled when ``None``).
         polyraptor_config: protocol-parameter override for Polyraptor runs.
         network_config: fabric override; defaults to the protocol's standard
@@ -191,7 +192,7 @@ def build_environment(
             with traffic.
     """
     sim = Simulator()
-    topo = topology or FatTreeTopology(config.fattree_k)
+    topo = topology or shared_fattree(config.fattree_k)
     streams = RandomStreams(config.seed)
     fabric = network_config or config.network_config(protocol)
     network = Network(sim, topo, fabric, streams, trace=trace)

@@ -30,7 +30,7 @@ from repro.network.host import Host
 from repro.network.link import Link, Port
 from repro.network.multicast import MulticastGroup, build_multicast_tree, group_table_entries
 from repro.network.queues import DropTailQueue, EcnMarker, TrimmingQueue
-from repro.network.routing import RoutingMode, RoutingTable
+from repro.network.routing import RoutingMode, RoutingTable, healthy_routes
 from repro.network.switch import Switch
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -128,14 +128,9 @@ class Network:
         self._installed_epoch = 0
         #: recomputed tables actually installed (delayed or instantaneous)
         self.route_installs = 0
-        #: lazily built healthy-topology routing table, used as the tree
-        #: fallback when a multicast group is created while a receiver is
-        #: unreachable (see create_multicast_group)
-        self._baseline_routing: Optional[RoutingTable] = None
 
         self._build_nodes()
         self._build_links()
-        self._install_routes()
 
     # Construction --------------------------------------------------------------
 
@@ -160,19 +155,23 @@ class Network:
         )
 
     def _build_nodes(self) -> None:
-        for host_name in self.topology.hosts:
+        # Hosts take node ids 0..n-1 in topology order, which is how the
+        # healthy unicast tables every switch starts from are keyed.
+        routes = healthy_routes(self.topology)
+        for host_name in routes.hosts:
             host = Host(self.sim, self._next_node_id, host_name, trace=self.trace)
             self._next_node_id += 1
             self.hosts.append(host)
             self._host_by_name[host_name] = host
-        for switch_name in self.topology.switches:
+        for switch_name in routes.switches:
             switch = Switch(
                 self.sim,
                 self._next_node_id,
                 switch_name,
                 routing_mode=self.config.routing_mode,
-                rng=self.streams.stream(f"switch.{switch_name}"),
+                streams=self.streams,
                 trace=self.trace,
+                unicast_table=routes.unicast_tables[switch_name],
             )
             self._next_node_id += 1
             self.switches[switch_name] = switch
@@ -215,13 +214,10 @@ class Network:
 
     def _install_routes(self) -> int:
         """Install the routing table into every switch; count changed entries."""
-        changed = 0
-        for switch_name, switch in self.switches.items():
-            routes = self.routing_table.routes_from(switch_name)
-            changed += switch.replace_unicast_table(
-                {host.node_id: routes.get(host.name, ()) for host in self.hosts}
-            )
-        return changed
+        return sum(
+            switch.replace_unicast_table(self.routing_table.unicast_table(switch_name))
+            for switch_name, switch in self.switches.items()
+        )
 
     def close(self) -> None:
         """Unwire every node (end of the run).
@@ -289,10 +285,8 @@ class Network:
                 self.topology, self.routing_table, group_id, source_host, receiver_hosts
             )
         except KeyError:
-            if self._baseline_routing is None:
-                self._baseline_routing = RoutingTable(self.topology)
             group = build_multicast_tree(
-                self.topology, self._baseline_routing, group_id, source_host,
+                self.topology, RoutingTable(self.topology), group_id, source_host,
                 receiver_hosts,
             )
             self.trace.record(

@@ -23,15 +23,27 @@ exactly one uplink, so every shortest path toward it ends rack -> host, and
 every switch other than the rack itself uses the same next hops toward the
 host as toward its rack.  One breadth-first search per live rack switch over
 the surviving switch adjacency therefore yields the whole table.
+
+The healthy table is a pure function of the topology, so it is computed once
+per :class:`~repro.network.topology.Topology` object (:func:`healthy_routes`)
+and shared read-only: every table built or rebuilt without failures, and
+every switch at construction, adopts it.  Tables around failures are
+computed fresh and never cached.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.network.topology import Topology, bfs_distances
+
+#: next_hops[switch_name][host_name] -> tuple of neighbour names
+NextHops = dict[str, dict[str, tuple[str, ...]]]
+#: a switch's unicast table: host node id -> tuple of neighbour names
+UnicastTable = dict[int, tuple[str, ...]]
 
 
 class RoutingMode(str, Enum):
@@ -42,6 +54,83 @@ class RoutingMode(str, Enum):
     SINGLE_PATH = "single_path"
 
 
+def _compute_routes(
+    topology: Topology,
+    hosts: list[str],
+    switches: list[str],
+    failed_edges: frozenset[frozenset[str]],
+    failed_nodes: frozenset[str],
+) -> tuple[NextHops, dict[str, str]]:
+    """Next hops and live uplinks on the topology minus the failed elements."""
+    adj = topology.graph.adj
+    down = {pair for a, b in failed_edges for pair in ((a, b), (b, a))}
+    live = {switch for switch in switches if switch not in failed_nodes}
+    fabric = {
+        switch: [n for n in adj[switch] if n in live and (switch, n) not in down]
+        for switch in switches
+        if switch in live
+    }
+    uplinks = {
+        host: rack
+        for host in hosts
+        for rack in adj[host]
+        if rack in live and (host, rack) not in down
+    }
+    toward_rack: NextHops = {}
+    for rack in set(uplinks.values()):
+        distances = bfs_distances(fabric, rack)
+        toward_rack[rack] = {
+            switch: tuple(sorted(
+                n for n in fabric[switch] if distances.get(n) == distance - 1
+            ))
+            for switch, distance in distances.items()
+            if distance
+        }
+    next_hops: NextHops = {switch: {} for switch in switches}
+    for host, rack in uplinks.items():
+        for switch, hops in toward_rack[rack].items():
+            next_hops[switch][host] = hops
+        next_hops[rack][host] = (host,)
+    return next_hops, uplinks
+
+
+def _unicast_table(hosts: list[str], routes: dict[str, tuple[str, ...]]) -> UnicastTable:
+    """One switch's routes keyed by host node id (a host's index in ``hosts``)."""
+    return {node_id: routes.get(host, ()) for node_id, host in enumerate(hosts)}
+
+
+@dataclass(frozen=True)
+class HealthyRoutes:
+    """Everything a topology's healthy routing decides.
+
+    Built once per topology by :func:`healthy_routes` and shared by every
+    :class:`RoutingTable` and :class:`~repro.network.switch.Switch` built on
+    it, so none of the containers may be mutated.
+    """
+
+    hosts: list[str]
+    switches: list[str]
+    next_hops: NextHops
+    uplinks: dict[str, str]
+    #: switch name -> its unicast table (see :data:`UnicastTable`)
+    unicast_tables: dict[str, UnicastTable]
+
+
+def healthy_routes(topology: Topology) -> HealthyRoutes:
+    """The topology's healthy routing, computed on first use and memoised on it."""
+    routes = topology._routes
+    if routes is None:
+        hosts, switches = topology.hosts, topology.switches
+        next_hops, uplinks = _compute_routes(
+            topology, hosts, switches, frozenset(), frozenset()
+        )
+        routes = topology._routes = HealthyRoutes(
+            hosts, switches, next_hops, uplinks,
+            {switch: _unicast_table(hosts, next_hops[switch]) for switch in switches},
+        )
+    return routes
+
+
 class RoutingTable:
     """Per-switch equal-cost next hops toward every host.
 
@@ -49,7 +138,8 @@ class RoutingTable:
     routes are computed on the base graph with those links and switches
     removed.  A host that is unreachable from a switch simply has no entry
     (looked up through :meth:`next_hops_or_empty`, which returns an empty
-    tuple the forwarding path treats as "no route").
+    tuple the forwarding path treats as "no route").  Without damage the
+    table is the topology's shared :func:`healthy_routes`.
     """
 
     def __init__(
@@ -61,10 +151,12 @@ class RoutingTable:
         self._topology = topology
         self._failed_edges = self._normalise_edges(failed_edges)
         self._failed_nodes = frozenset(failed_nodes)
-        #: next_hops[switch_name][host_name] -> tuple of neighbour names
-        self._next_hops: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._healthy: HealthyRoutes
+        self._next_hops: NextHops = {}
         #: host name -> its rack switch, for hosts whose uplink survives
         self._uplinks: dict[str, str] = {}
+        #: the shared healthy unicast tables, or None while routing around damage
+        self._unicast_tables: Optional[dict[str, UnicastTable]] = None
         self._build()
 
     @staticmethod
@@ -97,38 +189,16 @@ class RoutingTable:
         self._build()
 
     def _build(self) -> None:
-        topology = self._topology
-        adj = topology.graph.adj
-        failed_nodes = self._failed_nodes
-        down = {pair for a, b in self._failed_edges for pair in ((a, b), (b, a))}
-        switches = topology.switches
-        live = {switch for switch in switches if switch not in failed_nodes}
-        fabric = {
-            switch: [n for n in adj[switch] if n in live and (switch, n) not in down]
-            for switch in switches
-            if switch in live
-        }
-        self._uplinks = {
-            host: rack
-            for host in topology.hosts
-            for rack in adj[host]
-            if rack in live and (host, rack) not in down
-        }
-        toward_rack: dict[str, dict[str, tuple[str, ...]]] = {}
-        for rack in set(self._uplinks.values()):
-            distances = bfs_distances(fabric, rack)
-            toward_rack[rack] = {
-                switch: tuple(sorted(
-                    n for n in fabric[switch] if distances.get(n) == distance - 1
-                ))
-                for switch, distance in distances.items()
-                if distance
-            }
-        self._next_hops = {switch: {} for switch in switches}
-        for host, rack in self._uplinks.items():
-            for switch, hops in toward_rack[rack].items():
-                self._next_hops[switch][host] = hops
-            self._next_hops[rack][host] = (host,)
+        healthy = self._healthy = healthy_routes(self._topology)
+        if not self._failed_edges and not self._failed_nodes:
+            self._next_hops, self._uplinks = healthy.next_hops, healthy.uplinks
+            self._unicast_tables = healthy.unicast_tables
+            return
+        self._next_hops, self._uplinks = _compute_routes(
+            self._topology, healthy.hosts, healthy.switches,
+            self._failed_edges, self._failed_nodes,
+        )
+        self._unicast_tables = None
 
     def next_hops(self, switch_name: str, host_name: str) -> tuple[str, ...]:
         """All equal-cost next hops from ``switch_name`` toward ``host_name``."""
@@ -148,9 +218,17 @@ class RoutingTable:
         """
         return self._next_hops.get(switch_name, {}).get(host_name, ())
 
-    def routes_from(self, switch_name: str) -> dict[str, tuple[str, ...]]:
-        """Every host reachable from ``switch_name`` -> its next hops (do not mutate)."""
-        return self._next_hops[switch_name]
+    def unicast_table(self, switch_name: str) -> UnicastTable:
+        """``switch_name``'s next hops toward every host, keyed by host node id.
+
+        A host's node id is its index in the topology's host list (the order
+        :class:`~repro.network.network.Network` numbers hosts in), and an
+        unreachable host maps to ``()``.  Without damage this is the shared
+        healthy table: do not mutate it.
+        """
+        if self._unicast_tables is not None:
+            return self._unicast_tables[switch_name]
+        return _unicast_table(self._healthy.hosts, self._next_hops[switch_name])
 
     def path(self, src_host: str, dst_host: str, tie_break: int = 0) -> list[str]:
         """Return one deterministic shortest path between two hosts.

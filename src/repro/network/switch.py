@@ -22,8 +22,9 @@ from repro.network.link import Port
 from repro.network.node import Node
 from repro.network.packet import Packet
 from repro.network.queues import DropTailQueue, TrimmingQueue
-from repro.network.routing import RoutingMode, select_next_hop
+from repro.network.routing import RoutingMode, UnicastTable, select_next_hop
 from repro.sim.engine import Simulator
+from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceLog
 
 #: Signature of the per-port queue factory used when building a switch.
@@ -39,17 +40,24 @@ class Switch(Node):
         node_id: int,
         name: str,
         routing_mode: RoutingMode,
-        rng: random.Random,
+        streams: RandomStreams,
         trace: Optional[TraceLog] = None,
+        unicast_table: Optional[UnicastTable] = None,
     ) -> None:
         super().__init__(sim, node_id, name)
         self.routing_mode = routing_mode
-        self._rng = rng
+        self._streams = streams
+        #: the spray stream ``switch.<name>``, opened on the first unicast
+        #: packet: it is seeded from its name alone, so opening it late draws
+        #: the same values, and a switch that forwards nothing never seeds one
+        self._rng: Optional[random.Random] = None
         self._trace = trace if trace is not None else TraceLog(enabled=False)
         #: egress ports keyed by the remote node's name
         self._ports: dict[str, Port] = {}
-        #: unicast next hops: dst host id -> tuple of remote node names
-        self._next_hops: dict[int, tuple[str, ...]] = {}
+        #: unicast next hops: dst host id -> tuple of remote node names.
+        #: Copy-on-write: the table given at construction may be shared with
+        #: other switches, so it is replaced, never mutated.
+        self._next_hops: UnicastTable = unicast_table if unicast_table is not None else {}
         #: multicast egress sets: group id -> tuple of remote node names
         self._group_ports: dict[int, tuple[str, ...]] = {}
         self.forwarded_packets = 0
@@ -85,20 +93,24 @@ class Switch(Node):
         """Snapshot of the whole unicast table (for reroute diffing and tests)."""
         return dict(self._next_hops)
 
-    def replace_unicast_table(self, table: dict[int, tuple[str, ...]]) -> int:
+    def replace_unicast_table(self, table: UnicastTable) -> int:
         """Install a freshly computed unicast table in one pass.
 
         Returns the number of entries that actually changed (the routing
         layer's ``reroutes`` metric).  Destinations absent from ``table``
         keep their current entry; unreachable destinations must be passed
-        explicitly as empty tuples so stale routes are cleared.
+        explicitly as empty tuples so stale routes are cleared.  A change
+        installs a new dict: the current one may be shared.
         """
-        changed = 0
-        for dst_host_id, remote_names in table.items():
-            if self._next_hops.get(dst_host_id, ()) != remote_names:
-                self._next_hops[dst_host_id] = remote_names
-                changed += 1
-        return changed
+        current = self._next_hops
+        changes = {
+            dst_host_id: remote_names
+            for dst_host_id, remote_names in table.items()
+            if current.get(dst_host_id, ()) != remote_names
+        }
+        if changes:
+            self._next_hops = {**current, **changes}
+        return len(changes)
 
     def set_failed(self, failed: bool) -> None:
         """Fail (or restore) the whole switch.
@@ -137,7 +149,10 @@ class Switch(Node):
             return
         # Drawn for every unicast packet, whatever the mode and however many
         # next hops there are: the spray stream must not depend on either.
-        spray_draw = self._rng.getrandbits(30)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._streams.stream(f"switch.{self.name}")
+        spray_draw = rng.getrandbits(30)
         if len(hops) == 1:
             remote = hops[0]
         else:

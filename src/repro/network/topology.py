@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class NodeRole(str, Enum):
@@ -120,11 +121,16 @@ class Topology:
     name: str
     graph: Graph = field(default_factory=Graph)
     roles: dict[str, NodeRole] = field(default_factory=dict)
+    #: the healthy routing this graph implies, built on first use by
+    #: :func:`repro.network.routing.healthy_routes` and shared read-only by
+    #: every network built on this topology; add_node/add_link clear it
+    _routes: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def add_node(self, name: str, role: NodeRole) -> str:
         """Add a node with a role; returns the name for chaining."""
         self.graph.add_node(name)
         self.roles[name] = role
+        self._routes = None
         return name
 
     def add_link(self, a: str, b: str) -> None:
@@ -132,6 +138,7 @@ class Topology:
         if a not in self.graph or b not in self.graph:
             raise KeyError(f"both endpoints must exist before linking {a!r}-{b!r}")
         self.graph.add_edge(a, b)
+        self._routes = None
 
     @property
     def hosts(self) -> list[str]:
@@ -223,6 +230,16 @@ class FatTreeTopology(Topology):
         while (k ** 3) // 4 < min_hosts:
             k += 2
         return cls(k)
+
+
+@lru_cache(maxsize=None)
+def shared_fattree(k: int) -> FatTreeTopology:
+    """This process's one ``FatTreeTopology(k)``, so its routing is computed once.
+
+    A fat-tree is a pure function of ``k``; every run that shares it also
+    shares its healthy routing tables.  Callers must not add to it.
+    """
+    return FatTreeTopology(k)
 
 
 class LeafSpineTopology(Topology):
