@@ -12,7 +12,7 @@ multi-source partitioning, decode handling -- lives in the pure cores of
 * one :class:`~repro.protocol.driver.SessionDriver` per **sender session**
   (over a :class:`~repro.protocol.sender.SenderCore`) and per **receiver
   session** (over a :class:`~repro.protocol.receiver.ReceiverCore`), each
-  bound to ``sim.now``, the simulator's timers and the host's NIC by
+  bound to the simulator's clock and the host's NIC by
   :meth:`~repro.core.agent.PolyraptorAgent.drive`; protocol state and
   counters read as ``session.core.<name>``.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional, Union
 
 from repro.core.config import PolyraptorConfig
@@ -22,7 +21,6 @@ from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
 from repro.rq.backend import CodecContext
 from repro.sim.engine import Simulator
-from repro.sim.process import Timer
 from repro.sim.trace import TraceLog
 from repro.transport.base import TransferRegistry
 
@@ -95,14 +93,8 @@ class PolyraptorAgent:
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> SessionDriver:
         """Bind a protocol core to this host's clock, NIC and pull pacer."""
-        sim = self.sim
         return SessionDriver(
-            core,
-            now=lambda: sim.now,
-            new_timer=partial(Timer, sim),
-            send=self._send,
-            pacer=self.pacer,
-            on_complete=on_complete,
+            core, self.sim, self._send, pacer=self.pacer, on_complete=on_complete
         )
 
     def _send(self, action: SendPacket) -> None:

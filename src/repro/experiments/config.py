@@ -204,8 +204,8 @@ class ExperimentConfig:
         part the resilience and figure-1 claims depend on, with real
         oversubscription and path diversity -- is affordable per seed: 100
         sessions per series at the paper's ~0.33 offered load, and one seed
-        of ``figure1b --paper-scale`` (four such series) took 13-15 s with
-        ``--jobs 1`` on a 2-core Xeon under Python 3.11.  Use with
+        of ``figure1b --paper-scale`` (four such series) took 17-22 s with
+        ``--jobs 1`` on a shared 2-core Xeon under Python 3.11.  Use with
         ``--seeds 5`` for the paper's five-repetition methodology; the CLI
         exposes this preset as ``--paper-scale``.
         """

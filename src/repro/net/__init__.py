@@ -5,14 +5,13 @@ This package drives the exact same state machines as the simulator
 
 * :mod:`repro.net.wire` -- versioned binary framing for every protocol
   packet plus the OPEN handshake that maps object names to sessions;
-* :mod:`repro.net.scheduler` -- the clock/timer abstraction
-  (:class:`AsyncioScheduler` for real endpoints,
-  :class:`ManualScheduler` for deterministic tests);
 * :mod:`repro.net.driver` -- :func:`drive`, which binds a protocol core to
-  a scheduler and a datagram transport through the one
-  :class:`~repro.protocol.driver.SessionDriver`, and :func:`wire_config`,
-  the :class:`~repro.core.config.PolyraptorConfig` profile tuned for lossy
-  UDP;
+  a clock and a datagram transport through the one
+  :class:`~repro.protocol.driver.SessionDriver`; :class:`AsyncioClock`,
+  which gives a running event loop the simulator's clock surface (``now``,
+  ``schedule``) so the one :class:`~repro.utils.clock.Timer` runs on it;
+  and :func:`wire_config`, the :class:`~repro.core.config.PolyraptorConfig`
+  profile tuned for lossy UDP;
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- the
   ``repro serve`` / ``repro fetch`` endpoints completing real loopback
   object transfers.
@@ -22,8 +21,7 @@ dependencies.
 """
 
 from repro.net.client import FetchError, fetch_object, fetch_object_async
-from repro.net.driver import drive, wire_config
-from repro.net.scheduler import AsyncioScheduler, ManualScheduler, NetTimer
+from repro.net.driver import AsyncioClock, drive, wire_config
 from repro.net.server import (
     DEFAULT_PORT,
     ObjectStore,
@@ -35,11 +33,9 @@ from repro.net.server import (
 from repro.net.wire import WireError, decode_frame, encode_frame, max_symbol_size_for_mtu
 
 __all__ = [
-    "AsyncioScheduler",
+    "AsyncioClock",
     "DEFAULT_PORT",
     "FetchError",
-    "ManualScheduler",
-    "NetTimer",
     "ObjectStore",
     "PolyraptorServerProtocol",
     "WireError",

@@ -43,8 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, SymbolPayload
-from repro.net.driver import DEFAULT_WIRE_RATE_BPS, drive, wire_config
-from repro.net.scheduler import AsyncioScheduler
+from repro.net.driver import DEFAULT_WIRE_RATE_BPS, AsyncioClock, drive, wire_config
 from repro.net.server import (
     CLIENT_HOST_ID,
     DEFAULT_PORT,
@@ -254,7 +253,7 @@ async def fetch_object_async(
         if symbol_size != config.symbol_size_bytes:
             config = dc_replace(config, symbol_size_bytes=symbol_size)
 
-        scheduler = AsyncioScheduler(loop)
+        clock = AsyncioClock(loop)
         completed = asyncio.Event()
         fully_acked = asyncio.Event()
         core = ReceiverCore(
@@ -263,7 +262,7 @@ async def fetch_object_async(
             object_bytes=object_bytes,
             local_host=CLIENT_HOST_ID,
             expected_senders=[conn.sender_host for conn in connections],
-            now=scheduler.time(),
+            now=clock.now,
         )
         by_sender = {conn.sender_host: conn for conn in connections}
 
@@ -274,7 +273,7 @@ async def fetch_object_async(
 
         driver = drive(
             core,
-            scheduler,
+            clock,
             transmit=route,
             on_complete=lambda _t: completed.set(),
             max_rate_bps=max_rate_bps,

@@ -2,17 +2,20 @@
 
 :func:`drive` is the net twin of
 :meth:`repro.core.agent.PolyraptorAgent.drive`: it binds a protocol core to
-a :class:`~repro.net.scheduler.Scheduler` clock and a ``transmit`` callable
-(normally ``sock.sendto`` behind :func:`repro.net.wire.encode_frame`)
-through the same :class:`~repro.protocol.driver.SessionDriver` the simulator
-uses.  Because the decision logic lives entirely in the core and the action
-application entirely in that one driver, the conformance suite can replay a
-scripted trace on both clocks and require identical outputs.
+a :class:`~repro.utils.clock.Clock` and a ``transmit`` callable (normally
+``sock.sendto`` behind :func:`repro.net.wire.encode_frame`) through the same
+:class:`~repro.protocol.driver.SessionDriver` the simulator uses.  Real
+endpoints pass :class:`AsyncioClock`, the one adapter from an asyncio event
+loop to that clock surface; deterministic replays pass a
+:class:`~repro.sim.engine.Simulator`.  Because the decision logic lives
+entirely in the core and the action application entirely in that one
+driver, the conformance suite can replay a scripted trace through both
+bindings on one clock and require identical outputs.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import asyncio
 from typing import Any, Callable, Optional, Union
 
 from repro.core.config import PolyraptorConfig
@@ -21,7 +24,7 @@ from repro.protocol.driver import SessionDriver
 from repro.protocol.pacer import PacedPullQueue
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
-from repro.net.scheduler import NetTimer, Scheduler
+from repro.utils.clock import Clock
 
 #: Nominal link rate assumed for pull pacing on a real path (loopback or a
 #: modern NIC); one symbol packet every ~12 microseconds at the default MTU.
@@ -31,6 +34,31 @@ DEFAULT_WIRE_RATE_BPS = 1e9
 #: loopback/LAN RTTs with scheduling jitter, short enough that a lost tail
 #: symbol costs tens of milliseconds, not the sim's microsecond scales.
 DEFAULT_WIRE_STALL_S = 0.05
+
+
+class AsyncioClock:
+    """The :class:`~repro.utils.clock.Clock` surface over an asyncio event loop.
+
+    ``now`` is ``loop.time()`` and ``schedule`` is ``loop.call_later``, whose
+    ``TimerHandle`` already has the ``cancel()`` the clock surface asks for.
+    """
+
+    __slots__ = ("_loop",)
+
+    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
+        # get_running_loop, not the deprecated get_event_loop: a clock
+        # constructed outside a running loop is a bug, not a reason to spin
+        # up an implicit one.
+        self._loop = loop if loop is not None else asyncio.get_running_loop()
+
+    @property
+    def now(self) -> float:
+        return self._loop.time()
+
+    def schedule(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> asyncio.TimerHandle:
+        return self._loop.call_later(delay, callback, *args)
 
 
 def wire_config(**overrides: Any) -> PolyraptorConfig:
@@ -61,29 +89,20 @@ def wire_config(**overrides: Any) -> PolyraptorConfig:
 
 def drive(
     core: Union[SenderCore, ReceiverCore],
-    scheduler: Scheduler,
+    clock: Clock,
     transmit: Callable[[SendPacket], Any],
     on_complete: Optional[Callable[[float], None]] = None,
     max_rate_bps: float = DEFAULT_WIRE_RATE_BPS,
 ) -> SessionDriver:
-    """Bind a protocol core to a scheduler's clock and a datagram transport.
+    """Bind a protocol core to a clock and a datagram transport.
 
     A receiver gets the endpoint's pull pacer (and, with ``tfrc_pacing``, its
     TFRC controller) sized for ``max_rate_bps``: the same
     :class:`~repro.protocol.pacer.PacedPullQueue` code that paces the
-    simulator's hosts, scheduled on the event loop.  A sender never queues
+    simulator's hosts, scheduled on ``clock``.  A sender never queues
     pulls and gets none.
     """
     pacer = None
     if isinstance(core, ReceiverCore):
-        pacer = PacedPullQueue(
-            core.config, max_rate_bps, scheduler.call_later, transmit
-        )
-    return SessionDriver(
-        core,
-        now=scheduler.time,
-        new_timer=partial(NetTimer, scheduler),
-        send=transmit,
-        pacer=pacer,
-        on_complete=on_complete,
-    )
+        pacer = PacedPullQueue(core.config, max_rate_bps, clock.schedule, transmit)
+    return SessionDriver(core, clock, transmit, pacer=pacer, on_complete=on_complete)

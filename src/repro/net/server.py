@@ -38,8 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
-from repro.net.driver import DEFAULT_WIRE_RATE_BPS, drive, wire_config
-from repro.net.scheduler import AsyncioScheduler
+from repro.net.driver import DEFAULT_WIRE_RATE_BPS, AsyncioClock, drive, wire_config
 from repro.net.wire import (
     OPEN_ERR_BAD_SYMBOL_SIZE,
     OPEN_ERR_BUSY,
@@ -180,7 +179,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
             self._symbol_size_cap = min(self._symbol_size_cap, fitting)
         self.registry = registry if registry is not None else MetricRegistry()
         self.transport: Optional[asyncio.DatagramTransport] = None
-        self.scheduler: Optional[AsyncioScheduler] = None
+        self.clock: Optional[AsyncioClock] = None
         #: OPEN idempotency: (addr, name) -> live grant; session id -> same
         #: grant for REQUEST lookup.  Both retire together.
         self._grants: Dict[Tuple[Address, str], _Grant] = {}
@@ -221,7 +220,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
-        self.scheduler = AsyncioScheduler(asyncio.get_running_loop())
+        self.clock = AsyncioClock(asyncio.get_running_loop())
         self._schedule_sweep()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
@@ -256,13 +255,13 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
             key = (addr, payload.session_id)
             driver = self._sessions.get(key)
             if driver is not None:
-                self._session_activity[key] = self.scheduler.time()
+                self._session_activity[key] = self.clock.now
                 driver.on_pull(payload)
         elif isinstance(payload, DonePayload):
             key = (addr, payload.session_id)
             driver = self._sessions.get(key)
             if driver is not None:
-                self._session_activity[key] = self.scheduler.time()
+                self._session_activity[key] = self.clock.now
                 driver.on_done(payload)
         else:
             # A client-bound frame echoed back at us; ignore.
@@ -284,7 +283,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
                 f"unknown object {open_req.object_name!r}",
             )
             return
-        now = self.scheduler.time()
+        now = self.clock.now
         key = (addr, open_req.object_name)
         grant = self._grants.get(key)
         if grant is None:
@@ -347,7 +346,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
 
     def _on_request(self, request: RequestPayload, addr: Address) -> None:
         key = (addr, request.session_id)
-        now = self.scheduler.time()
+        now = self.clock.now
         if key in self._sessions:
             # Duplicate REQUEST (client retransmit); the live session stands.
             self._session_activity[key] = now
@@ -380,7 +379,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
             return
         driver = drive(
             core,
-            self.scheduler,
+            self.clock,
             transmit=lambda action, _addr=addr: self._transmit(action, _addr),
             on_complete=lambda _t, _key=key: self._session_done(_key),
         )
@@ -417,13 +416,11 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         return max(0.05, min(self.grant_ttl_s, self.session_idle_timeout_s) / 4.0)
 
     def _schedule_sweep(self) -> None:
-        self._sweep_handle = self.scheduler.call_later(
-            self._sweep_interval_s, self._sweep
-        )
+        self._sweep_handle = self.clock.schedule(self._sweep_interval_s, self._sweep)
 
     def _sweep(self) -> None:
         """Reap idle sessions and expired grants; reschedules itself."""
-        now = self.scheduler.time()
+        now = self.clock.now
         for key, driver in list(self._sessions.items()):
             last = self._session_activity.get(key, now)
             if now - last > self.session_idle_timeout_s:
@@ -447,7 +444,7 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
     # Output ------------------------------------------------------------------
 
     def _transmit(self, action: SendPacket, addr: Address) -> None:
-        sent_at = self.scheduler.time() if action.kind == KIND_DATA else 0.0
+        sent_at = self.clock.now if action.kind == KIND_DATA else 0.0
         self._sendto(encode_frame(action.payload, sent_at=sent_at), addr)
 
     def _sendto(self, datagram: bytes, addr: Address) -> None:

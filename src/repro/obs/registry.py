@@ -143,10 +143,9 @@ class MetricRegistry:
 class WindowedRate:
     """An event rate (events/second) over a sliding wall- or sim-time window.
 
-    Unlike :class:`repro.sim.stats.RateEstimator` (which always divides by
-    the full window, under-reporting during the first window of a run), the
-    divisor here is the *observed* span, clamped to the window -- so early
-    estimates are exact rather than diluted.  Before any event, and at zero
+    The divisor is the *observed* span, clamped to the window, not the full
+    window -- so estimates during the first window of a run are exact rather
+    than diluted.  Before any event, and at zero
     observed span (the t=0 edge), the rate is 0.0 rather than a division by
     zero.  Used by the executor's ``--progress`` throughput/ETA line and by
     the telemetry sampler's derived rates.

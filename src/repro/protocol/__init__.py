@@ -11,12 +11,14 @@ any real transport, which is what lets the exact same decision logic run
 * on a real wire (:func:`repro.net.driver.drive`, from asyncio UDP
   endpoints).
 
-Both bind a core to their clock through the same
+Both bind a core through the same
 :class:`~repro.protocol.driver.SessionDriver`, the only code that applies a
-core's actions; it is clock-blind because the owner injects ``now``,
-``new_timer``, ``send`` and the pull pacer.  The conformance suite under
-``tests/protocol/`` replays identical scripted event traces on both clocks
-and asserts the cores emitted identical decision sequences.
+core's actions; it is clock-blind because the owner injects the clock (the
+simulator, or the asyncio adapter -- both offer ``now`` and ``schedule``),
+``send`` and the pull pacer.  The conformance suite under ``tests/protocol/``
+replays identical scripted event traces through both bindings on one
+simulator clock and asserts the cores emitted identical decision
+sequences.
 """
 
 # The cores take their config and payload types from repro.core, whose

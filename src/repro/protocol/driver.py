@@ -2,19 +2,20 @@
 
 A core (:class:`~repro.protocol.sender.SenderCore` or
 :class:`~repro.protocol.receiver.ReceiverCore`) decides; the driver applies.
-Every input event is forwarded to the core stamped with ``now()``, then the
-core's buffered actions are drained and applied **in emission order** --
+Every input event is forwarded to the core stamped with ``clock.now``, then
+the core's buffered actions are drained and applied **in emission order** --
 that order is what keeps simulations event-for-event identical across
 refactors (the golden fingerprints enforce it) and what lets one scripted
-trace replay identically on both clocks (the conformance suite enforces it).
+trace replay identically through both bindings (the conformance suite
+enforces it).
 
-The driver is clock-blind.  Its owner injects four callables:
+The driver is clock-blind.  Its owner injects:
 
-* ``now()`` -- the current time in seconds (``sim.now`` or a scheduler's
-  ``time``);
-* ``new_timer(callback)`` -- a restartable one-shot timer with ``start(delay)``
-  / ``stop()`` (:class:`repro.sim.process.Timer` or
-  :class:`repro.net.scheduler.NetTimer`), one per name in ``core.TIMERS``;
+* ``clock`` -- a :class:`repro.utils.clock.Clock` (the
+  :class:`~repro.sim.engine.Simulator`, or the asyncio adapter
+  :class:`repro.net.driver.AsyncioClock`); the driver reads ``clock.now``
+  and arms one :class:`repro.utils.clock.Timer` per name in
+  ``core.TIMERS`` on it;
 * ``send(SendPacket)`` -- put one packet on the transport (a sim ``Packet``
   through ``host.send``, or a wire frame through ``sock.sendto``);
 * ``pacer`` -- the endpoint's shared
@@ -38,6 +39,7 @@ from repro.protocol.actions import (
     TransportFeedback,
 )
 from repro.protocol.pacer import PacedPullQueue
+from repro.utils.clock import Clock, Timer
 
 
 class SessionDriver:
@@ -46,8 +48,7 @@ class SessionDriver:
     def __init__(
         self,
         core: Any,
-        now: Callable[[], float],
-        new_timer: Callable[[Callable[[], None]], Any],
+        clock: Clock,
         send: Callable[[SendPacket], Any],
         pacer: Optional[PacedPullQueue] = None,
         on_complete: Optional[Callable[[float], None]] = None,
@@ -55,9 +56,9 @@ class SessionDriver:
         self.core = core
         self.pacer = pacer
         self.timers = {
-            name: new_timer(partial(self._on_timer, name)) for name in core.TIMERS
+            name: Timer(clock, partial(self._on_timer, name)) for name in core.TIMERS
         }
-        self._now = now
+        self._clock = clock
         self._on_complete = on_complete
         #: the single action-application site: one bound handler per action type
         self._handlers: dict[type, Callable[[Any], Any]] = {
@@ -95,17 +96,17 @@ class SessionDriver:
 
     def start(self) -> None:
         """Push the initial window of symbols."""
-        self.core.start(self._now())
+        self.core.start(self._clock.now)
         self._drain()
 
     def on_pull(self, pull: Any) -> None:
         """Handle a pull request from a receiver."""
-        self.core.on_pull(pull, self._now())
+        self.core.on_pull(pull, self._clock.now)
         self._drain()
 
     def on_done(self, done: Any) -> None:
         """Handle a receiver's DONE notification."""
-        self.core.on_done(done, self._now())
+        self.core.on_done(done, self._clock.now)
         self._drain()
 
     # Receiver events -------------------------------------------------------------
@@ -125,7 +126,7 @@ class SessionDriver:
     ) -> None:
         """Process one arriving symbol packet (full or trimmed)."""
         self.core.on_symbol(
-            payload, trimmed, ce=ce, multicast=multicast, sent_at=sent_at, now=self._now()
+            payload, trimmed, ce=ce, multicast=multicast, sent_at=sent_at, now=self._clock.now
         )
         self._drain()
 
@@ -137,7 +138,7 @@ class SessionDriver:
     # Action application ----------------------------------------------------------
 
     def _on_timer(self, name: str) -> None:
-        self.core.on_timer(name, self._now())
+        self.core.on_timer(name, self._clock.now)
         self._drain()
 
     def _drain(self) -> None:

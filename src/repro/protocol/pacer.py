@@ -18,11 +18,12 @@ The queue therefore:
   the link has been idle).
 
 This class is clock- and transport-agnostic: the owner injects ``schedule``
-(arrange a callback ``delay`` seconds from now -- a sim event heap or an
-asyncio loop) and ``send`` (actually transmit a built pull).  The same code
-runs on both clocks: one queue per simulated host in
-:class:`repro.core.agent.PolyraptorAgent`, one per fetch in
-:mod:`repro.net.driver` over ``loop.call_later``.
+(a clock's ``schedule``: arrange a callback ``delay`` seconds from now and
+return a handle with ``cancel()`` -- see :mod:`repro.utils.clock`) and
+``send`` (actually transmit a built pull).  The same code runs on both
+bindings: one queue per simulated host in
+:class:`repro.core.agent.PolyraptorAgent` on ``Simulator.schedule``, one per
+fetch in :mod:`repro.net.driver` on ``AsyncioClock.schedule``.
 """
 
 from __future__ import annotations

@@ -2,28 +2,22 @@
 
 The engine is intentionally small: a binary-heap scheduler with stable
 tie-breaking (:class:`~repro.sim.engine.Simulator`), named seeded random
-streams (:class:`~repro.sim.randomness.RandomStreams`), lightweight statistics
-collection (:mod:`repro.sim.stats`) and an optional structured trace
+streams (:class:`~repro.sim.randomness.RandomStreams`), counters
+(:mod:`repro.sim.stats`) and an optional structured trace
 (:mod:`repro.sim.trace`).  Everything the network substrate and the transport
 protocols do is expressed as callbacks scheduled on a single simulator.
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.process import PeriodicProcess, Timer
 from repro.sim.randomness import RandomStreams
-from repro.sim.stats import Counter, RateEstimator, SummaryStats, TimeSeries
+from repro.sim.stats import Counter
 from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "Event",
     "Simulator",
-    "PeriodicProcess",
-    "Timer",
     "RandomStreams",
     "Counter",
-    "RateEstimator",
-    "SummaryStats",
-    "TimeSeries",
     "TraceEvent",
     "TraceLog",
 ]

@@ -13,10 +13,14 @@ Design goals:
   "Simulator hot path" section of ``docs/PERFORMANCE.md``).
 * **Cancellation without heap surgery** -- cancelling an event marks it
   cancelled; the entry is discarded lazily when it reaches the top of the
-  heap.  This keeps :meth:`Simulator.cancel` O(1).
+  heap.  This keeps :meth:`Event.cancel` O(1).
 * **No global state** -- every component holds a reference to its simulator;
   multiple simulators can coexist in one process (useful for tests and
   parameter sweeps).
+* **One clock surface** -- ``now`` plus ``schedule`` returning a handle with
+  ``cancel()`` is the whole :class:`repro.utils.clock.Clock` protocol, so
+  the simulator is the deterministic clock for everything timed: protocol
+  sessions, TCP, the conformance replay and the net-driver tests.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class Event:
 
     Instances are created by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`; user code only ever holds them to call
-    :meth:`Simulator.cancel` or to inspect :attr:`time`.  The heap orders
+    :meth:`cancel` or to inspect :attr:`time`.  The heap orders
     ``(time, seq, event)`` entries, so an ``Event`` itself is never compared.
     """
 
@@ -48,7 +52,7 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Same as :meth:`Simulator.cancel`; mirrors ``asyncio.TimerHandle.cancel``."""
+        """Prevent the callback from running; mirrors ``asyncio.TimerHandle.cancel``."""
         self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -119,11 +123,6 @@ class Simulator:
         heappush(self._heap, (time, seq, event))
         return event
 
-    def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a previously scheduled event (no-op for ``None`` or already-cancelled)."""
-        if event is not None:
-            event.cancelled = True
-
     def close(self) -> None:
         """Drop every pending event.
 
@@ -150,7 +149,9 @@ class Simulator:
 
         Args:
             until: if given, stop once the next event would fire after this
-                time (simulation time is advanced to ``until``).
+                time (simulation time is advanced to ``until``).  A target
+                before :attr:`now` is clamped to it: the clock is monotonic
+                and never moves backwards.
             max_events: if given, stop after processing this many events; a
                 safety valve for tests.
 
@@ -159,6 +160,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until < self._now:
+            until = self._now
         self._running = True
         self._stopped = False
         processed_before = self._events_processed

@@ -1,15 +1,13 @@
 """Statistics primitives collected during simulation runs.
 
-These are deliberately simple (counters, time series, summary statistics and
-a windowed rate estimator); the experiment harness in
-:mod:`repro.experiments.metrics` composes them into the figures the paper
-reports.
+These are deliberately simple: a named counter and a cache's hit/miss
+tally.  The metric registry (:mod:`repro.obs.registry`) builds its counters
+on :class:`Counter`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
 
 
 class Counter:
@@ -74,96 +72,3 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-
-class TimeSeries:
-    """A list of (time, value) observations."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one observation taken at ``time``."""
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def last(self) -> Optional[float]:
-        """Return the most recent value, or ``None`` if empty."""
-        return self.values[-1] if self.values else None
-
-    def mean(self) -> float:
-        """Arithmetic mean of all recorded values."""
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return sum(self.values) / len(self.values)
-
-
-@dataclass
-class SummaryStats:
-    """Streaming summary statistics (count / mean / min / max / variance)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Add a sample using Welford's online algorithm."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Add every sample from an iterable."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 for fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return self.variance ** 0.5
-
-
-class RateEstimator:
-    """Estimates an average rate (bits/second) of byte arrivals over a window.
-
-    Used by receivers to report instantaneous goodput and by tests asserting
-    that pull pacing keeps the aggregate arrival rate at or below link
-    capacity.
-    """
-
-    def __init__(self, window: float = 1e-3) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._events: list[tuple[float, int]] = []
-        self.total_bytes = 0
-
-    def record(self, time: float, num_bytes: int) -> None:
-        """Record ``num_bytes`` arriving at ``time``."""
-        self._events.append((time, num_bytes))
-        self.total_bytes += num_bytes
-
-    def rate_bps(self, now: float) -> float:
-        """Average arrival rate (bits/s) over the trailing window ending at ``now``."""
-        horizon = now - self.window
-        while self._events and self._events[0][0] < horizon:
-            self._events.pop(0)
-        window_bytes = sum(size for _, size in self._events)
-        return window_bytes * 8 / self.window

@@ -7,9 +7,9 @@ from typing import Callable, Optional
 from repro.network.host import Host
 from repro.network.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.sim.process import Timer
 from repro.transport.tcp.config import TCP_PROTOCOL, TcpConfig
 from repro.transport.tcp.segments import TcpSegment
+from repro.utils.clock import Timer
 
 
 class TcpSender:
@@ -171,7 +171,7 @@ class TcpSender:
         if self.snd_una >= self.total_bytes:
             self._complete()
             return
-        self._retransmit_timer.restart(self.rto)
+        self._retransmit_timer.start(self.rto)
         self._send_available()
 
     def _on_duplicate_ack(self) -> None:
@@ -191,7 +191,7 @@ class TcpSender:
             length = min(mss, self.total_bytes - self.snd_una)
             if length > 0:
                 self._transmit(self.snd_una, length, retransmission=True)
-            self._retransmit_timer.restart(self.rto)
+            self._retransmit_timer.start(self.rto)
 
     # Timers ------------------------------------------------------------------------
 

@@ -1,17 +1,18 @@
-"""Sim/wire conformance harness.
+"""Sim/wire conformance harness: two bindings, one clock.
 
 One scripted trace -- a timed sequence of protocol inputs for a single
-session -- is replayed twice:
+session -- is replayed twice, each time on a fresh
+:class:`~repro.sim.engine.Simulator`:
 
-* on the **sim clock** (:meth:`repro.core.agent.PolyraptorAgent.drive` on a
-  real :class:`~repro.sim.engine.Simulator` with a stub host), and
-* on the **net clock** (:func:`repro.net.driver.drive` on a
-  :class:`~repro.net.scheduler.ManualScheduler`), with every outgoing
-  payload round-tripped through the wire codec on the way out.
+* through the **sim binding** (:meth:`repro.core.agent.PolyraptorAgent.drive`
+  with a stub host), and
+* through the **net binding** (:func:`repro.net.driver.drive`), with every
+  outgoing payload round-tripped through the wire codec on the way out.
 
 Both sides run the same cores under the same
-:class:`~repro.protocol.driver.SessionDriver`; what differs is only what
-each binding injects (clock, timer class, packet framing, pacer scheduling).
+:class:`~repro.protocol.driver.SessionDriver` with the same
+:class:`~repro.utils.clock.Timer`; what differs is only what each binding
+injects (packet framing, pacer ownership, the wire codec).
 
 Both replays reduce to the same normalized decision list -- ``(time, kind,
 destination, payload)`` for every transmitted packet plus a completion
@@ -20,9 +21,9 @@ between the two transports' view of the protocol (timer arithmetic, pacing
 order, pull bookkeeping, wire codec lossiness) shows up as a diff.
 
 Both sides are driven the same way: advance the clock exactly to the
-event's timestamp (``Simulator.run(until=t)`` /
-``ManualScheduler.run_until(t)`` -- both land the clock on ``t`` and break
-same-instant ties by scheduling order), then invoke the handler directly.
+event's timestamp with ``Simulator.run(until=t)`` -- which lands the clock on
+``t`` and breaks same-instant ties by scheduling order -- then invoke the
+handler directly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
 from repro.net.driver import drive
-from repro.net.scheduler import ManualScheduler
 from repro.net.wire import decode_frame, encode_frame
 from repro.protocol.actions import SendPacket
 from repro.protocol.receiver import ReceiverCore
@@ -182,7 +182,7 @@ def _build_core(trace: dict, config: PolyraptorConfig, now: float):
 
 
 def run_sim_trace(trace: dict) -> list[Decision]:
-    """Replay a trace on the simulator's clock; return its decisions."""
+    """Replay a trace through the sim binding; return its decisions."""
     sim = Simulator()
     sink: list[Decision] = []
     host = StubHost(sim, sink)
@@ -199,14 +199,14 @@ def run_sim_trace(trace: dict) -> list[Decision]:
 
 
 def run_net_trace(trace: dict) -> list[Decision]:
-    """Replay a trace on the manual scheduler's clock; return its decisions.
+    """Replay a trace through the net binding; return its decisions.
 
     Every outgoing payload is round-tripped through
     :func:`~repro.net.wire.encode_frame` / ``decode_frame`` first, so a
     lossy codec (a field dropped, truncated or re-quantised on the wire)
     breaks conformance even when the in-memory decisions agree.
     """
-    scheduler = ManualScheduler()
+    sim = Simulator()
     sink: list[Decision] = []
 
     def transmit(action: SendPacket) -> None:
@@ -215,18 +215,18 @@ def run_net_trace(trace: dict) -> list[Decision]:
         if action.multicast_group is not None:
             dest = ("group", action.multicast_group)
         sink.append(
-            ("packet", repr(scheduler.time()), action.kind, dest, repr(payload))
+            ("packet", repr(sim.now), action.kind, dest, repr(payload))
         )
 
     driver = drive(
-        _build_core(trace, _config(trace), scheduler.time()),
-        scheduler,
+        _build_core(trace, _config(trace), sim.now),
+        sim,
         transmit,
         on_complete=lambda t: sink.append(("complete", repr(t))),
         max_rate_bps=LINK_RATE_BPS,
     )
     for event in trace["events"]:
-        scheduler.run_until(event["t"])
+        sim.run(until=event["t"])
         _inject(trace, event, driver)
-    scheduler.run_until(trace["horizon"])
+    sim.run(until=trace["horizon"])
     return sink

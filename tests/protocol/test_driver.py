@@ -1,7 +1,8 @@
-"""The one SessionDriver: dispatch-table coverage and close() on both clocks."""
+"""The one SessionDriver: dispatch-table coverage and close() through both bindings."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import SymbolPayload
 from repro.net.driver import drive
-from repro.net.scheduler import ManualScheduler
 from repro.protocol import actions
 from repro.protocol import driver as driver_module
 from repro.protocol.receiver import ReceiverCore
@@ -27,20 +27,19 @@ CONFIG = PolyraptorConfig(tfrc_pacing=True)
 OBJECT_BYTES = CONFIG.symbol_size_bytes * 40
 
 
-@pytest.fixture(params=["simulator", "manual-scheduler"])
+@pytest.fixture(params=["agent-binding", "net-binding"])
 def clock(request):
-    """``(bind, run_until, sent)`` for the sim binding and the net binding."""
+    """``(bind, run_until, sent)`` for the sim binding and the net binding,
+    each on its own Simulator."""
     sent = []
-    if request.param == "simulator":
-        sim = Simulator()
-        agent = PolyraptorAgent(sim, StubHost(sim, sent), CONFIG)
-        return agent.drive, lambda until: sim.run(until=until), sent
-    scheduler = ManualScheduler()
+    sim = Simulator()
+    if request.param == "agent-binding":
+        bind = PolyraptorAgent(sim, StubHost(sim, sent), CONFIG).drive
+    else:
+        def bind(core):
+            return drive(core, sim, sent.append, max_rate_bps=LINK_RATE_BPS)
 
-    def bind(core):
-        return drive(core, scheduler, sent.append, max_rate_bps=LINK_RATE_BPS)
-
-    return bind, scheduler.run_until, sent
+    return bind, lambda until: sim.run(until=until), sent
 
 
 def _receiver_core():
@@ -84,6 +83,27 @@ def test_unregistered_action_raises_at_drain(clock):
     with pytest.raises(TypeError, match="unexpected protocol action: .*Teleport"):
         driver.start()
 
+
+
+def test_driver_builds_one_timer_per_core_timer_name(clock):
+    bind, _, _ = clock
+    for core in (_receiver_core(), _sender_core()):
+        driver = bind(core)
+        assert set(driver.timers) == set(core.TIMERS)
+
+
+def test_stall_timer_fires_on_the_clock(clock):
+    bind, run_until, sent = clock
+    driver = bind(_receiver_core())
+    assert driver.timers["stall"].running  # armed at construction
+    run_until(CONFIG.stall_timeout_s * 1.5)
+    assert driver.core.stall_events == 1
+    assert sent  # the stall re-issued a pull
+
+
+def test_session_driver_takes_a_clock_and_builds_its_own_timers():
+    parameters = list(inspect.signature(driver_module.SessionDriver).parameters)
+    assert parameters == ["core", "clock", "send", "pacer", "on_complete"]
 
 def test_close_retires_a_receiver(clock):
     bind, run_until, sent = clock

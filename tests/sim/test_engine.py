@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,18 +83,15 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         event = sim.schedule(1.0, fired.append, "x")
-        sim.cancel(event)
+        event.cancel()
         sim.run()
         assert fired == []
-
-    def test_cancel_none_is_noop(self):
-        Simulator().cancel(None)
 
     def test_cancelled_events_not_counted_as_processed(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.cancel(event)
+        event.cancel()
         assert sim.run() == 1
 
 
@@ -112,6 +111,32 @@ class TestRunControl:
         sim = Simulator()
         sim.run(until=3.0)
         assert sim.now == 3.0
+
+    def test_run_until_a_past_target_never_rewinds_the_clock(self):
+        """The clock is monotonic: a target before now clamps to now (firing
+        nothing) instead of moving time backwards."""
+        sim = Simulator()
+        sim.run(until=5.0)
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        assert sim.run(until=3.0) == 0
+        assert sim.now == 5.0
+        assert fired == []
+        sim.schedule(0.5, lambda: fired.append(sim.now))
+        sim.run(until=6.5)  # pending work is intact and still due at 6.0
+        assert fired == [5.5, 6.0]
+
+    def test_repeating_a_target_fires_only_work_due_exactly_then(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.3, fired.append, "earlier")
+        sim.run(until=1.0)
+        assert sim.now == 1.0
+        assert sim.run(until=1.0) == 0  # idempotent: nothing is due
+        sim.schedule(0.0, fired.append, "now")
+        assert sim.run(until=1.0) == 1
+        assert fired == ["earlier", "now"]
+        assert sim.now == 1.0
 
     def test_stop_from_callback(self):
         sim = Simulator()
@@ -184,16 +209,16 @@ class TestOrderingAndCancellation:
         sim = Simulator()
         order = []
         events = [sim.schedule(float(t), order.append, t) for t in range(1, 6)]
-        sim.cancel(events[0])  # head of the heap
-        sim.cancel(events[2])  # buried in the middle
+        events[0].cancel()  # head of the heap
+        events[2].cancel()  # buried in the middle
         assert sim.run() == 3
         assert order == [2, 4, 5]
 
     def test_cancel_is_lazy_and_idempotent(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
-        sim.cancel(event)
-        sim.cancel(event)
+        event.cancel()
+        event.cancel()
         assert event.cancelled
         assert sim.pending_events == 1  # still in the heap until it surfaces
         assert sim.run() == 0
@@ -203,7 +228,7 @@ class TestOrderingAndCancellation:
         sim = Simulator()
         seen = []
         event = sim.schedule(1.0, lambda: seen.append(sim.now))
-        sim.cancel(event)
+        event.cancel()
         replacement = sim.schedule(2.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [2.0]
@@ -213,7 +238,7 @@ class TestOrderingAndCancellation:
         sim = Simulator()
         fired = []
         victim = sim.schedule_at(1.0, fired.append, "victim")
-        sim.schedule_at(0.5, sim.cancel, victim)
+        sim.schedule_at(0.5, victim.cancel)
         sim.run()
         assert fired == []
 
@@ -235,6 +260,57 @@ class TestOrderingAndCancellation:
         sim.schedule_at(0.2, callback, 5, b=6, c=7, d=8)
         sim.run()
         assert seen == [(1, 2, 3, 4), (5, 6, 7, 8)]
+
+
+class TestCallbackDrivenScript:
+    def test_seeded_script_keeps_time_order_fifo_ties_and_cancellation(self):
+        """Callbacks schedule children, cancel handles and tie on time
+        constantly (delays come from a five-value menu), so the firing order
+        leans on the ``(time, seq)`` tie-break everywhere."""
+        rng = random.Random(20180821)
+        sim = Simulator()
+        events, fired, cancelled = [], [], set()
+
+        def cancel_one():
+            index = rng.randrange(len(events))
+            events[index].cancel()
+            if index not in {seq for _, seq in fired}:
+                cancelled.add(index)
+
+        def spawn():
+            seq = len(events)
+
+            def callback():
+                fired.append((sim.now, seq))
+                roll = rng.random()
+                if roll < 0.4:
+                    spawn()
+                elif roll < 0.6:
+                    cancel_one()
+
+            events.append(sim.schedule(
+                rng.choice((0.0, 0.001, 0.001, 0.002, 0.005)), callback))
+
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.6:
+                spawn()
+            elif roll < 0.8 and events:
+                cancel_one()
+            else:
+                sim.run(until=sim.now + rng.choice((0.0, 0.001, 0.003)))
+        sim.run(until=sim.now + 1.0)
+
+        assert len(fired) > 200
+        assert len({time for time, _ in fired}) < len(fired) / 2  # ties are the norm
+        # time order, and same-instant events in scheduling order
+        assert fired == sorted(fired)
+        # every event fires exactly once unless it was cancelled first
+        assert sorted(seq for _, seq in fired) == [
+            seq for seq in range(len(events)) if seq not in cancelled]
+        assert all(event.time == time for time, seq in fired
+                   for event in [events[seq]])
+        assert sim.pending_events == 0
 
 
 class TestRunControlEdges:
@@ -274,7 +350,7 @@ class TestRunControlEdges:
         sim = Simulator()
         events = [sim.schedule(float(t), lambda: None) for t in range(1, 9)]
         assert sim.run(max_events=2) == 2
-        sim.cancel(events[2])
+        events[2].cancel()
         assert sim.run(max_events=3) == 3  # t=4, 5, 6: the cancelled t=3 is free
         assert sim.now == 6.0
         assert sim.events_processed == 5
@@ -312,8 +388,8 @@ class TestRunControlEdges:
         first = sim.schedule(1.0, lambda: None)
         second = sim.schedule(2.0, lambda: None)
         sim.schedule(3.0, lambda: None)
-        sim.cancel(first)
-        sim.cancel(second)
+        first.cancel()
+        second.cancel()
         assert sim.pending_events == 3
         assert sim.peek_next_time() == 3.0
         assert sim.pending_events == 1
@@ -392,7 +468,7 @@ class TestAgainstSortedListReference:
                 entries.append(reference.schedule(value, label))
             elif kind == "cancel" and events:
                 index = value % len(events)
-                sim.cancel(events[index])
+                events[index].cancel()
                 entries[index][3] = True
             elif kind == "run_until":
                 expected = reference.run(until=reference.now + value)

@@ -1,9 +1,8 @@
 """Tests for statistics primitives."""
 
-import numpy as np
 import pytest
 
-from repro.sim.stats import Counter, RateEstimator, SummaryStats, TimeSeries
+from repro.sim.stats import CacheStats, Counter
 
 
 class TestCounter:
@@ -21,89 +20,28 @@ class TestCounter:
             Counter("c").increment(-1)
 
 
-class TestTimeSeries:
-    def test_record_and_len(self):
-        series = TimeSeries("s")
-        series.record(0.0, 1.0)
-        series.record(1.0, 2.0)
-        assert len(series) == 2
-        assert series.last() == 2.0
+class TestCacheStats:
+    def test_unused_cache_has_zero_hit_rate(self):
+        stats = CacheStats()
+        assert stats.lookups == 0
+        assert stats.hit_rate == 0.0
 
-    def test_mean(self):
-        series = TimeSeries("s")
-        for value in (1.0, 2.0, 3.0):
-            series.record(0.0, value)
-        assert series.mean() == pytest.approx(2.0)
+    def test_hits_and_misses_make_the_hit_rate(self):
+        stats = CacheStats("plans")
+        for _ in range(3):
+            stats.record_hit()
+        stats.record_miss()
+        stats.record_eviction()
+        assert stats.lookups == 4
+        assert stats.hit_rate == pytest.approx(0.75)
+        assert stats.evictions == 1
 
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries("s").mean()
-
-    def test_empty_last_is_none(self):
-        assert TimeSeries("s").last() is None
-
-
-class TestSummaryStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10, 3, size=500)
-        stats = SummaryStats()
-        stats.extend(samples)
-        assert stats.count == 500
-        assert stats.mean == pytest.approx(float(np.mean(samples)))
-        assert stats.variance == pytest.approx(float(np.var(samples, ddof=1)))
-        assert stats.stddev == pytest.approx(float(np.std(samples, ddof=1)))
-        assert stats.minimum == pytest.approx(float(np.min(samples)))
-        assert stats.maximum == pytest.approx(float(np.max(samples)))
-
-    def test_variance_of_single_sample_is_zero(self):
-        stats = SummaryStats()
-        stats.add(5.0)
-        assert stats.variance == 0.0
-
-    def test_empty_stats(self):
-        stats = SummaryStats()
-        assert stats.count == 0
-        assert stats.variance == 0.0
-
-    def test_empty_stats_full_surface(self):
-        stats = SummaryStats()
-        assert stats.mean == 0.0
-        assert stats.stddev == 0.0
-        assert stats.minimum == float("inf")
-        assert stats.maximum == float("-inf")
-
-
-class TestRateEstimator:
-    def test_rate_over_window(self):
-        estimator = RateEstimator(window=1e-3)
-        # 125 bytes per 0.1 ms over 1 ms -> 1250 bytes/ms -> 10 Mbps.
-        for index in range(10):
-            estimator.record(index * 1e-4, 125)
-        assert estimator.rate_bps(1e-3) == pytest.approx(10e6)
-
-    def test_old_events_age_out(self):
-        estimator = RateEstimator(window=1e-3)
-        estimator.record(0.0, 10_000)
-        assert estimator.rate_bps(10.0) == 0.0
-
-    def test_total_bytes(self):
-        estimator = RateEstimator()
-        estimator.record(0.0, 100)
-        estimator.record(0.1, 200)
-        assert estimator.total_bytes == 300
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            RateEstimator(window=0)
-
-    def test_rate_at_time_zero(self):
-        """At t=0 the full-window divisor dilutes the estimate but never divides
-        by zero; the telemetry layer's WindowedRate corrects the dilution."""
-        estimator = RateEstimator(window=1e-3)
-        estimator.record(0.0, 125)
-        assert estimator.rate_bps(0.0) == pytest.approx(125 * 8 / 1e-3)
-
-    def test_empty_estimator_rate_is_zero(self):
-        assert RateEstimator().rate_bps(0.0) == 0.0
-        assert RateEstimator().total_bytes == 0
+    def test_as_dict_snapshots_every_counter(self):
+        stats = CacheStats("plans")
+        stats.record_hit()
+        stats.record_miss()
+        snapshot = stats.as_dict()
+        assert snapshot == {"name": "plans", "hits": 1, "misses": 1,
+                            "evictions": 0, "hit_rate": 0.5}
+        stats.record_hit()
+        assert snapshot["hits"] == 1  # a copy, not a live view
