@@ -138,6 +138,12 @@ _fanin_type = _number_type(
     "fan-in", int, "an integer", lambda fanin: fanin >= 1, "at least 1")
 _delay_ms_type = _number_type(
     "delay", float, "a number (ms)", lambda ms: ms >= 0, "non-negative")
+_loss_type = _number_type(
+    "loss rate", float, "a number", lambda p: 0.0 <= p <= 1.0, "a probability in [0, 1]")
+_seconds_type = _number_type(
+    "duration", float, "a number (seconds)", lambda s: s > 0, "positive")
+_sessions_type = _number_type(
+    "session count", int, "an integer", lambda n: n >= 1, "at least 1")
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -427,7 +433,13 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                 ready=ready,
             )
         )
-        await ready.wait()
+        # run_server sets ``ready`` once its socket is bound; if it raises
+        # first (a bad option, a port in use), ``ready`` never fires.
+        bound = asyncio.ensure_future(ready.wait())
+        await asyncio.wait((task, bound), return_when=asyncio.FIRST_COMPLETED)
+        bound.cancel()
+        if task.done() and task.exception() is not None:
+            raise SystemExit(f"serve failed: {task.exception()}")
         print(
             f"serving {len(store)} object(s) on {args.host}:{args.port}: "
             + " ".join(store.names()),
@@ -553,20 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "repeatable")
     serve.add_argument("--file", action="append", metavar="PATH",
                        help="serve a file's bytes under its basename; repeatable")
-    serve.add_argument("--loss", type=float, default=0.0, metavar="P",
+    serve.add_argument("--loss", type=_loss_type, default=0.0, metavar="P",
                        help="drop arriving frames with probability P (testing)")
     serve.add_argument("--loss-seed", type=int, default=0,
                        help="seed for the induced-loss stream")
-    serve.add_argument("--max-sessions", type=int, default=None, metavar="N",
+    serve.add_argument("--max-sessions", type=_sessions_type, default=None, metavar="N",
                        help="exit after N completed sessions (default: serve forever)")
-    serve.add_argument("--max-concurrent-sessions", type=int, default=None,
+    serve.add_argument("--max-concurrent-sessions", type=_sessions_type, default=None,
                        metavar="N",
                        help="answer OPENs beyond N in-flight grants with "
                             "OPEN_ERR busy (default: unbounded)")
-    serve.add_argument("--grant-ttl", type=float, default=30.0, metavar="S",
+    serve.add_argument("--grant-ttl", type=_seconds_type, default=30.0, metavar="S",
                        help="expire grants idle for S seconds that never "
                             "progressed to a transfer (default 30)")
-    serve.add_argument("--idle-timeout", type=float, default=30.0, metavar="S",
+    serve.add_argument("--idle-timeout", type=_seconds_type, default=30.0, metavar="S",
                        help="reap live sessions whose client stayed silent "
                             "for S seconds (default 30)")
     serve.add_argument("--mtu", type=int, default=None, metavar="BYTES",

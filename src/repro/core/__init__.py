@@ -1,44 +1,13 @@
-"""Polyraptor: the paper's receiver-driven, RaptorQ-coded transport.
+"""The Polyraptor protocol's vocabulary: its configuration and payload types.
 
-The protocol is one :class:`~repro.core.agent.PolyraptorAgent` per simulated
-host.  All session logic -- pull clocking, multicast aggregation,
-multi-source partitioning, decode handling -- lives in the pure cores of
-:mod:`repro.protocol`; the agent is the simulator binding.  It owns:
+* :mod:`repro.core.config` -- :class:`~repro.core.config.PolyraptorConfig`,
+  every protocol parameter (symbol size, pull pacing, timers, reaction
+  switches);
+* :mod:`repro.core.packets` -- the payloads the protocol exchanges (symbols,
+  pulls, requests, DONE and DONE-ACK).
 
-* the host's single **pull pacer**
-  (:class:`~repro.protocol.pacer.PacedPullQueue`), shared by every session
-  terminating at that host, which paces pull requests so the aggregate
-  symbol arrival rate matches the host's link capacity;
-* one :class:`~repro.protocol.driver.SessionDriver` per **sender session**
-  (over a :class:`~repro.protocol.sender.SenderCore`) and per **receiver
-  session** (over a :class:`~repro.protocol.receiver.ReceiverCore`), each
-  bound to the simulator's clock and the host's NIC by
-  :meth:`~repro.core.agent.PolyraptorAgent.drive`; protocol state and
-  counters read as ``session.core.<name>``.
-
-Sessions are one-to-many (replication / multicast), many-to-one
-(multi-source fetch) or one-to-one (plain unicast, a specialisation of both).
+Both are plain data with no behaviour.  The session logic that speaks them
+lives in the sans-IO cores of :mod:`repro.protocol`; the simulator binding
+is :class:`repro.transport.polyraptor.PolyraptorAgent` and the real-UDP
+binding is :mod:`repro.net`.
 """
-
-from repro.core.agent import POLYRAPTOR_PROTOCOL, PolyraptorAgent
-from repro.core.config import PolyraptorConfig
-from repro.core.packets import (
-    DoneAckPayload,
-    DonePayload,
-    PullPayload,
-    RequestPayload,
-    SymbolPayload,
-)
-from repro.core.straggler import StragglerPolicy
-
-__all__ = [
-    "POLYRAPTOR_PROTOCOL",
-    "PolyraptorAgent",
-    "PolyraptorConfig",
-    "StragglerPolicy",
-    "SymbolPayload",
-    "PullPayload",
-    "RequestPayload",
-    "DoneAckPayload",
-    "DonePayload",
-]

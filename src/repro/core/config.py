@@ -34,9 +34,6 @@ class PolyraptorConfig:
             the quickstart example).  If False, the simulation tracks symbol
             identities only, which is behaviourally equivalent for the
             goodput experiments.
-        divide_initial_window_among_senders: in a multi-source session, have
-            each of the N senders push window/N symbols initially instead of a
-            full window each.
         stall_timeout_s: receiver-side timer; if nothing arrives for this long
             on an incomplete session, the receiver re-issues pulls (guards
             against the rare loss of trimmed headers).
@@ -77,7 +74,6 @@ class PolyraptorConfig:
     control_bytes: int = 64
     max_symbols_per_block: int = DEFAULT_MAX_SYMBOLS_PER_BLOCK
     carry_payload: bool = False
-    divide_initial_window_among_senders: bool = True
     stall_timeout_s: float = 500 * MICROSECOND
     done_retry_limit: int = 8
     startup_retry_limit: int = 8
@@ -85,7 +81,7 @@ class PolyraptorConfig:
     straggler_lag_symbols: int = 12
     #: TFRC pacing: when True, each receiver's pull pacer and each sender's
     #: initial window are clocked by an equation-based
-    #: :class:`repro.transport.tfrc.TfrcController` fed by CE marks, trims
+    #: :class:`repro.protocol.tfrc.TfrcController` fed by CE marks, trims
     #: and RTT samples, instead of the fixed one-symbol-serialization-time
     #: cadence.  With no congestion signals the allowed rate equals the
     #: line rate, so a clean path behaves identically.

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.faults.injector import FaultInjector
@@ -36,6 +36,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceLog
 from repro.transport.base import TransferRegistry
+from repro.transport.polyraptor import PolyraptorAgent
 from repro.transport.tcp.agent import TcpAgent
 from repro.transport.tcp.multiunicast import start_multi_source_fetch, start_replicated_push
 from repro.workloads.spec import TransferKind, TransferSpec
@@ -212,17 +213,17 @@ def build_environment(
             codec_context = CodecContext()
         for host in network.hosts:
             polyraptor_agents[host.name] = PolyraptorAgent(
-                sim, host, pcfg, registry, trace, codec_context=codec_context
+                sim, host, pcfg, codec_context=codec_context
             )
     else:
         codec_context = None  # TCP does no coding; never report codec stats.
         for host in network.hosts:
-            tcp_agents[host.name] = TcpAgent(sim, host, config.tcp, registry)
+            tcp_agents[host.name] = TcpAgent(sim, host, config.tcp)
     sampler: Optional[TelemetrySampler] = None
     recorder: Optional[FlightRecorder] = None
     metrics: Optional[MetricRegistry] = None
     tcfg = config.telemetry
-    if tcfg is not None and tcfg.enabled:
+    if tcfg is not None:
         # Built only when asked for: a telemetry-off run creates no sampler,
         # draws no "telemetry" stream and schedules no events, which is what
         # keeps its fingerprints byte-identical to the pre-telemetry runner.
@@ -327,7 +328,9 @@ def _object_payload(spec: TransferSpec) -> bytes:
     return rng.integers(0, 256, spec.size_bytes, dtype=np.uint8).tobytes()
 
 
-def _start_polyraptor_transfer(env: _Environment, spec: TransferSpec) -> None:
+def _start_polyraptor_transfer(
+    env: _Environment, spec: TransferSpec, on_complete: Callable[[float], None]
+) -> None:
     network = env.network
     agents = env.polyraptor_agents
     peer_ids = [network.host_id(peer) for peer in spec.peers]
@@ -338,7 +341,7 @@ def _start_polyraptor_transfer(env: _Environment, spec: TransferSpec) -> None:
             for peer in spec.peers:
                 agents[peer].store_object(spec.transfer_id, payload)
         agents[spec.client].start_fetch_session(
-            spec.transfer_id, spec.size_bytes, peer_ids, label=spec.label
+            spec.transfer_id, spec.size_bytes, peer_ids, on_complete=on_complete
         )
         return
     multicast_group = None
@@ -350,69 +353,64 @@ def _start_polyraptor_transfer(env: _Environment, spec: TransferSpec) -> None:
         spec.size_bytes,
         peer_ids,
         multicast_group=multicast_group,
-        label=spec.label,
         object_data=_object_payload(spec) if carry_payload else None,
+        on_complete=on_complete,
     )
 
 
-def _start_tcp_transfer(env: _Environment, spec: TransferSpec) -> None:
+def _start_tcp_transfer(
+    env: _Environment, spec: TransferSpec, on_complete: Callable[[float], None]
+) -> None:
     network = env.network
     agents = env.tcp_agents
     flow_base = spec.transfer_id * 1000
     if spec.kind is TransferKind.UNICAST:
         agents[spec.client].start_flow(
-            flow_base,
-            network.host_id(spec.peers[0]),
-            spec.size_bytes,
-            label=spec.label,
-            register=False,
-            on_complete=_registry_completion(env, spec),
+            flow_base, network.host_id(spec.peers[0]), spec.size_bytes, on_complete=on_complete
         )
-        env.registry.record_start(
-            spec.transfer_id, spec.size_bytes, env.sim.now, protocol="tcp", label=spec.label
-        )
-        return
-    if spec.kind is TransferKind.REPLICATE:
+    elif spec.kind is TransferKind.REPLICATE:
         start_replicated_push(
-            env.sim,
             agents[spec.client],
             [network.host_id(peer) for peer in spec.peers],
             spec.size_bytes,
             transfer_id=spec.transfer_id,
-            registry=env.registry,
-            label=spec.label,
             flow_id_base=flow_base,
+            on_complete=on_complete,
         )
-        return
-    if spec.kind is TransferKind.FETCH:
+    elif spec.kind is TransferKind.FETCH:
         start_multi_source_fetch(
-            env.sim,
             [agents[peer] for peer in spec.peers],
             network.host_id(spec.client),
             spec.size_bytes,
             transfer_id=spec.transfer_id,
-            registry=env.registry,
-            label=spec.label,
             flow_id_base=flow_base,
+            on_complete=on_complete,
         )
-        return
-    raise ValueError(f"unsupported transfer kind {spec.kind!r}")
+    else:
+        raise ValueError(f"unsupported transfer kind {spec.kind!r}")
 
 
-def _registry_completion(env: _Environment, spec: TransferSpec):
-    def _done(now: float) -> None:
-        env.registry.record_completion(spec.transfer_id, now)
+def _start_transfer(env: _Environment, protocol: Protocol, spec: TransferSpec) -> None:
+    """Record one transfer's start and hand it to the protocol that serves it.
 
-    return _done
+    The runner is the only writer of the transfer registry: each agent just
+    fires the ``on_complete`` it was given, once, when the transfer ends.
+    """
+    env.registry.record_start(
+        spec.transfer_id, spec.size_bytes, env.sim.now,
+        protocol=protocol.value, label=spec.label,
+    )
+    on_complete = partial(env.registry.record_completion, spec.transfer_id)
+    if protocol is Protocol.POLYRAPTOR:
+        _start_polyraptor_transfer(env, spec, on_complete)
+    else:
+        _start_tcp_transfer(env, spec, on_complete)
 
 
 def offer_transfers(env: _Environment, protocol: Protocol, transfers: Sequence[TransferSpec]) -> None:
     """Schedule every transfer of the workload at its start time."""
     for spec in transfers:
-        if protocol is Protocol.POLYRAPTOR:
-            env.sim.schedule_at(spec.start_time, _start_polyraptor_transfer, env, spec)
-        else:
-            env.sim.schedule_at(spec.start_time, _start_tcp_transfer, env, spec)
+        env.sim.schedule_at(spec.start_time, _start_transfer, env, protocol, spec)
 
 
 def run_transfers(

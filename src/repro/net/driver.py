@@ -1,12 +1,12 @@
 """The wire-side binding of the session driver, and the UDP config profile.
 
 :func:`drive` is the net twin of
-:meth:`repro.core.agent.PolyraptorAgent.drive`: it binds a protocol core to
-a :class:`~repro.utils.clock.Clock` and a ``transmit`` callable (normally
-``sock.sendto`` behind :func:`repro.net.wire.encode_frame`) through the same
-:class:`~repro.protocol.driver.SessionDriver` the simulator uses.  Real
-endpoints pass :class:`AsyncioClock`, the one adapter from an asyncio event
-loop to that clock surface; deterministic replays pass a
+:meth:`repro.transport.polyraptor.PolyraptorAgent.drive`: it binds a
+protocol core to a :class:`~repro.utils.clock.Clock` and a ``transmit``
+callable (normally ``sock.sendto`` behind :func:`repro.net.wire.encode_frame`)
+through the same :class:`~repro.protocol.driver.SessionDriver` the simulator
+uses.  Real endpoints pass :class:`AsyncioClock`, the one adapter from an
+asyncio event loop to that clock surface; deterministic replays pass a
 :class:`~repro.sim.engine.Simulator`.  Because the decision logic lives
 entirely in the core and the action application entirely in that one
 driver, the conformance suite can replay a scripted trace through both

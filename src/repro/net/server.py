@@ -475,22 +475,24 @@ async def run_server(
     not race the bind.  Returns the protocol instance (its counters are the
     run's statistics).
     """
+    # Built before the bind: a protocol that rejects its options must not
+    # leave a bound socket behind (asyncio does not close it for us).
+    protocol = PolyraptorServerProtocol(
+        store,
+        config=config,
+        loss_rate=loss_rate,
+        loss_seed=loss_seed,
+        max_sessions=max_sessions,
+        max_rate_bps=max_rate_bps,
+        max_concurrent_sessions=max_concurrent_sessions,
+        grant_ttl_s=grant_ttl_s,
+        session_idle_timeout_s=session_idle_timeout_s,
+        mtu=mtu,
+        registry=registry,
+    )
     loop = asyncio.get_running_loop()
-    transport, protocol = await loop.create_datagram_endpoint(
-        lambda: PolyraptorServerProtocol(
-            store,
-            config=config,
-            loss_rate=loss_rate,
-            loss_seed=loss_seed,
-            max_sessions=max_sessions,
-            max_rate_bps=max_rate_bps,
-            max_concurrent_sessions=max_concurrent_sessions,
-            grant_ttl_s=grant_ttl_s,
-            session_idle_timeout_s=session_idle_timeout_s,
-            mtu=mtu,
-            registry=registry,
-        ),
-        local_addr=(host, port),
+    transport, _ = await loop.create_datagram_endpoint(
+        lambda: protocol, local_addr=(host, port)
     )
     if ready is not None:
         ready.set()

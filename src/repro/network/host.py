@@ -81,10 +81,6 @@ class Host(Node):
             raise ValueError(f"protocol {protocol!r} already registered on {self.name}")
         self._protocols[protocol] = endpoint
 
-    def protocol_endpoint(self, protocol: str) -> ProtocolEndpoint:
-        """Return the endpoint registered for a protocol (KeyError if absent)."""
-        return self._protocols[protocol]
-
     def join_group(self, group_id: int) -> None:
         """Record membership of a multicast group (delivery filter)."""
         self.joined_groups.add(group_id)

@@ -132,11 +132,6 @@ class Port:
         self.transmitted_bytes = 0
 
     @property
-    def remote_node(self) -> "Node":
-        """The node at the far end of this port's link."""
-        return self.link.dst_node
-
-    @property
     def busy(self) -> bool:
         """Whether the transmitter is currently serialising a packet."""
         return self._transmitting

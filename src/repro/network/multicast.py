@@ -15,7 +15,7 @@ forwards a single copy up only when the tree actually needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.network.routing import RoutingTable, stable_hash
 from repro.network.topology import Topology
@@ -35,17 +35,6 @@ class MulticastGroup:
     def num_receivers(self) -> int:
         """Number of receivers in the group."""
         return len(self.receiver_hosts)
-
-
-@dataclass
-class GroupTable:
-    """Per-node multicast egress sets, keyed by group id then node name."""
-
-    egress: dict[int, dict[str, tuple[str, ...]]] = field(default_factory=dict)
-
-    def ports_for(self, group_id: int, node_name: str) -> tuple[str, ...]:
-        """Egress neighbours of ``node_name`` for ``group_id`` (empty if none)."""
-        return self.egress.get(group_id, {}).get(node_name, ())
 
 
 def build_multicast_tree(

@@ -376,7 +376,7 @@ class Network:
 
         This is the declarative way to create a straggler: the slowed host
         pulls symbols late, and the detection side
-        (:class:`repro.core.straggler.StragglerPolicy`) detaches it from
+        (:class:`repro.protocol.straggler.StragglerPolicy`) detaches it from
         multicast groups exactly as it would a naturally slow receiver.
         """
         self._host_by_name[host_name].nic.set_rate_fraction(rate_fraction)

@@ -4,31 +4,20 @@ A :class:`Switch` forwards unicast packets toward their destination host via
 the routing table (one of several equal-cost next hops, chosen by the
 configured routing mode) and replicates multicast packets onto every egress
 port registered for the packet's group.
-
-Two factory helpers configure the per-port queue discipline:
-
-* trimming switches (NDP-style; Polyraptor runs) via
-  :class:`repro.network.queues.TrimmingQueue`;
-* drop-tail switches (TCP baseline) via
-  :class:`repro.network.queues.DropTailQueue`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.network.link import Port
 from repro.network.node import Node
 from repro.network.packet import Packet
-from repro.network.queues import DropTailQueue, TrimmingQueue
 from repro.network.routing import RoutingMode, UnicastTable, select_next_hop
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceLog
-
-#: Signature of the per-port queue factory used when building a switch.
-QueueFactory = Callable[[], object]
 
 
 class Switch(Node):
@@ -217,38 +206,3 @@ class Switch(Node):
         """Packets CE-marked across all this switch's egress queues."""
         return sum(getattr(port.queue, "ecn_marked", 0) for port in self._ports.values())
 
-
-def trimming_queue_factory(
-    data_capacity_packets: int = 8,
-    header_capacity_packets: int = 1000,
-    marker_factory: Optional[Callable[[], object]] = None,
-) -> QueueFactory:
-    """Return a factory producing NDP-style trimming queues.
-
-    ``marker_factory`` (when given) builds a fresh per-queue
-    :class:`repro.network.queues.EcnMarker` for every port.
-    """
-    def factory() -> TrimmingQueue:
-        return TrimmingQueue(
-            data_capacity_packets=data_capacity_packets,
-            header_capacity_packets=header_capacity_packets,
-            marker=marker_factory() if marker_factory is not None else None,
-        )
-    return factory
-
-
-def droptail_queue_factory(
-    capacity_packets: int = 100,
-    marker_factory: Optional[Callable[[], object]] = None,
-) -> QueueFactory:
-    """Return a factory producing classic drop-tail queues.
-
-    ``marker_factory`` (when given) builds a fresh per-queue
-    :class:`repro.network.queues.EcnMarker` for every port.
-    """
-    def factory() -> DropTailQueue:
-        return DropTailQueue(
-            capacity_packets=capacity_packets,
-            marker=marker_factory() if marker_factory is not None else None,
-        )
-    return factory

@@ -21,9 +21,6 @@ from repro.utils.validation import check_positive
 class TelemetryConfig:
     """Knobs of the flight recorder attached to one simulation run."""
 
-    #: master switch; a present-but-disabled config behaves exactly like
-    #: ``telemetry=None`` (no sampler, no ``telemetry`` key in results).
-    enabled: bool = True
     #: sampling cadence in simulation seconds.  10 ms keeps a paper-scale
     #: (k=10) port sweep under a few percent of run wall time; drop it for
     #: finer timelines on small fabrics.

@@ -4,7 +4,7 @@ The registry is the common namespace every instrumented subsystem reports
 into -- the :class:`~repro.obs.sampler.TelemetrySampler` snapshots it once
 per tick, the :class:`~repro.sim.trace.TraceLog` counts events into it when
 bound, and the runner folds end-of-run distributions (flow completion
-times) into histograms.  Counters reuse :class:`repro.sim.stats.Counter`
+times) into histograms.  Counters reuse :class:`repro.utils.stats.Counter`
 so existing call sites need no adaptation.
 
 Everything here is plain-data and deterministic: :meth:`MetricRegistry
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence, Union
 
-from repro.sim.stats import Counter
+from repro.utils.stats import Counter
 
 #: FCT histogram bounds (milliseconds) used by the runner's end-of-run fold.
 DEFAULT_FCT_BOUNDS_MS = (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0)

@@ -32,12 +32,12 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs.config import TelemetryConfig
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import MetricRegistry
-from repro.sim.engine import Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.core.agent import PolyraptorAgent
+if TYPE_CHECKING:  # pragma: no cover - annotations only: repro.obs loads no simulator
     from repro.faults.injector import FaultInjector
     from repro.network.network import Network
+    from repro.sim.engine import Simulator
+    from repro.transport.polyraptor import PolyraptorAgent
     from repro.transport.tcp.agent import TcpAgent
 
 

@@ -7,7 +7,7 @@ timers to arm, pulls to enqueue).  Nothing in here imports the simulator or
 any real transport, which is what lets the exact same decision logic run
 
 * inside the discrete-event simulator
-  (:meth:`repro.core.agent.PolyraptorAgent.drive`), and
+  (:meth:`repro.transport.polyraptor.PolyraptorAgent.drive`), and
 * on a real wire (:func:`repro.net.driver.drive`, from asyncio UDP
   endpoints).
 
@@ -19,12 +19,14 @@ simulator, or the asyncio adapter -- both offer ``now`` and ``schedule``),
 replays identical scripted event traces through both bindings on one
 simulator clock and asserts the cores emitted identical decision
 sequences.
-"""
 
-# The cores take their config and payload types from repro.core, whose
-# package import reaches back here through the agent; entering that cycle
-# from the repro.core side is the only order that resolves, so force it.
-import repro.core  # noqa: F401  (isort: skip)
+Besides the cores, the driver and the pull pacer, the package holds the
+two decision aids the cores consult: straggler and path-loss detection
+(:mod:`~repro.protocol.straggler`) and the TFRC-style rate controller that
+paces the pull pacer and the sender (:mod:`~repro.protocol.tfrc`).  It
+imports only :mod:`repro.core` (config and payload types), :mod:`repro.rq`
+and :mod:`repro.utils`; ``tests/test_layering.py`` keeps it that way.
+"""
 
 from repro.protocol.actions import (
     CancelPulls,

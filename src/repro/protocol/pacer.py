@@ -22,20 +22,19 @@ This class is clock- and transport-agnostic: the owner injects ``schedule``
 return a handle with ``cancel()`` -- see :mod:`repro.utils.clock`) and
 ``send`` (actually transmit a built pull).  The same code runs on both
 bindings: one queue per simulated host in
-:class:`repro.core.agent.PolyraptorAgent` on ``Simulator.schedule``, one per
-fetch in :mod:`repro.net.driver` on ``AsyncioClock.schedule``.
+:class:`repro.transport.polyraptor.PolyraptorAgent` on
+``Simulator.schedule``, one per fetch in :mod:`repro.net.driver` on
+``AsyncioClock.schedule``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
-from repro.transport.tfrc import TfrcController
+from repro.core.config import PolyraptorConfig
+from repro.protocol.tfrc import TfrcController
 from repro.utils.units import serialization_delay
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import PolyraptorConfig
 
 #: A deferred pull: a callable that builds the pull at send time (so the
 #: block hint reflects the receiver's latest state); ``None`` means the
@@ -49,7 +48,7 @@ class PacedPullQueue:
     The base inter-pull gap is the serialisation time of one symbol packet on
     the endpoint's access link (``link_rate_bps``).  With
     ``config.tfrc_pacing`` the queue carries an endpoint-level
-    :class:`~repro.transport.tfrc.TfrcController` (``self.tfrc``) that the
+    :class:`~repro.protocol.tfrc.TfrcController` (``self.tfrc``) that the
     endpoint's receiver sessions feed with CE marks, trims and RTT samples,
     and the gap stretches to the controller's allowed rate.  Since each pull
     elicits one symbol, pacing pulls *is* pacing the sender.  With no
@@ -59,7 +58,7 @@ class PacedPullQueue:
 
     def __init__(
         self,
-        config: "PolyraptorConfig",
+        config: PolyraptorConfig,
         link_rate_bps: float,
         schedule: Callable[[float, Callable[[], None]], Any],
         send: Callable[[Any], Any],

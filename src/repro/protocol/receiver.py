@@ -40,7 +40,6 @@ from repro.core.packets import (
     RequestPayload,
     SymbolPayload,
 )
-from repro.core.straggler import PathLossEstimator
 from repro.protocol.actions import (
     KIND_CONTROL,
     ActionEmitter,
@@ -52,6 +51,7 @@ from repro.protocol.actions import (
     StopTimer,
     TransportFeedback,
 )
+from repro.protocol.straggler import PathLossEstimator
 from repro.rq.block import EncodedSymbol, ObjectDecoder, partition_object
 from repro.rq.decoder import DecodeFailure
 

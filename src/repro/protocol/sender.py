@@ -8,7 +8,7 @@ clocking").  Three shapes exist, all handled by this class:
 * **multicast push** -- several receivers reached through a multicast group;
   the sender aggregates pulls and multicasts a new symbol only after every
   active receiver has pulled (stragglers can be detached, see
-  :mod:`repro.core.straggler`);
+  :mod:`repro.protocol.straggler`);
 * **fetch serving** -- the sender is one of N replica holders answering a
   receiver-initiated multi-source fetch; it serves the symbol-space partition
   assigned to it (``sender_index`` / ``num_senders``), so symbols from
@@ -32,7 +32,6 @@ from typing import Optional
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
-from repro.core.straggler import StragglerPolicy
 from repro.protocol.actions import (
     KIND_CONTROL,
     KIND_DATA,
@@ -42,8 +41,9 @@ from repro.protocol.actions import (
     SetTimer,
     StopTimer,
 )
+from repro.protocol.straggler import StragglerPolicy
+from repro.protocol.tfrc import TfrcController
 from repro.rq.block import ObjectEncoder, partition_object
-from repro.transport.tfrc import TfrcController
 
 
 class SenderCore(ActionEmitter):
@@ -180,7 +180,7 @@ class SenderCore(ActionEmitter):
         and finally the packets are emitted in the original order.
         """
         window = self.config.initial_window_symbols
-        if self.num_senders > 1 and self.config.divide_initial_window_among_senders:
+        if self.num_senders > 1:
             window = max(1, math.ceil(window / self.num_senders))
         picks = [self._next_symbol(None) for _ in range(window)]
         emissions = list(zip(picks, self._batch_payloads(picks)))

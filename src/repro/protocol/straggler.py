@@ -24,10 +24,8 @@ naturally slow receiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only; avoids an import cycle
-    from repro.core.config import PolyraptorConfig
+from repro.core.config import PolyraptorConfig
 
 
 class PathLossEstimator:
@@ -109,7 +107,7 @@ class StragglerPolicy:
     loss_threshold: float = 0.05
 
     @classmethod
-    def from_config(cls, config: "PolyraptorConfig") -> "StragglerPolicy":
+    def from_config(cls, config: PolyraptorConfig) -> StragglerPolicy:
         """The policy a Polyraptor configuration asks for."""
         return cls(
             enabled=config.straggler_detection,

@@ -54,7 +54,7 @@ from repro.rq.params import CodeParameters
 from repro.rq.plan import build_plan, constraint_matrix, received_matrix
 from repro.rq.solver import solve
 from repro.rq.tuples import lt_neighbours
-from repro.sim.stats import CacheStats
+from repro.utils.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rq.encoder import BlockEncoder

@@ -128,9 +128,3 @@ class BlockEncoder:
 
     def _lt_encode(self, esis: Sequence[int]) -> np.ndarray:
         return self.context.repair_symbols(self, esis)
-
-    def lt_row_for(self, internal_symbol_id: int) -> np.ndarray:
-        """Expose the GF(2) LT row of an ESI (used by the decoder and tests)."""
-        from repro.rq.matrix import lt_row
-
-        return lt_row(self.params, internal_symbol_id)

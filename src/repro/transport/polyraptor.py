@@ -1,4 +1,23 @@
-"""The per-host Polyraptor protocol endpoint."""
+"""The per-host Polyraptor protocol endpoint: the simulator binding of the cores.
+
+All session logic -- pull clocking, multicast aggregation, multi-source
+partitioning, decode handling -- lives in the sans-IO cores of
+:mod:`repro.protocol`.  The agent owns:
+
+* the host's single **pull pacer**
+  (:class:`~repro.protocol.pacer.PacedPullQueue`), shared by every session
+  terminating at that host, which paces pull requests so the aggregate
+  symbol arrival rate matches the host's link capacity;
+* one :class:`~repro.protocol.driver.SessionDriver` per **sender session**
+  (over a :class:`~repro.protocol.sender.SenderCore`) and per **receiver
+  session** (over a :class:`~repro.protocol.receiver.ReceiverCore`), each
+  bound to the simulator's clock and the host's NIC by
+  :meth:`PolyraptorAgent.drive`; protocol state and counters read as
+  ``session.core.<name>``.
+
+Sessions are one-to-many (replication / multicast), many-to-one
+(multi-source fetch) or one-to-one (plain unicast, a specialisation of both).
+"""
 
 from __future__ import annotations
 
@@ -21,8 +40,6 @@ from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
 from repro.rq.backend import CodecContext
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
-from repro.transport.base import TransferRegistry
 
 #: Protocol name packets are tagged with and hosts dispatch on.
 POLYRAPTOR_PROTOCOL = "polyraptor"
@@ -34,13 +51,10 @@ class PolyraptorAgent:
     The agent builds a protocol core per session, binds it to the simulator
     with :meth:`drive`, owns the host's single pull pacer (shared by every
     session terminating here) and demultiplexes arriving packets to the
-    sessions.  Transfers are recorded in the shared
-    :class:`~repro.transport.base.TransferRegistry`:
+    sessions.  A session started here fires its ``on_complete`` once:
 
-    * push sessions (one-to-many): start recorded when the sender starts,
-      completion when the **last** receiver reports DONE;
-    * fetch sessions (many-to-one): start recorded when the receiver sends
-      its requests, completion when the receiver decodes the object.
+    * push sessions (one-to-many): when the **last** receiver reports DONE;
+    * fetch sessions (many-to-one): when the receiver decodes the object.
     """
 
     PROTOCOL = POLYRAPTOR_PROTOCOL
@@ -50,15 +64,11 @@ class PolyraptorAgent:
         sim: Simulator,
         host: Host,
         config: Optional[PolyraptorConfig] = None,
-        registry: Optional[TransferRegistry] = None,
-        trace: Optional[TraceLog] = None,
         codec_context: Optional[CodecContext] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.config = config or PolyraptorConfig()
-        self.registry = registry
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
         # One CodecContext is normally shared by every agent of a simulation
         # (the runner passes it in) so its counters cover the whole run; a
         # per-agent context is created only for standalone agents.
@@ -133,24 +143,19 @@ class PolyraptorAgent:
         object_bytes: int,
         receiver_host_ids: list[int],
         multicast_group: Optional[int] = None,
-        label: str = "",
-        register: bool = True,
         object_data: Optional[bytes] = None,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> SessionDriver:
         """Start a one-to-many (or unicast) push session from this host."""
         if session_id in self._senders:
             raise ValueError(f"session {session_id} already exists on {self.host.name}")
-        completed = self._record_transfer(
-            session_id, object_bytes, label, register, on_complete
-        )
         return self._start_sender(
             session_id,
             object_bytes,
             receiver_host_ids,
             multicast_group=multicast_group,
             object_data=object_data,
-            on_complete=completed,
+            on_complete=on_complete,
         )
 
     def start_fetch_session(
@@ -158,18 +163,13 @@ class PolyraptorAgent:
         session_id: int,
         object_bytes: int,
         sender_host_ids: list[int],
-        label: str = "",
-        register: bool = True,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> SessionDriver:
         """Start a many-to-one fetch session terminating at this host."""
         if session_id in self._receivers:
             raise ValueError(f"session {session_id} already exists on {self.host.name}")
-        completed = self._record_transfer(
-            session_id, object_bytes, label, register, on_complete
-        )
         session = self._open_receiver(
-            session_id, object_bytes, sender_host_ids, on_complete=completed
+            session_id, object_bytes, sender_host_ids, on_complete=on_complete
         )
         session.start_fetch()
         return session
@@ -177,30 +177,6 @@ class PolyraptorAgent:
     def store_object(self, session_id: int, data: bytes) -> None:
         """Make object bytes available for serving a fetch session (payload mode)."""
         self._stored_objects[session_id] = data
-
-    def _record_transfer(
-        self,
-        session_id: int,
-        object_bytes: int,
-        label: str,
-        register: bool,
-        on_complete: Optional[Callable[[float], None]],
-    ) -> Callable[[float], None]:
-        """Record a transfer's start; return the callback that records its end."""
-        registry = self.registry if register else None
-        if registry is not None:
-            registry.record_start(
-                session_id, object_bytes, self.sim.now,
-                protocol=POLYRAPTOR_PROTOCOL, label=label,
-            )
-
-        def completed(now: float) -> None:
-            if registry is not None:
-                registry.record_completion(session_id, now)
-            if on_complete is not None:
-                on_complete(now)
-
-        return completed
 
     def _start_sender(
         self,

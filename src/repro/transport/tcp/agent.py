@@ -7,7 +7,6 @@ from typing import Callable, Optional
 from repro.network.host import Host
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
-from repro.transport.base import TransferRegistry
 from repro.transport.tcp.config import TCP_PROTOCOL, TcpConfig
 from repro.transport.tcp.receiver import TcpReceiver
 from repro.transport.tcp.segments import TcpSegment
@@ -27,12 +26,10 @@ class TcpAgent:
         sim: Simulator,
         host: Host,
         config: Optional[TcpConfig] = None,
-        registry: Optional[TransferRegistry] = None,
     ) -> None:
         self._sim = sim
         self.host = host
         self.config = config or TcpConfig()
-        self.registry = registry
         self._senders: dict[int, TcpSender] = {}
         self._receivers: dict[int, TcpReceiver] = {}
         host.register_protocol(TCP_PROTOCOL, self)
@@ -53,24 +50,14 @@ class TcpAgent:
         flow_id: int,
         dst_host_id: int,
         num_bytes: int,
-        label: str = "",
-        register: bool = True,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> TcpSender:
-        """Start sending ``num_bytes`` to ``dst_host_id`` as flow ``flow_id``."""
+        """Start sending ``num_bytes`` to ``dst_host_id`` as flow ``flow_id``.
+
+        ``on_complete(now)`` fires once, when the last byte is acknowledged.
+        """
         if flow_id in self._senders:
             raise ValueError(f"flow {flow_id} already started on {self.host.name}")
-        if register and self.registry is not None:
-            self.registry.record_start(
-                flow_id, num_bytes, self._sim.now, protocol=TCP_PROTOCOL, label=label
-            )
-
-        def _completed(now: float) -> None:
-            if register and self.registry is not None:
-                self.registry.record_completion(flow_id, now)
-            if on_complete is not None:
-                on_complete(now)
-
         sender = TcpSender(
             self._sim,
             self.host,
@@ -78,7 +65,7 @@ class TcpAgent:
             flow_id=flow_id,
             dst_host_id=dst_host_id,
             total_bytes=num_bytes,
-            on_complete=_completed,
+            on_complete=on_complete,
         )
         self._senders[flow_id] = sender
         sender.start()
@@ -91,11 +78,6 @@ class TcpAgent:
     def receiver(self, flow_id: int) -> TcpReceiver:
         """Return the receiver state of a flow terminating on this host."""
         return self._receivers[flow_id]
-
-    @property
-    def active_senders(self) -> int:
-        """Number of flows started on this host that have not completed yet."""
-        return sum(1 for sender in self._senders.values() if not sender.completed)
 
     @property
     def all_senders(self) -> list[TcpSender]:

@@ -31,9 +31,6 @@ class TcpConfig:
     rtt_alpha: float = 0.125
     rtt_beta: float = 0.25
     ack_bytes: int = 64
-    #: react to echoed CE marks (inert unless the fabric actually marks,
-    #: i.e. ``NetworkConfig.ecn_enabled`` -- so the default changes nothing).
-    ecn_enabled: bool = True
 
     def __post_init__(self) -> None:
         check_positive("mss_bytes", self.mss_bytes)

@@ -14,88 +14,64 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import Simulator
-from repro.transport.base import TransferRegistry
 from repro.transport.tcp.agent import TcpAgent
 
 
-def _composite(
-    sim: Simulator,
-    registry: Optional[TransferRegistry],
-    transfer_id: int,
-    transfer_bytes: int,
-    num_parts: int,
-    label: str,
-    on_complete: Optional[Callable[[float], None]],
+def _when_all(
+    num_parts: int, on_complete: Optional[Callable[[float], None]]
 ) -> Callable[[float], None]:
-    """Return a per-part completion callback that fires once all parts finish."""
-    if registry is not None:
-        registry.record_start(
-            transfer_id, transfer_bytes, sim.now, protocol="tcp", label=label
-        )
-    remaining = {"count": num_parts}
+    """Return a per-part completion callback that fires ``on_complete`` once
+    all ``num_parts`` parts have finished."""
+    remaining = num_parts
 
     def _part_done(now: float) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            if registry is not None:
-                registry.record_completion(transfer_id, now)
-            if on_complete is not None:
-                on_complete(now)
+        nonlocal remaining
+        remaining -= 1
+        if remaining == 0 and on_complete is not None:
+            on_complete(now)
 
     return _part_done
 
 
 def start_replicated_push(
-    sim: Simulator,
     client_agent: TcpAgent,
     replica_host_ids: list[int],
     object_bytes: int,
     transfer_id: int,
-    registry: Optional[TransferRegistry] = None,
-    label: str = "tcp-replicate",
     flow_id_base: Optional[int] = None,
     on_complete: Optional[Callable[[float], None]] = None,
 ) -> list[int]:
     """Multi-unicast ``object_bytes`` from the client to every replica.
 
-    Returns the flow ids of the component connections.  The composite
-    transfer is recorded in ``registry`` under ``transfer_id`` and counts the
-    *object* bytes (not N x object bytes): the application stored one object,
-    however much the network had to carry.
+    Returns the flow ids of the component connections.  ``on_complete``
+    fires once, when the slowest copy completes; the composite transfer
+    moved the *object* bytes (not N x object bytes): the application stored
+    one object, however much the network had to carry.
     """
     if not replica_host_ids:
         raise ValueError("at least one replica is required")
     base = flow_id_base if flow_id_base is not None else transfer_id * 1000
-    part_done = _composite(
-        sim, registry, transfer_id, object_bytes, len(replica_host_ids), label, on_complete
-    )
+    part_done = _when_all(len(replica_host_ids), on_complete)
     flow_ids = []
     for index, replica in enumerate(replica_host_ids):
         flow_id = base + index
-        client_agent.start_flow(
-            flow_id,
-            replica,
-            object_bytes,
-            register=False,
-            on_complete=part_done,
-        )
+        client_agent.start_flow(flow_id, replica, object_bytes, on_complete=part_done)
         flow_ids.append(flow_id)
     return flow_ids
 
 
 def start_multi_source_fetch(
-    sim: Simulator,
     replica_agents: list[TcpAgent],
     client_host_id: int,
     object_bytes: int,
     transfer_id: int,
-    registry: Optional[TransferRegistry] = None,
-    label: str = "tcp-fetch",
     flow_id_base: Optional[int] = None,
     on_complete: Optional[Callable[[float], None]] = None,
 ) -> list[int]:
-    """Fetch an object from N replicas, each sending an uncoordinated 1/N share."""
+    """Fetch an object from N replicas, each sending an uncoordinated 1/N share.
+
+    ``on_complete`` fires once, when the last share arrives.
+    """
     if not replica_agents:
         raise ValueError("at least one replica is required")
     base = flow_id_base if flow_id_base is not None else transfer_id * 1000
@@ -103,18 +79,10 @@ def start_multi_source_fetch(
     share = object_bytes // num
     shares = [share] * num
     shares[-1] += object_bytes - share * num  # remainder goes to the last replica
-    part_done = _composite(
-        sim, registry, transfer_id, object_bytes, num, label, on_complete
-    )
+    part_done = _when_all(num, on_complete)
     flow_ids = []
     for index, (agent, part_bytes) in enumerate(zip(replica_agents, shares)):
         flow_id = base + index
-        agent.start_flow(
-            flow_id,
-            client_host_id,
-            max(1, part_bytes),
-            register=False,
-            on_complete=part_done,
-        )
+        agent.start_flow(flow_id, client_host_id, max(1, part_bytes), on_complete=part_done)
         flow_ids.append(flow_id)
     return flow_ids

@@ -81,7 +81,7 @@ class TcpSender:
         """Process a cumulative acknowledgement (``ece`` = echoed CE mark)."""
         if self.completed:
             return
-        if ece and self.config.ecn_enabled:
+        if ece:
             self._on_ecn_echo(ack_seq)
         if ack_seq > self.snd_una:
             self._on_new_ack(ack_seq)

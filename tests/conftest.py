@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -26,7 +27,6 @@ try:  # hypothesis is an optional test dependency (the rq property tests skip
 except ImportError:  # pragma: no cover
     pass
 
-from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.network.network import Network, NetworkConfig
 from repro.network.routing import RoutingMode
@@ -35,12 +35,33 @@ from repro.rq.backend import CodecContext
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.transport.base import TransferRegistry
+from repro.transport.polyraptor import PolyraptorAgent
 from repro.transport.tcp.agent import TcpAgent
 from repro.transport.tcp.config import TcpConfig
 
 
-class PolyraptorTestbed:
+class _Testbed:
+    """What both testbeds share: a transfer registry kept the runner's way."""
+
+    protocol = ""
+
+    def record(self, transfer_id: int, transfer_bytes: int, label: str = ""):
+        """Record a transfer's start now; return the ``on_complete`` that ends it."""
+        self.registry.record_start(transfer_id, transfer_bytes, self.sim.now,
+                                   protocol=self.protocol, label=label)
+        return partial(self.registry.record_completion, transfer_id)
+
+    def host_id(self, name: str) -> int:
+        return self.network.host_id(name)
+
+    def run(self, until: float = 5.0) -> None:
+        self.sim.run(until=until)
+
+
+class PolyraptorTestbed(_Testbed):
     """A small FatTree with Polyraptor agents on every host."""
+
+    protocol = "polyraptor"
 
     def __init__(self, seed: int = 1, config: PolyraptorConfig | None = None,
                  network_config: NetworkConfig | None = None, k: int = 4) -> None:
@@ -56,20 +77,15 @@ class PolyraptorTestbed:
         self.config = config or PolyraptorConfig()
         self.codec = CodecContext()
         self.agents = {
-            host.name: PolyraptorAgent(self.sim, host, self.config, self.registry,
-                                       codec_context=self.codec)
+            host.name: PolyraptorAgent(self.sim, host, self.config, codec_context=self.codec)
             for host in self.network.hosts
         }
 
-    def host_id(self, name: str) -> int:
-        return self.network.host_id(name)
 
-    def run(self, until: float = 5.0) -> None:
-        self.sim.run(until=until)
-
-
-class TcpTestbed:
+class TcpTestbed(_Testbed):
     """A small FatTree with TCP agents on every host (drop-tail + ECMP)."""
+
+    protocol = "tcp"
 
     def __init__(self, seed: int = 1, config: TcpConfig | None = None, k: int = 4) -> None:
         self.sim = Simulator()
@@ -83,15 +99,9 @@ class TcpTestbed:
         self.registry = TransferRegistry()
         self.config = config or TcpConfig()
         self.agents = {
-            host.name: TcpAgent(self.sim, host, self.config, self.registry)
+            host.name: TcpAgent(self.sim, host, self.config)
             for host in self.network.hosts
         }
-
-    def host_id(self, name: str) -> int:
-        return self.network.host_id(name)
-
-    def run(self, until: float = 5.0) -> None:
-        self.sim.run(until=until)
 
 
 def _repro_cyclic_garbage(action) -> Counter:

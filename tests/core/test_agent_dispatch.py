@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.agent import POLYRAPTOR_PROTOCOL, PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
 from repro.network.packet import Packet, make_control_packet
 from repro.protocol.sender import SenderCore
 from repro.sim.trace import TraceLog
+from repro.transport.polyraptor import POLYRAPTOR_PROTOCOL, PolyraptorAgent
 from tests.conftest import PolyraptorTestbed
 
 
@@ -93,14 +93,12 @@ class TestTraceIntegration:
         from repro.network.topology import FatTreeTopology
         from repro.sim.engine import Simulator
         from repro.sim.randomness import RandomStreams
-        from repro.transport.base import TransferRegistry
 
         sim = Simulator()
         network = Network(sim, FatTreeTopology(4), NetworkConfig(), RandomStreams(3),
                           trace=trace)
-        registry = TransferRegistry()
         agents = {
-            host.name: PolyraptorAgent(sim, host, bed.config, registry, trace)
+            host.name: PolyraptorAgent(sim, host, bed.config)
             for host in network.hosts
         }
         destination = network.host_id("h0")

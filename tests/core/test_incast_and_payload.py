@@ -15,8 +15,10 @@ class TestIncastElimination:
         destination = bed.host_id("h0")
         sender_names = [name for name in bed.network.host_names if name != "h0"][:12]
         for index, name in enumerate(sender_names):
-            bed.agents[name].start_push_session(100 + index, 70 * KILOBYTE, [destination],
-                                                label="incast")
+            bed.agents[name].start_push_session(
+                100 + index, 70 * KILOBYTE, [destination],
+                on_complete=bed.record(100 + index, 70 * KILOBYTE),
+            )
         bed.run(until=10.0)
         records = [bed.registry.get(100 + i) for i in range(len(sender_names))]
         assert all(record.completed for record in records)
@@ -31,8 +33,7 @@ class TestIncastElimination:
         destination = bed.host_id("h0")
         sender_names = [name for name in bed.network.host_names if name != "h0"][:12]
         for index, name in enumerate(sender_names):
-            bed.agents[name].start_push_session(100 + index, 256 * KILOBYTE, [destination],
-                                                label="incast")
+            bed.agents[name].start_push_session(100 + index, 256 * KILOBYTE, [destination])
         bed.run(until=10.0)
         assert bed.network.total_trimmed_packets > 0
         assert bed.network.total_dropped_packets == 0
@@ -43,8 +44,10 @@ class TestIncastElimination:
             destination = bed.host_id("h0")
             names = [name for name in bed.network.host_names if name != "h0"][:count]
             for index, name in enumerate(names):
-                bed.agents[name].start_push_session(100 + index, 128 * KILOBYTE,
-                                                    [destination], label="incast")
+                bed.agents[name].start_push_session(
+                    100 + index, 128 * KILOBYTE, [destination],
+                    on_complete=bed.record(100 + index, 128 * KILOBYTE),
+                )
             bed.run(until=10.0)
             records = [bed.registry.get(100 + i) for i in range(count)]
             total = sum(r.transfer_bytes for r in records)
@@ -113,7 +116,7 @@ class TestPayloadMode:
             data = os.urandom(30_000)
             blobs[name] = data
             bed.agents[name].start_push_session(10 + index, len(data), [destination],
-                                                object_data=data, label="incast")
+                                                object_data=data)
         bed.run(until=10.0)
         assert bed.network.total_trimmed_packets > 0
         for index, name in enumerate(sender_names):

@@ -7,15 +7,14 @@ from repro.rq.block import partition_object
 from tests.conftest import PolyraptorTestbed
 
 
-def start_multicast(bed, session_id, object_bytes, receivers, **kwargs):
+def start_multicast(bed, session_id, object_bytes, receivers):
     bed.network.create_multicast_group(session_id, "h0", receivers)
     return bed.agents["h0"].start_push_session(
         session_id,
         object_bytes,
         [bed.host_id(name) for name in receivers],
         multicast_group=session_id,
-        label="multicast",
-        **kwargs,
+        on_complete=bed.record(session_id, object_bytes),
     )
 
 
@@ -48,7 +47,7 @@ class TestMulticastPush:
     def test_multicast_goodput_close_to_unicast(self):
         unicast = PolyraptorTestbed(seed=3)
         unicast.agents["h0"].start_push_session(1, 400_000, [unicast.host_id("h12")],
-                                                label="multicast")
+                                                on_complete=unicast.record(1, 400_000))
         unicast.run()
         multicast = PolyraptorTestbed(seed=3)
         start_multicast(multicast, 1, 400_000, ["h4", "h8", "h12"])
@@ -63,7 +62,8 @@ class TestMulticastPush:
         receivers = ["h4", "h8", "h12"]
         start_multicast(bed, 1, 400_000, receivers)
         # Load one receiver with an extra unicast session so it pulls slower.
-        bed.agents["h5"].start_push_session(2, 400_000, [bed.host_id("h4")], label="cross")
+        bed.agents["h5"].start_push_session(2, 400_000, [bed.host_id("h4")],
+                                            on_complete=bed.record(2, 400_000))
         bed.run()
         assert bed.registry.get(1).completed
         assert bed.registry.get(2).completed
@@ -95,8 +95,8 @@ class TestStragglerExtension:
         receivers = ["h4", "h8", "h12"]
         session = start_multicast(bed, 1, 600_000, receivers)
         # Make h4 a straggler by keeping its downlink busy with two other sessions.
-        bed.agents["h5"].start_push_session(2, 600_000, [bed.host_id("h4")], label="cross")
-        bed.agents["h6"].start_push_session(3, 600_000, [bed.host_id("h4")], label="cross")
+        bed.agents["h5"].start_push_session(2, 600_000, [bed.host_id("h4")])
+        bed.agents["h6"].start_push_session(3, 600_000, [bed.host_id("h4")])
         bed.run(until=10.0)
         assert session.core.completed
         assert session.core.detached_count >= 1
@@ -105,12 +105,12 @@ class TestStragglerExtension:
         bed = PolyraptorTestbed()  # straggler_detection defaults to False
         receivers = ["h4", "h8", "h12"]
         session = start_multicast(bed, 1, 400_000, receivers)
-        bed.agents["h5"].start_push_session(2, 400_000, [bed.host_id("h4")], label="cross")
+        bed.agents["h5"].start_push_session(2, 400_000, [bed.host_id("h4")])
         bed.run()
         assert session.core.detached_count == 0
 
     def test_straggler_policy_never_detaches_everyone(self):
-        from repro.core.straggler import StragglerPolicy
+        from repro.protocol.straggler import StragglerPolicy
 
         policy = StragglerPolicy(enabled=True, lag_symbols=1)
         pulls = {1: 0, 2: 0, 3: 100}
@@ -118,13 +118,13 @@ class TestStragglerExtension:
         assert stragglers == {1, 2}
 
     def test_straggler_policy_disabled_returns_empty(self):
-        from repro.core.straggler import StragglerPolicy
+        from repro.protocol.straggler import StragglerPolicy
 
         policy = StragglerPolicy(enabled=False)
         assert policy.find_stragglers({1: 0, 2: 100}, {1, 2}) == set()
 
     def test_straggler_policy_single_receiver_returns_empty(self):
-        from repro.core.straggler import StragglerPolicy
+        from repro.protocol.straggler import StragglerPolicy
 
         policy = StragglerPolicy(enabled=True, lag_symbols=1)
         assert policy.find_stragglers({1: 0}, {1}) == set()

@@ -11,7 +11,8 @@ class TestMultiSourceFetch:
         bed = PolyraptorTestbed()
         senders = ["h4", "h8", "h12"]
         bed.agents["h0"].start_fetch_session(
-            1, 500_000, [bed.host_id(name) for name in senders], label="fetch"
+            1, 500_000, [bed.host_id(name) for name in senders],
+            on_complete=bed.record(1, 500_000),
         )
         bed.run()
         record = bed.registry.get(1)
@@ -59,18 +60,20 @@ class TestMultiSourceFetch:
 
     def test_single_sender_fetch_is_unicast_specialisation(self):
         bed = PolyraptorTestbed()
-        bed.agents["h0"].start_fetch_session(1, 300_000, [bed.host_id("h12")])
+        bed.agents["h0"].start_fetch_session(1, 300_000, [bed.host_id("h12")],
+                                             on_complete=bed.record(1, 300_000))
         bed.run()
         assert bed.registry.get(1).completed
 
     def test_fetch_from_three_not_slower_than_from_one(self):
         single = PolyraptorTestbed(seed=7)
         single.agents["h0"].start_fetch_session(1, 500_000, [single.host_id("h12")],
-                                                label="fetch")
+                                                on_complete=single.record(1, 500_000))
         single.run()
         triple = PolyraptorTestbed(seed=7)
         triple.agents["h0"].start_fetch_session(
-            1, 500_000, [triple.host_id(name) for name in ("h4", "h8", "h12")], label="fetch"
+            1, 500_000, [triple.host_id(name) for name in ("h4", "h8", "h12")],
+            on_complete=triple.record(1, 500_000),
         )
         triple.run()
         assert (triple.registry.get(1).goodput_gbps
@@ -86,9 +89,9 @@ class TestMultiSourceFetch:
         senders = ["h4", "h12"]
         # h4 is simultaneously pushing another session, so it has less spare
         # uplink capacity than h12.
-        bed.agents["h4"].start_push_session(2, 800_000, [bed.host_id("h9")], label="cross")
+        bed.agents["h4"].start_push_session(2, 800_000, [bed.host_id("h9")])
         bed.agents["h0"].start_fetch_session(
-            1, 800_000, [bed.host_id(name) for name in senders], label="fetch"
+            1, 800_000, [bed.host_id(name) for name in senders]
         )
         bed.run()
         busy = bed.agents["h4"].sender_session(1).core.symbols_sent

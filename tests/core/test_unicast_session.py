@@ -9,7 +9,8 @@ from tests.conftest import PolyraptorTestbed
 class TestUnicastPush:
     def test_session_completes_and_reaches_near_line_rate(self):
         bed = PolyraptorTestbed()
-        bed.agents["h0"].start_push_session(1, 1_000_000, [bed.host_id("h12")], label="fg")
+        bed.agents["h0"].start_push_session(1, 1_000_000, [bed.host_id("h12")],
+                                            on_complete=bed.record(1, 1_000_000))
         bed.run()
         record = bed.registry.get(1)
         assert record.completed
@@ -65,7 +66,8 @@ class TestUnicastPush:
 
     def test_small_object_single_window(self):
         bed = PolyraptorTestbed()
-        bed.agents["h0"].start_push_session(1, 5_000, [bed.host_id("h2")], label="tiny")
+        bed.agents["h0"].start_push_session(1, 5_000, [bed.host_id("h2")],
+                                            on_complete=bed.record(1, 5_000))
         bed.run()
         assert bed.registry.get(1).completed
 
@@ -83,7 +85,8 @@ class TestUnicastPush:
         heal_at = 6 * bed.config.stall_timeout_s
         bed.sim.schedule(heal_at, reverse_wire.set_state, True)
 
-        session = bed.agents["h0"].start_push_session(1, 5_000, [bed.host_id("h3")])
+        session = bed.agents["h0"].start_push_session(1, 5_000, [bed.host_id("h3")],
+                                                      on_complete=bed.record(1, 5_000))
         bed.run()
 
         receiver = bed.agents["h3"].receiver_session(1).core
@@ -106,7 +109,10 @@ class TestUnicastPush:
         bed = PolyraptorTestbed()
         destination = bed.host_id("h0")
         for index, name in enumerate(["h4", "h8", "h12"]):
-            bed.agents[name].start_push_session(10 + index, 400_000, [destination], label="share")
+            bed.agents[name].start_push_session(
+                10 + index, 400_000, [destination],
+                on_complete=bed.record(10 + index, 400_000, label="share"),
+            )
         bed.run()
         goodputs = bed.registry.goodputs_gbps("share")
         assert len(goodputs) == 3
@@ -118,7 +124,8 @@ class TestUnicastPush:
         bed = PolyraptorTestbed()
         destination = bed.host_id("h0")
         for index, name in enumerate(["h4", "h8", "h12", "h13"]):
-            bed.agents[name].start_push_session(20 + index, 200_000, [destination])
+            bed.agents[name].start_push_session(20 + index, 200_000, [destination],
+                                                on_complete=bed.record(20 + index, 200_000))
         bed.run()
         assert bed.network.total_dropped_packets == 0
         assert bed.registry.completion_fraction() == 1.0
@@ -140,6 +147,7 @@ class TestReceiverSessionInternals:
         # very small stall timeout (more stall events, same outcome).
         config = PolyraptorConfig(stall_timeout_s=50e-6)
         bed = PolyraptorTestbed(config=config)
-        bed.agents["h0"].start_push_session(1, 200_000, [bed.host_id("h12")])
+        bed.agents["h0"].start_push_session(1, 200_000, [bed.host_id("h12")],
+                                            on_complete=bed.record(1, 200_000))
         bed.run()
         assert bed.registry.get(1).completed

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.straggler import PathLossEstimator, StragglerPolicy
 from repro.network.network import Network, NetworkConfig
 from repro.network.packet import Packet, make_control_packet
 from repro.network.queues import DropTailQueue, EcnMarker, TrimmingQueue
 from repro.network.topology import FatTreeTopology
+from repro.protocol.straggler import PathLossEstimator, StragglerPolicy
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 

@@ -9,7 +9,7 @@ from repro.obs.registry import (
     MetricRegistry,
     WindowedRate,
 )
-from repro.sim.stats import Counter
+from repro.utils.stats import Counter
 
 
 class TestGauge:

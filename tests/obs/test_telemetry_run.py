@@ -51,7 +51,6 @@ def _canonical(result):
 class TestTelemetryConfig:
     def test_defaults(self):
         config = TelemetryConfig()
-        assert config.enabled
         assert config.sample_period_s == pytest.approx(1e-2)
 
     def test_validation(self):

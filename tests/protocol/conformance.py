@@ -4,7 +4,7 @@ One scripted trace -- a timed sequence of protocol inputs for a single
 session -- is replayed twice, each time on a fresh
 :class:`~repro.sim.engine.Simulator`:
 
-* through the **sim binding** (:meth:`repro.core.agent.PolyraptorAgent.drive`
+* through the **sim binding** (:meth:`repro.transport.polyraptor.PolyraptorAgent.drive`
   with a stub host), and
 * through the **net binding** (:func:`repro.net.driver.drive`), with every
   outgoing payload round-tripped through the wire codec on the way out.
@@ -32,7 +32,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.agent import PolyraptorAgent
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
 from repro.net.driver import drive
@@ -41,6 +40,7 @@ from repro.protocol.actions import SendPacket
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
 from repro.sim.engine import Simulator
+from repro.transport.polyraptor import PolyraptorAgent
 
 #: Directory holding the scripted trace corpus.
 TRACES_DIR = Path(__file__).parent / "traces"

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.transport.tfrc import (
+from repro.protocol.tfrc import (
     LOSS_INTERVAL_HISTORY,
     LOSS_INTERVAL_WEIGHTS,
     LossIntervalEstimator,

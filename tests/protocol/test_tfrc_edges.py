@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.transport.tfrc import TfrcController, tfrc_rate_bps
+from repro.protocol.tfrc import TfrcController, tfrc_rate_bps
 
 
 def make_controller(**kwargs):
@@ -50,7 +50,7 @@ class TestRateFloor:
             tfrc.on_packet()
             tfrc.on_congestion(now=i * 1.0)
         assert tfrc.loss_event_rate == 1.0
-        from repro.transport.tfrc import tfrc_rate_bps as equation
+        from repro.protocol.tfrc import tfrc_rate_bps as equation
         assert equation(1472, tfrc.rtt_s, 1.0) < 1e5
         assert tfrc.allowed_rate_bps == 1e5
         assert tfrc.send_interval_s() == pytest.approx(1472 * 8 / 1e5)

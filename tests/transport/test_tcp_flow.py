@@ -29,7 +29,8 @@ class TestTcpSegment:
 class TestSingleFlow:
     def test_reaches_near_line_rate_on_idle_network(self):
         bed = TcpTestbed()
-        bed.agents["h0"].start_flow(1, bed.host_id("h12"), 1_000_000, label="fg")
+        bed.agents["h0"].start_flow(1, bed.host_id("h12"), 1_000_000,
+                                    on_complete=bed.record(1, 1_000_000))
         bed.run()
         record = bed.registry.get(1)
         assert record.completed
@@ -54,7 +55,8 @@ class TestSingleFlow:
 
     def test_small_flow_completes(self):
         bed = TcpTestbed()
-        bed.agents["h0"].start_flow(1, bed.host_id("h1"), 2_000, label="small")
+        bed.agents["h0"].start_flow(1, bed.host_id("h1"), 2_000,
+                                    on_complete=bed.record(1, 2_000))
         bed.run()
         assert bed.registry.get(1).completed
 
@@ -84,8 +86,7 @@ class TestCongestionResponse:
         destination = bed.host_id("h0")
         senders = []
         for index, name in enumerate(["h4", "h5", "h6", "h8", "h9", "h12", "h13", "h14"]):
-            senders.append(bed.agents[name].start_flow(10 + index, destination, 400_000,
-                                                       label="converge"))
+            senders.append(bed.agents[name].start_flow(10 + index, destination, 400_000))
         bed.run(until=10.0)
         assert all(sender.completed for sender in senders)
         # Eight senders into one 1 Gbps link with 100-packet buffers must lose
@@ -99,7 +100,8 @@ class TestCongestionResponse:
         destination = bed.host_id("h0")
         sender_names = [name for name in bed.network.host_names if name != "h0"][:12]
         for index, name in enumerate(sender_names):
-            bed.agents[name].start_flow(100 + index, destination, 256_000, label="incast")
+            bed.agents[name].start_flow(100 + index, destination, 256_000,
+                                        on_complete=bed.record(100 + index, 256_000))
         bed.run(until=10.0)
         records = bed.registry.completed_records
         assert len(records) == len(sender_names)

@@ -11,12 +11,11 @@ class TestReplicatedPush:
         bed = TcpTestbed()
         replicas = ["h4", "h8", "h12"]
         flow_ids = start_replicated_push(
-            bed.sim,
             bed.agents["h0"],
             [bed.host_id(name) for name in replicas],
             object_bytes=200_000,
             transfer_id=1,
-            registry=bed.registry,
+            on_complete=bed.record(1, 200_000),
         )
         bed.run()
         assert len(flow_ids) == 3
@@ -32,30 +31,27 @@ class TestReplicatedPush:
         bed = TcpTestbed()
         completion_times = []
         start_replicated_push(
-            bed.sim,
             bed.agents["h0"],
             [bed.host_id("h4"), bed.host_id("h8")],
             object_bytes=200_000,
             transfer_id=2,
-            registry=bed.registry,
             on_complete=completion_times.append,
         )
         bed.run()
-        record = bed.registry.get(2)
         senders = [bed.agents["h0"].sender(flow) for flow in (2000, 2001)]
-        assert record.completion_time == pytest.approx(max(s.completion_time for s in senders))
-        assert len(completion_times) == 1
+        assert completion_times == [max(s.completion_time for s in senders)]
 
     def test_three_replicas_slower_than_one(self):
         single = TcpTestbed(seed=5)
-        start_replicated_push(single.sim, single.agents["h0"], [single.host_id("h12")],
-                              object_bytes=500_000, transfer_id=1, registry=single.registry)
+        start_replicated_push(single.agents["h0"], [single.host_id("h12")],
+                              object_bytes=500_000, transfer_id=1,
+                              on_complete=single.record(1, 500_000))
         single.run()
         triple = TcpTestbed(seed=5)
         start_replicated_push(
-            triple.sim, triple.agents["h0"],
+            triple.agents["h0"],
             [triple.host_id("h12"), triple.host_id("h8"), triple.host_id("h4")],
-            object_bytes=500_000, transfer_id=1, registry=triple.registry,
+            object_bytes=500_000, transfer_id=1, on_complete=triple.record(1, 500_000),
         )
         triple.run()
         # Multi-unicast pushes three full copies through one uplink: the
@@ -66,7 +62,7 @@ class TestReplicatedPush:
     def test_requires_at_least_one_replica(self):
         bed = TcpTestbed()
         with pytest.raises(ValueError):
-            start_replicated_push(bed.sim, bed.agents["h0"], [], 1000, transfer_id=1)
+            start_replicated_push(bed.agents["h0"], [], 1000, transfer_id=1)
 
 
 class TestMultiSourceFetch:
@@ -74,12 +70,11 @@ class TestMultiSourceFetch:
         bed = TcpTestbed()
         object_bytes = 300_001  # deliberately not divisible by 3
         start_multi_source_fetch(
-            bed.sim,
             [bed.agents[name] for name in ("h4", "h8", "h12")],
             bed.host_id("h0"),
             object_bytes,
             transfer_id=3,
-            registry=bed.registry,
+            on_complete=bed.record(3, object_bytes),
         )
         bed.run()
         record = bed.registry.get(3)
@@ -93,8 +88,8 @@ class TestMultiSourceFetch:
     def test_single_source_fetch_equivalent_to_unicast(self):
         bed = TcpTestbed()
         start_multi_source_fetch(
-            bed.sim, [bed.agents["h12"]], bed.host_id("h0"), 200_000,
-            transfer_id=4, registry=bed.registry,
+            [bed.agents["h12"]], bed.host_id("h0"), 200_000,
+            transfer_id=4, on_complete=bed.record(4, 200_000),
         )
         bed.run()
         assert bed.registry.get(4).completed
@@ -102,4 +97,4 @@ class TestMultiSourceFetch:
     def test_requires_at_least_one_source(self):
         bed = TcpTestbed()
         with pytest.raises(ValueError):
-            start_multi_source_fetch(bed.sim, [], bed.host_id("h0"), 1000, transfer_id=5)
+            start_multi_source_fetch([], bed.host_id("h0"), 1000, transfer_id=5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import CacheStats, Counter
+from repro.utils.stats import CacheStats, Counter
 
 
 class TestCounter:
