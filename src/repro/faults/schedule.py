@@ -98,8 +98,8 @@ class FaultEvent:
     cause: str = ""
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault time cannot be negative, got {self.time}")
+        if not self.time >= 0:
+            raise ValueError(f"fault time must be >= 0, got {self.time}")
         expected = 2 if self.kind in LINK_KINDS else 1
         if len(self.target) != expected:
             raise ValueError(

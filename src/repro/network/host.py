@@ -39,10 +39,6 @@ class Host(Node):
         self._nic: Optional[Port] = None
         self._protocols: dict[str, ProtocolEndpoint] = {}
         self._trace = trace if trace is not None else TraceLog(enabled=False)
-        self.received_packets = 0
-        self.received_bytes = 0
-        self.sent_packets = 0
-        self.sent_bytes = 0
         #: multicast groups this host has joined
         self.joined_groups: set[int] = set()
 
@@ -95,10 +91,7 @@ class Host(Node):
         """Transmit a packet out of the NIC; returns False if the NIC queue dropped it."""
         packet.created_at = self.sim.now
         accepted = self.nic.send(packet)
-        if accepted:
-            self.sent_packets += 1
-            self.sent_bytes += packet.size_bytes
-        else:
+        if not accepted:
             self._trace.record(self.sim.now, "host.nic_drop", host=self.name,
                                packet=packet.packet_id)
         return accepted
@@ -115,6 +108,4 @@ class Host(Node):
             self._trace.record(self.sim.now, "host.no_protocol", host=self.name,
                                protocol=packet.protocol)
             return
-        self.received_packets += 1
-        self.received_bytes += packet.size_bytes
         endpoint.handle_packet(packet)

@@ -19,7 +19,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import Simulator
-from repro.utils.units import serialization_delay
+from repro.utils.units import BITS_PER_BYTE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.network.node import Node
@@ -31,14 +31,12 @@ class Link:
     """A unidirectional wire: fixed propagation delay towards a destination node."""
 
     def __init__(self, sim: Simulator, dst_node: "Node", delay_s: float, name: str = "") -> None:
-        if delay_s < 0:
-            raise ValueError("link delay cannot be negative")
+        if not delay_s >= 0:  # Simulator.post does not check the delays it is given
+            raise ValueError(f"link delay must be non-negative, got {delay_s}")
         self._sim = sim
         self.dst_node = dst_node
         self.delay_s = delay_s
         self.name = name or f"link->{dst_node.name}"
-        self.delivered_packets = 0
-        self.delivered_bytes = 0
         #: dynamic fault state -- see :meth:`set_state` / :meth:`set_loss`
         self.up = True
         self.loss_probability = 0.0
@@ -50,7 +48,7 @@ class Link:
     def set_state(self, up: bool) -> None:
         """Take the wire down (or bring it back up).
 
-        While down, packets handed to :meth:`carry` are dropped immediately
+        While down, packets handed over by the port are dropped immediately
         and packets already propagating are dropped at their delivery time --
         a dead wire delivers nothing, including traffic that was in flight
         when it died (even if the wire recovers before the delivery time).
@@ -78,13 +76,6 @@ class Link:
         self.loss_probability = probability
         self._loss_rng = rng
 
-    def carry(self, packet: "Packet") -> None:
-        """Propagate a fully serialised packet to the remote node."""
-        if not self.up:
-            self.dropped_link_down += 1
-            return
-        self._sim.schedule(self.delay_s, self._deliver, packet, self._down_epochs)
-
     def _deliver(self, packet: "Packet", epoch: int) -> None:
         if not self.up or epoch != self._down_epochs:
             # The link is down, or died at some point while this packet was
@@ -92,15 +83,10 @@ class Link:
             # still kills whatever was on the wire).
             self.dropped_link_down += 1
             return
-        if (
-            self.loss_probability > 0.0
-            and self._loss_rng is not None
-            and self._loss_rng.random() < self.loss_probability
-        ):
+        # set_loss guarantees an rng whenever the probability is above zero
+        if self.loss_probability > 0.0 and self._loss_rng.random() < self.loss_probability:
             self.dropped_random_loss += 1
             return
-        self.delivered_packets += 1
-        self.delivered_bytes += packet.size_bytes
         packet.hops += 1
         self.dst_node.receive(packet)
 
@@ -117,8 +103,8 @@ class Port:
         link: Link,
         name: str = "",
     ) -> None:
-        if rate_bps <= 0:
-            raise ValueError("port rate must be positive")
+        if not rate_bps > 0:  # Simulator.post does not check the delays it is given
+            raise ValueError(f"port rate must be positive, got {rate_bps}")
         self._sim = sim
         self.owner = owner
         self.queue = queue
@@ -128,7 +114,6 @@ class Port:
         self.link = link
         self.name = name or f"{owner.name}->{link.dst_node.name}"
         self._transmitting = False
-        self.transmitted_packets = 0
         self.transmitted_bytes = 0
 
     @property
@@ -147,40 +132,40 @@ class Port:
         The packet currently being serialised keeps its already-scheduled
         finish time; every subsequent packet serialises at the new rate.
         """
-        if fraction <= 0:
+        if not fraction > 0:
             raise ValueError(f"rate fraction must be positive, got {fraction}")
         self.rate_bps = self.nominal_rate_bps * fraction
 
     def send(self, packet: "Packet") -> bool:
         """Queue a packet for transmission; returns False if it was dropped."""
-        if self.queue.enqueue(packet) is None:
+        queue = self.queue
+        if queue.enqueue(packet) is None:
             return False
         if not self._transmitting:
-            self._start_next_transmission()
+            # An idle transmitter means the queue held nothing before this packet.
+            self._transmitting = True
+            packet = queue.dequeue()
+            self._sim.post(packet.size_bytes * BITS_PER_BYTE / self.rate_bps,
+                           self._finish_transmission, packet)
         return True
-
-    def _start_next_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        delay = serialization_delay(packet.size_bytes, self.rate_bps)
-        self._sim.schedule(delay, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: "Packet") -> None:
         """Hand a fully serialised packet to the wire, then start on the next one.
 
-        Two events per hop, scheduled in this order: the propagation towards
-        the remote node, then the next packet's serialisation.
+        Two events per hop, posted in this order: the propagation towards
+        the remote node, then the next packet's serialisation.  The
+        propagation carries the link's down-epoch at hand-over, so a wire
+        that dies while the packet is in flight drops it on delivery.
         """
-        self.transmitted_packets += 1
         self.transmitted_bytes += packet.size_bytes
-        self.link.carry(packet)
-        # _start_next_transmission, in this frame: it runs for every packet on every hop
+        link = self.link
+        if link.up:
+            self._sim.post(link.delay_s, link._deliver, packet, link._down_epochs)
+        else:
+            link.dropped_link_down += 1
         packet = self.queue.dequeue()
         if packet is None:
             self._transmitting = False
             return
-        delay = serialization_delay(packet.size_bytes, self.rate_bps)
-        self._sim.schedule(delay, self._finish_transmission, packet)
+        self._sim.post(packet.size_bytes * BITS_PER_BYTE / self.rate_bps,
+                       self._finish_transmission, packet)

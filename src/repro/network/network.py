@@ -37,7 +37,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceLog
 from repro.utils.units import GBPS, MICROSECOND
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,14 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         check_positive("link_rate_bps", self.link_rate_bps)
-        if self.link_delay_s < 0:
-            raise ValueError("link_delay_s cannot be negative")
+        check_non_negative("link_delay_s", self.link_delay_s)
         if self.switch_queue not in ("trimming", "droptail"):
             raise ValueError("switch_queue must be 'trimming' or 'droptail'")
         check_positive("data_queue_capacity_packets", self.data_queue_capacity_packets)
         check_positive("header_queue_capacity_packets", self.header_queue_capacity_packets)
         check_positive("droptail_capacity_packets", self.droptail_capacity_packets)
-        if self.convergence_delay_s < 0:
-            raise ValueError("convergence_delay_s cannot be negative")
-        if self.convergence_jitter < 0:
-            raise ValueError("convergence_jitter cannot be negative")
+        check_non_negative("convergence_delay_s", self.convergence_delay_s)
+        check_non_negative("convergence_jitter", self.convergence_jitter)
         check_positive("ecn_threshold_packets", self.ecn_threshold_packets)
         if not (0.0 < self.ecn_ewma_weight <= 1.0):
             raise ValueError("ecn_ewma_weight must be in (0, 1]")

@@ -28,7 +28,7 @@ class PacketKind(str, Enum):
     HEADER = "header"  # a trimmed data packet: header survived, payload dropped
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One packet on the wire."""
 

@@ -116,7 +116,6 @@ class DropTailQueue:
         self.marker = marker
         self._queue: deque[Packet] = deque()
         self.dropped_packets = 0
-        self.enqueued_packets = 0
 
     def enqueue(self, packet: Packet) -> Optional[Packet]:
         """Queue the packet, or drop it (returning ``None``) if the FIFO is full."""
@@ -126,7 +125,6 @@ class DropTailQueue:
         if self.marker is not None and packet.kind is PacketKind.DATA:
             packet = self.marker.maybe_mark(packet, len(self._queue))
         self._queue.append(packet)
-        self.enqueued_packets += 1
         return packet
 
     def dequeue(self) -> Optional[Packet]:
@@ -186,7 +184,6 @@ class TrimmingQueue:
         self.trimmed_packets = 0
         self.dropped_headers = 0
         self.dropped_packets = 0
-        self.enqueued_packets = 0
 
     def enqueue(self, packet: Packet) -> Optional[Packet]:
         """Queue a packet, trimming data packets when the data queue is full."""
@@ -195,7 +192,6 @@ class TrimmingQueue:
                 packet = self.marker.maybe_mark(packet, len(self._data))
             if len(self._data) < self.data_capacity_packets:
                 self._data.append(packet)
-                self.enqueued_packets += 1
                 return packet
             trimmed = packet.trim()
             self.trimmed_packets += 1
@@ -208,7 +204,6 @@ class TrimmingQueue:
             self.dropped_packets += 1
             return None
         self._priority.append(packet)
-        self.enqueued_packets += 1
         return packet
 
     def dequeue(self) -> Optional[Packet]:

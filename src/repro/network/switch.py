@@ -148,6 +148,11 @@ class Switch(Node):
             remote = select_next_hop(
                 self.routing_mode, hops, packet.flow_id, packet.src, packet.dst, spray_draw
             )
+        port = self._ports.get(remote)
+        if port is not None and not self._trace.enabled:
+            self.forwarded_packets += 1
+            port.send(packet)
+            return
         self._transmit(packet, remote)
 
     def _forward_multicast(self, packet: Packet) -> None:

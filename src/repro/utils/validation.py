@@ -4,15 +4,15 @@ from __future__ import annotations
 
 
 def check_positive(name: str, value: float) -> float:
-    """Return ``value`` if strictly positive, otherwise raise ``ValueError``."""
-    if value <= 0:
+    """Return ``value`` if strictly positive, otherwise raise ``ValueError`` (nan included)."""
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, otherwise raise ``ValueError``."""
-    if value < 0:
+    """Return ``value`` if >= 0, otherwise raise ``ValueError`` (nan included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

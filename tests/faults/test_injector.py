@@ -26,6 +26,7 @@ from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.utils.units import serialization_delay
 
 
 class Sink:
@@ -48,6 +49,17 @@ def arm(sim, network, *events):
     injector = FaultInjector(sim, network, FaultSchedule.ordered(events))
     injector.start()
     return injector
+
+
+def hand_to_wire_at(sim, network, switch_name, remote_name, packet, time):
+    """Queue ``packet`` on a switch's idle egress port at ``time``.
+
+    Returns the port and the instant the serialised packet is handed to the
+    wire, from which its propagation starts.
+    """
+    port = network.switches[switch_name].port_to(remote_name)
+    sim.schedule_at(time, port.send, packet)
+    return port, time + serialization_delay(packet.size_bytes, port.rate_bps)
 
 
 def send_unicast(network, src_name, dst_name, size=1500):
@@ -76,12 +88,13 @@ class TestLinkFaults:
         network.host("h1").register_protocol("test", sink)
         rack = network.topology.host_rack("h1")
         link = network.link_between(rack, "h1")
-        # The link dies mid-propagation: the packet was carried before the
-        # fault but must never arrive.
+        # The link dies mid-propagation: the packet was handed to the wire
+        # before the fault but must never arrive.
         packet = Packet(protocol="test", src=0, dst=network.host_id("h1"), size_bytes=1500)
-        sim.schedule_at(0.001, link.carry, packet)
-        arm(sim, network, link_down(0.001 + link.delay_s / 2, rack, "h1"))
+        port, on_wire = hand_to_wire_at(sim, network, rack, "h1", packet, 0.001)
+        arm(sim, network, link_down(on_wire + link.delay_s / 2, rack, "h1"))
         sim.run()
+        assert port.transmitted_bytes == 1500
         assert sink.packets == []
         assert link.dropped_link_down == 1
 
@@ -94,13 +107,14 @@ class TestLinkFaults:
         rack = network.topology.host_rack("h1")
         link = network.link_between(rack, "h1")
         packet = Packet(protocol="test", src=0, dst=network.host_id("h1"), size_bytes=1500)
-        sim.schedule_at(0.001, link.carry, packet)
+        port, on_wire = hand_to_wire_at(sim, network, rack, "h1", packet, 0.001)
         arm(
             sim, network,
-            link_down(0.001 + link.delay_s / 3, rack, "h1"),
-            link_up(0.001 + link.delay_s / 2, rack, "h1"),
+            link_down(on_wire + link.delay_s / 3, rack, "h1"),
+            link_up(on_wire + link.delay_s / 2, rack, "h1"),
         )
         sim.run()
+        assert port.transmitted_bytes == 1500
         assert sink.packets == []
         assert link.dropped_link_down == 1
         # The wire works again for traffic sent after the flap.

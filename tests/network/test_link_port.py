@@ -65,9 +65,8 @@ class TestPortTiming:
         port.send(data_packet(1000))
         port.send(data_packet(500))
         sim.run()
-        assert port.transmitted_packets == 2
+        assert [packet.size_bytes for _, packet in sink.arrivals] == [1000, 500]
         assert port.transmitted_bytes == 1500
-        assert port.link.delivered_packets == 2
 
     def test_drop_reported_by_send(self):
         sim = Simulator()

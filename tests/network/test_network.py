@@ -8,6 +8,7 @@ from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.sim.trace import TraceLog
 from repro.utils.units import MICROSECOND
 
 
@@ -79,12 +80,18 @@ class TestUnicastForwarding:
         assert sink.packets[0][1].hops == 2
 
     def test_unregistered_protocol_silently_dropped(self):
-        sim, network = build_network()
+        sim = Simulator()
+        trace = TraceLog(enabled=True)
+        network = Network(sim, FatTreeTopology(4), NetworkConfig(), RandomStreams(1), trace=trace)
+        sink = Sink(sim)
+        network.host("h2").register_protocol("test", sink)
         src = network.host("h0")
         src.send(Packet(protocol="nobody", src=src.node_id, dst=network.host_id("h2"),
                         size_bytes=1500))
         sim.run()
-        assert network.host("h2").received_packets == 0
+        assert sink.packets == []
+        [record] = trace.filter("host.no_protocol")
+        assert record.details == {"host": "h2", "protocol": "nobody"}
 
     def test_spraying_uses_multiple_core_switches(self):
         sim, network = build_network(routing_mode=RoutingMode.PACKET_SPRAY)
