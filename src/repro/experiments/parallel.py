@@ -21,10 +21,11 @@ a **persistent stdlib process pool**, with three guarantees:
    count codec work, they do not return planes), so there is nothing a
    zero-copy channel could move out of band.
 
-3. **Amortised start-up.**  The pool is a spawn-started
-   :class:`concurrent.futures.ProcessPoolExecutor` kept alive across sweeps:
-   the second ``execute_jobs`` call of an invocation pays no spawn or import
-   cost, and a worker builds the codec's per-K' basis
+3. **Amortised start-up.**  The pool is a
+   :class:`concurrent.futures.ProcessPoolExecutor` kept alive across sweeps,
+   forked from this already-imported process on Linux and spawned elsewhere:
+   the second ``execute_jobs`` call of an invocation pays no start-up cost
+   at all, and a worker builds the codec's per-K' basis
    (:func:`repro.rq.backend.generator_basis`) the first time one of its jobs
    codes a block of that K', then keeps it.  Jobs are submitted in chunked
    batches; an idle worker takes the next queued batch.
@@ -46,6 +47,7 @@ Typical use (what the figure drivers do internally)::
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import os
 import pickle
@@ -53,8 +55,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
-from typing import Callable, Hashable, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
@@ -64,9 +67,11 @@ from repro.network.network import NetworkConfig
 from repro.obs.recorder import TelemetryRecord
 from repro.obs.registry import WindowedRate
 
-#: Start method used for worker pools; ``spawn`` is the portable choice and
-#: proves that every job artefact survives pickling.
-DEFAULT_START_METHOD = "spawn"
+#: Start method used for worker pools.  A forked worker shares the parent's
+#: already-imported modules, while a spawned one starts a fresh interpreter
+#: and rebuilds them; platforms without a safe ``fork`` (macOS, Windows)
+#: spawn.  Either way every job batch and result list crosses as a pickle.
+DEFAULT_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 #: Called after each job completes (in job order): (index, total, job, result).
 ProgressCallback = Callable[[int, int, "RunJob", RunResult], None]
@@ -214,13 +219,13 @@ class ExecutorProfile:
 
     ``bytes_shipped`` counts the pickled job batches and result lists that
     crossed the process pipe.  Wall-clock phases: ``pool_spawn_s``
-    (parent-observed time until every worker answered -- includes the
-    workers' imports; zero when the persistent pool was reused),
-    ``worker_init_s`` (CPU time the slowest worker spent starting up, paid
-    once per pool), ``serialize_s`` (pickling and unpickling of job batches
-    on both sides and of results in the workers), ``merge_s`` (parent-side
-    unpickling of results and the in-order merge) and ``run_s`` (summed
-    worker simulation time).
+    (parent-observed time until every worker answered -- the forks, or the
+    spawned workers' interpreter start-up and imports; zero when the
+    persistent pool was reused), ``worker_init_s`` (CPU time the slowest
+    worker spent starting up, paid once per pool), ``serialize_s``
+    (pickling and unpickling of job batches on both sides and of results in
+    the workers), ``merge_s`` (parent-side unpickling of results and the
+    in-order merge) and ``run_s`` (summed worker simulation time).
     """
 
     label: str = ""
@@ -344,13 +349,29 @@ def _run_batch(jobs_blob: bytes) -> tuple[bytes, float, float]:
     return results_blob, pack_start - run_start, (run_start - start) + (packed - pack_start)
 
 
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Hold this process's heap in the permanent generation while workers fork.
+
+    Each forked worker keeps what it inherited frozen, so its collector never
+    scans those objects or writes to the pages it shares with this process.
+    This process unfreezes at once, which leaves every object it tracks in
+    the oldest generation.
+    """
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 class WorkerPool:
-    """A persistent, spawn-started :class:`ProcessPoolExecutor`.
+    """A persistent :class:`ProcessPoolExecutor`.
 
     The module keeps one instance alive (see :func:`get_worker_pool`) so the
-    spawn + import cost is paid once per process, not once per
-    ``execute_jobs`` call.  Construction starts every worker, so
-    ``spawn_s`` is the whole start-up bill.
+    start-up cost is paid once per process, not once per ``execute_jobs``
+    call.  Construction starts every worker, so ``spawn_s`` is the whole
+    start-up bill.
     """
 
     def __init__(self, num_workers: int, start_method: str = DEFAULT_START_METHOD) -> None:
@@ -362,9 +383,11 @@ class WorkerPool:
         self.executor = ProcessPoolExecutor(
             num_workers, mp_context=multiprocessing.get_context(start_method)
         )
-        # The executor starts a worker per submission while none is idle, so
-        # probes submitted together -- before any can answer -- start them all.
-        probes = [self.executor.submit(_worker_started) for _ in range(num_workers)]
+        # Under spawn the executor starts a worker per submission while none
+        # is idle, so probes submitted together -- before any can answer --
+        # start them all; under fork the first submission forks every worker.
+        with _frozen_heap() if start_method == "fork" else nullcontext():
+            probes = [self.executor.submit(_worker_started) for _ in range(num_workers)]
         self.worker_init_s = max(probe.result() for probe in probes)
         self.spawn_s = time.perf_counter() - spawn_start
 
@@ -433,7 +456,7 @@ def get_worker_pool(
     """The process-wide persistent pool; returns ``(pool, was_reused)``.
 
     A pool is reused while the requested shape (worker count, start method)
-    matches; a mismatch shuts the old pool down and spawns a fresh one.  The
+    matches; a mismatch shuts the old pool down and starts a fresh one.  The
     pool is torn down automatically at interpreter exit.
     """
     global _pool
@@ -488,7 +511,8 @@ def execute_jobs(
         num_workers: how many worker processes to shard across; ``<= 1``
             runs everything sequentially in this process (no pool, no
             pickling) but with identical semantics.
-        start_method: multiprocessing start method; ``spawn`` by default.
+        start_method: multiprocessing start method; ``fork`` on Linux and
+            ``spawn`` elsewhere by default.
         progress: optional per-job callback ``(index, total, job, result)``,
             invoked in job order as results arrive (the CLI wires
             :func:`log_progress` here); it never affects results.

@@ -4,18 +4,25 @@ The contract under test: ``execute_jobs(jobs, num_workers=N)`` returns the
 same results, in the same order, for every N -- including the codec's block
 and basis-lookup counters, because every job counts them in a fresh context
 of its own while the per-K' basis it reads is built lazily, once per
-process.  Workers use the ``spawn`` start method, so these tests also prove
-that every job artifact survives pickling.  ``TestPersistentPool`` covers the
-pool's life cycle: reuse across sweeps, a job that raises, a worker that dies.
+process.  Every batch of jobs and every result list crosses the pipe as a
+pickle under any start method, so the sharded cases also prove that every
+job artifact survives pickling.  ``TestPersistentPool`` covers the pool's life
+cycle: reuse across sweeps, a job that raises, a worker that dies.
+``TestStartMethods`` runs the same jobs through forked and spawned pools:
+a worker forked from a parent whose caches are warm must report what a fresh
+interpreter reports.
 """
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
+import multiprocessing
 import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +48,9 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import merge_codec_stats
 from repro.faults.schedule import FaultSchedule, link_loss
-from repro.network.topology import FatTreeTopology
+from repro.network.routing import stable_hash
+from repro.network.topology import FatTreeTopology, shared_fattree
+from repro.rq.backend import generator_basis
 from repro.utils.units import KILOBYTE
 from repro.workloads.spec import TransferKind, TransferSpec
 
@@ -53,6 +62,12 @@ PAYLOAD_CONFIG = ExperimentConfig(
     max_sim_time_s=30.0,
     polyraptor=PolyraptorConfig(carry_payload=True),
 )
+
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+
+#: Both start methods; ``fork`` is skipped where the platform lacks it.
+START_METHODS = [pytest.param("fork", marks=requires_fork), "spawn"]
 
 
 def _payload_jobs(seeds=(1, 2, 3, 4)) -> list[RunJob]:
@@ -159,14 +174,18 @@ def _two_k_lossy_jobs() -> list[RunJob]:
 
 
 class TestPerProcessBasisDeterminism:
-    """Lazily built per-process bases leave no trace in any reported number."""
+    """Lazily built per-process bases leave no trace in any reported number.
 
-    @pytest.fixture(scope="class")
-    def runs_and_messages(self):
+    The parent runs the jobs inline first, so its bases are warm: a spawned
+    worker starts cold, a forked one inherits them.
+    """
+
+    @pytest.fixture(scope="class", params=START_METHODS)
+    def runs_and_messages(self, request):
         jobs = _two_k_lossy_jobs()
         sequential = execute_jobs(jobs, num_workers=1)
         shutdown_worker_pool()
-        pool = warm_worker_pool(2)
+        pool = warm_worker_pool(2, start_method=request.param)
         submitted: list = []
         submit = pool.executor.submit
 
@@ -175,7 +194,7 @@ class TestPerProcessBasisDeterminism:
             return submit(fn, *args)
 
         pool.executor.submit = recording_submit
-        sharded = execute_jobs(jobs, num_workers=2)
+        sharded = execute_jobs(jobs, num_workers=2, start_method=request.param)
         shutdown_worker_pool()
         return sequential, sharded, submitted
 
@@ -252,12 +271,15 @@ class TestPersistentPool:
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("transport", [None, "shm", "pickle"])
-    def test_sharded_results_match_sequential(self, baseline, workers, transport):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_sharded_results_match_sequential(self, baseline, start_method, workers, transport):
         # ``transport`` is still accepted (the perf harness passes "shm") and
         # changes nothing: every batch is pickled.
         jobs, expected = baseline
-        runs = execute_jobs(jobs, num_workers=workers, transport=transport)
+        runs = execute_jobs(jobs, num_workers=workers, start_method=start_method,
+                            transport=transport)
         assert _fingerprints(runs) == expected
+        assert get_worker_pool(workers, start_method=start_method)[1]  # the sweep ran on it
         assert last_profile().transport == "pickle"
         assert last_profile().bytes_shipped > 0
         assert last_profile().shm_bytes == 0
@@ -284,7 +306,8 @@ class TestPersistentPool:
         pool, _ = get_worker_pool(2)
         assert not profile.pool_reused
         assert profile.pool_spawn_s == pool.spawn_s > 0.0
-        # The slowest worker's start-up CPU: at least its imports.
+        # The slowest worker's start-up CPU: a fresh interpreter's imports
+        # when spawned, only the few milliseconds after the fork when forked.
         assert profile.worker_init_s == pool.worker_init_s > 0.0
 
     def test_shutdown_is_idempotent_and_the_next_sweep_respawns(self):
@@ -368,6 +391,53 @@ class TestPersistentPool:
         assert result.exec_profile["workers"] == 2
         assert result.exec_profile["jobs_total"] == 4
         assert result.exec_profile["transport"] == "pickle"
+
+
+def _tcp_job(seed: int) -> RunJob:
+    """The payload job's transfers over TCP, whose fabric hashes flows onto paths."""
+    return replace(_payload_jobs(seeds=(seed,))[0], protocol=Protocol.TCP)
+
+
+class TestStartMethods:
+    """A forked worker inherits the parent's warm state; none of it may reach a result."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        shutdown_worker_pool()
+        yield
+        shutdown_worker_pool()
+
+    @requires_fork
+    def test_fork_from_a_warm_parent_matches_spawn_and_inline(self):
+        # A faulted job, a payload job and a TCP job (flow-hashed ECMP) run
+        # inline first: they fill the shared fat-tree memo, the
+        # generator-basis and stable-hash caches and advance the packet-id
+        # counter -- all of which a forked worker inherits and a spawned one
+        # starts without.
+        for job in (_two_k_lossy_jobs()[0], *_payload_jobs(seeds=(5,)), _tcp_job(5)):
+            run_job(job)
+        assert shared_fattree.cache_info().currsize > 0
+        assert generator_basis.cache_info().currsize > 0
+        assert stable_hash.cache_info().currsize > 0
+        jobs = _two_k_lossy_jobs() + _payload_jobs(seeds=(1, 2)) + [_tcp_job(1)]
+        runs = {}
+        for method in ("fork", "spawn"):
+            shutdown_worker_pool()
+            runs[method] = execute_jobs(jobs, num_workers=2, start_method=method)
+            assert not last_profile().pool_reused
+        runs["inline"] = execute_jobs(jobs, num_workers=1)
+        prints = {method: _fingerprints(results) for method, results in runs.items()}
+        assert prints["fork"] == prints["spawn"] == prints["inline"]
+        # The fingerprints omit the codec's lookup counters; a cache miss
+        # counted process-wide instead of per job would show here.
+        stats = {method: [run.codec_stats for run in results] for method, results in runs.items()}
+        assert stats["fork"] == stats["spawn"] == stats["inline"]
+
+    @requires_fork
+    def test_the_freeze_is_left_in_the_workers_not_the_parent(self):
+        pool = warm_worker_pool(2, start_method="fork")
+        assert gc.get_freeze_count() == 0
+        assert pool.executor.submit(gc.get_freeze_count).result(timeout=60) > 0
 
 
 class TestMergeCodecStats:
