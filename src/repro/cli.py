@@ -607,11 +607,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "this path MTU")
     fetch.add_argument("-o", "--output", default=None, metavar="PATH",
                        help="write the fetched bytes to PATH")
-    fetch.add_argument("--loss", type=float, default=0.0, metavar="P",
+    fetch.add_argument("--loss", type=_loss_type, default=0.0, metavar="P",
                        help="drop arriving symbol frames with probability P (testing)")
     fetch.add_argument("--loss-seed", type=int, default=1,
                        help="seed for the induced-loss stream")
-    fetch.add_argument("--timeout", type=float, default=30.0, metavar="S",
+    fetch.add_argument("--timeout", type=_seconds_type, default=30.0, metavar="S",
                        help="overall transfer deadline in seconds")
     fetch.add_argument("--expect-sha256", default=None, metavar="HEX",
                        help="fail unless the fetched bytes hash to HEX")

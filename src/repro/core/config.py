@@ -8,6 +8,30 @@ from repro.rq.block import DEFAULT_MAX_SYMBOLS_PER_BLOCK, DEFAULT_SYMBOL_SIZE
 from repro.utils.units import MICROSECOND
 from repro.utils.validation import check_non_negative, check_positive
 
+#: wire header size of every Polyraptor packet: symbols, pulls and the
+#: request/done control packets alike.
+HEADER_BYTES = 64
+#: extra symbols (beyond K) a receiver collects before declaring a block
+#: decodable when at least one source symbol was lost; with two extra
+#: symbols, rank trials at K=6 measured about one decode failure in 20 000.
+DECODE_OVERHEAD_SYMBOLS = 2
+#: how many times a completed receiver re-sends an unacknowledged DONE
+#: notification, with exponential backoff starting at ``stall_timeout_s``.
+#: DONE is a single control packet; if the fabric drops it -- e.g. on a link
+#: a fault schedule took down -- the sender would otherwise wait forever and
+#: the transfer would never be recorded as complete.  Senders acknowledge
+#: every DONE (healthy sessions therefore never retry), retries are
+#: idempotent, and the cap keeps event heaps finite when a sender stays
+#: unreachable.
+DONE_RETRY_LIMIT = 8
+#: gray-failure detection detaches receivers whose per-path EWMA loss
+#: estimate (from symbol-sequence gaps) exceeds this threshold.
+GRAY_LOSS_THRESHOLD = 0.05
+#: symbols per loss-estimation window (sequence-gap accounting).
+GRAY_WINDOW_SYMBOLS = 32
+#: EWMA weight of the newest per-window loss sample.
+GRAY_EWMA_WEIGHT = 0.3
+
 
 @dataclass(frozen=True)
 class PolyraptorConfig:
@@ -16,17 +40,10 @@ class PolyraptorConfig:
     Attributes:
         symbol_size_bytes: payload bytes of one encoding symbol (fits in an
             MTU together with the header).
-        header_bytes: wire header size for every Polyraptor packet.
         initial_window_symbols: how many symbols a sender pushes at line rate
             before becoming pull-clocked (roughly one bandwidth-delay product;
             18 MTU-sized symbols cover the ~190 microsecond RTT of the
             paper's 1 Gbps FatTree).
-        decode_overhead_symbols: extra symbols (beyond K) a receiver collects
-            before declaring a block decodable when at least one source symbol
-            was lost; with two extra symbols, rank trials at K=6 measured
-            about one decode failure in 20 000.
-        pull_bytes: wire size of a pull request.
-        control_bytes: wire size of request/done control packets.
         max_symbols_per_block: cap on source symbols per block (the object
             layer splits larger objects).
         carry_payload: if True, symbol packets carry real encoded bytes and
@@ -37,15 +54,6 @@ class PolyraptorConfig:
         stall_timeout_s: receiver-side timer; if nothing arrives for this long
             on an incomplete session, the receiver re-issues pulls (guards
             against the rare loss of trimmed headers).
-        done_retry_limit: how many times a completed receiver re-sends an
-            unacknowledged DONE notification, with exponential backoff
-            starting at ``stall_timeout_s``.  DONE is a single control
-            packet; if the fabric drops it -- e.g. on a link a fault
-            schedule took down -- the sender would otherwise wait forever
-            and the transfer would never be recorded as complete.  Senders
-            acknowledge every DONE (healthy sessions therefore never
-            retry), retries are idempotent, and the cap keeps event heaps
-            finite when a sender stays unreachable.
         startup_retry_limit: how many times a push sender re-probes
             receivers it has never heard from (one unicast symbol each,
             exponential backoff starting at ``stall_timeout_s``).  The
@@ -67,15 +75,10 @@ class PolyraptorConfig:
     """
 
     symbol_size_bytes: int = DEFAULT_SYMBOL_SIZE
-    header_bytes: int = 64
     initial_window_symbols: int = 18
-    decode_overhead_symbols: int = 2
-    pull_bytes: int = 64
-    control_bytes: int = 64
     max_symbols_per_block: int = DEFAULT_MAX_SYMBOLS_PER_BLOCK
     carry_payload: bool = False
     stall_timeout_s: float = 500 * MICROSECOND
-    done_retry_limit: int = 8
     startup_retry_limit: int = 8
     straggler_detection: bool = False
     straggler_lag_symbols: int = 12
@@ -87,14 +90,9 @@ class PolyraptorConfig:
     #: line rate, so a clean path behaves identically.
     tfrc_pacing: bool = False
     #: gray-failure detection: detach receivers whose per-path EWMA loss
-    #: estimate (from symbol-sequence gaps) exceeds ``gray_loss_threshold``,
+    #: estimate (from symbol-sequence gaps) exceeds :data:`GRAY_LOSS_THRESHOLD`,
     #: exactly like lag-based straggler detachment.
     gray_detection: bool = False
-    gray_loss_threshold: float = 0.05
-    #: symbols per loss-estimation window (sequence-gap accounting).
-    gray_window_symbols: int = 32
-    #: EWMA weight of the newest per-window loss sample.
-    gray_ewma_weight: float = 0.3
     #: real-network loss recovery: when True, a receiver that detects a
     #: sequence gap on an arriving symbol immediately enqueues one extra
     #: pull per newly missing symbol (capped at ``initial_window_symbols``
@@ -107,23 +105,13 @@ class PolyraptorConfig:
 
     def __post_init__(self) -> None:
         check_positive("symbol_size_bytes", self.symbol_size_bytes)
-        check_positive("header_bytes", self.header_bytes)
         check_positive("initial_window_symbols", self.initial_window_symbols)
-        check_non_negative("decode_overhead_symbols", self.decode_overhead_symbols)
-        check_positive("pull_bytes", self.pull_bytes)
-        check_positive("control_bytes", self.control_bytes)
         check_positive("max_symbols_per_block", self.max_symbols_per_block)
         check_positive("stall_timeout_s", self.stall_timeout_s)
-        check_non_negative("done_retry_limit", self.done_retry_limit)
         check_non_negative("startup_retry_limit", self.startup_retry_limit)
         check_positive("straggler_lag_symbols", self.straggler_lag_symbols)
-        if not (0.0 < self.gray_loss_threshold < 1.0):
-            raise ValueError("gray_loss_threshold must be in (0, 1)")
-        check_positive("gray_window_symbols", self.gray_window_symbols)
-        if not (0.0 < self.gray_ewma_weight <= 1.0):
-            raise ValueError("gray_ewma_weight must be in (0, 1]")
 
     @property
     def symbol_packet_bytes(self) -> int:
         """Wire size of a full (untrimmed) symbol packet."""
-        return self.symbol_size_bytes + self.header_bytes
+        return self.symbol_size_bytes + HEADER_BYTES

@@ -87,11 +87,8 @@ def trimming_ablation(
             config=cfg,
             transfers=tuple(transfers),
             network_config=NetworkConfig(
-                link_rate_bps=cfg.link_rate_bps,
-                link_delay_s=cfg.link_delay_s,
                 switch_queue=queue,
-                data_queue_capacity_packets=cfg.data_queue_capacity_packets,
-                droptail_capacity_packets=cfg.data_queue_capacity_packets,
+                droptail_capacity_packets=NetworkConfig.data_queue_capacity_packets,
                 routing_mode=RoutingMode.PACKET_SPRAY,
             ),
         )
@@ -134,13 +131,7 @@ def spraying_ablation(
             protocol=Protocol.POLYRAPTOR,
             config=cfg,
             transfers=transfers,
-            network_config=NetworkConfig(
-                link_rate_bps=cfg.link_rate_bps,
-                link_delay_s=cfg.link_delay_s,
-                switch_queue="trimming",
-                data_queue_capacity_packets=cfg.data_queue_capacity_packets,
-                routing_mode=mode,
-            ),
+            network_config=NetworkConfig(switch_queue="trimming", routing_mode=mode),
         )
         for mode in (RoutingMode.PACKET_SPRAY, RoutingMode.ECMP_FLOW, RoutingMode.SINGLE_PATH)
     ]

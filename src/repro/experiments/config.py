@@ -25,8 +25,7 @@ from repro.core.config import PolyraptorConfig
 from repro.network.network import NetworkConfig
 from repro.obs.config import TelemetryConfig
 from repro.network.routing import RoutingMode
-from repro.transport.tcp.config import TcpConfig
-from repro.utils.units import GBPS, KILOBYTE, MEGABYTE, MICROSECOND
+from repro.utils.units import KILOBYTE, MEGABYTE
 from repro.utils.validation import check_positive, check_probability
 
 
@@ -42,8 +41,6 @@ class ExperimentConfig:
     """Everything needed to run one experiment series."""
 
     fattree_k: int = 4
-    link_rate_bps: float = 1 * GBPS
-    link_delay_s: float = 10 * MICROSECOND
 
     num_foreground_transfers: int = 40
     object_bytes: int = 256 * KILOBYTE
@@ -53,9 +50,6 @@ class ExperimentConfig:
     max_sim_time_s: float = 20.0
 
     polyraptor: PolyraptorConfig = field(default_factory=PolyraptorConfig)
-    tcp: TcpConfig = field(default_factory=TcpConfig)
-    data_queue_capacity_packets: int = 8
-    droptail_capacity_packets: int = 100
     #: routing-convergence lag after a topology change (0 = instantaneous,
     #: the historical behaviour); applies to both protocols' fabrics and
     #: rides inside RunJob configs, so sharded sweeps stay byte-identical.
@@ -66,13 +60,6 @@ class ExperimentConfig:
     #: byte-identical to pre-marking runs).  Applies to both protocols'
     #: fabrics and rides inside RunJob configs.
     ecn_enabled: bool = False
-    #: instantaneous marking threshold in packets; ``None`` picks a fabric
-    #: default -- half the data-queue capacity on trimming switches,
-    #: a fifth of the drop-tail capacity otherwise (K = 20 for the default
-    #: 100-packet queue, the classic DCTCP-style step threshold).
-    ecn_threshold_packets: int | None = None
-    #: EWMA weight of the marking hysteresis (see NetworkConfig).
-    ecn_ewma_weight: float = 0.2
     #: flight-recorder telemetry (see :mod:`repro.obs`).  ``None`` -- the
     #: default -- means no telemetry at all: no sampler process, no extra
     #: random stream, and result fingerprints byte-identical to runs from
@@ -83,7 +70,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.fattree_k < 2 or self.fattree_k % 2:
             raise ValueError("fattree_k must be an even integer >= 2")
-        check_positive("link_rate_bps", self.link_rate_bps)
         check_positive("num_foreground_transfers", self.num_foreground_transfers)
         check_positive("object_bytes", self.object_bytes)
         check_probability("background_fraction", self.background_fraction)
@@ -93,10 +79,6 @@ class ExperimentConfig:
             raise ValueError("convergence_delay_s cannot be negative")
         if self.convergence_jitter < 0:
             raise ValueError("convergence_jitter cannot be negative")
-        if self.ecn_threshold_packets is not None:
-            check_positive("ecn_threshold_packets", self.ecn_threshold_packets)
-        if not (0.0 < self.ecn_ewma_weight <= 1.0):
-            raise ValueError("ecn_ewma_weight must be in (0, 1]")
 
     # Derived quantities ---------------------------------------------------------
 
@@ -125,7 +107,7 @@ class ExperimentConfig:
         return (
             self.offered_load
             * self.num_hosts
-            * self.link_rate_bps
+            * NetworkConfig.link_rate_bps
             / (8 * self.object_bytes)
         )
 
@@ -137,42 +119,33 @@ class ExperimentConfig:
         """
         if protocol is Protocol.POLYRAPTOR:
             return NetworkConfig(
-                link_rate_bps=self.link_rate_bps,
-                link_delay_s=self.link_delay_s,
                 switch_queue="trimming",
-                data_queue_capacity_packets=self.data_queue_capacity_packets,
                 routing_mode=RoutingMode.PACKET_SPRAY,
                 convergence_delay_s=self.convergence_delay_s,
                 convergence_jitter=self.convergence_jitter,
                 ecn_enabled=self.ecn_enabled,
                 ecn_threshold_packets=self.resolved_ecn_threshold(Protocol.POLYRAPTOR),
-                ecn_ewma_weight=self.ecn_ewma_weight,
             )
         return NetworkConfig(
-            link_rate_bps=self.link_rate_bps,
-            link_delay_s=self.link_delay_s,
             switch_queue="droptail",
-            droptail_capacity_packets=self.droptail_capacity_packets,
             routing_mode=RoutingMode.ECMP_FLOW,
             convergence_delay_s=self.convergence_delay_s,
             convergence_jitter=self.convergence_jitter,
             ecn_enabled=self.ecn_enabled,
             ecn_threshold_packets=self.resolved_ecn_threshold(Protocol.TCP),
-            ecn_ewma_weight=self.ecn_ewma_weight,
         )
 
     def resolved_ecn_threshold(self, protocol: Protocol) -> int:
         """The marking threshold in force for a protocol's fabric.
 
-        An explicit ``ecn_threshold_packets`` wins; otherwise trimming
-        fabrics mark at half the (shallow) data-queue capacity and drop-tail
-        fabrics at a fifth of their capacity, both at least one packet.
+        Trimming fabrics mark at half the (shallow) data-queue capacity and
+        drop-tail fabrics at a fifth of theirs (K = 20 for the default
+        100-packet queue, the classic DCTCP-style step threshold), both at
+        least one packet.
         """
-        if self.ecn_threshold_packets is not None:
-            return self.ecn_threshold_packets
         if protocol is Protocol.POLYRAPTOR:
-            return max(1, self.data_queue_capacity_packets // 2)
-        return max(1, self.droptail_capacity_packets // 5)
+            return max(1, NetworkConfig.data_queue_capacity_packets // 2)
+        return max(1, NetworkConfig.droptail_capacity_packets // 5)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """A copy of this configuration with a different seed."""
@@ -204,7 +177,7 @@ class ExperimentConfig:
         part the resilience and figure-1 claims depend on, with real
         oversubscription and path diversity -- is affordable per seed: 100
         sessions per series at the paper's ~0.33 offered load, and one seed
-        of ``figure1b --paper-scale`` (four such series) took 17-22 s with
+        of ``figure1b --paper-scale`` (four such series) took 14-17 s with
         ``--jobs 1`` on a shared 2-core Xeon under Python 3.11.  Use with
         ``--seeds 5`` for the paper's five-repetition methodology; the CLI
         exposes this preset as ``--paper-scale``.

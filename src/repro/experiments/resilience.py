@@ -34,6 +34,7 @@ from repro.experiments.sweep import (
     seed_configs,
 )
 from repro.faults.schedule import FaultSchedule, random_fault_schedule
+from repro.network.network import NetworkConfig
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.workloads.arrivals import PoissonArrivals
@@ -94,7 +95,7 @@ def fault_window(config: ExperimentConfig, transfers: list[TransferSpec]) -> tup
     last_arrival = max(spec.start_time for spec in transfers) if transfers else 0.0
     # 4x the ideal serialisation time leaves room for queueing, pull pacing
     # and the fault-lengthened paths themselves.
-    service_slack = 4.0 * config.object_bytes * 8 / config.link_rate_bps
+    service_slack = 4.0 * config.object_bytes * 8 / NetworkConfig.link_rate_bps
     busy = last_arrival + service_slack
     duration = min(config.max_sim_time_s, max(0.002, 1.2 * busy))
     return 0.0, duration

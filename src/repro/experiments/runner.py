@@ -218,7 +218,7 @@ def build_environment(
     else:
         codec_context = None  # TCP does no coding; never report codec stats.
         for host in network.hosts:
-            tcp_agents[host.name] = TcpAgent(sim, host, config.tcp)
+            tcp_agents[host.name] = TcpAgent(sim, host)
     sampler: Optional[TelemetrySampler] = None
     recorder: Optional[FlightRecorder] = None
     metrics: Optional[MetricRegistry] = None

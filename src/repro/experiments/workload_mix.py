@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.sweep import protocol_cells, run_sweep
+from repro.network.network import NetworkConfig
 from repro.network.topology import FatTreeTopology
 from repro.sim.randomness import RandomStreams
 from repro.utils.cdf import Cdf
@@ -49,7 +50,7 @@ def _heavy_tailed_transfers(
     rng = streams.stream("workload-mix")
     sizes = ParetoSize(min_bytes, max_bytes, shape=shape)
     mean_size = sum(sizes.sample(rng) for _ in range(200)) / 200
-    rate = config.offered_load * config.num_hosts * config.link_rate_bps / (8 * mean_size)
+    rate = config.offered_load * config.num_hosts * NetworkConfig.link_rate_bps / (8 * mean_size)
     arrivals = PoissonArrivals(rate).times(num_transfers, rng)
     pairs = repeated_permutation_pairs(topology.hosts, num_transfers, rng)
     transfers = []

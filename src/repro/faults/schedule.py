@@ -273,6 +273,15 @@ def core_switches(topology: Topology) -> list[str]:
     )
 
 
+def _fault_interval(
+    rng: random.Random, start_time: float, duration: float
+) -> tuple[float, float]:
+    """One onset/recovery pair inside the fault window."""
+    begin = start_time + rng.uniform(0.05, 0.35) * duration
+    end = begin + rng.uniform(0.25, 0.5) * duration
+    return begin, end
+
+
 def random_fault_schedule(
     topology: Topology,
     rng: random.Random,
@@ -312,23 +321,17 @@ def random_fault_schedule(
     chosen = rng.sample(edges, min(len(edges), num_down + num_degrade + num_lossy))
 
     events: list[FaultEvent] = []
-
-    def window() -> tuple[float, float]:
-        begin = start_time + rng.uniform(0.05, 0.35) * duration
-        end = begin + rng.uniform(0.25, 0.5) * duration
-        return begin, end
-
     for name_a, name_b in chosen[:num_down]:
-        begin, end = window()
+        begin, end = _fault_interval(rng, start_time, duration)
         events.append(link_down(begin, name_a, name_b, cause="random"))
         events.append(link_up(end, name_a, name_b, cause="random"))
     for name_a, name_b in chosen[num_down : num_down + num_degrade]:
-        begin, end = window()
+        begin, end = _fault_interval(rng, start_time, duration)
         fraction = rng.uniform(0.2, 0.5)
         events.append(link_degrade(begin, name_a, name_b, fraction, cause="random"))
         events.append(link_degrade(end, name_a, name_b, 1.0, cause="random"))
     for name_a, name_b in chosen[num_down + num_degrade :]:
-        begin, end = window()
+        begin, end = _fault_interval(rng, start_time, duration)
         probability = min(0.5, intensity * rng.uniform(0.05, 0.25))
         events.append(link_loss(begin, name_a, name_b, probability, cause="random"))
         events.append(link_loss(end, name_a, name_b, 0.0, cause="random"))
@@ -336,7 +339,7 @@ def random_fault_schedule(
     cores = core_switches(topology)
     if allow_switch_failure and intensity >= 0.5 and len(cores) >= 2:
         victim = rng.choice(cores)
-        begin, end = window()
+        begin, end = _fault_interval(rng, start_time, duration)
         events.append(switch_down(begin, victim, cause="random"))
         events.append(switch_up(end, victim, cause="random"))
 
@@ -383,15 +386,6 @@ def straggler_schedule(
 # injector needs no changes because compound failures are just same-instant
 # event batches (one routing recompute per batch) and gray failures reuse
 # the per-port loss/degrade hooks.
-
-
-def _fault_interval(
-    rng: random.Random, start_time: float, duration: float
-) -> tuple[float, float]:
-    """One onset/recovery pair inside the window (same shape as random faults)."""
-    begin = start_time + rng.uniform(0.05, 0.35) * duration
-    end = begin + rng.uniform(0.25, 0.5) * duration
-    return begin, end
 
 
 def shared_risk_group_schedule(

@@ -61,6 +61,7 @@ from repro.net.wire import (
 from repro.protocol.actions import SendPacket
 from repro.protocol.driver import SessionDriver
 from repro.protocol.receiver import ReceiverCore
+from repro.utils.validation import check_non_negative, check_positive, check_probability
 
 
 class FetchError(RuntimeError):
@@ -201,8 +202,14 @@ async def fetch_object_async(
     opens one session per server and folds all their symbols into a single
     decode.  ``mtu`` caps the proposed symbol size so every DATA frame fits
     one datagram of that path MTU.  Returns the decoded object bytes;
-    raises :class:`FetchError` on refusal, mismatched grants or timeout.
+    raises :class:`FetchError` on refusal, mismatched grants or timeout, and
+    ``ValueError`` on an out-of-range (or nan) timeout, interval or loss rate.
     """
+    check_positive("transfer_timeout_s", transfer_timeout_s)
+    check_positive("open_timeout_s", open_timeout_s)
+    check_positive("resume_interval_s", resume_interval_s)
+    check_non_negative("linger_s", linger_s)
+    check_probability("loss_rate", loss_rate)
     config = config if config is not None else wire_config()
     if not config.carry_payload:
         raise FetchError("fetching real bytes requires a carry_payload config")
@@ -215,8 +222,6 @@ async def fetch_object_async(
         if fitting <= 0:
             raise FetchError(f"mtu {mtu} cannot carry any symbol payload")
         proposal = min(proposal, fitting)
-    if resume_interval_s <= 0:
-        raise FetchError("resume_interval_s must be positive")
 
     loop = asyncio.get_running_loop()
     connections: list[_FetchProtocol] = []

@@ -55,6 +55,7 @@ from repro.obs import MetricRegistry
 from repro.protocol.actions import KIND_DATA, SendPacket
 from repro.protocol.driver import SessionDriver
 from repro.protocol.sender import SenderCore
+from repro.utils.validation import check_positive, check_probability
 
 #: Default UDP port of ``repro serve``.
 DEFAULT_PORT = 9109
@@ -163,14 +164,14 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         self.store = store
         self.config = config if config is not None else wire_config()
         self.max_rate_bps = max_rate_bps
-        self._loss_rate = loss_rate
+        self._loss_rate = check_probability("loss_rate", loss_rate)
         self._loss_rng = random.Random(loss_seed)
         self._max_sessions = max_sessions
         self._max_concurrent = max_concurrent_sessions
-        if grant_ttl_s <= 0 or session_idle_timeout_s <= 0:
-            raise ValueError("grant_ttl_s and session_idle_timeout_s must be positive")
-        self.grant_ttl_s = grant_ttl_s
-        self.session_idle_timeout_s = session_idle_timeout_s
+        self.grant_ttl_s = check_positive("grant_ttl_s", grant_ttl_s)
+        self.session_idle_timeout_s = check_positive(
+            "session_idle_timeout_s", session_idle_timeout_s
+        )
         self._symbol_size_cap = self.config.symbol_size_bytes
         if mtu is not None:
             fitting = max_symbol_size_for_mtu(mtu)

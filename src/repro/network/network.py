@@ -54,7 +54,6 @@ class NetworkConfig:
     link_delay_s: float = 10 * MICROSECOND
     switch_queue: str = "trimming"
     data_queue_capacity_packets: int = 8
-    header_queue_capacity_packets: int = 1000
     droptail_capacity_packets: int = 100
     routing_mode: RoutingMode = RoutingMode.PACKET_SPRAY
     #: control-plane lag: seconds between a topology change being detected
@@ -71,8 +70,6 @@ class NetworkConfig:
     #: instantaneous data-queue depth (packets) at which arriving data
     #: packets get the CE bit.
     ecn_threshold_packets: int = 4
-    #: weight of the newest depth sample in the marking EWMA.
-    ecn_ewma_weight: float = 0.2
 
     def __post_init__(self) -> None:
         check_positive("link_rate_bps", self.link_rate_bps)
@@ -80,13 +77,10 @@ class NetworkConfig:
         if self.switch_queue not in ("trimming", "droptail"):
             raise ValueError("switch_queue must be 'trimming' or 'droptail'")
         check_positive("data_queue_capacity_packets", self.data_queue_capacity_packets)
-        check_positive("header_queue_capacity_packets", self.header_queue_capacity_packets)
         check_positive("droptail_capacity_packets", self.droptail_capacity_packets)
         check_non_negative("convergence_delay_s", self.convergence_delay_s)
         check_non_negative("convergence_jitter", self.convergence_jitter)
         check_positive("ecn_threshold_packets", self.ecn_threshold_packets)
-        if not (0.0 < self.ecn_ewma_weight <= 1.0):
-            raise ValueError("ecn_ewma_weight must be in (0, 1]")
 
 
 class Network:
@@ -134,16 +128,12 @@ class Network:
     def _new_marker(self) -> Optional[EcnMarker]:
         if not self.config.ecn_enabled:
             return None
-        return EcnMarker(
-            threshold_packets=self.config.ecn_threshold_packets,
-            ewma_weight=self.config.ecn_ewma_weight,
-        )
+        return EcnMarker(threshold_packets=self.config.ecn_threshold_packets)
 
     def _new_queue(self):
         if self.config.switch_queue == "trimming":
             return TrimmingQueue(
                 data_capacity_packets=self.config.data_queue_capacity_packets,
-                header_capacity_packets=self.config.header_queue_capacity_packets,
                 marker=self._new_marker(),
             )
         return DropTailQueue(

@@ -26,6 +26,13 @@ from typing import Optional, Protocol
 
 from repro.network.packet import Packet, PacketKind
 
+#: bound on a trimming queue's priority (header) queue.  Headers are tiny, so
+#: it can be generous, but it is still bounded so a pathological run cannot
+#: accumulate unbounded state.
+HEADER_QUEUE_CAPACITY_PACKETS = 1000
+#: weight of the newest depth sample in the ECN marking EWMA.
+ECN_EWMA_WEIGHT = 0.2
+
 
 class EcnMarker:
     """Per-queue ECN/PCN marking state.
@@ -51,7 +58,7 @@ class EcnMarker:
     def __init__(
         self,
         threshold_packets: int,
-        ewma_weight: float = 0.2,
+        ewma_weight: float = ECN_EWMA_WEIGHT,
         ewma_threshold_packets: Optional[float] = None,
     ) -> None:
         if threshold_packets <= 0:
@@ -164,7 +171,7 @@ class TrimmingQueue:
     def __init__(
         self,
         data_capacity_packets: int = 8,
-        header_capacity_packets: int = 1000,
+        header_capacity_packets: int = HEADER_QUEUE_CAPACITY_PACKETS,
         data_service_ratio: int = 10,
         marker: Optional[EcnMarker] = None,
     ) -> None:

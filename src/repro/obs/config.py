@@ -16,6 +16,11 @@ from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 
+#: seeded fraction of one period the first telemetry tick is offset by,
+#: drawn from the run's ``"telemetry"`` random stream.  Desynchronises the
+#: sampler from periodic protocol timers.
+PHASE_JITTER = 1.0
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -28,15 +33,7 @@ class TelemetryConfig:
     #: ring-buffer bound per series; the oldest samples are dropped (and
     #: counted) once a series exceeds this.
     max_samples: int = 512
-    #: seeded fraction of one period the first tick is offset by, drawn from
-    #: the run's ``"telemetry"`` random stream.  Desynchronises the sampler
-    #: from periodic protocol timers; 0 pins the first tick to t=0.
-    phase_jitter: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive("sample_period_s", self.sample_period_s)
         check_positive("max_samples", self.max_samples)
-        if not 0.0 <= self.phase_jitter <= 1.0:
-            raise ValueError(
-                f"phase_jitter must be a fraction in [0, 1], got {self.phase_jitter}"
-            )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.config import TelemetryConfig
+from repro.obs.config import PHASE_JITTER, TelemetryConfig
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import MetricRegistry
 
@@ -58,7 +58,7 @@ class TelemetrySampler:
         self.registry = registry
         #: sampling sweeps performed
         self.ticks = 0
-        self._phase_s = rng.random() * config.phase_jitter * config.sample_period_s
+        self._phase_s = rng.random() * PHASE_JITTER * config.sample_period_s
         self._network: Optional[Network] = None
         #: switch egress ports in sorted-name order (precomputed once)
         self._switch_ports: tuple = ()

@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Optional
 
+from repro.core.config import HEADER_BYTES
 from repro.protocol.actions import (
     KIND_CONTROL,
     CancelPulls,
@@ -174,7 +175,7 @@ class SessionDriver:
         return SendPacket(
             payload=pull,
             kind=KIND_CONTROL,
-            size_bytes=self.core.config.pull_bytes,
+            size_bytes=HEADER_BYTES,
             dest=target_sender,
         )
 

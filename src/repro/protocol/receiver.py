@@ -32,7 +32,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import (
+    DECODE_OVERHEAD_SYMBOLS,
+    DONE_RETRY_LIMIT,
+    HEADER_BYTES,
+    PolyraptorConfig,
+)
 from repro.core.packets import (
     DoneAckPayload,
     DonePayload,
@@ -157,7 +162,7 @@ class ReceiverCore(ActionEmitter):
                 SendPacket(
                     payload=request,
                     kind=KIND_CONTROL,
-                    size_bytes=self.config.control_bytes,
+                    size_bytes=HEADER_BYTES,
                     dest=sender,
                 )
             )
@@ -224,10 +229,7 @@ class ReceiverCore(ActionEmitter):
         stream: Optional[int] = None if multicast else self.local_host
         estimator = self._loss_estimators.get((sender, stream))
         if estimator is None:
-            estimator = PathLossEstimator(
-                window_symbols=self.config.gray_window_symbols,
-                ewma_weight=self.config.gray_ewma_weight,
-            )
+            estimator = PathLossEstimator()
             self._loss_estimators[(sender, stream)] = estimator
         missing = estimator.on_symbol(payload.sequence)
         self._last_stream[sender] = stream
@@ -294,7 +296,7 @@ class ReceiverCore(ActionEmitter):
         k = self.oti.block_symbol_count(block)
         if self._source_received[block] == k:
             return True
-        return len(self._received[block]) >= k + self.config.decode_overhead_symbols
+        return len(self._received[block]) >= k + DECODE_OVERHEAD_SYMBOLS
 
     def _session_complete(self) -> bool:
         return len(self._complete_blocks) == self.oti.num_source_blocks
@@ -383,8 +385,7 @@ class ReceiverCore(ActionEmitter):
         self._emit(StopTimer(self.TIMER_STALL))
         self._emit(CancelPulls(self.session_id))
         self._broadcast_done()
-        if self.config.done_retry_limit > 0:
-            self._emit(SetTimer(self.TIMER_DONE, self.config.stall_timeout_s))
+        self._emit(SetTimer(self.TIMER_DONE, self.config.stall_timeout_s))
         self._emit(SessionCompleted(self.session_id, now))
 
     def _broadcast_done(self) -> None:
@@ -396,7 +397,7 @@ class ReceiverCore(ActionEmitter):
                 SendPacket(
                     payload=done,
                     kind=KIND_CONTROL,
-                    size_bytes=self.config.control_bytes,
+                    size_bytes=HEADER_BYTES,
                     dest=sender,
                 )
             )
@@ -413,12 +414,12 @@ class ReceiverCore(ActionEmitter):
         A DONE lost to the fabric (a fault-downed link, a trimming overflow)
         would leave the sender pull-clocked on a receiver that will never
         pull again.  Acks cancel the retries in the healthy case; the
-        ``done_retry_limit`` cap keeps the event heap finite when a sender
+        ``DONE_RETRY_LIMIT`` cap keeps the event heap finite when a sender
         stays unreachable to the end of the run.
         """
         self.done_retries += 1
         self._broadcast_done()
-        if self.done_retries < self.config.done_retry_limit:
+        if self.done_retries < DONE_RETRY_LIMIT:
             self._emit(
                 SetTimer(
                     self.TIMER_DONE,

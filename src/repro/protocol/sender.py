@@ -30,7 +30,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import HEADER_BYTES, PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
 from repro.protocol.actions import (
     KIND_CONTROL,
@@ -258,7 +258,7 @@ class SenderCore(ActionEmitter):
                     session_id=self.session_id, sender_host=self.local_host
                 ),
                 kind=KIND_CONTROL,
-                size_bytes=self.config.control_bytes,
+                size_bytes=HEADER_BYTES,
                 dest=receiver,
             )
         )

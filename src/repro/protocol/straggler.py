@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import (
+    GRAY_EWMA_WEIGHT,
+    GRAY_LOSS_THRESHOLD,
+    GRAY_WINDOW_SYMBOLS,
+    PolyraptorConfig,
+)
 
 
 class PathLossEstimator:
@@ -41,7 +46,9 @@ class PathLossEstimator:
     EWMA; :attr:`loss_estimate` is 0.0 until the first window closes.
     """
 
-    def __init__(self, window_symbols: int = 32, ewma_weight: float = 0.3) -> None:
+    def __init__(
+        self, window_symbols: int = GRAY_WINDOW_SYMBOLS, ewma_weight: float = GRAY_EWMA_WEIGHT
+    ) -> None:
         if window_symbols <= 0:
             raise ValueError("window_symbols must be positive")
         if not (0.0 < ewma_weight <= 1.0):
@@ -104,7 +111,7 @@ class StragglerPolicy:
     #: gray-failure side: detach receivers whose echoed per-path loss
     #: estimate exceeds ``loss_threshold``.
     loss_detection: bool = False
-    loss_threshold: float = 0.05
+    loss_threshold: float = GRAY_LOSS_THRESHOLD
 
     @classmethod
     def from_config(cls, config: PolyraptorConfig) -> StragglerPolicy:
@@ -113,7 +120,6 @@ class StragglerPolicy:
             enabled=config.straggler_detection,
             lag_symbols=config.straggler_lag_symbols,
             loss_detection=config.gray_detection,
-            loss_threshold=config.gray_loss_threshold,
         )
 
     def find_stragglers(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import HEADER_BYTES, PolyraptorConfig
 from repro.core.packets import (
     DoneAckPayload,
     DonePayload,
@@ -119,7 +119,7 @@ class PolyraptorAgent:
                 size_bytes=action.size_bytes,
                 kind=PacketKind.DATA,
                 flow_id=payload.session_id,
-                header_bytes=self.config.header_bytes,
+                header_bytes=HEADER_BYTES,
                 payload=payload,
                 created_at=self.sim.now,
             )

@@ -17,13 +17,11 @@ assumes.
 """
 
 from repro.transport.tcp.agent import TcpAgent
-from repro.transport.tcp.config import TcpConfig
 from repro.transport.tcp.multiunicast import start_multi_source_fetch, start_replicated_push
 from repro.transport.tcp.segments import TcpSegment
 
 __all__ = [
     "TcpAgent",
-    "TcpConfig",
     "TcpSegment",
     "start_replicated_push",
     "start_multi_source_fetch",

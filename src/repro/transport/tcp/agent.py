@@ -7,7 +7,7 @@ from typing import Callable, Optional
 from repro.network.host import Host
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
-from repro.transport.tcp.config import TCP_PROTOCOL, TcpConfig
+from repro.transport.tcp.config import TCP_PROTOCOL
 from repro.transport.tcp.receiver import TcpReceiver
 from repro.transport.tcp.segments import TcpSegment
 from repro.transport.tcp.sender import TcpSender
@@ -21,15 +21,9 @@ class TcpAgent:
     lazily when the first data segment of an unknown flow arrives.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        config: Optional[TcpConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, host: Host) -> None:
         self._sim = sim
         self.host = host
-        self.config = config or TcpConfig()
         self._senders: dict[int, TcpSender] = {}
         self._receivers: dict[int, TcpReceiver] = {}
         host.register_protocol(TCP_PROTOCOL, self)
@@ -61,7 +55,6 @@ class TcpAgent:
         sender = TcpSender(
             self._sim,
             self.host,
-            self.config,
             flow_id=flow_id,
             dst_host_id=dst_host_id,
             total_bytes=num_bytes,
@@ -111,7 +104,6 @@ class TcpAgent:
             receiver = TcpReceiver(
                 self._sim,
                 self.host,
-                self.config,
                 flow_id=segment.flow_id,
                 peer_host_id=segment.src_host,
             )

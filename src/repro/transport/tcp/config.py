@@ -1,54 +1,30 @@
-"""TCP model configuration."""
+"""Constants of the NewReno-style TCP model.
+
+They describe the "standard TCP" the paper's baseline represents: 1500-byte
+packets (an MSS plus :data:`repro.network.packet.DEFAULT_HEADER_BYTES` of
+header, which is also the size of an ACK), an initial window of 10 segments,
+a 200 ms minimum retransmission timeout (the value whose interaction with
+synchronised short flows produces classic Incast collapse) and drop-tail
+switches.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.utils.validation import check_positive
 
 #: Protocol name used to register the TCP endpoint on hosts.
 TCP_PROTOCOL = "tcp"
 
-
-@dataclass(frozen=True)
-class TcpConfig:
-    """Parameters of the NewReno-style TCP model.
-
-    The defaults describe the "standard TCP" the paper's baseline represents:
-    1500-byte packets, an initial window of 10 segments, a 200 ms minimum
-    retransmission timeout (the value whose interaction with synchronised
-    short flows produces classic Incast collapse) and drop-tail switches.
-    """
-
-    mss_bytes: int = 1436
-    header_bytes: int = 64
-    initial_cwnd_segments: int = 10
-    initial_ssthresh_bytes: int = 1 << 30
-    duplicate_ack_threshold: int = 3
-    min_rto_s: float = 0.2
-    max_rto_s: float = 60.0
-    initial_rto_s: float = 0.2
-    rtt_alpha: float = 0.125
-    rtt_beta: float = 0.25
-    ack_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        check_positive("mss_bytes", self.mss_bytes)
-        check_positive("header_bytes", self.header_bytes)
-        check_positive("initial_cwnd_segments", self.initial_cwnd_segments)
-        check_positive("duplicate_ack_threshold", self.duplicate_ack_threshold)
-        check_positive("min_rto_s", self.min_rto_s)
-        check_positive("max_rto_s", self.max_rto_s)
-        check_positive("initial_rto_s", self.initial_rto_s)
-        if not 0 < self.rtt_alpha < 1 or not 0 < self.rtt_beta < 1:
-            raise ValueError("rtt_alpha and rtt_beta must be in (0, 1)")
-
-    @property
-    def packet_bytes(self) -> int:
-        """Full size of an MSS-sized data packet on the wire."""
-        return self.mss_bytes + self.header_bytes
-
-    @property
-    def initial_cwnd_bytes(self) -> int:
-        """Initial congestion window in bytes."""
-        return self.initial_cwnd_segments * self.mss_bytes
+#: payload bytes of a full data segment.
+MSS_BYTES = 1436
+#: initial congestion window, in segments.
+INITIAL_CWND_SEGMENTS = 10
+#: initial slow-start threshold: effectively unbounded.
+INITIAL_SSTHRESH_BYTES = 1 << 30
+#: duplicate ACKs that trigger fast retransmit.
+DUPLICATE_ACK_THRESHOLD = 3
+#: floor, cap and starting value of the retransmission timeout.
+MIN_RTO_S = 0.2
+MAX_RTO_S = 60.0
+INITIAL_RTO_S = 0.2
+#: RFC 6298 gains of the smoothed RTT and of its variation.
+RTT_ALPHA = 0.125
+RTT_BETA = 0.25

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 from repro.network.host import Host
 from repro.network.packet import make_control_packet
 from repro.sim.engine import Simulator
-from repro.transport.tcp.config import TCP_PROTOCOL, TcpConfig
+from repro.transport.tcp.config import TCP_PROTOCOL
 from repro.transport.tcp.segments import TcpSegment
 
 
@@ -18,7 +18,6 @@ class TcpReceiver:
         self,
         sim: Simulator,
         host: Host,
-        config: TcpConfig,
         flow_id: int,
         peer_host_id: int,
         expected_bytes: Optional[int] = None,
@@ -26,7 +25,6 @@ class TcpReceiver:
     ) -> None:
         self._sim = sim
         self._host = host
-        self.config = config
         self.flow_id = flow_id
         self.peer_host_id = peer_host_id
         self.expected_bytes = expected_bytes
@@ -88,7 +86,6 @@ class TcpReceiver:
             dst=self.peer_host_id,
             payload=ack,
             flow_id=self.flow_id,
-            size_bytes=self.config.ack_bytes,
             created_at=self._sim.now,
         )
         self._host.send(packet)

@@ -5,9 +5,20 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.network.host import Host
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import DEFAULT_HEADER_BYTES, Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.transport.tcp.config import TCP_PROTOCOL, TcpConfig
+from repro.transport.tcp.config import (
+    DUPLICATE_ACK_THRESHOLD,
+    INITIAL_CWND_SEGMENTS,
+    INITIAL_RTO_S,
+    INITIAL_SSTHRESH_BYTES,
+    MAX_RTO_S,
+    MIN_RTO_S,
+    MSS_BYTES,
+    RTT_ALPHA,
+    RTT_BETA,
+    TCP_PROTOCOL,
+)
 from repro.transport.tcp.segments import TcpSegment
 from repro.utils.clock import Timer
 
@@ -19,7 +30,6 @@ class TcpSender:
         self,
         sim: Simulator,
         host: Host,
-        config: TcpConfig,
         flow_id: int,
         dst_host_id: int,
         total_bytes: int,
@@ -29,7 +39,6 @@ class TcpSender:
             raise ValueError("total_bytes must be positive")
         self._sim = sim
         self._host = host
-        self.config = config
         self.flow_id = flow_id
         self.dst_host_id = dst_host_id
         self.total_bytes = total_bytes
@@ -37,15 +46,15 @@ class TcpSender:
 
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = float(config.initial_cwnd_bytes)
-        self.ssthresh = float(config.initial_ssthresh_bytes)
+        self.cwnd = float(INITIAL_CWND_SEGMENTS * MSS_BYTES)
+        self.ssthresh = float(INITIAL_SSTHRESH_BYTES)
         self.duplicate_acks = 0
         self.in_fast_recovery = False
         self.recovery_point = 0
 
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
-        self.rto = config.initial_rto_s
+        self.rto = INITIAL_RTO_S
 
         self.completed = False
         self.completion_time: Optional[float] = None
@@ -92,7 +101,7 @@ class TcpSender:
         """RFC 3168 reaction: halve cwnd at most once per window of data."""
         if self.in_fast_recovery or ack_seq <= self._cwr_point:
             return
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         self.ecn_reactions += 1
         self.ssthresh = max(self.cwnd / 2, 2.0 * mss)
         self.cwnd = self.ssthresh
@@ -106,7 +115,7 @@ class TcpSender:
     # Sending -------------------------------------------------------------------
 
     def _send_available(self) -> None:
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         while self.snd_nxt < self.total_bytes and self.bytes_in_flight + mss <= self.cwnd:
             length = min(mss, self.total_bytes - self.snd_nxt)
             self._transmit(self.snd_nxt, length, retransmission=False)
@@ -127,10 +136,9 @@ class TcpSender:
             protocol=TCP_PROTOCOL,
             src=self._host.node_id,
             dst=self.dst_host_id,
-            size_bytes=length + self.config.header_bytes,
+            size_bytes=length + DEFAULT_HEADER_BYTES,
             kind=PacketKind.DATA,
             flow_id=self.flow_id,
-            header_bytes=self.config.header_bytes,
             payload=segment,
         )
         self.segments_sent += 1
@@ -145,7 +153,7 @@ class TcpSender:
     # ACK processing -------------------------------------------------------------
 
     def _on_new_ack(self, ack_seq: int) -> None:
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         newly_acked = ack_seq - self.snd_una
         self._sample_rtt(ack_seq)
         self.snd_una = ack_seq
@@ -175,14 +183,14 @@ class TcpSender:
         self._send_available()
 
     def _on_duplicate_ack(self) -> None:
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         self.duplicate_acks += 1
         if self.in_fast_recovery:
             # Inflate the window for every additional duplicate ACK.
             self.cwnd += mss
             self._send_available()
             return
-        if self.duplicate_acks == self.config.duplicate_ack_threshold:
+        if self.duplicate_acks == DUPLICATE_ACK_THRESHOLD:
             self.fast_retransmits += 1
             self.ssthresh = max(self.bytes_in_flight / 2, 2.0 * mss)
             self.recovery_point = self.snd_nxt
@@ -198,13 +206,13 @@ class TcpSender:
     def _on_timeout(self) -> None:
         if self.completed:
             return
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         self.timeouts += 1
         self.ssthresh = max(self.bytes_in_flight / 2, 2.0 * mss)
         self.cwnd = float(mss)
         self.in_fast_recovery = False
         self.duplicate_acks = 0
-        self.rto = min(self.rto * 2, self.config.max_rto_s)
+        self.rto = min(self.rto * 2, MAX_RTO_S)
         # Go-back-N: rewind and retransmit from the last cumulative ACK.
         self.snd_nxt = self.snd_una
         self._send_times.clear()
@@ -229,14 +237,9 @@ class TcpSender:
             self.srtt = sample
             self.rttvar = sample / 2
         else:
-            beta = self.config.rtt_beta
-            alpha = self.config.rtt_alpha
-            self.rttvar = (1 - beta) * self.rttvar + beta * abs(self.srtt - sample)
-            self.srtt = (1 - alpha) * self.srtt + alpha * sample
-        self.rto = min(
-            self.config.max_rto_s,
-            max(self.config.min_rto_s, self.srtt + 4 * self.rttvar),
-        )
+            self.rttvar = (1 - RTT_BETA) * self.rttvar + RTT_BETA * abs(self.srtt - sample)
+            self.srtt = (1 - RTT_ALPHA) * self.srtt + RTT_ALPHA * sample
+        self.rto = min(MAX_RTO_S, max(MIN_RTO_S, self.srtt + 4 * self.rttvar))
 
     # Completion --------------------------------------------------------------------------
 

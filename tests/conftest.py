@@ -37,7 +37,6 @@ from repro.sim.randomness import RandomStreams
 from repro.transport.base import TransferRegistry
 from repro.transport.polyraptor import PolyraptorAgent
 from repro.transport.tcp.agent import TcpAgent
-from repro.transport.tcp.config import TcpConfig
 
 
 class _Testbed:
@@ -87,7 +86,7 @@ class TcpTestbed(_Testbed):
 
     protocol = "tcp"
 
-    def __init__(self, seed: int = 1, config: TcpConfig | None = None, k: int = 4) -> None:
+    def __init__(self, seed: int = 1, k: int = 4) -> None:
         self.sim = Simulator()
         self.topology = FatTreeTopology(k)
         self.network = Network(
@@ -97,9 +96,8 @@ class TcpTestbed(_Testbed):
             RandomStreams(seed),
         )
         self.registry = TransferRegistry()
-        self.config = config or TcpConfig()
         self.agents = {
-            host.name: TcpAgent(self.sim, host, self.config)
+            host.name: TcpAgent(self.sim, host)
             for host in self.network.hosts
         }
 

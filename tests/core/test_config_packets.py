@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import DECODE_OVERHEAD_SYMBOLS, HEADER_BYTES, PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload, SymbolPayload
 
 
 class TestPolyraptorConfig:
     def test_defaults(self):
         config = PolyraptorConfig()
-        assert config.symbol_packet_bytes == config.symbol_size_bytes + config.header_bytes
-        assert config.decode_overhead_symbols == 2
+        assert config.symbol_packet_bytes == config.symbol_size_bytes + HEADER_BYTES
+        assert DECODE_OVERHEAD_SYMBOLS == 2
         assert not config.carry_payload
         assert not config.straggler_detection
 
@@ -19,8 +19,6 @@ class TestPolyraptorConfig:
             PolyraptorConfig(symbol_size_bytes=0)
         with pytest.raises(ValueError):
             PolyraptorConfig(initial_window_symbols=0)
-        with pytest.raises(ValueError):
-            PolyraptorConfig(decode_overhead_symbols=-1)
         with pytest.raises(ValueError):
             PolyraptorConfig(stall_timeout_s=0)
 

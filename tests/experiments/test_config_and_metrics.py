@@ -35,7 +35,7 @@ class TestExperimentConfig:
         config = ExperimentConfig.paper_scale()
         assert config.num_hosts == 250
         assert config.object_bytes == 4 * MEGABYTE
-        assert config.link_rate_bps == 1 * GBPS
+        assert config.network_config(Protocol.POLYRAPTOR).link_rate_bps == 1 * GBPS
         # lambda = 2560 in the paper; the load-derived rate must be close.
         assert config.arrival_rate_per_second == pytest.approx(2560, rel=0.05)
 
@@ -47,6 +47,10 @@ class TestExperimentConfig:
         assert polyraptor.routing_mode is RoutingMode.PACKET_SPRAY
         assert tcp.switch_queue == "droptail"
         assert tcp.routing_mode is RoutingMode.ECMP_FLOW
+        # Marking thresholds: half the 8-packet trimming queue, a fifth of
+        # the 100-packet drop-tail queue.
+        assert polyraptor.ecn_threshold_packets == 4
+        assert tcp.ecn_threshold_packets == 20
 
     def test_with_seed(self):
         config = ExperimentConfig(seed=1)

@@ -19,6 +19,7 @@ from repro.experiments.report import format_fault_stats, format_sweep
 from repro.experiments.resilience import TABLE, expand_resilience_sweep, run_resilience
 from repro.experiments.runner import run_transfers
 from repro.faults.schedule import FaultSchedule, link_down, link_up
+from repro.network.network import NetworkConfig
 from repro.utils.units import KILOBYTE
 from repro.workloads.spec import TransferKind, TransferSpec
 
@@ -112,7 +113,7 @@ class TestFaultWindow:
             for i in range(4)
         ]
         _, duration = fault_window(QUICK, burst)
-        ideal_service = QUICK.object_bytes * 8 / QUICK.link_rate_bps
+        ideal_service = QUICK.object_bytes * 8 / NetworkConfig.link_rate_bps
         assert duration >= ideal_service
 
     def test_faults_actually_interact_with_traffic(self):

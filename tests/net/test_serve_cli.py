@@ -1,4 +1,4 @@
-"""``repro serve`` fails fast: bad options and start-up errors exit, never hang."""
+"""``repro serve`` and ``repro fetch`` fail fast: bad options and start-up errors exit, never hang."""
 
 import os
 import socket
@@ -13,17 +13,22 @@ from repro.cli import build_parser
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--loss", "-0.1"),
-    ("--loss", "1.5"),
-    ("--grant-ttl", "0"),
-    ("--idle-timeout", "-1"),
-    ("--max-sessions", "0"),
-    ("--max-concurrent-sessions", "0"),
+@pytest.mark.parametrize("command, flag, value", [
+    ("serve", "--loss", "-0.1"),
+    ("serve", "--loss", "1.5"),
+    ("serve", "--grant-ttl", "0"),
+    ("serve", "--idle-timeout", "-1"),
+    ("serve", "--max-sessions", "0"),
+    ("serve", "--max-concurrent-sessions", "0"),
+    ("fetch", "--loss", "1.5"),
+    ("fetch", "--loss", "nan"),
+    ("fetch", "--timeout", "0"),
+    ("fetch", "--timeout", "nan"),
 ])
-def test_out_of_range_option_is_a_parse_error(flag, value, capsys):
+def test_out_of_range_option_is_a_parse_error(command, flag, value, capsys):
+    target = {"serve": ["--object", "a=1k"], "fetch": ["a"]}[command]
     with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args(["serve", "--object", "a=1k", flag, value])
+        build_parser().parse_args([command, *target, flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
 

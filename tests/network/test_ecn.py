@@ -142,8 +142,6 @@ class TestNetworkWiring:
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkConfig(ecn_enabled=True, ecn_threshold_packets=0)
-        with pytest.raises(ValueError):
-            NetworkConfig(ecn_enabled=True, ecn_ewma_weight=1.5)
 
 
 class TestPathLossEstimator:

@@ -58,8 +58,6 @@ class TestTelemetryConfig:
             TelemetryConfig(sample_period_s=0.0)
         with pytest.raises(ValueError):
             TelemetryConfig(max_samples=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(phase_jitter=1.5)
 
 
 class TestRunnerTelemetry:

@@ -88,7 +88,7 @@ def test_rank_deficient_window_keeps_pulling_until_the_decode_succeeds():
 
     for sequence, esi in enumerate(range(40, 47), start=1):
         deliver(esi, sequence)
-    # The 8th symbol reaches K + decode_overhead_symbols and triggers the decode.
+    # The 8th symbol reaches K + DECODE_OVERHEAD_SYMBOLS and triggers the decode.
     actions = deliver(47, 8)
     assert not any(isinstance(a, SessionCompleted) for a in actions)
     assert any(isinstance(a, EnqueuePull) for a in actions)

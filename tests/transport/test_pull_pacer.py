@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import HEADER_BYTES, PolyraptorConfig
 from repro.core.packets import PullPayload
 from repro.protocol.actions import KIND_CONTROL, SendPacket
 from tests.conftest import PolyraptorTestbed
@@ -22,7 +22,7 @@ def pull_builder(host, sent_log, tag):
         # synthetic pulls only observe the pacer's send timing.
         pull = PullPayload(session_id=424242, receiver_host=host.node_id, pull_sequence=0)
         return SendPacket(payload=pull, kind=KIND_CONTROL,
-                          size_bytes=PolyraptorConfig().pull_bytes, dest=1)
+                          size_bytes=HEADER_BYTES, dest=1)
     return build
 
 

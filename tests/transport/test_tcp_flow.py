@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.transport.tcp.config import TcpConfig
+from repro.network.packet import DEFAULT_HEADER_BYTES
+from repro.transport.tcp.config import INITIAL_CWND_SEGMENTS, MSS_BYTES
 from repro.transport.tcp.segments import TcpSegment
 from tests.conftest import TcpTestbed
 
 
-class TestTcpConfig:
+class TestTcpConstants:
     def test_defaults_sane(self):
-        config = TcpConfig()
-        assert config.packet_bytes == 1500
-        assert config.initial_cwnd_bytes == 10 * config.mss_bytes
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TcpConfig(mss_bytes=0)
-        with pytest.raises(ValueError):
-            TcpConfig(rtt_alpha=1.5)
+        assert MSS_BYTES + DEFAULT_HEADER_BYTES == 1500
+        bed = TcpTestbed()
+        sender = bed.agents["h0"].start_flow(1, bed.host_id("h12"), 1_000_000)
+        assert sender.cwnd == 10 * MSS_BYTES
 
 
 class TestTcpSegment:
@@ -77,7 +73,7 @@ class TestSingleFlow:
         bed = TcpTestbed()
         sender = bed.agents["h0"].start_flow(1, bed.host_id("h12"), 1_000_000)
         bed.run()
-        assert sender.cwnd > sender.config.initial_cwnd_bytes
+        assert sender.cwnd > INITIAL_CWND_SEGMENTS * MSS_BYTES
 
 
 class TestCongestionResponse:

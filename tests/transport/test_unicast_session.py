@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import PolyraptorConfig
+from repro.core.config import DONE_RETRY_LIMIT, PolyraptorConfig
 from tests.conftest import PolyraptorTestbed
 
 
@@ -95,7 +95,7 @@ class TestUnicastPush:
         assert receiver.done_retries >= 1          # at least one DONE was re-sent
         assert session.core.completed              # ... and a retry got through
         assert bed.registry.get(1).completed
-        assert receiver.done_retries <= bed.config.done_retry_limit
+        assert receiver.done_retries <= DONE_RETRY_LIMIT
         # the sender's ack stopped the retries
         assert not bed.agents["h3"].receiver_session(1).timers["done"].running
 
