@@ -1,6 +1,6 @@
 """Benchmark for the incast congestion-reaction experiment.
 
-Records the fan-in sweep with the reaction loop off vs on in
+Records the fan-in sweep with ECN marking off vs on in
 ``BENCH_incast.json`` so the FCT-tail trajectories stay comparable across
 commits.  The headline claim is asserted before the artifact is written:
 under deep fan-in (>= 16 synchronised senders on a k=6 fabric) ECN marking

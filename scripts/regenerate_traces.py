@@ -90,21 +90,18 @@ def receiver_clean() -> dict:
 
 
 def receiver_stall() -> dict:
-    """One sender, trims + CE + sequence gaps, a stall-length quiet period,
-    and a DONE ack that only lands after the first retransmission."""
+    """One sender, trims + sequence gaps, a stall-length quiet period, and a
+    DONE ack that only lands after the first retransmission."""
     sender = 11
     events = [{"t": 0.0, "type": "start_fetch"}]
     t, seq = 0.0002, 0
-    # Source symbols 0..7, with two trimmed arrivals, a CE mark and a
-    # sequence gap (the estimator sees one symbol vanish) along the way.
+    # Source symbols 0..7, with two trimmed arrivals and a sequence gap (the
+    # estimator sees one symbol vanish) along the way.
     for esi in range(8):
         seq += 1
-        extra = {}
-        if esi == 2:
-            extra["ce"] = True
         if esi == 5:
             seq += 1  # a symbol was lost on the path: the stream gaps
-        events.append(_symbol(t, sender, esi, seq, **extra))
+        events.append(_symbol(t, sender, esi, seq))
         t += 2e-05
         if esi in (3, 6):
             seq += 1
@@ -138,26 +135,22 @@ def receiver_stall() -> dict:
 
 
 def receiver_wire_profile() -> dict:
-    """TFRC pacing + gap-triggered pulls (the real-network receiver profile):
-    RTT samples from sent_at stamps, CE-driven congestion echoes, and two
-    sequence gaps that each replace a lost symbol's pull."""
+    """Gap-triggered pulls (the real-network receiver profile): two sequence
+    gaps that each replace a lost symbol's pull."""
     sender = 11
     events = [{"t": 0.0, "type": "start_fetch"}]
     t, seq = 0.0002, 0
     esis = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15]  # 10 source + 4 repair
     for i, esi in enumerate(esis):
         seq += 1
-        extra = {"sent_at": t - 5e-05}
-        if i == 4:
-            extra["ce"] = True
         if i in (3, 9):
             seq += 1  # lost datagram: no trim arrives, only the gap shows
-        events.append(_symbol(t, sender, esi, seq, **extra))
+        events.append(_symbol(t, sender, esi, seq))
         t += 2e-05
     return {
         "name": "receiver_wire_profile",
         "kind": "receiver",
-        "config": {"tfrc_pacing": True, "pull_on_gap": True},
+        "config": {"pull_on_gap": True},
         "session": {
             "session_id": SESSION,
             "object_bytes": OBJECT_BYTES,
@@ -180,7 +173,6 @@ def sender_unicast() -> dict:
             "receiver_host": receiver,
             "pull_sequence": i + 1,
             "block_hint": 0 if i >= 3 else None,
-            "congestion_echo": 1 if i == 2 else 0,
             "loss_estimate": 0.0,
         })
     events.append({"t": 0.001, "type": "done", "receiver_host": receiver})
@@ -211,7 +203,6 @@ def sender_startup() -> dict:
             "receiver_host": receiver,
             "pull_sequence": i + 1,
             "block_hint": None,
-            "congestion_echo": 0,
             "loss_estimate": 0.02,
         })
     events.append({"t": 0.0025, "type": "done", "receiver_host": receiver})
@@ -243,7 +234,6 @@ def sender_multicast() -> dict:
                 "receiver_host": receiver,
                 "pull_sequence": round_number + 1,
                 "block_hint": None,
-                "congestion_echo": 0,
                 "loss_estimate": 0.0,
             })
             t += 1e-05
@@ -276,14 +266,18 @@ TRACES = (
 )
 
 
+def render(trace: dict) -> str:
+    """The exact text of one trace file."""
+    return json.dumps(trace, indent=1, sort_keys=True) + "\n"
+
+
 def main() -> None:
     TRACES_DIR.mkdir(parents=True, exist_ok=True)
     for build in TRACES:
         trace = build()
         path = TRACES_DIR / f"{trace['name']}.json"
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+            handle.write(render(trace))
         print(f"wrote {path} ({len(trace['events'])} events)")
 
 

@@ -172,7 +172,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry", nargs="?", const="auto", default=None,
                         metavar="PATH",
                         help="record seeded time-series telemetry (queue depths, "
-                             "link utilisation, TFRC rates, path loss, cwnd) for "
+                             "link utilisation, path loss, cwnd) for "
                              "every run and write it to PATH after the tables "
                              "(JSONL, or CSV when PATH ends in .csv; default "
                              "telemetry.jsonl).  Identical for every --jobs "
@@ -301,8 +301,8 @@ def _incast_arguments(sub: argparse.ArgumentParser, command: str) -> None:
     flag = "--incast-response-kb" if command == "all" else "--response-kb"
     sub.add_argument("--fanins", type=_fanin_type, nargs="+",
                      default=[4, 8, 15], metavar="N",
-                     help="worker fan-ins to sweep (each crossed with the "
-                          "congestion-reaction loop off and on)")
+                     help="worker fan-ins to sweep (each crossed with ECN "
+                          "marking off and on)")
     sub.add_argument(flag, dest="incast_response_kb", type=int, default=64,
                      metavar="KB",
                      help="per-worker incast response size in kilobytes")
@@ -346,7 +346,7 @@ SCENARIOS: tuple[Scenario, ...] = (
              _resilience_arguments, True, _cmd_resilience),
     Scenario("correlated", "correlated/gray failures with routing-convergence delay",
              _correlated_arguments, True, _cmd_correlated),
-    Scenario("incast", "incast fan-in sweep with ECN/TFRC congestion reaction on vs off",
+    Scenario("incast", "incast fan-in sweep with ECN marking on vs off",
              _incast_arguments, True, _cmd_incast),
 )
 
@@ -456,12 +456,17 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             f"telemetry: wrote server counters to {args.server_telemetry}",
             file=sys.stderr,
         )
+    counts = protocol.registry.snapshot()
+
+    def served(name: str) -> int:
+        return counts.get(f"net.server.{name}", 0)
+
     return (
-        f"served {protocol.sessions_completed} session(s) "
-        f"(reaped: {protocol.sessions_reaped}, "
-        f"busy rejections: {protocol.busy_rejections}, "
-        f"frames dropped: {protocol.frames_dropped}, "
-        f"malformed: {protocol.malformed_frames})"
+        f"served {served('sessions_completed')} session(s) "
+        f"(reaped: {served('sessions_reaped')}, "
+        f"busy rejections: {served('busy_rejections')}, "
+        f"frames dropped: {served('frames_dropped')}, "
+        f"malformed: {served('malformed_frames')})"
     )
 
 
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("path", help="telemetry JSONL file written by --telemetry")
     trace.add_argument("--series", default=None, metavar="GLOB",
                        help="only series whose name matches this glob "
-                            "(e.g. 'queue.depth.*' or 'tfrc.rate.h1*')")
+                            "(e.g. 'queue.depth.*' or 'loss.h1*')")
     trace.add_argument("--width", type=int, default=60, metavar="N",
                        help="sparkline width in characters (default 60)")
     trace.add_argument("--limit", type=int, default=20, metavar="N",

@@ -82,13 +82,6 @@ class PolyraptorConfig:
     startup_retry_limit: int = 8
     straggler_detection: bool = False
     straggler_lag_symbols: int = 12
-    #: TFRC pacing: when True, each receiver's pull pacer and each sender's
-    #: initial window are clocked by an equation-based
-    #: :class:`repro.protocol.tfrc.TfrcController` fed by CE marks, trims
-    #: and RTT samples, instead of the fixed one-symbol-serialization-time
-    #: cadence.  With no congestion signals the allowed rate equals the
-    #: line rate, so a clean path behaves identically.
-    tfrc_pacing: bool = False
     #: gray-failure detection: detach receivers whose per-path EWMA loss
     #: estimate (from symbol-sequence gaps) exceeds :data:`GRAY_LOSS_THRESHOLD`,
     #: exactly like lag-based straggler detachment.

@@ -57,9 +57,6 @@ class PullPayload:
     receiver_host: int
     pull_sequence: int
     block_hint: Optional[int] = None
-    #: congestion signals (CE marks + trims) the receiver saw from this
-    #: sender since its previous pull -- the fountain's ECN echo.
-    congestion_echo: int = 0
     #: the receiver's current EWMA loss estimate for the path from this
     #: sender (gray-failure signal; 0.0 while the path looks clean).
     loss_estimate: float = 0.0

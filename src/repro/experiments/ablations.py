@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.metrics import aggregate_goodput_gbps
 from repro.experiments.parallel import RunJob
@@ -217,9 +216,10 @@ def initial_window_ablation(
         RunJob(
             key=f"window={window}",
             protocol=Protocol.POLYRAPTOR,
-            config=cfg,
+            config=replace(
+                cfg, polyraptor=replace(cfg.polyraptor, initial_window_symbols=window)
+            ),
             transfers=(spec,),
-            polyraptor_config=replace(cfg.polyraptor, initial_window_symbols=window),
         )
         for window in window_sizes
     ]

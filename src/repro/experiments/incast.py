@@ -1,22 +1,22 @@
-"""Incast experiment: fan-in sweep with the congestion-reaction loop on vs off.
+"""Incast experiment: fan-in sweep with ECN marking on vs off.
 
 The Figure 1c experiment (:mod:`repro.experiments.figure1c`) measures incast
-*goodput* collapse.  This experiment closes the loop the reactive features of
-the simulator add on top of that fabric: ECN/PCN marking on switch queues,
-DCTCP-style ECE echo and cwnd reaction for TCP, TFRC equation-based pacing
-and gray-failure detection for Polyraptor.  It sweeps fan-in (how many
-workers answer one aggregator at the same instant) crossed with the reaction
-loop off (the historical simulator, byte-identical to pre-reaction runs) and
-on, for both protocols, and reports the FCT tail -- incast pathology lives in
-p99, where drop-tail overflow turns into 200 ms retransmission timeouts.
+*goodput* collapse.  This experiment adds ECN/PCN marking on switch queues,
+which TCP answers with a DCTCP-style ECE echo and cwnd reaction.  Polyraptor
+has no reaction to marks: its receivers' pull clocks already cap every
+receiver's arrival rate at its link rate, and trimming switches absorb the
+transient overflow.  The sweep crosses fan-in (how many workers answer one
+aggregator at the same instant) with marking off (byte-identical to the
+unmarked simulator) and on, for both protocols, and reports the FCT tail --
+incast pathology lives in p99, where drop-tail overflow turns into 200 ms
+retransmission timeouts.
 
 Every (seed, fan-in, marking, protocol) is an independent
 :class:`~repro.experiments.parallel.RunJob`: the workload is generated once
-per (seed, fan-in) and shared by every cell that uses it, and all reaction
-knobs ride inside the job's :class:`~repro.experiments.config.ExperimentConfig`
-(``ecn_enabled`` plus the ``tfrc_pacing``/``gray_detection`` Polyraptor
-fields), so the sweep shards over ``--jobs N`` workers with byte-identical
-output for any N.
+per (seed, fan-in) and shared by every cell that uses it, and the marking
+switch rides inside the job's
+:class:`~repro.experiments.config.ExperimentConfig` (``ecn_enabled``), so the
+sweep shards over ``--jobs N`` workers with byte-identical output for any N.
 """
 
 from __future__ import annotations
@@ -76,19 +76,12 @@ def _validate_axes(fanins: tuple[int, ...], response_bytes: int) -> None:
 
 
 def reactive_config(config: ExperimentConfig) -> ExperimentConfig:
-    """A copy of ``config`` with the full reaction loop switched on.
+    """A copy of ``config`` with ECN marking on both fabrics.
 
-    ECN marking on both fabrics, TFRC pacing and gray-failure detection for
-    Polyraptor (the TCP side's ECE reaction is on by default and becomes
-    active the moment the fabric marks).
+    TCP's ECE reaction is always on and becomes active the moment the
+    fabric marks.
     """
-    return replace(
-        config,
-        ecn_enabled=True,
-        polyraptor=replace(
-            config.polyraptor, tfrc_pacing=True, gray_detection=True
-        ),
-    )
+    return replace(config, ecn_enabled=True)
 
 
 def expand_incast_sweep(
@@ -103,8 +96,8 @@ def expand_incast_sweep(
     Per (seed, fan-in) the incast episode is generated once and shared by
     every marking setting and protocol (the fair-comparison requirement: every
     cell of a fan-in sees byte-identical offered traffic).  The marking-on
-    cells differ only in their config -- ``ecn_enabled`` plus the Polyraptor
-    ``tfrc_pacing``/``gray_detection`` fields -- which rides inside the job.
+    cells differ only in their config's ``ecn_enabled``, which rides inside
+    the job.
 
     Job keys are ``(seed, protocol.value, label)``.
     """

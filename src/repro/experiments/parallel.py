@@ -59,7 +59,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
-from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig, Protocol
 from repro.experiments.runner import RunResult, run_transfers
 from repro.faults.schedule import FaultSchedule
@@ -169,8 +168,6 @@ class RunJob:
             see :func:`repro.network.topology.shared_fattree`).
         transfers: the protocol-independent workload, generated by the
             parent so every protocol sees byte-identical offered traffic.
-        polyraptor_config: optional protocol-parameter override (used by the
-            initial-window ablation).
         network_config: optional fabric override (used by the trimming and
             spraying ablations).
         fault_schedule: optional declarative fault schedule executed against
@@ -186,7 +183,6 @@ class RunJob:
     protocol: Protocol
     config: ExperimentConfig
     transfers: tuple
-    polyraptor_config: Optional[PolyraptorConfig] = None
     network_config: Optional[NetworkConfig] = None
     fault_schedule: Optional[FaultSchedule] = None
 
@@ -204,7 +200,6 @@ def run_job(job: RunJob) -> RunResult:
         job.protocol,
         job.config,
         list(job.transfers),
-        polyraptor_config=job.polyraptor_config,
         network_config=job.network_config,
         fault_schedule=job.fault_schedule,
     )

@@ -202,8 +202,8 @@ def merge_counter_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
 
     Serves both the fault counters (event counts, fault-caused packet drops,
     rerouted table entries, per-builder ``cause_*``) and the
-    congestion-reaction counters (ECN marks, CE receipts, echoes, TFRC rate
-    updates, gray detections, sender reactions).  Every one is additive, so
+    congestion-reaction counters (ECN marks, echoes, sender reactions, gray
+    detections).  Every one is additive, so
     shards simply sum -- generically over whatever keys are present, so newly
     added counters survive merging; a ``shards`` field records how many runs
     contributed.  Runs that kept no counters (``None``: a healthy fabric,
@@ -274,13 +274,13 @@ def format_transport_stats(
     stats_by_label: Mapping[str, Optional[dict]],
     title: str = "Congestion-reaction counters",
 ) -> str:
-    """Render per-series ECN/TFRC/gray-detection counters.
+    """Render per-series ECN/gray-detection counters.
 
     Rows follow the mapping's own order (sweep order).  Series that ran with
     every reactive feature off (``None`` stats, e.g. the marking-off
     baseline cells) render as ``-`` rows so the table always lists every
     series of an experiment.  Counters a protocol does not keep
-    (TCP has no TFRC rate updates; Polyraptor has no ECE echoes) render as
+    (TCP has no gray detection; Polyraptor has no ECE echoes) render as
     ``-`` too.
     """
     def counter(key: str) -> Callable[[Mapping], str]:
@@ -288,10 +288,8 @@ def format_transport_stats(
 
     columns = [
         ("ecn marks", counter("ecn_marks")),
-        ("ce recv", counter("ce_received")),
         ("echoes", counter("ecn_echoes")),
         ("reactions", counter("ecn_reactions")),
-        ("rate updates", counter("rate_updates")),
         ("gray", counter("gray_detected")),
     ]
     return _stats_table(stats_by_label, title, columns)
@@ -342,7 +340,7 @@ def format_sweep(
     ``counters`` is the point field the second table reads: ``"fault_stats"``
     (events applied, drops, reroutes, per-builder ``causes`` and the
     requested-vs-installed recompute counters that expose control-plane lag)
-    or ``"transport_stats"`` (ECN/TFRC/gray-detection counters).  Its rows
+    or ``"transport_stats"`` (ECN/gray-detection counters).  Its rows
     are labelled ``"<series> @ <cell>"`` as the first two columns render
     them, in the same order as the rows above.
     """

@@ -62,8 +62,8 @@ class RunResult:
     #: Fault-layer statistics (per-event counters, fault-caused packet drops,
     #: reroutes) when a fault schedule drove the run; ``None`` otherwise.
     fault_stats: Optional[dict] = None
-    #: Congestion-reaction statistics (ECN marks, TFRC rate updates, gray
-    #: detections) when any reactive feature -- marking, TFRC pacing or gray
+    #: Congestion-reaction statistics (ECN marks, TCP echoes and reactions,
+    #: gray detections) when a reactive feature -- marking or gray
     #: detection -- was enabled for the run; ``None`` otherwise, so runs with
     #: everything off keep their historical canonical snapshots byte-for-byte.
     transport_stats: Optional[dict] = None
@@ -261,31 +261,23 @@ def _collect_transport_stats(env: _Environment, protocol: Protocol) -> Optional[
     """Congestion-reaction counters for the run, or ``None`` when inert.
 
     Counters are summed in deterministic (host-construction) order and only
-    collected when marking, TFRC pacing or gray detection was actually on --
+    collected when marking or gray detection was actually on --
     feature-off runs return ``None`` so their results (and fingerprints) stay
     byte-identical to the pre-reaction simulator.
     """
     pcfg = env.polyraptor_config
     reactive = env.network.config.ecn_enabled or (
-        pcfg is not None and (pcfg.tfrc_pacing or pcfg.gray_detection)
+        pcfg is not None and pcfg.gray_detection
     )
     if not reactive:
         return None
     stats = {"ecn_marks": env.network.total_ecn_marked}
     if protocol is Protocol.POLYRAPTOR:
-        ce_received = rate_updates = gray_detected = 0
-        for agent in env.polyraptor_agents.values():
-            if agent.pacer.tfrc is not None:
-                rate_updates += agent.pacer.tfrc.rate_updates
-            for receiver in agent.all_receiver_sessions:
-                ce_received += receiver.core.ce_received
-            for sender in agent.all_sender_sessions:
-                gray_detected += sender.core.gray_detected
-                if sender.core.tfrc is not None:
-                    rate_updates += sender.core.tfrc.rate_updates
-        stats["ce_received"] = ce_received
-        stats["rate_updates"] = rate_updates
-        stats["gray_detected"] = gray_detected
+        stats["gray_detected"] = sum(
+            sender.core.gray_detected
+            for agent in env.polyraptor_agents.values()
+            for sender in agent.all_sender_sessions
+        )
     else:
         ecn_echoes = ecn_reactions = 0
         for agent in env.tcp_agents.values():

@@ -12,9 +12,9 @@ default, or any number of replica holders via ``sources=[...]``):
    :class:`~repro.protocol.receiver.ReceiverCore` (with one expected
    sender per source) through :func:`repro.net.driver.drive`: REQUESTs go
    out to every source, symbols from all of them fold into one decode, pulls
-   are paced by TFRC and routed to whichever sender delivered (the paper's natural
-   load balancing), and the stall timer plus gap-triggered pulls recover
-   from datagram loss.  Each server grants its *own* session id; the
+   are paced at ``max_rate_bps`` and routed to whichever sender delivered
+   (the paper's natural load balancing), and the stall timer plus
+   gap-triggered pulls recover from datagram loss.  Each server grants its *own* session id; the
    per-source connection translates between that wire id and the core's
    local session id on every frame, so the core never has to know.
 3. **Linger** -- after decoding completes, stay up briefly so DONE
@@ -139,7 +139,7 @@ class _FetchProtocol(asyncio.DatagramProtocol):
                 and payload.session_id == self._expected_session_id()
             ):
                 self._note_heard()
-                self.driver.on_symbol(self._to_core(payload), sent_at=frame.sent_at)
+                self.driver.on_symbol(self._to_core(payload))
         elif isinstance(payload, DoneAckPayload):
             if (
                 self.driver is not None

@@ -72,15 +72,11 @@ def wire_config(**overrides: Any) -> PolyraptorConfig:
     * ``pull_on_gap=True`` -- a lost datagram vanishes silently (no trimmed
       header arrives to keep the pull clock running), so sequence gaps
       replace the lost pulls directly;
-    * ``tfrc_pacing=True`` -- pulls and the initial window are paced by the
-      same RFC 5348 controller the sim uses, fed by real RTT samples from
-      the symbol frames' ``sent_at`` timestamps;
     * ``stall_timeout_s=0.05`` -- real clocks, not microsecond sim scales.
     """
     defaults: dict[str, Any] = dict(
         carry_payload=True,
         pull_on_gap=True,
-        tfrc_pacing=True,
         stall_timeout_s=DEFAULT_WIRE_STALL_S,
     )
     defaults.update(overrides)
@@ -96,10 +92,9 @@ def drive(
 ) -> SessionDriver:
     """Bind a protocol core to a clock and a datagram transport.
 
-    A receiver gets the endpoint's pull pacer (and, with ``tfrc_pacing``, its
-    TFRC controller) sized for ``max_rate_bps``: the same
-    :class:`~repro.protocol.pacer.PacedPullQueue` code that paces the
-    simulator's hosts, scheduled on ``clock``.  A sender never queues
+    A receiver gets the endpoint's pull pacer sized for ``max_rate_bps``:
+    the same :class:`~repro.protocol.pacer.PacedPullQueue` code that paces
+    the simulator's hosts, scheduled on ``clock``.  A sender never queues
     pulls and gets none.
     """
     pacer = None

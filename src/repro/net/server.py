@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
-from repro.net.driver import DEFAULT_WIRE_RATE_BPS, AsyncioClock, drive, wire_config
+from repro.net.driver import AsyncioClock, drive, wire_config
 from repro.net.wire import (
     OPEN_ERR_BAD_SYMBOL_SIZE,
     OPEN_ERR_BUSY,
@@ -154,7 +154,6 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         loss_rate: float = 0.0,
         loss_seed: int = 0,
         max_sessions: Optional[int] = None,
-        max_rate_bps: float = DEFAULT_WIRE_RATE_BPS,
         max_concurrent_sessions: Optional[int] = None,
         grant_ttl_s: float = DEFAULT_GRANT_TTL_S,
         session_idle_timeout_s: float = DEFAULT_SESSION_IDLE_S,
@@ -163,7 +162,6 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
     ) -> None:
         self.store = store
         self.config = config if config is not None else wire_config()
-        self.max_rate_bps = max_rate_bps
         self._loss_rate = check_probability("loss_rate", loss_rate)
         self._loss_rng = random.Random(loss_seed)
         self._max_sessions = max_sessions
@@ -186,19 +184,10 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         self._grants: Dict[Tuple[Address, str], _Grant] = {}
         self._grant_info: Dict[int, _Grant] = {}
         self._next_session_id = 1
-        #: every session id ever granted, in grant order (tests assert
-        #: completed ids are never reissued)
-        self.issued_session_ids: list[int] = []
         #: live sender drivers, keyed by (addr, session id)
         self._sessions: Dict[Tuple[Address, int], SessionDriver] = {}
         self._session_activity: Dict[Tuple[Address, int], float] = {}
         self._sweep_handle: Optional[Any] = None
-        self.sessions_completed = 0
-        self.sessions_reaped = 0
-        self.grants_expired = 0
-        self.busy_rejections = 0
-        self.frames_dropped = 0
-        self.malformed_frames = 0
         #: set once ``max_sessions`` sessions have completed
         self.finished = asyncio.Event()
 
@@ -238,13 +227,11 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr: Address) -> None:
         if self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate:
-            self.frames_dropped += 1
             self._count("frames_dropped")
             return
         try:
             frame = decode_frame(data)
         except WireError:
-            self.malformed_frames += 1
             self._count("malformed_frames")
             return
         payload = frame.payload
@@ -266,7 +253,6 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
                 driver.on_done(payload)
         else:
             # A client-bound frame echoed back at us; ignore.
-            self.malformed_frames += 1
             self._count("malformed_frames")
 
     # Handshake ---------------------------------------------------------------
@@ -292,7 +278,6 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
                 self._max_concurrent is not None
                 and len(self._grant_info) >= self._max_concurrent
             ):
-                self.busy_rejections += 1
                 self._count("busy_rejections")
                 self._refuse(
                     addr,
@@ -321,7 +306,6 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
             self._next_session_id += 1
             self._grants[key] = grant
             self._grant_info[grant.session_id] = grant
-            self.issued_session_ids.append(grant.session_id)
             self._count("grants_issued")
             self._update_gauges()
         else:
@@ -368,14 +352,12 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
                 object_bytes=request.object_bytes,
                 receiver_host_ids=[request.receiver_host],
                 local_host=sender_host_id(request.sender_index),
-                link_rate_bps=self.max_rate_bps,
                 sender_index=request.sender_index,
                 num_senders=request.num_senders,
                 object_data=object_data if self.config.carry_payload else None,
             )
         except ValueError:
             # e.g. sender_index >= num_senders from a confused client.
-            self.malformed_frames += 1
             self._count("malformed_frames")
             return
         driver = drive(
@@ -404,10 +386,10 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         self._session_activity.pop(key, None)
         self._retire_grant(key[1])
         self._fold_session_stats(driver.core)
-        self.sessions_completed += 1
         self._count("sessions_completed")
         self._update_gauges()
-        if self._max_sessions is not None and self.sessions_completed >= self._max_sessions:
+        completed = self.registry.counter("net.server.sessions_completed").value
+        if self._max_sessions is not None and completed >= self._max_sessions:
             self.finished.set()
 
     # TTL / idle sweep ---------------------------------------------------------
@@ -430,14 +412,12 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
                 driver.close()
                 self._retire_grant(key[1])
                 self._fold_session_stats(driver.core)
-                self.sessions_reaped += 1
                 self._count("sessions_reaped")
         for session_id, grant in list(self._grant_info.items()):
             if (grant.addr, session_id) in self._sessions:
                 continue  # a live transfer keeps its grant
             if now - grant.created_at > self.grant_ttl_s:
                 self._retire_grant(session_id)
-                self.grants_expired += 1
                 self._count("grants_expired")
         self._update_gauges()
         self._schedule_sweep()
@@ -461,7 +441,6 @@ async def run_server(
     loss_rate: float = 0.0,
     loss_seed: int = 0,
     max_sessions: Optional[int] = None,
-    max_rate_bps: float = DEFAULT_WIRE_RATE_BPS,
     ready: Optional[asyncio.Event] = None,
     max_concurrent_sessions: Optional[int] = None,
     grant_ttl_s: float = DEFAULT_GRANT_TTL_S,
@@ -473,8 +452,8 @@ async def run_server(
 
     With ``max_sessions=None`` the coroutine serves forever (cancel it to
     stop).  ``ready`` is set once the socket is bound, for tests that must
-    not race the bind.  Returns the protocol instance (its counters are the
-    run's statistics).
+    not race the bind.  Returns the protocol instance; its ``registry``
+    holds the run's statistics.
     """
     # Built before the bind: a protocol that rejects its options must not
     # leave a bound socket behind (asyncio does not close it for us).
@@ -484,7 +463,6 @@ async def run_server(
         loss_rate=loss_rate,
         loss_seed=loss_seed,
         max_sessions=max_sessions,
-        max_rate_bps=max_rate_bps,
         max_concurrent_sessions=max_concurrent_sessions,
         grant_ttl_s=grant_ttl_s,
         session_idle_timeout_s=session_idle_timeout_s,

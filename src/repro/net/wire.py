@@ -20,8 +20,7 @@ hands out session ids out of band):
   (unknown object, busy, unusable symbol size) and a reason string.
 
 Symbol frames additionally carry the sender's monotonic emission timestamp
-(``sent_at``) so receivers can take RTT samples for TFRC, exactly like the
-simulator stamps ``Packet.created_at``.
+(``sent_at``), the wire twin of the simulator's ``Packet.created_at``.
 
 Every decoder is total: malformed input of any kind raises
 :class:`WireError`, never an unhandled struct/index error, so a server
@@ -46,8 +45,8 @@ from repro.core.packets import (
 MAGIC = b"PQ"
 #: Bumped on any incompatible framing change; decoders reject other versions.
 #: Version 2 added symbol-size negotiation to OPEN/OPEN_OK and the refusal
-#: code to OPEN_ERR.
-WIRE_VERSION = 2
+#: code to OPEN_ERR; version 3 dropped the PULL frame's congestion echo.
+WIRE_VERSION = 3
 
 _HEADER = struct.Struct("!2sBB")
 
@@ -61,7 +60,7 @@ TYPE_OPEN_OK = 7
 TYPE_OPEN_ERR = 8
 
 _SYMBOL = struct.Struct("!QIIIIIQIdBI")  # ... sent_at(d), flags(B), data length(I); data = tail
-_PULL = struct.Struct("!QIIiId")  # block_hint: -1 encodes None
+_PULL = struct.Struct("!QIIid")  # block_hint: -1 encodes None
 _REQUEST = struct.Struct("!QIQII")
 _DONE = struct.Struct("!QI")
 _DONE_ACK = struct.Struct("!QI")
@@ -183,7 +182,6 @@ def encode_frame(payload: WirePayload, sent_at: float = 0.0) -> bytes:
             payload.receiver_host,
             payload.pull_sequence,
             hint,
-            payload.congestion_echo,
             payload.loss_estimate,
         )
     if isinstance(payload, RequestPayload):
@@ -268,7 +266,7 @@ def _decode_body(frame_type: int, body: bytes) -> WireFrame:
             sent_at=sent_at,
         )
     if frame_type == TYPE_PULL:
-        session_id, receiver_host, pull_sequence, hint, echo, loss = _require_exact(
+        session_id, receiver_host, pull_sequence, hint, loss = _require_exact(
             _PULL, body
         )
         return WireFrame(
@@ -277,7 +275,6 @@ def _decode_body(frame_type: int, body: bytes) -> WireFrame:
                 receiver_host=receiver_host,
                 pull_sequence=pull_sequence,
                 block_hint=None if hint < 0 else hint,
-                congestion_echo=echo,
                 loss_estimate=loss,
             )
         )

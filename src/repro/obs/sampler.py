@@ -2,8 +2,8 @@
 
 The sampler is an ordinary simulation process: once per ``sample_period_s``
 of *simulation* time it sweeps every attached probe -- switch-port queue
-depths, marking EWMAs, link utilisation, TFRC rate/loss state, per-path
-loss estimates, TCP cwnd, fault-injector state and the run's
+depths, marking EWMAs, link utilisation, gray detections, per-path loss
+estimates, TCP cwnd, fault-injector state and the run's
 :class:`~repro.obs.registry.MetricRegistry` -- and records the readings
 into a :class:`~repro.obs.recorder.FlightRecorder`.
 
@@ -86,7 +86,7 @@ class TelemetrySampler:
         self._last_tx_bytes = {port.name: 0 for port in ports}
 
     def attach_polyraptor(self, agents: dict[str, "PolyraptorAgent"]) -> None:
-        """Attach transport probes for Polyraptor hosts (TFRC, path loss)."""
+        """Attach transport probes for Polyraptor hosts (gray detection, path loss)."""
         self._polyraptor = tuple(agents[name] for name in sorted(agents))
 
     def attach_tcp(self, agents: dict[str, "TcpAgent"]) -> None:
@@ -158,19 +158,7 @@ class TelemetrySampler:
         record = self.recorder.record
         for agent in self._polyraptor:
             host = agent.host.name
-            tfrc = agent.pacer.tfrc
-            if tfrc is not None:
-                record(now, f"tfrc.rate.{host}", tfrc.allowed_rate_bps)
-                record(now, f"tfrc.p.{host}", tfrc.loss_event_rate)
-            gray = 0
-            for sender in agent.all_sender_sessions:
-                if sender.core.tfrc is not None:
-                    record(
-                        now,
-                        f"tfrc.rate.{host}.s{sender.core.session_id}",
-                        sender.core.tfrc.allowed_rate_bps,
-                    )
-                gray += sender.core.gray_detected
+            gray = sum(sender.core.gray_detected for sender in agent.all_sender_sessions)
             record(now, f"gray.detected.{host}", gray)
             for receiver in agent.all_receiver_sessions:
                 for sender_host, loss in receiver.core.path_loss_estimates().items():

@@ -21,11 +21,11 @@ simulator clock and asserts the cores emitted identical decision
 sequences.
 
 Besides the cores, the driver and the pull pacer, the package holds the
-two decision aids the cores consult: straggler and path-loss detection
-(:mod:`~repro.protocol.straggler`) and the TFRC-style rate controller that
-paces the pull pacer and the sender (:mod:`~repro.protocol.tfrc`).  It
-imports only :mod:`repro.core` (config and payload types), :mod:`repro.rq`
-and :mod:`repro.utils`; ``tests/test_layering.py`` keeps it that way.
+decision aid the cores consult: straggler and path-loss detection
+(:mod:`~repro.protocol.straggler`).  The pull pacer is the protocol's only
+rate control.  The package imports only :mod:`repro.core` (config and
+payload types), :mod:`repro.rq` and :mod:`repro.utils`;
+``tests/test_layering.py`` keeps it that way.
 """
 
 from repro.protocol.actions import (
@@ -35,7 +35,6 @@ from repro.protocol.actions import (
     SessionCompleted,
     SetTimer,
     StopTimer,
-    TransportFeedback,
 )
 from repro.protocol.driver import SessionDriver
 from repro.protocol.pacer import PacedPullQueue
@@ -53,5 +52,4 @@ __all__ = [
     "SessionDriver",
     "SetTimer",
     "StopTimer",
-    "TransportFeedback",
 ]

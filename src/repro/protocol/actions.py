@@ -58,7 +58,7 @@ class EnqueuePull:
 
     The pull packet itself is built at *send* time via
     :meth:`~repro.protocol.receiver.ReceiverCore.build_pull`, so the block
-    hint and congestion echo reflect the receiver's latest state.
+    hint and loss estimate reflect the receiver's latest state.
     """
 
     session_id: int
@@ -70,22 +70,6 @@ class CancelPulls:
     """Discard every pending pull of the session (used on completion)."""
 
     session_id: int
-
-
-@dataclass(frozen=True)
-class TransportFeedback:
-    """Congestion-control inputs for the host-level rate controller.
-
-    The receiver core does not own the TFRC controller (in the sim one
-    controller per host paces all sessions); it reports what it observed and
-    the driver feeds whatever controller is in force, in field order:
-    packets, then the RTT sample, then the congestion signal.
-    """
-
-    packets: int = 1
-    rtt_sample_s: Optional[float] = None
-    congestion: bool = False
-    now_s: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from repro.protocol.actions import (
     SessionCompleted,
     SetTimer,
     StopTimer,
-    TransportFeedback,
 )
 from repro.protocol.pacer import PacedPullQueue
 from repro.utils.clock import Clock, Timer
@@ -68,7 +67,6 @@ class SessionDriver:
             StopTimer: self._stop_timer,
             EnqueuePull: self._enqueue_pull,
             CancelPulls: self._cancel_pulls,
-            TransportFeedback: self._feed_tfrc,
             SessionCompleted: self._completed,
         }
         # A receiver core arms its stall timer at construction.
@@ -121,14 +119,10 @@ class SessionDriver:
         self,
         payload: Any,
         trimmed: bool = False,
-        ce: bool = False,
         multicast: bool = False,
-        sent_at: float = 0.0,
     ) -> None:
         """Process one arriving symbol packet (full or trimmed)."""
-        self.core.on_symbol(
-            payload, trimmed, ce=ce, multicast=multicast, sent_at=sent_at, now=self._clock.now
-        )
+        self.core.on_symbol(payload, trimmed, multicast=multicast, now=self._clock.now)
         self._drain()
 
     def on_done_ack(self, ack: Any) -> None:
@@ -167,7 +161,7 @@ class SessionDriver:
         )
 
     def _build_pull(self, target_sender: int) -> Optional[SendPacket]:
-        # Built at send time, so the block hint and congestion echo reflect
+        # Built at send time, so the block hint and loss estimate reflect
         # the receiver's latest state; None once the session has completed.
         pull = self.core.build_pull(target_sender)
         if pull is None:
@@ -181,15 +175,6 @@ class SessionDriver:
 
     def _cancel_pulls(self, action: CancelPulls) -> None:
         self.pacer.cancel_session(action.session_id)
-
-    def _feed_tfrc(self, action: TransportFeedback) -> None:
-        tfrc = self.pacer.tfrc
-        if tfrc is not None:
-            tfrc.on_packet(action.packets)
-            if action.rtt_sample_s is not None:
-                tfrc.on_rtt_sample(action.rtt_sample_s)
-            if action.congestion:
-                tfrc.on_congestion(action.now_s)
 
     def _completed(self, action: SessionCompleted) -> None:
         if self._on_complete is not None:

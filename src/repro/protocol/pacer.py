@@ -33,7 +33,6 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.core.config import PolyraptorConfig
-from repro.protocol.tfrc import TfrcController
 from repro.utils.units import serialization_delay
 
 #: A deferred pull: a callable that builds the pull at send time (so the
@@ -45,15 +44,11 @@ PullBuilder = Callable[[], Optional[Any]]
 class PacedPullQueue:
     """One pull queue per receiving endpoint, shared by all of its sessions.
 
-    The base inter-pull gap is the serialisation time of one symbol packet on
-    the endpoint's access link (``link_rate_bps``).  With
-    ``config.tfrc_pacing`` the queue carries an endpoint-level
-    :class:`~repro.protocol.tfrc.TfrcController` (``self.tfrc``) that the
-    endpoint's receiver sessions feed with CE marks, trims and RTT samples,
-    and the gap stretches to the controller's allowed rate.  Since each pull
-    elicits one symbol, pacing pulls *is* pacing the sender.  With no
-    congestion signals the allowed rate is the line rate and the cadence is
-    the base one-serialization-time.
+    The inter-pull gap is the serialisation time of one symbol packet on
+    the endpoint's access link (``link_rate_bps``).  Since each pull elicits
+    one symbol, pacing pulls *is* pacing the senders: this clock is the
+    protocol's only rate control, and trimming switches absorb whatever
+    transient overflow it lets through.
     """
 
     def __init__(
@@ -66,11 +61,6 @@ class PacedPullQueue:
         self.pull_interval_s = serialization_delay(
             config.symbol_packet_bytes, link_rate_bps
         )
-        self.tfrc: Optional[TfrcController] = None
-        if config.tfrc_pacing:
-            self.tfrc = TfrcController(
-                segment_bytes=config.symbol_packet_bytes, max_rate_bps=link_rate_bps
-            )
         self._schedule = schedule
         self._send = send
         self._queues: dict[int, deque[PullBuilder]] = {}
@@ -147,13 +137,6 @@ class PacedPullQueue:
             self.pulls_sent += 1
         else:
             self.pulls_discarded += 1
-        # Pace the next pull one data-packet time later (stretched to the
-        # TFRC-allowed rate when rate control is on), even if the builder
+        # Pace the next pull one data-packet time later, even if the builder
         # declined to send (its slot is spent either way).
-        self._tick = self._schedule(self.current_interval_s(), self._send_next)
-
-    def current_interval_s(self) -> float:
-        """The inter-pull gap in force right now."""
-        if self.tfrc is None:
-            return self.pull_interval_s
-        return max(self.pull_interval_s, self.tfrc.send_interval_s())
+        self._tick = self._schedule(self.pull_interval_s, self._send_next)

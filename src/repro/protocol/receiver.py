@@ -23,7 +23,7 @@ This core is pure: inputs arrive through :meth:`ReceiverCore.on_symbol`,
 side effects leave as :mod:`~repro.protocol.actions`.  Pulls are *deferred*:
 the core emits :class:`~repro.protocol.actions.EnqueuePull` and the driver's
 pacer calls :meth:`ReceiverCore.build_pull` back at send time, so the block
-hint and congestion echo always reflect the latest state.  Two named timers
+hint and loss estimate always reflect the latest state.  Two named timers
 exist: ``"stall"`` (re-issue pulls when nothing arrives) and ``"done"``
 (retransmit unacknowledged DONEs with exponential backoff).
 """
@@ -54,7 +54,6 @@ from repro.protocol.actions import (
     SessionCompleted,
     SetTimer,
     StopTimer,
-    TransportFeedback,
 )
 from repro.protocol.straggler import PathLossEstimator
 from repro.rq.block import EncodedSymbol, ObjectDecoder, partition_object
@@ -93,7 +92,7 @@ class ReceiverCore(ActionEmitter):
         )
         self._received: list[set[int]] = [set() for _ in range(self.oti.num_source_blocks)]
         #: per block, how many of the received ESIs are source symbols (esi < K)
-        self._source_received: list[int] = [0] * self.oti.num_source_blocks
+        self._sources_held: list[int] = [0] * self.oti.num_source_blocks
         self._complete_blocks: set[int] = set()
         self._known_senders: set[int] = set(self.expected_senders)
         self._stall_sender_cursor = 0
@@ -112,7 +111,6 @@ class ReceiverCore(ActionEmitter):
         self.duplicate_symbols = 0
         self.stall_events = 0
         self.done_retries = 0
-        self.ce_received = 0
         self._done_acked: set[int] = set()
 
         #: per-path loss state, keyed by (sender, stream) where stream is
@@ -122,9 +120,6 @@ class ReceiverCore(ActionEmitter):
         #: pulls is the one of the stream that delivered most recently.
         self._loss_estimators: dict[tuple[int, Optional[int]], PathLossEstimator] = {}
         self._last_stream: dict[int, Optional[int]] = {}
-        #: congestion signals (CE marks + trims) seen per sender since the
-        #: last pull we built toward that sender.
-        self._congestion_since_pull: dict[int, int] = {}
 
         self._emit(SetTimer(self.TIMER_STALL, self.config.stall_timeout_s))
 
@@ -173,24 +168,19 @@ class ReceiverCore(ActionEmitter):
         self,
         payload: SymbolPayload,
         trimmed: bool,
-        ce: bool = False,
         multicast: bool = False,
-        sent_at: float = 0.0,
         now: float = 0.0,
     ) -> None:
         """Process one arriving symbol packet (full or trimmed).
 
-        ``ce`` is the packet's CE mark, ``multicast`` whether it travelled
-        the sender's multicast stream (its sequence counter is separate from
-        the unicast one), ``sent_at`` the sender-side emission time (0.0
-        when unknown) used for RTT samples.
+        ``multicast`` says whether it travelled the sender's multicast
+        stream (its sequence counter is separate from the unicast one).
         """
         if self.completed:
             return
         self._known_senders.add(payload.sender_host)
         self._emit(SetTimer(self.TIMER_STALL, self.config.stall_timeout_s))
-        missing = self._account_path(payload, trimmed=trimmed, ce=ce,
-                                     multicast=multicast, sent_at=sent_at, now=now)
+        missing = self._account_path(payload, multicast)
 
         if trimmed:
             # The payload was cut by a switch; the header alone still triggers
@@ -210,20 +200,11 @@ class ReceiverCore(ActionEmitter):
             for _ in range(min(missing, self.config.initial_window_symbols)):
                 self._request_more(payload.sender_host)
 
-    def _account_path(
-        self,
-        payload: SymbolPayload,
-        trimmed: bool,
-        ce: bool,
-        multicast: bool,
-        sent_at: float,
-        now: float,
-    ) -> int:
-        """Fold one arrival into loss estimation, ECN echo state and TFRC.
+    def _account_path(self, payload: SymbolPayload, multicast: bool) -> int:
+        """Fold one arrival into its path's loss estimate.
 
-        Pure bookkeeping plus one :class:`TransportFeedback` action for the
-        driver's rate controller; returns the number of symbols this arrival
-        newly exposed as missing (its sequence gap).
+        Returns the number of symbols this arrival newly exposed as missing
+        (its sequence gap).
         """
         sender = payload.sender_host
         stream: Optional[int] = None if multicast else self.local_host
@@ -233,23 +214,6 @@ class ReceiverCore(ActionEmitter):
             self._loss_estimators[(sender, stream)] = estimator
         missing = estimator.on_symbol(payload.sequence)
         self._last_stream[sender] = stream
-        if ce:
-            self.ce_received += 1
-        if ce or trimmed:
-            self._congestion_since_pull[sender] = (
-                self._congestion_since_pull.get(sender, 0) + 1
-            )
-        # Congestion signals only: a sequence gap under packet spray is
-        # usually reordering, and non-congestive path loss is the
-        # gray-detection side's job, not the rate controller's.
-        self._emit(
-            TransportFeedback(
-                packets=1,
-                rtt_sample_s=2.0 * (now - sent_at) if sent_at > 0.0 else None,
-                congestion=ce or trimmed,
-                now_s=now,
-            )
-        )
         return missing
 
     def path_loss_estimate(self, sender: int) -> float:
@@ -283,7 +247,7 @@ class ReceiverCore(ActionEmitter):
             return
         received.add(payload.esi)
         if payload.esi < self.oti.block_symbol_count(block):
-            self._source_received[block] += 1
+            self._sources_held[block] += 1
         self.symbols_received += 1
         if self._decoder is not None and payload.data is not None:
             self._decoder.add_symbol(
@@ -294,7 +258,7 @@ class ReceiverCore(ActionEmitter):
 
     def _block_complete(self, block: int) -> bool:
         k = self.oti.block_symbol_count(block)
-        if self._source_received[block] == k:
+        if self._sources_held[block] == k:
             return True
         return len(self._received[block]) >= k + DECODE_OVERHEAD_SYMBOLS
 
@@ -329,7 +293,6 @@ class ReceiverCore(ActionEmitter):
             receiver_host=self.local_host,
             pull_sequence=self._pull_sequence,
             block_hint=self.lowest_incomplete_block(),
-            congestion_echo=self._congestion_since_pull.pop(target_sender, 0),
             loss_estimate=self.path_loss_estimate(target_sender),
         )
 

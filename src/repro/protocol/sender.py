@@ -17,11 +17,11 @@ clocking").  Three shapes exist, all handled by this class:
 This core is pure: inputs arrive through :meth:`SenderCore.start`,
 :meth:`SenderCore.on_pull`, :meth:`SenderCore.on_done` and
 :meth:`SenderCore.on_timer` (each stamped with the driver's clock), and all
-side effects leave as :mod:`~repro.protocol.actions`.  Two named timers
-exist: ``"startup"`` (receiver-liveness probing with exponential backoff)
-and ``"paced"`` (TFRC pacing of the initial window).  The paced timer is
-deliberately *not* stopped on completion -- a pending expiry simply no-ops
--- which mirrors the historical simulator schedules exactly.
+side effects leave as :mod:`~repro.protocol.actions`.  One named timer
+exists: ``"startup"`` (receiver-liveness probing with exponential backoff).
+The sender has no rate control of its own: the initial window leaves as one
+burst and every later symbol answers a pull, so the receivers' pull pacers
+set the rate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.protocol.actions import (
     StopTimer,
 )
 from repro.protocol.straggler import StragglerPolicy
-from repro.protocol.tfrc import TfrcController
 from repro.rq.block import ObjectEncoder, partition_object
 
 
@@ -51,10 +50,8 @@ class SenderCore(ActionEmitter):
 
     #: probes receivers that have never been heard from (exponential backoff)
     TIMER_STARTUP = "startup"
-    #: paces the initial window at the TFRC-allowed rate
-    TIMER_PACED = "paced"
     #: every timer name this core may arm; the driver creates one timer each
-    TIMERS = (TIMER_STARTUP, TIMER_PACED)
+    TIMERS = (TIMER_STARTUP,)
 
     def __init__(
         self,
@@ -63,13 +60,16 @@ class SenderCore(ActionEmitter):
         object_bytes: int,
         receiver_host_ids: list[int],
         local_host: int,
-        link_rate_bps: float,
         multicast_group: Optional[int] = None,
         sender_index: int = 0,
         num_senders: int = 1,
         object_data: Optional[bytes] = None,
         codec=None,
+        link_rate_bps: Optional[float] = None,
     ) -> None:
+        # ``link_rate_bps`` is accepted and ignored: a pull-clocked sender
+        # needs no rate of its own.  It stays only because the performance
+        # ledger's protocol probe still passes it.
         super().__init__()
         if not receiver_host_ids:
             raise ValueError("a sender session needs at least one receiver")
@@ -116,15 +116,6 @@ class SenderCore(ActionEmitter):
         #: per-stream emission counters stamped onto SymbolPayload.sequence:
         #: key None = the multicast stream, receiver id = its unicast stream
         self._sequence_streams: dict[Optional[int], int] = {}
-
-        #: equation-based pacing of the initial window (pulls clock the rest)
-        self.tfrc: Optional[TfrcController] = None
-        if self.config.tfrc_pacing:
-            self.tfrc = TfrcController(
-                segment_bytes=self.config.symbol_packet_bytes,
-                max_rate_bps=link_rate_bps,
-            )
-        self._paced_window: deque = deque()
 
         self._encoder: Optional[ObjectEncoder] = None
         if self.config.carry_payload:
@@ -183,37 +174,18 @@ class SenderCore(ActionEmitter):
         if self.num_senders > 1:
             window = max(1, math.ceil(window / self.num_senders))
         picks = [self._next_symbol(None) for _ in range(window)]
-        emissions = list(zip(picks, self._batch_payloads(picks)))
-        if self.tfrc is None:
-            for (block, esi), data in emissions:
-                self._emit_symbol(block, esi, data=data)
-        else:
-            # TFRC pacing: the window leaves at the controller's allowed
-            # rate (the line rate until congestion signals arrive) instead
-            # of as one back-to-back burst into the NIC queue.
-            self._paced_window.extend(emissions)
-            self._emit_paced_window()
+        for (block, esi), data in zip(picks, self._batch_payloads(picks)):
+            self._emit_symbol(block, esi, data=data)
         if self.config.startup_retry_limit > 0:
             self._arm_startup(self.config.stall_timeout_s)
 
     def on_timer(self, name: str, now: float) -> None:
         """Handle the expiry of one of this session's named timers."""
-        if name == self.TIMER_PACED:
-            self._emit_paced_window()
-        elif name == self.TIMER_STARTUP:
+        if name == self.TIMER_STARTUP:
             self._startup_armed = False
             self._on_startup_stall(now)
-        else:  # pragma: no cover - drivers only route the two known names
+        else:  # pragma: no cover - drivers only route the known name
             raise ValueError(f"unknown sender timer {name!r}")
-
-    def _emit_paced_window(self) -> None:
-        """Emit the next initial-window symbol at the TFRC-allowed rate."""
-        if self.completed or not self._paced_window:
-            return
-        (block, esi), data = self._paced_window.popleft()
-        self._emit_symbol(block, esi, data=data)
-        if self._paced_window:
-            self._emit(SetTimer(self.TIMER_PACED, self.tfrc.send_interval_s()))
 
     def on_pull(self, pull: PullPayload, now: float) -> None:
         """Handle a pull request from a receiver."""
@@ -225,10 +197,6 @@ class SenderCore(ActionEmitter):
         self.pulls_received += 1
         receiver = pull.receiver_host
         self._loss_estimates[receiver] = pull.loss_estimate
-        if self.tfrc is not None:
-            self.tfrc.on_packet()
-            if pull.congestion_echo > 0:
-                self.tfrc.on_congestion(now)
         if receiver in self._done_receivers:
             return
         if not self.is_multicast:

@@ -195,7 +195,6 @@ class PolyraptorAgent:
             object_bytes=object_bytes,
             receiver_host_ids=receiver_host_ids,
             local_host=self.host.node_id,
-            link_rate_bps=self.host.link_rate_bps,
             multicast_group=multicast_group,
             sender_index=sender_index,
             num_senders=num_senders,
@@ -280,13 +279,7 @@ class PolyraptorAgent:
             session = self._open_receiver(
                 payload.session_id, payload.object_bytes, [payload.sender_host]
             )
-        session.on_symbol(
-            payload,
-            packet.trimmed,
-            ce=packet.ce,
-            multicast=packet.is_multicast,
-            sent_at=packet.created_at,
-        )
+        session.on_symbol(payload, packet.trimmed, multicast=packet.is_multicast)
 
     def _on_request(self, request: RequestPayload) -> None:
         if request.session_id in self._senders:

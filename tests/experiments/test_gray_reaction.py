@@ -1,11 +1,11 @@
-"""Seeded end-to-end regression: the reaction loop under gray failure.
+"""Seeded end-to-end regression: Polyraptor under gray failure.
 
-The ISSUE acceptance scenario: with ``gray_failure_schedule`` dropping 10%
-of packets across half the fabric links (routing never reacts -- the gray
-signature), a TFRC-paced Polyraptor transfer must still complete with
-bounded FCT inflation against its own healthy baseline, and the historical
-fixed-rate sender must not starve either (the fountain code absorbs loss;
-pacing changes *when* symbols flow, not *whether* the object decodes).
+With ``gray_failure_schedule`` dropping 10% of packets on every fabric link
+(routing never reacts -- the gray signature), a Polyraptor transfer with
+ECN marking and gray detection on must still complete with bounded FCT
+inflation against its own healthy baseline, and so must one with every
+reactive feature off (the fountain code absorbs loss; the pull clock keeps
+running on whatever arrives).
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ CONFIG = ExperimentConfig(
     object_bytes=64 * KILOBYTE,
     background_fraction=0.0,
     max_sim_time_s=20.0,
+)
+#: marking on both fabrics plus gray-failure detection on Polyraptor senders
+REACTIVE = replace(
+    reactive_config(CONFIG),
+    polyraptor=replace(CONFIG.polyraptor, gray_detection=True),
 )
 
 
@@ -83,14 +88,13 @@ class TestGrayReaction:
     def topology(self):
         return FatTreeTopology(CONFIG.fattree_k)
 
-    def test_tfrc_paced_transfer_bounded_under_gray_loss(self, topology):
-        reactive = reactive_config(CONFIG)
+    def test_reactive_transfer_bounded_under_gray_loss(self, topology):
         transfers = _workload(topology)
         healthy = run_transfers(
-            Protocol.POLYRAPTOR, reactive, transfers, topology=topology
+            Protocol.POLYRAPTOR, REACTIVE, transfers, topology=topology
         )
         gray = run_transfers(
-            Protocol.POLYRAPTOR, reactive, transfers, topology=topology,
+            Protocol.POLYRAPTOR, REACTIVE, transfers, topology=topology,
             fault_schedule=_gray_schedule(topology),
         )
         assert healthy.completion_fraction == 1.0
@@ -107,21 +111,20 @@ class TestGrayReaction:
             Protocol.POLYRAPTOR, CONFIG, transfers, topology=topology,
             fault_schedule=_gray_schedule(topology),
         )
-        # The historical sender (no TFRC, no gray detection) keeps pulling
+        # With no marking and no gray detection the receiver keeps pulling
         # symbols through the lossy fabric and still decodes the object.
         assert gray.completion_fraction == 1.0
         assert gray.transport_stats is None  # every reactive feature off
 
     def test_same_schedule_same_result(self, topology):
         """The gray regression itself is seeded: two runs are byte-identical."""
-        reactive = reactive_config(CONFIG)
         transfers = _workload(topology)
         first = run_transfers(
-            Protocol.POLYRAPTOR, reactive, transfers, topology=topology,
+            Protocol.POLYRAPTOR, REACTIVE, transfers, topology=topology,
             fault_schedule=_gray_schedule(topology),
         )
         second = run_transfers(
-            Protocol.POLYRAPTOR, reactive, transfers, topology=topology,
+            Protocol.POLYRAPTOR, REACTIVE, transfers, topology=topology,
             fault_schedule=_gray_schedule(topology),
         )
         assert first.canonical_dict() == second.canonical_dict()

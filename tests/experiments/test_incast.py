@@ -10,6 +10,8 @@ in their canonical snapshot at all).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, Protocol
@@ -91,14 +93,11 @@ class TestSweepExpansion:
         off = by_label[f"fanin-3/{MARK_OFF}"].config
         on = by_label[f"fanin-3/{MARK_ON}"].config
         assert off == QUICK  # the historical configuration, untouched
-        assert on.ecn_enabled
-        assert on.polyraptor.tfrc_pacing and on.polyraptor.gray_detection
+        assert on == replace(QUICK, ecn_enabled=True)
 
     def test_reactive_config_only_flips_reaction_knobs(self):
-        on = reactive_config(QUICK)
-        assert on.ecn_enabled and on.polyraptor.tfrc_pacing
-        assert on.seed == QUICK.seed
-        assert on.object_bytes == QUICK.object_bytes
+        # Marking is the one knob: Polyraptor's pull clock has nothing to flip.
+        assert reactive_config(QUICK) == replace(QUICK, ecn_enabled=True)
 
 
 class TestDeterminism:
@@ -119,8 +118,7 @@ class TestDeterminism:
             # Echoes lag marks only by downstream drops: never more than marks.
             assert 0 <= on_tcp.transport_stats["ecn_echoes"] <= on_tcp.transport_stats["ecn_marks"]
             on_poly = result.point(Protocol.POLYRAPTOR, f"fanin-{fanin}/{MARK_ON}")
-            assert on_poly.transport_stats is not None
-            assert "rate_updates" in on_poly.transport_stats
+            assert set(on_poly.transport_stats) == {"ecn_marks", "gray_detected", "shards"}
         rendered = format_sweep(result, **TABLE)
         assert "mark-on" in rendered and "vs mark-off" in rendered
 
@@ -137,12 +135,39 @@ class TestMarkOffIsLegacy:
         assert direct.transport_stats is None
         assert "transport_stats" not in direct.canonical_dict()
 
+    def test_polyraptor_ignores_marks(self):
+        """Marks change no Polyraptor decision: the mark-on cell moves the
+        same packets at the same instants as the mark-off cell."""
+        jobs = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)
+        off, on = (run_transfers(job.protocol, job.config, list(job.transfers))
+                   for job in jobs)
+        assert on.transport_stats["ecn_marks"] > 0
+        marked, unmarked = on.canonical_dict(), off.canonical_dict()
+        for field in ("transfers", "events_processed", "trimmed_packets", "sim_time_s"):
+            assert marked[field] == unmarked[field], field
+
     def test_default_config_runs_have_no_transport_stats(self):
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
             jobs = expand_incast_sweep(QUICK, (2,), 16 * KILOBYTE, (protocol,), 1)
             off_job = jobs[0]
             run = run_transfers(off_job.protocol, off_job.config, list(off_job.transfers))
             assert run.transport_stats is None
+
+    @pytest.mark.parametrize("marking", [True, False], ids=["marking", "no-marking"])
+    @pytest.mark.parametrize("gray", [True, False], ids=["gray", "no-gray"])
+    def test_polyraptor_stats_appear_iff_marking_or_gray_detection_ran(self, marking, gray):
+        off_job = expand_incast_sweep(QUICK, (2,), 16 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)[0]
+        config = replace(
+            off_job.config,
+            ecn_enabled=marking,
+            polyraptor=replace(off_job.config.polyraptor, gray_detection=gray),
+        )
+        stats = run_transfers(off_job.protocol, config, list(off_job.transfers)).transport_stats
+        if not (marking or gray):
+            assert stats is None
+        else:
+            assert set(stats) == {"ecn_marks", "gray_detected"}
+            assert (stats["ecn_marks"] > 0) == marking
 
     def test_mark_on_snapshot_includes_transport_stats(self):
         jobs = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.TCP,), 1)
@@ -164,9 +189,9 @@ class TestMergeRoundTrip:
             id="fault",
         ),
         pytest.param(
-            {"ecn_marks": 3, "rate_updates": 5, "gray_detected": 1},
-            {"ecn_marks": 2, "rate_updates": 1, "gray_detected": 0},
-            {"ecn_marks": 5, "rate_updates": 6, "gray_detected": 1, "shards": 2},
+            {"ecn_marks": 3, "ecn_echoes": 5, "gray_detected": 1},
+            {"ecn_marks": 2, "ecn_echoes": 1, "gray_detected": 0},
+            {"ecn_marks": 5, "ecn_echoes": 6, "gray_detected": 1, "shards": 2},
             id="transport",
         ),
     ])
@@ -201,7 +226,7 @@ class TestMergeRoundTrip:
         assert merged["shards"] == 2
 
     def test_merged_equals_single_run_shape(self):
-        single = {"ecn_marks": 4, "ce_received": 4, "rate_updates": 2, "gray_detected": 0}
+        single = {"ecn_marks": 4, "ecn_echoes": 4, "ecn_reactions": 2, "gray_detected": 0}
         merged = merge_counter_stats([single])
         round_tripped = merge_counter_stats([merged])
         # Idempotent apart from the shards bookkeeping.

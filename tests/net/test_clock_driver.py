@@ -153,14 +153,13 @@ class TestWireConfig:
         config = wire_config()
         assert config.carry_payload
         assert config.pull_on_gap
-        assert config.tfrc_pacing
         assert config.stall_timeout_s == pytest.approx(0.05)
 
     def test_overrides_win(self):
-        config = wire_config(stall_timeout_s=0.2, tfrc_pacing=False)
+        config = wire_config(stall_timeout_s=0.2, pull_on_gap=False)
         assert config.stall_timeout_s == 0.2
-        assert not config.tfrc_pacing
-        assert config.pull_on_gap  # untouched defaults remain
+        assert not config.pull_on_gap
+        assert config.carry_payload  # untouched defaults remain
 
 
 class TestNetReceiverDriver:
@@ -176,7 +175,7 @@ class TestNetReceiverDriver:
     def test_stall_timer_runs_on_the_clock(self):
         """The core's construction-time stall arming must land on the clock's
         heap and re-issue pulls through the pacer when it fires."""
-        config = wire_config(carry_payload=False, tfrc_pacing=False)
+        config = wire_config(carry_payload=False)
         sim = Simulator()
         sent = []
         core = ReceiverCore(config=config, session_id=1, object_bytes=1408,
@@ -189,8 +188,7 @@ class TestNetReceiverDriver:
 
     def test_stall_timer_runs_on_the_asyncio_clock(self):
         """The same stall arming, on a real event loop through the adapter."""
-        config = wire_config(carry_payload=False, tfrc_pacing=False,
-                             stall_timeout_s=0.01)
+        config = wire_config(carry_payload=False, stall_timeout_s=0.01)
 
         async def scenario():
             sent = []
@@ -210,8 +208,7 @@ class TestNetReceiverDriver:
         asyncio.run(scenario())
 
     def test_close_disarms_the_timers_on_the_asyncio_clock(self):
-        config = wire_config(carry_payload=False, tfrc_pacing=False,
-                             stall_timeout_s=0.005)
+        config = wire_config(carry_payload=False, stall_timeout_s=0.005)
 
         async def scenario():
             sent = []
@@ -235,11 +232,10 @@ class TestNetReceiverDriver:
         )
         sender = drive(
             SenderCore(config=config, session_id=1, object_bytes=1408,
-                       receiver_host_ids=[1], local_host=0, link_rate_bps=1e8),
+                       receiver_host_ids=[1], local_host=0),
             sim, transmit=lambda a: None,
         )
         assert sender.pacer is None
         assert receiver.pacer.pull_interval_s == pytest.approx(
             config.symbol_packet_bytes * 8 / 1e8
         )
-        assert receiver.pacer.tfrc is not None  # wire_config paces with TFRC

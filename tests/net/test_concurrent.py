@@ -2,6 +2,7 @@
 hygiene, busy caps, TTL/idle reaping and MTU negotiation over real UDP."""
 
 import asyncio
+import collections
 import hashlib
 
 import pytest
@@ -13,6 +14,7 @@ from repro.net.server import (
     deterministic_object,
 )
 from repro.net.wire import (
+    MAGIC,
     OPEN_ERR_BUSY,
     OpenErrPayload,
     OpenOkPayload,
@@ -23,14 +25,34 @@ from repro.net.wire import (
 )
 
 
-async def _start_server(store, **kwargs):
+async def _start_server(store, server=PolyraptorServerProtocol, **kwargs):
     loop = asyncio.get_running_loop()
     transport, protocol = await loop.create_datagram_endpoint(
-        lambda: PolyraptorServerProtocol(store, **kwargs),
+        lambda: server(store, **kwargs),
         local_addr=("127.0.0.1", 0),
     )
     port = transport.get_extra_info("sockname")[1]
     return transport, protocol, port
+
+
+class _GrantRecorder(PolyraptorServerProtocol):
+    """A server that notes the session id of every OPEN_OK it sends, i.e.
+    the ids its clients are granted."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.granted_ids = []
+
+    def _sendto(self, datagram, addr):
+        payload = decode_frame(datagram).payload
+        if isinstance(payload, OpenOkPayload):
+            self.granted_ids.append(payload.session_id)
+        super()._sendto(datagram, addr)
+
+
+def _served(protocol, name):
+    """One ``net.server.*`` counter (0 until its first count)."""
+    return protocol.registry.snapshot().get(f"net.server.{name}", 0)
 
 
 async def _wait_for(predicate, timeout_s=5.0, what="condition"):
@@ -80,7 +102,7 @@ def test_eight_way_concurrent_fetches_leave_no_state_behind():
         names = [f"obj-{i}" for i in range(8)]
         for name in names:
             store.put(name, deterministic_object(60_000, seed=name))
-        transport, protocol, port = await _start_server(store)
+        transport, protocol, port = await _start_server(store, server=_GrantRecorder)
         try:
             blobs = await asyncio.gather(
                 *(
@@ -95,7 +117,7 @@ def test_eight_way_concurrent_fetches_leave_no_state_behind():
                     store.get(name)
                 ).digest()
             await _wait_for(
-                lambda: protocol.sessions_completed == 8
+                lambda: _served(protocol, "sessions_completed") == 8
                 and not protocol._grants
                 and not protocol._grant_info
                 and not protocol._sessions,
@@ -103,8 +125,9 @@ def test_eight_way_concurrent_fetches_leave_no_state_behind():
             )
         finally:
             transport.close()
-        ids = protocol.issued_session_ids
-        assert len(ids) == 8
+        # A retransmitted OPEN is answered with the same grant again, so
+        # count distinct ids: one per fetch, none shared.
+        ids = protocol.granted_ids
         assert len(set(ids)) == 8, f"session ids were reused: {ids}"
         snapshot = protocol.registry.snapshot()
         assert snapshot["net.server.sessions_completed"] == 8
@@ -123,7 +146,7 @@ def test_sequential_fetches_get_distinct_session_ids():
     async def scenario():
         store = ObjectStore()
         store.put("twice", deterministic_object(40_000, seed="twice"))
-        transport, protocol, port = await _start_server(store)
+        transport, protocol, port = await _start_server(store, server=_GrantRecorder)
         try:
             first = await fetch_object_async("twice", port=port, transfer_timeout_s=20.0)
             await _wait_for(
@@ -136,8 +159,40 @@ def test_sequential_fetches_get_distinct_session_ids():
         finally:
             transport.close()
         assert first == second == store.get("twice")
-        assert len(protocol.issued_session_ids) == 2
-        assert len(set(protocol.issued_session_ids)) == 2
+        assert len(set(protocol.granted_ids)) == 2
+
+    asyncio.run(scenario())
+
+
+def test_completed_sessions_leave_no_per_session_state():
+    """A server without ``max_sessions`` runs for ever, so whatever it keeps
+    per grant or per session must go when the session ends: after N
+    completed fetches every dict, list, set and deque it holds is empty."""
+
+    async def scenario():
+        store = ObjectStore()
+        names = [f"obj-{i}" for i in range(3)]
+        for name in names:
+            store.put(name, deterministic_object(30_000, seed=name))
+        transport, protocol, port = await _start_server(store)
+        try:
+            await fetch_object_async(names[0], port=port, transfer_timeout_s=20.0)
+            await asyncio.gather(
+                *(fetch_object_async(name, port=port, transfer_timeout_s=20.0)
+                  for name in names)
+            )
+            await _wait_for(
+                lambda: _served(protocol, "sessions_completed") == 4
+                and not protocol._grant_info,
+                what="all sessions retired",
+            )
+        finally:
+            transport.close()
+        held = {
+            name: value for name, value in vars(protocol).items()
+            if isinstance(value, (dict, list, set, collections.deque)) and value
+        }
+        assert held == {}
 
     asyncio.run(scenario())
 
@@ -168,7 +223,7 @@ def test_multi_source_fetch_with_loss_hash_verifies():
             assert hashlib.sha256(data).digest() == hashlib.sha256(blob).digest()
             for _, protocol, _ in (s1, s2):
                 await _wait_for(
-                    lambda p=protocol: p.sessions_completed == 1
+                    lambda p=protocol: _served(p, "sessions_completed") == 1
                     and not p._grant_info,
                     what="both sources completed and retired",
                 )
@@ -210,7 +265,7 @@ def test_busy_server_refuses_excess_opens_then_recovers():
         store.put("big", deterministic_object(400_000, seed="big"))
         store.put("small", deterministic_object(10_000, seed="small"))
         transport, protocol, port = await _start_server(
-            store, max_concurrent_sessions=1, max_rate_bps=50e6
+            store, max_concurrent_sessions=1
         )
         try:
             first = asyncio.ensure_future(
@@ -223,7 +278,7 @@ def test_busy_server_refuses_excess_opens_then_recovers():
                 await fetch_object_async(
                     "small", port=port, open_retries=1, transfer_timeout_s=5.0
                 )
-            assert protocol.busy_rejections >= 1
+            assert _served(protocol, "busy_rejections") >= 1
             data = await first
             assert data == store.get("big")
             # The cap frees up once the first session retires.
@@ -251,7 +306,7 @@ def test_unstarted_grant_expires_after_ttl():
             assert isinstance(reply, OpenOkPayload)
             assert protocol._grant_info
             await _wait_for(lambda: not protocol._grant_info, what="grant expiry")
-            assert protocol.grants_expired == 1
+            assert _served(protocol, "grants_expired") == 1
         finally:
             transport.close()
 
@@ -269,7 +324,6 @@ def test_abandoned_session_is_reaped_after_idle_timeout():
             store,
             session_idle_timeout_s=0.15,
             grant_ttl_s=10.0,
-            max_rate_bps=50e6,
         )
         try:
             fetch = asyncio.ensure_future(
@@ -285,8 +339,8 @@ def test_abandoned_session_is_reaped_after_idle_timeout():
                 lambda: not protocol._sessions and not protocol._grant_info,
                 what="idle reap",
             )
-            assert protocol.sessions_reaped == 1
-            assert protocol.sessions_completed == 0
+            assert _served(protocol, "sessions_reaped") == 1
+            assert _served(protocol, "sessions_completed") == 0
         finally:
             transport.close()
 
@@ -350,7 +404,7 @@ def test_busy_refusal_carries_the_code():
         store.put("one", deterministic_object(400_000, seed="one"))
         store.put("two", deterministic_object(5_000, seed="two"))
         transport, protocol, port = await _start_server(
-            store, max_concurrent_sessions=1, max_rate_bps=50e6
+            store, max_concurrent_sessions=1
         )
         try:
             fetch = asyncio.ensure_future(
@@ -367,3 +421,35 @@ def test_busy_refusal_carries_the_code():
             transport.close()
 
     asyncio.run(scenario())
+
+
+#: every fact the server counts; each lives in its registry alone
+SERVER_FACTS = ["sessions_completed", "sessions_reaped", "grants_expired",
+                "busy_rejections", "frames_dropped", "malformed_frames"]
+
+
+@pytest.mark.parametrize("fact", SERVER_FACTS)
+def test_each_server_fact_is_counted_once(fact):
+    """The registry counter is the only copy: no attribute shadows it."""
+    protocol = PolyraptorServerProtocol(ObjectStore())
+    assert not hasattr(protocol, fact)
+    assert _served(protocol, fact) == 0
+
+
+@pytest.mark.parametrize("datagram", [
+    b"junk",
+    MAGIC + bytes([2, 2]) + bytes(32),
+    encode_frame(OpenOkPayload(session_id=1, object_bytes=10)),
+], ids=["junk", "old-version", "client-bound"])
+def test_unservable_datagrams_count_as_malformed(datagram):
+    protocol = PolyraptorServerProtocol(ObjectStore())
+    protocol.datagram_received(datagram, ("127.0.0.1", 9))
+    assert _served(protocol, "malformed_frames") == 1
+    assert _served(protocol, "frames_dropped") == 0
+
+
+def test_injected_loss_counts_as_dropped_before_decoding():
+    protocol = PolyraptorServerProtocol(ObjectStore(), loss_rate=1.0)
+    protocol.datagram_received(b"junk", ("127.0.0.1", 9))
+    assert _served(protocol, "frames_dropped") == 1
+    assert _served(protocol, "malformed_frames") == 0

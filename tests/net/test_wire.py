@@ -1,5 +1,7 @@
 """Wire framing: round-trips for every frame type, rejection of everything else."""
 
+import struct
+
 import pytest
 
 from repro.core.packets import (
@@ -36,9 +38,9 @@ ALL_PAYLOADS = [
         data=None, sequence=1,
     ),
     PullPayload(session_id=7, receiver_host=5, pull_sequence=12,
-                block_hint=3, congestion_echo=2, loss_estimate=0.125),
+                block_hint=3, loss_estimate=0.125),
     PullPayload(session_id=7, receiver_host=5, pull_sequence=1,
-                block_hint=None, congestion_echo=0, loss_estimate=0.0),
+                block_hint=None, loss_estimate=0.0),
     RequestPayload(session_id=7, receiver_host=5, object_bytes=4_000_000,
                    sender_index=1, num_senders=3),
     DonePayload(session_id=7, receiver_host=5),
@@ -84,12 +86,43 @@ def test_bad_magic_rejected():
         decode_frame(bytes(frame))
 
 
-def test_unsupported_version_rejected():
+@pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
+def test_unsupported_version_rejected(version):
     frame = bytearray(encode_frame(DonePayload(session_id=1, receiver_host=2)))
     assert frame[2] == WIRE_VERSION
-    frame[2] = WIRE_VERSION + 1
+    frame[2] = version
     with pytest.raises(WireError, match="version"):
         decode_frame(bytes(frame))
+
+
+def test_version_2_pull_with_congestion_echo_is_rejected():
+    """A pull in the old layout, with its congestion-echo word between the
+    block hint and the loss estimate, is refused rather than misread."""
+    old_pull = MAGIC + bytes([2, 2]) + struct.pack("!QIIiId", 7, 5, 12, 3, 4, 0.125)
+    with pytest.raises(WireError, match="version"):
+        decode_frame(old_pull)
+
+
+def test_pull_frame_layout():
+    """Header, session id, receiver, pull sequence, block hint (-1 for
+    none) and loss estimate: 32 bytes, and nothing else."""
+    pull = PullPayload(session_id=7, receiver_host=5, pull_sequence=12,
+                       block_hint=None, loss_estimate=0.25)
+    frame = encode_frame(pull)
+    assert frame == MAGIC + bytes([WIRE_VERSION, 2]) + struct.pack("!QIIid", 7, 5, 12, -1, 0.25)
+    assert len(frame) == 32
+
+
+NON_SYMBOL = [(p, i) for p, i in zip(ALL_PAYLOADS, PAYLOAD_IDS)
+              if not isinstance(p, SymbolPayload)]
+
+
+@pytest.mark.parametrize("payload", [p for p, _ in NON_SYMBOL],
+                         ids=[i for _, i in NON_SYMBOL])
+def test_only_symbol_frames_carry_sent_at(payload):
+    frame = encode_frame(payload, sent_at=5.0)
+    assert frame == encode_frame(payload)
+    assert decode_frame(frame).sent_at == 0.0
 
 
 def test_unknown_frame_type_rejected():

@@ -223,13 +223,13 @@ class TestTraceRendering:
             "series": [
                 {"label": "x", "key": 1, "name": "queue.depth.p0",
                  "t": [0.0], "v": [1.0], "dropped": 0, "total": 1},
-                {"label": "x", "key": 1, "name": "tfrc.rate.h0",
+                {"label": "x", "key": 1, "name": "gray.detected.h0",
                  "t": [0.0], "v": [2.0], "dropped": 0, "total": 1},
             ],
         }
         text = format_trace(telemetry, series="queue.*")
         assert "queue.depth.p0" in text
-        assert "tfrc.rate.h0" not in text
+        assert "gray.detected.h0" not in text
 
     def test_format_trace_empty(self):
         assert "no runs" in format_trace({"meta": {}, "runs": [], "series": []})

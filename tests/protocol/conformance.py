@@ -45,8 +45,8 @@ from repro.transport.polyraptor import PolyraptorAgent
 #: Directory holding the scripted trace corpus.
 TRACES_DIR = Path(__file__).parent / "traces"
 
-#: Both replays assume the same link rate, so pull-pacing intervals and
-#: TFRC ceilings match to the bit.
+#: Both replays assume the same link rate, so pull-pacing intervals match
+#: to the bit.
 LINK_RATE_BPS = 1e9
 
 #: The node id of the session's host on both transports.
@@ -120,7 +120,6 @@ def _event_payload(trace: dict, event: dict):
             receiver_host=event["receiver_host"],
             pull_sequence=event["pull_sequence"],
             block_hint=event.get("block_hint"),
-            congestion_echo=event.get("congestion_echo", 0),
             loss_estimate=event.get("loss_estimate", 0.0),
         )
     if kind == "done":
@@ -142,9 +141,7 @@ def _inject(trace: dict, event: dict, session: Any) -> None:
         session.on_symbol(
             payload,
             trimmed=event.get("trimmed", False),
-            ce=event.get("ce", False),
             multicast=event.get("multicast", False),
-            sent_at=event.get("sent_at", 0.0),
         )
     elif kind == "pull":
         session.on_pull(payload)
@@ -174,7 +171,6 @@ def _build_core(trace: dict, config: PolyraptorConfig, now: float):
         object_bytes=spec["object_bytes"],
         receiver_host_ids=spec["receiver_host_ids"],
         local_host=LOCAL_HOST_ID,
-        link_rate_bps=LINK_RATE_BPS,
         multicast_group=spec.get("multicast_group"),
         sender_index=spec.get("sender_index", 0),
         num_senders=spec.get("num_senders", 1),

@@ -1,8 +1,13 @@
 """Sim/wire conformance: identical traces must yield identical decisions."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from tests.protocol import conformance
+
+GENERATOR = Path(__file__).resolve().parents[2] / "scripts" / "regenerate_traces.py"
 
 
 def _traces():
@@ -28,6 +33,35 @@ def test_traces_exercise_the_protocol(path):
     assert any(d[0] == "packet" for d in decisions)
     completed = any(d[0] == "complete" for d in decisions)
     assert completed == trace["expect_complete"]
+
+
+def _generated():
+    """Each trace ``scripts/regenerate_traces.py`` defines, as the file name
+    and text it would write."""
+    spec = importlib.util.spec_from_file_location("regenerate_traces", GENERATOR)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    expected = {}
+    for build in generator.TRACES:
+        trace = build()
+        expected[f"{trace['name']}.json"] = generator.render(trace)
+    return expected
+
+
+GENERATED = _generated()
+
+
+def test_every_trace_file_has_a_generator_entry():
+    """No trace file lacks a definition, and no definition lacks a file."""
+    assert sorted(path.name for path in _traces()) == sorted(GENERATED)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED), ids=lambda name: name[:-len(".json")])
+def test_corpus_is_exactly_what_its_generator_writes(name):
+    """Every trace file is byte-identical to its definition in
+    ``scripts/regenerate_traces.py``: an edit to either side alone fails here."""
+    on_disk = (conformance.TRACES_DIR / name).read_text(encoding="utf-8")
+    assert on_disk == GENERATED[name], f"{name} drifted; run scripts/regenerate_traces.py"
 
 
 def test_trace_times_are_monotonic():

@@ -17,9 +17,7 @@ from repro.sim.engine import Simulator
 from repro.transport.polyraptor import PolyraptorAgent
 from tests.protocol.conformance import LINK_RATE_BPS, LOCAL_HOST_ID, StubHost
 
-#: TFRC pacing on, so a started sender arms its paced timer as well as the
-#: startup probe and close() has two live timers to disarm.
-CONFIG = PolyraptorConfig(tfrc_pacing=True)
+CONFIG = PolyraptorConfig()
 OBJECT_BYTES = CONFIG.symbol_size_bytes * 40
 
 
@@ -45,8 +43,7 @@ def _receiver_core():
 
 def _sender_core():
     return SenderCore(config=CONFIG, session_id=7, object_bytes=OBJECT_BYTES,
-                      receiver_host_ids=[2], local_host=LOCAL_HOST_ID,
-                      link_rate_bps=LINK_RATE_BPS)
+                      receiver_host_ids=[2], local_host=LOCAL_HOST_ID)
 
 
 def _symbol(esi):
@@ -61,7 +58,7 @@ def test_every_action_class_has_a_handler(clock):
         obj for obj in vars(actions).values()
         if dataclasses.is_dataclass(obj) and obj.__module__ == actions.__name__
     }
-    assert len(vocabulary) == 7  # the emitter base class is not an action
+    assert len(vocabulary) == 6  # the emitter base class is not an action
     assert set(bind(_receiver_core())._handlers) == vocabulary
     assert set(bind(_sender_core())._handlers) == vocabulary
 
@@ -123,7 +120,7 @@ def test_close_retires_a_sender(clock):
     bind, run_until, sent = clock
     driver = bind(_sender_core())
     driver.start()
-    assert driver.timers["startup"].running and driver.timers["paced"].running
+    assert driver.timers["startup"].running
     sent_before = len(sent)
 
     driver.close()

@@ -72,7 +72,7 @@ class TestSenderSessionValidation:
     @staticmethod
     def _sender_core(**options):
         return SenderCore(config=PolyraptorConfig(), session_id=1, object_bytes=1000,
-                          receiver_host_ids=[1], local_host=0, link_rate_bps=1e9,
+                          receiver_host_ids=[1], local_host=0,
                           **options)
 
     def test_invalid_sender_index_rejected(self):
