@@ -382,15 +382,16 @@ def _size_type(value: str) -> int:
     try:
         size = int(text) * factor
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid size {value!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid --object size {value!r}") from None
     if size <= 0:
-        raise argparse.ArgumentTypeError("size must be positive")
+        raise argparse.ArgumentTypeError(f"--object size {value!r} must be positive")
     return size
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
     import json
+    import os
 
     from repro.net import ObjectStore, run_server
     from repro.net.server import (
@@ -401,16 +402,19 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     from repro.obs import MetricRegistry
 
     store = ObjectStore()
-    for spec in args.object or []:
-        name, _, size = spec.partition("=")
-        if not name or not size:
-            raise SystemExit(f"--object expects NAME=SIZE, got {spec!r}")
-        store.put(name, deterministic_object(_size_type(size), seed=name))
-    for path in args.file or []:
-        import os
-
-        with open(path, "rb") as handle:
-            store.put(os.path.basename(path), handle.read())
+    try:
+        for spec in args.object or []:
+            name, _, size = spec.partition("=")
+            if not name or not size:
+                raise ValueError(f"--object expects NAME=SIZE, got {spec!r}")
+            store.put(name, deterministic_object(_size_type(size), seed=name))
+        for path in args.file or []:
+            with open(path, "rb") as handle:
+                store.put(os.path.basename(path), handle.read())
+    except (argparse.ArgumentTypeError, ValueError) as error:
+        # A usage error, with argparse's exit status.
+        print(f"repro serve: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
     if len(store) == 0:
         raise SystemExit("serve needs at least one --object NAME=SIZE or --file PATH")
     registry = MetricRegistry()

@@ -241,6 +241,8 @@ async def fetch_object_async(
             )
         )
         object_bytes = grants[0].object_bytes
+        if object_bytes <= 0:
+            raise FetchError(f"server granted {name!r} with {object_bytes} bytes: nothing to fetch")
         symbol_size = _granted_symbol_size(grants[0], config.symbol_size_bytes)
         for endpoint, grant in zip(endpoints, grants):
             granted = _granted_symbol_size(grant, config.symbol_size_bytes)

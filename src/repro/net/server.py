@@ -9,7 +9,8 @@ of traffic on one socket:
   negotiating the session's symbol size against the client's path MTU;
 * ``REQUEST`` frames, spinning up one
   :class:`~repro.protocol.sender.SenderCore` per session exactly like the
-  simulator's agent does on a fetch request (duplicates are ignored);
+  simulator's agent does on a fetch request (duplicates are ignored) on
+  the store's shared encoder of the object (:meth:`ObjectStore.encoder`);
 * ``PULL`` / ``DONE`` frames for the live sessions.
 
 Sessions have a real lifecycle: a grant is retired the moment its session
@@ -55,6 +56,7 @@ from repro.obs import MetricRegistry
 from repro.protocol.actions import KIND_DATA, SendPacket
 from repro.protocol.driver import SessionDriver
 from repro.protocol.sender import SenderCore
+from repro.rq.block import ObjectEncoder
 from repro.utils.validation import check_positive, check_probability
 
 #: Default UDP port of ``repro serve``.
@@ -108,18 +110,35 @@ def deterministic_object(size: int, seed: str = "repro") -> bytes:
 
 
 class ObjectStore:
-    """Named objects available for serving."""
+    """Named objects available for serving, each with one encoder per
+    symbol size that every session serving it shares."""
 
     def __init__(self) -> None:
         self._objects: Dict[str, bytes] = {}
+        #: name -> (symbol size, max symbols per block) -> shared encoder
+        self._encoders: Dict[str, Dict[Tuple[int, int], ObjectEncoder]] = {}
 
     def put(self, name: str, data: bytes) -> None:
-        """Add (or replace) one named object."""
-        self._objects[name] = data
+        """Add (or replace) one named object, kept as immutable ``bytes``.
+
+        Replacing drops its encoders; live sessions keep the one they use.
+        """
+        if not data:
+            raise ValueError(f"object {name!r} is empty")
+        self._objects[name] = bytes(data)
+        self._encoders.pop(name, None)
 
     def get(self, name: str) -> Optional[bytes]:
         """The object's bytes, or None if the name is unknown."""
         return self._objects.get(name)
+
+    def encoder(self, name: str, symbol_size: int, max_symbols_per_block: int) -> ObjectEncoder:
+        """The shared encoder of a stored object, built on first use."""
+        shapes = self._encoders.setdefault(name, {})
+        shape = (symbol_size, max_symbols_per_block)
+        if shape not in shapes:
+            shapes[shape] = ObjectEncoder(self._objects[name], symbol_size, max_symbols_per_block)
+        return shapes[shape]
 
     def names(self) -> list[str]:
         """All stored object names, sorted."""
@@ -345,16 +364,20 @@ class PolyraptorServerProtocol(asyncio.DatagramProtocol):
         if object_data is None or len(object_data) != request.object_bytes:
             # The object vanished or the grant is stale: reject the mismatch.
             return
+        config = self._session_config(grant)
+        encoder = (self.store.encoder(grant.name, config.symbol_size_bytes,
+                                      config.max_symbols_per_block)
+                   if config.carry_payload else None)
         try:
             core = SenderCore(
-                config=self._session_config(grant),
+                config=config,
                 session_id=request.session_id,
                 object_bytes=request.object_bytes,
                 receiver_host_ids=[request.receiver_host],
                 local_host=sender_host_id(request.sender_index),
                 sender_index=request.sender_index,
                 num_senders=request.num_senders,
-                object_data=object_data if self.config.carry_payload else None,
+                encoder=encoder,
             )
         except ValueError:
             # e.g. sender_index >= num_senders from a confused client.

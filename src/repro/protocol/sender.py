@@ -63,8 +63,7 @@ class SenderCore(ActionEmitter):
         multicast_group: Optional[int] = None,
         sender_index: int = 0,
         num_senders: int = 1,
-        object_data: Optional[bytes] = None,
-        codec=None,
+        encoder: Optional[ObjectEncoder] = None,
         link_rate_bps: Optional[float] = None,
     ) -> None:
         # ``link_rate_bps`` is accepted and ignored: a pull-clocked sender
@@ -117,18 +116,14 @@ class SenderCore(ActionEmitter):
         #: key None = the multicast stream, receiver id = its unicast stream
         self._sequence_streams: dict[Optional[int], int] = {}
 
+        # Payload mode reads every symbol from ``encoder`` (maybe shared).
         self._encoder: Optional[ObjectEncoder] = None
         if self.config.carry_payload:
-            if object_data is None:
-                raise ValueError("carry_payload mode requires the object bytes")
-            if len(object_data) != object_bytes:
-                raise ValueError("object_data length does not match object_bytes")
-            self._encoder = ObjectEncoder(
-                object_data,
-                symbol_size=self.config.symbol_size_bytes,
-                max_symbols_per_block=self.config.max_symbols_per_block,
-                context=codec,
-            )
+            if encoder is None:
+                raise ValueError("carry_payload mode requires an object encoder")
+            if encoder.oti != self.oti:
+                raise ValueError(f"the encoder's {encoder.oti} does not match the session's {self.oti}")
+            self._encoder = encoder
 
         self.completed = False
         self.completion_time: Optional[float] = None

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.rq.decoder import BlockDecoder, DecodeFailure
 from repro.rq.encoder import BlockEncoder
 from repro.rq.params import MAX_SOURCE_SYMBOLS, MIN_SOURCE_SYMBOLS
@@ -93,7 +95,10 @@ def partition_object(transfer_length: int, symbol_size: int,
 
 
 class ObjectEncoder:
-    """Encode a whole object: block partitioning + per-block systematic encoders."""
+    """Encode a whole object: block partitioning + per-block systematic encoders.
+
+    Block planes are views of the object's bytes, so many sessions can share one.
+    """
 
     def __init__(
         self,
@@ -114,17 +119,19 @@ class ObjectEncoder:
         """Number of source blocks the object was split into."""
         return self.oti.num_source_blocks
 
-    def _block_source_symbols(self, block_number: int) -> list[bytes]:
+    def _block_plane(self, block_number: int) -> np.ndarray:
+        """One block's (K x T) source plane: a view of :attr:`data`, or a
+        zero-padded copy for the block that runs past its end."""
         symbol_size = self.oti.symbol_size
-        start_symbol = sum(self.oti.symbols_per_block[:block_number])
         count = self.oti.symbols_per_block[block_number]
-        symbols = []
-        for index in range(start_symbol, start_symbol + count):
-            chunk = self.data[index * symbol_size : (index + 1) * symbol_size]
-            if len(chunk) < symbol_size:
-                chunk = chunk + b"\x00" * (symbol_size - len(chunk))
-            symbols.append(chunk)
-        return symbols
+        start = sum(self.oti.symbols_per_block[:block_number]) * symbol_size
+        end = start + count * symbol_size
+        if end <= len(self.data):
+            return np.frombuffer(self.data, dtype=np.uint8, count=end - start,
+                                 offset=start).reshape(count, symbol_size)
+        tail = self.data[start:end]
+        return np.frombuffer(tail + bytes(end - start - len(tail)), dtype=np.uint8).reshape(
+            count, symbol_size)
 
     def block(self, block_number: int) -> BlockEncoder:
         """Return (and cache) the encoder for one source block."""
@@ -132,7 +139,7 @@ class ObjectEncoder:
             raise IndexError(f"block {block_number} out of range")
         if block_number not in self._encoders:
             self._encoders[block_number] = BlockEncoder(
-                self._block_source_symbols(block_number), context=self.context
+                self._block_plane(block_number), context=self.context
             )
         return self._encoders[block_number]
 

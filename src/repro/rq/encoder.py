@@ -12,7 +12,8 @@ can generate *any* encoding symbol on demand:
 Construction does no linear algebra.  A sender of a systematic code ships
 mostly source symbols, so coding work is paid per repair symbol actually
 asked for: one generator row of the per-K' basis times the source plane
-(:meth:`~repro.rq.backend.CodecContext.repair_symbols`).  The L
+(:meth:`~repro.rq.backend.CodecContext.repair_symbols`), and a repair
+with ESI below 2K is made at most once.  The L
 intermediate symbols of RFC 6330 are never formed, except by the
 full-solve oracle :meth:`~repro.rq.backend.CodecContext.encode_intermediate`
 the tests compare against.
@@ -31,21 +32,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BlockEncoder:
-    """Encoder for a single source block."""
+    """Encoder for a single source block.
+
+    ``source_symbols`` is K equal-sized byte strings or a (K x T) uint8
+    plane the encoder never writes (a view of a stored object, say).  Repair
+    symbols with ESI in ``[K, 2K)`` are remembered once made -- at most K,
+    one more copy of the block -- and higher ones recomputed each time.  The
+    memo is not thread-safe: share an encoder within one event loop only.
+    """
 
     def __init__(
         self,
-        source_symbols: Sequence[bytes],
+        source_symbols: Sequence[bytes] | np.ndarray,
         params: CodeParameters | None = None,
         context: Optional["CodecContext"] = None,
     ) -> None:
-        if not source_symbols:
-            raise ValueError("a source block needs at least one source symbol")
-        symbol_size = len(source_symbols[0])
-        if symbol_size == 0:
-            raise ValueError("source symbols must be non-empty")
-        if any(len(symbol) != symbol_size for symbol in source_symbols):
-            raise ValueError("all source symbols must have the same size")
+        if not isinstance(source_symbols, np.ndarray):
+            if not source_symbols:
+                raise ValueError("a source block needs at least one source symbol")
+            size = len(source_symbols[0])
+            if size == 0:
+                raise ValueError("source symbols must be non-empty")
+            if any(len(symbol) != size for symbol in source_symbols):
+                raise ValueError("all source symbols must have the same size")
+            source_symbols = np.frombuffer(b"".join(source_symbols), dtype=np.uint8).reshape(
+                len(source_symbols), size
+            )
 
         if context is None:
             from repro.rq.backend import default_context
@@ -58,10 +70,10 @@ class BlockEncoder:
                 f"parameters are for K={self.params.num_source_symbols} but "
                 f"{len(source_symbols)} source symbols were given"
             )
-        self.symbol_size = symbol_size
-        self._source = np.frombuffer(b"".join(source_symbols), dtype=np.uint8).reshape(
-            len(source_symbols), symbol_size
-        )
+        self.symbol_size = source_symbols.shape[1]
+        self._source = source_symbols
+        #: repair ESI -> symbol, for ESIs in [K, 2K) already made
+        self._repairs: dict[int, bytes] = {}
         #: Set by the context: the per-K' basis whose rows XOR into generator
         #: rows, looked up once, on this block's first repair symbol.
         self.generator_basis: Optional[np.ndarray] = None
@@ -87,7 +99,7 @@ class BlockEncoder:
         """Return repair symbol ``esi`` (esi >= K)."""
         if esi < self.num_source_symbols:
             raise ValueError(f"repair symbols start at ESI {self.num_source_symbols}, got {esi}")
-        return self.encoded_symbol_via_lt(esi)
+        return self._repair_symbols([esi])[0]
 
     def symbol(self, esi: int) -> bytes:
         """Return the encoding symbol with the given ESI (source or repair).
@@ -97,16 +109,16 @@ class BlockEncoder:
         """
         if esi < self.num_source_symbols:
             return self.source_symbol(esi)
-        return self.encoded_symbol_via_lt(esi)
+        return self._repair_symbols([esi])[0]
 
     def symbol_block(self, esis: Sequence[int]) -> np.ndarray:
         """Return the (len(esis) x symbol_size) plane of encoding symbols.
 
         Source ESIs are copied straight from the source plane; the repair
-        ESIs among them are generated in one context call.  Rows follow the
-        caller's order.  This is the batched path used when a whole run of
-        symbols is needed at once (initial window pushes, one-shot object
-        encoding, tests).
+        ESIs among them not yet remembered are generated in one context
+        call.  Rows follow the caller's order.  This is the batched path
+        used when a whole run of symbols is needed at once (initial window
+        pushes, one-shot object encoding, tests).
         """
         ids = np.asarray(esis, dtype=np.intp)
         if (ids < 0).any():
@@ -115,16 +127,25 @@ class BlockEncoder:
         is_source = ids < self.num_source_symbols
         out[is_source] = self._source[ids[is_source]]
         if not is_source.all():
-            out[~is_source] = self._lt_encode(ids[~is_source])
+            repairs = b"".join(self._repair_symbols(ids[~is_source].tolist()))
+            out[~is_source] = np.frombuffer(repairs, dtype=np.uint8).reshape(-1, self.symbol_size)
         return out
 
     def encoded_symbol_via_lt(self, esi: int) -> bytes:
         """Return the LT-encoded value for any ESI (including source ESIs).
 
         Used by tests to verify the systematic property: for ``esi < K`` this
-        must equal :meth:`source_symbol`.
+        must equal :meth:`source_symbol`.  Always runs the kernel.
         """
-        return self._lt_encode([esi])[0].tobytes()
+        return self.context.repair_symbols(self, [esi])[0].tobytes()
 
-    def _lt_encode(self, esis: Sequence[int]) -> np.ndarray:
-        return self.context.repair_symbols(self, esis)
+    def _repair_symbols(self, esis: list[int]) -> list[bytes]:
+        """Repair symbols ``esis`` (each >= K); those below 2K are made at most once."""
+        fresh = [esi for esi in dict.fromkeys(esis) if esi not in self._repairs]
+        made: dict[int, bytes] = {}
+        if fresh:
+            plane = self.context.repair_symbols(self, fresh)
+            made = {esi: row.tobytes() for esi, row in zip(fresh, plane)}
+            limit = 2 * self.num_source_symbols
+            self._repairs.update((esi, data) for esi, data in made.items() if esi < limit)
+        return [made[esi] if esi in made else self._repairs[esi] for esi in esis]

@@ -39,6 +39,7 @@ from repro.protocol.pacer import PacedPullQueue
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
 from repro.rq.backend import CodecContext
+from repro.rq.block import ObjectEncoder
 from repro.sim.engine import Simulator
 
 #: Protocol name packets are tagged with and hosts dispatch on.
@@ -189,6 +190,10 @@ class PolyraptorAgent:
         object_data: Optional[bytes] = None,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> SessionDriver:
+        encoder = None
+        if self.config.carry_payload and object_data is not None:
+            encoder = ObjectEncoder(object_data, self.config.symbol_size_bytes,
+                                    self.config.max_symbols_per_block, self.codec)
         core = SenderCore(
             config=self.config,
             session_id=session_id,
@@ -198,8 +203,7 @@ class PolyraptorAgent:
             multicast_group=multicast_group,
             sender_index=sender_index,
             num_senders=num_senders,
-            object_data=object_data,
-            codec=self.codec,
+            encoder=encoder,
         )
         session = self._senders[session_id] = self.drive(core, on_complete)
         session.start()

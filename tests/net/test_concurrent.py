@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from repro.net.client import FetchError, fetch_object_async
+from repro.rq.backend import CodecContext, default_context
 from repro.net.server import (
     ObjectStore,
     PolyraptorServerProtocol,
@@ -136,6 +137,54 @@ def test_eight_way_concurrent_fetches_leave_no_state_behind():
         assert snapshot["net.server.symbols_sent"] > 0
 
     asyncio.run(scenario())
+
+
+def test_concurrent_fetches_of_one_object_encode_each_block_once(monkeypatch):
+    """8 simultaneous lossy fetches of one object plus a re-fetch share the
+    store's encoder: each block is built once (``rq.blocks_encoded`` is flat
+    in concurrency), each repair below 2K is made by the kernel once, and
+    every fetch is hash-verified."""
+    made = collections.Counter()
+    encode = CodecContext.repair_symbols
+
+    def counting(self, encoder, esis):
+        made.update((encoder, int(esi)) for esi in esis)
+        return encode(self, encoder, esis)
+
+    monkeypatch.setattr(CodecContext, "repair_symbols", counting)
+    data = deterministic_object(200_000, seed="shared")
+
+    async def scenario():
+        store = ObjectStore()
+        store.put("shared", data)
+        before = default_context().blocks_encoded
+        transport, protocol, port = await _start_server(store)
+        try:
+            blobs = await asyncio.gather(*(
+                fetch_object_async("shared", port=port, loss_rate=0.1, loss_seed=i)
+                for i in range(8)
+            ))
+            await _wait_for(lambda: not protocol._sessions, what="concurrent sessions retired")
+            blobs.append(await fetch_object_async("shared", port=port, loss_rate=0.1,
+                                                  loss_seed=8))
+            await _wait_for(lambda: _served(protocol, "sessions_completed") == 9,
+                            what="re-fetch retired")
+        finally:
+            transport.close()
+        config = protocol.config
+        oti = store.encoder("shared", config.symbol_size_bytes,
+                            config.max_symbols_per_block).oti
+        assert all(hashlib.sha256(blob).digest() == hashlib.sha256(data).digest()
+                   for blob in blobs)
+        assert default_context().blocks_encoded - before == oti.num_source_blocks
+        return _served(protocol, "repair_symbols_sent")
+
+    repairs_sent = asyncio.run(scenario())
+    assert made, "no fetch needed a repair symbol"
+    below_2k = {key: count for key, count in made.items()
+                if key[1] < 2 * key[0].num_source_symbols}
+    assert set(below_2k.values()) == {1}
+    assert repairs_sent > sum(made.values())
 
 
 def test_sequential_fetches_get_distinct_session_ids():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -56,3 +56,21 @@ def test_rejected_mtu_exits_without_leaking_the_socket():
     assert result.returncode == 1
     assert "serve failed: mtu 20" in result.stderr
     assert "ResourceWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("spec", ["a=0", "a=abc", "a="])
+def test_bad_object_size_is_a_one_line_usage_error(spec, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--port", "0", "--object", spec])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro serve: error: ") and "--object" in err
+    assert err.count("\n") == 1
+
+
+def test_empty_file_is_a_usage_error(tmp_path):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    result = _serve("--port", "0", "--file", str(empty))
+    assert result.returncode == 2
+    assert result.stderr == "repro serve: error: object 'empty.bin' is empty\n"
