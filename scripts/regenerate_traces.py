@@ -173,7 +173,6 @@ def sender_unicast() -> dict:
             "receiver_host": receiver,
             "pull_sequence": i + 1,
             "block_hint": 0 if i >= 3 else None,
-            "loss_estimate": 0.0,
         })
     events.append({"t": 0.001, "type": "done", "receiver_host": receiver})
     return {
@@ -203,7 +202,6 @@ def sender_startup() -> dict:
             "receiver_host": receiver,
             "pull_sequence": i + 1,
             "block_hint": None,
-            "loss_estimate": 0.02,
         })
     events.append({"t": 0.0025, "type": "done", "receiver_host": receiver})
     return {
@@ -234,7 +232,6 @@ def sender_multicast() -> dict:
                 "receiver_host": receiver,
                 "pull_sequence": round_number + 1,
                 "block_hint": None,
-                "loss_estimate": 0.0,
             })
             t += 1e-05
         t += 3e-05

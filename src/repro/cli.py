@@ -24,6 +24,7 @@ multi-core machines.  ``--progress`` logs one stderr line per finished run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
@@ -126,8 +127,15 @@ def _number_type(
     return parse
 
 
-_seeds_type = _number_type(
-    "--seeds", int, "an integer", lambda seeds: seeds >= 1, "at least 1")
+def _count_type(flag: str) -> Callable[[str], float]:
+    return _number_type(flag, int, "an integer", lambda n: n >= 1, "at least 1")
+
+
+def _positive_type(flag: str) -> Callable[[str], float]:
+    return _number_type(flag, float, "a number", lambda x: x > 0, "positive")
+
+
+_seeds_type = _count_type("--seeds")
 _intensity_type = _number_type(
     "intensity", float, "a number", lambda x: 0.0 <= x <= 1.0, "a fraction in [0, 1]")
 _gray_loss_type = _number_type(
@@ -144,19 +152,42 @@ _seconds_type = _number_type(
     "duration", float, "a number (seconds)", lambda s: s > 0, "positive")
 _sessions_type = _number_type(
     "session count", int, "an integer", lambda n: n >= 1, "at least 1")
+_fattree_k_type = _number_type(
+    "--fattree-k", int, "an integer", lambda k: k >= 2 and k % 2 == 0, "an even integer >= 2")
+
+
+class _Distinct(argparse.Action):
+    """Store a ``nargs="+"`` sweep axis whose values must not repeat.
+
+    Each value names one sweep cell, and a sweep refuses two cells with the
+    same name.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentError(
+                self, "values must be distinct, got " + " ".join(map(str, values))
+            )
+        setattr(namespace, self.dest, values)
+
+
+def _existing_file(path: str) -> str:
+    if not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path!r}")
+    return path
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fattree-k", type=int, default=4,
+    parser.add_argument("--fattree-k", type=_fattree_k_type, default=4,
                         help="fat-tree arity (k=10 is the paper's 250-host fabric)")
-    parser.add_argument("--sessions", type=int, default=24,
+    parser.add_argument("--sessions", type=_count_type("--sessions"), default=24,
                         help="foreground sessions per series")
-    parser.add_argument("--object-kb", type=int, default=128,
+    parser.add_argument("--object-kb", type=_count_type("--object-kb"), default=128,
                         help="object size in kilobytes (paper: 4096)")
-    parser.add_argument("--load", type=float, default=0.15,
+    parser.add_argument("--load", type=_positive_type("--load"), default=0.15,
                         help="offered load as a fraction of host link rate")
     parser.add_argument("--seed", type=int, default=1, help="base random seed")
-    parser.add_argument("--max-sim-time", type=float, default=30.0,
+    parser.add_argument("--max-sim-time", type=_positive_type("--max-sim-time"), default=30.0,
                         help="simulation-time cap per run (seconds)")
     parser.add_argument("--jobs", type=_jobs_type, default=1, metavar="N|auto",
                         help="worker processes to shard independent runs across; "
@@ -172,16 +203,17 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry", nargs="?", const="auto", default=None,
                         metavar="PATH",
                         help="record seeded time-series telemetry (queue depths, "
-                             "link utilisation, path loss, cwnd) for "
+                             "link utilisation, cwnd) for "
                              "every run and write it to PATH after the tables "
                              "(JSONL, or CSV when PATH ends in .csv; default "
                              "telemetry.jsonl).  Identical for every --jobs "
                              "value; render with 'repro trace PATH'")
-    parser.add_argument("--telemetry-period-ms", type=float, default=10.0,
-                        metavar="MS",
+    parser.add_argument("--telemetry-period-ms", type=_positive_type("--telemetry-period-ms"),
+                        default=10.0, metavar="MS",
                         help="telemetry sampling cadence in simulated "
                              "milliseconds (default 10)")
-    parser.add_argument("--telemetry-samples", type=int, default=512, metavar="N",
+    parser.add_argument("--telemetry-samples", type=_count_type("--telemetry-samples"),
+                        default=512, metavar="N",
                         help="ring-buffer bound per telemetry series; oldest "
                              "samples drop off (counted) beyond this")
 
@@ -207,10 +239,10 @@ def _cmd_figure1b(args: argparse.Namespace) -> str:
 
 
 def _figure1c_arguments(sub: argparse.ArgumentParser, command: str) -> None:
-    sub.add_argument("--senders", type=int, nargs="+", default=[1, 2, 4, 8, 12],
-                     help="sender counts to sweep")
-    sub.add_argument("--response-kb", type=int, nargs="+", default=[256, 70],
-                     help="response sizes in kilobytes")
+    sub.add_argument("--senders", type=_count_type("--senders"), nargs="+",
+                     default=[1, 2, 4, 8, 12], help="sender counts to sweep")
+    sub.add_argument("--response-kb", type=_count_type("--response-kb"), nargs="+",
+                     default=[256, 70], help="response sizes in kilobytes")
 
 
 def _cmd_figure1c(args: argparse.Namespace) -> str:
@@ -266,16 +298,17 @@ def _cmd_resilience(args: argparse.Namespace) -> str:
 
 
 def _correlated_arguments(sub: argparse.ArgumentParser, command: str) -> None:
-    sub.add_argument("--srlg-sizes", type=_srlg_size_type, nargs="+",
+    sub.add_argument("--srlg-sizes", type=_srlg_size_type, nargs="+", action=_Distinct,
                      default=[1, 3], metavar="N",
                      help="shared-risk link group sizes to sweep (links that "
                           "fail together; the first size also anchors the "
                           "convergence-delay cells)")
-    sub.add_argument("--gray-loss", type=_gray_loss_type, nargs="+",
+    sub.add_argument("--gray-loss", type=_gray_loss_type, nargs="+", action=_Distinct,
                      default=[0.01, 0.05], metavar="P",
                      help="gray-failure Bernoulli loss rates in (0, 1] smeared "
                           "across half the fabric links (routing never reacts)")
     sub.add_argument("--convergence-delay-ms", type=_delay_ms_type, nargs="+",
+                     action=_Distinct,
                      default=[0.0, 1.0], metavar="MS",
                      help="control-plane convergence lags (milliseconds) to "
                           "replay the reference SRLG event under; 0 = "
@@ -299,11 +332,11 @@ def _incast_arguments(sub: argparse.ArgumentParser, command: str) -> None:
     # size therefore gets its own destination, spelled --response-kb on the
     # standalone subcommand for symmetry.
     flag = "--incast-response-kb" if command == "all" else "--response-kb"
-    sub.add_argument("--fanins", type=_fanin_type, nargs="+",
+    sub.add_argument("--fanins", type=_fanin_type, nargs="+", action=_Distinct,
                      default=[4, 8, 15], metavar="N",
                      help="worker fan-ins to sweep (each crossed with ECN "
                           "marking off and on)")
-    sub.add_argument(flag, dest="incast_response_kb", type=int, default=64,
+    sub.add_argument(flag, dest="incast_response_kb", type=_count_type(flag), default=64,
                      metavar="KB",
                      help="per-worker incast response size in kilobytes")
 
@@ -549,10 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace", help="render a recorded --telemetry JSONL file as text timelines"
     )
-    trace.add_argument("path", help="telemetry JSONL file written by --telemetry")
+    trace.add_argument("path", type=_existing_file,
+                       help="telemetry JSONL file written by --telemetry")
     trace.add_argument("--series", default=None, metavar="GLOB",
                        help="only series whose name matches this glob "
-                            "(e.g. 'queue.depth.*' or 'loss.h1*')")
+                            "(e.g. 'queue.depth.*' or 'tcp.cwnd.h1*')")
     trace.add_argument("--width", type=int, default=60, metavar="N",
                        help="sparkline width in characters (default 60)")
     trace.add_argument("--limit", type=int, default=20, metavar="N",

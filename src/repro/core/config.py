@@ -24,13 +24,6 @@ DECODE_OVERHEAD_SYMBOLS = 2
 #: idempotent, and the cap keeps event heaps finite when a sender stays
 #: unreachable.
 DONE_RETRY_LIMIT = 8
-#: gray-failure detection detaches receivers whose per-path EWMA loss
-#: estimate (from symbol-sequence gaps) exceeds this threshold.
-GRAY_LOSS_THRESHOLD = 0.05
-#: symbols per loss-estimation window (sequence-gap accounting).
-GRAY_WINDOW_SYMBOLS = 32
-#: EWMA weight of the newest per-window loss sample.
-GRAY_EWMA_WEIGHT = 0.3
 
 
 @dataclass(frozen=True)
@@ -82,10 +75,6 @@ class PolyraptorConfig:
     startup_retry_limit: int = 8
     straggler_detection: bool = False
     straggler_lag_symbols: int = 12
-    #: gray-failure detection: detach receivers whose per-path EWMA loss
-    #: estimate (from symbol-sequence gaps) exceeds :data:`GRAY_LOSS_THRESHOLD`,
-    #: exactly like lag-based straggler detachment.
-    gray_detection: bool = False
     #: real-network loss recovery: when True, a receiver that detects a
     #: sequence gap on an arriving symbol immediately enqueues one extra
     #: pull per newly missing symbol (capped at ``initial_window_symbols``

@@ -38,9 +38,9 @@ class SymbolPayload:
     num_blocks: int
     object_bytes: int
     data: Optional[bytes] = None
-    #: per-(session, sender) emission counter; receivers difference it to
-    #: estimate per-path loss (gray-failure detection) without any feedback
-    #: from the fabric.
+    #: per-stream emission counter (the sender's multicast stream, or its
+    #: unicast leg to one receiver); a receiver in ``pull_on_gap`` mode
+    #: differences consecutive values to pull for symbols that vanished.
     sequence: int = 0
 
     @property
@@ -57,9 +57,6 @@ class PullPayload:
     receiver_host: int
     pull_sequence: int
     block_hint: Optional[int] = None
-    #: the receiver's current EWMA loss estimate for the path from this
-    #: sender (gray-failure signal; 0.0 while the path looks clean).
-    loss_estimate: float = 0.0
 
 
 @dataclass(frozen=True)

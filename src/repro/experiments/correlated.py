@@ -64,9 +64,9 @@ from repro.sim.randomness import RandomStreams
 HEALTHY = "healthy"
 
 #: Fraction of fabric links a gray-failure cell smears loss over.
-GRAY_AFFECTED_FRACTION = 0.5
+LOSSY_LINK_FRACTION = 0.5
 #: Mild serialisation slowdown gray links suffer on top of the loss.
-GRAY_DEGRADE_TO = 0.85
+LOSSY_LINK_DEGRADE_TO = 0.85
 
 
 #: How :func:`repro.experiments.report.format_sweep` renders the result: one
@@ -165,8 +165,8 @@ def expand_correlated_sweep(
             schedule = gray_failure_schedule(
                 topology, streams.stream(f"faults.gray.{rate:g}"),
                 loss_probability=rate,
-                affected_fraction=GRAY_AFFECTED_FRACTION,
-                degrade_to=GRAY_DEGRADE_TO,
+                affected_fraction=LOSSY_LINK_FRACTION,
+                degrade_to=LOSSY_LINK_DEGRADE_TO,
                 start_time=start, duration=duration,
             )
             cells.append((f"gray-{rate:g}", schedule, seed_config))

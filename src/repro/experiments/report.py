@@ -274,14 +274,13 @@ def format_transport_stats(
     stats_by_label: Mapping[str, Optional[dict]],
     title: str = "Congestion-reaction counters",
 ) -> str:
-    """Render per-series ECN/gray-detection counters.
+    """Render per-series ECN counters.
 
     Rows follow the mapping's own order (sweep order).  Series that ran with
-    every reactive feature off (``None`` stats, e.g. the marking-off
-    baseline cells) render as ``-`` rows so the table always lists every
-    series of an experiment.  Counters a protocol does not keep
-    (TCP has no gray detection; Polyraptor has no ECE echoes) render as
-    ``-`` too.
+    marking off (``None`` stats, e.g. the marking-off baseline cells)
+    render as ``-`` rows so the table always lists every series of an
+    experiment.  Counters a protocol does not keep (Polyraptor has no ECE
+    echoes or reactions) render as ``-`` too.
     """
     def counter(key: str) -> Callable[[Mapping], str]:
         return lambda stats: str(stats[key]) if key in stats else "-"
@@ -290,7 +289,6 @@ def format_transport_stats(
         ("ecn marks", counter("ecn_marks")),
         ("echoes", counter("ecn_echoes")),
         ("reactions", counter("ecn_reactions")),
-        ("gray", counter("gray_detected")),
     ]
     return _stats_table(stats_by_label, title, columns)
 
@@ -340,7 +338,7 @@ def format_sweep(
     ``counters`` is the point field the second table reads: ``"fault_stats"``
     (events applied, drops, reroutes, per-builder ``causes`` and the
     requested-vs-installed recompute counters that expose control-plane lag)
-    or ``"transport_stats"`` (ECN/gray-detection counters).  Its rows
+    or ``"transport_stats"`` (ECN counters).  Its rows
     are labelled ``"<series> @ <cell>"`` as the first two columns render
     them, in the same order as the rows above.
     """

@@ -62,10 +62,9 @@ class RunResult:
     #: Fault-layer statistics (per-event counters, fault-caused packet drops,
     #: reroutes) when a fault schedule drove the run; ``None`` otherwise.
     fault_stats: Optional[dict] = None
-    #: Congestion-reaction statistics (ECN marks, TCP echoes and reactions,
-    #: gray detections) when a reactive feature -- marking or gray
-    #: detection -- was enabled for the run; ``None`` otherwise, so runs with
-    #: everything off keep their historical canonical snapshots byte-for-byte.
+    #: ECN statistics (marks, TCP echoes and reactions) when marking was
+    #: enabled for the run; ``None`` otherwise, so marking-off runs keep
+    #: their historical canonical snapshots byte-for-byte.
     transport_stats: Optional[dict] = None
     #: flight-recorder output (``schema``/``ticks``/``series``/``metrics``)
     #: when ``config.telemetry`` enabled the sampler; ``None`` otherwise --
@@ -235,8 +234,6 @@ def build_environment(
         sampler.attach_network(network)
         if fault_injector is not None:
             sampler.attach_faults(fault_injector)
-        if polyraptor_agents:
-            sampler.attach_polyraptor(polyraptor_agents)
         if tcp_agents:
             sampler.attach_tcp(tcp_agents)
         if trace is not None:
@@ -258,27 +255,17 @@ def build_environment(
 
 
 def _collect_transport_stats(env: _Environment, protocol: Protocol) -> Optional[dict]:
-    """Congestion-reaction counters for the run, or ``None`` when inert.
+    """ECN counters for the run, or ``None`` when marking was off.
 
     Counters are summed in deterministic (host-construction) order and only
-    collected when marking or gray detection was actually on --
-    feature-off runs return ``None`` so their results (and fingerprints) stay
-    byte-identical to the pre-reaction simulator.
+    collected when marking was actually on -- marking-off runs return
+    ``None`` so their results (and fingerprints) stay byte-identical to the
+    pre-marking simulator.
     """
-    pcfg = env.polyraptor_config
-    reactive = env.network.config.ecn_enabled or (
-        pcfg is not None and pcfg.gray_detection
-    )
-    if not reactive:
+    if not env.network.config.ecn_enabled:
         return None
     stats = {"ecn_marks": env.network.total_ecn_marked}
-    if protocol is Protocol.POLYRAPTOR:
-        stats["gray_detected"] = sum(
-            sender.core.gray_detected
-            for agent in env.polyraptor_agents.values()
-            for sender in agent.all_sender_sessions
-        )
-    else:
+    if protocol is Protocol.TCP:
         ecn_echoes = ecn_reactions = 0
         for agent in env.tcp_agents.values():
             for receiver in agent.all_receivers:

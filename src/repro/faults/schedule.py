@@ -5,7 +5,7 @@ of :class:`FaultEvent` records describing *what* goes wrong in the fabric and
 *when* -- links failing and recovering, links degrading to a fraction of
 their rate, elevated random loss, whole-switch failures, and host-NIC
 slowdowns (the declarative form of the straggler scenario whose detection
-side lives in :mod:`repro.protocol.straggler`).
+side lives in :mod:`repro.protocol.sender`).
 
 Schedules are plain frozen dataclasses, so they pickle and hash: the
 parallel executor ships them to worker processes inside
@@ -358,7 +358,7 @@ def straggler_schedule(
 
     This unifies the ad-hoc "slow receiver" setups with the fault subsystem:
     injection happens here (a seeded NIC slowdown), detection and detachment
-    stay in :class:`repro.protocol.straggler.StragglerPolicy`.  With
+    stay in :class:`repro.protocol.sender.SenderCore`.  With
     ``recover_after`` set, each straggler returns to full rate after that
     many seconds.
     """

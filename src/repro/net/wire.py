@@ -45,8 +45,9 @@ from repro.core.packets import (
 MAGIC = b"PQ"
 #: Bumped on any incompatible framing change; decoders reject other versions.
 #: Version 2 added symbol-size negotiation to OPEN/OPEN_OK and the refusal
-#: code to OPEN_ERR; version 3 dropped the PULL frame's congestion echo.
-WIRE_VERSION = 3
+#: code to OPEN_ERR; version 3 dropped the PULL frame's congestion echo;
+#: version 4 dropped its path-loss estimate.
+WIRE_VERSION = 4
 
 _HEADER = struct.Struct("!2sBB")
 
@@ -60,7 +61,7 @@ TYPE_OPEN_OK = 7
 TYPE_OPEN_ERR = 8
 
 _SYMBOL = struct.Struct("!QIIIIIQIdBI")  # ... sent_at(d), flags(B), data length(I); data = tail
-_PULL = struct.Struct("!QIIid")  # block_hint: -1 encodes None
+_PULL = struct.Struct("!QIIi")  # block_hint: -1 encodes None
 _REQUEST = struct.Struct("!QIQII")
 _DONE = struct.Struct("!QI")
 _DONE_ACK = struct.Struct("!QI")
@@ -182,7 +183,6 @@ def encode_frame(payload: WirePayload, sent_at: float = 0.0) -> bytes:
             payload.receiver_host,
             payload.pull_sequence,
             hint,
-            payload.loss_estimate,
         )
     if isinstance(payload, RequestPayload):
         return _header(TYPE_REQUEST) + _REQUEST.pack(
@@ -266,7 +266,7 @@ def _decode_body(frame_type: int, body: bytes) -> WireFrame:
             sent_at=sent_at,
         )
     if frame_type == TYPE_PULL:
-        session_id, receiver_host, pull_sequence, hint, loss = _require_exact(
+        session_id, receiver_host, pull_sequence, hint = _require_exact(
             _PULL, body
         )
         return WireFrame(
@@ -275,7 +275,6 @@ def _decode_body(frame_type: int, body: bytes) -> WireFrame:
                 receiver_host=receiver_host,
                 pull_sequence=pull_sequence,
                 block_hint=None if hint < 0 else hint,
-                loss_estimate=loss,
             )
         )
     if frame_type == TYPE_REQUEST:

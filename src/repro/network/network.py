@@ -362,9 +362,9 @@ class Network:
         """Degrade a host's NIC to a fraction of nominal rate (1.0 restores).
 
         This is the declarative way to create a straggler: the slowed host
-        pulls symbols late, and the detection side
-        (:class:`repro.protocol.straggler.StragglerPolicy`) detaches it from
-        multicast groups exactly as it would a naturally slow receiver.
+        pulls symbols late, and a multicast sender with
+        ``straggler_detection`` on (:class:`repro.protocol.sender.SenderCore`)
+        detaches it exactly as it would a naturally slow receiver.
         """
         self._host_by_name[host_name].nic.set_rate_fraction(rate_fraction)
 

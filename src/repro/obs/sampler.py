@@ -2,10 +2,9 @@
 
 The sampler is an ordinary simulation process: once per ``sample_period_s``
 of *simulation* time it sweeps every attached probe -- switch-port queue
-depths, marking EWMAs, link utilisation, gray detections, per-path loss
-estimates, TCP cwnd, fault-injector state and the run's
-:class:`~repro.obs.registry.MetricRegistry` -- and records the readings
-into a :class:`~repro.obs.recorder.FlightRecorder`.
+depths, marking EWMAs, link utilisation, TCP cwnd, fault-injector state
+and the run's :class:`~repro.obs.registry.MetricRegistry` -- and records
+the readings into a :class:`~repro.obs.recorder.FlightRecorder`.
 
 Determinism is structural:
 
@@ -37,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only: repro.obs loads no sim
     from repro.faults.injector import FaultInjector
     from repro.network.network import Network
     from repro.sim.engine import Simulator
-    from repro.transport.polyraptor import PolyraptorAgent
     from repro.transport.tcp.agent import TcpAgent
 
 
@@ -66,7 +64,6 @@ class TelemetrySampler:
         self._all_ports: tuple = ()
         self._last_tx_bytes: dict[str, int] = {}
         self._last_tick_time: Optional[float] = None
-        self._polyraptor: tuple = ()
         self._tcp: tuple = ()
         self._injector: Optional[FaultInjector] = None
         self._started = False
@@ -84,10 +81,6 @@ class TelemetrySampler:
             port for port in ports if isinstance(port.owner, Switch)
         )
         self._last_tx_bytes = {port.name: 0 for port in ports}
-
-    def attach_polyraptor(self, agents: dict[str, "PolyraptorAgent"]) -> None:
-        """Attach transport probes for Polyraptor hosts (gray detection, path loss)."""
-        self._polyraptor = tuple(agents[name] for name in sorted(agents))
 
     def attach_tcp(self, agents: dict[str, "TcpAgent"]) -> None:
         """Attach transport probes for TCP hosts (cwnd, active flows)."""
@@ -156,17 +149,6 @@ class TelemetrySampler:
 
     def _sample_transport(self, now: float) -> None:
         record = self.recorder.record
-        for agent in self._polyraptor:
-            host = agent.host.name
-            gray = sum(sender.core.gray_detected for sender in agent.all_sender_sessions)
-            record(now, f"gray.detected.{host}", gray)
-            for receiver in agent.all_receiver_sessions:
-                for sender_host, loss in receiver.core.path_loss_estimates().items():
-                    record(
-                        now,
-                        f"loss.{host}.s{receiver.core.session_id}.h{sender_host}",
-                        loss,
-                    )
         for agent in self._tcp:
             host = agent.host.name
             cwnd = 0.0

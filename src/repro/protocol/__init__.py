@@ -20,12 +20,11 @@ replays identical scripted event traces through both bindings on one
 simulator clock and asserts the cores emitted identical decision
 sequences.
 
-Besides the cores, the driver and the pull pacer, the package holds the
-decision aid the cores consult: straggler and path-loss detection
-(:mod:`~repro.protocol.straggler`).  The pull pacer is the protocol's only
-rate control.  The package imports only :mod:`repro.core` (config and
-payload types), :mod:`repro.rq` and :mod:`repro.utils`;
-``tests/test_layering.py`` keeps it that way.
+Besides the cores and the driver, the package holds the pull pacer, the
+protocol's only rate control.  The multicast straggler rule lives in
+:mod:`~repro.protocol.sender`.  The package imports only
+:mod:`repro.core` (config and payload types), :mod:`repro.rq` and
+:mod:`repro.utils`; ``tests/test_layering.py`` keeps it that way.
 """
 
 from repro.protocol.actions import (

@@ -58,7 +58,7 @@ class EnqueuePull:
 
     The pull packet itself is built at *send* time via
     :meth:`~repro.protocol.receiver.ReceiverCore.build_pull`, so the block
-    hint and loss estimate reflect the receiver's latest state.
+    hint reflects the receiver's latest state.
     """
 
     session_id: int

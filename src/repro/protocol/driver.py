@@ -161,8 +161,8 @@ class SessionDriver:
         )
 
     def _build_pull(self, target_sender: int) -> Optional[SendPacket]:
-        # Built at send time, so the block hint and loss estimate reflect
-        # the receiver's latest state; None once the session has completed.
+        # Built at send time, so the block hint reflects the receiver's
+        # latest state; None once the session has completed.
         pull = self.core.build_pull(target_sender)
         if pull is None:
             return None

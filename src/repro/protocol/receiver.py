@@ -23,9 +23,9 @@ This core is pure: inputs arrive through :meth:`ReceiverCore.on_symbol`,
 side effects leave as :mod:`~repro.protocol.actions`.  Pulls are *deferred*:
 the core emits :class:`~repro.protocol.actions.EnqueuePull` and the driver's
 pacer calls :meth:`ReceiverCore.build_pull` back at send time, so the block
-hint and loss estimate always reflect the latest state.  Two named timers
-exist: ``"stall"`` (re-issue pulls when nothing arrives) and ``"done"``
-(retransmit unacknowledged DONEs with exponential backoff).
+hint always reflects the latest state.  Two named timers exist: ``"stall"``
+(re-issue pulls when nothing arrives) and ``"done"`` (retransmit
+unacknowledged DONEs with exponential backoff).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.protocol.actions import (
     SetTimer,
     StopTimer,
 )
-from repro.protocol.straggler import PathLossEstimator
 from repro.rq.block import EncodedSymbol, ObjectDecoder, partition_object
 from repro.rq.decoder import DecodeFailure
 
@@ -113,13 +112,11 @@ class ReceiverCore(ActionEmitter):
         self.done_retries = 0
         self._done_acked: set[int] = set()
 
-        #: per-path loss state, keyed by (sender, stream) where stream is
-        #: ``None`` for the sender's multicast emission stream and this
-        #: host's id for symbols the sender unicast to us -- the two streams
-        #: carry independent sequence counters.  The estimate echoed back on
-        #: pulls is the one of the stream that delivered most recently.
-        self._loss_estimators: dict[tuple[int, Optional[int]], PathLossEstimator] = {}
-        self._last_stream: dict[int, Optional[int]] = {}
+        #: ``pull_on_gap`` mode: highest symbol sequence seen per (sender,
+        #: stream), where stream is ``None`` for the sender's multicast
+        #: emission stream and this host's id for symbols the sender unicast
+        #: to us -- the two streams carry independent sequence counters.
+        self._last_sequence: dict[tuple[int, Optional[int]], int] = {}
 
         self._emit(SetTimer(self.TIMER_STALL, self.config.stall_timeout_s))
 
@@ -180,7 +177,7 @@ class ReceiverCore(ActionEmitter):
             return
         self._known_senders.add(payload.sender_host)
         self._emit(SetTimer(self.TIMER_STALL, self.config.stall_timeout_s))
-        missing = self._account_path(payload, multicast)
+        missing = self._sequence_gap(payload, multicast) if self.config.pull_on_gap else 0
 
         if trimmed:
             # The payload was cut by a switch; the header alone still triggers
@@ -192,7 +189,7 @@ class ReceiverCore(ActionEmitter):
                 self._finish(now)
                 return
         self._request_more(payload.sender_host)
-        if self.config.pull_on_gap and missing > 0:
+        if missing > 0:
             # Real-network mode: a sequence gap means symbols vanished with
             # no trimmed header to keep the pull clock running, so replace
             # the lost arrivals' pulls directly (the sim's trimming fabric
@@ -200,41 +197,18 @@ class ReceiverCore(ActionEmitter):
             for _ in range(min(missing, self.config.initial_window_symbols)):
                 self._request_more(payload.sender_host)
 
-    def _account_path(self, payload: SymbolPayload, multicast: bool) -> int:
-        """Fold one arrival into its path's loss estimate.
+    def _sequence_gap(self, payload: SymbolPayload, multicast: bool) -> int:
+        """How many symbols of this arrival's stream it newly exposed as missing.
 
-        Returns the number of symbols this arrival newly exposed as missing
-        (its sequence gap).
+        First contact and late (reordered) arrivals expose none; an arrival
+        ahead of the stream's highest sequence exposes the skipped ones.
         """
-        sender = payload.sender_host
-        stream: Optional[int] = None if multicast else self.local_host
-        estimator = self._loss_estimators.get((sender, stream))
-        if estimator is None:
-            estimator = PathLossEstimator()
-            self._loss_estimators[(sender, stream)] = estimator
-        missing = estimator.on_symbol(payload.sequence)
-        self._last_stream[sender] = stream
-        return missing
-
-    def path_loss_estimate(self, sender: int) -> float:
-        """The EWMA loss estimate for the most recently used stream of a sender."""
-        stream = self._last_stream.get(sender)
-        if sender not in self._last_stream:
-            return 0.0
-        estimator = self._loss_estimators.get((sender, stream))
-        return estimator.loss_estimate if estimator is not None else 0.0
-
-    def path_loss_estimates(self) -> dict[int, float]:
-        """Current per-sender loss estimates, in sorted sender order.
-
-        One entry per sender that has delivered at least one symbol; the
-        value is :meth:`path_loss_estimate` for that sender's most recent
-        stream.  Used by telemetry and reporting.
-        """
-        return {
-            sender: self.path_loss_estimate(sender)
-            for sender in sorted(self._last_stream)
-        }
+        key = (payload.sender_host, None if multicast else self.local_host)
+        last = self._last_sequence.get(key)
+        if last is not None and payload.sequence <= last:
+            return 0
+        self._last_sequence[key] = payload.sequence
+        return 0 if last is None else payload.sequence - last - 1
 
     def _record_symbol(self, payload: SymbolPayload) -> None:
         block = payload.block_number
@@ -293,7 +267,6 @@ class ReceiverCore(ActionEmitter):
             receiver_host=self.local_host,
             pull_sequence=self._pull_sequence,
             block_hint=self.lowest_incomplete_block(),
-            loss_estimate=self.path_loss_estimate(target_sender),
         )
 
     # Stall recovery ---------------------------------------------------------------------

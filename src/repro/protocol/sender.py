@@ -7,8 +7,8 @@ clocking").  Three shapes exist, all handled by this class:
 * **unicast push** -- one receiver, symbols sent as unicast data packets;
 * **multicast push** -- several receivers reached through a multicast group;
   the sender aggregates pulls and multicasts a new symbol only after every
-  active receiver has pulled (stragglers can be detached, see
-  :mod:`repro.protocol.straggler`);
+  active receiver has pulled (with ``straggler_detection`` on, a receiver
+  lagging the group is detached to a unicast leg, see :func:`_stragglers`);
 * **fetch serving** -- the sender is one of N replica holders answering a
   receiver-initiated multi-source fetch; it serves the symbol-space partition
   assigned to it (``sender_index`` / ``num_senders``), so symbols from
@@ -41,7 +41,6 @@ from repro.protocol.actions import (
     SetTimer,
     StopTimer,
 )
-from repro.protocol.straggler import StragglerPolicy
 from repro.rq.block import ObjectEncoder, partition_object
 
 
@@ -109,9 +108,6 @@ class SenderCore(ActionEmitter):
         self._pulls_by_receiver: dict[int, int] = {r: 0 for r in receiver_host_ids}
         self._last_hint: dict[int, Optional[int]] = {r: None for r in receiver_host_ids}
         self._default_hint: Optional[int] = None
-        self.straggler_policy = StragglerPolicy.from_config(self.config)
-        #: latest per-receiver loss estimate echoed on pulls (gray detection)
-        self._loss_estimates: dict[int, float] = {}
         #: per-stream emission counters stamped onto SymbolPayload.sequence:
         #: key None = the multicast stream, receiver id = its unicast stream
         self._sequence_streams: dict[Optional[int], int] = {}
@@ -133,9 +129,6 @@ class SenderCore(ActionEmitter):
         self.pulls_received = 0
         self.multicast_rounds = 0
         self.detached_count = 0
-        #: receivers detached because their echoed path-loss estimate crossed
-        #: the gray threshold (subset of ``detached_count``)
-        self.gray_detected = 0
         #: startup-stall recovery: a receiver that never gets a single
         #: symbol -- e.g. its (or this sender's) rack lost power the moment
         #: the session started -- does not even know the session exists, so
@@ -191,7 +184,6 @@ class SenderCore(ActionEmitter):
             return
         self.pulls_received += 1
         receiver = pull.receiver_host
-        self._loss_estimates[receiver] = pull.loss_estimate
         if receiver in self._done_receivers:
             return
         if not self.is_multicast:
@@ -291,7 +283,7 @@ class SenderCore(ActionEmitter):
             destination = unicast_to if unicast_to is not None else self.receiver_host_ids[0]
             group = None
         # One emission counter per stream (multicast vs each unicast leg):
-        # receivers difference consecutive values to estimate path loss.
+        # receivers difference consecutive values to find vanished symbols.
         stream = destination
         sequence = self._sequence_streams.get(stream, 0) + 1
         self._sequence_streams[stream] = sequence
@@ -346,19 +338,11 @@ class SenderCore(ActionEmitter):
             self.multicast_rounds += 1
 
     def _detach_stragglers(self) -> None:
-        policy = self.straggler_policy
-        if not (policy.enabled or policy.loss_detection):
-            return
         attached = {
             r for r in self._active_receivers if r not in self._detached_receivers
         }
-        stragglers = policy.find_stragglers(self._pulls_by_receiver, attached)
-        lossy = policy.find_lossy(self._loss_estimates, attached) - stragglers
-        self.gray_detected += len(lossy)
-        # Iterate lag stragglers in set order (the historical behaviour, kept
-        # so pre-existing straggler scenarios replay byte-identically), then
-        # the gray-lossy receivers in sorted order.
-        for receiver in list(stragglers) + sorted(lossy):
+        stragglers = _stragglers(self.config, self._pulls_by_receiver, attached)
+        for receiver in stragglers:
             self._detached_receivers.add(receiver)
             self.detached_count += 1
             # Serve any credits the detached receiver had accumulated as
@@ -368,7 +352,7 @@ class SenderCore(ActionEmitter):
             for _ in range(credits):
                 block, esi = self._next_symbol(self._last_hint.get(receiver))
                 self._emit_symbol(block, esi, unicast_to=receiver)
-        if stragglers or lossy:
+        if stragglers:
             # Aggregation may now be unblocked for the remaining receivers.
             self._run_multicast_rounds()
 
@@ -428,3 +412,30 @@ class SenderCore(ActionEmitter):
         self._startup_armed = False
         self._emit(StopTimer(self.TIMER_STARTUP))
         self._emit(SessionCompleted(self.session_id, now))
+
+
+def _stragglers(
+    config: PolyraptorConfig, pulls_by_receiver: dict[int, int], active_receivers: set[int]
+) -> set[int]:
+    """The active receivers a multicast sender should detach to a unicast leg.
+
+    The detection half of the paper's straggler extension (Section 2:
+    detach slow receivers and serve them one-to-one).  A multicast sender
+    emits a new symbol only once every active receiver has pulled, so one
+    slow receiver throttles the whole group.  With ``straggler_detection``
+    on, a receiver whose pull count lags the fastest one by more than
+    ``straggler_lag_symbols`` is a straggler.  The fastest receiver always
+    stays attached, so the group never empties.
+    """
+    if not config.straggler_detection or len(active_receivers) < 2:
+        return set()
+    counts = {receiver: pulls_by_receiver.get(receiver, 0) for receiver in active_receivers}
+    fastest = max(counts.values())
+    stragglers = {
+        receiver
+        for receiver, count in counts.items()
+        if fastest - count > config.straggler_lag_symbols
+    }
+    if len(stragglers) >= len(active_receivers):
+        stragglers.discard(max(counts, key=counts.get))
+    return stragglers

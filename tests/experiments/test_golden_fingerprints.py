@@ -171,6 +171,9 @@ def trace_fingerprint(trace: TraceLog) -> str:
 #: keys stripped, so no simulated event moved (CHANGES.md has the table).
 #: ``polyraptor-ecn`` was re-captured when the Polyraptor rate loop went: its
 #: ``transport_stats`` lost ``ce_received`` and ``rate_updates``, nothing else.
+#: When gray-failure detection went, ``polyraptor-ecn`` lost
+#: ``transport_stats.gray_detected`` and ``polyraptor-telemetry`` its
+#: ``loss.*`` series, nothing else.
 GOLDEN = {
     "polyraptor-unicast": "9d2fefb355015a6619a3a411ebda124ed51b91379db351fd8e4c83871e42eb7d",
     "polyraptor-multicast": "2997a0c8c8acd9e7e280f0b6b1ba034263fa64b7fa21d02e6c65f107bc68a064",
@@ -178,8 +181,8 @@ GOLDEN = {
     "polyraptor-ecmp": "480c44635f1dbaebb4900ceaecbb26096aa5485be48efb6a74108d525bdb012f",
     "polyraptor-single": "21d6f7ea6ceb89f7d194b6e4fe4534317d09044b09aa4e88e98368854a46f22b",
     "polyraptor-faults": "4e00364cef78966c0e86d2bc61cf5fa123d9d45046101d39d145b220890ee88c",
-    "polyraptor-ecn": "b0b1ebee1821a9d9dc1fcca1dacb5be204ac7fd5be0d127e6bfd5aa222c68e37",
-    "polyraptor-telemetry": "cb674cc548b55ff2ac4d15f3305e6e7ba4e2c4c1b308a288f48477e3f0c129bf",
+    "polyraptor-ecn": "24ef3ddfcdc9fd46f57a43e3c7ac6f850e825506028d38c78476b27bda4949f3",
+    "polyraptor-telemetry": "0cb190440afe84f24bfed3b67cbd712450bf43d788c42b684efee235bf12c17d",
     "polyraptor-payload": "d8a84b8ad388dede4eaef8adda1cf324847d8b92d5b3b2364a93dc33815f895e",
     "tcp-unicast": "a5bdd55f40cab0e32e770db48e12668a31564b003b91a12716051e445c8745d5",
     "tcp-multicast": "1ce845de89b0690143144976085779be2da505c195459e9fd4f11782e14ad012",

@@ -72,6 +72,32 @@ class TestCli:
             build_parser().parse_args([command, "--seeds", seeds])
         assert "--seeds must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["figure1a", "--sessions", "0"],
+        ["figure1a", "--object-kb", "0"],
+        ["figure1a", "--max-sim-time", "0"],
+        ["figure1a", "--load", "0"],
+        ["figure1a", "--load", "nan"],
+        ["figure1a", "--fattree-k", "3"],
+        ["figure1a", "--telemetry", "--telemetry-period-ms", "0"],
+        ["figure1a", "--telemetry", "--telemetry-samples", "0"],
+        ["figure1c", "--senders", "0"],
+        ["incast", "--response-kb", "0"],
+        ["incast", "--fanins", "4", "4"],
+        ["trace", "no/such/telemetry.jsonl"],
+    ], ids=" ".join)
+    def test_bad_option_is_a_usage_error(self, argv, capsys):
+        """One ``repro <cmd>: error:`` line and exit status 2, not a traceback."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: error: ")
+        assert "Traceback" not in err
+
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])

@@ -118,7 +118,7 @@ class TestDeterminism:
             # Echoes lag marks only by downstream drops: never more than marks.
             assert 0 <= on_tcp.transport_stats["ecn_echoes"] <= on_tcp.transport_stats["ecn_marks"]
             on_poly = result.point(Protocol.POLYRAPTOR, f"fanin-{fanin}/{MARK_ON}")
-            assert set(on_poly.transport_stats) == {"ecn_marks", "gray_detected", "shards"}
+            assert set(on_poly.transport_stats) == {"ecn_marks", "shards"}
         rendered = format_sweep(result, **TABLE)
         assert "mark-on" in rendered and "vs mark-off" in rendered
 
@@ -154,20 +154,15 @@ class TestMarkOffIsLegacy:
             assert run.transport_stats is None
 
     @pytest.mark.parametrize("marking", [True, False], ids=["marking", "no-marking"])
-    @pytest.mark.parametrize("gray", [True, False], ids=["gray", "no-gray"])
-    def test_polyraptor_stats_appear_iff_marking_or_gray_detection_ran(self, marking, gray):
+    def test_polyraptor_stats_appear_iff_marking_ran(self, marking):
         off_job = expand_incast_sweep(QUICK, (2,), 16 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)[0]
-        config = replace(
-            off_job.config,
-            ecn_enabled=marking,
-            polyraptor=replace(off_job.config.polyraptor, gray_detection=gray),
-        )
+        config = replace(off_job.config, ecn_enabled=marking)
         stats = run_transfers(off_job.protocol, config, list(off_job.transfers)).transport_stats
-        if not (marking or gray):
+        if not marking:
             assert stats is None
         else:
-            assert set(stats) == {"ecn_marks", "gray_detected"}
-            assert (stats["ecn_marks"] > 0) == marking
+            assert set(stats) == {"ecn_marks"}
+            assert stats["ecn_marks"] > 0
 
     def test_mark_on_snapshot_includes_transport_stats(self):
         jobs = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.TCP,), 1)
@@ -189,9 +184,9 @@ class TestMergeRoundTrip:
             id="fault",
         ),
         pytest.param(
-            {"ecn_marks": 3, "ecn_echoes": 5, "gray_detected": 1},
-            {"ecn_marks": 2, "ecn_echoes": 1, "gray_detected": 0},
-            {"ecn_marks": 5, "ecn_echoes": 6, "gray_detected": 1, "shards": 2},
+            {"ecn_marks": 3, "ecn_echoes": 5, "ecn_reactions": 1},
+            {"ecn_marks": 2, "ecn_echoes": 1, "ecn_reactions": 0},
+            {"ecn_marks": 5, "ecn_echoes": 6, "ecn_reactions": 1, "shards": 2},
             id="transport",
         ),
     ])
@@ -226,7 +221,7 @@ class TestMergeRoundTrip:
         assert merged["shards"] == 2
 
     def test_merged_equals_single_run_shape(self):
-        single = {"ecn_marks": 4, "ecn_echoes": 4, "ecn_reactions": 2, "gray_detected": 0}
+        single = {"ecn_marks": 4, "ecn_echoes": 4, "ecn_reactions": 2}
         merged = merge_counter_stats([single])
         round_tripped = merge_counter_stats([merged])
         # Idempotent apart from the shards bookkeeping.

@@ -37,10 +37,8 @@ ALL_PAYLOADS = [
         block_symbol_count=1, num_blocks=1, object_bytes=1,
         data=None, sequence=1,
     ),
-    PullPayload(session_id=7, receiver_host=5, pull_sequence=12,
-                block_hint=3, loss_estimate=0.125),
-    PullPayload(session_id=7, receiver_host=5, pull_sequence=1,
-                block_hint=None, loss_estimate=0.0),
+    PullPayload(session_id=7, receiver_host=5, pull_sequence=12, block_hint=3),
+    PullPayload(session_id=7, receiver_host=5, pull_sequence=1, block_hint=None),
     RequestPayload(session_id=7, receiver_host=5, object_bytes=4_000_000,
                    sender_index=1, num_senders=3),
     DonePayload(session_id=7, receiver_host=5),
@@ -86,7 +84,7 @@ def test_bad_magic_rejected():
         decode_frame(bytes(frame))
 
 
-@pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, 3, WIRE_VERSION + 1])
 def test_unsupported_version_rejected(version):
     frame = bytearray(encode_frame(DonePayload(session_id=1, receiver_host=2)))
     assert frame[2] == WIRE_VERSION
@@ -104,13 +102,12 @@ def test_version_2_pull_with_congestion_echo_is_rejected():
 
 
 def test_pull_frame_layout():
-    """Header, session id, receiver, pull sequence, block hint (-1 for
-    none) and loss estimate: 32 bytes, and nothing else."""
-    pull = PullPayload(session_id=7, receiver_host=5, pull_sequence=12,
-                       block_hint=None, loss_estimate=0.25)
+    """Version-4 header, session id, receiver, pull sequence and block hint
+    (-1 for none): 24 bytes, and nothing else."""
+    pull = PullPayload(session_id=7, receiver_host=5, pull_sequence=12, block_hint=None)
     frame = encode_frame(pull)
-    assert frame == MAGIC + bytes([WIRE_VERSION, 2]) + struct.pack("!QIIid", 7, 5, 12, -1, 0.25)
-    assert len(frame) == 32
+    assert frame == MAGIC + bytes([4, 2]) + struct.pack("!QIIi", 7, 5, 12, -1)
+    assert len(frame) == 24
 
 
 NON_SYMBOL = [(p, i) for p, i in zip(ALL_PAYLOADS, PAYLOAD_IDS)

@@ -1,10 +1,8 @@
-"""Tests for ECN/PCN marking and gray-failure path-loss detection.
+"""Tests for ECN/PCN marking.
 
-Covers the ISSUE satellites: no marks below threshold, CE set above it,
-EWMA hysteresis (marking persists briefly after a burst drains), marking
-wired into switch queues but never host NICs, and gray detection flipping
-the straggler policy's weights (lossy receivers detached, the cleanest one
-never).
+No marks below threshold, CE set above it, EWMA hysteresis (marking
+persists briefly after a burst drains), and marking wired into switch
+queues but never host NICs.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from repro.network.network import Network, NetworkConfig
 from repro.network.packet import Packet, make_control_packet
 from repro.network.queues import DropTailQueue, EcnMarker, TrimmingQueue
 from repro.network.topology import FatTreeTopology
-from repro.protocol.straggler import PathLossEstimator, StragglerPolicy
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
@@ -142,71 +139,3 @@ class TestNetworkWiring:
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkConfig(ecn_enabled=True, ecn_threshold_packets=0)
-
-
-class TestPathLossEstimator:
-    def test_clean_in_order_stream_estimates_zero(self):
-        estimator = PathLossEstimator(window_symbols=8)
-        for sequence in range(1, 30):
-            assert estimator.on_symbol(sequence) == 0
-        assert estimator.loss_estimate == 0.0
-        assert estimator.windows_closed >= 3
-
-    def test_gap_detected_as_missing(self):
-        estimator = PathLossEstimator(window_symbols=100)
-        estimator.on_symbol(1)
-        assert estimator.on_symbol(2) == 0
-        assert estimator.on_symbol(5) == 2  # 3 and 4 never arrived
-
-    def test_reordering_is_not_loss(self):
-        # 1, 3, 2: the gap 3 exposes one "missing" symbol, but 2's late
-        # arrival repairs it -- the closed window must estimate zero loss.
-        estimator = PathLossEstimator(window_symbols=4, ewma_weight=1.0)
-        estimator.on_symbol(1)
-        estimator.on_symbol(3)
-        estimator.on_symbol(2)
-        estimator.on_symbol(4)
-        estimator.on_symbol(5)
-        assert estimator.windows_closed == 1
-        assert estimator.loss_estimate == 0.0
-
-    def test_sustained_loss_converges_to_rate(self):
-        # Every 4th symbol missing: 25% loss.
-        estimator = PathLossEstimator(window_symbols=16, ewma_weight=0.5)
-        for sequence in range(1, 200):
-            if sequence % 4 != 0:
-                estimator.on_symbol(sequence)
-        assert estimator.loss_estimate == pytest.approx(0.25, abs=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PathLossEstimator(window_symbols=0)
-        with pytest.raises(ValueError):
-            PathLossEstimator(ewma_weight=1.5)
-
-
-class TestFindLossy:
-    POLICY = StragglerPolicy(loss_detection=True, loss_threshold=0.05)
-
-    def test_detection_flips_weights(self):
-        lossy = self.POLICY.find_lossy(
-            {1: 0.0, 2: 0.20, 3: 0.01}, active_receivers={1, 2, 3}
-        )
-        assert lossy == {2}
-
-    def test_disabled_policy_detects_nothing(self):
-        policy = StragglerPolicy(loss_detection=False)
-        assert policy.find_lossy({1: 0.9, 2: 0.9}, {1, 2}) == set()
-
-    def test_unknown_receivers_count_as_clean(self):
-        lossy = self.POLICY.find_lossy({2: 0.5}, active_receivers={1, 2})
-        assert lossy == {2}
-
-    def test_never_detaches_everyone(self):
-        lossy = self.POLICY.find_lossy(
-            {1: 0.30, 2: 0.20}, active_receivers={1, 2}
-        )
-        assert lossy == {1}  # the cleaner receiver (2) stays attached
-
-    def test_single_receiver_never_detached(self):
-        assert self.POLICY.find_lossy({1: 0.9}, {1}) == set()

@@ -120,7 +120,6 @@ def _event_payload(trace: dict, event: dict):
             receiver_host=event["receiver_host"],
             pull_sequence=event["pull_sequence"],
             block_hint=event.get("block_hint"),
-            loss_estimate=event.get("loss_estimate", 0.0),
         )
     if kind == "done":
         return DonePayload(session_id=session_id, receiver_host=event["receiver_host"])

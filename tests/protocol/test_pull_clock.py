@@ -60,9 +60,9 @@ def _pulls(actions):
     return [action for action in actions if isinstance(action, EnqueuePull)]
 
 
-def _pull(sequence=1, loss_estimate=0.0):
+def _pull(sequence=1, block_hint=0):
     return PullPayload(session_id=7, receiver_host=RECEIVER, pull_sequence=sequence,
-                       block_hint=0, loss_estimate=loss_estimate)
+                       block_hint=block_hint)
 
 
 # Receiver ---------------------------------------------------------------------
@@ -108,17 +108,29 @@ def test_the_completing_arrival_pulls_no_more():
     assert actions[-1] == SessionCompleted(7, 1.0)
 
 
-@pytest.mark.parametrize("gap", [0, 1, 5, 40])
-def test_pull_on_gap_replaces_each_vanished_arrival(gap):
+UNICAST, MULTICAST = False, True
+
+
+@pytest.mark.parametrize("arrivals, extra", [
+    *[([(1, UNICAST), (2 + gap, UNICAST)], min(gap, CONFIG.initial_window_symbols))
+      for gap in (0, 1, 5, 40)],
+    ([(5, UNICAST)], 0),
+    ([(1, UNICAST), (3, UNICAST), (2, UNICAST)], 0),
+    ([(1, MULTICAST), (5, UNICAST)], 0),
+    ([(5, UNICAST), (1, MULTICAST), (3, MULTICAST)], 1),
+], ids=["0", "1", "5", "40", "first-contact", "late-arrival",
+        "streams-apart", "multicast-gap-after-unicast"])
+def test_pull_on_gap_replaces_each_vanished_arrival(arrivals, extra):
     """On a wire with no trimming, a sequence gap stands in for the trimmed
-    headers that never came: one extra pull per missing symbol, at most an
-    initial window's worth."""
+    headers that never came: the last of ``arrivals`` buys one extra pull per
+    symbol it newly exposes as missing, at most an initial window's worth.
+    First contact and a late (reordered) arrival expose none, and a sender's
+    multicast and unicast streams are counted apart."""
     core = _receiver(dataclasses.replace(CONFIG, pull_on_gap=True))
-    core.on_symbol(_symbol(0, sequence=1), trimmed=False)
-    core.poll_actions()
-    core.on_symbol(_symbol(1, sequence=2 + gap), trimmed=False)
-    expected = 1 + min(gap, CONFIG.initial_window_symbols)
-    assert _pulls(core.poll_actions()) == [EnqueuePull(7, SENDER)] * expected
+    for esi, (sequence, multicast) in enumerate(arrivals):
+        core.poll_actions()
+        core.on_symbol(_symbol(esi, sequence=sequence), trimmed=False, multicast=multicast)
+    assert _pulls(core.poll_actions()) == [EnqueuePull(7, SENDER)] * (1 + extra)
 
 
 def test_a_gap_buys_no_extra_pull_on_a_trimming_fabric():
@@ -157,13 +169,13 @@ def test_the_startup_probe_is_the_only_sender_timer():
     assert SenderCore.TIMERS == (SenderCore.TIMER_STARTUP,)
 
 
-@pytest.mark.parametrize("loss_estimate", [0.0, 0.5])
-def test_each_pull_is_answered_with_one_symbol(loss_estimate):
+@pytest.mark.parametrize("block_hint", [0, None])
+def test_each_pull_is_answered_with_one_symbol(block_hint):
     core = _sender()
     core.start(0.0)
     core.poll_actions()
     for sequence in range(1, 4):
-        core.on_pull(_pull(sequence, loss_estimate), now=1e-3 * sequence)
+        core.on_pull(_pull(sequence, block_hint), now=1e-3 * sequence)
         sends = [a for a in core.poll_actions() if isinstance(a, SendPacket)]
         assert len(sends) == 1 and sends[0].dest == RECEIVER
 
@@ -221,12 +233,12 @@ def test_the_pull_gap_is_one_symbol_serialisation_time(link_rate_bps):
 
 
 def test_the_pull_gap_ignores_what_the_pulls_report():
-    """A pull echoing heavy path loss is paced exactly like a clean one."""
+    """A pull naming no block is paced exactly like one with a hint."""
     gaps = []
-    for loss_estimate in (0.0, 0.9):
+    for block_hint in (0, None):
         pacer, clock, _ = _pacer()
         for sequence in range(1, 4):
-            pacer.enqueue(7, lambda s=sequence: _pull(s, loss_estimate))
+            pacer.enqueue(7, lambda s=sequence: _pull(s, block_hint))
         clock.fire_all()
         gaps.append(clock.delays)
     assert gaps[0] == gaps[1]
@@ -251,12 +263,11 @@ def test_the_pacer_takes_no_rate_controller():
 # Configuration ----------------------------------------------------------------
 
 
-def test_polyraptor_config_has_ten_knobs():
+def test_polyraptor_config_has_nine_knobs():
     assert [field.name for field in dataclasses.fields(PolyraptorConfig)] == [
         "symbol_size_bytes", "initial_window_symbols", "max_symbols_per_block",
         "carry_payload", "stall_timeout_s", "startup_retry_limit",
-        "straggler_detection", "straggler_lag_symbols", "gray_detection",
-        "pull_on_gap",
+        "straggler_detection", "straggler_lag_symbols", "pull_on_gap",
     ]
 
 
@@ -267,5 +278,5 @@ def test_the_removed_pacing_knob_is_rejected():
 
 def test_a_pull_carries_no_congestion_echo():
     assert [field.name for field in dataclasses.fields(PullPayload)] == [
-        "session_id", "receiver_host", "pull_sequence", "block_hint", "loss_estimate",
+        "session_id", "receiver_host", "pull_sequence", "block_hint",
     ]

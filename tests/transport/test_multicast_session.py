@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import PolyraptorConfig
+from repro.protocol.sender import _stragglers
 from repro.rq.block import partition_object
 from tests.conftest import PolyraptorTestbed
 
@@ -110,21 +111,15 @@ class TestStragglerExtension:
         assert session.core.detached_count == 0
 
     def test_straggler_policy_never_detaches_everyone(self):
-        from repro.protocol.straggler import StragglerPolicy
-
-        policy = StragglerPolicy(enabled=True, lag_symbols=1)
+        config = PolyraptorConfig(straggler_detection=True, straggler_lag_symbols=1)
         pulls = {1: 0, 2: 0, 3: 100}
-        stragglers = policy.find_stragglers(pulls, {1, 2, 3})
+        stragglers = _stragglers(config, pulls, {1, 2, 3})
         assert stragglers == {1, 2}
 
     def test_straggler_policy_disabled_returns_empty(self):
-        from repro.protocol.straggler import StragglerPolicy
-
-        policy = StragglerPolicy(enabled=False)
-        assert policy.find_stragglers({1: 0, 2: 100}, {1, 2}) == set()
+        config = PolyraptorConfig(straggler_detection=False)
+        assert _stragglers(config, {1: 0, 2: 100}, {1, 2}) == set()
 
     def test_straggler_policy_single_receiver_returns_empty(self):
-        from repro.protocol.straggler import StragglerPolicy
-
-        policy = StragglerPolicy(enabled=True, lag_symbols=1)
-        assert policy.find_stragglers({1: 0}, {1}) == set()
+        config = PolyraptorConfig(straggler_detection=True, straggler_lag_symbols=1)
+        assert _stragglers(config, {1: 0}, {1}) == set()
