@@ -98,14 +98,12 @@ def deterministic_object(size: int, seed: str = "repro") -> bytes:
     """
     if size < 0:
         raise ValueError("size must be non-negative")
+    prefix = hashlib.sha256(f"{seed}:".encode("utf-8"))
     chunks = []
-    produced = 0
-    counter = 0
-    while produced < size:
-        block = hashlib.sha256(f"{seed}:{counter}".encode("utf-8")).digest()
-        chunks.append(block)
-        produced += len(block)
-        counter += 1
+    for counter in range(-(-size // prefix.digest_size)):
+        block = prefix.copy()
+        block.update(str(counter).encode("utf-8"))
+        chunks.append(block.digest())
     return b"".join(chunks)[:size]
 
 

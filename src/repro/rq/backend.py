@@ -32,9 +32,14 @@ exactly when the full system over all L intermediate symbols does
 symbols), so it fails for the same ESI sets the full solve
 (:meth:`CodecContext.decode_intermediate`) fails for.
 
-:func:`generator_basis` builds each basis once per process (about 23 ms at
-K=187) and keeps it for the life of the process; every context, session,
-simulation and pool worker of that process shares it.  A
+:func:`generator_basis` builds each basis once per process and keeps it for
+the life of the process; every context, session, simulation and pool worker
+of that process shares it.  The seed search of :func:`repro.rq.params.for_k`
+is that build (:func:`find_systematic_seed`): with the binary rows
+eliminated over GF(2) first (:func:`repro.rq.solver.invert`), one K' costs
+about 16 ms at K = 187 and 23 ms at K = 248 in a fresh process on a 2-core
+Intel Xeon, matrix construction included (docs/ARCHITECTURE.md, "Cost
+model", gives the command).  A
 :class:`CodecContext` holds no basis, only one run's counters: blocks
 encoded and decoded, and lookups of the basis -- the first lookup of a K' in
 a context is a miss, later ones are hits -- so the counters are a function
@@ -43,6 +48,7 @@ of the run alone, whichever process it ran in and whatever ran there before.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -52,7 +58,7 @@ from repro.rq.kernels import get_kernel
 from repro.rq.matrix import build_constraint_matrix
 from repro.rq.params import CodeParameters
 from repro.rq.plan import build_plan, constraint_matrix, received_matrix
-from repro.rq.solver import solve
+from repro.rq.solver import SingularMatrixError, solve
 from repro.rq.tuples import lt_neighbours
 from repro.utils.stats import CacheStats
 
@@ -67,6 +73,27 @@ def generator_basis(params: CodeParameters) -> np.ndarray:
     # wrapper installed at ``repro.rq.backend.build_plan`` sees each build.
     plan = build_plan(constraint_matrix(params), record_steps=False)
     return plan.operator[:, params.num_ldpc_symbols + params.num_hdpc_symbols :]
+
+
+def find_systematic_seed(params: CodeParameters, max_attempts: int = 64) -> int:
+    """The smallest seed whose constraint matrix is invertible, its basis built.
+
+    This replaces RFC 6330's tabulated systematic index J(K').  Because the
+    HDPC rows are dense over GF(256), almost every seed works; the loop exists
+    for the rare unlucky degree draw.  ``params`` with the returned seed equals
+    what :func:`repro.rq.params.for_k` returns, so the basis built here is the
+    one :func:`generator_basis` serves.
+    """
+    for seed in range(max_attempts):
+        try:
+            generator_basis(replace(params, systematic_seed=seed))
+        except SingularMatrixError:
+            continue
+        return seed
+    raise RuntimeError(
+        f"no systematic seed found for K={params.num_source_symbols} "
+        f"after {max_attempts} attempts"
+    )
 
 
 def _lt_encode(params: CodeParameters, esis: Sequence[int], plane: np.ndarray) -> np.ndarray:
@@ -135,7 +162,9 @@ class CodecContext:
         k = params.num_source_symbols
         ids = np.asarray(esis, dtype=np.intp)
         known, repairs = ids[ids < k], ids[ids >= k]
-        missing = np.setdiff1d(np.arange(k), known)
+        present = np.zeros(k, dtype=bool)
+        present[known] = True
+        missing = np.flatnonzero(~present)
         generator = _lt_encode(params, repairs, self._basis(params, decode=True))
         # ``received`` holds the known sources, then the repairs: one operator
         # over that plane yields the missing sources.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rq.gf256 import alpha_power, gf_mul
+from repro.rq.gf256 import ALPHA, MUL_TABLE, alpha_power
 from repro.rq.params import CodeParameters
 from repro.rq.rand import rand
 
@@ -95,8 +95,7 @@ def hdpc_rows(params: CodeParameters) -> np.ndarray:
     accumulator = np.zeros(h, dtype=np.uint8)
     columns = np.zeros((h, span), dtype=np.uint8)
     for j in range(span - 1, -1, -1):
-        scaled = np.array([gf_mul(int(value), alpha_power(1)) for value in accumulator], dtype=np.uint8)
-        accumulator = scaled ^ mt[:, j]
+        accumulator = MUL_TABLE[ALPHA][accumulator] ^ mt[:, j]
         columns[:, j] = accumulator
     result[:, :span] = columns
     # Identity over the H HDPC columns.
@@ -118,30 +117,3 @@ def build_constraint_matrix(params: CodeParameters) -> np.ndarray:
     for i in range(k):
         matrix[s + h + i] = lt_row(params, i)
     return matrix
-
-
-def matrix_rank_gf256(matrix: np.ndarray) -> int:
-    """Compute the rank of a matrix over GF(256) (destructive on a copy)."""
-    from repro.rq.solver import gaussian_rank
-
-    return gaussian_rank(matrix)
-
-
-def find_systematic_seed(params: CodeParameters, max_attempts: int = 64) -> int:
-    """Find the smallest seed for which the constraint matrix is invertible.
-
-    This replaces RFC 6330's tabulated systematic index J(K').  Because the
-    HDPC rows are dense over GF(256), almost every seed works; the loop exists
-    for the rare unlucky degree draw.
-    """
-    from dataclasses import replace
-
-    for seed in range(max_attempts):
-        candidate = replace(params, systematic_seed=seed)
-        matrix = build_constraint_matrix(candidate)
-        if matrix_rank_gf256(matrix) == candidate.num_intermediate_symbols:
-            return seed
-    raise RuntimeError(
-        f"no systematic seed found for K={params.num_source_symbols} "
-        f"after {max_attempts} attempts"
-    )

@@ -133,9 +133,10 @@ def _structural_parameters(k: int) -> tuple[int, int, int, int, int, int, int]:
 def for_k(num_source_symbols: int) -> CodeParameters:
     """Return (and cache) the :class:`CodeParameters` for K source symbols.
 
-    The systematic seed search imports :mod:`repro.rq.matrix` lazily to avoid
-    a circular import (the matrix construction needs the structural
-    parameters computed here).
+    The systematic seed search imports :mod:`repro.rq.backend` lazily to
+    avoid a circular import (the matrix construction needs the structural
+    parameters computed here).  It builds the generator basis of the seed it
+    returns, so that K' costs no second elimination.
     """
     if num_source_symbols < MIN_SOURCE_SYMBOLS:
         raise ValueError(
@@ -149,7 +150,7 @@ def for_k(num_source_symbols: int) -> CodeParameters:
         )
     s, h, l, w, p, p1, b = _structural_parameters(num_source_symbols)
 
-    from repro.rq.matrix import find_systematic_seed
+    from repro.rq.backend import find_systematic_seed
 
     candidate = CodeParameters(
         num_source_symbols=num_source_symbols,

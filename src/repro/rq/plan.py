@@ -2,13 +2,14 @@
 
 The L x L pre-code constraint matrix of the codec depends only on the code
 parameters, i.e. on K'.  An :class:`EliminationPlan` captures one Gaussian
-elimination of such a matrix as the fused **solution operator** ``R``
-obtained by running :func:`repro.rq.solver.solve` against an identity
-right-hand side, so that for any symbol plane ``D`` the solution of
-``A . X = D`` is simply ``R . D``.  Optionally (``record_steps=True``) it
-also keeps the ordered **row-op tape** (swap / scale / fused multiply-XOR)
-the solver emitted, which :meth:`EliminationPlan.replay` re-runs step by
-step; the tests use the agreement of the two to validate the operator.
+elimination of such a matrix as the fused **solution operator** ``R = A^-1``
+(:func:`repro.rq.solver.invert`), so that for any symbol plane ``D`` the
+solution of ``A . X = D`` is simply ``R . D``.  Optionally
+(``record_steps=True``) it instead runs :func:`repro.rq.solver.solve`
+against an identity right-hand side and also keeps the ordered **row-op
+tape** (swap / scale / fused multiply-XOR) the solver emitted, which
+:meth:`EliminationPlan.replay` re-runs step by step; the tests use the
+agreement of the two to validate the operator.
 
 The codec never replays a plan whole: because the code is systematic, the
 repair symbols a sender emits and the missing source symbols of a received
@@ -28,7 +29,7 @@ import numpy as np
 from repro.rq.gf256 import gf_scale_rows, gf_scale_vector
 from repro.rq.matrix import build_constraint_matrix, hdpc_rows, ldpc_rows, lt_row
 from repro.rq.params import CodeParameters
-from repro.rq.solver import solve
+from repro.rq.solver import invert, solve
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,22 @@ def build_plan(
 ) -> EliminationPlan:
     """Eliminate ``matrix`` once, recording the ops and the fused operator.
 
-    ``record_steps=False`` keeps only the fused operator; the op tape is
-    O(L^2) numpy data, so the codec's plans skip it.
+    ``record_steps=False`` keeps only the fused operator, the inverse of a
+    square ``matrix`` by :func:`repro.rq.solver.invert` (binary rows over
+    GF(2) first); the op tape is O(L^2) numpy data, so the codec's plans
+    skip it.
 
     Raises :class:`repro.rq.solver.SingularMatrixError` when the matrix does
     not have full column rank, exactly like a direct solve would.
     """
     recorder = _StepRecorder() if record_steps else None
     rows = matrix.shape[0]
-    identity = np.eye(rows, dtype=np.uint8)
-    operator = solve(matrix, identity, num_unknowns, recorder=recorder)
+    if recorder is not None:
+        operator = solve(matrix, np.eye(rows, dtype=np.uint8), num_unknowns, recorder=recorder)
+    elif num_unknowns in (None, matrix.shape[1]):
+        operator = invert(matrix)
+    else:
+        raise ValueError("a plan without an op tape is the inverse of a square matrix")
     operator.setflags(write=False)
     return EliminationPlan(
         num_rows=rows,

@@ -1,10 +1,12 @@
 """Gaussian elimination over GF(256).
 
-The solver serves the per-K' plan (square system: the constraint matrix
-against an identity), the decoder (overdetermined system: the few received
-repair symbols over the missing source symbols) and the full-solve oracles
-the tests compare against (every received symbol plus the static
-constraints over all intermediate symbols).  Matrix and right-hand side are
+:func:`solve` serves the decoder (overdetermined system: the few received
+repair symbols over the missing source symbols), the full-solve oracles the
+tests compare against (every received symbol plus the static constraints
+over all intermediate symbols) and the op-tape plans of the tests.
+:func:`invert` serves the per-K' basis: it eliminates the constraint matrix's
+binary rows over GF(2) first and leaves :func:`solve` only the small dense
+block they cannot reach.  In :func:`solve` matrix and right-hand side are
 eliminated as one augmented array, and each pivot's row operations are a
 single gather through the GF(256) multiplication table, so the cost is
 dominated by ``O(L^2)`` vectorised row operations rather than Python-level
@@ -22,6 +24,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from repro.rq.gf256 import MUL_TABLE, gf_inv
+from repro.rq.kernels import get_kernel
 
 
 class RowOpRecorder(Protocol):
@@ -42,60 +45,40 @@ class SingularMatrixError(ValueError):
 
 
 def _reduce_column(
-    work: np.ndarray,
-    rank: int,
-    col: int,
-    jordan: bool,
-    recorder: Optional[RowOpRecorder] = None,
+    work: np.ndarray, col: int, recorder: Optional[RowOpRecorder] = None
 ) -> bool:
-    """Pivot ``work`` on column ``col`` at row ``rank``, in place.
+    """Pivot ``work`` on column ``col`` at row ``col``, in place (Gauss-Jordan).
 
-    Brings the first row at or below ``rank`` with a non-zero entry in
-    ``col`` up to ``rank``, normalises its pivot to 1 and XORs the right
-    multiple of it into every other row holding a non-zero in ``col`` --
-    every row when ``jordan`` (Gauss-Jordan), only those below ``rank``
-    otherwise.  Each multiple is one gather of the pivot row through the
-    factors' rows of the multiplication table.  Returns ``False`` (``work``
-    untouched) when no such row exists.
+    Brings the first row at or below ``col`` with a non-zero entry in
+    ``col`` up to ``col``, normalises its pivot to 1 and XORs the right
+    multiple of it into every other row holding a non-zero in ``col``.  Each
+    multiple is one gather of the pivot row through the factors' rows of the
+    multiplication table.  Returns ``False`` (``work`` untouched) when no
+    such row exists.
     """
-    candidates = np.flatnonzero(work[rank:, col])
+    candidates = np.flatnonzero(work[col:, col])
     if not candidates.size:
         return False
-    pivot = rank + int(candidates[0])
-    if pivot != rank:
-        work[[rank, pivot]] = work[[pivot, rank]]
+    pivot = col + int(candidates[0])
+    if pivot != col:
+        work[[col, pivot]] = work[[pivot, col]]
         if recorder is not None:
-            recorder.swap(rank, pivot)
-    pivot_value = int(work[rank, col])
+            recorder.swap(col, pivot)
+    pivot_value = int(work[col, col])
     if pivot_value != 1:
         inverse = gf_inv(pivot_value)
-        work[rank] = MUL_TABLE[inverse][work[rank]]
+        work[col] = MUL_TABLE[inverse][work[col]]
         if recorder is not None:
-            recorder.scale(rank, inverse)
-    first = 0 if jordan else rank + 1
-    column = work[first:, col].copy()
-    if jordan:
-        column[rank] = 0
-    nonzero = np.flatnonzero(column)
-    if nonzero.size:
-        targets, factors = first + nonzero, column[nonzero]
-        work[targets] ^= MUL_TABLE[factors][:, work[rank]]
+            recorder.scale(col, inverse)
+    column = work[:, col].copy()
+    column[col] = 0
+    targets = np.flatnonzero(column)
+    if targets.size:
+        factors = column[targets]
+        work[targets] ^= MUL_TABLE[factors][:, work[col]]
         if recorder is not None:
-            recorder.eliminate(rank, targets, factors)
+            recorder.eliminate(col, targets, factors)
     return True
-
-
-def gaussian_rank(matrix: np.ndarray) -> int:
-    """Return the rank of ``matrix`` over GF(256) (the input is not modified)."""
-    work = matrix.astype(np.uint8)
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        if _reduce_column(work, rank, col, jordan=False):
-            rank += 1
-    return rank
 
 
 def solve(
@@ -133,6 +116,79 @@ def solve(
     # Gauss-Jordan: column ``col`` is pivoted at row ``col`` and cleared from
     # every other row, so the solution can be read off directly at the end.
     for col in range(unknowns):
-        if not _reduce_column(work, col, col, jordan=True, recorder=recorder):
+        if not _reduce_column(work, col, recorder):
             raise SingularMatrixError(f"no pivot available for column {col}")
     return np.ascontiguousarray(work[:unknowns, cols:])
+
+
+def _gf2_jordan(words: np.ndarray, columns: int) -> np.ndarray:
+    """Gauss-Jordan over GF(2) on bit-packed rows, in place; each row's pivot column.
+
+    Bit ``c`` of a row is bit ``c % 64`` of its word ``c // 64``; only the
+    first ``columns`` bits are pivoted on.  Raises
+    :class:`SingularMatrixError` when the rows are linearly dependent.
+    """
+    rows = words.shape[0]
+    pivots: list[int] = []
+    for col in range(columns):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        hits = words[:, col // 64] & np.uint64(1 << (col % 64))
+        below = np.flatnonzero(hits[rank:])
+        if not below.size:
+            continue
+        pivot = rank + int(below[0])
+        words[[rank, pivot]] = words[[pivot, rank]]
+        hits[[rank, pivot]] = hits[[pivot, rank]]
+        hits[rank] = 0
+        words[np.flatnonzero(hits)] ^= words[rank]
+        pivots.append(col)
+    if len(pivots) < rows:
+        raise SingularMatrixError(f"{rows} binary rows have rank {len(pivots)}")
+    return np.array(pivots, dtype=np.intp)
+
+
+def invert(matrix: np.ndarray) -> np.ndarray:
+    """``matrix^-1`` over GF(256), its binary rows eliminated over GF(2) first.
+
+    RFC 6330 section 5.4's split.  The rows whose entries are all 0 or 1 (the
+    codec's LDPC and LT rows) and their identity rows are brought to reduced
+    echelon form as bit-packed ``uint64`` words.  One bitplane product then
+    clears every pivot column from the h dense (HDPC) rows, which leaves them
+    an h x h block over the h free columns for :func:`solve`.  The free
+    unknowns, XORed back into the binary rows, give the pivot ones.  The
+    inverse is unique, so this is the same array ``solve(matrix, I)`` returns.
+
+    Raises :class:`SingularMatrixError` exactly when ``matrix`` is singular:
+    binary rows dependent over GF(2) are dependent over GF(256) too, and
+    otherwise ``matrix`` is invertible iff the h x h block is.
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"only a square matrix has an inverse, not {matrix.shape}")
+    is_binary = (matrix <= 1).all(axis=1)
+    binary, dense = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
+    # Each binary row beside its identity row, padded to whole words.
+    bits = np.zeros((binary.size, -(-2 * n // 64) * 64), dtype=np.uint8)
+    bits[:, :n] = matrix[binary]
+    bits[np.arange(binary.size), n + binary] = 1
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    pivots = _gf2_jordan(words, n)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    # Dense rows beside their identity rows, minus their multiples of the
+    # reduced binary rows: every pivot column of the result is zero.
+    reduced = np.zeros((dense.size, bits.shape[1]), dtype=np.uint8)
+    reduced[:, :n] = matrix[dense]
+    reduced[np.arange(dense.size), n + dense] = 1
+    reduced ^= get_kernel().matmul(matrix[dense][:, pivots], bits)
+    inverse = np.empty((n, n), dtype=np.uint8)
+    inverse[free] = solve(reduced[:, free], reduced[:, n : 2 * n])
+    upper = bits[:, n : 2 * n].copy()
+    for column in free:  # the binary rows' free-column terms, one XOR each
+        upper[bits[:, column] == 1] ^= inverse[column]
+    inverse[pivots] = upper
+    return inverse

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Callable, Optional
 
 from repro.network.host import Host
@@ -225,14 +226,16 @@ class TcpSender:
     # RTT estimation ------------------------------------------------------------------
 
     def _sample_rtt(self, ack_seq: int) -> None:
-        sample: Optional[float] = None
-        for seq in sorted(self._send_times):
-            if seq < ack_seq:
-                sample = self._sim.now - self._send_times[seq]
-        for seq in [seq for seq in self._send_times if seq < ack_seq]:
-            del self._send_times[seq]
-        if sample is None:
+        # ``_send_times`` holds its seqs in ascending insertion order: new
+        # data is only ever sent at ``snd_nxt``, which only advances between
+        # timeouts; a retransmission pops its seq and a timeout clears all.
+        # So the acked seqs are a prefix, and the newest of them is sampled.
+        acked = list(takewhile(lambda seq: seq < ack_seq, self._send_times))
+        if not acked:
             return
+        sample = self._sim.now - self._send_times[acked[-1]]
+        for seq in acked:
+            del self._send_times[seq]
         if self.srtt is None or self.rttvar is None:
             self.srtt = sample
             self.rttvar = sample / 2

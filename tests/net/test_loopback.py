@@ -13,6 +13,26 @@ from repro.net.server import (
 )
 
 
+#: sha256 of the 4 MiB objects the CI loopback and multi-source smoke steps
+#: serve; the steps compare the fetched bytes against these literals.
+CI_OBJECT_SHA256 = {
+    "ci-smoke": "ad3effeaf9d4ae6c2fb1ab0fecc07c97205ba445889a5a78889f53a417ffb697",
+    "ci-multi": "60539a5b2a1a61019a7b780ba77aed5968d2011856a247a3e1d269a1bea17c7c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_OBJECT_SHA256))
+def test_deterministic_object_bytes_are_pinned(name):
+    data = deterministic_object(4 * 1024 * 1024, seed=name)
+    assert hashlib.sha256(data).hexdigest() == CI_OBJECT_SHA256[name]
+
+
+def test_deterministic_object_is_a_sha256_counter_stream():
+    data = deterministic_object(70, seed="s")
+    assert data == b"".join(hashlib.sha256(f"s:{i}".encode()).digest() for i in range(3))[:70]
+    assert deterministic_object(0) == b""
+
+
 async def _start_server(store, port=0, **kwargs):
     """Bind a server on a loopback port (OS-assigned by default); return
     (transport, protocol, port)."""

@@ -6,7 +6,8 @@ through a system the size of the loss.  The oracle does it the long way --
 :meth:`~repro.rq.backend.CodecContext.encode_intermediate` /
 :meth:`~repro.rq.backend.CodecContext.decode_intermediate` eliminate all L
 unknowns, uncached, and the wanted symbols are LT-encoded from the result --
-on the table-lookup arithmetic of :mod:`repro.rq.gf256`.
+on the table-lookup arithmetic of :mod:`repro.rq.gf256`.  :func:`gaussian_rank`
+is the plain GF(256) rank the codec's GF(2)-first inverse is checked against.
 """
 
 from __future__ import annotations
@@ -16,11 +17,31 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.rq.backend import CodecContext
+from repro.rq.gf256 import MUL_TABLE, gf_inv
 from repro.rq.params import CodeParameters, for_k
 from repro.rq.solver import SingularMatrixError
 from repro.rq.tuples import lt_neighbours
 
 _CONTEXT = CodecContext()
+
+
+def gaussian_rank(matrix: np.ndarray) -> int:
+    """The rank of ``matrix`` over GF(256) by dense row reduction (input untouched)."""
+    work = matrix.astype(np.uint8)
+    rank = 0
+    for col in range(work.shape[1]):
+        candidates = np.flatnonzero(work[rank:, col])
+        if not candidates.size:
+            continue
+        pivot = rank + int(candidates[0])
+        work[[rank, pivot]] = work[[pivot, rank]]
+        work[rank] = MUL_TABLE[gf_inv(int(work[rank, col]))][work[rank]]
+        below = rank + 1 + np.flatnonzero(work[rank + 1 :, col])
+        work[below] ^= MUL_TABLE[work[below, col]][:, work[rank]]
+        rank += 1
+        if rank == work.shape[0]:
+            break
+    return rank
 
 
 def plane(symbols: Sequence[bytes]) -> np.ndarray:

@@ -11,8 +11,12 @@ every set that decodes yields the same bytes.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from repro.rq.params import for_k
 from repro.rq.solver import SingularMatrixError
 from tests.rq import oracle
 
+ROOT = Path(__file__).resolve().parents[2]
 SYMBOL_SIZE = 8
 #: seeded trials per (shape, overhead) cell: many where a decode is cheap
 #: (and failures are likeliest), a few at the figures' block sizes
@@ -169,3 +174,27 @@ def test_a_context_that_never_encoded_looks_the_basis_up_as_a_decode_miss_once()
     assert context.decode_stats.misses == 1
     assert context.decode_stats.hits == decoded - 1
     assert context.blocks_encoded == 0 and context.blocks_decoded == decoded
+
+
+DECODE_PROBE = """
+import sys
+from repro.rq.block import ObjectDecoder, ObjectEncoder
+data = bytes(range(256)) * 40
+encoder = ObjectEncoder(data, symbol_size=64, max_symbols_per_block=200)
+decoder = ObjectDecoder(encoder.oti)
+k = encoder.oti.block_symbol_count(0)
+decoder.add_symbols(encoder.symbol_block(0, list(range(1, k)) + [k, k + 1, k + 2]))
+assert decoder.decode() == data
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_a_first_decode_imports_no_numpy_ma():
+    # numpy.ma costs ~13 ms to import, and a server's first decode runs on
+    # its event loop; numpy's set routines import it lazily on first use.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", DECODE_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -42,11 +42,12 @@ class TestParameterDerivation:
 
     @pytest.mark.parametrize("k", [4, 16, 64, 128])
     def test_systematic_seed_gives_invertible_matrix(self, k):
-        from repro.rq.matrix import build_constraint_matrix, matrix_rank_gf256
+        from repro.rq.matrix import build_constraint_matrix
+        from tests.rq.oracle import gaussian_rank
 
         params = for_k(k)
         matrix = build_constraint_matrix(params)
-        assert matrix_rank_gf256(matrix) == params.num_intermediate_symbols
+        assert gaussian_rank(matrix) == params.num_intermediate_symbols
 
     def test_overhead_recommendation(self):
         assert for_k(16).overhead_symbols == 2

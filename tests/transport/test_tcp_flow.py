@@ -124,3 +124,32 @@ class TestTrimmedPacketHandling:
         agent.handle_packet(trimmed)  # must not raise nor create receiver state
         with pytest.raises(KeyError):
             agent.receiver(5)
+
+
+class TestRttSampling:
+    def test_send_times_stay_in_ascending_seq_order_through_losses(self, monkeypatch):
+        # _sample_rtt reads the acked seqs as a prefix of _send_times: that
+        # holds only while insertion order is ascending seq order, through
+        # fast retransmits, partial ACKs and go-back-N timeouts alike.
+        from repro.transport.tcp.sender import TcpSender
+
+        original = TcpSender._sample_rtt
+        checked = []
+
+        def checking(sender, ack_seq):
+            seqs = list(sender._send_times)
+            assert seqs == sorted(seqs)
+            checked.append(ack_seq)
+            original(sender, ack_seq)
+
+        monkeypatch.setattr(TcpSender, "_sample_rtt", checking)
+        bed = TcpTestbed(seed=4)
+        destination = bed.host_id("h0")
+        names = [name for name in bed.network.host_names if name != "h0"][:12]
+        senders = [bed.agents[name].start_flow(100 + index, destination, 256_000)
+                   for index, name in enumerate(names)]
+        bed.run(until=10.0)
+        assert all(sender.completed for sender in senders)
+        assert sum(sender.timeouts for sender in senders) > 0
+        assert sum(sender.fast_retransmits for sender in senders) > 0
+        assert len(checked) > 1000
