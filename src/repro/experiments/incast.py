@@ -1,13 +1,15 @@
 """Incast experiment: fan-in sweep with ECN marking on vs off.
 
 The Figure 1c experiment (:mod:`repro.experiments.figure1c`) measures incast
-*goodput* collapse.  This experiment adds ECN/PCN marking on switch queues,
-which TCP answers with a DCTCP-style ECE echo and cwnd reaction.  Polyraptor
-has no reaction to marks: its receivers' pull clocks already cap every
-receiver's arrival rate at its link rate, and trimming switches absorb the
-transient overflow.  The sweep crosses fan-in (how many workers answer one
-aggregator at the same instant) with marking off (byte-identical to the
-unmarked simulator) and on, for both protocols, and reports the FCT tail --
+*goodput* collapse.  This experiment adds ECN/PCN marking on switch queues.
+TCP's receiver echoes every mark (a per-packet ECE echo) and its sender
+halves cwnd at most once per window, as RFC 3168 does -- not DCTCP's cut
+scaled by the marked fraction.  Polyraptor has no reaction to marks: its
+receivers' pull clocks already cap every receiver's arrival rate at its
+link rate, and trimming switches absorb the transient overflow.  The sweep
+crosses fan-in (how many workers answer one aggregator at the same
+instant) with marking off (byte-identical to the unmarked simulator) and
+on, for both protocols, and reports the FCT tail --
 incast pathology lives in p99, where drop-tail overflow turns into 200 ms
 retransmission timeouts.
 

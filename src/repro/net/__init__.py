@@ -12,6 +12,9 @@ This package drives the exact same state machines as the simulator
   ``schedule``) so the one :class:`~repro.utils.clock.Timer` runs on it;
   and :func:`wire_config`, the :class:`~repro.core.config.PolyraptorConfig`
   profile tuned for lossy UDP;
+* :mod:`repro.net.udp` -- :func:`~repro.net.udp.open_endpoint`, the UDP
+  socket both endpoints bind with, which reads many datagrams per loop
+  wake-up;
 * :mod:`repro.net.server` / :mod:`repro.net.client` -- the
   ``repro serve`` / ``repro fetch`` endpoints completing real loopback
   object transfers.

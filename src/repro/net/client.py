@@ -49,6 +49,7 @@ from repro.net.server import (
     DEFAULT_PORT,
     sender_host_id,
 )
+from repro.net.udp import open_endpoint
 from repro.net.wire import (
     OpenErrPayload,
     OpenOkPayload,
@@ -228,7 +229,7 @@ async def fetch_object_async(
     driver: Optional[SessionDriver] = None
     try:
         for index, (src_host, src_port) in enumerate(endpoints):
-            _, protocol = await loop.create_datagram_endpoint(
+            _, protocol = await open_endpoint(
                 lambda idx=index: _FetchProtocol(loss_rate, loss_seed + idx, idx),
                 remote_addr=(src_host, src_port),
             )

@@ -99,5 +99,5 @@ def drive(
     """
     pacer = None
     if isinstance(core, ReceiverCore):
-        pacer = PacedPullQueue(core.config, max_rate_bps, clock.schedule, transmit)
+        pacer = PacedPullQueue(core.config, max_rate_bps, clock, transmit)
     return SessionDriver(core, clock, transmit, pacer=pacer, on_complete=on_complete)

@@ -40,6 +40,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.config import PolyraptorConfig
 from repro.core.packets import DonePayload, PullPayload, RequestPayload
 from repro.net.driver import AsyncioClock, drive, wire_config
+from repro.net.udp import open_endpoint
 from repro.net.wire import (
     OPEN_ERR_BAD_SYMBOL_SIZE,
     OPEN_ERR_BUSY,
@@ -477,7 +478,7 @@ async def run_server(
     holds the run's statistics.
     """
     # Built before the bind: a protocol that rejects its options must not
-    # leave a bound socket behind (asyncio does not close it for us).
+    # leave a bound socket behind.
     protocol = PolyraptorServerProtocol(
         store,
         config=config,
@@ -490,10 +491,7 @@ async def run_server(
         mtu=mtu,
         registry=registry,
     )
-    loop = asyncio.get_running_loop()
-    transport, _ = await loop.create_datagram_endpoint(
-        lambda: protocol, local_addr=(host, port)
-    )
+    transport, _ = await open_endpoint(lambda: protocol, local_addr=(host, port))
     if ready is not None:
         ready.set()
     try:

@@ -15,16 +15,21 @@ The queue therefore:
   return -- pacing pulls at that interval caps the aggregate arrival rate at
   the link capacity;
 * sends the first pull of an idle period immediately (no pacing delay when
-  the link has been idle).
+  the link has been idle);
+* catches up on a late tick: a tick that fires ``d`` seconds after its slot
+  opened sends ``1 + floor(d / pull_interval_s)`` pulls, at most an initial
+  window's worth (the burst a sender already emits at start).  An event
+  loop wakes up far less often than every 12 microseconds, so without this
+  the pull rate would be the loop's turn rate, not the link's.  An idle
+  period earns no credit.
 
-This class is clock- and transport-agnostic: the owner injects ``schedule``
-(a clock's ``schedule``: arrange a callback ``delay`` seconds from now and
-return a handle with ``cancel()`` -- see :mod:`repro.utils.clock`) and
-``send`` (actually transmit a built pull).  The same code runs on both
-bindings: one queue per simulated host in
-:class:`repro.transport.polyraptor.PolyraptorAgent` on
-``Simulator.schedule``, one per fetch in :mod:`repro.net.driver` on
-``AsyncioClock.schedule``.
+This class is clock- and transport-agnostic: the owner injects a
+:class:`~repro.utils.clock.Clock` and ``send`` (actually transmit a built
+pull).  The same code runs on both bindings: one queue per simulated host
+in :class:`repro.transport.polyraptor.PolyraptorAgent` on the
+``Simulator``, whose ticks fire at exactly the time they were scheduled for
+(so each sends one pull), and one per fetch in :mod:`repro.net.driver` on
+an ``AsyncioClock``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.core.config import PolyraptorConfig
+from repro.utils.clock import Clock
 from repro.utils.units import serialization_delay
 
 #: A deferred pull: a callable that builds the pull at send time (so the
@@ -55,18 +61,21 @@ class PacedPullQueue:
         self,
         config: PolyraptorConfig,
         link_rate_bps: float,
-        schedule: Callable[[float, Callable[[], None]], Any],
+        clock: Clock,
         send: Callable[[Any], Any],
     ) -> None:
         self.pull_interval_s = serialization_delay(
             config.symbol_packet_bytes, link_rate_bps
         )
-        self._schedule = schedule
+        self._max_burst = config.initial_window_symbols
+        self._clock = clock
         self._send = send
         self._queues: dict[int, deque[PullBuilder]] = {}
         self._round_robin: deque[int] = deque()
         self._pacing = False
-        #: the handle ``schedule`` returned for the next pacing tick
+        #: when the next pull slot opens (meaningful while pacing)
+        self.due = 0.0
+        #: the handle ``clock.schedule`` returned for the next pacing tick
         self._tick: Any = None
         self.pulls_sent = 0
         self.pulls_discarded = 0
@@ -92,6 +101,7 @@ class PacedPullQueue:
         queue.append(builder)
         if not self._pacing:
             self._pacing = True
+            self.due = self._clock.now
             self._send_next()
 
     def cancel_session(self, session_id: int) -> None:
@@ -126,17 +136,25 @@ class PacedPullQueue:
         return None
 
     def _send_next(self) -> None:
-        session_id = self._next_session()
-        if session_id is None:
-            self._pacing = False
-            return
-        builder = self._queues[session_id].popleft()
-        pull = builder()
-        if pull is not None:
-            self._send(pull)
-            self.pulls_sent += 1
-        else:
-            self.pulls_discarded += 1
-        # Pace the next pull one data-packet time later, even if the builder
-        # declined to send (its slot is spent either way).
-        self._tick = self._schedule(self.pull_interval_s, self._send_next)
+        now = self._clock.now
+        slots = 1
+        late = now - self.due
+        if late >= self.pull_interval_s:
+            slots = min(1 + int(late / self.pull_interval_s), self._max_burst)
+        for _ in range(slots):
+            session_id = self._next_session()
+            if session_id is None:
+                # Idle: the next enqueue sends at once, with no credit.
+                self._pacing = False
+                return
+            builder = self._queues[session_id].popleft()
+            pull = builder()
+            if pull is not None:
+                self._send(pull)
+                self.pulls_sent += 1
+            else:
+                # A declined pull still spends its slot.
+                self.pulls_discarded += 1
+        # The next slot opens one data-packet time after this tick.
+        self.due = now + self.pull_interval_s
+        self._tick = self._clock.schedule(self.pull_interval_s, self._send_next)

@@ -137,19 +137,19 @@ def build_plan(
     )
 
 
-# Structure caches ------------------------------------------------------------------
+# Code structure ------------------------------------------------------------------
 #
-# These depend only on the (frozen, hashable) CodeParameters, so they are
-# process-global: every context, session and simulation shares them.  The
-# returned arrays are marked read-only; callers copy before mutating.
+# The precode rows depend only on the (frozen, hashable) CodeParameters, so
+# they are cached process-wide: every context, session and simulation shares
+# them.  The returned arrays are marked read-only; callers copy before
+# mutating.  The full constraint matrix is not cached: it is read once per
+# K' to build the generator basis (which has its own cache) and once per
+# seed the systematic seed search rejects.
 
 
-@lru_cache(maxsize=None)
 def constraint_matrix(params: CodeParameters) -> np.ndarray:
-    """The L x L pre-code constraint matrix A for one parameter set."""
-    matrix = build_constraint_matrix(params)
-    matrix.setflags(write=False)
-    return matrix
+    """The L x L pre-code constraint matrix A for one parameter set (fresh)."""
+    return build_constraint_matrix(params)
 
 
 @lru_cache(maxsize=None)

@@ -76,9 +76,7 @@ class PolyraptorAgent:
         self.codec = codec_context or CodecContext()
         # Pulls are paced at one symbol serialisation time of the host's link
         # and scheduled on the simulator's event heap.
-        self.pacer = PacedPullQueue(
-            self.config, host.link_rate_bps, sim.schedule, self._send
-        )
+        self.pacer = PacedPullQueue(self.config, host.link_rate_bps, sim, self._send)
         self._senders: dict[int, SessionDriver] = {}
         self._receivers: dict[int, SessionDriver] = {}
         #: object payloads available on this host for fetch serving (payload mode)

@@ -16,12 +16,16 @@ def asyncio_logs_nothing(caplog):
 
     asyncio reports what nobody else sees through its logger: a task
     exception that was never retrieved, a send on a closed socket (a timer
-    that outlived its endpoint), a callback that raised.
+    that outlived its endpoint), a callback that raised.  ``caplog.records``
+    in a fixture's teardown holds the teardown phase only, so every phase
+    is read explicitly: the test body logs in "call".
     """
     with caplog.at_level(logging.WARNING, logger="asyncio"):
         yield
     logged = [
-        record.getMessage() for record in caplog.records
+        record.getMessage()
+        for when in ("setup", "call", "teardown")
+        for record in caplog.get_records(when)
         if record.name == "asyncio" and not _is_slow_callback_report(record.getMessage())
     ]
     assert logged == [], logged

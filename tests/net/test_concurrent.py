@@ -24,13 +24,12 @@ from repro.net.wire import (
     encode_frame,
     max_symbol_size_for_mtu,
 )
+from repro.net.udp import open_endpoint
 
 
 async def _start_server(store, server=PolyraptorServerProtocol, **kwargs):
-    loop = asyncio.get_running_loop()
-    transport, protocol = await loop.create_datagram_endpoint(
-        lambda: server(store, **kwargs),
-        local_addr=("127.0.0.1", 0),
+    transport, protocol = await open_endpoint(
+        lambda: server(store, **kwargs), local_addr=("127.0.0.1", 0)
     )
     port = transport.get_extra_info("sockname")[1]
     return transport, protocol, port

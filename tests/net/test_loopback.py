@@ -11,6 +11,7 @@ from repro.net.server import (
     PolyraptorServerProtocol,
     deterministic_object,
 )
+from repro.net.udp import open_endpoint
 
 
 #: sha256 of the 4 MiB objects the CI loopback and multi-source smoke steps
@@ -36,10 +37,8 @@ def test_deterministic_object_is_a_sha256_counter_stream():
 async def _start_server(store, port=0, **kwargs):
     """Bind a server on a loopback port (OS-assigned by default); return
     (transport, protocol, port)."""
-    loop = asyncio.get_running_loop()
-    transport, protocol = await loop.create_datagram_endpoint(
-        lambda: PolyraptorServerProtocol(store, **kwargs),
-        local_addr=("127.0.0.1", port),
+    transport, protocol = await open_endpoint(
+        lambda: PolyraptorServerProtocol(store, **kwargs), local_addr=("127.0.0.1", port)
     )
     port = transport.get_extra_info("sockname")[1]
     return transport, protocol, port

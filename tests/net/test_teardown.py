@@ -9,6 +9,7 @@ from repro.core.packets import DonePayload
 from repro.net.client import FetchError, fetch_object_async
 from repro.net.server import ObjectStore, PolyraptorServerProtocol, deterministic_object
 from repro.net.wire import decode_frame
+from repro.net.udp import open_endpoint
 from repro.obs import MetricRegistry
 
 
@@ -24,10 +25,8 @@ class _SlowDoneServer(PolyraptorServerProtocol):
 
 
 async def _start_server(store, server=PolyraptorServerProtocol, **kwargs):
-    loop = asyncio.get_running_loop()
-    transport, protocol = await loop.create_datagram_endpoint(
-        lambda: server(store, **kwargs),
-        local_addr=("127.0.0.1", 0),
+    transport, protocol = await open_endpoint(
+        lambda: server(store, **kwargs), local_addr=("127.0.0.1", 0)
     )
     return transport, protocol, transport.get_extra_info("sockname")[1]
 

@@ -27,6 +27,7 @@ from repro.protocol.actions import (
 from repro.protocol.pacer import PacedPullQueue
 from repro.protocol.receiver import ReceiverCore
 from repro.protocol.sender import SenderCore
+from repro.sim.engine import Simulator
 from repro.utils.units import serialization_delay
 
 CONFIG = PolyraptorConfig()
@@ -195,30 +196,45 @@ def test_the_sender_keeps_no_rate_of_its_own():
 
 
 class _ManualClock:
-    """Records every delay the pacer asks for; fires nothing by itself."""
+    """Records every delay the pacer asks for; fires nothing by itself.
+
+    ``fire`` runs the oldest pending callback with ``now`` at the time it was
+    scheduled for, plus ``late`` seconds (an event loop that woke up late).
+    """
 
     def __init__(self):
+        self.now = 0.0
         self.delays = []
         self.pending = []
 
     def schedule(self, delay, callback):
         self.delays.append(delay)
-        self.pending.append(callback)
+        self.pending.append((self.now + delay, callback))
         return self
 
     def cancel(self):
         pass
 
+    def fire(self, late=0.0):
+        when, callback = self.pending.pop(0)
+        self.now = when + late
+        callback()
+
     def fire_all(self):
         while self.pending:
-            self.pending.pop(0)()
+            self.fire()
 
 
 def _pacer(link_rate_bps=1e10):
     clock = _ManualClock()
     sent = []
-    pacer = PacedPullQueue(CONFIG, link_rate_bps, clock.schedule, sent.append)
+    pacer = PacedPullQueue(CONFIG, link_rate_bps, clock, sent.append)
     return pacer, clock, sent
+
+
+def _enqueue(pacer, count):
+    for sequence in range(1, count + 1):
+        pacer.enqueue(7, lambda sequence=sequence: _pull(sequence))
 
 
 @pytest.mark.parametrize("link_rate_bps", [1e9, 1e10, 4e10])
@@ -256,8 +272,53 @@ def test_a_declined_pull_still_spends_its_slot():
 
 def test_the_pacer_takes_no_rate_controller():
     assert list(inspect.signature(PacedPullQueue).parameters) == [
-        "config", "link_rate_bps", "schedule", "send",
+        "config", "link_rate_bps", "clock", "send",
     ]
+
+
+def test_a_late_tick_catches_up_on_the_slots_it_missed():
+    pacer, clock, sent = _pacer()
+    _enqueue(pacer, 10)
+    assert len(sent) == 1
+    clock.fire(late=3.5 * pacer.pull_interval_s)
+    assert len(sent) == 1 + 4
+    assert [pull.pull_sequence for pull in sent] == [1, 2, 3, 4, 5]
+    # The next slot opens one interval after the late tick, not sooner.
+    assert clock.delays == [pacer.pull_interval_s] * 2
+    assert clock.pending[0][0] == clock.now + pacer.pull_interval_s
+
+
+def test_a_catch_up_burst_is_at_most_an_initial_window():
+    pacer, clock, sent = _pacer()
+    _enqueue(pacer, 100)
+    clock.fire(late=1000 * pacer.pull_interval_s)
+    assert len(sent) == 1 + CONFIG.initial_window_symbols
+
+
+def test_an_idle_period_earns_no_credit():
+    pacer, clock, sent = _pacer()
+    _enqueue(pacer, 1)
+    clock.fire_all()  # the queue is empty at this tick: the pacer goes idle
+    assert clock.pending == []
+    clock.now = 1.0
+    _enqueue(pacer, 5)
+    assert len(sent) == 2  # the first pull of the busy period goes at once
+    clock.fire()  # the next one goes one interval later, alone
+    assert len(sent) == 3
+    assert clock.now == 1.0 + pacer.pull_interval_s
+
+
+def test_on_the_simulator_every_tick_sends_one_pull():
+    """The engine fires a tick at exactly the time it stored, so the sim's
+    pull train is one pull per interval, as before catch-up existed."""
+    sim = Simulator()
+    times = []
+    pacer = PacedPullQueue(CONFIG, 1e10, sim, lambda _pull: times.append(sim.now))
+    _enqueue(pacer, 50)
+    sim.run()
+    assert len(times) == 50
+    assert len(set(times)) == 50
+    assert times == sorted(times)
 
 
 # Configuration ----------------------------------------------------------------

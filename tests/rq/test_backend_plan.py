@@ -9,6 +9,7 @@ across many K' values, with and without loss.
 from __future__ import annotations
 
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +134,12 @@ class TestLookupCounters:
 
 
 class TestEliminationPlan:
+    def test_the_constraint_matrix_is_not_kept(self):
+        """Only the generator basis is cached; the L x L matrix it was built
+        from (or a rejected seed's) dies with its caller."""
+        matrix = weakref.ref(constraint_matrix(for_k(248)))
+        assert matrix() is None
+
     def test_operator_matches_direct_solve(self):
         params = for_k(9)
         matrix = constraint_matrix(params)
