@@ -334,8 +334,8 @@ def _incast_arguments(sub: argparse.ArgumentParser, command: str) -> None:
     flag = "--incast-response-kb" if command == "all" else "--response-kb"
     sub.add_argument("--fanins", type=_fanin_type, nargs="+", action=_Distinct,
                      default=[4, 8, 15], metavar="N",
-                     help="worker fan-ins to sweep (each crossed with ECN "
-                          "marking off and on)")
+                     help="worker fan-ins to sweep (Polyraptor once, TCP with "
+                          "ECN marking off and on)")
     sub.add_argument(flag, dest="incast_response_kb", type=_count_type(flag), default=64,
                      metavar="KB",
                      help="per-worker incast response size in kilobytes")
@@ -379,7 +379,7 @@ SCENARIOS: tuple[Scenario, ...] = (
              _resilience_arguments, True, _cmd_resilience),
     Scenario("correlated", "correlated/gray failures with routing-convergence delay",
              _correlated_arguments, True, _cmd_correlated),
-    Scenario("incast", "incast fan-in sweep with ECN marking on vs off",
+    Scenario("incast", "incast fan-in sweep: Polyraptor vs TCP with ECN marking off and on",
              _incast_arguments, True, _cmd_incast),
 )
 

@@ -56,9 +56,10 @@ class ExperimentConfig:
     convergence_delay_s: float = 0.0
     #: seeded jitter fraction on the convergence lag (see NetworkConfig).
     convergence_jitter: float = 0.0
-    #: ECN/PCN marking on switch queues (off = the historical fabric,
-    #: byte-identical to pre-marking runs).  Applies to both protocols'
-    #: fabrics and rides inside RunJob configs.
+    #: the drop-tail (TCP) fabric marks: ECN/PCN marking on its switch
+    #: queues (off = the historical fabric, byte-identical to pre-marking
+    #: runs).  Polyraptor's trimming fabric never marks.  Rides inside
+    #: RunJob configs.
     ecn_enabled: bool = False
     #: flight-recorder telemetry (see :mod:`repro.obs`).  ``None`` -- the
     #: default -- means no telemetry at all: no sampler process, no extra
@@ -115,7 +116,8 @@ class ExperimentConfig:
         """The fabric configuration used for a given protocol.
 
         Polyraptor runs on trimming switches with per-packet spraying; the TCP
-        baseline runs on drop-tail switches with per-flow ECMP.
+        baseline runs on drop-tail switches with per-flow ECMP, which mark
+        when ``ecn_enabled``.
         """
         if protocol is Protocol.POLYRAPTOR:
             return NetworkConfig(
@@ -123,8 +125,6 @@ class ExperimentConfig:
                 routing_mode=RoutingMode.PACKET_SPRAY,
                 convergence_delay_s=self.convergence_delay_s,
                 convergence_jitter=self.convergence_jitter,
-                ecn_enabled=self.ecn_enabled,
-                ecn_threshold_packets=self.resolved_ecn_threshold(Protocol.POLYRAPTOR),
             )
         return NetworkConfig(
             switch_queue="droptail",
@@ -132,20 +132,7 @@ class ExperimentConfig:
             convergence_delay_s=self.convergence_delay_s,
             convergence_jitter=self.convergence_jitter,
             ecn_enabled=self.ecn_enabled,
-            ecn_threshold_packets=self.resolved_ecn_threshold(Protocol.TCP),
         )
-
-    def resolved_ecn_threshold(self, protocol: Protocol) -> int:
-        """The marking threshold in force for a protocol's fabric.
-
-        Trimming fabrics mark at half the (shallow) data-queue capacity and
-        drop-tail fabrics at a fifth of theirs (K = 20 for the default
-        100-packet queue, the classic DCTCP-style step threshold), both at
-        least one packet.
-        """
-        if protocol is Protocol.POLYRAPTOR:
-            return max(1, NetworkConfig.data_queue_capacity_packets // 2)
-        return max(1, NetworkConfig.droptail_capacity_packets // 5)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """A copy of this configuration with a different seed."""

@@ -1,17 +1,17 @@
-"""Incast experiment: fan-in sweep with ECN marking on vs off.
+"""Incast experiment: fan-in sweep, Polyraptor against TCP with ECN marking off and on.
 
 The Figure 1c experiment (:mod:`repro.experiments.figure1c`) measures incast
-*goodput* collapse.  This experiment adds ECN/PCN marking on switch queues.
-TCP's receiver echoes every mark (a per-packet ECE echo) and its sender
-halves cwnd at most once per window, as RFC 3168 does -- not DCTCP's cut
-scaled by the marked fraction.  Polyraptor has no reaction to marks: its
+*goodput* collapse.  This experiment adds ECN/PCN marking on TCP's drop-tail
+switch queues.  TCP's receiver echoes every mark (a per-packet ECE echo) and
+its sender halves cwnd at most once per window, as RFC 3168 does -- not
+DCTCP's cut scaled by the marked fraction.  Polyraptor needs no marks: its
 receivers' pull clocks already cap every receiver's arrival rate at its
-link rate, and trimming switches absorb the transient overflow.  The sweep
-crosses fan-in (how many workers answer one aggregator at the same
-instant) with marking off (byte-identical to the unmarked simulator) and
-on, for both protocols, and reports the FCT tail --
-incast pathology lives in p99, where drop-tail overflow turns into 200 ms
-retransmission timeouts.
+link rate, and trimming switches absorb the transient overflow, so its
+trimming fabric never marks and it runs each fan-in once.  Each fan-in
+therefore has three series -- Polyraptor, TCP with marking off
+(byte-identical to the unmarked simulator) and TCP with marking on -- and
+the sweep reports the FCT tail: incast pathology lives in p99, where
+drop-tail overflow turns into 200 ms retransmission timeouts.
 
 Every (seed, fan-in, marking, protocol) is an independent
 :class:`~repro.experiments.parallel.RunJob`: the workload is generated once
@@ -46,12 +46,13 @@ MARK_ON = "mark-on"
 
 
 #: How :func:`repro.experiments.report.format_sweep` renders the result: one
-#: row per (protocol, cell) in sweep order -- each fan-in with marking off
-#: then on -- with p99 included (the incast pathology lives in the tail) and
-#: the ratio of each marking-on cell against the same protocol and fan-in with
-#: marking off, then the per-cell congestion-reaction counters.
+#: row per (protocol, cell) the sweep ran, in sweep order -- Polyraptor's
+#: fan-ins, then TCP's with marking off then on -- with p99 included (the
+#: incast pathology lives in the tail) and the ratio of each TCP marking-on
+#: cell against TCP at the same fan-in with marking off, then the per-cell
+#: congestion-reaction counters.
 TABLE = dict(
-    title="Incast -- fan-in sweep with marking/reaction on vs off",
+    title="Incast -- fan-in sweep: Polyraptor vs TCP with marking off and on",
     columns=fct_columns(("cell", lambda point: point.cell), "vs mark-off", p99=True),
     counters="transport_stats",
 )
@@ -78,7 +79,7 @@ def _validate_axes(fanins: tuple[int, ...], response_bytes: int) -> None:
 
 
 def reactive_config(config: ExperimentConfig) -> ExperimentConfig:
-    """A copy of ``config`` with ECN marking on both fabrics.
+    """A copy of ``config`` with ECN marking on the drop-tail (TCP) fabric.
 
     TCP's ECE reaction is always on and becomes active the moment the
     fabric marks.
@@ -93,13 +94,13 @@ def expand_incast_sweep(
     protocols: tuple[Protocol, ...],
     num_seeds: int,
 ) -> list[RunJob]:
-    """Expand seeds x (fan-in x marking) x protocols into fully-by-value jobs.
+    """Expand seeds x fan-ins into fully-by-value jobs, marking only TCP's.
 
     Per (seed, fan-in) the incast episode is generated once and shared by
-    every marking setting and protocol (the fair-comparison requirement: every
-    cell of a fan-in sees byte-identical offered traffic).  The marking-on
-    cells differ only in their config's ``ecn_enabled``, which rides inside
-    the job.
+    every cell (the fair-comparison requirement: every cell of a fan-in sees
+    byte-identical offered traffic): each protocol unmarked, then TCP with
+    marking on.  The marking-on cell differs only in its config's
+    ``ecn_enabled``, which rides inside the job.
 
     Job keys are ``(seed, protocol.value, label)``.
     """
@@ -112,6 +113,7 @@ def expand_incast_sweep(
         raise ValueError(
             f"k={config.fattree_k} FatTree supports fan-in <= {max_fanin}, got {max(fanins)}"
         )
+    marked = (Protocol.TCP,) if Protocol.TCP in protocols else ()
     for seed_config in seed_configs(config, num_seeds):
         marked_config = reactive_config(seed_config)
         streams = RandomStreams(seed_config.seed)
@@ -123,12 +125,8 @@ def expand_incast_sweep(
                 streams.stream(f"incast.{fanin}"),
                 first_transfer_id=1,
             )
-            cells = [
-                (f"fanin-{fanin}/{MARK_OFF}", seed_config),
-                (f"fanin-{fanin}/{MARK_ON}", marked_config),
-            ]
-            for label, cell_config in cells:
-                jobs += cell_jobs(label, cell_config, transfers, protocols)
+            jobs += cell_jobs(f"fanin-{fanin}/{MARK_OFF}", seed_config, transfers, protocols)
+            jobs += cell_jobs(f"fanin-{fanin}/{MARK_ON}", marked_config, transfers, marked)
     return jobs
 
 
@@ -140,10 +138,11 @@ def run_incast(
     num_seeds: int = 1,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the incast fan-in x marking sweep, summarised per (protocol, cell).
+    """Run the incast fan-in sweep, summarised per (protocol, cell).
 
-    Each fan-in's marking-off cell is the baseline its marking-on cell's
-    ``fct_vs_baseline`` ratio is computed against (marking-off cells
+    Polyraptor runs each fan-in once (``mark-off``); TCP runs it with marking
+    off and on, and each TCP marking-off cell is the baseline its marking-on
+    cell's ``fct_vs_baseline`` ratio is computed against (marking-off cells
     themselves carry no ratio).  Results are byte-identical for every
     ``jobs`` value.
     """

@@ -202,8 +202,8 @@ def merge_counter_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
 
     Serves both the fault counters (event counts, fault-caused packet drops,
     rerouted table entries, per-builder ``cause_*``) and the
-    congestion-reaction counters (ECN marks, echoes, sender reactions, gray
-    detections).  Every one is additive, so
+    congestion-reaction counters (TCP's ECN marks, echoes and sender
+    reactions).  Every one is additive, so
     shards simply sum -- generically over whatever keys are present, so newly
     added counters survive merging; a ``shards`` field records how many runs
     contributed.  Runs that kept no counters (``None``: a healthy fabric,
@@ -277,10 +277,10 @@ def format_transport_stats(
     """Render per-series ECN counters.
 
     Rows follow the mapping's own order (sweep order).  Series that ran with
-    marking off (``None`` stats, e.g. the marking-off baseline cells)
-    render as ``-`` rows so the table always lists every series of an
-    experiment.  Counters a protocol does not keep (Polyraptor has no ECE
-    echoes or reactions) render as ``-`` too.
+    marking off (``None`` stats: the marking-off baseline cells, and every
+    Polyraptor cell, whose trimming fabric never marks) render as ``-`` rows
+    so the table always lists every series of an experiment.  A counter
+    missing from a series' stats renders as ``-`` too.
     """
     def counter(key: str) -> Callable[[Mapping], str]:
         return lambda stats: str(stats[key]) if key in stats else "-"
@@ -333,8 +333,9 @@ def format_sweep(
 ) -> str:
     """Render an FCT sweep: the degradation table plus its counter table.
 
-    One row per (series, cell) -- series by series, cells in sweep order --
-    through ``columns``, whose first two name the series and the cell.
+    One row per (series, cell) the sweep ran -- series by series, cells in
+    sweep order -- through ``columns``, whose first two name the series and
+    the cell.
     ``counters`` is the point field the second table reads: ``"fault_stats"``
     (events applied, drops, reroutes, per-builder ``causes`` and the
     requested-vs-installed recompute counters that expose control-plane lag)
@@ -343,7 +344,10 @@ def format_sweep(
     them, in the same order as the rows above.
     """
     points = [
-        result.points[(series, cell)] for series in result.series for cell in result.cells
+        result.points[(series, cell)]
+        for series in result.series
+        for cell in result.cells
+        if (series, cell) in result.points
     ]
     (_, series_of), (_, cell_of) = columns[:2]
     stats = {

@@ -254,27 +254,28 @@ def build_environment(
     )
 
 
-def _collect_transport_stats(env: _Environment, protocol: Protocol) -> Optional[dict]:
+def _collect_transport_stats(env: _Environment) -> Optional[dict]:
     """ECN counters for the run, or ``None`` when marking was off.
 
-    Counters are summed in deterministic (host-construction) order and only
-    collected when marking was actually on -- marking-off runs return
+    Only a drop-tail fabric marks, so a run with marking on is a TCP run:
+    its marks, its receivers' echoes and its senders' reactions, summed in
+    deterministic (host-construction) order.  Marking-off runs return
     ``None`` so their results (and fingerprints) stay byte-identical to the
     pre-marking simulator.
     """
     if not env.network.config.ecn_enabled:
         return None
-    stats = {"ecn_marks": env.network.total_ecn_marked}
-    if protocol is Protocol.TCP:
-        ecn_echoes = ecn_reactions = 0
-        for agent in env.tcp_agents.values():
-            for receiver in agent.all_receivers:
-                ecn_echoes += receiver.ecn_echoes
-            for sender in agent.all_senders:
-                ecn_reactions += sender.ecn_reactions
-        stats["ecn_echoes"] = ecn_echoes
-        stats["ecn_reactions"] = ecn_reactions
-    return stats
+    ecn_echoes = ecn_reactions = 0
+    for agent in env.tcp_agents.values():
+        for receiver in agent.all_receivers:
+            ecn_echoes += receiver.ecn_echoes
+        for sender in agent.all_senders:
+            ecn_reactions += sender.ecn_reactions
+    return {
+        "ecn_marks": env.network.total_ecn_marked,
+        "ecn_echoes": ecn_echoes,
+        "ecn_reactions": ecn_reactions,
+    }
 
 
 def _collect_telemetry(env: _Environment) -> Optional[dict]:
@@ -434,7 +435,7 @@ def run_transfers(
             trace=trace,
             codec_stats=env.codec_context.stats_dict() if env.codec_context else None,
             fault_stats=env.fault_injector.stats_dict() if env.fault_injector else None,
-            transport_stats=_collect_transport_stats(env, protocol),
+            transport_stats=_collect_transport_stats(env),
             telemetry=_collect_telemetry(env),
         )
     finally:

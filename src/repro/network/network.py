@@ -63,13 +63,12 @@ class NetworkConfig:
     #: optional seeded jitter: each install's lag is drawn uniformly from
     #: ``[delay, delay * (1 + jitter)]`` using the network's random streams.
     convergence_jitter: float = 0.0
-    #: ECN/PCN marking on switch egress queues.  Off by default so every
-    #: pre-existing scenario stays byte-identical; host NIC queues never
-    #: mark regardless (a host does not congest its own egress).
+    #: ECN/PCN marking on drop-tail switch egress queues, at a fifth of
+    #: their capacity.  Off by default so every pre-existing scenario stays
+    #: byte-identical; host NIC queues never mark regardless (a host does
+    #: not congest its own egress).  A trimming fabric signals congestion
+    #: with trimmed headers and cannot mark.
     ecn_enabled: bool = False
-    #: instantaneous data-queue depth (packets) at which arriving data
-    #: packets get the CE bit.
-    ecn_threshold_packets: int = 4
 
     def __post_init__(self) -> None:
         check_positive("link_rate_bps", self.link_rate_bps)
@@ -80,7 +79,8 @@ class NetworkConfig:
         check_positive("droptail_capacity_packets", self.droptail_capacity_packets)
         check_non_negative("convergence_delay_s", self.convergence_delay_s)
         check_non_negative("convergence_jitter", self.convergence_jitter)
-        check_positive("ecn_threshold_packets", self.ecn_threshold_packets)
+        if self.ecn_enabled and self.switch_queue == "trimming":
+            raise ValueError("ECN marking needs switch_queue='droptail'; trimming queues do not mark")
 
 
 class Network:
@@ -125,21 +125,15 @@ class Network:
 
     # Construction --------------------------------------------------------------
 
-    def _new_marker(self) -> Optional[EcnMarker]:
-        if not self.config.ecn_enabled:
-            return None
-        return EcnMarker(threshold_packets=self.config.ecn_threshold_packets)
-
     def _new_queue(self):
-        if self.config.switch_queue == "trimming":
-            return TrimmingQueue(
-                data_capacity_packets=self.config.data_queue_capacity_packets,
-                marker=self._new_marker(),
-            )
-        return DropTailQueue(
-            capacity_packets=self.config.droptail_capacity_packets,
-            marker=self._new_marker(),
-        )
+        config = self.config
+        if config.switch_queue == "trimming":
+            return TrimmingQueue(data_capacity_packets=config.data_queue_capacity_packets)
+        marker = None
+        if config.ecn_enabled:
+            # K = 20 at the default 100-packet queue: the classic DCTCP step.
+            marker = EcnMarker(threshold_packets=max(1, config.droptail_capacity_packets // 5))
+        return DropTailQueue(capacity_packets=config.droptail_capacity_packets, marker=marker)
 
     def _build_nodes(self) -> None:
         # Hosts take node ids 0..n-1 in topology order, which is how the

@@ -35,57 +35,38 @@ ECN_EWMA_WEIGHT = 0.2
 
 
 class EcnMarker:
-    """Per-queue ECN/PCN marking state.
+    """Per-queue ECN/PCN marking state of a drop-tail queue.
 
-    A marker watches the *data* queue depth on every enqueue and sets the CE
-    bit on data packets when either
+    A marker watches the queue depth on every data enqueue and sets the CE
+    bit when either
 
     * the instantaneous depth reaches ``threshold_packets`` (DCTCP-style
       step marking), or
-    * an EWMA of the depth reaches ``ewma_threshold_packets`` (PCN-style
-      smoothed marking; the EWMA decays slowly, so marking persists briefly
-      after a burst drains -- deliberate hysteresis).
+    * an EWMA of the depth, weighting the newest sample by
+      :data:`ECN_EWMA_WEIGHT`, reaches it too (PCN-style smoothed marking;
+      the EWMA decays slowly, so marking persists briefly after a burst
+      drains -- deliberate hysteresis).
 
     Args:
-        threshold_packets: instantaneous-depth marking threshold (in packets,
-            measured *before* the arriving packet is appended).
-        ewma_weight: weight of the newest depth sample in the EWMA
-            (``ewma = (1 - w) * ewma + w * depth``); must be in (0, 1].
-        ewma_threshold_packets: EWMA marking threshold; defaults to the
-            instantaneous threshold.
+        threshold_packets: marking threshold (in packets, measured *before*
+            the arriving packet is appended).
     """
 
-    def __init__(
-        self,
-        threshold_packets: int,
-        ewma_weight: float = ECN_EWMA_WEIGHT,
-        ewma_threshold_packets: Optional[float] = None,
-    ) -> None:
+    def __init__(self, threshold_packets: int) -> None:
         if threshold_packets <= 0:
             raise ValueError("ECN threshold must be positive")
-        if not (0.0 < ewma_weight <= 1.0):
-            raise ValueError("ECN EWMA weight must be in (0, 1]")
         self.threshold_packets = threshold_packets
-        self.ewma_weight = ewma_weight
-        self.ewma_threshold_packets = (
-            float(threshold_packets)
-            if ewma_threshold_packets is None
-            else float(ewma_threshold_packets)
-        )
-        if self.ewma_threshold_packets <= 0:
-            raise ValueError("ECN EWMA threshold must be positive")
         self.ewma_depth = 0.0
         self.marks = 0
 
     def observe(self, depth_packets: int) -> bool:
         """Fold a depth sample into the EWMA; return True if marking is on."""
         self.ewma_depth = (
-            (1.0 - self.ewma_weight) * self.ewma_depth
-            + self.ewma_weight * depth_packets
+            (1.0 - ECN_EWMA_WEIGHT) * self.ewma_depth + ECN_EWMA_WEIGHT * depth_packets
         )
         return (
             depth_packets >= self.threshold_packets
-            or self.ewma_depth >= self.ewma_threshold_packets
+            or self.ewma_depth >= self.threshold_packets
         )
 
     def maybe_mark(self, packet: Packet, depth_packets: int) -> Packet:
@@ -110,7 +91,12 @@ class QueueDiscipline(Protocol):
 
 
 class DropTailQueue:
-    """A single bounded FIFO; the classic switch queue used by the TCP baseline."""
+    """A single bounded FIFO; the classic switch queue used by the TCP baseline.
+
+    It is the only discipline that marks: with a ``marker`` every data
+    enqueue may set the CE bit TCP's receiver echoes.  A trimming queue's
+    congestion signal is the trimmed header itself.
+    """
 
     def __init__(
         self,
@@ -173,7 +159,6 @@ class TrimmingQueue:
         data_capacity_packets: int = 8,
         header_capacity_packets: int = HEADER_QUEUE_CAPACITY_PACKETS,
         data_service_ratio: int = 10,
-        marker: Optional[EcnMarker] = None,
     ) -> None:
         if data_capacity_packets <= 0:
             raise ValueError("data queue capacity must be positive")
@@ -184,7 +169,6 @@ class TrimmingQueue:
         self.data_capacity_packets = data_capacity_packets
         self.header_capacity_packets = header_capacity_packets
         self.data_service_ratio = data_service_ratio
-        self.marker = marker
         self._data: deque[Packet] = deque()
         self._priority: deque[Packet] = deque()
         self._consecutive_priority = 0
@@ -195,8 +179,6 @@ class TrimmingQueue:
     def enqueue(self, packet: Packet) -> Optional[Packet]:
         """Queue a packet, trimming data packets when the data queue is full."""
         if packet.kind is PacketKind.DATA and not packet.priority:
-            if self.marker is not None:
-                packet = self.marker.maybe_mark(packet, len(self._data))
             if len(self._data) < self.data_capacity_packets:
                 self._data.append(packet)
                 return packet
@@ -246,8 +228,3 @@ class TrimmingQueue:
     def queued_bytes(self) -> int:
         """Total bytes currently queued across both queues."""
         return sum(p.size_bytes for p in self._data) + sum(p.size_bytes for p in self._priority)
-
-    @property
-    def ecn_marked(self) -> int:
-        """Packets CE-marked by this queue's marker (0 without a marker)."""
-        return self.marker.marks if self.marker is not None else 0

@@ -127,7 +127,7 @@ class TelemetrySampler:
             if depth is None:
                 depth = len(queue)
             record(now, f"queue.depth.{port.name}", depth)
-            marker = queue.marker
+            marker = getattr(queue, "marker", None)
             if marker is not None:
                 record(now, f"queue.ewma.{port.name}", marker.ewma_depth)
                 record(now, f"queue.marks.{port.name}", marker.marks)

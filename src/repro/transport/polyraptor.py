@@ -240,16 +240,6 @@ class PolyraptorAgent:
         """Whether a receiver session exists for the given id."""
         return session_id in self._receivers
 
-    @property
-    def all_sender_sessions(self) -> list[SessionDriver]:
-        """Every sender session hosted on this agent (stats collection)."""
-        return list(self._senders.values())
-
-    @property
-    def all_receiver_sessions(self) -> list[SessionDriver]:
-        """Every receiver session hosted on this agent (stats collection)."""
-        return list(self._receivers.values())
-
     # Packet handling ------------------------------------------------------------------
 
     def handle_packet(self, packet: Packet) -> None:

@@ -47,10 +47,12 @@ class TestExperimentConfig:
         assert polyraptor.routing_mode is RoutingMode.PACKET_SPRAY
         assert tcp.switch_queue == "droptail"
         assert tcp.routing_mode is RoutingMode.ECMP_FLOW
-        # Marking thresholds: half the 8-packet trimming queue, a fifth of
-        # the 100-packet drop-tail queue.
-        assert polyraptor.ecn_threshold_packets == 4
-        assert tcp.ecn_threshold_packets == 20
+        assert not polyraptor.ecn_enabled and not tcp.ecn_enabled
+
+    def test_only_the_tcp_fabric_marks(self):
+        config = ExperimentConfig(ecn_enabled=True)
+        assert config.network_config(Protocol.POLYRAPTOR).ecn_enabled is False
+        assert config.network_config(Protocol.TCP).ecn_enabled is True
 
     def test_with_seed(self):
         config = ExperimentConfig(seed=1)

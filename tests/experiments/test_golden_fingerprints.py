@@ -165,15 +165,13 @@ def trace_fingerprint(trace: TraceLog) -> str:
 
 
 #: cell -> sha256(canonical_dict()).  The six TCP hashes date from before the
-#: engine and fabric hot-path rewrite.  The nine Polyraptor hashes were last
+#: engine and fabric hot-path rewrite.  The eight Polyraptor hashes were last
 #: re-captured when ``codec_stats`` in the snapshot shrank to the two block
 #: counters; each equals the previous commit's dict with the dropped codec
 #: keys stripped, so no simulated event moved (CHANGES.md has the table).
-#: ``polyraptor-ecn`` was re-captured when the Polyraptor rate loop went: its
-#: ``transport_stats`` lost ``ce_received`` and ``rate_updates``, nothing else.
-#: When gray-failure detection went, ``polyraptor-ecn`` lost
-#: ``transport_stats.gray_detected`` and ``polyraptor-telemetry`` its
-#: ``loss.*`` series, nothing else.
+#: When gray-failure detection went, ``polyraptor-telemetry`` lost its
+#: ``loss.*`` series, nothing else.  Only the drop-tail fabric marks, so
+#: ``ecn`` is a TCP cell only.
 GOLDEN = {
     "polyraptor-unicast": "9d2fefb355015a6619a3a411ebda124ed51b91379db351fd8e4c83871e42eb7d",
     "polyraptor-multicast": "2997a0c8c8acd9e7e280f0b6b1ba034263fa64b7fa21d02e6c65f107bc68a064",
@@ -181,7 +179,6 @@ GOLDEN = {
     "polyraptor-ecmp": "480c44635f1dbaebb4900ceaecbb26096aa5485be48efb6a74108d525bdb012f",
     "polyraptor-single": "21d6f7ea6ceb89f7d194b6e4fe4534317d09044b09aa4e88e98368854a46f22b",
     "polyraptor-faults": "4e00364cef78966c0e86d2bc61cf5fa123d9d45046101d39d145b220890ee88c",
-    "polyraptor-ecn": "24ef3ddfcdc9fd46f57a43e3c7ac6f850e825506028d38c78476b27bda4949f3",
     "polyraptor-telemetry": "0cb190440afe84f24bfed3b67cbd712450bf43d788c42b684efee235bf12c17d",
     "polyraptor-payload": "d8a84b8ad388dede4eaef8adda1cf324847d8b92d5b3b2364a93dc33815f895e",
     "tcp-unicast": "a5bdd55f40cab0e32e770db48e12668a31564b003b91a12716051e445c8745d5",
@@ -234,7 +231,6 @@ def test_matrix_exercises_what_it_claims_to():
     faults = untraced("polyraptor-faults").fault_stats
     assert faults["packets_dropped_link_down"] > 0 and faults["packets_dropped_random_loss"] > 0
     assert faults["route_installs"] == 2
-    assert untraced("polyraptor-ecn").transport_stats["ecn_marks"] > 0
     assert untraced("tcp-ecn").transport_stats["ecn_reactions"] > 0
 
 

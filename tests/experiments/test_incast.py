@@ -83,9 +83,22 @@ class TestSweepExpansion:
     def test_workload_shared_across_cells_and_protocols(self):
         jobs = expand_incast_sweep(QUICK, (3,), 16 * KILOBYTE,
                                    (Protocol.POLYRAPTOR, Protocol.TCP), 1)
-        assert len(jobs) == 4  # 1 fan-in x 2 markings x 2 protocols
         transfers = {job.transfers for job in jobs}
         assert len(transfers) == 1  # byte-identical offered traffic everywhere
+
+    def test_three_cells_per_fanin_and_only_tcp_marks(self):
+        both = expand_incast_sweep(QUICK, (3, 5), 16 * KILOBYTE,
+                                   (Protocol.POLYRAPTOR, Protocol.TCP), 2)
+        assert len(both) == 2 * 2 * 3  # seeds x fan-ins x 3 cells
+        assert [job.key[1:] for job in both[:3]] == [
+            ("polyraptor", f"fanin-3/{MARK_OFF}"),
+            ("tcp", f"fanin-3/{MARK_OFF}"),
+            ("tcp", f"fanin-3/{MARK_ON}"),
+        ]
+        assert all(job.protocol is Protocol.TCP for job in both if job.config.ecn_enabled)
+        alone = expand_incast_sweep(QUICK, (3, 5), 16 * KILOBYTE, (Protocol.POLYRAPTOR,), 2)
+        assert len(alone) == 2 * 2  # one unmarked cell per (seed, fan-in)
+        assert {job.key[2] for job in alone} == {f"fanin-3/{MARK_OFF}", f"fanin-5/{MARK_OFF}"}
 
     def test_marking_rides_inside_the_config(self):
         jobs = expand_incast_sweep(QUICK, (3,), 16 * KILOBYTE, (Protocol.TCP,), 1)
@@ -117,10 +130,12 @@ class TestDeterminism:
             assert on_tcp.transport_stats is not None
             # Echoes lag marks only by downstream drops: never more than marks.
             assert 0 <= on_tcp.transport_stats["ecn_echoes"] <= on_tcp.transport_stats["ecn_marks"]
-            on_poly = result.point(Protocol.POLYRAPTOR, f"fanin-{fanin}/{MARK_ON}")
-            assert set(on_poly.transport_stats) == {"ecn_marks", "shards"}
+            poly = result.point(Protocol.POLYRAPTOR, f"fanin-{fanin}/{MARK_OFF}")
+            assert poly.transport_stats is None
+            assert (Protocol.POLYRAPTOR.value, f"fanin-{fanin}/{MARK_ON}") not in result.points
         rendered = format_sweep(result, **TABLE)
         assert "mark-on" in rendered and "vs mark-off" in rendered
+        assert "polyraptor  fanin-2/mark-on" not in rendered
 
 
 class TestMarkOffIsLegacy:
@@ -135,17 +150,6 @@ class TestMarkOffIsLegacy:
         assert direct.transport_stats is None
         assert "transport_stats" not in direct.canonical_dict()
 
-    def test_polyraptor_ignores_marks(self):
-        """Marks change no Polyraptor decision: the mark-on cell moves the
-        same packets at the same instants as the mark-off cell."""
-        jobs = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)
-        off, on = (run_transfers(job.protocol, job.config, list(job.transfers))
-                   for job in jobs)
-        assert on.transport_stats["ecn_marks"] > 0
-        marked, unmarked = on.canonical_dict(), off.canonical_dict()
-        for field in ("transfers", "events_processed", "trimmed_packets", "sim_time_s"):
-            assert marked[field] == unmarked[field], field
-
     def test_default_config_runs_have_no_transport_stats(self):
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
             jobs = expand_incast_sweep(QUICK, (2,), 16 * KILOBYTE, (protocol,), 1)
@@ -153,16 +157,15 @@ class TestMarkOffIsLegacy:
             run = run_transfers(off_job.protocol, off_job.config, list(off_job.transfers))
             assert run.transport_stats is None
 
-    @pytest.mark.parametrize("marking", [True, False], ids=["marking", "no-marking"])
-    def test_polyraptor_stats_appear_iff_marking_ran(self, marking):
-        off_job = expand_incast_sweep(QUICK, (2,), 16 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)[0]
-        config = replace(off_job.config, ecn_enabled=marking)
-        stats = run_transfers(off_job.protocol, config, list(off_job.transfers)).transport_stats
-        if not marking:
-            assert stats is None
-        else:
-            assert set(stats) == {"ecn_marks"}
-            assert stats["ecn_marks"] > 0
+    def test_polyraptor_run_ignores_ecn_enabled(self):
+        """Only the drop-tail fabric marks: asking a Polyraptor cell to mark
+        builds the same trimming fabric and moves the same packets."""
+        off_job = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.POLYRAPTOR,), 1)[0]
+        asked = replace(off_job.config, ecn_enabled=True)
+        off, on = (run_transfers(off_job.protocol, config, list(off_job.transfers))
+                   for config in (off_job.config, asked))
+        assert on.transport_stats is None
+        assert on.canonical_dict() == off.canonical_dict()
 
     def test_mark_on_snapshot_includes_transport_stats(self):
         jobs = expand_incast_sweep(QUICK, (4,), 32 * KILOBYTE, (Protocol.TCP,), 1)
