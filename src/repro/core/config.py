@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.rq.block import DEFAULT_MAX_SYMBOLS_PER_BLOCK, DEFAULT_SYMBOL_SIZE
 from repro.utils.units import MICROSECOND
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 #: wire header size of every Polyraptor packet: symbols, pulls and the
 #: request/done control packets alike.
@@ -24,6 +24,16 @@ DECODE_OVERHEAD_SYMBOLS = 2
 #: idempotent, and the cap keeps event heaps finite when a sender stays
 #: unreachable.
 DONE_RETRY_LIMIT = 8
+#: how many times a push sender re-probes receivers it has never heard from
+#: (one unicast symbol each, exponential backoff starting at
+#: ``stall_timeout_s``).  The receiver-side stall timer only exists once a
+#: receiver has learned of the session from a first arriving symbol; if the
+#: sender starts while its own rack is dark (a rack power event), or one
+#: receiver's rack is, that receiver never hears anything and the session
+#: would deadlock.  Probing is cancelled per receiver as pulls or DONEs
+#: arrive, so healthy sessions never retry and a multicast group keeps
+#: probing only its dark members.
+STARTUP_RETRY_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -47,24 +57,6 @@ class PolyraptorConfig:
         stall_timeout_s: receiver-side timer; if nothing arrives for this long
             on an incomplete session, the receiver re-issues pulls (guards
             against the rare loss of trimmed headers).
-        startup_retry_limit: how many times a push sender re-probes
-            receivers it has never heard from (one unicast symbol each,
-            exponential backoff starting at ``stall_timeout_s``).  The
-            receiver-side stall timer only exists once a receiver has
-            learned of the session from a first arriving symbol; if the
-            sender starts while its own rack is dark (a rack power event),
-            or one receiver's rack is, that receiver never hears anything
-            and the session would deadlock.  Probing is cancelled per
-            receiver as pulls or DONEs arrive, so healthy sessions never
-            retry and a multicast group keeps probing only its dark
-            members.
-        straggler_detection: enable the multicast straggler extension (detach
-            receivers that fall too far behind into a unicast leg).
-        straggler_lag_symbols: how many pulls a receiver may lag behind the
-            fastest group member before being detached.  Because pull counts
-            can never diverge by more than roughly the initial window (the
-            sender is pull-clocked), this should be set below
-            ``initial_window_symbols``.
     """
 
     symbol_size_bytes: int = DEFAULT_SYMBOL_SIZE
@@ -72,9 +64,6 @@ class PolyraptorConfig:
     max_symbols_per_block: int = DEFAULT_MAX_SYMBOLS_PER_BLOCK
     carry_payload: bool = False
     stall_timeout_s: float = 500 * MICROSECOND
-    startup_retry_limit: int = 8
-    straggler_detection: bool = False
-    straggler_lag_symbols: int = 12
     #: real-network loss recovery: when True, a receiver that detects a
     #: sequence gap on an arriving symbol immediately enqueues one extra
     #: pull per newly missing symbol (capped at ``initial_window_symbols``
@@ -90,8 +79,6 @@ class PolyraptorConfig:
         check_positive("initial_window_symbols", self.initial_window_symbols)
         check_positive("max_symbols_per_block", self.max_symbols_per_block)
         check_positive("stall_timeout_s", self.stall_timeout_s)
-        check_non_negative("startup_retry_limit", self.startup_retry_limit)
-        check_positive("straggler_lag_symbols", self.straggler_lag_symbols)
 
     @property
     def symbol_packet_bytes(self) -> int:

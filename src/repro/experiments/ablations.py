@@ -28,7 +28,7 @@ from repro.experiments.metrics import aggregate_goodput_gbps
 from repro.experiments.parallel import RunJob
 from repro.experiments.runner import RunResult
 from repro.experiments.sweep import run_sweep
-from repro.network.network import NetworkConfig
+from repro.network.network import DATA_QUEUE_CAPACITY_PACKETS, NetworkConfig
 from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
 from repro.rq.decoder import BlockDecoder
@@ -87,7 +87,7 @@ def trimming_ablation(
             transfers=tuple(transfers),
             network_config=NetworkConfig(
                 switch_queue=queue,
-                droptail_capacity_packets=NetworkConfig.data_queue_capacity_packets,
+                droptail_capacity_packets=DATA_QUEUE_CAPACITY_PACKETS,
                 routing_mode=RoutingMode.PACKET_SPRAY,
             ),
         )

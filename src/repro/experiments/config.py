@@ -54,8 +54,6 @@ class ExperimentConfig:
     #: the historical behaviour); applies to both protocols' fabrics and
     #: rides inside RunJob configs, so sharded sweeps stay byte-identical.
     convergence_delay_s: float = 0.0
-    #: seeded jitter fraction on the convergence lag (see NetworkConfig).
-    convergence_jitter: float = 0.0
     #: the drop-tail (TCP) fabric marks: ECN/PCN marking on its switch
     #: queues (off = the historical fabric, byte-identical to pre-marking
     #: runs).  Polyraptor's trimming fabric never marks.  Rides inside
@@ -78,8 +76,6 @@ class ExperimentConfig:
         check_positive("max_sim_time_s", self.max_sim_time_s)
         if self.convergence_delay_s < 0:
             raise ValueError("convergence_delay_s cannot be negative")
-        if self.convergence_jitter < 0:
-            raise ValueError("convergence_jitter cannot be negative")
 
     # Derived quantities ---------------------------------------------------------
 
@@ -124,13 +120,11 @@ class ExperimentConfig:
                 switch_queue="trimming",
                 routing_mode=RoutingMode.PACKET_SPRAY,
                 convergence_delay_s=self.convergence_delay_s,
-                convergence_jitter=self.convergence_jitter,
             )
         return NetworkConfig(
             switch_queue="droptail",
             routing_mode=RoutingMode.ECMP_FLOW,
             convergence_delay_s=self.convergence_delay_s,
-            convergence_jitter=self.convergence_jitter,
             ecn_enabled=self.ecn_enabled,
         )
 

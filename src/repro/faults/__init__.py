@@ -4,12 +4,12 @@ The subsystem has two halves:
 
 * :mod:`repro.faults.schedule` -- declarative, seeded, picklable
   :class:`FaultSchedule` value objects (link down/up, link degrade, random
-  loss, switch failure, host slowdown) plus the seeded generators the
+  loss, switch failure) plus the seeded generators the
   experiments parameterise: :func:`random_fault_schedule` (independent
   faults by intensity), :func:`shared_risk_group_schedule` (SRLGs),
   :func:`rack_power_schedule` (a ToR and all its host links as one unit),
   :func:`gray_failure_schedule` (low-probability loss smeared across many
-  links, invisible to routing) and :func:`straggler_schedule`;
+  links, invisible to routing);
 * :mod:`repro.faults.injector` -- the :class:`FaultInjector` simulation
   process that executes a schedule against a live network, recomputing
   routes on topology changes and counting every fault-caused packet drop.
@@ -22,7 +22,6 @@ from repro.faults.schedule import (
     FaultSchedule,
     fabric_edges,
     gray_failure_schedule,
-    host_slowdown,
     link_degrade,
     link_down,
     link_loss,
@@ -30,7 +29,6 @@ from repro.faults.schedule import (
     rack_power_schedule,
     random_fault_schedule,
     shared_risk_group_schedule,
-    straggler_schedule,
     switch_down,
     switch_up,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "FaultSchedule",
     "fabric_edges",
     "gray_failure_schedule",
-    "host_slowdown",
     "link_degrade",
     "link_down",
     "link_loss",
@@ -50,7 +47,6 @@ __all__ = [
     "rack_power_schedule",
     "random_fault_schedule",
     "shared_risk_group_schedule",
-    "straggler_schedule",
     "switch_down",
     "switch_up",
 ]

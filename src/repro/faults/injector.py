@@ -44,7 +44,6 @@ class FaultInjector:
         self.links_lossy = 0
         self.switches_failed = 0
         self.switches_restored = 0
-        self.hosts_slowed = 0
         #: applied events per schedule-builder cause tag (empty tags skipped)
         self.cause_counts: dict[str, int] = {}
         #: total next-hop table entries changed across every installed recompute
@@ -112,10 +111,6 @@ class FaultInjector:
         elif kind is FaultKind.SWITCH_UP:
             network.set_switch_failed(event.target[0], failed=False)
             self.switches_restored += 1
-        elif kind is FaultKind.HOST_SLOWDOWN:
-            network.slow_host(event.target[0], event.severity)
-            if event.severity < 1.0:
-                self.hosts_slowed += 1
         else:  # pragma: no cover - FaultKind is closed
             raise ValueError(f"unknown fault kind {kind!r}")
         self.events_applied += 1
@@ -142,7 +137,6 @@ class FaultInjector:
             "links_lossy": self.links_lossy,
             "switches_failed": self.switches_failed,
             "switches_restored": self.switches_restored,
-            "hosts_slowed": self.hosts_slowed,
             "reroutes": self.reroutes,
             "recomputes_requested": self.recomputes_requested,
             "route_installs": self.route_installs,

@@ -3,9 +3,7 @@
 A :class:`FaultSchedule` is a value object: an immutable, time-sorted tuple
 of :class:`FaultEvent` records describing *what* goes wrong in the fabric and
 *when* -- links failing and recovering, links degrading to a fraction of
-their rate, elevated random loss, whole-switch failures, and host-NIC
-slowdowns (the declarative form of the straggler scenario whose detection
-side lives in :mod:`repro.protocol.sender`).
+their rate, elevated random loss, and whole-switch failures.
 
 Schedules are plain frozen dataclasses, so they pickle and hash: the
 parallel executor ships them to worker processes inside
@@ -33,8 +31,7 @@ schedules:
   of its host access links die and recover as a unit;
 * :func:`gray_failure_schedule` -- gray failures: low-probability Bernoulli
   loss (optionally plus a mild rate degrade) smeared across many links,
-  with *no* topology change, so routing keeps using the sick paths;
-* :func:`straggler_schedule` -- seeded host-NIC slowdowns.
+  with *no* topology change, so routing keeps using the sick paths.
 
 Every event carries an optional ``cause`` tag naming the builder that
 produced it; the injector counts events per cause so experiment reports can
@@ -60,7 +57,6 @@ class FaultKind(str, Enum):
     LINK_LOSS = "link_loss"
     SWITCH_DOWN = "switch_down"
     SWITCH_UP = "switch_up"
-    HOST_SLOWDOWN = "host_slowdown"
 
 
 #: kinds that address a full-duplex link (two node names)
@@ -82,7 +78,7 @@ class FaultEvent:
         kind: what happens.
         target: ``(a, b)`` node names for link kinds, ``(name,)`` otherwise.
         severity: kind-specific magnitude -- the surviving rate fraction for
-            ``LINK_DEGRADE`` / ``HOST_SLOWDOWN`` (1.0 restores nominal rate),
+            ``LINK_DEGRADE`` (1.0 restores nominal rate),
             the loss probability for ``LINK_LOSS`` (0.0 clears it); unused
             (1.0) for the binary kinds.
         cause: optional name of the failure model (builder) that produced
@@ -105,7 +101,7 @@ class FaultEvent:
             raise ValueError(
                 f"{self.kind.value} targets {expected} node(s), got {self.target!r}"
             )
-        if self.kind in (FaultKind.LINK_DEGRADE, FaultKind.HOST_SLOWDOWN):
+        if self.kind is FaultKind.LINK_DEGRADE:
             if not 0.0 < self.severity <= 1.0:
                 raise ValueError(
                     f"{self.kind.value} severity must be a rate fraction in (0, 1], "
@@ -153,13 +149,6 @@ def switch_down(time: float, switch_name: str, cause: str = "") -> FaultEvent:
 def switch_up(time: float, switch_name: str, cause: str = "") -> FaultEvent:
     """Restore a previously failed switch."""
     return FaultEvent(time, FaultKind.SWITCH_UP, (switch_name,), cause=cause)
-
-
-def host_slowdown(
-    time: float, host_name: str, rate_fraction: float, cause: str = ""
-) -> FaultEvent:
-    """Slow a host's NIC to ``rate_fraction`` of nominal (1.0 recovers it)."""
-    return FaultEvent(time, FaultKind.HOST_SLOWDOWN, (host_name,), rate_fraction, cause)
 
 
 @dataclass(frozen=True)
@@ -343,36 +332,6 @@ def random_fault_schedule(
         events.append(switch_down(begin, victim, cause="random"))
         events.append(switch_up(end, victim, cause="random"))
 
-    return FaultSchedule.ordered(events)
-
-
-def straggler_schedule(
-    hosts: Sequence[str],
-    rng: random.Random,
-    count: int = 1,
-    rate_fraction: float = 0.25,
-    time: float = 0.0,
-    recover_after: Optional[float] = None,
-) -> FaultSchedule:
-    """Slow ``count`` randomly chosen hosts -- the declarative straggler scenario.
-
-    This unifies the ad-hoc "slow receiver" setups with the fault subsystem:
-    injection happens here (a seeded NIC slowdown), detection and detachment
-    stay in :class:`repro.protocol.sender.SenderCore`.  With
-    ``recover_after`` set, each straggler returns to full rate after that
-    many seconds.
-    """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if count > len(hosts):
-        raise ValueError(f"cannot pick {count} stragglers from {len(hosts)} hosts")
-    if recover_after is not None and recover_after <= 0:
-        raise ValueError(f"recover_after must be positive, got {recover_after}")
-    events: list[FaultEvent] = []
-    for host in rng.sample(list(hosts), count):
-        events.append(host_slowdown(time, host, rate_fraction, cause="straggler"))
-        if recover_after is not None:
-            events.append(host_slowdown(time + recover_after, host, 1.0, cause="straggler"))
     return FaultSchedule.ordered(events)
 
 

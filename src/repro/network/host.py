@@ -81,10 +81,6 @@ class Host(Node):
         """Record membership of a multicast group (delivery filter)."""
         self.joined_groups.add(group_id)
 
-    def leave_group(self, group_id: int) -> None:
-        """Drop membership of a multicast group."""
-        self.joined_groups.discard(group_id)
-
     # Data path ------------------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:

@@ -8,16 +8,16 @@ endpoints to them, install multicast groups, and read aggregate statistics
 
 It is also the surface the fault-injection subsystem (:mod:`repro.faults`)
 drives: links can be failed/restored/degraded/made lossy, switches failed,
-host NICs slowed, and :meth:`Network.recompute_routes` rebuilds the unicast
-ECMP table and every installed multicast tree on the surviving topology.
+and :meth:`Network.recompute_routes` rebuilds the unicast ECMP table and
+every installed multicast tree on the surviving topology.
 
 Routing convergence is not necessarily instantaneous: with
 ``NetworkConfig.convergence_delay_s`` set, a recompute models control-plane
 lag -- the new tables are computed from a snapshot of the failure state at
-detection time but only *installed* after the (optionally seeded-jittered)
-delay, and until then the fabric keeps forwarding on the stale tables,
-black-holing traffic aimed at dead links and switches exactly like a real
-network between failure and reconvergence.  The default of 0 preserves the
+detection time but only *installed* after the delay, and until then the
+fabric keeps forwarding on the stale tables, black-holing traffic aimed at
+dead links and switches exactly like a real network between failure and
+reconvergence.  The default of 0 preserves the
 historical instantaneous behaviour byte for byte.
 """
 
@@ -39,6 +39,10 @@ from repro.sim.trace import TraceLog
 from repro.utils.units import GBPS, MICROSECOND
 from repro.utils.validation import check_non_negative, check_positive
 
+#: data-queue depth of every trimming switch port, in MTU-sized packets
+#: (NDP's shallow 8-packet queue; excess payloads are trimmed to headers).
+DATA_QUEUE_CAPACITY_PACKETS = 8
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -53,16 +57,12 @@ class NetworkConfig:
     link_rate_bps: float = 1 * GBPS
     link_delay_s: float = 10 * MICROSECOND
     switch_queue: str = "trimming"
-    data_queue_capacity_packets: int = 8
     droptail_capacity_packets: int = 100
     routing_mode: RoutingMode = RoutingMode.PACKET_SPRAY
     #: control-plane lag: seconds between a topology change being detected
     #: (``recompute_routes`` called) and the new tables being installed.
     #: 0 (default) reinstalls instantaneously, the historical behaviour.
     convergence_delay_s: float = 0.0
-    #: optional seeded jitter: each install's lag is drawn uniformly from
-    #: ``[delay, delay * (1 + jitter)]`` using the network's random streams.
-    convergence_jitter: float = 0.0
     #: ECN/PCN marking on drop-tail switch egress queues, at a fifth of
     #: their capacity.  Off by default so every pre-existing scenario stays
     #: byte-identical; host NIC queues never mark regardless (a host does
@@ -75,10 +75,8 @@ class NetworkConfig:
         check_non_negative("link_delay_s", self.link_delay_s)
         if self.switch_queue not in ("trimming", "droptail"):
             raise ValueError("switch_queue must be 'trimming' or 'droptail'")
-        check_positive("data_queue_capacity_packets", self.data_queue_capacity_packets)
         check_positive("droptail_capacity_packets", self.droptail_capacity_packets)
         check_non_negative("convergence_delay_s", self.convergence_delay_s)
-        check_non_negative("convergence_jitter", self.convergence_jitter)
         if self.ecn_enabled and self.switch_queue == "trimming":
             raise ValueError("ECN marking needs switch_queue='droptail'; trimming queues do not mark")
 
@@ -128,7 +126,7 @@ class Network:
     def _new_queue(self):
         config = self.config
         if config.switch_queue == "trimming":
-            return TrimmingQueue(data_capacity_packets=config.data_queue_capacity_packets)
+            return TrimmingQueue(data_capacity_packets=DATA_QUEUE_CAPACITY_PACKETS)
         marker = None
         if config.ecn_enabled:
             # K = 20 at the default 100-packet queue: the classic DCTCP step.
@@ -281,17 +279,6 @@ class Network:
         self._groups[group_id] = group
         return group
 
-    def remove_multicast_group(self, group_id: int) -> None:
-        """Uninstall a multicast group from switches and receivers."""
-        group = self._groups.pop(group_id, None)
-        if group is None:
-            return
-        for node_name in {parent for parent, _ in group.tree_edges}:
-            if node_name in self.switches:
-                self.switches[node_name].set_group_ports(group_id, ())
-        for receiver in group.receiver_hosts:
-            self._host_by_name[receiver].leave_group(group_id)
-
     def multicast_group(self, group_id: int) -> MulticastGroup:
         """Return an installed group (KeyError if unknown)."""
         return self._groups[group_id]
@@ -352,16 +339,6 @@ class Network:
         else:
             self._failed_switches.discard(switch_name)
 
-    def slow_host(self, host_name: str, rate_fraction: float) -> None:
-        """Degrade a host's NIC to a fraction of nominal rate (1.0 restores).
-
-        This is the declarative way to create a straggler: the slowed host
-        pulls symbols late, and a multicast sender with
-        ``straggler_detection`` on (:class:`repro.protocol.sender.SenderCore`)
-        detaches it exactly as it would a naturally slow receiver.
-        """
-        self._host_by_name[host_name].nic.set_rate_fraction(rate_fraction)
-
     @property
     def failed_edges(self) -> frozenset[frozenset[str]]:
         """Currently failed full-duplex links (as unordered name pairs)."""
@@ -402,17 +379,12 @@ class Network:
             if on_installed is not None:
                 on_installed(changed)
             return changed
-        lag = delay
-        if self.config.convergence_jitter > 0:
-            lag *= 1.0 + self.streams.stream("network.convergence").uniform(
-                0.0, self.config.convergence_jitter
-            )
         self.trace.record(
             self.sim.now, "network.convergence_pending",
-            epoch=self._route_epoch, lag=lag,
+            epoch=self._route_epoch, lag=delay,
         )
         self.sim.schedule(
-            lag,
+            delay,
             self._install_converged_routes,
             self._route_epoch,
             frozenset(self._failed_edges),
@@ -430,8 +402,8 @@ class Network:
     ) -> None:
         """Install tables computed from a detection-time snapshot (delayed path)."""
         if epoch <= self._installed_epoch:
-            # A newer recompute (shorter jittered lag) already installed
-            # fresher tables; installing this stale snapshot would regress.
+            # A newer recompute already installed fresher tables;
+            # installing this stale snapshot would regress.
             return
         self._installed_epoch = epoch
         changed = self._install_routes_for(failed_edges, failed_switches)

@@ -21,8 +21,7 @@ simulator clock and asserts the cores emitted identical decision
 sequences.
 
 Besides the cores and the driver, the package holds the pull pacer, the
-protocol's only rate control.  The multicast straggler rule lives in
-:mod:`~repro.protocol.sender`.  The package imports only
+protocol's only rate control.  The package imports only
 :mod:`repro.core` (config and payload types), :mod:`repro.rq` and
 :mod:`repro.utils`; ``tests/test_layering.py`` keeps it that way.
 """

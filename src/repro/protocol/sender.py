@@ -7,8 +7,7 @@ clocking").  Three shapes exist, all handled by this class:
 * **unicast push** -- one receiver, symbols sent as unicast data packets;
 * **multicast push** -- several receivers reached through a multicast group;
   the sender aggregates pulls and multicasts a new symbol only after every
-  active receiver has pulled (with ``straggler_detection`` on, a receiver
-  lagging the group is detached to a unicast leg, see :func:`_stragglers`);
+  active receiver has pulled;
 * **fetch serving** -- the sender is one of N replica holders answering a
   receiver-initiated multi-source fetch; it serves the symbol-space partition
   assigned to it (``sender_index`` / ``num_senders``), so symbols from
@@ -30,7 +29,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from repro.core.config import HEADER_BYTES, PolyraptorConfig
+from repro.core.config import HEADER_BYTES, STARTUP_RETRY_LIMIT, PolyraptorConfig
 from repro.core.packets import DoneAckPayload, DonePayload, PullPayload, SymbolPayload
 from repro.protocol.actions import (
     KIND_CONTROL,
@@ -103,9 +102,7 @@ class SenderCore(ActionEmitter):
         # Multicast aggregation state.
         self._active_receivers: set[int] = set(receiver_host_ids)
         self._done_receivers: set[int] = set()
-        self._detached_receivers: set[int] = set()
         self._pull_credits: dict[int, int] = {r: 0 for r in receiver_host_ids}
-        self._pulls_by_receiver: dict[int, int] = {r: 0 for r in receiver_host_ids}
         self._last_hint: dict[int, Optional[int]] = {r: None for r in receiver_host_ids}
         self._default_hint: Optional[int] = None
         #: per-stream emission counters stamped onto SymbolPayload.sequence:
@@ -128,7 +125,6 @@ class SenderCore(ActionEmitter):
         self.repair_symbols_sent = 0
         self.pulls_received = 0
         self.multicast_rounds = 0
-        self.detached_count = 0
         #: startup-stall recovery: a receiver that never gets a single
         #: symbol -- e.g. its (or this sender's) rack lost power the moment
         #: the session started -- does not even know the session exists, so
@@ -164,8 +160,7 @@ class SenderCore(ActionEmitter):
         picks = [self._next_symbol(None) for _ in range(window)]
         for (block, esi), data in zip(picks, self._batch_payloads(picks)):
             self._emit_symbol(block, esi, data=data)
-        if self.config.startup_retry_limit > 0:
-            self._arm_startup(self.config.stall_timeout_s)
+        self._arm_startup(self.config.stall_timeout_s)
 
     def on_timer(self, name: str, now: float) -> None:
         """Handle the expiry of one of this session's named timers."""
@@ -190,15 +185,9 @@ class SenderCore(ActionEmitter):
             block, esi = self._next_symbol(pull.block_hint)
             self._emit_symbol(block, esi, unicast_to=receiver)
             return
-        if receiver in self._detached_receivers:
-            block, esi = self._next_symbol(pull.block_hint)
-            self._emit_symbol(block, esi, unicast_to=receiver)
-            return
-        self._pulls_by_receiver[receiver] = self._pulls_by_receiver.get(receiver, 0) + 1
         self._pull_credits[receiver] = self._pull_credits.get(receiver, 0) + 1
         self._last_hint[receiver] = pull.block_hint
         self._run_multicast_rounds()
-        self._detach_stragglers()
 
     def on_done(self, done: DonePayload, now: float) -> None:
         """Handle a receiver's DONE notification."""
@@ -221,7 +210,6 @@ class SenderCore(ActionEmitter):
             return
         self._done_receivers.add(receiver)
         self._active_receivers.discard(receiver)
-        self._detached_receivers.discard(receiver)
         self._pull_credits.pop(receiver, None)
         if self.is_multicast:
             # The finished receiver can no longer block aggregation.
@@ -325,10 +313,8 @@ class SenderCore(ActionEmitter):
 
     def _run_multicast_rounds(self) -> None:
         """Multicast one symbol for every full round of pulls available."""
-        if self.completed:
-            return
-        active = [r for r in self._active_receivers if r not in self._detached_receivers]
-        if not active:
+        active = self._active_receivers
+        if self.completed or not active:
             return
         while all(self._pull_credits.get(receiver, 0) >= 1 for receiver in active):
             for receiver in active:
@@ -336,25 +322,6 @@ class SenderCore(ActionEmitter):
             block, esi = self._next_symbol(self._aggregated_hint())
             self._emit_symbol(block, esi)
             self.multicast_rounds += 1
-
-    def _detach_stragglers(self) -> None:
-        attached = {
-            r for r in self._active_receivers if r not in self._detached_receivers
-        }
-        stragglers = _stragglers(self.config, self._pulls_by_receiver, attached)
-        for receiver in stragglers:
-            self._detached_receivers.add(receiver)
-            self.detached_count += 1
-            # Serve any credits the detached receiver had accumulated as
-            # unicast symbols.
-            credits = self._pull_credits.get(receiver, 0)
-            self._pull_credits[receiver] = 0
-            for _ in range(credits):
-                block, esi = self._next_symbol(self._last_hint.get(receiver))
-                self._emit_symbol(block, esi, unicast_to=receiver)
-        if stragglers:
-            # Aggregation may now be unblocked for the remaining receivers.
-            self._run_multicast_rounds()
 
     # Startup-stall recovery ------------------------------------------------------------
 
@@ -397,7 +364,7 @@ class SenderCore(ActionEmitter):
         payloads = self._batch_payloads(picks)
         for receiver, (block, esi), data in zip(targets, picks, payloads):
             self._emit_symbol(block, esi, unicast_to=receiver, data=data)
-        if self.startup_retries < self.config.startup_retry_limit:
+        if self.startup_retries < STARTUP_RETRY_LIMIT:
             self._arm_startup(
                 self.config.stall_timeout_s * (2 ** self.startup_retries)
             )
@@ -413,29 +380,3 @@ class SenderCore(ActionEmitter):
         self._emit(StopTimer(self.TIMER_STARTUP))
         self._emit(SessionCompleted(self.session_id, now))
 
-
-def _stragglers(
-    config: PolyraptorConfig, pulls_by_receiver: dict[int, int], active_receivers: set[int]
-) -> set[int]:
-    """The active receivers a multicast sender should detach to a unicast leg.
-
-    The detection half of the paper's straggler extension (Section 2:
-    detach slow receivers and serve them one-to-one).  A multicast sender
-    emits a new symbol only once every active receiver has pulled, so one
-    slow receiver throttles the whole group.  With ``straggler_detection``
-    on, a receiver whose pull count lags the fastest one by more than
-    ``straggler_lag_symbols`` is a straggler.  The fastest receiver always
-    stays attached, so the group never empties.
-    """
-    if not config.straggler_detection or len(active_receivers) < 2:
-        return set()
-    counts = {receiver: pulls_by_receiver.get(receiver, 0) for receiver in active_receivers}
-    fastest = max(counts.values())
-    stragglers = {
-        receiver
-        for receiver, count in counts.items()
-        if fastest - count > config.straggler_lag_symbols
-    }
-    if len(stragglers) >= len(active_receivers):
-        stragglers.discard(max(counts, key=counts.get))
-    return stragglers

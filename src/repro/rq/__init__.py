@@ -23,19 +23,20 @@ computed equivalents, so the codec is self-consistent but not RFC 6330
 interoperable.  All behavioural properties the Polyraptor paper relies on
 are preserved.
 
-High-level usage::
+Object-level usage, as the transport does it: one batched ``symbol_block``
+pass per block.  Here source symbol 0 of each block is lost and three
+repair symbols (ESIs >= K) stand in for it::
 
-    from repro.rq import ObjectEncoder, ObjectDecoder
+    from repro.rq import ObjectDecoder, ObjectEncoder
 
     encoder = ObjectEncoder(data, symbol_size=1024)
-    symbols = [encoder.symbol(0, esi) for esi in range(encoder.block(0).num_source_symbols + 2)]
     decoder = ObjectDecoder(encoder.oti)
-    for symbol in symbols:
-        decoder.add_symbol(symbol)
+    for block in range(encoder.num_blocks):
+        k = encoder.oti.block_symbol_count(block)
+        decoder.add_symbols(encoder.symbol_block(block, list(range(1, k + 3))))
     assert decoder.decode() == data
 """
 
-from repro.rq.api import decode_object, encode_object
 from repro.rq.backend import CodecContext, default_context, generator_basis
 from repro.rq.block import EncodedSymbol, ObjectDecoder, ObjectEncoder, ObjectTransmissionInfo
 from repro.rq.decoder import BlockDecoder, DecodeFailure, DecodeResult
@@ -54,8 +55,6 @@ __all__ = [
     "ObjectDecoder",
     "ObjectTransmissionInfo",
     "EncodedSymbol",
-    "encode_object",
-    "decode_object",
     "CodecContext",
     "default_context",
     "generator_basis",

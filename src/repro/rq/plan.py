@@ -21,7 +21,6 @@ process).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,12 +138,10 @@ def build_plan(
 
 # Code structure ------------------------------------------------------------------
 #
-# The precode rows depend only on the (frozen, hashable) CodeParameters, so
-# they are cached process-wide: every context, session and simulation shares
-# them.  The returned arrays are marked read-only; callers copy before
-# mutating.  The full constraint matrix is not cached: it is read once per
-# K' to build the generator basis (which has its own cache) and once per
-# seed the systematic seed search rejects.
+# Neither matrix is cached.  The full constraint matrix is read once per K'
+# to build the generator basis (which has its own cache) and once per seed
+# the systematic seed search rejects; the received matrix feeds only the
+# full-solve oracle.
 
 
 def constraint_matrix(params: CodeParameters) -> np.ndarray:
@@ -152,24 +149,13 @@ def constraint_matrix(params: CodeParameters) -> np.ndarray:
     return build_constraint_matrix(params)
 
 
-@lru_cache(maxsize=None)
-def precode_rows(params: CodeParameters) -> np.ndarray:
-    """The (S + H) x L LDPC + HDPC constraint rows for one parameter set."""
-    s = params.num_ldpc_symbols
-    h = params.num_hdpc_symbols
-    rows = np.zeros((s + h, params.num_intermediate_symbols), dtype=np.uint8)
-    rows[:s] = ldpc_rows(params)
-    rows[s:] = hdpc_rows(params)
-    rows.setflags(write=False)
-    return rows
-
-
 def received_matrix(params: CodeParameters, esis: Sequence[int]) -> np.ndarray:
     """The decode-side coefficient matrix for one set of received ESIs."""
-    l = params.num_intermediate_symbols
-    constraints = precode_rows(params)
-    matrix = np.zeros((constraints.shape[0] + len(esis), l), dtype=np.uint8)
-    matrix[: constraints.shape[0]] = constraints
+    s = params.num_ldpc_symbols
+    h = params.num_hdpc_symbols
+    matrix = np.zeros((s + h + len(esis), params.num_intermediate_symbols), dtype=np.uint8)
+    matrix[:s] = ldpc_rows(params)
+    matrix[s : s + h] = hdpc_rows(params)
     for offset, esi in enumerate(esis):
-        matrix[constraints.shape[0] + offset] = lt_row(params, esi)
+        matrix[s + h + offset] = lt_row(params, esi)
     return matrix

@@ -71,15 +71,11 @@ class RandomStreams:
         """Pick ``count`` distinct elements of ``options`` uniformly at random."""
         return self.stream(name).sample(list(options), count)
 
-    def shuffled(self, name: str, options: Sequence[T]) -> list[T]:
-        """Return a shuffled copy of ``options``."""
-        items = list(options)
-        self.stream(name).shuffle(items)
-        return items
-
     def permutation(self, name: str, count: int) -> list[int]:
         """Return a random permutation of ``range(count)``."""
-        return self.shuffled(name, range(count))
+        items = list(range(count))
+        self.stream(name).shuffle(items)
+        return items
 
     def poisson_process(self, name: str, rate: float) -> Iterator[float]:
         """Yield an infinite stream of absolute arrival times of a Poisson process."""

@@ -11,11 +11,7 @@ from repro.utils.units import (
     MILLISECOND,
     NANOSECOND,
     SECOND,
-    bits_to_bytes,
-    bytes_to_bits,
-    format_bytes,
     format_rate,
-    format_time,
     serialization_delay,
 )
 from repro.utils.cdf import Cdf, rank_curve
@@ -32,11 +28,7 @@ __all__ = [
     "MILLISECOND",
     "NANOSECOND",
     "SECOND",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "format_bytes",
     "format_rate",
-    "format_time",
     "serialization_delay",
     "Cdf",
     "rank_curve",

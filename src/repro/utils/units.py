@@ -31,16 +31,6 @@ MBPS = 1e6
 GBPS = 1e9
 
 
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a size in bytes to a size in bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a size in bits to a size in bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
 def serialization_delay(num_bytes: float, rate_bps: float) -> float:
     """Time (seconds) needed to serialise ``num_bytes`` onto a link.
 
@@ -54,31 +44,6 @@ def serialization_delay(num_bytes: float, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
     return num_bytes * BITS_PER_BYTE / rate_bps
-
-
-def format_time(seconds: float) -> str:
-    """Render a duration with an appropriate SI prefix (for logs/reports)."""
-    if seconds == 0:
-        return "0s"
-    magnitude = abs(seconds)
-    if magnitude >= 1:
-        return f"{seconds:.3f}s"
-    if magnitude >= MILLISECOND:
-        return f"{seconds / MILLISECOND:.3f}ms"
-    if magnitude >= MICROSECOND:
-        return f"{seconds / MICROSECOND:.3f}us"
-    return f"{seconds / NANOSECOND:.1f}ns"
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Render a byte count with an appropriate SI prefix."""
-    if abs(num_bytes) >= GIGABYTE:
-        return f"{num_bytes / GIGABYTE:.2f}GB"
-    if abs(num_bytes) >= MEGABYTE:
-        return f"{num_bytes / MEGABYTE:.2f}MB"
-    if abs(num_bytes) >= KILOBYTE:
-        return f"{num_bytes / KILOBYTE:.2f}KB"
-    return f"{num_bytes:.0f}B"
 
 
 def format_rate(rate_bps: float) -> str:

@@ -32,6 +32,7 @@ from repro.network.network import Network, NetworkConfig
 from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
 from repro.rq.backend import CodecContext
+from repro.rq.block import ObjectDecoder, ObjectEncoder
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.transport.base import TransferRegistry
@@ -100,6 +101,28 @@ class TcpTestbed(_Testbed):
             host.name: TcpAgent(self.sim, host)
             for host in self.network.hosts
         }
+
+
+def encode_all(data, symbol_size, max_symbols_per_block, repairs_per_block=0, context=None):
+    """``(oti, symbols)``: every block's source symbols, then ``repairs_per_block``
+    repairs per block, each block in one ``symbol_block`` pass as a sender does."""
+    encoder = ObjectEncoder(data, symbol_size=symbol_size,
+                            max_symbols_per_block=max_symbols_per_block, context=context)
+    oti = encoder.oti
+    counts = [oti.block_symbol_count(block) for block in range(oti.num_source_blocks)]
+    symbols = []
+    for block, k in enumerate(counts):
+        symbols.extend(encoder.symbol_block(block, list(range(k))))
+    for block, k in enumerate(counts):
+        symbols.extend(encoder.symbol_block(block, list(range(k, k + repairs_per_block))))
+    return oti, symbols
+
+
+def decode_all(oti, symbols, context=None) -> bytes:
+    """The object decoded from ``symbols`` (raises ``DecodeFailure`` if short)."""
+    decoder = ObjectDecoder(oti, context=context)
+    decoder.add_symbols(symbols)
+    return decoder.decode()
 
 
 def _repro_cyclic_garbage(action) -> Counter:

@@ -12,7 +12,6 @@ class TestPolyraptorConfig:
         assert config.symbol_packet_bytes == config.symbol_size_bytes + HEADER_BYTES
         assert DECODE_OVERHEAD_SYMBOLS == 2
         assert not config.carry_payload
-        assert not config.straggler_detection
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -171,21 +171,23 @@ def trace_fingerprint(trace: TraceLog) -> str:
 #: keys stripped, so no simulated event moved (CHANGES.md has the table).
 #: When gray-failure detection went, ``polyraptor-telemetry`` lost its
 #: ``loss.*`` series, nothing else.  Only the drop-tail fabric marks, so
-#: ``ecn`` is a TCP cell only.
+#: ``ecn`` is a TCP cell only.  When the host-slowdown fault went, the three
+#: fault-carrying cells (``polyraptor-faults``, ``polyraptor-payload``,
+#: ``tcp-faults``) lost ``fault_stats.hosts_slowed: 0``, nothing else.
 GOLDEN = {
     "polyraptor-unicast": "9d2fefb355015a6619a3a411ebda124ed51b91379db351fd8e4c83871e42eb7d",
     "polyraptor-multicast": "2997a0c8c8acd9e7e280f0b6b1ba034263fa64b7fa21d02e6c65f107bc68a064",
     "polyraptor-fetch": "3818d8886fbbe911066e0de45456de0bfe2c0beeecd82965ad17fbe3a2d7ebd1",
     "polyraptor-ecmp": "480c44635f1dbaebb4900ceaecbb26096aa5485be48efb6a74108d525bdb012f",
     "polyraptor-single": "21d6f7ea6ceb89f7d194b6e4fe4534317d09044b09aa4e88e98368854a46f22b",
-    "polyraptor-faults": "4e00364cef78966c0e86d2bc61cf5fa123d9d45046101d39d145b220890ee88c",
+    "polyraptor-faults": "ad3277806a70646eb263043f25012fd98a9d28d1474346108e8a11544db8c5ee",
     "polyraptor-telemetry": "0cb190440afe84f24bfed3b67cbd712450bf43d788c42b684efee235bf12c17d",
-    "polyraptor-payload": "d8a84b8ad388dede4eaef8adda1cf324847d8b92d5b3b2364a93dc33815f895e",
+    "polyraptor-payload": "7c9cd7fd748a7e53b4345a00775e1a5979b2d23d21fed8666094e823f24c48ac",
     "tcp-unicast": "a5bdd55f40cab0e32e770db48e12668a31564b003b91a12716051e445c8745d5",
     "tcp-multicast": "1ce845de89b0690143144976085779be2da505c195459e9fd4f11782e14ad012",
     "tcp-fetch": "bd26c01dabfd1a72b972a48f53d234cb04aee39c2d42248e51756c4ea98a07d1",
     "tcp-spray": "40674a256108971dac79fcfde16bc977a023c9b7d57f7ffe75e92460402a1c41",
-    "tcp-faults": "743d54d465f65d61575ca3d194022c7232bf8fdcf35c4531cd06cfa96a4a5d2c",
+    "tcp-faults": "b09bee1a277b4d022ae8db37a9a22d79d851944c1868139b5bf996205c26bdee",
     "tcp-ecn": "5dea93ba0e4c3f5bd0ce5f8bf6a2b7dc811411ad2efda65dcf47a384dc3f41cc",
 }
 

@@ -3,7 +3,7 @@
 ``run_job`` runs every job of a process on one cached fat-tree per ``k``,
 whose healthy routing all of them share.  Cell A (healthy) runs, then a
 cell B that reroutes in every way the fabric can -- SRLG links down and
-back up, a switch down and back up, each install delayed by a jittered
+back up, a switch down and back up, each install delayed by a
 convergence lag -- then A again, all in this process.  Both A runs must
 equal A run alone in a fresh interpreter, by ``canonical_dict()``.
 """
@@ -51,7 +51,7 @@ def _cell_a(protocol: Protocol) -> RunJob:
 
 
 def _cell_b(protocol: Protocol) -> RunJob:
-    config = _config(seed=12, convergence_delay_s=50e-6, convergence_jitter=0.5)
+    config = _config(seed=12, convergence_delay_s=50e-6)
     topology = FatTreeTopology(4)
     srlg = shared_risk_group_schedule(topology, RandomStreams(12).stream("aba.faults"),
                                       group_size=2, start_time=0.0, duration=0.002)

@@ -80,7 +80,7 @@ def _tcp():
 
 def _faults(protocol: Protocol):
     def case():
-        config = _config(convergence_delay_s=50e-6, convergence_jitter=0.5)
+        config = _config(convergence_delay_s=50e-6)
         return (protocol, config, permutation_workload(config, TOPOLOGY),
                 dict(fault_schedule=_compound_faults()))
     return case

@@ -194,8 +194,8 @@ class TestStartupInsideDeadRack:
     The receiver-side stall timer only exists once the receiver has learned
     of the session; if the whole initial window dies on the sender's dead
     access link, only the sender's startup probing (capped-backoff unicast
-    re-probes) can unblock the transfer.  This deadlocked before the
-    startup_retry_limit fix: the rack_power model exposed it.
+    re-probes) can unblock the transfer.  This deadlocked before startup
+    probing existed: the rack_power model exposed it.
     """
 
     def test_transfer_started_during_rack_outage_completes(self):
@@ -260,23 +260,18 @@ class TestStartupInsideDeadRack:
         assert env.registry.completion_fraction() == 1.0
         assert env.polyraptor_agents["h0"].sender_session(1).core.startup_retries > 0
 
-    def test_startup_probing_is_off_when_disabled(self):
-        from dataclasses import replace as dc_replace
-
+    def test_a_healthy_run_never_probes(self):
         from repro.experiments.runner import build_environment, offer_transfers
 
-        config = dc_replace(
-            QUICK, polyraptor=dc_replace(QUICK.polyraptor, startup_retry_limit=0)
-        )
         spec = TransferSpec(
             transfer_id=1, kind=TransferKind.UNICAST, client="h0",
             peers=("h15",), size_bytes=QUICK.object_bytes, start_time=0.0,
             label="foreground",
         )
-        env = build_environment(Protocol.POLYRAPTOR, config)
+        env = build_environment(Protocol.POLYRAPTOR, QUICK)
         offer_transfers(env, Protocol.POLYRAPTOR, [spec])
-        env.sim.run(until=config.max_sim_time_s)
-        # Healthy run: completes without probing either way.
+        env.sim.run(until=QUICK.max_sim_time_s)
+        # Every receiver pulls before the first startup timer fires.
         assert env.registry.completion_fraction() == 1.0
         assert env.polyraptor_agents["h0"].sender_session(1).core.startup_retries == 0
 

@@ -19,7 +19,6 @@ from repro.faults.schedule import (
     rack_power_schedule,
     random_fault_schedule,
     shared_risk_group_schedule,
-    straggler_schedule,
 )
 from repro.network.network import Network
 from repro.network.topology import FatTreeTopology, NodeRole
@@ -191,10 +190,6 @@ class TestExistingBuildersValidateWindows:
     def test_random_fault_schedule_rejects_negative_start(self, topology):
         with pytest.raises(ValueError, match="start_time"):
             random_fault_schedule(topology, random.Random(1), 0.5, start_time=-1.0)
-
-    def test_straggler_schedule_rejects_non_positive_recovery(self):
-        with pytest.raises(ValueError, match="recover_after"):
-            straggler_schedule(["h0", "h1"], random.Random(1), recover_after=0.0)
 
 
 class TestCauseCounters:

@@ -12,7 +12,6 @@ import pytest
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import (
     FaultSchedule,
-    host_slowdown,
     link_degrade,
     link_down,
     link_loss,
@@ -142,6 +141,25 @@ class TestLinkFaults:
         assert port.rate_bps == pytest.approx(nominal / 2)
         network.degrade_link(rack, "h1", 1.0)
         assert port.rate_bps == pytest.approx(nominal)
+
+    def test_scheduled_degrade_and_recovery_cover_both_directions(self):
+        """A degraded access link slows the host's NIC as well as the rack
+        port facing it, and a later 1.0 event restores both."""
+        sim, network = build_network()
+        rack = network.topology.host_rack("h3")
+        ports = [network.switches[rack].port_to("h3"), network.host("h3").nic]
+        nominal = [port.rate_bps for port in ports]
+        arm(
+            sim, network,
+            link_degrade(0.001, rack, "h3", 0.25),
+            link_degrade(0.002, rack, "h3", 1.0),
+        )
+        sim.run(until=0.0015)
+        assert [port.rate_bps for port in ports] == pytest.approx(
+            [rate / 4 for rate in nominal]
+        )
+        sim.run()
+        assert [port.rate_bps for port in ports] == pytest.approx(nominal)
 
     def test_certain_loss_drops_everything_and_counts(self):
         sim, network = build_network()
@@ -285,22 +303,6 @@ class TestMulticastRebuild:
         assert network.multicast_group(9).tree_edges == old_edges
 
 
-class TestHostSlowdown:
-    def test_nic_rate_degrades_and_recovers(self):
-        sim, network = build_network()
-        nic = network.host("h3").nic
-        nominal = nic.rate_bps
-        arm(
-            sim, network,
-            host_slowdown(0.001, "h3", 0.25),
-            host_slowdown(0.002, "h3", 1.0),
-        )
-        sim.run(until=0.0015)
-        assert nic.rate_bps == pytest.approx(nominal / 4)
-        sim.run()
-        assert nic.rate_bps == pytest.approx(nominal)
-
-
 class TestInjectorAccounting:
     def test_start_is_once_only(self):
         sim, network = build_network()
@@ -322,16 +324,14 @@ class TestInjectorAccounting:
             link_loss(0.001, rack, "h1", 0.2),
             switch_down(0.003, "core0"),
             switch_up(0.004, "core0"),
-            host_slowdown(0.001, "h2", 0.5),
         )
         sim.run()
         stats = injector.stats_dict()
-        assert stats["events_scheduled"] == stats["events_applied"] == 7
+        assert stats["events_scheduled"] == stats["events_applied"] == 6
         assert stats["links_failed"] == stats["links_restored"] == 1
         assert stats["links_degraded"] == 1
         assert stats["links_lossy"] == 1
         assert stats["switches_failed"] == stats["switches_restored"] == 1
-        assert stats["hosts_slowed"] == 1
         assert stats["reroutes"] > 0
         for key in ("packets_dropped_link_down", "packets_dropped_random_loss",
                     "packets_dropped_switch_down"):

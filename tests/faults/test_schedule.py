@@ -10,13 +10,11 @@ from repro.faults.schedule import (
     FaultKind,
     FaultSchedule,
     fabric_edges,
-    host_slowdown,
     link_degrade,
     link_down,
     link_loss,
     link_up,
     random_fault_schedule,
-    straggler_schedule,
     switch_down,
 )
 from repro.network.topology import FatTreeTopology, NodeRole
@@ -49,11 +47,6 @@ class TestFaultEvent:
         assert link_loss(0.0, "a", "b", 0.0).severity == 0.0
         with pytest.raises(ValueError):
             link_loss(0.0, "a", "b", 1.01)
-
-    def test_host_slowdown_severity_bounds(self):
-        assert host_slowdown(0.0, "h0", 1.0).severity == 1.0
-        with pytest.raises(ValueError):
-            host_slowdown(0.0, "h0", 0.0)
 
 
 class TestFaultSchedule:
@@ -113,7 +106,7 @@ class TestFaultSchedule:
 
     def test_schedule_pickles_unchanged(self):
         schedule = FaultSchedule(
-            (link_degrade(0.1, "a", "b", 0.4), host_slowdown(0.2, "h0", 0.25))
+            (link_degrade(0.1, "a", "b", 0.4), switch_down(0.2, "core0"))
         )
         assert pickle.loads(pickle.dumps(schedule)) == schedule
 
@@ -187,23 +180,3 @@ class TestRandomFaultSchedule:
             assert topology.roles[b] is not NodeRole.HOST
         # k=4 fat-tree: 16 agg-edge links + 16 agg-core links.
         assert len(edges) == 32
-
-
-class TestStragglerSchedule:
-    def test_slowdown_and_recovery_events(self):
-        schedule = straggler_schedule(
-            ["h0", "h1", "h2"], random.Random(1), count=2,
-            rate_fraction=0.25, time=1.0, recover_after=0.5,
-        )
-        slow = [e for e in schedule if e.severity < 1.0]
-        recover = [e for e in schedule if e.severity == 1.0]
-        assert len(slow) == len(recover) == 2
-        assert all(e.kind is FaultKind.HOST_SLOWDOWN for e in schedule)
-        assert all(e.time == 1.0 for e in slow)
-        assert all(e.time == 1.5 for e in recover)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            straggler_schedule(["h0"], random.Random(1), count=2)
-        with pytest.raises(ValueError):
-            straggler_schedule(["h0"], random.Random(1), count=0)

@@ -2,11 +2,11 @@
 
 ``NetworkConfig.convergence_delay_s`` models control-plane lag: a recompute
 snapshots the failure state immediately but installs the new tables only
-after the (optionally seeded-jittered) delay.  These tests pin down the
-contract: 0 delay is byte-for-byte the historical instantaneous behaviour,
-a positive delay leaves stale tables black-holing traffic during the
-window, installs apply their detection-time snapshot in epoch order, and a
-stale install never overwrites a fresher one.
+after the delay.  These tests pin down the contract: 0 delay is
+byte-for-byte the historical instantaneous behaviour, a positive delay
+leaves stale tables black-holing traffic during the window, installs apply
+their detection-time snapshot in epoch order, and a stale install never
+overwrites a fresher one.
 """
 
 import pytest
@@ -44,13 +44,10 @@ class TestConfigValidation:
     def test_defaults_are_instantaneous(self):
         config = NetworkConfig()
         assert config.convergence_delay_s == 0.0
-        assert config.convergence_jitter == 0.0
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="convergence_delay_s"):
             NetworkConfig(convergence_delay_s=-0.1)
-        with pytest.raises(ValueError, match="convergence_jitter"):
-            NetworkConfig(convergence_jitter=-0.1)
 
 
 class TestInstantaneousPath:
@@ -189,33 +186,28 @@ class TestDelayedInstall:
         assert full_tables(network) == tables_after_fresh
         assert network.route_installs == installs
 
-    def test_jitter_draws_are_seeded(self):
-        """Equally seeded networks converge at identical (jittered) times."""
-        outcomes = []
-        for _ in range(2):
-            sim, network = build_network(
-                seed=5, convergence_delay_s=DELAY, convergence_jitter=0.5
+    def test_every_install_waits_exactly_the_delay(self):
+        """Each recompute installs exactly ``convergence_delay_s`` after it
+        was called, so installs land in the order their recomputes ran."""
+        sim, network = build_network(convergence_delay_s=DELAY)
+        rack = network.topology.host_rack("h0")
+        uplinks = sorted(
+            a for a in network.topology.graph.neighbors(rack) if a.startswith("agg")
+        )
+        installs = []
+
+        def fail(uplink):
+            network.set_link_state(rack, uplink, up=False)
+            network.recompute_routes(
+                on_installed=lambda _changed: installs.append(sim.now)
             )
-            rack = network.topology.host_rack("h0")
-            uplink = sorted(
-                a for a in network.topology.graph.neighbors(rack)
-                if a.startswith("agg")
-            )[0]
-            times = []
 
-            def fail(network=network, times=times):
-                network.set_link_state(rack, uplink, up=False)
-                network.recompute_routes(
-                    on_installed=lambda _c, sim=sim, times=times: times.append(sim.now)
-                )
-
-            sim.schedule_at(0.001, fail)
-            sim.run()
-            outcomes.append(tuple(times))
-        assert outcomes[0] == outcomes[1]
-        assert len(outcomes[0]) == 1
-        # Jitter stretched the lag beyond the base delay.
-        assert outcomes[0][0] > 0.001 + DELAY
+        detections = [0.001, 0.001 + DELAY / 3]
+        for when, uplink in zip(detections, uplinks):
+            sim.schedule_at(when, fail, uplink)
+        sim.run()
+        assert installs == [pytest.approx(when + DELAY) for when in detections]
+        assert network.route_installs == len(detections)
 
     def test_run_ending_before_install_leaves_it_pending(self):
         sim, network = build_network(convergence_delay_s=DELAY)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.network.network import Network, NetworkConfig
+from repro.network.network import DATA_QUEUE_CAPACITY_PACKETS, Network, NetworkConfig
 from repro.network.packet import Packet
+from repro.network.queues import DropTailQueue, TrimmingQueue
 from repro.network.routing import RoutingMode
 from repro.network.topology import FatTreeTopology
 from repro.sim.engine import Simulator
@@ -152,18 +153,6 @@ class TestMulticastForwarding:
         assert len(member_sink.packets) == 1
         assert len(outsider_sink.packets) == 0
 
-    def test_group_removal_stops_delivery(self):
-        sim, network = build_network()
-        sink = Sink(sim)
-        network.host("h4").register_protocol("test", sink)
-        network.create_multicast_group(9, "h0", ["h4"])
-        network.remove_multicast_group(9)
-        src = network.host("h0")
-        src.send(Packet(protocol="test", src=src.node_id, dst=None, multicast_group=9,
-                        size_bytes=1500))
-        sim.run()
-        assert len(sink.packets) == 0
-
     def test_duplicate_group_id_rejected(self):
         _, network = build_network()
         network.create_multicast_group(9, "h0", ["h4"])
@@ -176,9 +165,27 @@ class TestMulticastForwarding:
         assert network.multicast_group(9) is group
 
 
+class TestSwitchQueues:
+    def test_every_switch_port_trims_at_the_fixed_data_depth(self):
+        _, network = build_network()
+        switch_ports = [
+            port for (src, _), port in network.directed_ports.items()
+            if src in network.switches
+        ]
+        assert switch_ports
+        for port in switch_ports:
+            assert isinstance(port.queue, TrimmingQueue)
+            assert port.queue.data_capacity_packets == DATA_QUEUE_CAPACITY_PACKETS
+
+    def test_host_nics_never_trim(self):
+        _, network = build_network()
+        for host in network.hosts:
+            assert isinstance(host.nic.queue, DropTailQueue)
+
+
 class TestAggregateStatistics:
     def test_trim_counters_aggregate(self):
-        sim, network = build_network(data_queue_capacity_packets=2)
+        sim, network = build_network()
         sink = Sink(sim)
         network.host("h15").register_protocol("test", sink)
         # Three senders converge on one receiver link: the shallow data queue

@@ -97,7 +97,7 @@ class TestRunsLeaveTheMemoIntact:
         runs = [
             (config(), srlg),
             (config(), core),
-            (config(convergence_delay_s=50e-6, convergence_jitter=0.5), srlg.merged(core)),
+            (config(convergence_delay_s=50e-6), srlg.merged(core)),
         ]
         for protocol in (Protocol.POLYRAPTOR, Protocol.TCP):
             for config_, schedule in runs:

@@ -3,8 +3,10 @@
 Every arriving symbol, full or trimmed, buys exactly one pull; a host's pull
 queue spaces its pulls one symbol-serialisation time apart whatever those
 pulls report; a sender pushes its initial window in one burst and answers
-every later pull with one symbol.  No core takes a congestion signal (an ECN
-mark, an RTT sample) as input, and no sender keeps a rate of its own.
+every later pull with one symbol -- a multicast sender one group symbol per
+full round of its unfinished members' pulls.  No core takes a congestion
+signal (an ECN mark, an RTT sample) as input, and no sender keeps a rate of
+its own.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 
 import pytest
 
-from repro.core.config import PolyraptorConfig
-from repro.core.packets import PullPayload, SymbolPayload
+from repro.core.config import STARTUP_RETRY_LIMIT, PolyraptorConfig
+from repro.core.packets import DonePayload, PullPayload, SymbolPayload
+from repro.experiments.config import ExperimentConfig
+from repro.network.network import NetworkConfig
 from repro.protocol.actions import (
     KIND_DATA,
     EnqueuePull,
@@ -192,6 +196,115 @@ def test_the_sender_keeps_no_rate_of_its_own():
     assert transcripts[0] == transcripts[1]
 
 
+def _timers(actions):
+    return [action for action in actions if isinstance(action, SetTimer)]
+
+
+def test_startup_probes_back_off_exponentially_up_to_the_retry_limit():
+    """A receiver never heard from is re-probed after the stall timeout,
+    then after twice and four times as long, and so on; the last probe
+    (number ``STARTUP_RETRY_LIMIT``) arms nothing further."""
+    core = _sender()
+    core.start(0.0)
+    delays = [timer.delay_s for timer in _timers(core.poll_actions())]
+    for _ in range(STARTUP_RETRY_LIMIT):
+        core.on_timer(SenderCore.TIMER_STARTUP, now=0.0)
+        delays += [timer.delay_s for timer in _timers(core.poll_actions())]
+    assert delays == [CONFIG.stall_timeout_s * 2 ** retry
+                      for retry in range(STARTUP_RETRY_LIMIT)]
+    assert core.startup_retries == STARTUP_RETRY_LIMIT
+
+
+def test_each_startup_probe_is_one_unicast_symbol():
+    core = _sender()
+    core.start(0.0)
+    core.poll_actions()
+    core.on_timer(SenderCore.TIMER_STARTUP, now=0.0)
+    sends = [a for a in core.poll_actions() if isinstance(a, SendPacket)]
+    assert len(sends) == 1
+    assert sends[0].dest == RECEIVER and sends[0].multicast_group is None
+
+
+MEMBERS = [2, 3, 4]
+GROUP = 9
+
+
+def _multicast_sender():
+    core = SenderCore(config=CONFIG, session_id=7, object_bytes=OBJECT_BYTES,
+                      receiver_host_ids=MEMBERS, local_host=SENDER,
+                      multicast_group=GROUP)
+    core.start(0.0)
+    core.poll_actions()
+    return core
+
+
+def _member_pull(receiver, sequence=1):
+    return PullPayload(session_id=7, receiver_host=receiver, pull_sequence=sequence,
+                       block_hint=0)
+
+
+def _group_sends(core):
+    return [action for action in core.poll_actions()
+            if isinstance(action, SendPacket) and action.multicast_group == GROUP]
+
+
+def test_startup_probes_only_the_members_not_yet_heard_from():
+    core = _multicast_sender()
+    core.on_pull(_member_pull(MEMBERS[0]), now=1e-3)
+    core.poll_actions()
+    core.on_timer(SenderCore.TIMER_STARTUP, now=1e-3)
+    sends = [a for a in core.poll_actions() if isinstance(a, SendPacket)]
+    assert [send.dest for send in sends] == MEMBERS[1:]
+    assert all(send.multicast_group is None for send in sends)
+
+
+def test_a_multicast_round_waits_for_a_pull_from_every_member():
+    core = _multicast_sender()
+    for receiver in MEMBERS[:-1]:
+        core.on_pull(_member_pull(receiver), now=1e-3)
+        assert _group_sends(core) == []
+    core.on_pull(_member_pull(MEMBERS[-1]), now=1e-3)
+    assert len(_group_sends(core)) == 1
+    assert core.multicast_rounds == 1
+
+
+def test_pull_credits_carry_over_to_later_rounds():
+    """A member that pulls ahead banks its pulls; each later full round of
+    pulls from the others releases one more group symbol."""
+    core = _multicast_sender()
+    for sequence in range(1, 4):
+        core.on_pull(_member_pull(MEMBERS[0], sequence), now=1e-3)
+    assert _group_sends(core) == []
+    for sequence in range(1, 4):
+        for receiver in MEMBERS[1:]:
+            core.on_pull(_member_pull(receiver, sequence), now=1e-3)
+        assert len(_group_sends(core)) == 1
+    assert core.multicast_rounds == 3
+
+
+def test_a_finished_member_stops_holding_back_the_round():
+    core = _multicast_sender()
+    for receiver in MEMBERS[:-1]:
+        core.on_pull(_member_pull(receiver), now=1e-3)
+    assert _group_sends(core) == []
+    core.on_done(DonePayload(session_id=7, receiver_host=MEMBERS[-1]), now=1e-3)
+    assert len(_group_sends(core)) == 1
+    assert not core.completed
+
+
+def test_a_finished_members_pulls_buy_no_round():
+    core = _multicast_sender()
+    finished = MEMBERS[-1]
+    core.on_done(DonePayload(session_id=7, receiver_host=finished), now=1e-3)
+    core.poll_actions()
+    for sequence in range(1, 4):
+        core.on_pull(_member_pull(finished, sequence), now=1e-3)
+    assert _group_sends(core) == []
+    for receiver in MEMBERS[:-1]:
+        core.on_pull(_member_pull(receiver), now=1e-3)
+    assert len(_group_sends(core)) == 1
+
+
 # Pacer ------------------------------------------------------------------------
 
 
@@ -324,17 +437,33 @@ def test_on_the_simulator_every_tick_sends_one_pull():
 # Configuration ----------------------------------------------------------------
 
 
-def test_polyraptor_config_has_nine_knobs():
+def test_polyraptor_config_has_six_knobs():
     assert [field.name for field in dataclasses.fields(PolyraptorConfig)] == [
         "symbol_size_bytes", "initial_window_symbols", "max_symbols_per_block",
-        "carry_payload", "stall_timeout_s", "startup_retry_limit",
-        "straggler_detection", "straggler_lag_symbols", "pull_on_gap",
+        "carry_payload", "stall_timeout_s", "pull_on_gap",
     ]
 
 
 def test_the_removed_pacing_knob_is_rejected():
     with pytest.raises(TypeError):
         PolyraptorConfig(tfrc_pacing=True)
+
+
+REMOVED_KNOBS = [
+    (PolyraptorConfig, "straggler_detection"),
+    (PolyraptorConfig, "straggler_lag_symbols"),
+    (PolyraptorConfig, "startup_retry_limit"),
+    (NetworkConfig, "convergence_jitter"),
+    (NetworkConfig, "data_queue_capacity_packets"),
+    (ExperimentConfig, "convergence_jitter"),
+]
+
+
+@pytest.mark.parametrize("config_class, knob", REMOVED_KNOBS,
+                         ids=[f"{cls.__name__}.{knob}" for cls, knob in REMOVED_KNOBS])
+def test_the_removed_test_only_knobs_are_rejected(config_class, knob):
+    with pytest.raises(TypeError):
+        config_class(**{knob: 1})
 
 
 def test_a_pull_carries_no_congestion_echo():

@@ -1,4 +1,4 @@
-"""Tests for object segmentation and the high-level encode/decode API."""
+"""Tests for object segmentation and object-level encode/decode."""
 
 import os
 import random
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rq.api import decode_object, encode_object
 from repro.rq.block import (
     EncodedSymbol,
     ObjectDecoder,
@@ -16,6 +15,7 @@ from repro.rq.block import (
 )
 from repro.rq.decoder import DecodeFailure
 from repro.rq.params import MIN_SOURCE_SYMBOLS
+from tests.conftest import decode_all, encode_all
 
 
 class TestPartitioning:
@@ -130,21 +130,20 @@ class TestObjectEncoderDecoder:
 class TestHighLevelApi:
     def test_encode_decode_roundtrip(self):
         data = os.urandom(12_345)
-        oti, symbols = encode_object(data, symbol_size=512, repair_symbols_per_block=0,
-                                     max_symbols_per_block=32)
-        assert decode_object(oti, symbols) == data
+        oti, symbols = encode_all(data, symbol_size=512, max_symbols_per_block=32)
+        assert decode_all(oti, symbols) == data
 
     def test_decode_with_dropped_sources_uses_repair(self):
         data = os.urandom(12_345)
-        oti, symbols = encode_object(data, symbol_size=512, repair_symbols_per_block=6,
-                                     max_symbols_per_block=32)
+        oti, symbols = encode_all(data, symbol_size=512, max_symbols_per_block=32,
+                                  repairs_per_block=6)
         rng = random.Random(2)
         survivors = [s for s in symbols if s.esi >= oti.block_symbol_count(s.block_number)
                      or rng.random() > 0.15]
-        assert decode_object(oti, survivors) == data
+        assert decode_all(oti, survivors) == data
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.binary(min_size=1, max_size=8_000))
     def test_api_roundtrip_property(self, data):
-        oti, symbols = encode_object(data, symbol_size=256, max_symbols_per_block=32)
-        assert decode_object(oti, symbols) == data
+        oti, symbols = encode_all(data, symbol_size=256, max_symbols_per_block=32)
+        assert decode_all(oti, symbols) == data

@@ -15,11 +15,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.rq.api import decode_object, encode_object
 from repro.rq.backend import CodecContext
 from repro.rq.decoder import BlockDecoder
 from repro.rq.encoder import BlockEncoder
 from repro.rq.kernels import get_kernel
+from tests.conftest import decode_all, encode_all
 from tests.rq import oracle
 
 KERNELS = ("bitplane", "numpy")
@@ -43,6 +43,10 @@ def _context_on(kernel: str) -> CodecContext:
     context = CodecContext()
     context.kernel = get_kernel(kernel)
     return context
+
+
+def _encode_object(data: bytes, repairs_per_block: int, context: CodecContext):
+    return encode_all(data, SYMBOL_SIZE, MAX_SYMBOLS_PER_BLOCK, repairs_per_block, context)
 
 
 def _lossy_subset(symbols, loss: float, rng: random.Random, min_keep_per_block: dict):
@@ -73,11 +77,7 @@ class TestRoundTripUnderLoss:
     def test_object_recovers_byte_identically(self, kernel, loss, seed):
         data = _object_bytes()
         context = _context_on(kernel)
-        oti, symbols = encode_object(
-            data, symbol_size=SYMBOL_SIZE,
-            repair_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,  # 100% overhead budget
-            max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK, context=context,
-        )
+        oti, symbols = _encode_object(data, MAX_SYMBOLS_PER_BLOCK, context)  # 100% overhead budget
         assert oti.num_source_blocks >= 3  # the multi-block regime transfers hit
         floors = {
             block: oti.block_symbol_count(block) + 2
@@ -86,7 +86,7 @@ class TestRoundTripUnderLoss:
         received = _lossy_subset(symbols, loss, random.Random(seed), floors)
         if loss > 0:
             assert len(received) < len(symbols)  # loss actually struck
-        recovered = decode_object(oti, received, context=context)
+        recovered = decode_all(oti, received, context)
         assert recovered == data
 
     def test_kernels_agree_on_the_same_loss_pattern(self, kernel, loss, seed):
@@ -94,27 +94,20 @@ class TestRoundTripUnderLoss:
         surviving symbol set (GF(256) arithmetic is exact)."""
         data = _object_bytes(seed=7)
         reference_context = _context_on("numpy")
-        oti, symbols = encode_object(
-            data, symbol_size=SYMBOL_SIZE,
-            repair_symbols_per_block=MAX_SYMBOLS_PER_BLOCK,
-            max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK, context=reference_context,
-        )
+        oti, symbols = _encode_object(data, MAX_SYMBOLS_PER_BLOCK, reference_context)
         floors = {
             block: oti.block_symbol_count(block) + 2
             for block in range(oti.num_source_blocks)
         }
         received = _lossy_subset(symbols, loss, random.Random(seed), floors)
         context = _context_on(kernel)
-        assert decode_object(oti, received, context=context) == \
-            decode_object(oti, received, context=reference_context) == data
+        assert decode_all(oti, received, context) == \
+            decode_all(oti, received, reference_context) == data
 
     def test_encoded_symbols_match_the_full_solve(self, kernel, loss, seed):
         del loss, seed  # encoding is loss-independent; parametrised for sweep shape
         data = _object_bytes(seed=9)
-        oti, symbols = encode_object(
-            data, symbol_size=SYMBOL_SIZE, repair_symbols_per_block=4,
-            max_symbols_per_block=MAX_SYMBOLS_PER_BLOCK, context=_context_on(kernel),
-        )
+        oti, symbols = _encode_object(data, 4, _context_on(kernel))
         for block in range(oti.num_source_blocks):
             emitted = [s for s in symbols if s.block_number == block]
             k = oti.block_symbol_count(block)

@@ -4,9 +4,12 @@ Every ``@dataclass`` named ``*Config`` under ``src/repro`` is checked.  A
 field counts as set when some call passes a keyword of its name -- to the
 class, to ``dataclasses.replace`` or through a helper's ``**overrides`` --
 outside the module that defines the class, in ``src/``, ``benchmarks/``,
-``examples/``, ``scripts/`` or ``tests/``.  Calls inside a ``pytest.raises``
-block do not count: a field set only to watch its own validation fail has
-one value in use.  The match is by name, so it errs towards passing.
+``examples/`` or ``scripts/``.  Tests do not count as callers: a knob only
+tests turn is test surface, not product surface.  The examples do count:
+they are documented entry points, and the quickstart is the one caller that
+picks its own block cap.  Calls inside a ``pytest.raises`` block do not
+count either: a field set only to watch its own validation fail has one
+value in use.  The match is by name, so it errs towards passing.
 
 A field that fails here should become a named module constant next to the
 class, keeping its value and its comment.
@@ -20,7 +23,7 @@ import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "benchmarks", "examples", "scripts", "tests")
+SCANNED = ("src", "benchmarks", "examples", "scripts")
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:

@@ -47,7 +47,6 @@ ENTRY_POINTS = {
     "check_non_negative": lambda: check_non_negative("x", NAN),
     "NetworkConfig.link_delay_s": lambda: _network_config(link_delay_s=NAN),
     "NetworkConfig.convergence_delay_s": lambda: _network_config(convergence_delay_s=NAN),
-    "NetworkConfig.convergence_jitter": lambda: _network_config(convergence_jitter=NAN),
     "Link.delay_s": lambda: Link(Simulator(), None, NAN, name="wire"),
     "Port.rate_bps": lambda: Port(Simulator(), None, None, NAN, None),
     "FaultEvent.time": lambda: FaultEvent(NAN, FaultKind.LINK_DOWN, ("a", "b")),

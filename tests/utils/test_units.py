@@ -10,28 +10,12 @@ from repro.utils.units import (
     MBPS,
     MEGABYTE,
     MICROSECOND,
-    MILLISECOND,
-    bits_to_bytes,
-    bytes_to_bits,
-    format_bytes,
     format_rate,
-    format_time,
     serialization_delay,
 )
 
 
 class TestConversions:
-    def test_bytes_to_bits(self):
-        assert bytes_to_bits(1) == 8
-        assert bytes_to_bits(1500) == 12000
-
-    def test_bits_to_bytes(self):
-        assert bits_to_bytes(8) == 1
-        assert bits_to_bytes(12000) == 1500
-
-    def test_roundtrip(self):
-        assert bits_to_bytes(bytes_to_bits(12345)) == 12345
-
     def test_constants_consistent(self):
         assert BITS_PER_BYTE == 8
         assert GIGABYTE == 1000 * MEGABYTE == 1_000_000 * KILOBYTE
@@ -59,20 +43,17 @@ class TestSerializationDelay:
 
 
 class TestFormatting:
-    def test_format_time_prefixes(self):
-        assert format_time(0) == "0s"
-        assert format_time(1.5).endswith("s")
-        assert "ms" in format_time(3 * MILLISECOND)
-        assert "us" in format_time(12 * MICROSECOND)
-        assert "ns" in format_time(5e-9)
-
-    def test_format_bytes_prefixes(self):
-        assert format_bytes(500) == "500B"
-        assert "KB" in format_bytes(2 * KILOBYTE)
-        assert "MB" in format_bytes(4 * MEGABYTE)
-        assert "GB" in format_bytes(2 * GIGABYTE)
-
     def test_format_rate_prefixes(self):
         assert "Gbps" in format_rate(1 * GBPS)
         assert "Mbps" in format_rate(30 * MBPS)
         assert format_rate(100) == "100bps"
+
+    def test_format_rate_switches_prefix_at_the_boundary(self):
+        assert format_rate(GBPS) == "1.000Gbps"
+        assert format_rate(GBPS - MBPS) == "999.000Mbps"
+        assert format_rate(MBPS) == "1.000Mbps"
+        assert format_rate(MBPS - 1) == "999999bps"
+
+    def test_format_rate_keeps_the_sign(self):
+        assert format_rate(-2 * GBPS) == "-2.000Gbps"
+        assert format_rate(-30 * MBPS) == "-30.000Mbps"
