@@ -27,7 +27,7 @@ from repro.core.config import PolyraptorConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1a import run_figure1a
 from repro.experiments.parallel import available_cpus, warm_worker_pool
-from repro.experiments.report import format_codec_stats, format_exec_profile
+from repro.experiments.report import format_codec_stats
 from repro.utils.units import KILOBYTE
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -114,8 +114,6 @@ def test_sharded_sweep_is_identical_and_faster(benchmark):
         f"speedup: {speedup:.2f}x "
         f"({'enforced' if speedup_enforced else 'not enforced: single core'})   "
         f"pool warm (untimed): {pool_warm_s:.2f}s\n"
-        + format_exec_profile(sharded_profile, title="Sharded executor profile")
-        + "\n"
         + format_codec_stats(sharded.codec_stats),
     )
 

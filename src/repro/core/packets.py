@@ -43,11 +43,6 @@ class SymbolPayload:
     #: differences consecutive values to pull for symbols that vanished.
     sequence: int = 0
 
-    @property
-    def is_source_symbol(self) -> bool:
-        """True if this is a source (systematic) symbol of its block."""
-        return self.esi < self.block_symbol_count
-
 
 @dataclass(frozen=True)
 class PullPayload:

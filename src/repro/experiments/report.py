@@ -167,36 +167,6 @@ def format_codec_stats(
     return _stats_table(dict(sorted(stats_by_label.items())), title, columns)
 
 
-def format_exec_profile(profile: Optional[dict], title: str = "Executor profile") -> str:
-    """Render one sweep's executor accounting as a two-row table.
-
-    Takes the ``exec_profile`` dict a result object carries (an
-    :class:`~repro.experiments.parallel.ExecutorProfile` snapshot) and shows
-    where the sweep's wall clock went and how many bytes crossed the process
-    boundary.  ``None`` (no profile recorded)
-    renders as a one-line note so callers can print unconditionally.
-    """
-    if not profile:
-        return f"{title}\n  (no executor profile recorded)"
-    def ms(key: str) -> Callable[[dict], str]:
-        return lambda profile: f"{profile.get(key, 0.0) * 1e3:.1f}"
-
-    columns = [
-        ("transport", lambda profile: str(profile.get("transport", "?"))),
-        ("workers", lambda profile: str(profile.get("workers", 1))),
-        ("reused", lambda profile: "yes" if profile.get("pool_reused") else "no"),
-        ("jobs", lambda profile: str(profile.get("jobs_total", 0))),
-        ("chunk", lambda profile: str(profile.get("chunk_size", 1))),
-        ("pipe B", lambda profile: str(profile.get("bytes_shipped", 0))),
-        ("wall s", lambda profile: f"{profile.get('wall_s', 0.0):.2f}"),
-        ("run s", lambda profile: f"{profile.get('run_s', 0.0):.2f}"),
-        ("spawn ms", ms("pool_spawn_s")),
-        ("serialize ms", ms("serialize_s")),
-        ("merge ms", ms("merge_s")),
-    ]
-    return format_table([profile], title, columns)
-
-
 def merge_counter_stats(stats_list: Sequence[Optional[dict]]) -> Optional[dict]:
     """Aggregate per-run additive counters across the shards of a sweep.
 

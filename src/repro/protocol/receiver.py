@@ -9,7 +9,9 @@ A receiver session:
   that a symbol was sent (and lost), so the pull keeps the self-clocking
   loop running without ever re-requesting the specific lost symbol;
 * declares a block complete once it holds all K source symbols, or any
-  K + overhead distinct symbols otherwise;
+  K + overhead distinct symbols otherwise -- and, when it carries bytes,
+  once that block also decodes (a block whose decode fails stays incomplete
+  and keeps pulling);
 * when every block is complete, sends DONE to every sender, cancels pending
   pulls, and reports completion.
 
@@ -56,7 +58,6 @@ from repro.protocol.actions import (
     StopTimer,
 )
 from repro.rq.block import EncodedSymbol, ObjectDecoder, partition_object
-from repro.rq.decoder import DecodeFailure
 
 
 class ReceiverCore(ActionEmitter):
@@ -232,9 +233,13 @@ class ReceiverCore(ActionEmitter):
 
     def _block_complete(self, block: int) -> bool:
         k = self.oti.block_symbol_count(block)
-        if self._sources_held[block] == k:
-            return True
-        return len(self._received[block]) >= k + DECODE_OVERHEAD_SYMBOLS
+        counted = (
+            self._sources_held[block] == k
+            or len(self._received[block]) >= k + DECODE_OVERHEAD_SYMBOLS
+        )
+        return counted and (
+            self._decoder is None or self._decoder.block_decoder(block).decode().success
+        )
 
     def _session_complete(self) -> bool:
         return len(self._complete_blocks) == self.oti.num_source_blocks
@@ -256,7 +261,7 @@ class ReceiverCore(ActionEmitter):
 
         Called back by the driver's pacer at send time (pulls are enqueued
         as deferred :class:`EnqueuePull` actions); returns ``None`` when the
-        session completed in the meantime, in which case the pacer discards
+        session completed in the meantime, in which case the pacer drops
         the slot.
         """
         if self.completed:
@@ -305,17 +310,8 @@ class ReceiverCore(ActionEmitter):
         if self.completed:
             return
         if self._decoder is not None:
-            try:
-                self.received_data = self._decoder.decode()
-            except DecodeFailure:
-                # Extremely rare: the collected overhead was not sufficient.
-                # Keep the session open and pull a few more symbols.
-                for block in list(self._complete_blocks):
-                    if not self._decoder.block_decoder(block).is_decoded:
-                        self._complete_blocks.discard(block)
-                for sender in sorted(self._known_senders) or [0]:
-                    self._request_more(sender)
-                return
+            # Every block decoded as it completed; this only joins them.
+            self.received_data = self._decoder.decode()
         self.completed = True
         self.completion_time = now
         self._emit(StopTimer(self.TIMER_STALL))

@@ -59,10 +59,6 @@ class EncodedSymbol:
     esi: int
     data: bytes
 
-    def is_source_for(self, num_source_symbols: int) -> bool:
-        """True if this symbol is a source symbol of a block with the given K."""
-        return self.esi < num_source_symbols
-
 
 def partition_object(transfer_length: int, symbol_size: int,
                      max_symbols_per_block: int) -> ObjectTransmissionInfo:
@@ -197,14 +193,6 @@ class ObjectDecoder:
     def block_decoder(self, block_number: int) -> BlockDecoder:
         """Access the underlying per-block decoder (for inspection/tests)."""
         return self._decoders[block_number]
-
-    def is_complete(self) -> bool:
-        """True when every block has enough symbols to have decoded successfully."""
-        return all(decoder.is_decoded for decoder in self._decoders.values())
-
-    def can_attempt_decode(self) -> bool:
-        """True when every block has at least K symbols."""
-        return all(decoder.can_attempt_decode() for decoder in self._decoders.values())
 
     def decode(self) -> bytes:
         """Decode all blocks and return the original object bytes.

@@ -117,12 +117,6 @@ class BlockDecoder:
         """True once at least K distinct symbols are available."""
         return len(self._received) >= self.num_source_symbols
 
-    def missing_source_symbols(self) -> list[int]:
-        """ESIs of source symbols not received directly."""
-        return [
-            esi for esi in range(self.num_source_symbols) if esi not in self._received
-        ]
-
     def decode(self) -> DecodeResult:
         """Attempt to decode; never raises on failure (returns a result object)."""
         k = self.num_source_symbols

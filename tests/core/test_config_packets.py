@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import DECODE_OVERHEAD_SYMBOLS, HEADER_BYTES, PolyraptorConfig
-from repro.core.packets import DonePayload, PullPayload, RequestPayload, SymbolPayload
+from repro.core.packets import DonePayload, PullPayload, RequestPayload
 
 
 class TestPolyraptorConfig:
@@ -28,14 +28,6 @@ class TestPolyraptorConfig:
 
 
 class TestPayloads:
-    def test_symbol_payload_source_flag(self):
-        source = SymbolPayload(session_id=1, sender_host=0, block_number=0, esi=3,
-                               block_symbol_count=10, num_blocks=1, object_bytes=100)
-        repair = SymbolPayload(session_id=1, sender_host=0, block_number=0, esi=10,
-                               block_symbol_count=10, num_blocks=1, object_bytes=100)
-        assert source.is_source_symbol
-        assert not repair.is_source_symbol
-
     def test_pull_payload_fields(self):
         pull = PullPayload(session_id=1, receiver_host=5, pull_sequence=3, block_hint=0)
         assert pull.block_hint == 0

@@ -567,15 +567,6 @@ class TestExecutorProfile:
         with pytest.raises(ValueError, match="chunk must be at least 1"):
             parallel._resolve_chunk(0, 4, 2)
 
-    def test_format_exec_profile_renders_and_handles_none(self):
-        from repro.experiments.report import format_exec_profile
-
-        jobs = _payload_jobs(seeds=(1,))
-        execute_jobs(jobs, num_workers=1)
-        table = format_exec_profile(last_profile().as_dict())
-        assert "transport" in table and "inline" in table
-        assert "no executor profile" in format_exec_profile(None)
-
 
 class TestCliJobs:
     def test_jobs_and_seeds_flags_parse(self):

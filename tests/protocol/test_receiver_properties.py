@@ -7,6 +7,7 @@ from repro.core.config import PolyraptorConfig
 from repro.core.packets import DoneAckPayload, SymbolPayload
 from repro.protocol.actions import EnqueuePull, SessionCompleted
 from repro.protocol.receiver import ReceiverCore
+from repro.rq.backend import CodecContext
 from repro.rq.block import ObjectEncoder
 
 
@@ -63,7 +64,7 @@ def test_senders_discovered_mid_transfer_must_also_ack():
 def test_rank_deficient_window_keeps_pulling_until_the_decode_succeeds():
     """K + overhead symbols usually decode, but not always: for K=6 the
     repair window ESIs 40..47 is rank-deficient.  The core must treat the
-    typed ``DecodeFailure`` as "not done yet" -- no completion, more pulls --
+    failed block decode as "not done yet" -- no completion, more pulls --
     and complete with the exact bytes once one more symbol arrives."""
     payload = bytes((7 + i * 131) % 251 for i in range(96))
     config = PolyraptorConfig(
@@ -101,9 +102,9 @@ def test_rank_deficient_window_keeps_pulling_until_the_decode_succeeds():
 
 
 def test_one_rank_deficient_block_leaves_every_other_block_complete():
-    """A decode failure in block 0 must not un-complete blocks 1 and 2, which
-    decoded fine: only block 0 goes back to pulling, and one more symbol for
-    it finishes the session."""
+    """A decode failure in block 0 leaves only block 0 incomplete: blocks 1
+    and 2 decode and complete, block 0 keeps pulling, and one more symbol
+    for it finishes the session."""
     payload = bytes((11 + i * 97) % 251 for i in range(3 * 96))
     config = PolyraptorConfig(
         carry_payload=True, symbol_size_bytes=16, max_symbols_per_block=8
@@ -130,6 +131,8 @@ def test_one_rank_deficient_block_leaves_every_other_block_complete():
 
     for esi in range(40, 48):  # the pinned rank-deficient window
         deliver(0, esi)
+    # Its decode failed, so block 0 is not complete and the pulls still name it.
+    assert core.build_pull(0).block_hint == 0
     for block in (1, 2):
         for esi in range(6):
             actions = deliver(block, esi)
@@ -143,3 +146,30 @@ def test_one_rank_deficient_block_leaves_every_other_block_complete():
     assert core.completed
     assert isinstance(actions[-1], SessionCompleted)
     assert core.received_data == payload
+
+
+def test_a_block_decodes_in_the_call_that_completes_it():
+    """The decode runs as soon as one block's count rule fires, not once the
+    whole object is in: block 0 is solved while blocks 1 and 2 still wait."""
+    payload = bytes((5 + i * 61) % 251 for i in range(3 * 96))
+    config = PolyraptorConfig(
+        carry_payload=True, symbol_size_bytes=16, max_symbols_per_block=8
+    )
+    encoder = ObjectEncoder(payload, symbol_size=16, max_symbols_per_block=8)
+    codec = CodecContext()
+    core = ReceiverCore(config=config, session_id=7, object_bytes=len(payload),
+                        local_host=1, expected_senders=[0], codec=codec)
+    assert core.oti.symbols_per_block == (6, 6, 6)
+
+    for sequence, esi in enumerate(range(1, 9), start=1):  # source ESI 0 withheld
+        core.on_symbol(
+            SymbolPayload(
+                session_id=7, sender_host=0, block_number=0, esi=esi,
+                block_symbol_count=6, num_blocks=3, object_bytes=len(payload),
+                data=encoder.symbol(0, esi).data, sequence=sequence,
+            ),
+            trimmed=False,
+            now=0.001 * sequence,
+        )
+    assert codec.stats_dict()["blocks_decoded"] == 1
+    assert not core.completed

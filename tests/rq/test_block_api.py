@@ -101,7 +101,6 @@ class TestObjectEncoderDecoder:
         encoder = ObjectEncoder(data, symbol_size=512, max_symbols_per_block=16)
         decoder = ObjectDecoder(encoder.oti)
         decoder.add_symbol(encoder.symbol(0, 0))
-        assert not decoder.can_attempt_decode()
         with pytest.raises(DecodeFailure):
             decoder.decode()
 
@@ -111,20 +110,6 @@ class TestObjectEncoderDecoder:
         decoder = ObjectDecoder(encoder.oti)
         with pytest.raises(ValueError):
             decoder.add_symbol(EncodedSymbol(block_number=7, esi=0, data=b"\x00" * 256))
-
-    def test_is_source_for(self):
-        symbol = EncodedSymbol(block_number=0, esi=3, data=b"")
-        assert symbol.is_source_for(4)
-        assert not symbol.is_source_for(3)
-
-    def test_is_complete_tracks_block_decoders(self):
-        data = os.urandom(4_000)
-        encoder = ObjectEncoder(data, symbol_size=512, max_symbols_per_block=8)
-        decoder = ObjectDecoder(encoder.oti)
-        assert not decoder.is_complete()
-        decoder.add_symbols(encoder.source_symbols())
-        decoder.decode()
-        assert decoder.is_complete()
 
 
 class TestHighLevelApi:

@@ -130,13 +130,6 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decoder.add_symbol(-1, b"\x00" * 4)
 
-    def test_missing_source_symbols_listed(self, encoder_32):
-        decoder = BlockDecoder(32, 48)
-        decoder.add_symbol(3, encoder_32.symbol(3))
-        missing = decoder.missing_source_symbols()
-        assert 3 not in missing
-        assert len(missing) == 31
-
     def test_decode_result_data_property(self, encoder_32):
         decoder = BlockDecoder(32, 48)
         for esi in range(32):
