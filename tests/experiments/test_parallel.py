@@ -568,6 +568,16 @@ class TestExecutorProfile:
             parallel._resolve_chunk(0, 4, 2)
 
 
+    def test_log_exec_profile_prints_one_stderr_line(self, capsys):
+        execute_jobs(_payload_jobs(seeds=(1,)), num_workers=1, label="unit")
+        parallel.log_exec_profile(last_profile())
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("[repro] sweep unit: 1 jobs, 1 workers, chunk=1")
+        assert "shipped=0B" in lines[0]
+
 class TestCliJobs:
     def test_jobs_and_seeds_flags_parse(self):
         from repro.cli import build_parser

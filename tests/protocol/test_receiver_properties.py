@@ -173,3 +173,58 @@ def test_a_block_decodes_in_the_call_that_completes_it():
         )
     assert codec.stats_dict()["blocks_decoded"] == 1
     assert not core.completed
+
+
+def test_a_block_whose_decode_failed_takes_its_later_symbols_as_new():
+    """A failed decode leaves the block open for its own symbols: the next
+    one is recorded (not booked as a duplicate) and decodes the block while
+    the other blocks are still empty."""
+    payload = bytes((3 + i * 53) % 251 for i in range(3 * 96))
+    config = PolyraptorConfig(
+        carry_payload=True, symbol_size_bytes=16, max_symbols_per_block=8
+    )
+    encoder = ObjectEncoder(payload, symbol_size=16, max_symbols_per_block=8)
+    codec = CodecContext()
+    core = ReceiverCore(config=config, session_id=7, object_bytes=len(payload),
+                        local_host=1, expected_senders=[0], codec=codec)
+    assert core.oti.symbols_per_block == (6, 6, 6)
+
+    for sequence, esi in enumerate(range(40, 49), start=1):  # window, then ESI 48
+        core.on_symbol(
+            SymbolPayload(
+                session_id=7, sender_host=0, block_number=0, esi=esi,
+                block_symbol_count=6, num_blocks=3, object_bytes=len(payload),
+                data=encoder.symbol(0, esi).data, sequence=sequence,
+            ),
+            trimmed=False,
+            now=0.001 * sequence,
+        )
+    assert core.duplicate_symbols == 0
+    assert core.symbols_received == 9
+    # Block 0 is done, so the pulls move on to block 1.
+    assert core.build_pull(0).block_hint == 1
+    assert not core.completed
+
+
+def test_identity_mode_completes_on_the_count_rule_alone():
+    """Without bytes there is nothing to decode: K source headers of each
+    block complete the session and no codec work runs."""
+    codec = CodecContext()
+    core = ReceiverCore(config=PolyraptorConfig(), session_id=7,
+                        object_bytes=1408 * 10, local_host=1,
+                        expected_senders=[0], codec=codec)
+    assert core.oti.symbols_per_block == (10,)
+    for esi in range(10):
+        core.on_symbol(
+            SymbolPayload(
+                session_id=7, sender_host=0, block_number=0, esi=esi,
+                block_symbol_count=10, num_blocks=1, object_bytes=1408 * 10,
+                data=None, sequence=esi + 1,
+            ),
+            trimmed=False,
+            now=0.001 * (esi + 1),
+        )
+    assert core.completed
+    assert core.received_data is None
+    assert isinstance(core.poll_actions()[-1], SessionCompleted)
+    assert codec.stats_dict()["blocks_decoded"] == 0

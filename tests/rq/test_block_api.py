@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.rq.backend import CodecContext
 from repro.rq.block import (
     EncodedSymbol,
     ObjectDecoder,
@@ -111,6 +112,21 @@ class TestObjectEncoderDecoder:
         with pytest.raises(ValueError):
             decoder.add_symbol(EncodedSymbol(block_number=7, esi=0, data=b"\x00" * 256))
 
+
+    def test_decode_joins_blocks_already_decoded_one_by_one(self):
+        data = os.urandom(4_000)
+        context = CodecContext()
+        encoder = ObjectEncoder(data, symbol_size=512, max_symbols_per_block=4)
+        decoder = ObjectDecoder(encoder.oti, context=context)
+        for block in range(encoder.num_blocks):
+            k = encoder.oti.block_symbol_count(block)
+            # Source ESI 0 withheld, so every block needs a real solve.
+            for esi in [*range(1, k), k, k + 1]:
+                decoder.add_symbol(encoder.symbol(block, esi))
+            assert decoder.block_decoder(block).decode().success
+        assert context.blocks_decoded == encoder.num_blocks
+        assert decoder.decode() == data
+        assert context.blocks_decoded == encoder.num_blocks
 
 class TestHighLevelApi:
     def test_encode_decode_roundtrip(self):

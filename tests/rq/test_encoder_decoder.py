@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.rq.backend import CodecContext
 from repro.rq.decoder import BlockDecoder, DecodeFailure
 from repro.rq.encoder import BlockEncoder
 from repro.rq.params import for_k
@@ -129,6 +130,21 @@ class TestDecoder:
         decoder = BlockDecoder(8, 4)
         with pytest.raises(ValueError):
             decoder.add_symbol(-1, b"\x00" * 4)
+
+    def test_a_decoded_block_is_not_solved_again(self, encoder_32):
+        """Once a block decoded, later decode() calls return the same source
+        symbols without another solve (the receiver decodes each block as it
+        completes and only joins them at the end)."""
+        context = CodecContext()
+        decoder = BlockDecoder(32, 48, context=context)
+        for esi in [*range(1, 32), 100, 101]:  # source ESI 0 withheld
+            decoder.add_symbol(esi, encoder_32.symbol(esi))
+        first = decoder.decode()
+        assert first.success and first.used_gaussian_elimination
+        again = decoder.decode()
+        assert again.success and not again.used_gaussian_elimination
+        assert again.source_symbols == first.source_symbols
+        assert context.blocks_decoded == 1
 
     def test_decode_result_data_property(self, encoder_32):
         decoder = BlockDecoder(32, 48)
